@@ -6,12 +6,11 @@ interpolation oracle recovering defining equations from samples.
 """
 
 from .linalg import (BudgetExhausted, PreconditionError, QMatrix, rat, rat_str,
-                     clear_denominators, identity_matrix, smith_normal_form)
+                     clear_denominators, smith_normal_form)
 from .poly import SparsePoly, monomials_of_degree, proportional
 from .projective import (LinSpace, PPoint, PlueckerVector, all_ones_point,
-                         delta_index, hadamard_point, intersect_spaces,
-                         line_through, pluecker, point_times_space,
-                         sample_point, toric_concat)
+                         intersect_spaces, line_through, pluecker,
+                         point_times_space, sample_point)
 from .line_powers import (line_power_matrix, line_power_pluecker,
                           power_hyperplane, power_linear_equations,
                           sampled_power_span)

@@ -214,21 +214,6 @@ CUBIC_REPRESENTATIVES = {
 }
 
 
-def _sorted_with_sign(tpl):
-    lst = list(tpl)
-    sign = 1
-    for i in range(len(lst)):
-        for j in range(len(lst) - 1 - i):
-            if lst[j] > lst[j + 1]:
-                lst[j], lst[j + 1] = lst[j + 1], lst[j]
-                sign = -sign
-    return tuple(lst), sign
-
-
-def _perm_sign(perm):
-    return _permutation_sign(list(perm))
-
-
 def _transport_terms(terms, perm):
     """Apply an index permutation to bracket monomials, re-sorting brackets.
 
@@ -239,9 +224,9 @@ def _transport_terms(terms, perm):
         sign = 1
         images = []
         for br in brackets:
-            image, s = _sorted_with_sign(tuple(perm[i] for i in br))
-            sign *= s
-            images.append(image)
+            image = tuple(perm[i] for i in br)
+            sign *= _permutation_sign(image)
+            images.append(tuple(sorted(image)))
         key = tuple(sorted(images))
         out[key] = out.get(key, 0) + sign
     return {k: v for k, v in out.items() if v}
@@ -250,7 +235,7 @@ def _transport_terms(terms, perm):
 def _twisted_transport(pattern, perm):
     base_sign, terms = CUBIC_REPRESENTATIVES[pattern]
     transported = _transport_terms(terms, perm)
-    factor = base_sign * _perm_sign(perm)
+    factor = base_sign * _permutation_sign(perm)
     return {k: factor * v for k, v in transported.items()}
 
 

@@ -208,11 +208,16 @@ def cmd_star_config(payload, rng, args):
 def cmd_span_dim(payload, rng, args):
     if "spaces" in payload:
         raw = _want(payload, "spaces", list)
+        if not raw:
+            raise ValidationError("spaces", "need at least one space")
         entries = []
         for i, item in enumerate(raw):
             if not isinstance(item, dict):
                 raise ValidationError("spaces[%d]" % i, "expected an object")
             space = _parse_space(item.get("generators"), "spaces[%d].generators" % i)
+            if entries and space.ambient_dim != entries[0][0].ambient_dim:
+                raise ValidationError("spaces[%d].generators" % i,
+                                      "ambient dimension differs from spaces[0]")
             mult = item.get("mult", 1)
             if not isinstance(mult, int) or mult < 1:
                 raise ValidationError("spaces[%d].mult" % i, "multiplicity must be >= 1")
@@ -220,7 +225,11 @@ def cmd_span_dim(payload, rng, args):
         n = entries[0][0].ambient_dim
     else:
         dims = _parse_dim_mult_list(_want(payload, "dims", list), "dims")
+        if not dims:
+            raise ValidationError("dims", "need at least one [dimension, multiplicity] pair")
         n = _want(payload, "n", int)
+        if any(m > n for m, _ in dims):
+            raise ValidationError("n", "ambient dimension must be at least every dimension in dims")
         entries = []
         for m, r in dims:
             rows = [[rng.randint(-1000, 1000) for _ in range(n + 1)] for _ in range(m + 1)]
@@ -290,6 +299,9 @@ def cmd_interp(payload, rng, args):
 def cmd_dim_estimate(payload, rng, args):
     sampler_x = _parse_sampler(_want(payload, "x", dict), "x")
     sampler_y = _parse_sampler(_want(payload, "y", dict), "y")
+    if sampler_y.ambient_dim != sampler_x.ambient_dim:
+        raise ValidationError("y", "ambient dimension P^%d differs from x's P^%d"
+                              % (sampler_y.ambient_dim, sampler_x.ambient_dim))
     dim_h = _want(payload, "dim_h", int)
     dim_g = _want(payload, "dim_g", int)
     p, tp = sampler_x.sample(rng)

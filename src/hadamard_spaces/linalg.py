@@ -4,6 +4,16 @@ Everything here is immutable and pure: matrices are tuples of tuples of
 `fractions.Fraction`, operations return new values, and there is no float
 anywhere.  "Equals zero" is therefore decidable, which the rest of the
 package relies on.
+
+One elimination engine serves rank, RREF, kernels and determinants.  Rows
+are first cleared to integers, which keeps the row space and the kernel.
+A forward Bareiss pass with exact division (`_bareiss_echelon`) gives an
+integer echelon form whose entries are minors of the input, the sign of its
+row swaps, and the pivot columns (each the first nonzero entry at or below
+the current row).  A free-column back-substitution (`_back_substitute`)
+then solves for one kernel vector per free column.  The RREF, the kernel
+basis normalised to the free columns and the determinant are unique, so
+the results do not depend on how they were computed.
 """
 
 from fractions import Fraction
@@ -61,8 +71,8 @@ def clear_denominators(vec):
 class QMatrix:
     """Immutable matrix over Fraction entries.
 
-    Row-reduction uses deterministic first-nonzero pivoting so that equal
-    inputs always produce byte-identical reduced forms.
+    The reduced row echelon form is computed on first use and cached in
+    `_rref`; rank, row space and kernel are read off it.
     """
 
     __slots__ = ("rows", "_rref")
@@ -108,45 +118,31 @@ class QMatrix:
         scalars = [rat(s) for s in scalars]
         return QMatrix(tuple(tuple(x * s for x, s in zip(row, scalars)) for row in self.rows))
 
-    def mat_vec(self, vec):
-        if len(vec) != self.ncols:
-            raise ValueError("dimension mismatch")
-        return tuple(sum((x * rat(v) for x, v in zip(row, vec)), Fraction(0)) for row in self.rows)
-
     def submatrix_columns(self, cols):
         return QMatrix(tuple(tuple(row[c] for c in cols) for row in self.rows))
 
     def rref(self):
-        """Reduced row echelon form and rank (row space preserved)."""
+        """Reduced row echelon form, rank and pivot columns, computed once.
+
+        Row i of the reduced form has a 1 at pivot p_i, zeros at the other
+        pivots, and -v_f[p_i] at free column f, where v_f is the kernel
+        vector of free column f.  Rows past the rank are zero.
+        """
         if self._rref is not None:
             return self._rref
-        rows = [list(row) for row in self.rows]
-        nr, nc = len(rows), self.ncols
-        piv_r = 0
-        pivots = []
-        for col in range(nc):
-            pivot = None
-            for r in range(piv_r, nr):
-                if rows[r][col]:
-                    pivot = r
-                    break
-            if pivot is None:
-                continue
-            rows[piv_r], rows[pivot] = rows[pivot], rows[piv_r]
-            pv = rows[piv_r][col]
-            if pv != 1:
-                rows[piv_r] = [x / pv for x in rows[piv_r]]
-            for r in range(nr):
-                if r != piv_r and rows[r][col]:
-                    f = rows[r][col]
-                    rows[r] = [x - f * y for x, y in zip(rows[r], rows[piv_r])]
-            pivots.append(col)
-            piv_r += 1
-            if piv_r == nr:
-                break
-        reduced = QMatrix(rows[:piv_r] + rows[piv_r:])
-        reduced._rref = (reduced, piv_r, tuple(pivots))
-        self._rref = (reduced, piv_r, tuple(pivots))
+        nc = self.ncols
+        echelon, pivots, _ = _bareiss_echelon(_integer_rows(self.rows)[0])
+        d, free, solutions = _back_substitute(echelon, pivots, nc)
+        rows = []
+        for p in pivots:
+            row = [Fraction(0)] * nc
+            row[p] = Fraction(1)
+            for f, x in zip(free, solutions):
+                row[f] = Fraction(-x[p], d)
+            rows.append(row)
+        rows.extend([Fraction(0)] * nc for _ in range(self.nrows - len(pivots)))
+        reduced = QMatrix(rows)
+        reduced._rref = self._rref = (reduced, len(pivots), tuple(pivots))
         return self._rref
 
     def rank(self):
@@ -176,71 +172,61 @@ class QMatrix:
         return basis
 
     def det(self):
-        """Determinant by fraction-free elimination on a scaled copy."""
+        """Determinant: the last Bareiss pivot, signed, over the row scale."""
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
-        n = self.nrows
-        if n == 0:
-            return Fraction(1)
-        # Clear denominators row by row; divide the scale factors back out.
-        scale = Fraction(1)
-        rows = []
-        for row in self.rows:
-            mult = lcm(*(x.denominator for x in row))
-            scale *= mult
-            rows.append([int(x * mult) for x in row])
-        # Bareiss.
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if rows[k][k] == 0:
-                swap = None
-                for r in range(k + 1, n):
-                    if rows[r][k]:
-                        swap = r
-                        break
-                if swap is None:
-                    return Fraction(0)
-                rows[k], rows[swap] = rows[swap], rows[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    rows[i][j] = (rows[i][j] * rows[k][k] - rows[i][k] * rows[k][j]) // prev
-                rows[i][k] = 0
-            prev = rows[k][k]
-        return Fraction(sign * rows[n - 1][n - 1], scale)
+        ints, scale = _integer_rows(self.rows)
+        echelon, pivots, sign = _bareiss_echelon(ints)
+        if len(pivots) < self.nrows:
+            return Fraction(0)
+        return Fraction(sign * echelon[-1][-1], scale) if echelon else Fraction(1)
 
 
-def identity_matrix(n):
-    return QMatrix(tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)))
+def _integer_rows(rows):
+    """Each rational row times the lcm of its denominators, and the product
+    of those multipliers.
+
+    Scaling rows by nonzero integers keeps the row space and the kernel and
+    multiplies the determinant by the returned scale.
+    """
+    scale = 1
+    ints = []
+    for row in rows:
+        mult = lcm(*(x.denominator for x in row))
+        scale *= mult
+        ints.append([x.numerator * (mult // x.denominator) for x in row])
+    return ints, scale
 
 
 def _bareiss_echelon(rows):
-    """Fraction-free row echelon form of an integer matrix.
+    """Fraction-free row echelon form of an integer matrix (Bareiss 1968).
 
-    Returns (echelon rows, pivot columns).  The Bareiss division by the
-    previous pivot is exact, keeping intermediate entries at minor size.
+    Returns (echelon rows, pivot columns, sign of the row swaps).  The pivot
+    of each column is its first nonzero entry at or below the current row.
+    After k pivots every entry below them is a (k+1)-minor of the row-swapped
+    input, so the division by the previous pivot is exact and entries stay
+    at minor size; in particular the last pivot of a nonsingular square
+    matrix is its determinant times the sign.
     """
     rows = [list(map(int, r)) for r in rows]
     nr = len(rows)
     nc = len(rows[0]) if rows else 0
     pivots = []
+    sign = 1
     prev = 1
     pr = 0
     for c in range(nc):
-        pivot = None
-        for r in range(pr, nr):
-            if rows[r][c]:
-                pivot = r
-                break
+        pivot = next((r for r in range(pr, nr) if rows[r][c]), None)
         if pivot is None:
             continue
-        rows[pr], rows[pivot] = rows[pivot], rows[pr]
-        pv = rows[pr][c]
+        if pivot != pr:
+            rows[pr], rows[pivot] = rows[pivot], rows[pr]
+            sign = -sign
+        top = rows[pr]
+        pv = top[c]
         for r in range(pr + 1, nr):
             f = rows[r][c]
             row = rows[r]
-            top = rows[pr]
             for j in range(c, nc):
                 row[j] = (pv * row[j] - f * top[j]) // prev
         prev = pv
@@ -248,31 +234,45 @@ def _bareiss_echelon(rows):
         pr += 1
         if pr == nr:
             break
-    return rows[:pr], pivots
+    return rows[:pr], pivots, sign
+
+
+def _back_substitute(echelon, pivots, nc):
+    """Free-column back-substitution on a Bareiss echelon form.
+
+    Returns (d, free columns, solutions): the solution for free column f is
+    an integer vector x with x[f] = d, zero at the other free columns and
+    echelon @ x = 0, where d is the last pivot.  The kernel vector of f is
+    x / d.  By Cramer's rule d times that vector is integral (d is the
+    pivot minor of the rows the echelon form came from), so every division
+    below is exact.
+    """
+    free = [c for c in range(nc) if c not in pivots]
+    d = echelon[-1][pivots[-1]] if pivots else 1
+    solutions = []
+    for f in free:
+        x = [0] * nc
+        x[f] = d
+        for r in range(len(pivots) - 1, -1, -1):
+            c = pivots[r]
+            row = echelon[r]
+            x[c] = -sum(row[j] * x[j] for j in range(c + 1, nc) if x[j]) // row[c]
+        solutions.append(x)
+    return d, free, solutions
 
 
 def integer_kernel_basis(rows):
     """Kernel basis of an integer matrix, one vector per free column.
 
-    Same contract as QMatrix.nullspace but with fraction-free elimination,
-    which is considerably faster on the large evaluation matrices built by
-    the interpolation oracle.  Vectors come out with Fraction entries.
+    Same contract as QMatrix.nullspace, read off the same back-substitution
+    without the rational row scaling.  Vectors come out with Fraction
+    entries.
     """
     if not rows:
         return []
-    echelon, pivots = _bareiss_echelon(rows)
-    nc = len(rows[0])
-    free = [c for c in range(nc) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = [Fraction(0)] * nc
-        vec[f] = Fraction(1)
-        for r in range(len(pivots) - 1, -1, -1):
-            c = pivots[r]
-            s = sum((echelon[r][j] * vec[j] for j in range(c + 1, nc) if vec[j]), Fraction(0))
-            vec[c] = -s / echelon[r][c]
-        basis.append(tuple(vec))
-    return basis
+    echelon, pivots, _ = _bareiss_echelon(rows)
+    d, _, solutions = _back_substitute(echelon, pivots, len(rows[0]))
+    return [tuple(Fraction(v, d) for v in x) for x in solutions]
 
 
 def smith_normal_form(rows):

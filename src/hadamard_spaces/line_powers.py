@@ -115,8 +115,7 @@ def sampled_power_span(line_or_space, r, rng, budget=200):
     if r < 1:
         raise PreconditionError("power must be >= 1")
     n = space.ambient_dim
-    basis = []          # working RREF rows, as lists
-    pivots = []
+    basis = QMatrix(())   # the independent products kept so far
     streak = 0
     draws = 0
     while draws < budget:
@@ -129,25 +128,14 @@ def sampled_power_span(line_or_space, r, rng, budget=200):
                 break
         if prod is None:
             continue
-        vec = list(prod.coords)
-        for row, piv in zip(basis, pivots):
-            if vec[piv]:
-                f = vec[piv]
-                vec = [x - f * y for x, y in zip(vec, row)]
-        lead = next((j for j, x in enumerate(vec) if x), None)
-        if lead is None:
+        stacked = basis.stack(QMatrix([prod.coords]))
+        if stacked.rank() == basis.nrows:
             streak += 1
-            if streak >= SPAN_STABLE_STREAK and basis:
-                return LinSpace.span_of(QMatrix(basis))
+            if streak >= SPAN_STABLE_STREAK and basis.nrows:
+                return LinSpace.span_of(basis)
             continue
         streak = 0
-        vec = [x / vec[lead] for x in vec]
-        for row, piv in zip(basis, pivots):
-            if row[lead]:
-                f = row[lead]
-                row[:] = [x - f * y for x, y in zip(row, vec)]
-        basis.append(vec)
-        pivots.append(lead)
-        if len(basis) == n + 1:
-            return LinSpace.span_of(QMatrix(basis))
+        basis = stacked
+        if basis.nrows == n + 1:
+            return LinSpace.span_of(basis)
     raise BudgetExhausted("sampled span did not stabilize within %d draws" % budget)

@@ -119,6 +119,8 @@ def identifiability_check(space, r, trials, rng):
 
 def terracini_span(p, tp, q, tq):
     """Tangent space of X*Y at p*q: the span of p*T_q(Y) and q*T_p(X)."""
+    if len(p.coords) != len(q.coords):
+        raise ValueError("ambient dimensions differ")
     if not tp.contains(p):
         raise PreconditionError("first point does not lie in its tangent space")
     if not tq.contains(q):

@@ -89,15 +89,6 @@ class PPoint:
         return cls([Fraction(str(x)) for x in data])
 
 
-def hadamard_point(p, q):
-    """Module-level alias of PPoint.hadamard."""
-    return p.hadamard(q)
-
-
-def delta_index(p):
-    return p.delta_index()
-
-
 def all_ones_point(n):
     """The identity for the Hadamard product (the 0-th power of anything)."""
     return PPoint([Fraction(1)] * (n + 1))
@@ -222,9 +213,7 @@ class PlueckerVector:
         indices = tuple(indices)
         if len(set(indices)) != len(indices):
             return Fraction(0)
-        order = sorted(range(len(indices)), key=lambda i: indices[i])
-        sign = _permutation_sign(order)
-        return sign * self.entries[tuple(sorted(indices))]
+        return _permutation_sign(indices) * self.entries[tuple(sorted(indices))]
 
     def nonvanishing(self):
         return all(self.entries.values())
@@ -251,7 +240,9 @@ class PlueckerVector:
         return {",".join(map(str, k)): rat_str(v) for k, v in sorted(self.entries.items())}
 
 
-def _permutation_sign(perm):
+def _permutation_sign(seq):
+    """Sign of the permutation that sorts a sequence of distinct items."""
+    perm = sorted(range(len(seq)), key=seq.__getitem__)
     sign = 1
     seen = [False] * len(perm)
     for i in range(len(perm)):
@@ -283,24 +274,6 @@ def line_through(p, q):
     if p == q:
         raise PreconditionError("the two points coincide projectively")
     return LinSpace([p.coords, q.coords])
-
-
-def toric_concat(a_rows, b_rows):
-    """Stack the exponent matrices of two monomially parametrized varieties.
-
-    Each input must have constant column sums (so that the monomial map is
-    well defined on projective space); the stack defines the Hadamard
-    product of the two varieties.
-    """
-    a_rows = [list(map(int, r)) for r in a_rows]
-    b_rows = [list(map(int, r)) for r in b_rows]
-    if a_rows and b_rows and len(a_rows[0]) != len(b_rows[0]):
-        raise ValueError("column count mismatch")
-    for name, rows in (("first", a_rows), ("second", b_rows)):
-        sums = {sum(col) for col in zip(*rows)}
-        if len(sums) > 1:
-            raise PreconditionError("%s matrix does not have constant column sums" % name)
-    return a_rows + b_rows
 
 
 def sample_point(space, rng, avoid_delta=None, budget=200):

@@ -154,6 +154,29 @@ def test_dim_estimate_deficient_example():
     assert doc["deficient"] is True
 
 
+def test_dim_estimate_ambient_mismatch_exit_1():
+    payload = {"x": {"type": "segre", "a": 1, "b": 1},
+               "y": {"type": "linear", "generators": [[1, 2, 3], [1, 0, 5]]},
+               "dim_h": 0, "dim_g": 3}
+    proc = run_cli("dim-estimate", payload)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert json.loads(proc.stderr)["error"]["field"] == "y"
+
+
+@pytest.mark.parametrize("payload, field", [
+    ({"spaces": []}, "spaces"),
+    ({"dims": [], "n": 3}, "dims"),
+    ({"dims": [[1, 2]], "n": 0}, "n"),
+    ({"spaces": [{"generators": [[1, 2, 3, 4]]}, {"generators": [[1, 2, 3]]}]},
+     "spaces[1].generators"),
+])
+def test_span_dim_bad_payload_exit_1(payload, field):
+    proc = run_cli("span-dim", payload)
+    assert proc.returncode == 1 and proc.stdout == ""
+    err = json.loads(proc.stderr)["error"]
+    assert err["code"] == 1 and err["field"] == field
+
+
 def test_bracket_quadric_and_pretty_display():
     payload = {"mode": "quadric",
                "line_l": [[2, 3, 5, 7], [11, 13, 17, 19]],

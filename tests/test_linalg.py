@@ -3,13 +3,41 @@ from fractions import Fraction
 
 import pytest
 
-from hadamard_spaces.linalg import (QMatrix, clear_denominators, identity_matrix,
+from hadamard_spaces.linalg import (QMatrix, clear_denominators,
                                     integer_kernel_basis, rat, rat_str,
                                     smith_normal_form)
 
 
+def _identity(n):
+    return QMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+
+
+def _random_rows(rng, max_rows, max_cols, entry):
+    """A random matrix that often has zero, duplicate and proportional rows.
+
+    The row count may be 0; the shape is as often wide as tall.
+    """
+    nr = rng.randint(0, max_rows)
+    nc = rng.randint(1, max_cols)
+    rows = [[entry() for _ in range(nc)] for _ in range(nr)]
+    if rows and rng.random() < 0.5:
+        rows.append([0] * nc)
+        rows.append(list(rng.choice(rows)))
+        rows.append([-3 * x for x in rng.choice(rows)])
+        rng.shuffle(rows)
+    return rows
+
+
+def _random_fraction(rng):
+    return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+
+
+def _mat_vec(m, vec):
+    return [sum((x * v for x, v in zip(row, vec)), Fraction(0)) for row in m.rows]
+
+
 def test_rref_identity():
-    m = identity_matrix(3)
+    m = _identity(3)
     reduced, rank, _ = m.rref()
     assert reduced == m
     assert rank == 3
@@ -32,10 +60,32 @@ def test_rref_row_space_preserved():
     reduced, rank, _ = m.rref()
     stacked = m.stack(QMatrix(reduced.rows[:rank]))
     assert stacked.rank() == rank
+    rng = random.Random(7)
+    for _ in range(60):
+        m = QMatrix(_random_rows(rng, 6, 6, lambda: _random_fraction(rng)))
+        assert m._rref is None
+        reduced, rank, pivots = result = m.rref()
+        assert m._rref is result and m.rref() is result
+        assert reduced.nrows == m.nrows and rank == len(pivots)
+        assert list(pivots) == sorted(set(pivots))
+        # Reduced echelon form: each row leads with a 1 at its pivot, every
+        # pivot column is a unit vector, and rows past the rank are zero.
+        for i, row in enumerate(reduced.rows):
+            if i >= rank:
+                assert not any(row)
+                continue
+            assert all(x == 0 for x in row[:pivots[i]]) and row[pivots[i]] == 1
+            assert all(row[p] == (1 if k == i else 0) for k, p in enumerate(pivots))
+        # Every input row is the combination of reduced rows read off its
+        # pivot entries, so the row space is unchanged.
+        for row in m.rows:
+            combo = [sum((row[p] * reduced.rows[i][j] for i, p in enumerate(pivots)), Fraction(0))
+                     for j in range(m.ncols)]
+            assert combo == list(row)
 
 
 def test_nullspace_identity_empty():
-    assert identity_matrix(4).nullspace() == []
+    assert _identity(4).nullspace() == []
 
 
 def test_nullspace_single_row():
@@ -60,22 +110,21 @@ def test_rank_equals_transpose_rank_randomized():
 
 def test_nullspace_vectors_annihilated_and_counted():
     rng = random.Random(2)
-    for _ in range(25):
-        nr = rng.randint(1, 5)
-        nc = rng.randint(1, 6)
-        m = QMatrix([[rng.randint(-5, 5) for _ in range(nc)] for _ in range(nr)])
+    for trial in range(60):
+        if trial % 2:
+            m = QMatrix(_random_rows(rng, 5, 6, lambda: rng.randint(-5, 5)))
+        else:
+            m = QMatrix(_random_rows(rng, 7, 7, lambda: _random_fraction(rng)))
         basis = m.nullspace()
-        assert len(basis) == nc - m.rank()
+        assert m.rank() + len(basis) == m.ncols
         for vec in basis:
-            assert all(x == 0 for x in m.mat_vec(vec))
+            assert all(x == 0 for x in _mat_vec(m, vec))
 
 
 def test_integer_kernel_matches_nullspace():
     rng = random.Random(3)
-    for _ in range(20):
-        nr = rng.randint(1, 6)
-        nc = rng.randint(1, 7)
-        rows = [[rng.randint(-9, 9) for _ in range(nc)] for _ in range(nr)]
+    for _ in range(60):
+        rows = _random_rows(rng, 7, 7, lambda: rng.randint(-9, 9))
         assert integer_kernel_basis(rows) == QMatrix(rows).nullspace()
 
 
@@ -125,12 +174,21 @@ def test_smith_unimodular_all_ones():
 
 def test_det_bareiss_vs_definition():
     rng = random.Random(6)
-    for _ in range(20):
-        n = rng.randint(1, 4)
-        m = QMatrix([[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
-                     for _ in range(n)])
+    for trial in range(60):
+        n, kind = trial % 6, trial // 6 % 3
+        rows = [[_random_fraction(rng) for _ in range(n)] for _ in range(n)]
+        if n > 1 and kind == 1:
+            # Singular: a row repeated up to a negative scale.
+            i, j = rng.sample(range(n), 2)
+            rows[i] = [Fraction(-2, 3) * x for x in rows[j]]
+        if n > 1 and kind == 2:
+            # A zero leading entry forces a row swap.
+            rows[0][0] = Fraction(0)
+        m = QMatrix(rows)
         # cofactor expansion reference
         def cof(rows):
+            if not rows:
+                return Fraction(1)
             if len(rows) == 1:
                 return rows[0][0]
             total = Fraction(0)

@@ -130,6 +130,14 @@ def test_terracini_precondition():
         terracini_span(outside, line, PPoint([1, 1, 1]), LinSpace([[1, 1, 1]]))
 
 
+def test_terracini_ambient_mismatch():
+    # A point of P^3 against one of P^2 used to be truncated by zip.
+    p, tp = segre_sampler(1, 1).sample(random.Random(50))
+    q = PPoint([1, 2, 3])
+    with pytest.raises(ValueError, match="ambient dimensions differ"):
+        terracini_span(p, tp, q, LinSpace([q.coords]))
+
+
 def test_terracini_generic_spaces_dimension_additive():
     rng = random.Random(49)
     for m1, m2, n in [(1, 1, 5), (1, 2, 7), (2, 2, 9)]:

@@ -7,7 +7,7 @@ from hadamard_spaces.linalg import BudgetExhausted, PreconditionError, QMatrix
 from hadamard_spaces.projective import (LinSpace, PPoint, all_ones_point,
                                         intersect_spaces, line_through,
                                         pluecker, point_times_space,
-                                        sample_point, toric_concat)
+                                        sample_point)
 
 
 def test_hadamard_product_of_points():
@@ -104,18 +104,6 @@ def test_line_through_keeps_generators():
 def test_line_through_equal_points_fails():
     with pytest.raises(PreconditionError):
         line_through(PPoint([1, 2]), PPoint([2, 4]))
-
-
-def test_toric_concat():
-    assert toric_concat([[1, 1, 1]], [[1, 1, 1]]) == [[1, 1, 1], [1, 1, 1]]
-    veronese = [[2, 1, 0], [0, 1, 2]]
-    assert toric_concat(veronese, [[2, 2, 2]]) == [[2, 1, 0], [0, 1, 2], [2, 2, 2]]
-    a, b, c = [[1, 1]], [[2, 2]], [[3, 3]]
-    assert toric_concat(toric_concat(a, b), c) == toric_concat(a, toric_concat(b, c))
-    with pytest.raises(ValueError):
-        toric_concat([[1, 1]], [[1, 1, 1]])
-    with pytest.raises(PreconditionError):
-        toric_concat([[1, 2]], [[1, 1]])
 
 
 def test_sample_point_deterministic():
