@@ -32,7 +32,7 @@ from .projective import LinSpace, PPoint, pluecker
 from .samplers import (hadamard_power_sampler, hadamard_product_sampler,
                        linear_space_sampler, reciprocal_sampler, segre_sampler)
 from .star_configs import PointSet, build_star, verify_star
-from .tropical import degree_with_reciprocals, degree_linear_products, fan_degree_pipeline
+from .tropical import degree_with_reciprocals, fan_degree_pipeline
 
 DEFAULT_SEED = 20259
 
@@ -43,13 +43,18 @@ class ValidationError(ValueError):
         super().__init__(message)
 
 
+def _is_int(value):
+    """JSON integers only: bool is an int subclass in Python, not in JSON."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _want(payload, field, kind, required=True, default=None):
     if field not in payload:
         if required:
             raise ValidationError(field, "missing required field")
         return default
     value = payload[field]
-    if kind is int and not (isinstance(value, int) and not isinstance(value, bool)):
+    if kind is int and not _is_int(value):
         raise ValidationError(field, "expected an integer")
     if kind is list and not isinstance(value, list):
         raise ValidationError(field, "expected a list")
@@ -60,9 +65,16 @@ def _want(payload, field, kind, required=True, default=None):
     return value
 
 
+def _refuse_floats(values, field):
+    if any(isinstance(x, float) for x in values):
+        raise ValidationError(field, "expected integers or \"num/den\" strings, not floats")
+
+
 def _parse_matrix(data, field):
     if not isinstance(data, list) or not data or not all(isinstance(r, list) for r in data):
         raise ValidationError(field, "expected a non-empty list of rows")
+    for row in data:
+        _refuse_floats(row, field)
     try:
         return QMatrix([[Fraction(str(x)) for x in row] for row in data])
     except (ValueError, ZeroDivisionError) as exc:
@@ -80,6 +92,7 @@ def _parse_space(data, field):
 def _parse_point(data, field):
     if not isinstance(data, list) or not data:
         raise ValidationError(field, "expected a coordinate list")
+    _refuse_floats(data, field)
     try:
         return PPoint([Fraction(str(x)) for x in data])
     except (ValueError, ZeroDivisionError) as exc:
@@ -97,21 +110,27 @@ def _parse_sampler(data, field):
     if kind == "segre":
         a = data.get("a")
         b = data.get("b")
-        if not isinstance(a, int) or not isinstance(b, int) or a < 1 or b < 1:
-            raise ValidationError(field, "segre sampler needs positive integers a, b")
+        for name, value in (("a", a), ("b", b)):
+            if not _is_int(value) or value < 1:
+                raise ValidationError(field + "." + name, "segre sampler needs positive integers a, b")
         return segre_sampler(a, b)
     if kind == "product":
         factors = data.get("factors")
         if not isinstance(factors, list) or len(factors) < 2:
             raise ValidationError(field + ".factors", "need at least two factor samplers")
         built = [_parse_sampler(f, "%s.factors[%d]" % (field, i)) for i, f in enumerate(factors)]
+        for i, factor in enumerate(built):
+            if factor.ambient_dim != built[0].ambient_dim:
+                raise ValidationError("%s.factors[%d]" % (field, i),
+                                      "ambient dimension P^%d differs from factors[0]'s P^%d"
+                                      % (factor.ambient_dim, built[0].ambient_dim))
         sampler = built[0]
         for nxt in built[1:]:
             sampler = hadamard_product_sampler(sampler, nxt)
         return sampler
     if kind == "power":
         r = data.get("r")
-        if not isinstance(r, int) or r < 1:
+        if not _is_int(r) or r < 1:
             raise ValidationError(field + ".r", "power must be a positive integer")
         return hadamard_power_sampler(_parse_sampler(data.get("base"), field + ".base"), r)
     raise ValidationError(field + ".type",
@@ -124,7 +143,7 @@ def _parse_dim_mult_list(data, field):
     out = []
     for i, pair in enumerate(data):
         if (not isinstance(pair, list) or len(pair) != 2
-                or not all(isinstance(x, int) for x in pair)):
+                or not all(_is_int(x) for x in pair)):
             raise ValidationError("%s[%d]" % (field, i), "expected [dimension, multiplicity]")
         m, r = pair
         if m < 0 or r < 1:
@@ -219,7 +238,7 @@ def cmd_span_dim(payload, rng, args):
                 raise ValidationError("spaces[%d].generators" % i,
                                       "ambient dimension differs from spaces[0]")
             mult = item.get("mult", 1)
-            if not isinstance(mult, int) or mult < 1:
+            if not _is_int(mult) or mult < 1:
                 raise ValidationError("spaces[%d].mult" % i, "multiplicity must be >= 1")
             entries.append((space, mult))
         n = entries[0][0].ambient_dim
@@ -251,12 +270,11 @@ def cmd_degree(payload, rng, args):
     if not plain and not reciprocal:
         raise ValidationError("plain", "need at least one factor")
     n = _want(payload, "n", int)
+    if n < 0:
+        raise ValidationError("n", "ambient dimension must be >= 0")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        if reciprocal:
-            dim, degree = degree_with_reciprocals(plain, reciprocal, n)
-        else:
-            dim, degree = degree_linear_products(plain, n)
+        dim, degree = degree_with_reciprocals(plain, reciprocal, n)
     doc = {"dim": dim, "degree": rat_str(degree)}
     if args.transcript:
         detail = fan_degree_pipeline(plain, reciprocal, n, rng, transcript=True)
@@ -346,7 +364,7 @@ def cmd_bracket(payload, rng, args):
                 "square_identity": quadric_square_symbolic(),
             }
         trials = payload.get("trials", 25)
-        if not isinstance(trials, int) or trials < 1:
+        if not _is_int(trials) or trials < 1:
             raise ValidationError("trials", "trials must be a positive integer")
         if identity == "quadric":
             line_l = _parse_space(payload.get("line_l", [[2, 3, 5, 7], [11, 13, 17, 19]]), "line_l")

@@ -149,9 +149,14 @@ class QMatrix:
         return self.rref()[1]
 
     def row_space_matrix(self):
-        """RREF with zero rows dropped: a canonical basis of the row space."""
-        reduced, rank, _ = self.rref()
-        return QMatrix(reduced.rows[:rank])
+        """RREF with zero rows dropped: a canonical basis of the row space.
+
+        The basis is its own RREF, so it comes with its reduction cached.
+        """
+        reduced, rank, pivots = self.rref()
+        basis = QMatrix(reduced.rows[:rank])
+        basis._rref = (basis, rank, pivots)
+        return basis
 
     def nullspace(self):
         """Basis of the right kernel, one vector per free column.

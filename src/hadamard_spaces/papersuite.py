@@ -168,10 +168,7 @@ def check_degree_formulas(rng):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for label, plain, recip, n, want in DEGREE_SPOT_VALUES:
-            if recip:
-                dim, closed = tropical.degree_with_reciprocals(plain, recip, n)
-            else:
-                dim, closed = tropical.degree_linear_products(plain, n)
+            dim, closed = tropical.degree_with_reciprocals(plain, recip, n)
             fan = tropical.fan_degree_pipeline(plain, recip, n, rng)
             good = closed == want == fan["degree"] and fan["dim"] == dim
             ok = ok and good

@@ -11,7 +11,6 @@ on the samples, not approximately.
 import warnings
 from fractions import Fraction
 from math import comb, prod
-from itertools import product as iproduct
 
 from .linalg import PreconditionError, QMatrix, integer_kernel_basis
 from .poly import SparsePoly, monomials_of_degree
@@ -61,12 +60,9 @@ def gen_vandermonde(entries):
                     row = [x * v ** e for x, v in zip(row, g)]
             block.append(tuple(row))
         blocks.append(block)
-    rows = []
-    for combo in iproduct(*blocks):
-        row = combo[0]
-        for other in combo[1:]:
-            row = tuple(x * y for x, y in zip(row, other))
-        rows.append(row)
+    rows = blocks[0]
+    for block in blocks[1:]:
+        rows = [tuple(x * y for x, y in zip(row, other)) for row in rows for other in block]
     return QMatrix(rows)
 
 

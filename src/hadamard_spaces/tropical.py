@@ -1,23 +1,22 @@
 """Weighted balanced fans supported on signed coordinate cones, Minkowski
-sums with lattice-index multiplicities, stable intersection multiplicity at
-the origin, and the closed-form degree formulas they cross-check.
+sums, stable intersection multiplicity at the origin, and the closed-form
+degree formulas they cross-check.
 
 The tropicalization of a generic m-dimensional linear space is the standard
 tropical linear space: the union of positive spans of all m-subsets of the
 images of the standard basis vectors in R^(n+1)/R*1, all multiplicities 1.
 Reciprocal linear spaces tropicalize to the negated fans.  Restricting to
-this cone class keeps every intersection test combinatorial plus a small
-exact linear program.
-"""
+this cone class makes the whole fan pipeline set and sign operations: every
+lattice index is 1 and every meet test is a sign comparison."""
 
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations, product as iproduct
+from itertools import combinations
 from math import comb, factorial, prod
 
-from .linalg import PreconditionError, QMatrix, smith_normal_form
+from .linalg import PreconditionError, QMatrix
 
 # ---------------------------------------------------------------------------
 # cones and fans
@@ -148,28 +147,24 @@ def negate_fan(fan):
 
 
 def lattice_index(cones, ambient_dim):
-    """Index of the sum of the cones' lattices inside its saturation.
+    """Index of the sum of the cones' lattices inside its saturation: always 1.
 
-    The cones' spans must sum transversally (dimension equal to the sum of
-    cone dimensions); the index is the product of the nonzero Smith normal
-    form entries of the stacked generator matrix.
+    The cones' spans must sum transversally; for signed coordinate cones
+    that means pairwise disjoint supports of total size at most n, and any
+    other tuple raises PreconditionError.  The generators are then +-e_i
+    for at most n distinct indices i.  Leaving out one index j that is not
+    among them, {e_i : i != j} is a Z-basis of Z^(n+1)/Z*1, and signs do
+    not change a lattice, so the generators extend to a basis and the
+    index is 1.  The tests check this against the Smith normal form.
     """
-    n = ambient_dim
-    rows = []
-    total_dim = 0
+    seen = set()
     for cone in cones:
-        total_dim += cone.dim
-        for idx, sign in cone.signed_indices():
-            rows.append(_quotient_rep(idx, sign, n))
-    if not rows:
-        return 1
-    if QMatrix(rows).rank() != total_dim:
+        if cone.support & seen:
+            raise PreconditionError("non-transversal sum of cones")
+        seen |= cone.support
+    if len(seen) > ambient_dim:
         raise PreconditionError("non-transversal sum of cones")
-    index = 1
-    for d in smith_normal_form(rows):
-        if d:
-            index *= d
-    return index
+    return 1
 
 
 def minkowski_sum(fans, delta=1):
@@ -177,10 +172,13 @@ def minkowski_sum(fans, delta=1):
 
     The multiplicity of each result facet is the sum over ordered
     factorizations into one facet per input fan of the product of their
-    multiplicities times the lattice index of the decomposition.
-    Factorizations that would reuse a coordinate index (in particular a
-    plus/minus clash) are transversality failures and are skipped.  The
-    global weight is the product of the input weights divided by delta.
+    multiplicities times the lattice index of the decomposition, which is
+    1 (see lattice_index).  Factorizations that would reuse a coordinate
+    index (in particular a plus/minus clash) are transversality failures
+    and are skipped.  The fans are folded in one at a time: a partial sum
+    only needs its signed support, so each factorization prefix is summed
+    once.  The global weight is the product of the input weights divided
+    by delta.
     """
     if not fans:
         raise ValueError("need at least one fan")
@@ -193,146 +191,60 @@ def minkowski_sum(fans, delta=1):
             raise ValueError("ambient dimensions differ")
     if total_dim > n:
         raise PreconditionError("sum of fan dimensions %d exceeds ambient %d" % (total_dim, n))
-    mults = {}
-    index_cache = {}
-    for combo in iproduct(*(f.cones for f in fans)):
-        plus = frozenset().union(*(c.plus for c in combo))
-        minus = frozenset().union(*(c.minus for c in combo))
-        if len(plus) + len(minus) != total_dim or (plus & minus):
-            continue
-        key = (plus, minus)
-        # The stacked generators are determined by the signed support, so
-        # the lattice index can be memoized per result cone.
-        idx = index_cache.get(key)
-        if idx is None:
-            idx = lattice_index(combo, n)
-            index_cache[key] = idx
-        mults[key] = mults.get(key, 0) + prod(c.mult for c in combo) * idx
+    mults = {(frozenset(), frozenset()): 1}
+    for fan in fans:
+        folded = {}
+        for (plus, minus), mult in mults.items():
+            for cone in fan.cones:
+                if cone.support & (plus | minus):
+                    continue
+                key = (plus | cone.plus, minus | cone.minus)
+                folded[key] = folded.get(key, 0) + mult * cone.mult
+        mults = folded
     cones = [SignedCone(p, m, c) for (p, m), c in mults.items()]
     weight = reduce(lambda acc, f: acc * f.global_weight, fans, Fraction(1, delta))
     return SignedConeFan(n, total_dim, cones, weight)
 
 
 # ---------------------------------------------------------------------------
-# exact linear feasibility by Fourier-Motzkin elimination
-
-
-def _fm_feasible(equalities, inequalities, nvars):
-    """Decide feasibility of  eq: a.x = b,  ineq: a.x <= b (or < b) over Q.
-
-    equalities: list of (coeff tuple, rhs); inequalities: list of
-    (coeff tuple, rhs, strict).  Equalities are eliminated by substitution,
-    the rest by Fourier-Motzkin; exact rational arithmetic throughout.
-    """
-    eqs = [([Fraction(c) for c in a], Fraction(b)) for a, b in equalities]
-    ineqs = [([Fraction(c) for c in a], Fraction(b), s) for a, b, s in inequalities]
-    alive = list(range(nvars))
-
-    while eqs:
-        coeffs, rhs = eqs.pop()
-        pivot = next((v for v in alive if coeffs[v]), None)
-        if pivot is None:
-            if rhs != 0:
-                return False
-            continue
-        pv = coeffs[pivot]
-        sol = ([-c / pv for c in coeffs], rhs / pv)  # x_pivot = sol0.x + sol1
-        sol[0][pivot] = Fraction(0)
-
-        def substitute(a, b):
-            f = a[pivot]
-            if not f:
-                return a, b
-            new = [c + f * s for c, s in zip(a, sol[0])]
-            new[pivot] = Fraction(0)
-            return new, b - f * sol[1]
-
-        eqs = [substitute(a, b) for a, b in eqs]
-        ineqs = [(*substitute(a, b), s) for a, b, s in ineqs]
-        alive.remove(pivot)
-
-    for var in list(alive):
-        uppers, lowers, rest = [], [], []
-        for a, b, s in ineqs:
-            if a[var] > 0:
-                uppers.append(([c / a[var] for c in a], b / a[var], s))
-            elif a[var] < 0:
-                lowers.append(([c / -a[var] for c in a], b / -a[var], s))
-            else:
-                rest.append((a, b, s))
-        new = rest
-        for ua, ub, us in uppers:
-            for la, lb, ls in lowers:
-                # -la.x' + x >= -lb  and  ua.x' + x <= ub  combine to:
-                a = [u + l for u, l in zip(ua, la)]
-                a[var] = Fraction(0)
-                new.append((a, ub + lb, us or ls))
-        seen = set()
-        ineqs = []
-        for a, b, s in new:
-            key = (tuple(a), b, s)
-            if key not in seen:
-                seen.add(key)
-                ineqs.append((a, b, s))
-        alive.remove(var)
-        for a, b, s in ineqs:
-            if not any(a):
-                if b < 0 or (s and b == 0):
-                    return False
-        ineqs = [(a, b, s) for a, b, s in ineqs if any(a)]
-
-    # Constraints can become constant already during equality substitution;
-    # by now every variable has been eliminated one way or the other.
-    for a, b, s in ineqs:
-        if not any(a) and (b < 0 or (s and b == 0)):
-            return False
-    return True
+# stable intersection at the origin
 
 
 class NonGenericVector(PreconditionError):
     """The displacement vector failed a genericity validation."""
 
 
-def _cone_shift_system(cone1, cone2, v, n, strict):
-    """Linear system for sigma1 meet (sigma2 + v), modulo the all-ones line.
+def cone_pair_meets(cone1, cone2, v, n):
+    """Whether sigma1 meets sigma2 + v modulo the all-ones line.
 
-    Variables: one nonnegative coefficient per generator of each cone, plus
-    one free variable for the quotient by R*1.
+    The supports must be disjoint and cover exactly n of the n+1
+    coordinates; otherwise PreconditionError is raised.  Let c0 be the
+    uncovered coordinate.  A meeting point solves x = y + v + t*1 with
+    x = sum a_i s_i e_i over sigma1's signed generators s_i e_i and
+    y = sum b_j s_j e_j over sigma2's, all a_i, b_j >= 0.  Every
+    coordinate carries at most one generator, so the n+1 coordinate
+    equations fix the n+1 unknowns: coordinate c0 gives t = -v_c0, a
+    generator of sigma1 at i gives a_i = s_i (v_i - v_c0), and one of
+    sigma2 at j gives b_j = s_j (v_c0 - v_j).  Hence the cones meet iff
+    v_i >= v_c0 for i in plus1 and in minus2, and v_i <= v_c0 for i in
+    minus1 and in plus2.  With pairwise distinct coordinates of v every
+    inequality is strict, so a meeting point lies in both relative
+    interiors.
     """
-    gens1 = cone1.signed_indices()
-    gens2 = cone2.signed_indices()
-    k = len(gens1) + len(gens2) + 1
-    equalities = []
-    for c in range(n + 1):
-        row = [Fraction(0)] * k
-        for t, (idx, sign) in enumerate(gens1):
-            if idx == c:
-                row[t] = Fraction(sign)
-        for t, (idx, sign) in enumerate(gens2):
-            if idx == c:
-                row[len(gens1) + t] = Fraction(-sign)
-        row[-1] = Fraction(-1)
-        equalities.append((row, Fraction(v[c])))
-    inequalities = []
-    for t in range(len(gens1) + len(gens2)):
-        row = [Fraction(0)] * k
-        row[t] = Fraction(-1)
-        inequalities.append((row, Fraction(0), strict))
-    return equalities, inequalities, k
-
-
-def cone_pair_meets(cone1, cone2, v, n, strict=False):
-    """Exact feasibility of sigma1 meet (sigma2 + v) via Fourier-Motzkin."""
-    equalities, inequalities, k = _cone_shift_system(cone1, cone2, v, n, strict)
-    return _fm_feasible(equalities, inequalities, k)
+    if cone1.support & cone2.support or len(cone1.support | cone2.support) != n:
+        raise PreconditionError("cones are not complementary: %r, %r" % (cone1, cone2))
+    c0 = (set(range(n + 1)) - cone1.support - cone2.support).pop()
+    low = v[c0]
+    return (all(v[i] >= low for i in cone1.plus | cone2.minus)
+            and all(v[i] <= low for i in cone1.minus | cone2.plus))
 
 
 def draw_generic_vector(n, rng):
     """Displacement vector with pairwise distinct prime-ratio coordinates.
 
-    Ratios of distinct primes are automatically pairwise distinct; the
-    validation in stable_mult_origin re-checks and callers re-draw on
-    rejection anyway.
+    The 2(n+1) primes are distinct, so p1/q1 = p2/q2 would need
+    p1*q2 = p2*q1 and hence p1 = q1 by unique factorization: the
+    coordinates are always pairwise distinct.
     """
     primes = _first_primes_from(1009, 2 * (n + 1))
     rng.shuffle(primes)
@@ -352,13 +264,13 @@ def _first_primes_from(start, count):
 def stable_mult_origin(fan_f, fan_g, v, record=None):
     """Multiplicity of the origin in the stable intersection of two fans.
 
-    Sums mult(sigma1) * mult(sigma2) * lattice index over facet pairs of
-    complementary span whose shifted cones meet, times both global weights.
-    The displacement v is validated, not trusted: coordinates must be
-    pairwise distinct, and every candidate pair must meet transversally in
-    relative interiors (strict and non-strict feasibility must agree);
-    otherwise NonGenericVector is raised and the caller should redraw.
-    A list passed as `record` collects the contributing pairs.
+    Sums mult(sigma1) * mult(sigma2) * lattice index (always 1) over facet
+    pairs of complementary span whose shifted cones meet, times both global
+    weights.  The displacement v is validated, not trusted: its coordinates
+    must be pairwise distinct, otherwise NonGenericVector is raised.  Then
+    every meeting is transversal and in relative interiors (see
+    cone_pair_meets).  A list passed as `record` collects the contributing
+    pairs as (sigma1, sigma2, 1).
     """
     n = fan_f.ambient_dim
     if fan_g.ambient_dim != n:
@@ -374,41 +286,29 @@ def stable_mult_origin(fan_f, fan_g, v, record=None):
     total = 0
     for cone1 in fan_f.cones:
         for cone2 in fan_g.cones:
-            if cone1.support & cone2.support:
-                # Non-complementary spans: meets only non-generic shifts
-                # (it would force two equal coordinates in v).
+            # Overlapping supports span less than the whole space; such a
+            # pair meets only shifts with two equal coordinates.
+            if cone1.support & cone2.support or not cone_pair_meets(cone1, cone2, v, n):
                 continue
-            meets = cone_pair_meets(cone1, cone2, v, n, strict=False)
-            if not meets:
-                continue
-            if not cone_pair_meets(cone1, cone2, v, n, strict=True):
-                raise NonGenericVector(
-                    "shifted cones meet only along a boundary for %r, %r" % (cone1, cone2))
-            index = lattice_index([cone1, cone2], n)
-            total += cone1.mult * cone2.mult * index
+            total += cone1.mult * cone2.mult
             if record is not None:
-                record.append((cone1, cone2, index))
+                record.append((cone1, cone2, 1))
     return total * fan_f.global_weight * fan_g.global_weight
 
 
-def stable_mult_origin_auto(fan_f, fan_g, rng, attempts=16, record=None):
-    """stable_mult_origin with the displacement drawn and re-drawn on rejection.
+def stable_mult_origin_auto(fan_f, fan_g, rng, record=None):
+    """stable_mult_origin with the displacement drawn by draw_generic_vector.
 
-    When a dict is passed as `record`, the accepted displacement is stored
-    under "displacement" and the contributing pairs under "pairs".
+    When a dict is passed as `record`, the displacement is stored under
+    "displacement" and the contributing pairs under "pairs".
     """
-    for _ in range(attempts):
-        v = draw_generic_vector(fan_f.ambient_dim, rng)
-        try:
-            pairs = None if record is None else []
-            result = stable_mult_origin(fan_f, fan_g, v, record=pairs)
-            if record is not None:
-                record["displacement"] = v
-                record["pairs"] = pairs
-            return result
-        except NonGenericVector:
-            continue
-    raise NonGenericVector("no generic displacement found in %d attempts" % attempts)
+    v = draw_generic_vector(fan_f.ambient_dim, rng)
+    pairs = None if record is None else []
+    result = stable_mult_origin(fan_f, fan_g, v, record=pairs)
+    if record is not None:
+        record["displacement"] = v
+        record["pairs"] = pairs
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -430,53 +330,45 @@ def genericity_bound(plain, reciprocal=()):
     return bound - 1
 
 
+def _factor_dims(plain, reciprocal, n):
+    """Factor lists as int pairs, with their total plain and reciprocal
+    dimensions; the total must not exceed n."""
+    plain = [(int(m), int(r)) for m, r in plain]
+    reciprocal = [(int(m), int(s)) for m, s in reciprocal]
+    if any(m < 0 or r < 1 for m, r in plain + reciprocal):
+        raise ValueError("need dimensions >= 0 and multiplicities >= 1")
+    m = sum(mk * r for mk, r in plain)
+    mt = sum(mk * s for mk, s in reciprocal)
+    if m + mt > n:
+        raise PreconditionError("total dimension %d exceeds ambient %d" % (m + mt, n))
+    return plain, reciprocal, m, mt
+
+
 def degree_linear_products(dims_and_mults, n):
     """Dimension and degree of a Hadamard product of generic linear spaces.
 
     For a multiset of spaces of dimensions m_k with multiplicities r_k the
-    product has dimension sum(m_k r_k) and degree multinomial / prod(r_k!).
-    Below the genericity bound a warning is issued (the formula is still
-    returned; nothing is asserted there).
+    product has dimension sum(m_k r_k) and degree multinomial / prod(r_k!):
+    degree_with_reciprocals with no reciprocal factors.
     """
-    entries = [(int(m), int(r)) for m, r in dims_and_mults]
-    for m, r in entries:
-        if m < 0 or r < 1:
-            raise ValueError("need dimensions >= 0 and multiplicities >= 1")
-    m_total = sum(m * r for m, r in entries)
-    parts = []
-    for m, r in entries:
-        parts.extend([m] * r)
-    d = _multinomial(parts)
-    degree = Fraction(d)
-    for _, r in entries:
-        degree /= factorial(r)
-    bound = genericity_bound(entries)
-    if n < bound:
-        warnings.warn("ambient dimension %d is below the genericity bound %d "
-                      "of the degree formula" % (n, bound))
-    return m_total, degree
+    return degree_with_reciprocals(dims_and_mults, (), n)
 
 
 def degree_with_reciprocals(plain, reciprocal, n):
     """Degree formula extended to reciprocal linear spaces.
 
     Plain factors of total dimension m and reciprocal factors of total
-    dimension mt give a product of dimension m + mt and degree
-    binom(n - m, mt) * d/prod(r_k!) * dt/prod(s_l!).
+    dimension mt give a product of dimension m + mt <= n and degree
+    binom(n - m, mt) * d/prod(r_k!) * dt/prod(s_l!).  Below the genericity
+    bound a warning is issued (the formula is still returned; nothing is
+    asserted there).
     """
-    plain = [(int(m), int(r)) for m, r in plain]
-    reciprocal = [(int(m), int(s)) for m, s in reciprocal]
-    m = sum(mk * r for mk, r in plain)
-    mt = sum(mk * s for mk, s in reciprocal)
-    if m + mt > n:
-        raise PreconditionError("total dimension %d exceeds ambient %d" % (m + mt, n))
+    plain, reciprocal, m, mt = _factor_dims(plain, reciprocal, n)
     d = _multinomial([mk for mk, r in plain for _ in range(r)])
     dt = _multinomial([mk for mk, s in reciprocal for _ in range(s)])
     degree = Fraction(comb(n - m, mt) * d * dt)
-    for _, r in plain:
+    for _, r in plain + reciprocal:
         degree /= factorial(r)
-    for _, s in reciprocal:
-        degree /= factorial(s)
     bound = genericity_bound(plain, reciprocal)
     if n < bound:
         warnings.warn("ambient dimension %d is below the genericity bound %d "
@@ -493,12 +385,7 @@ def fan_degree_pipeline(plain, reciprocal, n, rng, transcript=False):
     origin against the complementary standard fan.  Entirely independent of
     the closed-form route, which it is used to cross-check.
     """
-    plain = [(int(m), int(r)) for m, r in plain]
-    reciprocal = [(int(m), int(s)) for m, s in reciprocal]
-    m = sum(mk * r for mk, r in plain)
-    mt = sum(mk * s for mk, s in reciprocal)
-    if m + mt > n:
-        raise PreconditionError("total dimension %d exceeds ambient %d" % (m + mt, n))
+    plain, reciprocal, m, mt = _factor_dims(plain, reciprocal, n)
     fans = []
     delta = 1
     for mk, r in plain:

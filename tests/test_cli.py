@@ -32,6 +32,19 @@ def test_degree_reciprocal_and_transcript():
     assert all(p["lattice_index"] == 1 for p in transcript["contributing_pairs"])
 
 
+@pytest.mark.parametrize("flags", [(), ("--transcript",)])
+def test_degree_dimension_above_n_exit_2(flags):
+    proc = run_cli("degree", {"plain": [[3, 1]], "n": 2}, *flags)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "exceeds ambient" in json.loads(proc.stderr)["error"]["message"]
+
+
+def test_degree_negative_n_exit_1():
+    proc = run_cli("degree", {"plain": [[1, 1]], "n": -1})
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert json.loads(proc.stderr)["error"]["field"] == "n"
+
+
 def test_determinism_byte_identical():
     payload = {"sampler": {"type": "linear", "generators": [[1, 2, 3], [0, 1, 5]]},
                "degree": 1}
@@ -81,6 +94,46 @@ def test_budget_exit_3():
         "degree": 1}
     proc = run_cli("interp", payload)
     assert proc.returncode == 3
+
+
+def test_product_sampler_ambient_mismatch_exit_1():
+    payload = {"sampler": {"type": "product", "factors": [
+        {"type": "linear", "generators": [[1, 2, 3, 4]]},
+        {"type": "linear", "generators": [[1, 2, 3]]}]},
+        "degree": 1}
+    proc = run_cli("interp", payload)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert json.loads(proc.stderr)["error"]["field"] == "sampler.factors[1]"
+
+
+LINE = {"type": "linear", "generators": [[1, 2, 3], [0, 1, 5]]}
+
+
+@pytest.mark.parametrize("command, payload, field", [
+    ("degree", {"plain": [[True, 1]], "n": 3}, "plain[0]"),
+    ("span-dim", {"dims": [[1, True]], "n": 3}, "dims[0]"),
+    ("bracket", {"mode": "verify", "identity": "quadric", "trials": True}, "trials"),
+    ("interp", {"sampler": {"type": "segre", "a": True, "b": 2}, "degree": 1}, "sampler.a"),
+    ("interp", {"sampler": {"type": "segre", "a": 1, "b": True}, "degree": 1}, "sampler.b"),
+    ("interp", {"sampler": {"type": "power", "r": True, "base": LINE}, "degree": 1}, "sampler.r"),
+    ("span-dim", {"spaces": [{"generators": [[1, 2, 3]], "mult": True}]}, "spaces[0].mult"),
+])
+def test_bool_is_not_an_integer_exit_1(command, payload, field):
+    proc = run_cli(command, payload)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert json.loads(proc.stderr)["error"]["field"] == field
+
+
+@pytest.mark.parametrize("command, payload, field", [
+    ("line-power", {"line": [[1, 3.5, 0], [0, 1, 1]], "r": 2}, "line"),
+    ("star-config", {"line": [[1, 1, 1], [1, 2, 3]],
+                     "points": [[1, 1, 1], [1, 2.0, 3]], "r": 2}, "points[1]"),
+])
+def test_float_is_not_a_rational_exit_1(command, payload, field):
+    proc = run_cli(command, payload)
+    assert proc.returncode == 1 and proc.stdout == ""
+    err = json.loads(proc.stderr)["error"]
+    assert err["field"] == field and "float" in err["message"]
 
 
 def test_line_power_round_trip():

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from hadamard_spaces import linalg
 from hadamard_spaces.linalg import BudgetExhausted, PreconditionError, QMatrix
 from hadamard_spaces.projective import (LinSpace, PPoint, all_ones_point,
                                         intersect_spaces, line_through,
@@ -196,6 +197,20 @@ def test_linspace_validation_and_equality():
     assert a == b
     assert a != LinSpace([[1, 0, 0], [0, 1, 0]])
     assert LinSpace.span_of([[0, 0], [0, 0]]) is None
+
+
+def test_span_of_eliminates_once(monkeypatch):
+    calls = []
+    original = linalg._bareiss_echelon
+
+    def counting(rows):
+        calls.append(rows)
+        return original(rows)
+
+    monkeypatch.setattr(linalg, "_bareiss_echelon", counting)
+    space = LinSpace.span_of([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
+    assert space.dim == 1 and space.generators.rank() == 2
+    assert len(calls) == 1
 
 
 def test_intersect_spaces():

@@ -1,13 +1,14 @@
 import random
 import warnings
 from fractions import Fraction
-from math import comb, factorial
+from itertools import combinations, product as iproduct
+from math import comb, factorial, prod
 
 import pytest
 
-from hadamard_spaces.linalg import PreconditionError
+from hadamard_spaces.linalg import PreconditionError, smith_normal_form
 from hadamard_spaces.tropical import (NonGenericVector, SignedCone, SignedConeFan,
-                                      _fm_feasible, cone_pair_meets,
+                                      _quotient_rep, cone_pair_meets,
                                       degree_linear_products,
                                       degree_with_reciprocals,
                                       draw_generic_vector, fan_degree_pipeline,
@@ -15,6 +16,133 @@ from hadamard_spaces.tropical import (NonGenericVector, SignedCone, SignedConeFa
                                       minkowski_sum, negate_fan,
                                       stable_mult_origin, stable_mult_origin_auto,
                                       standard_tls)
+
+
+# ---------------------------------------------------------------------------
+# reference oracles: exact linear feasibility by Fourier-Motzkin elimination,
+# and the Minkowski sum as a sum over every ordered factorization
+
+
+def _fm_feasible(equalities, inequalities, nvars):
+    """Decide feasibility of  eq: a.x = b,  ineq: a.x <= b (or < b) over Q.
+
+    equalities: list of (coeff tuple, rhs); inequalities: list of
+    (coeff tuple, rhs, strict).  Equalities are eliminated by substitution,
+    the rest by Fourier-Motzkin; exact rational arithmetic throughout.
+    """
+    eqs = [([Fraction(c) for c in a], Fraction(b)) for a, b in equalities]
+    ineqs = [([Fraction(c) for c in a], Fraction(b), s) for a, b, s in inequalities]
+    alive = list(range(nvars))
+
+    while eqs:
+        coeffs, rhs = eqs.pop()
+        pivot = next((v for v in alive if coeffs[v]), None)
+        if pivot is None:
+            if rhs != 0:
+                return False
+            continue
+        pv = coeffs[pivot]
+        sol = ([-c / pv for c in coeffs], rhs / pv)  # x_pivot = sol0.x + sol1
+        sol[0][pivot] = Fraction(0)
+
+        def substitute(a, b):
+            f = a[pivot]
+            if not f:
+                return a, b
+            new = [c + f * s for c, s in zip(a, sol[0])]
+            new[pivot] = Fraction(0)
+            return new, b - f * sol[1]
+
+        eqs = [substitute(a, b) for a, b in eqs]
+        ineqs = [(*substitute(a, b), s) for a, b, s in ineqs]
+        alive.remove(pivot)
+
+    for var in list(alive):
+        uppers, lowers, rest = [], [], []
+        for a, b, s in ineqs:
+            if a[var] > 0:
+                uppers.append(([c / a[var] for c in a], b / a[var], s))
+            elif a[var] < 0:
+                lowers.append(([c / -a[var] for c in a], b / -a[var], s))
+            else:
+                rest.append((a, b, s))
+        new = rest
+        for ua, ub, us in uppers:
+            for la, lb, ls in lowers:
+                # -la.x' + x >= -lb  and  ua.x' + x <= ub  combine to:
+                a = [u + l for u, l in zip(ua, la)]
+                a[var] = Fraction(0)
+                new.append((a, ub + lb, us or ls))
+        seen = set()
+        ineqs = []
+        for a, b, s in new:
+            key = (tuple(a), b, s)
+            if key not in seen:
+                seen.add(key)
+                ineqs.append((a, b, s))
+        alive.remove(var)
+        for a, b, s in ineqs:
+            if not any(a):
+                if b < 0 or (s and b == 0):
+                    return False
+        ineqs = [(a, b, s) for a, b, s in ineqs if any(a)]
+
+    # Constraints can become constant already during equality substitution;
+    # by now every variable has been eliminated one way or the other.
+    for a, b, s in ineqs:
+        if not any(a) and (b < 0 or (s and b == 0)):
+            return False
+    return True
+
+
+def _cone_shift_system(cone1, cone2, v, n, strict):
+    """Linear system for sigma1 meet (sigma2 + v), modulo the all-ones line.
+
+    Variables: one nonnegative coefficient per generator of each cone, plus
+    one free variable for the quotient by R*1.
+    """
+    gens1 = cone1.signed_indices()
+    gens2 = cone2.signed_indices()
+    k = len(gens1) + len(gens2) + 1
+    equalities = []
+    for c in range(n + 1):
+        row = [Fraction(0)] * k
+        for t, (idx, sign) in enumerate(gens1):
+            if idx == c:
+                row[t] = Fraction(sign)
+        for t, (idx, sign) in enumerate(gens2):
+            if idx == c:
+                row[len(gens1) + t] = Fraction(-sign)
+        row[-1] = Fraction(-1)
+        equalities.append((row, Fraction(v[c])))
+    inequalities = []
+    for t in range(len(gens1) + len(gens2)):
+        row = [Fraction(0)] * k
+        row[t] = Fraction(-1)
+        inequalities.append((row, Fraction(0), strict))
+    return equalities, inequalities, k
+
+
+def _fm_meets(cone1, cone2, v, n, strict):
+    return _fm_feasible(*_cone_shift_system(cone1, cone2, v, n, strict))
+
+
+def _minkowski_oracle(fans):
+    """{(plus, minus): mult} summed over every ordered factorization."""
+    total_dim = sum(f.dim for f in fans)
+    mults = {}
+    for combo in iproduct(*(f.cones for f in fans)):
+        plus = frozenset().union(*(c.plus for c in combo))
+        minus = frozenset().union(*(c.minus for c in combo))
+        if len(plus) + len(minus) != total_dim or (plus & minus):
+            continue
+        mults[(plus, minus)] = mults.get((plus, minus), 0) + prod(c.mult for c in combo)
+    return mults
+
+
+def _random_signs(rng, support):
+    plus = frozenset(i for i in support if rng.random() < 0.5)
+    return SignedCone(plus, frozenset(support) - plus)
 
 
 def test_standard_tls_cone_counts():
@@ -55,6 +183,23 @@ def test_lattice_index_basics():
         lattice_index([a, overlapping], n)
 
 
+def test_lattice_index_is_one_by_smith_form():
+    rng = random.Random(69)
+    for n in range(1, 9):
+        for _ in range(25):
+            support = rng.sample(range(n + 1), rng.randint(1, n))
+            parts = [[] for _ in range(rng.randint(1, 3))]
+            for i in support:
+                rng.choice(parts).append(i)
+            cones = [_random_signs(rng, part) for part in parts]
+            rows = [_quotient_rep(i, sign, n) for c in cones for i, sign in c.signed_indices()]
+            assert smith_normal_form(rows) == [1] * len(rows)
+            assert lattice_index(cones, n) == 1
+        # All n+1 images are linearly dependent: e_0 + ... + e_n = 0.
+        with pytest.raises(PreconditionError):
+            lattice_index([_random_signs(rng, range(n + 1))], n)
+
+
 def test_minkowski_two_lines():
     fan = minkowski_sum([standard_tls(1, 3), standard_tls(1, 3)])
     assert fan.dim == 2
@@ -91,6 +236,36 @@ def test_minkowski_dimension_overflow():
         minkowski_sum([standard_tls(2, 3), standard_tls(2, 3)])
 
 
+def _random_fan(rng, m, n):
+    """A standard or negated standard fan, or a random sub-fan of one with
+    random multiplicities (sums of those need not be balanced)."""
+    fan = standard_tls(m, n)
+    if rng.random() < 0.5:
+        fan = negate_fan(fan)
+    if rng.random() < 0.5:
+        kept = rng.sample(fan.cones, rng.randint(1, len(fan.cones)))
+        fan = SignedConeFan(n, m, [SignedCone(c.plus, c.minus, rng.randint(1, 3)) for c in kept],
+                            Fraction(rng.randint(1, 3), rng.randint(1, 3)))
+    return fan
+
+
+def test_minkowski_sum_matches_factorization_oracle():
+    rng = random.Random(68)
+    for _ in range(80):
+        n = rng.randint(2, 6)
+        room = n
+        fans = []
+        for _ in range(rng.randint(1, 4)):
+            m = rng.randint(0, min(room, 2))
+            fans.append(_random_fan(rng, m, n))
+            room -= m
+        delta = rng.randint(1, 4)
+        fan = minkowski_sum(fans, delta)
+        assert fan.dim == n - room
+        assert {(c.plus, c.minus): c.mult for c in fan.cones} == _minkowski_oracle(fans)
+        assert fan.global_weight == prod(f.global_weight for f in fans) / delta
+
+
 def test_balancing_of_produced_fans():
     assert standard_tls(2, 4).is_balanced()
     assert negate_fan(standard_tls(2, 4)).is_balanced()
@@ -124,6 +299,39 @@ def test_cone_pair_meets_shifted():
     # but pos(e1) cannot reach: would need the 0- and 2-coordinates equal
     mid = SignedCone(frozenset([1]), frozenset())
     assert not cone_pair_meets(mid, down, v, n)
+
+
+def test_cone_pair_meets_matches_fm_oracle():
+    rng = random.Random(67)
+    hits = ties = 0
+    for trial in range(800):
+        n = rng.randint(2, 7)
+        c0 = rng.randrange(n + 1)
+        rest = [i for i in range(n + 1) if i != c0]
+        rng.shuffle(rest)
+        k = rng.randint(0, n)
+        cone1, cone2 = _random_signs(rng, rest[:k]), _random_signs(rng, rest[k:])
+        if trial % 2:
+            v = draw_generic_vector(n, rng)
+        else:
+            v = tuple(Fraction(rng.randint(-2, 2)) for _ in range(n + 1))
+        meets = cone_pair_meets(cone1, cone2, v, n)
+        tied = any(v[i] == v[c0] for i in rest)
+        assert meets == _fm_meets(cone1, cone2, v, n, strict=False)
+        assert _fm_meets(cone1, cone2, v, n, strict=True) == (meets and not tied)
+        hits += meets
+        ties += meets and tied
+    assert hits > 50 and ties > 10
+
+
+def test_cone_pair_meets_requires_complementary_cones():
+    v = draw_generic_vector(3, random.Random(70))
+    cone = SignedCone(frozenset([0]), frozenset())
+    for other in (SignedCone(frozenset([0, 1]), frozenset([2])),  # overlapping
+                  SignedCone(frozenset([1]), frozenset()),  # covers 2 of 4
+                  SignedCone(frozenset([1]), frozenset([2, 3]))):  # covers all 4
+        with pytest.raises(PreconditionError):
+            cone_pair_meets(cone, other, v, 3)
 
 
 def test_stable_mult_standard_complements():
@@ -181,6 +389,25 @@ def test_degree_with_reciprocals_values():
         assert degree_with_reciprocals([(1, 1)], [(1, 1)], 3) == (2, 2)
     with pytest.raises(PreconditionError):
         degree_with_reciprocals([(2, 1)], [(2, 1)], 3)
+
+
+def test_degree_formulas_share_one_precondition():
+    for entries, n in [([(1, 1), (1, 1)], 3), ([(2, 2)], 4), ([(0, 3), (1, 2)], 2)]:
+        with warnings.catch_warnings(record=True) as plain_only:
+            warnings.simplefilter("always")
+            got = degree_linear_products(entries, n)
+        with warnings.catch_warnings(record=True) as general:
+            warnings.simplefilter("always")
+            want = degree_with_reciprocals(entries, [], n)
+        assert got == want
+        assert [str(w.message) for w in plain_only] == [str(w.message) for w in general]
+    with pytest.raises(PreconditionError):
+        degree_linear_products([(3, 1)], 2)
+    for bad in ([(-1, 1)], [(1, 0)]):
+        with pytest.raises(ValueError):
+            degree_linear_products(bad, 4)
+        with pytest.raises(ValueError):
+            degree_with_reciprocals([], bad, 4)
 
 
 def test_fan_pipeline_matches_closed_form_small_grid():
