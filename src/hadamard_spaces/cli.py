@@ -12,6 +12,7 @@ names the violated hypothesis), 3 retry/sampling budget exhaustion.
 import argparse
 import json
 import random
+import re
 import sys
 import warnings
 from fractions import Fraction
@@ -65,20 +66,40 @@ def _want(payload, field, kind, required=True, default=None):
     return value
 
 
-def _refuse_floats(values, field):
-    if any(isinstance(x, float) for x in values):
-        raise ValidationError(field, "expected integers or \"num/den\" strings, not floats")
+#: A rational string of a payload: optional minus, ASCII digits, and an
+#: optional "/" with an ASCII-digit denominator.
+RATIONAL_STRING = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def _parse_rational(value, field, where):
+    """A JSON integer or a "num/den" string as a Fraction, nothing else.
+
+    `Fraction(str)` alone would also read "1.5", "1e3", " 3 ", "1_000" and
+    non-ASCII digits; those, floats and bools are validation errors.
+    """
+    if _is_int(value):
+        return Fraction(value)
+    if isinstance(value, str) and RATIONAL_STRING.fullmatch(value):
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValidationError(field, "zero denominator at %s" % where)
+        except ValueError as exc:  # more digits than int() converts
+            raise ValidationError(field, "bad rational entry at %s: %s" % (where, exc))
+    got = "a float" if isinstance(value, float) else json.dumps(value)
+    raise ValidationError(field, "expected an integer or a \"num/den\" string at %s, got %s"
+                          % (where, got))
 
 
 def _parse_matrix(data, field):
     if not isinstance(data, list) or not data or not all(isinstance(r, list) for r in data):
         raise ValidationError(field, "expected a non-empty list of rows")
-    for row in data:
-        _refuse_floats(row, field)
+    rows = [[_parse_rational(x, field, "[%d][%d]" % (i, j)) for j, x in enumerate(row)]
+            for i, row in enumerate(data)]
     try:
-        return QMatrix([[Fraction(str(x)) for x in row] for row in data])
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValidationError(field, "bad rational entry: %s" % exc)
+        return QMatrix(rows)
+    except ValueError as exc:
+        raise ValidationError(field, str(exc))
 
 
 def _parse_space(data, field):
@@ -92,10 +113,10 @@ def _parse_space(data, field):
 def _parse_point(data, field):
     if not isinstance(data, list) or not data:
         raise ValidationError(field, "expected a coordinate list")
-    _refuse_floats(data, field)
+    coords = [_parse_rational(x, field, "[%d]" % j) for j, x in enumerate(data)]
     try:
-        return PPoint([Fraction(str(x)) for x in data])
-    except (ValueError, ZeroDivisionError) as exc:
+        return PPoint(coords)
+    except ValueError as exc:
         raise ValidationError(field, str(exc))
 
 
@@ -443,7 +464,7 @@ def main(argv=None):
             payload = json.loads(text) if text.strip() else {}
         except OSError as exc:
             return _fail(1, "in", str(exc))
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON, or an integer past int()'s digit limit
             return _fail(1, None, "malformed JSON payload: %s" % exc)
         if not isinstance(payload, dict):
             return _fail(1, None, "payload must be a JSON object")

@@ -5,19 +5,51 @@ Everything here is immutable and pure: matrices are tuples of tuples of
 anywhere.  "Equals zero" is therefore decidable, which the rest of the
 package relies on.
 
-One elimination engine serves rank, RREF, kernels and determinants.  Rows
-are first cleared to integers, which keeps the row space and the kernel.
-A forward Bareiss pass with exact division (`_bareiss_echelon`) gives an
-integer echelon form whose entries are minors of the input, the sign of its
-row swaps, and the pivot columns (each the first nonzero entry at or below
-the current row).  A free-column back-substitution (`_back_substitute`)
-then solves for one kernel vector per free column.  The RREF, the kernel
-basis normalised to the free columns and the determinant are unique, so
-the results do not depend on how they were computed.
+Two exact paths: Bareiss elimination computes RREFs, determinants and
+kernels, and a multi-modular solve computes the integer kernels of the
+interpolation oracle.
+
+Bareiss (`QMatrix.rref`, `det`, `nullspace`, and the fallback of
+`integer_kernel_basis`).  Rows are first cleared to integers, which keeps
+the row space and the kernel.  A forward Bareiss pass with exact division
+(`_bareiss_echelon`) gives an integer echelon form whose entries are minors
+of the input, the sign of its row swaps, and the pivot columns (each the
+first nonzero entry at or below the current row).  A free-column
+back-substitution (`_back_substitute`) then solves for one kernel vector
+per free column.  This path serves the many small rational matrices of
+spans, Pluecker coordinates and tangent spaces.
+
+Multi-modular (`integer_kernel_basis`, the interpolation oracle's kernel).
+The integer matrix is reduced to RREF modulo each prime of KERNEL_PRIMES in
+turn; primes that agree on the pivot columns are combined by the Chinese
+remainder theorem, the kernel entries are rationally reconstructed (Wang,
+Guy & Davenport 1982), and the lifted vectors are checked exactly, A x = 0
+in integers, before anything is returned.  Its cost follows the size of
+the kernel entries, not of the minors Bareiss carries.  The check is a
+certificate:
+
+- rank mod p <= rank over Q (every minor that vanishes over Q vanishes
+  mod p), so dim ker_p >= dim ker_Q;
+- the lifted vectors are independent, because each has a 1 at its own
+  free column and zeros at the other free columns;
+- so dim ker_p exactly verified vectors prove dim ker_Q = dim ker_p, and
+  they are a basis of ker_Q;
+- the vector of free column f is zero past column f, so column f is a
+  combination of earlier columns and is not a pivot over Q.  The free sets
+  mod p and over Q therefore coincide, and the basis is the unique one
+  with a 1 at its free column and zeros at the others: the one the
+  Bareiss path returns.
+
+A prime whose pivots differ from the rational ones (an unlucky prime) can
+never pass the check.  When every listed prime fails, `integer_kernel_basis`
+falls back to the Bareiss path, so what it returns is always exact.
+
+The RREF, the kernel basis normalised to the free columns and the
+determinant are unique, so the results do not depend on the path.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 
 class PreconditionError(ValueError):
@@ -266,17 +298,150 @@ def _back_substitute(echelon, pivots, nc):
     return d, free, solutions
 
 
+#: Distinct 62-bit primes (the sixteen largest below 2^62) for the
+#: multi-modular kernel, tried in this order.  Their product bounds the
+#: kernel entries that can be reconstructed: numerators and denominators up
+#: to about 495 bits; larger kernels go to the Bareiss fallback.
+KERNEL_PRIMES = (
+    4611686018427387847, 4611686018427387817, 4611686018427387787,
+    4611686018427387761, 4611686018427387751, 4611686018427387737,
+    4611686018427387733, 4611686018427387709, 4611686018427387701,
+    4611686018427387631, 4611686018427387617, 4611686018427387587,
+    4611686018427387461, 4611686018427387421, 4611686018427387409,
+    4611686018427387329,
+)
+
+
+def _kernel_mod_p(rows, nc, p):
+    """Pivot columns and RREF kernel vectors of an integer matrix mod p.
+
+    Returns (pivots, residues): residues[k] holds, for the k-th free column
+    f, the entries at the pivot columns of the kernel vector with a 1 at f
+    and zeros at the other free columns.  Entries at pivots past f are 0.
+    Forward elimination reduces each pivot row mod p with a leading 1 and
+    leaves the rows below it unreduced (each step adds less than p^2 to an
+    entry, which is cheaper than a reduction); entries left of a pivot
+    below it are never read again, so they are not cleared.
+    Back-substitution then solves each free column.
+    """
+    work = [[x % p for x in row] for row in rows]
+    pivots = []
+    r = 0
+    for c in range(nc):
+        k = next((i for i in range(r, len(work)) if work[i][c] % p), None)
+        if k is None:
+            continue
+        work[r], work[k] = work[k], work[r]
+        inv = pow(work[r][c], -1, p)
+        top = work[r][c + 1:] = [x * inv % p for x in work[r][c + 1:]]
+        for row in work[r + 1:]:
+            f = row[c] % p
+            if f:
+                row[c + 1:] = [x - f * y for x, y in zip(row[c + 1:], top)]
+        pivots.append(c)
+        r += 1
+        if r == len(work):
+            break
+    residues = []
+    for f in range(nc):
+        if f in pivots:
+            continue
+        x = [0] * (f + 1)
+        x[f] = 1
+        for i in range(r - 1, -1, -1):
+            c = pivots[i]
+            if c < f:
+                row = work[i]
+                x[c] = -sum(row[j] * x[j] for j in range(c + 1, f + 1) if x[j]) % p
+        residues.append([x[c] if c < f else 0 for c in pivots])
+    return pivots, residues
+
+
+def _rational_reconstruct(u, m):
+    """The fraction a/b = u mod m with |a|, b <= sqrt(m/2), or None.
+
+    Extended Euclid on (m, u) stopped at the first remainder within the
+    bound; such a fraction is unique when it exists.
+    """
+    bound = isqrt(m // 2)
+    r0, r1 = m, u
+    t0, t1 = 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if abs(t1) > bound or gcd(r1, t1) != 1:
+        return None
+    return Fraction(r1, t1)
+
+
+def _lift(pivots, residues, m, nc):
+    """Kernel vectors with rationals reconstructed from residues mod m, or
+    None when an entry has no reconstruction yet."""
+    free = [c for c in range(nc) if c not in pivots]
+    vectors = []
+    for f, res in zip(free, residues):
+        vec = [Fraction(0)] * nc
+        vec[f] = Fraction(1)
+        for c, u in zip(pivots, res):
+            q = _rational_reconstruct(u, m)
+            if q is None:
+                return None
+            vec[c] = q
+        vectors.append(tuple(vec))
+    return vectors
+
+
+def _annihilates(rows, vec):
+    """Whether rows @ vec == 0, checked in integers on the cleared vector."""
+    den = lcm(*(x.denominator for x in vec))
+    ints = [(j, x.numerator * (den // x.denominator)) for j, x in enumerate(vec) if x]
+    return all(sum(row[j] * v for j, v in ints) == 0 for row in rows)
+
+
 def integer_kernel_basis(rows):
     """Kernel basis of an integer matrix, one vector per free column.
 
-    Same contract as QMatrix.nullspace, read off the same back-substitution
-    without the rational row scaling.  Vectors come out with Fraction
-    entries.
+    Same contract as QMatrix.nullspace: the vector of free column f has a 1
+    at f and zeros at the other free columns; entries are Fractions.
+
+    For each prime of KERNEL_PRIMES the matrix is reduced mod p.  Primes
+    with the same pivot columns are combined by CRT; a prime whose pivots
+    rank below another prime's (fewer pivots, or the same number starting
+    later) is unlucky, and the earlier set is kept or restarted from.  The
+    entries are rationally reconstructed and every vector is checked
+    exactly against every row; a failed reconstruction or check moves on
+    to the next prime.  When the primes run out, the Bareiss path computes
+    the basis.
+
+    Certificate (in full in the module docstring): rank mod p <= rank over
+    Q, so the dim ker_p vectors that pass the check, independent through
+    their free columns, are a basis of ker_Q; each is zero past its free
+    column f, so f is free over Q too, and the basis is the unique one
+    Bareiss returns.
     """
     if not rows:
         return []
+    nc = len(rows[0])
+    best = None
+    for p in KERNEL_PRIMES:
+        pivots, residues = _kernel_mod_p(rows, nc, p)
+        key = (-len(pivots), pivots)
+        if best is None or key < best:
+            best, m = key, p
+        elif key > best:
+            continue
+        else:
+            t = pow(m, -1, p)
+            residues = [[a + m * ((b - a) * t % p) for a, b in zip(old, new)]
+                        for old, new in zip(kept, residues)]
+            m *= p
+        kept = residues
+        vectors = _lift(pivots, kept, m, nc)
+        if vectors is not None and all(_annihilates(rows, v) for v in vectors):
+            return vectors
     echelon, pivots, _ = _bareiss_echelon(rows)
-    d, _, solutions = _back_substitute(echelon, pivots, len(rows[0]))
+    d, _, solutions = _back_substitute(echelon, pivots, nc)
     return [tuple(Fraction(v, d) for v in x) for x in solutions]
 
 

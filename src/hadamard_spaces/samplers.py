@@ -5,6 +5,13 @@ guarantees that the emitted point lies on the intended variety and in its
 tangent space.  Samplers compose: the Hadamard product of samplers emits
 the product point together with the span <p * T_q, q * T_p>, which is the
 tangent space of the product at a general product point.
+
+Each sampler has one draw function `draw(rng, tangent)`.  With tangent
+false it builds the point alone and returns (point, None); the random
+values it takes are the same either way, because the tangent is built
+from the drawn values without drawing again.  So `sample_point` gives the
+point `sample` would have given and leaves the random state where
+`sample` would have left it.
 """
 
 from fractions import Fraction
@@ -17,7 +24,11 @@ SAMPLER_BUDGET = 200
 
 
 class VarietySampler:
-    """A deterministic procedure emitting (PPoint, LinSpace) pairs."""
+    """A deterministic procedure emitting (PPoint, LinSpace) pairs.
+
+    `draw(rng, tangent)` returns (point, tangent space), or (point, None)
+    when `tangent` is false.
+    """
 
     __slots__ = ("ambient_dim", "_draw", "label")
 
@@ -28,10 +39,11 @@ class VarietySampler:
 
     def sample(self, rng):
         """One (point, tangent) pair; the tangent always contains the point."""
-        return self._draw(rng)
+        return self._draw(rng, True)
 
     def sample_point(self, rng):
-        return self._draw(rng)[0]
+        """The point `sample` would give, without building the tangent."""
+        return self._draw(rng, False)[0]
 
     def __repr__(self):
         return "VarietySampler(%s, ambient=P^%d)" % (self.label, self.ambient_dim)
@@ -40,7 +52,7 @@ class VarietySampler:
 def linear_space_sampler(space):
     """Sampler of a linear space; the tangent space is the space itself."""
 
-    def draw(rng):
+    def draw(rng, tangent):
         return sample_point(space, rng), space
 
     return VarietySampler(space.ambient_dim, draw, "linear dim %d" % space.dim)
@@ -56,15 +68,16 @@ def reciprocal_sampler(space):
     """
     n = space.ambient_dim
 
-    def draw(rng):
+    def draw(rng, tangent):
         base = sample_point(space, rng, avoid_delta=n - 1, budget=SAMPLER_BUDGET)
         inv = tuple(Fraction(1) / x for x in base.coords)
         point = PPoint(inv)
+        if not tangent:
+            return point, None
         rows = [inv]
         for g in space.generators.rows:
             rows.append(tuple(gx / (x * x) for gx, x in zip(g, base.coords)))
-        tangent = LinSpace.span_of(QMatrix(rows))
-        return point, tangent
+        return point, LinSpace.span_of(QMatrix(rows))
 
     return VarietySampler(n, draw, "reciprocal of dim %d" % space.dim)
 
@@ -78,7 +91,7 @@ def segre_sampler(a, b, coeff_bound=1000):
     """
     n = (a + 1) * (b + 1) - 1
 
-    def draw(rng):
+    def draw(rng, tangent):
         for _ in range(SAMPLER_BUDGET):
             u = [rng.randint(-coeff_bound, coeff_bound) for _ in range(a + 1)]
             v = [rng.randint(-coeff_bound, coeff_bound) for _ in range(b + 1)]
@@ -87,13 +100,14 @@ def segre_sampler(a, b, coeff_bound=1000):
         else:
             raise BudgetExhausted("could not draw nonzero factors for the Segre sampler")
         point = PPoint([Fraction(ui * vj) for ui in u for vj in v])
+        if not tangent:
+            return point, None
         rows = []
         for i in range(a + 1):
             rows.append([Fraction(vj if k == i else 0) for k in range(a + 1) for vj in v])
         for j in range(b + 1):
             rows.append([Fraction(ui if l == j else 0) for ui in u for l in range(b + 1)])
-        tangent = LinSpace.span_of(QMatrix(rows))
-        return point, tangent
+        return point, LinSpace.span_of(QMatrix(rows))
 
     return VarietySampler(n, draw, "Segre P^%d x P^%d" % (a, b))
 
@@ -107,14 +121,18 @@ def hadamard_product_sampler(first, second):
     if first.ambient_dim != second.ambient_dim:
         raise ValueError("ambient dimensions differ")
 
-    def draw(rng):
+    def draw(rng, tangent):
         from .products import terracini_span
         for _ in range(SAMPLER_BUDGET):
-            p, tp = first.sample(rng)
-            q, tq = second.sample(rng)
-            if p.hadamard(q) is None:
+            if tangent:
+                p, tp = first.sample(rng)
+                q, tq = second.sample(rng)
+            else:
+                p, q = first.sample_point(rng), second.sample_point(rng)
+            point = p.hadamard(q)
+            if point is None:
                 continue
-            return p.hadamard(q), terracini_span(p, tp, q, tq)
+            return point, terracini_span(p, tp, q, tq) if tangent else None
         raise BudgetExhausted("all sampled products were undefined")
 
     return VarietySampler(first.ambient_dim, draw,

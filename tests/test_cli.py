@@ -1,10 +1,20 @@
+import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from hadamard_spaces import cli
+
 RUN = [sys.executable, "-m", "hadamard_spaces.cli"]
+
+#: `interp --seed 20259` stdout recorded before the multi-modular kernel and
+#: the point-only sampler draw: a product of two lines, a squared plane in
+#: P^5, a reciprocal plane in P^3, and the degree-2 forms of the square of a
+#: line in P^3 (a four-vector kernel).
+INTERP_GOLDENS = json.loads((Path(__file__).parent / "interp_goldens.json").read_text())
 
 
 def run_cli(command, payload=None, *flags):
@@ -54,6 +64,13 @@ def test_determinism_byte_identical():
     assert a.stdout == b.stdout
     c = run_cli("interp", payload, "--seed", "8")
     assert c.returncode == 0  # different seed still succeeds
+
+
+@pytest.mark.parametrize("golden", INTERP_GOLDENS, ids=[g["name"] for g in INTERP_GOLDENS])
+def test_interp_output_byte_identical(golden, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(golden["payload"])))
+    assert cli.main(["interp", "--seed", "20259"]) == 0
+    assert capsys.readouterr().out == golden["stdout"]
 
 
 def test_malformed_json_exit_1():
@@ -134,6 +151,31 @@ def test_float_is_not_a_rational_exit_1(command, payload, field):
     assert proc.returncode == 1 and proc.stdout == ""
     err = json.loads(proc.stderr)["error"]
     assert err["field"] == field and "float" in err["message"]
+
+
+@pytest.mark.parametrize("text", ["1.5", "1e3", " 3 ", "1_000", "\u0663", "+3", "3/",
+                                  "/3", "", "1/0", "-3/-7", "0x10", "1/2/3", "3\n"])
+def test_rational_strings_are_strict_exit_1(text):
+    proc = run_cli("line-power", {"line": [[1, text, 0], [0, 1, 5]], "r": 2})
+    assert proc.returncode == 1 and proc.stdout == ""
+    err = json.loads(proc.stderr)["error"]
+    assert err["field"] == "line" and "[0][1]" in err["message"]
+    proc = run_cli("star-config", {"line": [[1, 1, 1], [1, 2, 3]],
+                                   "points": [[1, 1, 1], [1, text, 3]], "r": 2})
+    assert proc.returncode == 1 and json.loads(proc.stderr)["error"]["field"] == "points[1]"
+
+
+def test_rational_strings_accepted():
+    proc = run_cli("line-power", {"line": [[1, "-3/7", 0], [0, 1, "12"]], "r": 2})
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["pluecker"] == {"0,1,2": "-432/7"}
+
+
+def test_oversized_json_integer_exit_1():
+    proc = subprocess.run(RUN + ["degree"], input='{"plain": [[1, 1]], "n": %s}' % ("9" * 5000),
+                          capture_output=True, text=True)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "malformed JSON" in json.loads(proc.stderr)["error"]["message"]
 
 
 def test_line_power_round_trip():

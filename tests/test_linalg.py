@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from hadamard_spaces.linalg import (QMatrix, clear_denominators,
+from hadamard_spaces import linalg
+from hadamard_spaces.linalg import (KERNEL_PRIMES, QMatrix, clear_denominators,
                                     integer_kernel_basis, rat, rat_str,
                                     smith_normal_form)
 
@@ -126,6 +127,131 @@ def test_integer_kernel_matches_nullspace():
     for _ in range(60):
         rows = _random_rows(rng, 7, 7, lambda: rng.randint(-9, 9))
         assert integer_kernel_basis(rows) == QMatrix(rows).nullspace()
+
+
+def _bareiss_kernel(rows):
+    """Reference: the kernel read off the Bareiss echelon form."""
+    if not rows:
+        return []
+    echelon, pivots, _ = linalg._bareiss_echelon(rows)
+    d, _, solutions = linalg._back_substitute(echelon, pivots, len(rows[0]))
+    return [tuple(Fraction(v, d) for v in x) for x in solutions]
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(linalg, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(linalg, name, counting)
+    return calls
+
+
+def _random_integer_matrix(rng, kind, bits):
+    entry = lambda: rng.randint(-2 ** bits, 2 ** bits)
+    if kind == "low_rank":
+        # A product through k < min(shape) columns: rank at most k.
+        nr, nc = rng.randint(2, 8), rng.randint(2, 8)
+        k = rng.randint(1, min(nr, nc) - 1)
+        left = [[entry() for _ in range(k)] for _ in range(nr)]
+        right = [[rng.randint(-9, 9) for _ in range(nc)] for _ in range(k)]
+        return [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] for row in left]
+    if kind == "tall":
+        nc = rng.randint(1, 6)
+        return [[entry() for _ in range(nc)] for _ in range(nc + rng.randint(0, 3))]
+    if kind == "wide":
+        nr = rng.randint(1, 4)
+        nc = nr + rng.randint(1, 4)
+        return [[entry() for _ in range(nc)] for _ in range(nr)]
+    return _random_rows(rng, 7, 7, entry)
+
+
+def test_modular_kernel_matches_bareiss(monkeypatch):
+    mod_calls = _count_calls(monkeypatch, "_kernel_mod_p")
+    bareiss_calls = _count_calls(monkeypatch, "_bareiss_echelon")
+    rng = random.Random(11)
+    primes_used = []
+    kinds = ("low_rank", "tall", "wide", "mixed")
+    for trial in range(320):
+        kind = kinds[trial % 4]
+        bits = (3, 40, 120, 300)[trial // 4 % 4]
+        rows = _random_integer_matrix(rng, kind, bits)
+        expected = _bareiss_kernel(rows)
+        del mod_calls[:], bareiss_calls[:]
+        assert integer_kernel_basis(rows) == expected, rows
+        if rows and not bareiss_calls:
+            primes_used.append(len(mod_calls))
+        if kind == "tall":
+            # Random tall matrices have full column rank: an empty kernel.
+            assert expected == []
+    # Most kernels are certified from the primes, some only after several.
+    assert len(primes_used) > 250
+    assert sum(1 for k in primes_used if k >= 3) >= 10
+
+
+def test_modular_kernel_unlucky_first_prime(monkeypatch):
+    # Mod the first prime these matrices lose a pivot: its kernel vectors
+    # are wrong over Q and must be caught by the exact check.
+    p0 = KERNEL_PRIMES[0]
+    bareiss_calls = _count_calls(monkeypatch, "_bareiss_echelon")
+    assert integer_kernel_basis([[p0, 1]]) == [(Fraction(-1, p0), Fraction(1))]
+    assert integer_kernel_basis([[p0, 1], [0, 1]]) == []
+    rows = [[p0, 1, 0], [3 * p0, 3, 0], [0, p0, 1]]
+    assert integer_kernel_basis(rows) == [(Fraction(1, p0 * p0), Fraction(-1, p0), Fraction(1))]
+    assert rows == [[p0, 1, 0], [3 * p0, 3, 0], [0, p0, 1]]
+    assert bareiss_calls == []
+
+
+def test_modular_kernel_falls_back_to_bareiss(monkeypatch):
+    # Every entry is 0 mod every listed prime, so each prime claims a full
+    # kernel that the exact check refuses; only Bareiss can answer.
+    big = 1
+    for p in KERNEL_PRIMES:
+        big *= p
+    bareiss_calls = _count_calls(monkeypatch, "_bareiss_echelon")
+    mod_calls = _count_calls(monkeypatch, "_kernel_mod_p")
+    assert integer_kernel_basis([[big, 2 * big], [3 * big, 4 * big]]) == []
+    assert len(mod_calls) == len(KERNEL_PRIMES) and len(bareiss_calls) == 1
+    del mod_calls[:], bareiss_calls[:]
+    rows = [[big, 2 * big, 5 * big], [big, 3 * big, 7 * big]]
+    assert integer_kernel_basis(rows) == [(Fraction(-1), Fraction(-2), Fraction(1))]
+    assert len(mod_calls) == len(KERNEL_PRIMES) and len(bareiss_calls) == 1
+
+
+def _is_prime(n):
+    """Deterministic Miller-Rabin: these bases decide every n < 3.3 * 10^24."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    if n < 2:
+        return False
+    for a in bases:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_kernel_primes_are_distinct_62_bit_primes():
+    assert len(set(KERNEL_PRIMES)) == len(KERNEL_PRIMES) >= 2
+    for p in KERNEL_PRIMES:
+        assert p < 2 ** 63 and p.bit_length() == 62
+        assert _is_prime(p)
+    assert not _is_prime(KERNEL_PRIMES[0] * KERNEL_PRIMES[1])
+    assert not _is_prime(3215031751)  # a strong pseudoprime to bases 2, 3, 5, 7
 
 
 def test_smith_identity():

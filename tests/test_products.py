@@ -262,3 +262,36 @@ def test_product_sampler_tangent_contains_point():
     sampler = hadamard_product_sampler(linear_space_sampler(a), linear_space_sampler(b))
     point, tangent = sampler.sample(rng)
     assert tangent.contains(point)
+
+
+def test_sample_point_is_the_point_of_sample(monkeypatch):
+    rng = random.Random(59)
+    line, other = random_space(1, 3, rng), random_space(1, 3, rng)
+    plane = random_space(2, 3, rng)
+    linear = linear_space_sampler(line)
+    recip = reciprocal_sampler(plane)
+    segre = segre_sampler(1, 1)
+    samplers = [
+        linear, recip, segre, segre_sampler(2, 3),
+        hadamard_product_sampler(linear, recip),
+        hadamard_product_sampler(segre, linear_space_sampler(other)),
+        hadamard_power_sampler(linear, 3),
+        hadamard_power_sampler(hadamard_product_sampler(linear, recip), 2),
+        hadamard_product_sampler(hadamard_power_sampler(recip, 2), segre),
+    ]
+    seeds = range(4)
+    expected = {}
+    for i, sampler in enumerate(samplers):
+        for seed in seeds:
+            full = random.Random(seed)
+            expected[i, seed] = sampler.sample(full)[0].coords, full.getstate()
+
+    def no_span(*args):
+        raise AssertionError("sample_point built a tangent span")
+
+    # The point-only draw builds no span, and takes the same random values.
+    monkeypatch.setattr(LinSpace, "span_of", no_span)
+    for i, sampler in enumerate(samplers):
+        for seed in seeds:
+            light = random.Random(seed)
+            assert (sampler.sample_point(light).coords, light.getstate()) == expected[i, seed]
