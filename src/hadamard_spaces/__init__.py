@@ -6,7 +6,7 @@ interpolation oracle recovering defining equations from samples.
 """
 
 from .linalg import (BudgetExhausted, PreconditionError, QMatrix, rat, rat_str,
-                     clear_denominators, smith_normal_form)
+                     clear_denominators)
 from .poly import SparsePoly, monomials_of_degree, proportional
 from .projective import (LinSpace, PPoint, PlueckerVector, all_ones_point,
                          intersect_spaces, line_through, pluecker,

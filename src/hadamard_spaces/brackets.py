@@ -5,15 +5,18 @@ the Hadamard square of a generic 2-plane in P^5.
 Brackets are stored under sorted index tuples; odd permutations negate
 (antisymmetry), fixing the sign convention once.  The cubic's 56 monomial
 coefficients are generated from three printed orbit representatives by a
-symmetric-group transport that is twisted by the sign of the permutation;
-well-definedness of that transport (independence of the chosen permutation)
-is asserted at runtime via stabilizer generators and a two-representative
-spot check, and interpolation agreement is the ground truth it is tested
-against.
+symmetric-group transport that is twisted by the sign of the permutation.
+The transported table does not depend on the plane, so it is built once per
+process, on the first cubic; well-definedness of the transport (independence
+of the chosen permutation) is asserted then, via stabilizer generators and a
+term-by-term comparison of two coset representatives.  Interpolation
+agreement is the ground truth it is tested against.
 """
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations_with_replacement
+from math import lcm
 
 from .linalg import PreconditionError
 from .poly import SparsePoly
@@ -295,52 +298,68 @@ def _complete_perm(partial):
     return tuple(perm)
 
 
-def cubic_monomial_coefficient(pattern, perm, valuation):
-    total = Fraction(0)
-    for brackets, coeff in _twisted_transport(pattern, perm).items():
-        value = Fraction(coeff)
-        for br in brackets:
-            value *= valuation(br)
-        total += value
-    return total
+def _second_representative(perm, partial):
+    """The coset representative that also swaps the last two untouched indices."""
+    spare = [i for i in range(6) if i not in partial.values()]
+    alt = list(perm)
+    iu, iw = alt.index(spare[-2]), alt.index(spare[-1])
+    alt[iu], alt[iw] = alt[iw], alt[iu]
+    return tuple(alt)
+
+
+@cache
+def _cubic_table():
+    """The 56 transported coefficients, built and checked once per process.
+
+    A tuple of (exponent vector, ((bracket monomial, int coefficient), ...))
+    in the order of combinations_with_replacement(range(6), 3); immutable,
+    since every caller shares it.  Building it runs
+    assert_orbit_well_defined and transports every coefficient through two
+    coset representatives, which must give the same bracket polynomial term
+    for term; equal polynomials agree at every Pluecker vector, so this is
+    at least as strong as comparing their values.
+    """
+    assert_orbit_well_defined()
+    table = []
+    for a, b, c in combinations_with_replacement(range(6), 3):
+        pattern, partial = _pattern_and_map(a, b, c)
+        perm = _complete_perm(partial)
+        terms = _twisted_transport(pattern, perm)
+        if _twisted_transport(pattern, _second_representative(perm, partial)) != terms:
+            raise AssertionError(
+                "orbit transport disagreed between permutations for monomial %r" % ((a, b, c),))
+        expo = [0] * 6
+        for i in (a, b, c):
+            expo[i] += 1
+        table.append((tuple(expo), tuple(terms.items())))
+    return tuple(table)
 
 
 def cubic_plane_square(pl_p):
     """The cubic in x_0..x_5 vanishing on the Hadamard square of a 2-plane.
 
     All 56 coefficients are transported from the three printed
-    representatives by the twisted symmetric-group action and evaluated at
-    the given Pluecker vector.  Each coefficient is computed via two
-    different transporting permutations as a runtime well-definedness
-    assertion (on top of the stabilizer check).
+    representatives by the twisted symmetric-group action (_cubic_table,
+    built and checked on the first call of the process only) and evaluated
+    at the given Pluecker vector.  Evaluation runs in integers: with D the
+    common denominator of the Pluecker entries, every bracket monomial has
+    degree 10, so each integer sum is D^10 times the coefficient, and one
+    division per coefficient gives the exact same Fraction.
     """
     if pl_p.ambient_dim != 5 or pl_p.dim != 2:
         raise PreconditionError("expected the Pluecker vector of a 2-plane in P^5")
-    assert_orbit_well_defined()
-
-    def valuation(br):
-        return pl_p.entries[br]
-
+    d = lcm(*(v.denominator for v in pl_p.entries.values()))
+    scaled = {br: v.numerator * (d // v.denominator) for br, v in pl_p.entries.items()}
+    scale = d ** 10
     terms = {}
-    for a, b, c in combinations_with_replacement(range(6), 3):
-        pattern, partial = _pattern_and_map(a, b, c)
-        perm = _complete_perm(partial)
-        coeff = cubic_monomial_coefficient(pattern, perm, valuation)
-        # Second coset representative: swap the last two untouched indices.
-        spare = [i for i in range(6) if i not in partial.values()]
-        alt = list(perm)
-        u, w = spare[-2], spare[-1]
-        iu, iw = alt.index(u), alt.index(w)
-        alt[iu], alt[iw] = alt[iw], alt[iu]
-        alt_coeff = cubic_monomial_coefficient(pattern, tuple(alt), valuation)
-        if alt_coeff != coeff:
-            raise AssertionError(
-                "orbit transport disagreed between permutations for monomial %r" % ((a, b, c),))
-        if coeff:
-            expo = [0] * 6
-            for i in (a, b, c):
-                expo[i] += 1
-            terms[tuple(expo)] = coeff
+    for expo, monomials in _cubic_table():
+        total = 0
+        for brackets, coeff in monomials:
+            for br in brackets:
+                coeff *= scaled[br]
+            total += coeff
+        if total:
+            terms[expo] = Fraction(total, scale)
     return SparsePoly(6, terms)
 
 

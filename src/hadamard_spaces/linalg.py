@@ -136,9 +136,6 @@ class QMatrix:
         body = "; ".join(" ".join(rat_str(x) for x in row) for row in self.rows)
         return "QMatrix[%s]" % body
 
-    def transpose(self):
-        return QMatrix(tuple(zip(*self.rows))) if self.rows else QMatrix(())
-
     def stack(self, other):
         if other.nrows and self.nrows and other.ncols != self.ncols:
             raise ValueError("column count mismatch")
@@ -451,6 +448,10 @@ def smith_normal_form(rows):
     Returns min(nrows, ncols) nonnegative integers d_1 | d_2 | ... with
     trailing zeros for rank deficiency.  The product of the nonzero d_i is
     the index of the row lattice inside its saturation.
+
+    No run-time path calls it: it is the tests' oracle for
+    `tropical.lattice_index`, kept here while `perfbench/tracer.py` still
+    lists it as the `linalg.snf` layer.
     """
     a = [[int(x) for x in row] for row in rows]
     nr = len(a)

@@ -152,10 +152,6 @@ class SparsePoly:
             g = -g
         return SparsePoly(self.nvars, {e: Fraction(v, g) for e, v in ints.items()})
 
-    def coefficients_vector(self, monomials):
-        """Coefficients aligned with a fixed monomial list (missing = 0)."""
-        return tuple(self.terms.get(m, Fraction(0)) for m in monomials)
-
     def __str__(self):
         if not self.terms:
             return "0"

@@ -1,6 +1,12 @@
 """Span dimensions, identifiability, Terracini tangent spans, expected
 dimension, and the interpolation oracle for Hadamard products.
 
+Span dimensions and identifiability both rest on the generalized
+Vandermonde matrix: its rank is the span dimension plus one, and full rank
+binom(m + r, r) for one space is an exact proof that unordered r-tuples of
+its points are recovered from their product (see identifiability_check).
+Only rank-deficient spaces fall back to a sampled collision search.
+
 The interpolation oracle replaces ideal elimination as the independent
 verification route: degree-d forms vanishing on a sampled variety are the
 kernel of the monomial-evaluation matrix built from more samples than
@@ -77,19 +83,52 @@ def identifiability_regime_bound(dims_and_mults):
 
 
 def identifiability_check(space, r, trials, rng):
+    """None if unordered r-tuples of points of `space` are identifiable
+    from their Hadamard product, else a colliding pair of tuples.
+
+    Certificate.  Let g_0..g_m be the generator rows (independent, so
+    points of the space and linear forms up to scale correspond one to
+    one) and c_j column j.  The point s_0 g_0 + ... + s_m g_m is
+    l(c_0) : ... : l(c_n) for the form l = s_0 x_0 + ... + s_m x_m, so the
+    product of r points is F(c_0) : ... : F(c_n) with F = l_1 ... l_r.
+    Writing F = sum_e a_e x^e, that vector is a V, where V =
+    `gen_vandermonde([(space, r)])` has one row per exponent e.  When
+    rank V = binom(m + r, r), its row count, F -> a V is injective: the
+    product is never the zero vector, its point fixes F up to scale, and
+    unique factorization in Q[x_0..x_m] fixes the unordered r-tuple of
+    linear factors up to scales, that is, the r points.  So the rank test
+    alone proves identifiability; nothing is drawn and `rng` is left
+    untouched.
+
+    Below that rank the check falls back to a sampled collision search
+    (`_search_collisions`), whose reported pairs are exact counterexamples,
+    but whose None is not a proof.  Below the guarantee regime
+    n >= binom(m + r, r) - 1 the rank cannot be full, and a warning is
+    issued.
+    """
+    if r < 1:
+        raise ValueError("r must be >= 1, got %r" % (r,))
+    if trials < 0:
+        raise ValueError("trials must be >= 0, got %r" % (trials,))
+    n = space.ambient_dim
+    bound = identifiability_regime_bound([(space.dim, r)])
+    if n < bound:
+        warnings.warn("ambient dimension %d is below the identifiability bound %d; "
+                      "collisions are not excluded by theory" % (n, bound))
+    if gen_vandermonde([(space, r)]).rank() == comb(space.dim + r, r):
+        return None
+    return _search_collisions(space, r, trials, rng)
+
+
+def _search_collisions(space, r, trials, rng):
     """Search for unordered r-tuples of points with colliding products.
 
     Samples `trials` random unordered r-tuples from the space and hashes
     the canonical forms of their Hadamard products.  Returns None when all
     products of distinct tuples are distinct, else the first colliding pair
     of tuples (a counterexample to identifiability, which is a result, not
-    an error).  Below the guarantee regime a warning is issued.
+    an error).
     """
-    n = space.ambient_dim
-    bound = identifiability_regime_bound([(space.dim, r)])
-    if n < bound:
-        warnings.warn("ambient dimension %d is below the identifiability bound %d; "
-                      "collisions are not excluded by theory" % (n, bound))
     seen = {}
     for _ in range(trials):
         pts = []

@@ -1,8 +1,13 @@
+import json
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
+from hadamard_spaces import brackets
 from hadamard_spaces.brackets import (CUBIC_REPRESENTATIVES, QUADRIC_TABLE,
                                       assert_orbit_well_defined,
                                       cubic_plane_square,
@@ -151,6 +156,124 @@ def test_cubic_specialization_to_line_square():
     cubic = cubic_plane_square(pluecker(plane))
     sampler = hadamard_power_sampler(linear_space_sampler(plane), 2)
     assert verify_identity(cubic, sampler, 15, rng)
+
+
+def _oracle_coefficient(pattern, perm, valuation):
+    total = Fraction(0)
+    for monomial, coeff in brackets._twisted_transport(pattern, perm).items():
+        value = Fraction(coeff)
+        for br in monomial:
+            value *= valuation(br)
+        total += value
+    return total
+
+
+def cubic_oracle(pl_p):
+    """The cubic as computed before its table was cached: every coefficient
+    transported on each call, through two coset representatives, and
+    evaluated in Fraction arithmetic."""
+    assert_orbit_well_defined()
+
+    def valuation(br):
+        return pl_p.entries[br]
+
+    terms = {}
+    for a, b, c in combinations_with_replacement(range(6), 3):
+        pattern, partial = brackets._pattern_and_map(a, b, c)
+        perm = brackets._complete_perm(partial)
+        coeff = _oracle_coefficient(pattern, perm, valuation)
+        spare = [i for i in range(6) if i not in partial.values()]
+        alt = list(perm)
+        u, w = spare[-2], spare[-1]
+        iu, iw = alt.index(u), alt.index(w)
+        alt[iu], alt[iw] = alt[iw], alt[iu]
+        assert _oracle_coefficient(pattern, tuple(alt), valuation) == coeff
+        if coeff:
+            expo = [0] * 6
+            for i in (a, b, c):
+                expo[i] += 1
+            terms[tuple(expo)] = coeff
+    return SparsePoly(6, terms)
+
+
+def oracle_planes():
+    """50 planes in P^5: integer, Fraction and sparse generators, the last
+    with many vanishing Pluecker minors."""
+    rng = random.Random(78)
+    planes = []
+    while len(planes) < 50:
+        kind = len(planes) % 3
+        if kind == 0:
+            rows = [[rng.randint(-9, 9) for _ in range(6)] for _ in range(3)]
+        elif kind == 1:
+            rows = [[Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(6)]
+                    for _ in range(3)]
+        else:
+            rows = [[rng.choice([0, 0, 0, 1, -1, 2]) for _ in range(6)] for _ in range(3)]
+        try:
+            planes.append(pluecker(LinSpace(rows)))
+        except ValueError:
+            continue
+    return planes
+
+
+def test_cubic_table_matches_per_call_transport():
+    planes = oracle_planes()
+    assert sum(1 for pl in planes if not pl.nonvanishing()) >= 10
+    assert any(v.denominator > 1 for pl in planes for v in pl.entries.values())
+    for pl in planes:
+        got = cubic_plane_square(pl)
+        assert got == cubic_oracle(pl)
+        assert all(type(c) is Fraction for c in got.terms.values())
+
+
+def test_cubic_table_corruption_is_caught(monkeypatch):
+    table = brackets._cubic_table()
+    assert len(table) == 56
+    planes = oracle_planes()
+    wanted = [cubic_oracle(pl) for pl in planes]
+    for k, (expo, monomials) in enumerate(table):
+        corrupt = list(table)
+        (first, coeff), rest = monomials[0], monomials[1:]
+        corrupt[k] = (expo, ((first, coeff + 1),) + rest)
+        monkeypatch.setattr(brackets, "_cubic_table", lambda: corrupt)
+        assert any(cubic_plane_square(pl) != want for pl, want in zip(planes, wanted)), expo
+    monkeypatch.undo()
+    assert [cubic_plane_square(pl) for pl in planes] == wanted
+
+
+_COUNT_TRANSPORTS = """
+import sys
+
+calls = [0]
+
+def profile(frame, event, arg):
+    if event == "call" and frame.f_code.co_name == "_twisted_transport":
+        calls[0] += 1
+
+sys.setprofile(profile)
+import hadamard_spaces.cli
+from hadamard_spaces.brackets import cubic_plane_square
+from hadamard_spaces.projective import LinSpace, pluecker
+counts = [calls[0]]
+for rows in ([[3, 1, 4, 1, 5, 9], [2, 6, 5, 3, 5, 8], [9, 7, 9, 3, 2, 3]],
+             [[1, 2, 3, 4, 5, 6], [1, 3, 7, 13, 21, 31], [2, 1, 5, 3, 11, 7]]):
+    cubic_plane_square(pluecker(LinSpace(rows)))
+    counts.append(calls[0])
+sys.setprofile(None)
+print(counts)
+"""
+
+
+def test_cubic_table_is_built_once_on_first_use():
+    out = subprocess.run([sys.executable, "-c", _COUNT_TRANSPORTS],
+                         capture_output=True, text=True, check=True).stdout
+    on_import, first, second = json.loads(out)
+    assert on_import == 0
+    # Three representatives, eleven stabilizer generators, two coset
+    # representatives for each of the 56 coefficients.
+    assert first == 3 + 11 + 2 * 56
+    assert second == first
 
 
 def test_cubic_requires_plane_in_p5():

@@ -7,6 +7,7 @@ import pytest
 
 from hadamard_spaces.line_powers import line_power_matrix, power_hyperplane
 from hadamard_spaces.linalg import PreconditionError
+from hadamard_spaces import products
 from hadamard_spaces.poly import proportional
 from hadamard_spaces.products import (expected_dimension, gen_vandermonde,
                                       identifiability_check,
@@ -95,6 +96,88 @@ def test_identifiability_warns_below_regime():
     plane = random_space(2, 3, rng)
     with pytest.warns(UserWarning):
         identifiability_check(plane, 2, 10, rng)
+
+
+@pytest.mark.parametrize("r, trials, name", [(0, 10, "r"), (-1, 10, "r"), (2, -1, "trials")])
+def test_identifiability_rejects_bad_arguments(r, trials, name):
+    rng = random.Random(47)
+    line = random_space(1, 3, rng)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match="^%s must be" % name):
+        identifiability_check(line, r, trials, rng)
+    assert rng.getstate() == state
+
+
+def _certified(space, r):
+    return gen_vandermonde([(space, r)]).rank() == comb(space.dim + r, r)
+
+
+def test_identifiability_certificate_draws_nothing():
+    rng = random.Random(48)
+    cases = [(1, 2, 3), (1, 2, 5), (1, 3, 4), (1, 3, 7), (2, 2, 5), (2, 2, 7)]
+    for _ in range(20):
+        m, r = rng.randint(1, 3), rng.randint(1, 3)
+        bound = identifiability_regime_bound([(m, r)])
+        cases.append((m, r, rng.randint(bound, bound + 3)))
+    for m, r, n in cases:
+        space = random_space(m, n, rng)
+        assert _certified(space, r)
+        state = rng.getstate()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert identifiability_check(space, r, 10 ** 4, rng) is None
+        assert rng.getstate() == state
+
+
+def test_identifiability_rank_deficient_space_is_searched():
+    # In the regime, but the generators have disjoint supports, so every
+    # mixed-monomial row of the Vandermonde matrix vanishes, its rank drops,
+    # and the check falls through to the sampled search.
+    rng = random.Random(49)
+    for rows, r in [([[1, 1, 0, 0], [0, 0, 1, 1]], 2),
+                    ([[1, 1, 0, 0, 0, 0], [0, 0, 1, 1, 0, 0], [0, 0, 0, 0, 1, 1]], 2),
+                    ([[1, 1, 1, 0, 0, 0, 0, 0], [0, 0, 0, 1, 2, 0, 0, 0]], 3)]:
+        space = LinSpace(rows)
+        assert space.ambient_dim >= identifiability_regime_bound([(space.dim, r)])
+        assert not _certified(space, r)
+        state = rng.getstate()
+        identifiability_check(space, r, 5, rng)
+        assert rng.getstate() != state
+
+
+def test_identifiability_certificate_agrees_with_search():
+    rng = random.Random(50)
+    for m, r in [(1, 1), (1, 2), (1, 3), (1, 4), (2, 1), (2, 2), (3, 2)]:
+        bound = identifiability_regime_bound([(m, r)])
+        for n in range(bound, bound + 2):
+            space = random_space(m, n, rng)
+            assert _certified(space, r)
+            assert identifiability_check(space, r, 300, rng) is None
+            assert products._search_collisions(space, r, 300, rng) is None
+
+
+class _SmallRandom(random.Random):
+    """Draws every sample coefficient from -3..3, so products collide often."""
+
+    def randint(self, a, b):
+        return super().randint(-3, 3)
+
+
+def test_search_finds_exact_collision():
+    line = LinSpace([[1, 0], [0, 1]])
+    with pytest.warns(UserWarning):
+        collision = identifiability_check(line, 2, 200, _SmallRandom(51))
+    assert collision is not None
+    first, second = collision
+    assert first != second
+
+    def product(points):
+        out = PPoint(points[0])
+        for p in points[1:]:
+            out = out.hadamard(PPoint(p))
+        return out
+
+    assert product(first) == product(second)
 
 
 def test_product_commutative_sanity():
