@@ -86,18 +86,20 @@ def clear_denominators(vec):
     """
     vec = [Fraction(x) for x in vec]
     mult = lcm(*(x.denominator for x in vec)) if vec else 1
-    ints = [int(x * mult) for x in vec]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g:
-        ints = [v // g for v in ints]
-        for v in ints:
-            if v:
-                if v < 0:
-                    ints = [-w for w in ints]
-                break
-    return tuple(ints)
+    return primitive_ints([x.numerator * (mult // x.denominator) for x in vec])
+
+
+def primitive_ints(ints):
+    """An integer vector over its gcd, first nonzero entry positive.
+
+    Returns a tuple of ints; the zero vector maps to itself.
+    """
+    g = gcd(*ints)
+    if not g:
+        return tuple(ints)
+    if next(v for v in ints if v) < 0:
+        g = -g
+    return tuple(v // g for v in ints)
 
 
 class QMatrix:

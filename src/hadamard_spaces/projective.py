@@ -22,12 +22,13 @@ SAMPLE_COEFF_BOUND = 10 ** 6
 class PPoint:
     """A point of projective n-space with exact rational coordinates."""
 
-    __slots__ = ("coords",)
+    __slots__ = ("coords", "_key")
 
     def __init__(self, coords):
         self.coords = tuple(rat(x) for x in coords)
         if not any(self.coords):
             raise ValueError("projective point cannot have all coordinates zero")
+        self._key = None
 
     @property
     def ambient_dim(self):
@@ -46,8 +47,13 @@ class PPoint:
         return hash(self.canonical())
 
     def canonical(self):
-        """Scale-invariant integer tuple: coprime, first nonzero positive."""
-        return clear_denominators(self.coords)
+        """Scale-invariant integer tuple: coprime, first nonzero positive.
+
+        Computed on first use and kept: the coordinates never change.
+        """
+        if self._key is None:
+            self._key = clear_denominators(self.coords)
+        return self._key
 
     def __repr__(self):
         return "[" + " : ".join(rat_str(x) for x in self.coords) + "]"
@@ -83,10 +89,6 @@ class PPoint:
 
     def to_json(self):
         return [rat_str(x) for x in self.coords]
-
-    @classmethod
-    def from_json(cls, data):
-        return cls([Fraction(str(x)) for x in data])
 
 
 def all_ones_point(n):
@@ -153,10 +155,6 @@ class LinSpace:
 
     def to_json(self):
         return [[rat_str(x) for x in row] for row in self.generators.rows]
-
-    @classmethod
-    def from_json(cls, data):
-        return cls([[Fraction(str(x)) for x in row] for row in data])
 
 
 def intersect_spaces(spaces):

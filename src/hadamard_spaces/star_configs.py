@@ -6,14 +6,43 @@ the hyperplanes being in linear general position.  Products of r distinct
 collinear points realize exactly such a configuration, with M the r-th
 power of the line and the i-th hyperplane p_i * L^(r-1); build_star
 constructs that witness and verify_star checks it from first principles.
+
+The checks run inside M, in integers.  Let R be the RREF basis of M (the
+reduction its generator matrix caches), P its r+1 pivot columns and D the
+lcm of its denominators, so D*R is an integer matrix with D at (i, P_i)
+and 0 at the other pivots.
+
+- Coordinates.  A vector y of M is y_P R, its coefficients in the basis R
+  being its entries at P.  So y lies in M iff D*y = y_P (D*R), an identity
+  of integer vectors once y is cleared of denominators (scaling a vector
+  keeps membership), and y -> y_P is injective on M.
+- Normals.  A hyperplane H of M has r independent generators; their
+  entries at P stay independent, so the kernel of that r x (r+1) matrix is
+  one line, spanned by an integer normal w_H.  {y in M : w_H . y_P = 0}
+  contains H and has the same dimension, so it is H.
+- Intersections.  For hyperplanes H_i, i in S, the intersection is
+  {y in M : W_S y_P = 0}, with W_S the matrix of their normals: projective
+  dimension r - rank W_S, empty at rank r+1.  The j-fold intersection has
+  the expected dimension r - j (empty for j = r+1) iff the j normals are
+  independent.
+- General position.  With k = min(m, r+1), every set of at most k normals
+  lies in a set of exactly k, and subsets of independent sets are
+  independent; so general position holds iff every k-subset of normals is
+  independent.  Only when one is not does the ordered search run (j = 2,
+  3, ..., subsets in lex order), so the certificate is the first violating
+  subset of that order.
+- Points.  For r independent normals W_S the intersection is the single
+  point y with y_P spanning the kernel of W_S; y_P (D*R) is an integer
+  multiple of y, and its primitive vector is y's canonical key.
 """
 
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 
-from .linalg import PreconditionError
+from .linalg import (PreconditionError, _back_substitute, _bareiss_echelon, _integer_rows,
+                     primitive_ints)
 from .line_powers import line_power_matrix
-from .projective import LinSpace, PPoint, all_ones_point, intersect_spaces, pluecker, point_times_space
+from .projective import LinSpace, all_ones_point, pluecker, point_times_space
 
 
 class PointSet:
@@ -63,11 +92,11 @@ class StarWitness:
         self.points = points
         self.origin_subsets = origin_subsets
         r = ambient_space.dim
+        frame = _pivot_frame(ambient_space)
         for h in self.hyperplanes:
             if h.dim != r - 1:
                 raise PreconditionError("hyperplane of dim %d in a dim-%d space" % (h.dim, r))
-            if not ambient_space.contains_space(h):
-                raise PreconditionError("hyperplane not contained in the ambient space")
+            _pivot_rows(h, frame)
         if len(points) != comb(len(self.hyperplanes), r):
             raise PreconditionError(
                 "expected binom(%d, %d) = %d points, got %d"
@@ -92,7 +121,6 @@ def squarefree_power_with_subsets(zset, r):
     if r < 1:
         raise PreconditionError("r must be >= 1")
     found = {}
-    subsets = {}
     for subset in combinations(range(len(zset.points)), r):
         prod = None
         for i in subset:
@@ -100,14 +128,9 @@ def squarefree_power_with_subsets(zset, r):
             prod = p if prod is None else prod.hadamard(p)
             if prod is None:
                 break
-        if prod is None:
-            continue
-        key = prod.canonical()
-        if key not in found:
-            found[key] = prod
-            subsets[key] = subset
-    points = PointSet(found.values())
-    return points, [subsets[p.canonical()] for p in points]
+        if prod is not None:
+            found.setdefault(prod.canonical(), (prod, subset))
+    return PointSet(p for p, _ in found.values()), [subset for _, subset in found.values()]
 
 
 def build_star(zset, line, r):
@@ -149,32 +172,75 @@ def build_star(zset, line, r):
     return StarWitness(ambient, hyperplanes, points, origin_subsets)
 
 
+def _pivot_frame(ambient):
+    """(P, D, D*R) of M = ambient, as in the module docstring."""
+    reduced, rank, pivots = ambient.generators.rref()
+    basis = reduced.rows[:rank]
+    den = lcm(*(x.denominator for row in basis for x in row))
+    return pivots, den, [[x.numerator * (den // x.denominator) for x in row] for row in basis]
+
+
+def _pivot_rows(space, frame):
+    """The generators of a subspace of M, cleared of denominators, at M's pivot columns.
+
+    Raises PreconditionError when a generator y fails D*y = y_P (D*R).
+    """
+    pivots, den, basis = frame
+    if space.generators.ncols != len(basis[0]):
+        raise ValueError("column count mismatch")
+    rows = []
+    for y in _integer_rows(space.generators.rows)[0]:
+        head = [y[p] for p in pivots]
+        if any(den * v != sum(c * b[j] for c, b in zip(head, basis)) for j, v in enumerate(y)):
+            raise PreconditionError("hyperplane not contained in the ambient space")
+        rows.append(head)
+    return rows
+
+
+def _kernel_line(rows):
+    """Integer vector spanning the kernel of a k x (k+1) integer matrix of rank k."""
+    echelon, pivots, _ = _bareiss_echelon(rows)
+    return _back_substitute(echelon, pivots, len(rows) + 1)[2][0]
+
+
+def _rank(rows):
+    return len(_bareiss_echelon(rows)[1])
+
+
+def _normals(hyperplanes, r, frame):
+    """Integer normals w_H of hyperplanes of M, after their dimension and containment checks."""
+    normals = []
+    for h in hyperplanes:
+        if h.dim != r - 1:
+            raise PreconditionError("hyperplane has dim %d, expected %d" % (h.dim, r - 1))
+        normals.append(_kernel_line(_pivot_rows(h, frame)))
+    return normals
+
+
+def _first_dependent(normals, r):
+    """None in general position, else the first index subset with dependent normals."""
+    m = len(normals)
+    k = min(m, r + 1)
+    if all(_rank(rows) == k for rows in combinations(normals, k)):
+        return None
+    for j in range(2, k + 1):
+        for subset in combinations(range(m), j):
+            if _rank([normals[i] for i in subset]) < j:
+                return subset
+
+
 def verify_general_position(hyperplanes, ambient):
     """Check linear general position of codimension-1 subspaces of M.
 
     True iff every j-fold intersection (j <= r = dim M) has dimension r - j
     and every (r+1)-fold intersection is empty.  On failure the certificate
-    is the first violating index tuple.
+    is the first violating index tuple, j = 2, 3, ... and each j in lex
+    order.  Decided by ranks of the hyperplanes' normals in M (module
+    docstring).
     """
     r = ambient.dim
-    for h in hyperplanes:
-        if h.dim != r - 1:
-            raise PreconditionError("hyperplane has dim %d, expected %d" % (h.dim, r - 1))
-        if not ambient.contains_space(h):
-            raise PreconditionError("hyperplane not contained in the ambient space")
-    m = len(hyperplanes)
-    for j in range(2, min(m, r + 1) + 1):
-        want = r - j
-        for subset in combinations(range(m), j):
-            meet = intersect_spaces([hyperplanes[i] for i in subset])
-            got = -1 if meet is None else meet.dim
-            if j <= r:
-                if got != want:
-                    return False, subset
-            else:
-                if meet is not None:
-                    return False, subset
-    return True, None
+    certificate = _first_dependent(_normals(hyperplanes, r, _pivot_frame(ambient)), r)
+    return certificate is None, certificate
 
 
 def verify_star(witness):
@@ -182,16 +248,18 @@ def verify_star(witness):
 
     General position must hold and the witness point set must equal the
     union of all r-fold intersections of the hyperplanes, each intersection
-    being a single point.
+    being a single point: the point whose pivot entries span the kernel of
+    its r normals (module docstring).
     """
-    ok, _ = verify_general_position(witness.hyperplanes, witness.ambient_space)
-    if not ok:
+    ambient = witness.ambient_space
+    r = ambient.dim
+    frame = _pivot_frame(ambient)
+    normals = _normals(witness.hyperplanes, r, frame)
+    if _first_dependent(normals, r) is not None:
         return False
-    r = witness.ambient_space.dim
+    columns = list(zip(*frame[2]))
     keys = set()
-    for subset in combinations(range(len(witness.hyperplanes)), r):
-        meet = intersect_spaces([witness.hyperplanes[i] for i in subset])
-        if meet is None or meet.dim != 0:
-            return False
-        keys.add(PPoint(meet.generators.rows[0]).canonical())
-    return keys == set(witness.points.canonical_keys())
+    for rows in combinations(normals, r):
+        y_p = _kernel_line(rows)
+        keys.add(primitive_ints([sum(c * v for c, v in zip(y_p, col)) for col in columns]))
+    return keys == witness.points.canonical_keys()

@@ -1,4 +1,6 @@
 import random
+from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -178,3 +180,166 @@ def test_randomized_star_grid():
             witness = build_star(zset, line, r)
             assert len(witness.points) == comb(m, r)
             assert verify_star(witness)
+
+
+# ---------------------------------------------------------------------------
+# Reference oracle: the checks as first written, in the ambient P^n, with one
+# intersect_spaces call (a nullspace per hyperplane, then a kernel) per subset.
+
+
+def reference_general_position(hyperplanes, ambient):
+    r = ambient.dim
+    for h in hyperplanes:
+        if h.dim != r - 1:
+            raise PreconditionError("hyperplane has dim %d, expected %d" % (h.dim, r - 1))
+        if not ambient.contains_space(h):
+            raise PreconditionError("hyperplane not contained in the ambient space")
+    m = len(hyperplanes)
+    for j in range(2, min(m, r + 1) + 1):
+        want = r - j
+        for subset in combinations(range(m), j):
+            meet = intersect_spaces([hyperplanes[i] for i in subset])
+            got = -1 if meet is None else meet.dim
+            if j <= r:
+                if got != want:
+                    return False, subset
+            else:
+                if meet is not None:
+                    return False, subset
+    return True, None
+
+
+def reference_star(witness):
+    ok, _ = reference_general_position(witness.hyperplanes, witness.ambient_space)
+    if not ok:
+        return False
+    r = witness.ambient_space.dim
+    keys = set()
+    for subset in combinations(range(len(witness.hyperplanes)), r):
+        meet = intersect_spaces([witness.hyperplanes[i] for i in subset])
+        if meet is None or meet.dim != 0:
+            return False
+        keys.add(PPoint(meet.generators.rows[0]).canonical())
+    return keys == set(witness.points.canonical_keys())
+
+
+def assert_agrees_with_reference(witness):
+    got = verify_general_position(witness.hyperplanes, witness.ambient_space)
+    assert got == reference_general_position(witness.hyperplanes, witness.ambient_space)
+    verdict = verify_star(witness)
+    assert verdict == reference_star(witness)
+    return got, verdict
+
+
+def random_hyperplane_through(point, ambient, rng):
+    """A hyperplane of the ambient space containing point."""
+    while True:
+        rows = [point.coords] + [sample_point(ambient, rng).coords for _ in range(ambient.dim - 1)]
+        try:
+            return LinSpace(rows)
+        except ValueError:
+            continue
+
+
+def fraction_witness_inputs(line, zset, rng):
+    """The same line and points with Fraction coordinates: the line's rows and
+    each point scaled by random fractions."""
+    rows, pts = [], []
+    for row in line.generators.rows:
+        scale = Fraction(1, rng.randint(2, 9))
+        rows.append([x * scale for x in row])
+    for p in zset:
+        scale = Fraction(rng.randint(1, 9), rng.randint(2, 9))
+        pts.append(PPoint([x * scale for x in p.coords]))
+    return LinSpace(rows), PointSet(pts)
+
+
+#: (n, r, m): r = 1, m = r, r = n, and generic cases.
+ORACLE_GRID = [(2, 1, 3), (4, 1, 2), (3, 1, 1), (3, 3, 3), (5, 2, 2), (2, 2, 4), (3, 3, 5),
+               (4, 4, 5), (5, 3, 5), (6, 2, 5), (4, 2, 4)]
+
+
+@pytest.mark.parametrize("fractions", [False, True])
+def test_star_checks_agree_with_reference_on_witnesses(fractions):
+    rng = random.Random(37 + fractions)
+    for n, r, m in ORACLE_GRID:
+        line = nonvanishing_line(n, rng)
+        zset = collinear_points(line, m, rng)
+        if fractions:
+            line, zset = fraction_witness_inputs(line, zset, rng)
+        witness = build_star(zset, line, r)
+        assert assert_agrees_with_reference(witness) == ((True, None), True)
+
+
+def test_star_checks_agree_with_reference_on_corrupted_witnesses():
+    rng = random.Random(38)
+    seen = set()
+    for n, r, m in ORACLE_GRID:
+        line = nonvanishing_line(n, rng)
+        zset = collinear_points(line, m, rng)
+        witness = build_star(zset, line, r)
+        hyperplanes, points = list(witness.hyperplanes), witness.points
+        if m >= 2:
+            witness.hyperplanes = [hyperplanes[0]] + hyperplanes[:-1]
+            got, verdict = assert_agrees_with_reference(witness)
+            assert not got[0] and not verdict
+            seen.add("duplicate")
+        if m > r:
+            # Move the last hyperplane through the point of the first r others.
+            star_point = points.points[witness.origin_subsets.index(tuple(range(r)))]
+            moved = random_hyperplane_through(star_point, witness.ambient_space, rng)
+            witness.hyperplanes = hyperplanes[:-1] + [moved]
+            got, verdict = assert_agrees_with_reference(witness)
+            assert not got[0] and not verdict
+            seen.add("moved")
+        witness.hyperplanes = hyperplanes
+        replacement = sample_point(witness.ambient_space, rng)
+        witness.points = PointSet(list(points.points[:-1]) + [replacement])
+        got, verdict = assert_agrees_with_reference(witness)
+        assert got == (True, None) and not verdict
+        seen.add("replaced")
+    assert seen == {"duplicate", "moved", "replaced"}
+
+
+def test_general_position_certificates_agree_with_reference():
+    """Hyperplanes of random spaces, spanned by small combinations of the
+    space's generators, so that dependent normals are frequent; the
+    certificates must be the reference's, first violating subset included."""
+    rng = random.Random(39)
+    lengths = set()
+    for _ in range(120):
+        n = rng.randint(2, 5)
+        r = rng.randint(1, n)
+        m = rng.randint(1, r + 3)
+        while True:
+            try:
+                ambient = LinSpace([[rng.randint(-1, 2) for _ in range(n + 1)] for _ in range(r + 1)])
+                break
+            except ValueError:
+                continue
+        hyperplanes = []
+        while len(hyperplanes) < m:
+            coeffs = [[rng.randint(-1, 1) for _ in range(r + 1)] for _ in range(r)]
+            rows = [[sum(c * g[j] for c, g in zip(cs, ambient.generators.rows)) for j in range(n + 1)]
+                    for cs in coeffs]
+            try:
+                hyperplanes.append(LinSpace(rows))
+            except ValueError:
+                continue
+        got = verify_general_position(hyperplanes, ambient)
+        assert got == reference_general_position(hyperplanes, ambient)
+        if not got[0]:
+            lengths.add(len(got[1]))
+    assert len(lengths) >= 3
+
+
+def test_general_position_preconditions_match_reference():
+    ambient = LinSpace([[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1]])
+    inside = LinSpace([[1, 0, 0, 1], [0, 1, 0, 1]])
+    outside = LinSpace([[1, 0, 0, 0], [0, 1, 0, 1]])
+    for hyperplanes, message in (([inside, outside], "not contained"),
+                                 ([inside, LinSpace([[1, 0, 0, 1]])], "has dim 0, expected 1")):
+        with pytest.raises(PreconditionError, match=message):
+            reference_general_position(hyperplanes, ambient)
+        with pytest.raises(PreconditionError, match=message):
+            verify_general_position(hyperplanes, ambient)
