@@ -15,8 +15,8 @@ agreement is the ground truth it is tested against.
 
 from fractions import Fraction
 from functools import cache
-from itertools import combinations_with_replacement
-from math import lcm
+from itertools import chain, combinations_with_replacement
+from math import lcm, prod
 
 from .linalg import PreconditionError
 from .poly import SparsePoly
@@ -49,6 +49,22 @@ QUADRIC_TABLE = {
 }
 
 
+def _quadric_coefficients(bracket_l, bracket_m):
+    """{(i, j): coefficient of x_i x_j} of the two-lines quadric.
+
+    Each line's brackets are read through its evaluator, which maps a
+    sorted index pair to a number (at a Pluecker vector) or to a polynomial
+    (in symbolic generator entries); this is the one place QUADRIC_TABLE is
+    evaluated.
+    """
+    coeffs = {}
+    for ij, entries in QUADRIC_TABLE.items():
+        terms = [prod(chain(map(bracket_l, lbrs), map(bracket_m, mbrs)), start=sign)
+                 for sign, lbrs, mbrs in entries]
+        coeffs[ij] = sum(terms[1:], terms[0])
+    return coeffs
+
+
 def quadric_two_lines(pl_l, pl_m):
     """The quadric in x_0..x_3 vanishing on the product of two lines in P^3.
 
@@ -59,21 +75,27 @@ def quadric_two_lines(pl_l, pl_m):
         if pl.ambient_dim != 3 or pl.dim != 1:
             raise PreconditionError("expected Pluecker vectors of lines in P^3")
     terms = {}
-    for (i, j), entries in QUADRIC_TABLE.items():
-        coeff = Fraction(0)
-        for sign, lbrs, mbrs in entries:
-            value = Fraction(sign)
-            for br in lbrs:
-                value *= pl_l.entries[br]
-            for br in mbrs:
-                value *= pl_m.entries[br]
-            coeff += value
+    for (i, j), coeff in _quadric_coefficients(pl_l.entries.__getitem__,
+                                               pl_m.entries.__getitem__).items():
         if coeff:
             expo = [0, 0, 0, 0]
             expo[i] += 1
             expo[j] += 1
             terms[tuple(expo)] = coeff
     return SparsePoly(4, terms)
+
+
+def _symbolic_bracket(nv, offset):
+    """[ij] = a_0i a_1j - a_0j a_1i over the generator entries a_ri, which
+    are the variables offset + 4r + i of a polynomial ring in nv variables."""
+    def a(r, i):
+        return SparsePoly.variable(nv, offset + 4 * r + i)
+
+    def bracket(br):
+        i, j = br
+        return a(0, i) * a(1, j) - a(0, j) * a(1, i)
+
+    return bracket
 
 
 def quadric_symbolic_identity():
@@ -89,32 +111,12 @@ def quadric_symbolic_identity():
     def var(i):
         return SparsePoly.variable(nv, i)
 
-    def a(r, i):
-        return var(4 * r + i)
-
-    def b(r, i):
-        return var(8 + 4 * r + i)
-
     l0, l1, m0, m1 = var(16), var(17), var(18), var(19)
-
-    def bracket_a(i, j):
-        return a(0, i) * a(1, j) - a(0, j) * a(1, i)
-
-    def bracket_b(i, j):
-        return b(0, i) * b(1, j) - b(0, j) * b(1, i)
-
-    x = [(l0 * a(0, i) + l1 * a(1, i)) * (m0 * b(0, i) + m1 * b(1, i)) for i in range(4)]
-
+    x = [(l0 * var(i) + l1 * var(4 + i)) * (m0 * var(8 + i) + m1 * var(12 + i))
+         for i in range(4)]
     total = SparsePoly.zero(nv)
-    for (i, j), entries in QUADRIC_TABLE.items():
-        coeff = SparsePoly.zero(nv)
-        for sign, lbrs, mbrs in entries:
-            term = SparsePoly.constant(nv, sign)
-            for br in lbrs:
-                term = term * bracket_a(*br)
-            for br in mbrs:
-                term = term * bracket_b(*br)
-            coeff = coeff + term
+    for (i, j), coeff in _quadric_coefficients(_symbolic_bracket(nv, 0),
+                                               _symbolic_bracket(nv, 8)).items():
         total = total + coeff * x[i] * x[j]
     return total
 
@@ -127,31 +129,17 @@ def quadric_square_symbolic():
     line, and compares the x-monomial coefficients exactly.
     """
     nv = 8
-
-    def a(r, i):
-        return SparsePoly.variable(nv, 4 * r + i)
-
-    def bracket(i, j):
-        return a(0, i) * a(1, j) - a(0, j) * a(1, i)
-
+    bracket = _symbolic_bracket(nv, 0)
     hyper = []
     for i in range(4):
         term = SparsePoly.constant(nv, (-1) ** (3 + i))
         for j in range(4):
             for k in range(j + 1, 4):
                 if i not in (j, k):
-                    term = term * bracket(j, k)
+                    term = term * bracket((j, k))
         hyper.append(term)
 
-    for (i, j), entries in QUADRIC_TABLE.items():
-        coeff = SparsePoly.zero(nv)
-        for sign, lbrs, mbrs in entries:
-            term = SparsePoly.constant(nv, sign)
-            for br in lbrs:
-                term = term * bracket(*br)
-            for br in mbrs:
-                term = term * bracket(*br)
-            coeff = coeff + term
+    for (i, j), coeff in _quadric_coefficients(bracket, bracket).items():
         square_coeff = hyper[i] * hyper[j]
         if i != j:
             square_coeff = square_coeff + square_coeff

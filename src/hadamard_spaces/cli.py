@@ -16,6 +16,7 @@ import re
 import sys
 import warnings
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 
 from . import papersuite
@@ -388,8 +389,8 @@ def cmd_bracket(payload, rng, args):
         if not _is_int(trials) or trials < 1:
             raise ValidationError("trials", "trials must be a positive integer")
         if identity == "quadric":
-            line_l = _parse_space(payload.get("line_l", [[2, 3, 5, 7], [11, 13, 17, 19]]), "line_l")
-            line_m = _parse_space(payload.get("line_m", [[23, 29, 31, 37], [41, 43, 47, 53]]), "line_m")
+            line_l = _parse_space(payload.get("line_l", list(papersuite.LINE_L_POINTS)), "line_l")
+            line_m = _parse_space(payload.get("line_m", list(papersuite.LINE_M_POINTS)), "line_m")
             form = quadric_two_lines(pluecker(line_l), pluecker(line_m))
             sampler = hadamard_product_sampler(
                 linear_space_sampler(line_l), linear_space_sampler(line_m))
@@ -421,7 +422,9 @@ NEEDS_PAYLOAD = {"line-power", "star-config", "span-dim", "degree", "interp",
                  "dim-estimate", "bracket"}
 
 
+@cache
 def build_parser():
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="hadamard-spaces",
         description="Exact computations with Hadamard products of projective linear spaces.")

@@ -13,6 +13,7 @@ from itertools import combinations
 
 from .linalg import PreconditionError, BudgetExhausted, QMatrix
 from .poly import SparsePoly
+from .products import gen_vandermonde
 from .projective import LinSpace, sample_point
 
 #: Extra rank-stable samples required before a sampled span is trusted.
@@ -24,17 +25,14 @@ def line_power_matrix(line, r):
 
     Its row space is the r-th Hadamard power of the line whenever the line
     has no vanishing bracket.  Row i is the entrywise product of r-i copies
-    of the first generator row and i copies of the second.
+    of the first generator row and i copies of the second: the generalized
+    Vandermonde matrix of the line with multiplicity r, rows in that order.
     """
     if line.dim != 1:
         raise PreconditionError("expected a line (2 generator rows), got dim %d" % line.dim)
     if r < 1:
         raise PreconditionError("power must be >= 1")
-    a0, a1 = line.generators.rows
-    rows = []
-    for i in range(r + 1):
-        rows.append(tuple(x ** (r - i) * y ** i for x, y in zip(a0, a1)))
-    return QMatrix(rows)
+    return gen_vandermonde([(line, r)])
 
 
 def line_power_pluecker(pl, r, indices):

@@ -2,9 +2,11 @@
 
 Each check recomputes a published value from scratch along an independent
 route (interpolation vs bracket formula, fan computation vs closed form,
-sampled span vs printed equations) and reports pass/fail.  The CLI exposes
-this as the `paper-suite` subcommand; the pytest acceptance module runs the
-same material at full grid sizes.
+sampled span vs printed equations) and reports pass/fail.  Every check's
+logic is written once, as a predicate over one instance.  The `paper-suite`
+subcommand runs each predicate on the spot instances below; the pytest
+acceptance module runs the same predicates (and the instance draws
+`random_space`, `random_line`, `collinear_points`) on its full grids.
 """
 
 import random
@@ -48,6 +50,10 @@ DEGENERATE_POWER_EQS = {
 }
 DEGENERATE_POWER_DIMS = {2: 2, 3: 3, 4: 3, 5: 3}
 
+#: Draws of each identifiability search.  A space whose Vandermonde matrix
+#: has full rank is certified without any draw (identifiability_check).
+IDENTIFIABILITY_TRIALS = 10 ** 4
+
 
 def benchmark_lines():
     l = line_through(PPoint(LINE_L_POINTS[0]), PPoint(LINE_L_POINTS[1]))
@@ -70,6 +76,146 @@ def span_satisfies_exactly(space, coeff_rows):
     independent = QMatrix(coeff_rows).rank() == len(coeff_rows)
     dual_dim = len(space.generators.nullspace())
     return vanish and independent and dual_dim == len(coeff_rows)
+
+
+def zero_rowcol_sum_space():
+    rows = []
+    for i in range(2):
+        for j in range(3):
+            mat = [[0] * 4 for _ in range(3)]
+            mat[i][j] = 1
+            mat[i][3] = -1
+            mat[2][j] = -1
+            mat[2][3] = 1
+            rows.append([x for row in mat for x in row])
+    return LinSpace(rows)
+
+
+# ---------------------------------------------------------------------------
+# random instances
+
+
+def random_space(m, n, rng, bound=40):
+    """An m-plane in P^n spanned by integer rows in [-bound, bound], redrawn
+    until the rows are independent."""
+    while True:
+        rows = [[rng.randint(-bound, bound) for _ in range(n + 1)] for _ in range(m + 1)]
+        try:
+            return LinSpace(rows)
+        except ValueError:
+            continue
+
+
+def random_line(n, rng, bound=50):
+    """A random line in P^n with no vanishing bracket, so that it meets no
+    coordinate codimension-2 stratum."""
+    while True:
+        line = random_space(1, n, rng, bound)
+        if pluecker(line).nonvanishing():
+            return line
+
+
+def collinear_points(line, m, rng):
+    """m distinct points of the line, off the codimension-2 coordinate strata."""
+    pts, seen = [], set()
+    while len(pts) < m:
+        p = sample_point(line, rng, avoid_delta=line.ambient_dim - 1)
+        if p.canonical() in seen:
+            continue
+        seen.add(p.canonical())
+        pts.append(p)
+    return star_configs.PointSet(pts)
+
+
+# ---------------------------------------------------------------------------
+# predicates over one instance
+
+
+def power_minors_are_brackets(line):
+    """For r = 1..n every maximal minor of the r-th power matrix of the line
+    is the product of pairwise brackets, and when no bracket vanishes the
+    matrix has rank min(r, n) + 1.  Returns (holds, minors compared)."""
+    n = line.ambient_dim
+    pl = pluecker(line)
+    clean = pl.nonvanishing()
+    ok, minors = True, 0
+    for r in range(1, n + 1):
+        mat = line_powers.line_power_matrix(line, r)
+        for cols in combinations(range(n + 1), r + 1):
+            ok = ok and (mat.submatrix_columns(cols).det()
+                         == line_powers.line_power_pluecker(pl, r, cols))
+            minors += 1
+        if clean:
+            ok = ok and mat.rank() == min(r, n) + 1
+    return ok, minors
+
+
+def star_from_collinear_points(line, m, r, rng):
+    """A star built from m random points of the line verifies, with exactly
+    binom(m, r) points in the r-th squarefree power."""
+    zset = collinear_points(line, m, rng)
+    witness = star_configs.build_star(zset, line, r)
+    count = len(star_configs.squarefree_power(zset, r))
+    return count == comb(m, r) and star_configs.verify_star(witness)
+
+
+def degree_by_both_routes(plain, recip, n, rng):
+    """The closed-form degree of the product, or None where the closed
+    form's dimension or degree differs from the fan pipeline's (Minkowski
+    sum, then stable intersection).  Below the genericity bound the closed
+    form warns; the comparison is made there all the same."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        dim, closed = tropical.degree_with_reciprocals(plain, recip, n)
+        fan = tropical.fan_degree_pipeline(plain, recip, n, rng)
+    return closed if (dim, closed) == (fan["dim"], fan["degree"]) else None
+
+
+def reciprocal_degrees_hold(plane, line_a, line_b, rng):
+    """Interpolation finds the reciprocal of a plane in P^3 a cubic surface
+    and line_a times the reciprocal of line_b a quadric."""
+    recip_plane = samplers.reciprocal_sampler(plane)
+    mixed = samplers.hadamard_product_sampler(
+        samplers.linear_space_sampler(line_a), samplers.reciprocal_sampler(line_b))
+    return (products.interpolate_hypersurface(recip_plane, 4, rng)[0] == 3
+            and products.interpolate_hypersurface(mixed, 4, rng)[0] == 2)
+
+
+def self_product_squares_hyperplane(line):
+    """The two-lines quadric of a clean line in P^3 with itself is
+    proportional to the square of its power hyperplane form."""
+    pl = pluecker(line)
+    h = line_powers.power_hyperplane(pl)
+    return proportional(brackets.quadric_two_lines(pl, pl), h * h)
+
+
+def cubic_matches_interpolation(plane, rng):
+    """The bracket cubic of a plane in P^5 is proportional to the cubic that
+    interpolation finds on its Hadamard square."""
+    cubic = brackets.cubic_plane_square(pluecker(plane))
+    sampler = samplers.hadamard_power_sampler(samplers.linear_space_sampler(plane), 2)
+    degree, form = products.interpolate_hypersurface(sampler, 3, rng)
+    return degree == 3 and proportional(cubic, form)
+
+
+def span_rank_and_identifiability(entries, rng):
+    """The generalized Vandermonde matrix of the (space, multiplicity)
+    entries has rank span_dimension_formula + 1; a single space in the
+    identifiability regime also shows no collision (IDENTIFIABILITY_TRIALS
+    draws at most).  Returns (holds, whether identifiability was tested)."""
+    n = entries[0][0].ambient_dim
+    dims = [(space.dim, r) for space, r in entries]
+    ok = (products.gen_vandermonde(entries).rank()
+          == products.span_dimension_formula(dims, n) + 1)
+    if len(entries) > 1 or n < products.identifiability_regime_bound(dims):
+        return ok, False
+    space, r = entries[0]
+    collision = products.identifiability_check(space, r, IDENTIFIABILITY_TRIALS, rng)
+    return ok and collision is None, True
+
+
+# ---------------------------------------------------------------------------
+# the ten checks
 
 
 def check_two_lines_quadric(rng):
@@ -98,46 +244,16 @@ def check_degenerate_line_powers(rng):
 
 
 def check_line_power_brackets(rng):
-    n = 4
     line = LinSpace([[1, 2, 3, 5, 8], [1, 4, 9, 25, 64]])
-    pl = pluecker(line)
-    ok = pl.nonvanishing()
-    for r in range(1, n + 1):
-        mat = line_powers.line_power_matrix(line, r)
-        ok = ok and mat.rank() == min(r, n) + 1
-        for cols in combinations(range(n + 1), r + 1):
-            minor = mat.submatrix_columns(cols).det()
-            ok = ok and minor == line_powers.line_power_pluecker(pl, r, cols)
+    ok = pluecker(line).nonvanishing() and power_minors_are_brackets(line)[0]
     return ok, "all maximal minors equal pairwise-bracket products, ranks min(r,n)+1"
 
 
 def check_star_configuration(rng):
-    m, r, n = 5, 3, 4
+    m, r = 5, 3
     line = LinSpace([[1, 3, 7, 13, 29], [2, 5, 11, 17, 31]])
-    pts, seen = [], set()
-    while len(pts) < m:
-        p = sample_point(line, rng, avoid_delta=n - 1)
-        if p.canonical() not in seen:
-            seen.add(p.canonical())
-            pts.append(p)
-    zset = star_configs.PointSet(pts)
-    witness = star_configs.build_star(zset, line, r)
-    count = len(star_configs.squarefree_power(zset, r))
-    ok = count == comb(m, r) == 10 and star_configs.verify_star(witness)
-    return ok, "%d products of %d collinear points, star verified" % (count, m)
-
-
-def zero_rowcol_sum_space():
-    rows = []
-    for i in range(2):
-        for j in range(3):
-            mat = [[0] * 4 for _ in range(3)]
-            mat[i][j] = 1
-            mat[i][3] = -1
-            mat[2][j] = -1
-            mat[2][3] = 1
-            rows.append([x for row in mat for x in row])
-    return LinSpace(rows)
+    ok = star_from_collinear_points(line, m, r, rng)
+    return ok, "%d products of %d collinear points, star verified" % (comb(m, r), m)
 
 
 def check_deficient_dimension(rng):
@@ -165,60 +281,36 @@ DEGREE_SPOT_VALUES = [
 def check_degree_formulas(rng):
     ok = True
     details = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for label, plain, recip, n, want in DEGREE_SPOT_VALUES:
-            dim, closed = tropical.degree_with_reciprocals(plain, recip, n)
-            fan = tropical.fan_degree_pipeline(plain, recip, n, rng)
-            good = closed == want == fan["degree"] and fan["dim"] == dim
-            ok = ok and good
-            details.append("%s=%s" % (label, rat_str(closed)))
+    for label, plain, recip, n, want in DEGREE_SPOT_VALUES:
+        degree = degree_by_both_routes(plain, recip, n, rng)
+        ok = ok and degree == want
+        details.append("%s=%s" % (label, "fans disagree" if degree is None else rat_str(degree)))
     return ok, "; ".join(details)
 
 
 def check_reciprocal_interpolation(rng):
     plane = LinSpace([[1, 2, 3, 4], [1, 3, 7, 13], [2, 1, 5, 3]])
-    deg_plane, _ = products.interpolate_hypersurface(samplers.reciprocal_sampler(plane), 4, rng)
-    line1 = LinSpace([[1, 2, 3, 4], [1, 3, 7, 13]])
-    line2 = LinSpace([[3, 1, 4, 1], [2, 7, 1, 8]])
-    mixed = samplers.hadamard_product_sampler(
-        samplers.linear_space_sampler(line1), samplers.reciprocal_sampler(line2))
-    deg_mixed, _ = products.interpolate_hypersurface(mixed, 4, rng)
-    ok = deg_plane == 3 and deg_mixed == 2
-    return ok, "reciprocal plane degree %d, line*reciprocal-line degree %d" % (deg_plane, deg_mixed)
+    line_a = LinSpace([[1, 2, 3, 4], [1, 3, 7, 13]])
+    line_b = LinSpace([[3, 1, 4, 1], [2, 7, 1, 8]])
+    ok = reciprocal_degrees_hold(plane, line_a, line_b, rng)
+    return ok, "reciprocal plane degree 3, line*reciprocal-line degree 2"
 
 
 def check_quadric_identities(rng):
-    expansion = brackets.quadric_symbolic_identity()
-    ok = expansion.is_zero()
+    ok = brackets.quadric_symbolic_identity().is_zero()
     for _ in range(5):
-        line = LinSpace([[rng.randint(-30, 30) for _ in range(4)] for _ in range(2)])
-        pl = pluecker(line)
-        if not pl.nonvanishing():
-            continue
-        h = line_powers.power_hyperplane(pl)
-        ok = ok and proportional(brackets.quadric_two_lines(pl, pl), h * h)
+        ok = ok and self_product_squares_hyperplane(random_line(3, rng, bound=30))
     return ok, "symbolic expansion vanishes; self-product squares the hyperplane form"
 
 
 def check_cubic_vs_interpolation(rng):
-    plane = benchmark_plane()
-    cubic = brackets.cubic_plane_square(pluecker(plane))
-    sampler = samplers.hadamard_power_sampler(samplers.linear_space_sampler(plane), 2)
-    degree, form = products.interpolate_hypersurface(sampler, 3, rng)
-    ok = degree == 3 and proportional(cubic, form)
-    return ok, "bracket cubic proportional to the degree-%d interpolation" % degree
+    ok = cubic_matches_interpolation(benchmark_plane(), rng)
+    return ok, "bracket cubic proportional to the degree-3 interpolation"
 
 
 def check_span_and_identifiability(rng):
-    ok = True
     line = LinSpace([[1, 2, 3, 4], [1, 3, 7, 13]])
-    v = products.gen_vandermonde([(line, 2)])
-    ok = ok and v.rank() == products.span_dimension_formula([(1, 2)], 3) + 1
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        collision = products.identifiability_check(line, 2, 1000, rng)
-    ok = ok and collision is None
+    ok, _ = span_rank_and_identifiability([(line, 2)], rng)
     return ok, "Vandermonde rank matches formula; no identifiability collisions"
 
 

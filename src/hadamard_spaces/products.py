@@ -28,16 +28,6 @@ from .projective import LinSpace, sample_point
 OVERSAMPLE_NUM, OVERSAMPLE_DEN = 1, 4
 
 
-def compositions(total, parts):
-    """Weak compositions of `total` into `parts` slots, first slot largest first."""
-    if parts == 1:
-        yield (total,)
-        return
-    for e in range(total, -1, -1):
-        for rest in compositions(total - e, parts - 1):
-            yield (e,) + rest
-
-
 def gen_vandermonde(entries):
     """Generalized Vandermonde matrix of a multiset of linear spaces.
 
@@ -59,7 +49,7 @@ def gen_vandermonde(entries):
             raise ValueError("ambient dimensions differ")
         gens = space.generators.rows
         block = []
-        for expo in compositions(mult, len(gens)):
+        for expo in monomials_of_degree(len(gens), mult):
             row = [Fraction(1)] * width
             for g, e in zip(gens, expo):
                 if e:

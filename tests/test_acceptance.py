@@ -1,38 +1,17 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
-Every check is exact (tolerance zero).  Run with `pytest tests/test_acceptance.py -v -s`
-to see the per-criterion lines as they complete.
+Every check is exact (tolerance zero).  The check logic lives in
+`hadamard_spaces.papersuite`, shared with the `paper-suite` subcommand; this
+module holds the instance grids and seeds and reports on them.  Run with
+`pytest tests/test_acceptance.py -v -s` to see the per-criterion lines as
+they complete.
 """
 
 import random
 import time
-import warnings
-from fractions import Fraction
-from itertools import combinations
-from math import comb, prod
+from math import comb
 
-from hadamard_spaces.brackets import (cubic_plane_square, quadric_square_symbolic,
-                                      quadric_symbolic_identity, quadric_two_lines)
-from hadamard_spaces.line_powers import (line_power_matrix, line_power_pluecker,
-                                         power_hyperplane, sampled_power_span)
-from hadamard_spaces.linalg import QMatrix
-from hadamard_spaces.papersuite import (DEGENERATE_POWER_DIMS, DEGENERATE_POWER_EQS,
-                                        TWO_LINES_QUADRIC, benchmark_lines,
-                                        degenerate_line, span_satisfies_exactly,
-                                        zero_rowcol_sum_space)
-from hadamard_spaces.poly import proportional
-from hadamard_spaces.products import (expected_dimension, gen_vandermonde,
-                                      identifiability_check,
-                                      identifiability_regime_bound,
-                                      interpolate_hypersurface, terracini_span)
-from hadamard_spaces.projective import LinSpace, pluecker, sample_point
-from hadamard_spaces.samplers import (hadamard_power_sampler,
-                                      hadamard_product_sampler,
-                                      linear_space_sampler, reciprocal_sampler,
-                                      segre_sampler)
-from hadamard_spaces.star_configs import PointSet, build_star, squarefree_power, verify_star
-from hadamard_spaces.tropical import (degree_linear_products, degree_with_reciprocals,
-                                      fan_degree_pipeline)
+from hadamard_spaces import papersuite as suite
 
 
 def report(number, ok, detail):
@@ -40,64 +19,17 @@ def report(number, ok, detail):
     assert ok, detail
 
 
-def random_line(rng, n, bound=50, nonvanishing=False):
-    while True:
-        rows = [[rng.randint(-bound, bound) for _ in range(n + 1)] for _ in range(2)]
-        try:
-            line = LinSpace(rows)
-        except ValueError:
-            continue
-        if not nonvanishing or pluecker(line).nonvanishing():
-            return line
-
-
-def random_space(m, n, rng, bound=40):
-    while True:
-        rows = [[rng.randint(-bound, bound) for _ in range(n + 1)] for _ in range(m + 1)]
-        try:
-            return LinSpace(rows)
-        except ValueError:
-            continue
-
-
-def collinear_points(line, m, rng):
-    pts, seen = [], set()
-    while len(pts) < m:
-        p = sample_point(line, rng, avoid_delta=line.ambient_dim - 1)
-        if p.canonical() in seen:
-            continue
-        seen.add(p.canonical())
-        pts.append(p)
-    return PointSet(pts)
-
-
 def test_criterion_01_two_lines_quadric():
-    rng = random.Random(101)
-    line_l, line_m = benchmark_lines()
-    sampler = hadamard_product_sampler(linear_space_sampler(line_l),
-                                       linear_space_sampler(line_m))
     start = time.perf_counter()
-    degree, form = interpolate_hypersurface(sampler, 3, rng)
+    ok, detail = suite.check_two_lines_quadric(random.Random(101))
     elapsed = time.perf_counter() - start
-    ok = degree == 2 and proportional(form, TWO_LINES_QUADRIC) and elapsed < 5.0
-    report(1, ok, "interpolated quadric matches the ten benchmark coefficients "
-                  "(degree %d, %.2fs)" % (degree, elapsed))
+    report(1, ok and elapsed < 5.0, "interpolated quadric matches the ten benchmark "
+                                    "coefficients: %s (%.2fs)" % (detail, elapsed))
 
 
 def test_criterion_02_degenerate_line_powers():
-    rng = random.Random(102)
-    line = degenerate_line()
-    details = []
-    ok = True
-    for r, want_dim in sorted(DEGENERATE_POWER_DIMS.items()):
-        span = sampled_power_span(line, r, rng)
-        good = span.dim == want_dim
-        if r in DEGENERATE_POWER_EQS:
-            good = good and span_satisfies_exactly(span, DEGENERATE_POWER_EQS[r])
-        ok = ok and good
-        details.append("dim(L^%d)=%d" % (r, span.dim))
-    report(2, ok, "degenerate line powers satisfy exactly the printed forms; "
-                  + ", ".join(details))
+    ok, detail = suite.check_degenerate_line_powers(random.Random(102))
+    report(2, ok, "degenerate line powers satisfy exactly the printed forms; " + detail)
 
 
 def test_criterion_03_power_matrix_property_suite():
@@ -106,17 +38,9 @@ def test_criterion_03_power_matrix_property_suite():
     ok = True
     for n in range(2, 7):
         for _ in range(10):
-            line = random_line(rng, n)
-            pl = pluecker(line)
-            clean = pl.nonvanishing()
-            for r in range(1, n + 1):
-                mat = line_power_matrix(line, r)
-                for cols in combinations(range(n + 1), r + 1):
-                    ok = ok and (mat.submatrix_columns(cols).det()
-                                 == line_power_pluecker(pl, r, cols))
-                    checked_minors += 1
-                if clean:
-                    ok = ok and mat.rank() == min(r, n) + 1
+            holds, minors = suite.power_minors_are_brackets(suite.random_space(1, n, rng, 50))
+            ok = ok and holds
+            checked_minors += minors
     report(3, ok, "50 random lines, n in 2..6: %d maximal minors equal bracket "
                   "products exactly; ranks min(r,n)+1 whenever no bracket vanishes"
                   % checked_minors)
@@ -128,11 +52,7 @@ def test_criterion_04_star_configurations():
     runs = 0
     for (m, r, n) in [(5, 3, 4), (4, 2, 2), (5, 2, 3), (6, 3, 5)]:
         for _ in range(20):
-            line = random_line(rng, n, nonvanishing=True)
-            zset = collinear_points(line, m, rng)
-            witness = build_star(zset, line, r)
-            points = squarefree_power(zset, r)
-            ok = ok and len(points) == comb(m, r) and verify_star(witness)
+            ok = ok and suite.star_from_collinear_points(suite.random_line(n, rng), m, r, rng)
             runs += 1
     report(4, ok, "%d star-configuration builds across (m,r,n) grids verified "
                   "with exactly binom(m,r) points each" % runs)
@@ -159,100 +79,67 @@ def test_criterion_05_degree_formula_vs_fans():
     rng = random.Random(105)
     ok = True
     instances = 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for entries in dim_mult_multisets(5):
-            m_total = sum(m * r for m, r in entries)
-            for n in range(m_total, 9):
-                dim, closed = degree_linear_products(entries, n)
-                fan = fan_degree_pipeline(list(entries), [], n, rng)
-                ok = ok and dim == fan["dim"] == m_total and closed == fan["degree"]
-                instances += 1
-        spots = [([(1, 1), (1, 1)], 3, 2), ([(2, 2)], 5, 3),
-                 ([(1, 1), (1, 1), (1, 1)], 8, 6), ([(1, 4)], 5, 1)]
-        for entries, n, want in spots:
-            ok = ok and degree_linear_products(entries, n)[1] == want
-    report(5, ok, "closed-form degree equals the Minkowski-sum/stable-intersection "
-                  "pipeline on all %d multiset instances (sum of dims <= 5, n <= 8)"
-                  % instances)
+    for entries in dim_mult_multisets(5):
+        m_total = sum(m * r for m, r in entries)
+        for n in range(m_total, 9):
+            ok = ok and suite.degree_by_both_routes(list(entries), [], n, rng) is not None
+            instances += 1
+    spots_ok, spots = suite.check_degree_formulas(rng)
+    report(5, ok and spots_ok, "closed-form degree equals the Minkowski-sum/stable-"
+                               "intersection pipeline on all %d multiset instances (sum "
+                               "of dims <= 5, n <= 8); spot values %s" % (instances, spots))
 
 
 def test_criterion_06_reciprocal_degrees():
     rng = random.Random(106)
     ok = True
     instances = 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        plain_sets = [()] + dim_mult_multisets(3)
-        recip_sets = dim_mult_multisets(4)
-        for plain in plain_sets:
-            m = sum(a * b for a, b in plain)
-            for recip in recip_sets:
-                mt = sum(a * b for a, b in recip)
-                if m + mt > 4:
-                    continue
-                for n in range(m + mt, 7):
-                    dim, closed = degree_with_reciprocals(list(plain), list(recip), n)
-                    fan = fan_degree_pipeline(list(plain), list(recip), n, rng)
-                    ok = ok and dim == fan["dim"] and closed == fan["degree"]
-                    instances += 1
-        # Hypersurface cases against the interpolation oracle.
-        plane = random_space(2, 3, rng)
-        deg_plane, _ = interpolate_hypersurface(reciprocal_sampler(plane), 4, rng)
-        line_a = random_space(1, 3, rng)
-        line_b = random_space(1, 3, rng)
-        mixed = hadamard_product_sampler(linear_space_sampler(line_a),
-                                         reciprocal_sampler(line_b))
-        deg_mixed, _ = interpolate_hypersurface(mixed, 4, rng)
-        ok = ok and deg_plane == 3 and deg_mixed == 2
-        rnc = all(degree_with_reciprocals([], [(1, 1)], n)[1] == n for n in range(2, 7))
-        ok = ok and rnc
+    plain_sets = [()] + dim_mult_multisets(3)
+    recip_sets = dim_mult_multisets(4)
+    for plain in plain_sets:
+        m = sum(a * b for a, b in plain)
+        for recip in recip_sets:
+            mt = sum(a * b for a, b in recip)
+            if m + mt > 4:
+                continue
+            for n in range(m + mt, 7):
+                ok = ok and suite.degree_by_both_routes(list(plain), list(recip), n,
+                                                        rng) is not None
+                instances += 1
+    # Hypersurface cases against the interpolation oracle.
+    plane = suite.random_space(2, 3, rng)
+    line_a, line_b = suite.random_space(1, 3, rng), suite.random_space(1, 3, rng)
+    ok = ok and suite.reciprocal_degrees_hold(plane, line_a, line_b, rng)
+    ok = ok and all(suite.degree_by_both_routes([], [(1, 1)], n, rng) == n
+                    for n in range(2, 7))
     report(6, ok, "reciprocal degree formula equals the fan pipeline on %d instances; "
                   "interpolated degrees: reciprocal plane 3, line*reciprocal line 2; "
                   "reciprocal lines have degree n" % instances)
 
 
 def test_criterion_07_deficient_dimension():
-    rng = random.Random(107)
-    segre = segre_sampler(2, 3)
-    linear = linear_space_sampler(zero_rowcol_sum_space())
-    p, tp = segre.sample(rng)
-    q, tq = linear.sample(rng)
-    tangent = terracini_span(p, tp, q, tq)
-    expected = expected_dimension(5, 5, 0, 11)
-    ok = tangent.dim == 9 and expected == 10 and tangent.dim < expected
-    report(7, ok, "rank-one 3x4 matrices times the zero-sum space: Terracini "
-                  "dimension %d strictly below the expected %d" % (tangent.dim, expected))
+    ok, detail = suite.check_deficient_dimension(random.Random(107))
+    report(7, ok, "rank-one 3x4 matrices times the zero-sum space: %s" % detail)
 
 
 def test_criterion_08_quadric_identities():
     rng = random.Random(108)
-    expansion = quadric_symbolic_identity()
-    ok = expansion.is_zero() and quadric_square_symbolic()
-    checked = 0
-    while checked < 20:
-        line = random_line(rng, 3, bound=30)
-        pl = pluecker(line)
-        if not pl.nonvanishing():
-            continue
-        h = power_hyperplane(pl)
-        ok = ok and proportional(quadric_two_lines(pl, pl), h * h)
-        checked += 1
+    ok = (suite.brackets.quadric_symbolic_identity().is_zero()
+          and suite.brackets.quadric_square_symbolic())
+    lines = [suite.random_line(3, rng, 30) for _ in range(20)]
+    ok = ok and all(suite.self_product_squares_hyperplane(line) for line in lines)
     report(8, ok, "20-variable expansion of the two-lines quadric is the zero "
                   "polynomial; self-product equals the squared hyperplane form "
-                  "for %d random lines" % checked)
+                  "for %d random lines" % len(lines))
 
 
 def test_criterion_09_cubic_against_interpolation():
     rng = random.Random(109)
     ok = True
     planes = 0
-    while planes < 5:
-        plane = random_space(2, 5, rng, bound=9)
-        cubic = cubic_plane_square(pluecker(plane))  # asserts orbit well-definedness
-        sampler = hadamard_power_sampler(linear_space_sampler(plane), 2)
-        degree, form = interpolate_hypersurface(sampler, 3, rng)
-        ok = ok and degree == 3 and proportional(cubic, form)
+    for _ in range(5):
+        # The first cubic of the process asserts the orbit transport's well-definedness.
+        ok = ok and suite.cubic_matches_interpolation(suite.random_space(2, 5, rng, 9), rng)
         planes += 1
     report(9, ok, "bracket cubic agrees with degree-3 interpolation for %d random "
                   "planes; orbit transport well-definedness assertions all passed" % planes)
@@ -264,35 +151,27 @@ def test_criterion_10_span_rank_and_identifiability():
     rank_checks = 0
     identifiability_runs = 0
     single_pool = [(1, 2, 3), (1, 2, 5), (1, 3, 4), (1, 3, 7), (2, 2, 5), (2, 2, 7)]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for idx in range(50):
-            if idx % 2 == 0:
-                m, r, n = single_pool[(idx // 2) % len(single_pool)]
-                entries = [(random_space(m, n, rng), r)]
-            else:
-                n = rng.randint(2, 9)
-                entries = []
-                budget = 36
-                for _ in range(rng.randint(1, 2)):
-                    m = rng.randint(1, 2)
-                    r = rng.randint(1, 3)
-                    if budget // comb(m + r, r) == 0:
-                        continue
-                    budget //= comb(m + r, r)
-                    entries.append((random_space(m, n, rng), r))
-                if not entries:
-                    entries = [(random_space(1, n, rng), 1)]
-            matrix = gen_vandermonde(entries)
-            want = min(prod(comb(s.dim + r, r) for s, r in entries), n + 1)
-            ok = ok and matrix.rank() == want
-            rank_checks += 1
-            if len(entries) == 1:
-                space, r = entries[0]
-                if n >= identifiability_regime_bound([(space.dim, r)]):
-                    collision = identifiability_check(space, r, 10 ** 4, rng)
-                    ok = ok and collision is None
-                    identifiability_runs += 1
+    for idx in range(50):
+        if idx % 2 == 0:
+            m, r, n = single_pool[(idx // 2) % len(single_pool)]
+            entries = [(suite.random_space(m, n, rng), r)]
+        else:
+            n = rng.randint(2, 9)
+            entries = []
+            budget = 36
+            for _ in range(rng.randint(1, 2)):
+                m = rng.randint(1, 2)
+                r = rng.randint(1, 3)
+                if budget // comb(m + r, r) == 0:
+                    continue
+                budget //= comb(m + r, r)
+                entries.append((suite.random_space(m, n, rng), r))
+            if not entries:
+                entries = [(suite.random_space(1, n, rng), 1)]
+        holds, tested = suite.span_rank_and_identifiability(entries, rng)
+        ok = ok and holds
+        rank_checks += 1
+        identifiability_runs += tested
     report(10, ok, "%d generalized Vandermonde ranks match min(prod binom, n+1); "
                    "no collisions in 10^4-trial identifiability runs on %d in-regime "
                    "instances" % (rank_checks, identifiability_runs))

@@ -17,6 +17,7 @@ from hadamard_spaces.brackets import (CUBIC_REPRESENTATIVES, QUADRIC_TABLE,
                                       quadric_two_lines, verify_identity)
 from hadamard_spaces.line_powers import power_hyperplane
 from hadamard_spaces.linalg import PreconditionError
+from hadamard_spaces.papersuite import random_line
 from hadamard_spaces.poly import SparsePoly, proportional
 from hadamard_spaces.products import interpolate_hypersurface
 from hadamard_spaces.projective import LinSpace, PPoint, line_through, pluecker
@@ -32,17 +33,6 @@ BENCH_QUADRIC = SparsePoly(4, {
     (1, 0, 0, 1): -321510, (0, 1, 0, 1): -1777545, (0, 0, 1, 1): -54250,
     (0, 0, 0, 2): 116375,
 })
-
-
-def random_line(rng, n=3, bound=30):
-    while True:
-        rows = [[rng.randint(-bound, bound) for _ in range(n + 1)] for _ in range(2)]
-        try:
-            line = LinSpace(rows)
-        except ValueError:
-            continue
-        if pluecker(line).nonvanishing():
-            return line
 
 
 def test_quadric_benchmark_coefficients():
@@ -78,7 +68,7 @@ def test_quadric_square_symbolic():
 def test_quadric_self_product_squares_hyperplane():
     rng = random.Random(72)
     for _ in range(8):
-        line = random_line(rng)
+        line = random_line(3, rng, 30)
         pl = pluecker(line)
         h = power_hyperplane(pl)
         assert proportional(quadric_two_lines(pl, pl), h * h)

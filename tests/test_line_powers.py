@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 from itertools import combinations
 from math import comb
 
@@ -9,19 +8,11 @@ from hadamard_spaces.linalg import BudgetExhausted, PreconditionError, QMatrix
 from hadamard_spaces.line_powers import (line_power_matrix, line_power_pluecker,
                                          power_hyperplane, power_linear_equations,
                                          sampled_power_span)
+from hadamard_spaces.papersuite import random_space
 from hadamard_spaces.poly import SparsePoly, proportional
 from hadamard_spaces.projective import LinSpace, PPoint, line_through, pluecker, sample_point
 
 TEST_LINE = line_through(PPoint([1, 1, 1]), PPoint([1, 2, 3]))
-
-
-def random_line(rng, n, bound=30):
-    while True:
-        rows = [[rng.randint(-bound, bound) for _ in range(n + 1)] for _ in range(2)]
-        try:
-            return LinSpace(rows)
-        except ValueError:
-            continue
 
 
 def test_power_matrix_r1_is_line():
@@ -36,7 +27,7 @@ def test_power_matrix_squares():
 def test_power_matrix_rank_generic():
     rng = random.Random(20)
     for n in (2, 3, 5):
-        line = random_line(rng, n)
+        line = random_space(1, n, rng, 30)
         if not pluecker(line).nonvanishing():
             continue
         for r in (1, 2, n, n + 2):
@@ -76,7 +67,7 @@ def test_power_pluecker_index_range():
 def test_power_pluecker_equals_all_minors():
     rng = random.Random(21)
     for n in (3, 4):
-        line = random_line(rng, n)
+        line = random_space(1, n, rng, 30)
         pl = pluecker(line)
         for r in range(1, n):
             mat = line_power_matrix(line, r)
@@ -93,7 +84,7 @@ def test_power_hyperplane_n2_recovers_line_equation():
 def test_power_hyperplane_vanishes_on_sampled_products():
     rng = random.Random(22)
     n = 4
-    line = random_line(rng, n)
+    line = random_space(1, n, rng, 30)
     form = power_hyperplane(pluecker(line))
     for _ in range(10):
         prod = None
@@ -106,7 +97,7 @@ def test_power_hyperplane_vanishes_on_sampled_products():
 def test_power_linear_equations_count_and_vanishing():
     rng = random.Random(23)
     n = 5
-    line = random_line(rng, n)
+    line = random_space(1, n, rng, 30)
     for r in (1, 2, 3):
         equations = power_linear_equations(line, r)
         assert len(equations) == comb(n + 1, r + 2)
@@ -118,7 +109,7 @@ def test_power_linear_equations_count_and_vanishing():
 
 def test_power_linear_equations_last_is_hyperplane():
     rng = random.Random(24)
-    line = random_line(rng, 4)
+    line = random_space(1, 4, rng, 30)
     (only,) = power_linear_equations(line, 3)
     assert proportional(only, power_hyperplane(pluecker(line)))
 
@@ -131,7 +122,7 @@ def test_power_linear_equations_range():
 def test_sampled_span_matches_matrix_route():
     rng = random.Random(25)
     for n, r in [(3, 2), (4, 3), (3, 5)]:
-        line = random_line(rng, n)
+        line = random_space(1, n, rng, 30)
         if not pluecker(line).nonvanishing():
             continue
         span = sampled_power_span(line, r, rng)
@@ -175,7 +166,7 @@ def test_degenerate_line_cube_equations_and_dim():
 def test_sampled_products_lie_in_power_matrix_row_space():
     rng = random.Random(28)
     n, r = 4, 3
-    line = random_line(rng, n)
+    line = random_space(1, n, rng, 30)
     if not pluecker(line).nonvanishing():
         line = LinSpace([[1, 1, 1, 1, 1], [1, 2, 3, 4, 5]])
     power = LinSpace.span_of(line_power_matrix(line, r))

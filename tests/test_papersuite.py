@@ -18,6 +18,35 @@ print(json.dumps(draws, sort_keys=True))
 """
 
 
+#: The exact stdout of `paper-suite` at the default seed.
+PAPER_SUITE_STDOUT = (
+    '{"all_pass":true,"checks":['
+    '{"detail":"interpolated degree 2; both routes proportional to the benchmark",'
+    '"name":"two-lines quadric","pass":true},'
+    '{"detail":"r=2 dim=2, r=3 dim=3, r=4 dim=3, r=5 dim=3",'
+    '"name":"degenerate line powers","pass":true},'
+    '{"detail":"all maximal minors equal pairwise-bracket products, ranks min(r,n)+1",'
+    '"name":"line power brackets","pass":true},'
+    '{"detail":"10 products of 5 collinear points, star verified",'
+    '"name":"star configuration","pass":true},'
+    '{"detail":"Terracini dimension 9, expected dimension 10",'
+    '"name":"deficient dimension","pass":true},'
+    '{"detail":"two distinct lines=2; plane squared=3; three distinct lines=6; '
+    'line to the fourth=1; reciprocal plane=3; line times reciprocal line=2; '
+    'reciprocal line (rational normal curve)=5",'
+    '"name":"degree formulas vs fans","pass":true},'
+    '{"detail":"reciprocal plane degree 3, line*reciprocal-line degree 2",'
+    '"name":"reciprocal interpolation","pass":true},'
+    '{"detail":"symbolic expansion vanishes; self-product squares the hyperplane form",'
+    '"name":"quadric identities","pass":true},'
+    '{"detail":"bracket cubic proportional to the degree-3 interpolation",'
+    '"name":"cubic vs interpolation","pass":true},'
+    '{"detail":"Vandermonde rank matches formula; no identifiability collisions",'
+    '"name":"span and identifiability","pass":true}'
+    ']}\n'
+)
+
+
 def test_run_all_passes_with_default_seed():
     report = run_all(20259)
     failing = [c["name"] for c in report["checks"] if not c["pass"]]
@@ -26,8 +55,12 @@ def test_run_all_passes_with_default_seed():
 
 
 def test_run_all_seed_independent():
-    report = run_all(4)
-    assert report["all_pass"]
+    # 233258, 342124 and 653720 once drew dependent rows for a random line
+    # and reported a false failure of the quadric identities.
+    for seed in (4, 233258, 342124, 653720):
+        report = run_all(seed)
+        failing = [c["name"] for c in report["checks"] if not c["pass"]]
+        assert report["all_pass"], "seed %d, failing checks: %s" % (seed, failing)
 
 
 def test_cli_paper_suite_exit_code():
@@ -36,6 +69,7 @@ def test_cli_paper_suite_exit_code():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["all_pass"] is True
+    assert proc.stdout == PAPER_SUITE_STDOUT
 
 
 def _first_draws(hash_seed):

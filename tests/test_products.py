@@ -8,6 +8,7 @@ import pytest
 from hadamard_spaces.line_powers import line_power_matrix, power_hyperplane
 from hadamard_spaces.linalg import PreconditionError
 from hadamard_spaces import products
+from hadamard_spaces.papersuite import random_space
 from hadamard_spaces.poly import proportional
 from hadamard_spaces.products import (expected_dimension, gen_vandermonde,
                                       identifiability_check,
@@ -19,15 +20,6 @@ from hadamard_spaces.samplers import (hadamard_power_sampler,
                                       hadamard_product_sampler,
                                       linear_space_sampler, reciprocal_sampler,
                                       segre_sampler)
-
-
-def random_space(m, n, rng, bound=40):
-    while True:
-        rows = [[rng.randint(-bound, bound) for _ in range(n + 1)] for _ in range(m + 1)]
-        try:
-            return LinSpace(rows)
-        except ValueError:
-            continue
 
 
 def test_gen_vandermonde_line_square_matches_power_matrix():

@@ -7,33 +7,11 @@ import pytest
 
 from hadamard_spaces.line_powers import line_power_matrix
 from hadamard_spaces.linalg import PreconditionError
-from hadamard_spaces.projective import (LinSpace, PPoint, intersect_spaces,
-                                        line_through, pluecker,
+from hadamard_spaces.papersuite import collinear_points, random_line
+from hadamard_spaces.projective import (LinSpace, PPoint, intersect_spaces, line_through,
                                         point_times_space, sample_point)
 from hadamard_spaces.star_configs import (PointSet, build_star, squarefree_power,
                                           verify_general_position, verify_star)
-
-
-def nonvanishing_line(n, rng):
-    while True:
-        rows = [[rng.randint(-40, 40) for _ in range(n + 1)] for _ in range(2)]
-        try:
-            line = LinSpace(rows)
-        except ValueError:
-            continue
-        if pluecker(line).nonvanishing():
-            return line
-
-
-def collinear_points(line, m, rng):
-    pts, seen = [], set()
-    while len(pts) < m:
-        p = sample_point(line, rng, avoid_delta=line.ambient_dim - 1)
-        if p.canonical() in seen:
-            continue
-        seen.add(p.canonical())
-        pts.append(p)
-    return PointSet(pts)
 
 
 def test_squarefree_full_subset_single_point():
@@ -43,7 +21,7 @@ def test_squarefree_full_subset_single_point():
 
 def test_squarefree_counts_on_generic_line():
     rng = random.Random(31)
-    line = nonvanishing_line(4, rng)
+    line = random_line(4, rng, 40)
     zset = collinear_points(line, 5, rng)
     assert len(squarefree_power(zset, 3)) == comb(5, 3) == 10
 
@@ -68,7 +46,7 @@ def test_point_set_rejects_duplicates():
 
 def test_build_star_small_plane_case():
     rng = random.Random(32)
-    line = nonvanishing_line(2, rng)
+    line = random_line(2, rng, 40)
     zset = collinear_points(line, 4, rng)
     witness = build_star(zset, line, 2)
     assert witness.ambient_space.dim == 2
@@ -126,7 +104,7 @@ def test_general_position_dimension_precondition():
 
 def test_verify_star_detects_corruption():
     rng = random.Random(33)
-    line = nonvanishing_line(3, rng)
+    line = random_line(3, rng, 40)
     zset = collinear_points(line, 4, rng)
     witness = build_star(zset, line, 2)
     assert verify_star(witness)
@@ -137,7 +115,7 @@ def test_verify_star_detects_corruption():
 
 def test_star_with_m_equal_r():
     rng = random.Random(34)
-    line = nonvanishing_line(3, rng)
+    line = random_line(3, rng, 40)
     zset = collinear_points(line, 3, rng)
     witness = build_star(zset, line, 3)
     assert len(witness.points) == 1
@@ -147,7 +125,7 @@ def test_star_with_m_equal_r():
 def test_intersection_identity_hadamard_vs_row_spaces():
     rng = random.Random(35)
     n, r, m = 4, 3, 4
-    line = nonvanishing_line(n, rng)
+    line = random_line(n, rng, 40)
     zset = collinear_points(line, m, rng)
     witness = build_star(zset, line, r)
     power_r_minus = {
@@ -175,7 +153,7 @@ def test_randomized_star_grid():
             if r > n:
                 continue
             m = min(r + 2, 6)
-            line = nonvanishing_line(n, rng)
+            line = random_line(n, rng, 40)
             zset = collinear_points(line, m, rng)
             witness = build_star(zset, line, r)
             assert len(witness.points) == comb(m, r)
@@ -263,7 +241,7 @@ ORACLE_GRID = [(2, 1, 3), (4, 1, 2), (3, 1, 1), (3, 3, 3), (5, 2, 2), (2, 2, 4),
 def test_star_checks_agree_with_reference_on_witnesses(fractions):
     rng = random.Random(37 + fractions)
     for n, r, m in ORACLE_GRID:
-        line = nonvanishing_line(n, rng)
+        line = random_line(n, rng, 40)
         zset = collinear_points(line, m, rng)
         if fractions:
             line, zset = fraction_witness_inputs(line, zset, rng)
@@ -275,7 +253,7 @@ def test_star_checks_agree_with_reference_on_corrupted_witnesses():
     rng = random.Random(38)
     seen = set()
     for n, r, m in ORACLE_GRID:
-        line = nonvanishing_line(n, rng)
+        line = random_line(n, rng, 40)
         zset = collinear_points(line, m, rng)
         witness = build_star(zset, line, r)
         hyperplanes, points = list(witness.hyperplanes), witness.points
