@@ -19,6 +19,7 @@ from itertools import chain, combinations_with_replacement
 from math import lcm, prod
 
 from .linalg import PreconditionError
+from .line_powers import _hyperplane_coefficients
 from .poly import SparsePoly
 from .projective import _permutation_sign
 
@@ -128,17 +129,8 @@ def quadric_square_symbolic():
     the brackets left as polynomials in the eight generator entries of one
     line, and compares the x-monomial coefficients exactly.
     """
-    nv = 8
-    bracket = _symbolic_bracket(nv, 0)
-    hyper = []
-    for i in range(4):
-        term = SparsePoly.constant(nv, (-1) ** (3 + i))
-        for j in range(4):
-            for k in range(j + 1, 4):
-                if i not in (j, k):
-                    term = term * bracket((j, k))
-        hyper.append(term)
-
+    bracket = _symbolic_bracket(8, 0)
+    hyper = _hyperplane_coefficients(3, bracket)
     for (i, j), coeff in _quadric_coefficients(bracket, bracket).items():
         square_coeff = hyper[i] * hyper[j]
         if i != j:

@@ -12,7 +12,6 @@ names the violated hypothesis), 3 retry/sampling budget exhaustion.
 import argparse
 import json
 import random
-import re
 import sys
 import warnings
 from fractions import Fraction
@@ -23,7 +22,8 @@ from . import papersuite
 from .brackets import (cubic_plane_square, quadric_bracket_display,
                        quadric_square_symbolic, quadric_symbolic_identity,
                        quadric_two_lines, verify_identity)
-from .linalg import BudgetExhausted, PreconditionError, QMatrix, rat_str
+from .linalg import (BudgetExhausted, PreconditionError, QMatrix, is_json_int,
+                     is_rational_literal, rat_str)
 from .line_powers import (line_power_matrix, line_power_pluecker,
                           power_linear_equations, sampled_power_span)
 from .poly import SparsePoly
@@ -45,18 +45,13 @@ class ValidationError(ValueError):
         super().__init__(message)
 
 
-def _is_int(value):
-    """JSON integers only: bool is an int subclass in Python, not in JSON."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _want(payload, field, kind, required=True, default=None):
     if field not in payload:
         if required:
             raise ValidationError(field, "missing required field")
         return default
     value = payload[field]
-    if kind is int and not _is_int(value):
+    if kind is int and not is_json_int(value):
         raise ValidationError(field, "expected an integer")
     if kind is list and not isinstance(value, list):
         raise ValidationError(field, "expected a list")
@@ -67,20 +62,10 @@ def _want(payload, field, kind, required=True, default=None):
     return value
 
 
-#: A rational string of a payload: optional minus, ASCII digits, and an
-#: optional "/" with an ASCII-digit denominator.
-RATIONAL_STRING = re.compile(r"-?[0-9]+(/[0-9]+)?")
-
-
 def _parse_rational(value, field, where):
-    """A JSON integer or a "num/den" string as a Fraction, nothing else.
-
-    `Fraction(str)` alone would also read "1.5", "1e3", " 3 ", "1_000" and
-    non-ASCII digits; those, floats and bools are validation errors.
-    """
-    if _is_int(value):
-        return Fraction(value)
-    if isinstance(value, str) and RATIONAL_STRING.fullmatch(value):
+    """A rational literal (`linalg.is_rational_literal`) as a Fraction;
+    anything else is a validation error."""
+    if is_rational_literal(value):
         try:
             return Fraction(value)
         except ZeroDivisionError:
@@ -133,7 +118,7 @@ def _parse_sampler(data, field):
         a = data.get("a")
         b = data.get("b")
         for name, value in (("a", a), ("b", b)):
-            if not _is_int(value) or value < 1:
+            if not is_json_int(value) or value < 1:
                 raise ValidationError(field + "." + name, "segre sampler needs positive integers a, b")
         return segre_sampler(a, b)
     if kind == "product":
@@ -152,7 +137,7 @@ def _parse_sampler(data, field):
         return sampler
     if kind == "power":
         r = data.get("r")
-        if not _is_int(r) or r < 1:
+        if not is_json_int(r) or r < 1:
             raise ValidationError(field + ".r", "power must be a positive integer")
         return hadamard_power_sampler(_parse_sampler(data.get("base"), field + ".base"), r)
     raise ValidationError(field + ".type",
@@ -165,7 +150,7 @@ def _parse_dim_mult_list(data, field):
     out = []
     for i, pair in enumerate(data):
         if (not isinstance(pair, list) or len(pair) != 2
-                or not all(_is_int(x) for x in pair)):
+                or not all(is_json_int(x) for x in pair)):
             raise ValidationError("%s[%d]" % (field, i), "expected [dimension, multiplicity]")
         m, r = pair
         if m < 0 or r < 1:
@@ -260,7 +245,7 @@ def cmd_span_dim(payload, rng, args):
                 raise ValidationError("spaces[%d].generators" % i,
                                       "ambient dimension differs from spaces[0]")
             mult = item.get("mult", 1)
-            if not _is_int(mult) or mult < 1:
+            if not is_json_int(mult) or mult < 1:
                 raise ValidationError("spaces[%d].mult" % i, "multiplicity must be >= 1")
             entries.append((space, mult))
         n = entries[0][0].ambient_dim
@@ -386,7 +371,7 @@ def cmd_bracket(payload, rng, args):
                 "square_identity": quadric_square_symbolic(),
             }
         trials = payload.get("trials", 25)
-        if not _is_int(trials) or trials < 1:
+        if not is_json_int(trials) or trials < 1:
             raise ValidationError("trials", "trials must be a positive integer")
         if identity == "quadric":
             line_l = _parse_space(payload.get("line_l", list(papersuite.LINE_L_POINTS)), "line_l")

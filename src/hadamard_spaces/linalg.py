@@ -48,6 +48,7 @@ The RREF, the kernel basis normalised to the free columns and the
 determinant are unique, so the results do not depend on the path.
 """
 
+import re
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
@@ -69,6 +70,23 @@ def rat(x) -> Fraction:
     if isinstance(x, float):
         raise TypeError("floats are not allowed in exact computations: %r" % (x,))
     return Fraction(x)
+
+
+#: A rational string of a payload: optional minus, ASCII digits, and an
+#: optional "/" with an ASCII-digit denominator.
+RATIONAL_STRING = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def is_json_int(value):
+    """JSON integers only: bool is an int subclass in Python, not in JSON."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_rational_literal(value):
+    """A JSON integer or a RATIONAL_STRING, the only rationals a payload may
+    hold: `Fraction(str)` alone would also read "1.5", "1e3", " 3 ", "1_000"
+    and non-ASCII digits."""
+    return is_json_int(value) or isinstance(value, str) and bool(RATIONAL_STRING.fullmatch(value))
 
 
 def rat_str(q: Fraction) -> str:
@@ -137,11 +155,6 @@ class QMatrix:
     def __repr__(self):
         body = "; ".join(" ".join(rat_str(x) for x in row) for row in self.rows)
         return "QMatrix[%s]" % body
-
-    def stack(self, other):
-        if other.nrows and self.nrows and other.ncols != self.ncols:
-            raise ValueError("column count mismatch")
-        return QMatrix(self.rows + other.rows)
 
     def scale_columns(self, scalars):
         if len(scalars) != self.ncols:

@@ -10,11 +10,12 @@ dimension; those are computed only by sampling, never by the matrix formula.
 
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 
-from .linalg import PreconditionError, BudgetExhausted, QMatrix
+from .linalg import PreconditionError, BudgetExhausted
 from .poly import SparsePoly
 from .products import gen_vandermonde
-from .projective import LinSpace, sample_point
+from .projective import LinSpace, pluecker, sample_point
 
 #: Extra rank-stable samples required before a sampled span is trusted.
 SPAN_STABLE_STREAK = 3
@@ -49,30 +50,31 @@ def line_power_pluecker(pl, r, indices):
     for i in indices:
         if not 0 <= i <= pl.ambient_dim:
             raise IndexError("index %d out of range for ambient dimension %d" % (i, pl.ambient_dim))
-    prod = Fraction(1)
-    for j, k in combinations(indices, 2):
-        prod *= pl.bracket((j, k))
-    return prod
+    return prod(map(pl.bracket, combinations(indices, 2)), start=Fraction(1))
+
+
+def _hyperplane_coefficients(n, bracket):
+    """Coefficients of the (n-1)-st power's hyperplane of a line in P^n.
+
+    The coefficient of x_i is (-1)^(n+i) times the product of the brackets
+    avoiding i.  `bracket` maps a sorted index pair to a number (at a
+    Pluecker vector) or to a polynomial (in symbolic generator entries);
+    this is the one place the formula is evaluated.
+    """
+    return [prod(map(bracket, combinations([t for t in range(n + 1) if t != i], 2)),
+                 start=(-1) ** (n + i))
+            for i in range(n + 1)]
 
 
 def power_hyperplane(pl):
-    """The linear form cutting out the (n-1)-st power of a line in P^n.
-
-    The coefficient of x_i is (-1)^(n+i) times the product of all brackets
-    avoiding i.
-    """
+    """The linear form cutting out the (n-1)-st power of a line in P^n
+    (coefficients as in _hyperplane_coefficients)."""
     n = pl.ambient_dim
     if pl.dim != 1:
         raise PreconditionError("expected the Pluecker vector of a line")
     if n < 2:
         raise PreconditionError("ambient dimension must be at least 2")
-    coeffs = []
-    for i in range(n + 1):
-        prod = Fraction(1)
-        for j, k in combinations([t for t in range(n + 1) if t != i], 2):
-            prod *= pl.bracket((j, k))
-        coeffs.append((-1) ** (n + i) * prod)
-    return SparsePoly.linear_form(coeffs)
+    return SparsePoly.linear_form(_hyperplane_coefficients(n, pl.entries.__getitem__))
 
 
 def power_linear_equations(line, r):
@@ -80,19 +82,23 @@ def power_linear_equations(line, r):
 
     These are the binom(n+1, r+2) maximal minors of the power matrix
     augmented with a row of coordinate variables, expanded along that row.
-    Coefficients come out integer-cleared and content-free.  For r = n-1
-    the single equation agrees with power_hyperplane up to sign.
+    Each (r+1)-minor of the power matrix is the product of pairwise
+    brackets of line_power_pluecker, an identity for every line, computed
+    once per column subset.  Coefficients come out integer-cleared and
+    content-free.  For r = n-1 the single equation agrees with
+    power_hyperplane up to sign.
     """
     n = line.ambient_dim
-    if r >= n:
-        raise PreconditionError("r must be smaller than the ambient dimension")
-    mat = line_power_matrix(line, r)
+    if not 1 <= r < n:
+        raise PreconditionError("need 1 <= r < n = %d, got r = %d" % (n, r))
+    pl = pluecker(line)  # line_power_pluecker checks that this is a line
+    minors = {cols: line_power_pluecker(pl, r, cols)
+              for cols in combinations(range(n + 1), r + 1)}
     equations = []
     for cols in combinations(range(n + 1), r + 2):
         form = SparsePoly.zero(n + 1)
         for t, i in enumerate(cols):
-            minor_cols = cols[:t] + cols[t + 1:]
-            minor = mat.submatrix_columns(minor_cols).det()
+            minor = minors[cols[:t] + cols[t + 1:]]
             if minor:
                 sign = (-1) ** (r + 1 + t)
                 form = form + SparsePoly.variable(n + 1, i, sign * minor)
@@ -103,37 +109,36 @@ def power_linear_equations(line, r):
 def sampled_power_span(line_or_space, r, rng, budget=200):
     """Span of sampled r-fold Hadamard products of points of a space.
 
-    Keeps adding products of r independently sampled points until the rank
-    of the accumulated rows is unchanged for SPAN_STABLE_STREAK consecutive
-    extra samples (or the span is the whole ambient space).  This is the
-    computation of choice for degenerate lines, whose powers are linear but
-    fall outside the hypotheses of the closed-form matrix.
+    Keeps adding products of r independently sampled points until the span
+    is unchanged for SPAN_STABLE_STREAK consecutive extra samples (or is
+    the whole ambient space).  This is the computation of choice for
+    degenerate lines, whose powers are linear but fall outside the
+    hypotheses of the closed-form matrix.
     """
     space = line_or_space
     if r < 1:
         raise PreconditionError("power must be >= 1")
     n = space.ambient_dim
-    basis = QMatrix(())   # the independent products kept so far
+    span = None   # the span of the products kept so far
     streak = 0
     draws = 0
     while draws < budget:
         draws += 1
-        prod = None
+        product = None
         for _ in range(r):
             pt = sample_point(space, rng)
-            prod = pt if prod is None else prod.hadamard(pt)
-            if prod is None:
+            product = pt if product is None else product.hadamard(pt)
+            if product is None:
                 break
-        if prod is None:
+        if product is None:
             continue
-        stacked = basis.stack(QMatrix([prod.coords]))
-        if stacked.rank() == basis.nrows:
+        if span is not None and span.contains(product):
             streak += 1
-            if streak >= SPAN_STABLE_STREAK and basis.nrows:
-                return LinSpace.span_of(basis)
+            if streak >= SPAN_STABLE_STREAK:
+                return span
             continue
         streak = 0
-        basis = stacked
-        if basis.nrows == n + 1:
-            return LinSpace.span_of(basis)
+        span = LinSpace.span_of((span.generators.rows if span else ()) + (product.coords,))
+        if span.dim == n:
+            return span
     raise BudgetExhausted("sampled span did not stabilize within %d draws" % budget)

@@ -8,7 +8,7 @@ count is fixed per polynomial and operations require it to agree.
 from fractions import Fraction
 from math import gcd, lcm
 
-from .linalg import rat, rat_str
+from .linalg import is_rational_literal, rat, rat_str
 
 
 class SparsePoly:
@@ -181,6 +181,11 @@ class SparsePoly:
 
     @classmethod
     def from_json(cls, nvars, data):
+        """Inverse of to_json; every coefficient must be a rational literal
+        (`linalg.is_rational_literal`), as in a CLI payload."""
+        for _, c in data:
+            if not is_rational_literal(c):
+                raise ValueError("expected an integer or a \"num/den\" coefficient, got %r" % (c,))
         return cls(nvars, {tuple(e): Fraction(c) for e, c in data})
 
 

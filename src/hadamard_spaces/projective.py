@@ -1,15 +1,17 @@
 """Projective points, linear spaces, Pluecker coordinates, and the
 coordinatewise (Hadamard) product of points and point-by-space products.
 
-Points and spaces are exact rational objects.  A point is defined up to a
-global nonzero scale; equality is tested through cross products, never by
-normalizing coordinates.  A linear space keeps the generator matrix it was
-built from (full row rank enforced), and space equality is a mutual
-row-space rank test, so no canonical form is ever assumed.
+Points and spaces are exact rational objects with one canonical form each,
+which equality, hashing and membership all read.  A point is defined up to
+a global nonzero scale; its form is the coprime integer key of
+`PPoint.canonical`.  A linear space keeps the generator matrix it was built
+from (full row rank enforced); its form is the integer pivot frame of
+`LinSpace.frame`.
 """
 
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from .linalg import PreconditionError, BudgetExhausted, QMatrix, rat, rat_str, clear_denominators
 
@@ -35,13 +37,7 @@ class PPoint:
         return len(self.coords) - 1
 
     def __eq__(self, other):
-        if not isinstance(other, PPoint) or len(self.coords) != len(other.coords):
-            return False
-        p, q = self.coords, other.coords
-        i0 = next(i for i in range(len(p)) if p[i] or q[i])
-        if not (p[i0] and q[i0]):
-            return False
-        return all(p[i0] * q[j] == q[i0] * p[j] for j in range(len(p)))
+        return isinstance(other, PPoint) and self.canonical() == other.canonical()
 
     def __hash__(self):
         return hash(self.canonical())
@@ -97,9 +93,26 @@ def all_ones_point(n):
 
 
 class LinSpace:
-    """A projective linear space presented by a full-row-rank generator matrix."""
+    """A projective linear space presented by a full-row-rank generator matrix.
 
-    __slots__ = ("generators",)
+    Membership and equality read one integer pivot frame (P, D, D*R),
+    computed once from the reduction the generator matrix caches: R is the
+    RREF basis of the space, P its pivot columns and D the lcm of its
+    denominators, so D*R is an integer matrix with D at (i, P_i) and 0 at
+    the other pivots.
+
+    - Coordinates.  R has the identity at P, so a vector y of the space is
+      y_P R, its coefficients in the basis R being its entries at P.  So y
+      lies in the space iff D*y = y_P (D*R), an identity of integer vectors
+      once y is cleared of denominators (scaling a vector keeps
+      membership), and y -> y_P is injective on the space.
+    - Subspaces.  The rows of D*R span the space, so it lies in another
+      iff each of them does.
+    - Equality.  The RREF of a row space is unique, so two spaces are equal
+      iff their frames are, and the frame is also the hash.
+    """
+
+    __slots__ = ("generators", "_frame")
 
     def __init__(self, generators):
         mat = generators if isinstance(generators, QMatrix) else QMatrix(generators)
@@ -108,6 +121,7 @@ class LinSpace:
         if mat.rank() != mat.nrows:
             raise ValueError("generator matrix does not have full row rank")
         self.generators = mat
+        self._frame = None
 
     @classmethod
     def span_of(cls, rows):
@@ -126,25 +140,37 @@ class LinSpace:
     def ambient_dim(self):
         return self.generators.ncols - 1
 
+    def frame(self):
+        """(P, D, D*R) as in the class docstring, computed on first use."""
+        if self._frame is None:
+            reduced, rank, pivots = self.generators.rref()
+            basis = reduced.rows[:rank]
+            den = lcm(*(x.denominator for row in basis for x in row))
+            self._frame = (pivots, den, tuple(tuple(x.numerator * (den // x.denominator)
+                                                    for x in row) for row in basis))
+        return self._frame
+
+    def _holds(self, y):
+        """Whether the integer vector y satisfies D*y = y_P (D*R)."""
+        pivots, den, basis = self.frame()
+        head = [y[p] for p in pivots]
+        return all(den * v == sum(c * b[j] for c, b in zip(head, basis)) for j, v in enumerate(y))
+
     def contains(self, point):
         if len(point.coords) != self.generators.ncols:
             raise ValueError("ambient dimensions differ")
-        stacked = self.generators.stack(QMatrix([point.coords]))
-        return stacked.rank() == self.generators.nrows
+        return self._holds(point.canonical())
 
     def contains_space(self, other):
-        stacked = self.generators.stack(other.generators)
-        return stacked.rank() == self.generators.nrows
+        if other.generators.ncols != self.generators.ncols:
+            raise ValueError("ambient dimensions differ")
+        return all(map(self._holds, other.frame()[2]))
 
     def __eq__(self, other):
-        if not isinstance(other, LinSpace):
-            return False
-        if self.generators.ncols != other.generators.ncols or self.dim != other.dim:
-            return False
-        return self.contains_space(other)
+        return isinstance(other, LinSpace) and self.frame() == other.frame()
 
     def __hash__(self):
-        return hash(self.generators.row_space_matrix())
+        return hash(self.frame())
 
     def __repr__(self):
         return "LinSpace(dim=%d, ambient=%d)" % (self.dim, self.ambient_dim)
@@ -217,17 +243,13 @@ class PlueckerVector:
         return all(self.entries.values())
 
     def __eq__(self, other):
-        """Projective equality via pairwise cross products."""
-        if not isinstance(other, PlueckerVector):
-            return False
-        if (self.ambient_dim, self.dim) != (other.ambient_dim, other.dim):
+        """Projective equality: the same indices and canonical entries."""
+        if not isinstance(other, PlueckerVector) or self.entries.keys() != other.entries.keys():
             return False
         keys = sorted(self.entries)
-        k0 = next(k for k in keys if self.entries[k] or other.entries[k])
-        if not (self.entries[k0] and other.entries[k0]):
-            return False
-        return all(self.entries[k0] * other.entries[k] == other.entries[k0] * self.entries[k]
-                   for k in keys)
+        return ((self.ambient_dim, self.dim) == (other.ambient_dim, other.dim)
+                and clear_denominators([self.entries[k] for k in keys])
+                == clear_denominators([other.entries[k] for k in keys]))
 
     def __repr__(self):
         body = ", ".join("[%s]=%s" % ("".join(map(str, k)), rat_str(v))

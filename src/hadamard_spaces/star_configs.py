@@ -7,15 +7,10 @@ collinear points realize exactly such a configuration, with M the r-th
 power of the line and the i-th hyperplane p_i * L^(r-1); build_star
 constructs that witness and verify_star checks it from first principles.
 
-The checks run inside M, in integers.  Let R be the RREF basis of M (the
-reduction its generator matrix caches), P its r+1 pivot columns and D the
-lcm of its denominators, so D*R is an integer matrix with D at (i, P_i)
-and 0 at the other pivots.
+The checks run inside M, in integers, in M's pivot frame (P, D, D*R) of
+`projective.LinSpace`, whose docstring proves that a vector y of M is fixed
+by its entries y_P at the pivots and that D*y = y_P (D*R) decides membership.
 
-- Coordinates.  A vector y of M is y_P R, its coefficients in the basis R
-  being its entries at P.  So y lies in M iff D*y = y_P (D*R), an identity
-  of integer vectors once y is cleared of denominators (scaling a vector
-  keeps membership), and y -> y_P is injective on M.
 - Normals.  A hyperplane H of M has r independent generators; their
   entries at P stay independent, so the kernel of that r x (r+1) matrix is
   one line, spanned by an integer normal w_H.  {y in M : w_H . y_P = 0}
@@ -37,10 +32,9 @@ and 0 at the other pivots.
 """
 
 from itertools import combinations
-from math import comb, lcm
+from math import comb
 
-from .linalg import (PreconditionError, _back_substitute, _bareiss_echelon, _integer_rows,
-                     primitive_ints)
+from .linalg import PreconditionError, _back_substitute, _bareiss_echelon, primitive_ints
 from .line_powers import line_power_matrix
 from .projective import LinSpace, all_ones_point, pluecker, point_times_space
 
@@ -92,11 +86,11 @@ class StarWitness:
         self.points = points
         self.origin_subsets = origin_subsets
         r = ambient_space.dim
-        frame = _pivot_frame(ambient_space)
         for h in self.hyperplanes:
             if h.dim != r - 1:
                 raise PreconditionError("hyperplane of dim %d in a dim-%d space" % (h.dim, r))
-            _pivot_rows(h, frame)
+            if not ambient_space.contains_space(h):
+                raise PreconditionError("hyperplane not contained in the ambient space")
         if len(points) != comb(len(self.hyperplanes), r):
             raise PreconditionError(
                 "expected binom(%d, %d) = %d points, got %d"
@@ -172,31 +166,6 @@ def build_star(zset, line, r):
     return StarWitness(ambient, hyperplanes, points, origin_subsets)
 
 
-def _pivot_frame(ambient):
-    """(P, D, D*R) of M = ambient, as in the module docstring."""
-    reduced, rank, pivots = ambient.generators.rref()
-    basis = reduced.rows[:rank]
-    den = lcm(*(x.denominator for row in basis for x in row))
-    return pivots, den, [[x.numerator * (den // x.denominator) for x in row] for row in basis]
-
-
-def _pivot_rows(space, frame):
-    """The generators of a subspace of M, cleared of denominators, at M's pivot columns.
-
-    Raises PreconditionError when a generator y fails D*y = y_P (D*R).
-    """
-    pivots, den, basis = frame
-    if space.generators.ncols != len(basis[0]):
-        raise ValueError("column count mismatch")
-    rows = []
-    for y in _integer_rows(space.generators.rows)[0]:
-        head = [y[p] for p in pivots]
-        if any(den * v != sum(c * b[j] for c, b in zip(head, basis)) for j, v in enumerate(y)):
-            raise PreconditionError("hyperplane not contained in the ambient space")
-        rows.append(head)
-    return rows
-
-
 def _kernel_line(rows):
     """Integer vector spanning the kernel of a k x (k+1) integer matrix of rank k."""
     echelon, pivots, _ = _bareiss_echelon(rows)
@@ -207,13 +176,19 @@ def _rank(rows):
     return len(_bareiss_echelon(rows)[1])
 
 
-def _normals(hyperplanes, r, frame):
-    """Integer normals w_H of hyperplanes of M, after their dimension and containment checks."""
+def _normals(hyperplanes, ambient):
+    """Integer normals w_H of hyperplanes of M, after their dimension and
+    containment checks: the kernel lines of the rows of each H's frame at
+    M's pivot columns."""
+    r = ambient.dim
+    pivots = ambient.frame()[0]
     normals = []
     for h in hyperplanes:
         if h.dim != r - 1:
             raise PreconditionError("hyperplane has dim %d, expected %d" % (h.dim, r - 1))
-        normals.append(_kernel_line(_pivot_rows(h, frame)))
+        if not ambient.contains_space(h):
+            raise PreconditionError("hyperplane not contained in the ambient space")
+        normals.append(_kernel_line([[y[p] for p in pivots] for y in h.frame()[2]]))
     return normals
 
 
@@ -238,8 +213,7 @@ def verify_general_position(hyperplanes, ambient):
     order.  Decided by ranks of the hyperplanes' normals in M (module
     docstring).
     """
-    r = ambient.dim
-    certificate = _first_dependent(_normals(hyperplanes, r, _pivot_frame(ambient)), r)
+    certificate = _first_dependent(_normals(hyperplanes, ambient), ambient.dim)
     return certificate is None, certificate
 
 
@@ -253,11 +227,10 @@ def verify_star(witness):
     """
     ambient = witness.ambient_space
     r = ambient.dim
-    frame = _pivot_frame(ambient)
-    normals = _normals(witness.hyperplanes, r, frame)
+    normals = _normals(witness.hyperplanes, ambient)
     if _first_dependent(normals, r) is not None:
         return False
-    columns = list(zip(*frame[2]))
+    columns = list(zip(*ambient.frame()[2]))
     keys = set()
     for rows in combinations(normals, r):
         y_p = _kernel_line(rows)

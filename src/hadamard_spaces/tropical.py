@@ -16,7 +16,8 @@ from functools import reduce
 from itertools import combinations
 from math import comb, factorial, prod
 
-from .linalg import PreconditionError, QMatrix
+from .linalg import PreconditionError
+from .projective import LinSpace, PPoint
 
 # ---------------------------------------------------------------------------
 # cones and fans
@@ -118,12 +119,9 @@ class SignedConeFan:
                 total = [t + mult * x for t, x in zip(total, rep)]
             span_rows = [_quotient_rep(i, 1, n) for i in plus]
             span_rows += [_quotient_rep(j, -1, n) for j in minus]
-            base = QMatrix(span_rows) if span_rows else None
-            if base is None:
-                if any(total):
-                    return False
-            else:
-                if base.stack(QMatrix([total])).rank() != base.rank():
+            if any(total):
+                span = LinSpace.span_of(span_rows)
+                if span is None or not span.contains(PPoint(total)):
                     return False
         return True
 

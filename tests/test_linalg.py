@@ -63,7 +63,7 @@ def test_rref_vandermonde_rank():
 def test_rref_row_space_preserved():
     m = QMatrix([[1, 2, 3], [4, 5, 6]])
     reduced, rank, _ = m.rref()
-    stacked = m.stack(QMatrix(reduced.rows[:rank]))
+    stacked = QMatrix(m.rows + reduced.rows[:rank])
     assert stacked.rank() == rank
     rng = random.Random(7)
     for _ in range(60):

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import combinations
 from math import comb
 
@@ -105,6 +106,40 @@ def test_power_linear_equations_count_and_vanishing():
         for form in equations:
             for row in mat.rows:
                 assert form.eval(row) == 0
+
+
+def determinant_equations(line, r):
+    """power_linear_equations with a determinant per minor, as first written."""
+    n = line.ambient_dim
+    mat = line_power_matrix(line, r)
+    equations = []
+    for cols in combinations(range(n + 1), r + 2):
+        form = SparsePoly.zero(n + 1)
+        for t, i in enumerate(cols):
+            minor = mat.submatrix_columns(cols[:t] + cols[t + 1:]).det()
+            form = form + SparsePoly.variable(n + 1, i, (-1) ** (r + 1 + t) * minor)
+        equations.append(form.primitive())
+    return equations
+
+
+def test_power_linear_equations_match_determinants():
+    """Degenerate lines and Fraction entries included: the bracket product
+    equals the minor for every line."""
+    rng = random.Random(29)
+    degenerate = 0
+    for _ in range(40):
+        n = rng.randint(2, 5)
+        rows = [[Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(n + 1)]
+                for _ in range(2)]
+        try:
+            line = LinSpace(rows)
+        except ValueError:
+            continue
+        degenerate += not pluecker(line).nonvanishing()
+        for r in range(1, n):
+            assert ([f.to_json() for f in power_linear_equations(line, r)]
+                    == [f.to_json() for f in determinant_equations(line, r)])
+    assert degenerate >= 5
 
 
 def test_power_linear_equations_last_is_hyperplane():

@@ -98,6 +98,12 @@ def test_json_round_trip():
     assert SparsePoly.from_json(3, f.to_json()) == f
 
 
+@pytest.mark.parametrize("coeff", ["1.5", "1e3", " 3 ", 1.5, 2.0, True, False])
+def test_from_json_reads_only_rational_literals(coeff):
+    with pytest.raises(ValueError):
+        SparsePoly.from_json(2, [[[1, 0], coeff]])
+
+
 def test_str():
     f = SparsePoly(3, {(2, 0, 0): 9, (0, 0, 1): -1})
     assert str(f) == "9*x0^2 - x2"

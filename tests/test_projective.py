@@ -222,3 +222,120 @@ def test_intersect_spaces():
     skew_a = LinSpace([[1, 0, 0, 0], [0, 1, 0, 0]])
     skew_b = LinSpace([[0, 0, 1, 0], [0, 0, 0, 1]])
     assert intersect_spaces([skew_a, skew_b]) is None
+
+
+# ---------------------------------------------------------------------------
+# Oracles for the canonical forms: membership by a stacked rank, point
+# equality by cross products, as these tests were first written.
+
+
+def stacked_contains(space, rows):
+    gens = space.generators
+    return QMatrix(gens.rows + tuple(tuple(row) for row in rows)).rank() == gens.nrows
+
+
+def cross_equal(p, q):
+    p, q = p.coords, q.coords
+    if len(p) != len(q):
+        return False
+    i0 = next(i for i in range(len(p)) if p[i] or q[i])
+    return bool(p[i0] and q[i0]) and all(p[i0] * q[j] == q[i0] * p[j] for j in range(len(p)))
+
+
+def random_entry(rng, kind):
+    x = rng.randint(-3, 3)
+    return Fraction(x, rng.randint(1, 6)) if kind == "fraction" else x
+
+
+def random_vector(rng, n, kind, zero_cols=()):
+    while True:
+        vec = [0 if j in zero_cols else random_entry(rng, kind) for j in range(n + 1)]
+        if any(vec):
+            return vec
+
+
+def combination(rng, rows):
+    """A nonzero rational combination of independent rows."""
+    while True:
+        coeffs = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in rows]
+        if any(coeffs):
+            return [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(len(rows[0]))]
+
+
+def random_linspace(rng, m, n, kind, zero_cols=()):
+    while True:
+        try:
+            return LinSpace([random_vector(rng, n, kind, zero_cols) for _ in range(m + 1)])
+        except ValueError:
+            continue
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction", "zero-column"])
+def test_linspace_canonical_form_matches_stacked_rank(kind):
+    rng = random.Random("canonical:" + kind)
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        zero_cols = set(rng.sample(range(n + 1), rng.randint(1, n))) if kind == "zero-column" else ()
+        m = rng.randint(0, n - len(zero_cols))
+        entries = "int" if kind == "int" else "fraction"
+        space = random_linspace(rng, m, n, entries, zero_cols)
+        rows = space.generators.rows
+        on = PPoint(combination(rng, rows))
+        off = PPoint(random_vector(rng, n, entries))
+        for point in (on, off):
+            assert space.contains(point) == stacked_contains(space, [point.coords])
+        assert space.contains(on)
+
+        same = LinSpace.span_of([combination(rng, rows) for _ in range(3 * (m + 1))])
+        sub = LinSpace.span_of([combination(rng, rows) for _ in range(rng.randint(1, m + 1))])
+        sup = LinSpace.span_of(list(rows) + [random_vector(rng, n, entries)])
+        other = random_linspace(rng, m, n, entries)
+        for a in (space, same, sub, sup, other):
+            for b in (space, same, sub, sup, other):
+                assert a.contains_space(b) == stacked_contains(a, b.generators.rows)
+                equal = a.dim == b.dim and stacked_contains(a, b.generators.rows)
+                assert (a == b) == equal
+                if equal:
+                    assert hash(a) == hash(b)
+        assert space == same and space.contains_space(sub) and sup.contains_space(space)
+
+
+def test_linspace_membership_ambient_mismatch_raises():
+    space = LinSpace([[1, 0, 2], [0, 1, 1]])
+    with pytest.raises(ValueError, match="ambient dimensions differ"):
+        space.contains(PPoint([1, 1, 3, 0]))
+    with pytest.raises(ValueError, match="ambient dimensions differ"):
+        space.contains_space(LinSpace([[1, 0, 0, 0]]))
+    assert space != LinSpace([[1, 0, 2, 0], [0, 1, 1, 0]])
+
+
+def test_point_equality_matches_cross_products():
+    rng = random.Random("point-equality")
+    for _ in range(300):
+        n = rng.randint(0, 4)
+        kind = rng.choice(["int", "fraction"])
+        p = PPoint(random_vector(rng, n, kind))
+        scale = Fraction(rng.choice([-3, -1, 2, 5]), rng.randint(1, 4))
+        candidates = [PPoint([scale * x for x in p.coords]), PPoint(random_vector(rng, n, kind)),
+                      PPoint(random_vector(rng, n + 1, kind))]
+        for q in candidates:
+            assert (p == q) == cross_equal(p, q)
+            if p == q:
+                assert hash(p) == hash(q)
+        assert p == candidates[0]
+
+
+def test_pluecker_equality_matches_cross_products():
+    rng = random.Random("pluecker-equality")
+    for _ in range(100):
+        n = rng.randint(1, 4)
+        line = random_linspace(rng, 1, n, rng.choice(["int", "fraction"]))
+        scale = Fraction(rng.choice([-3, -1, 2, 5]), rng.randint(1, 4))
+        scaled = LinSpace([[scale * x for x in line.generators.rows[0]], line.generators.rows[1]])
+        other = random_linspace(rng, 1, n, "int")
+        pl = pluecker(line)
+        for q in (pluecker(scaled), pluecker(other)):
+            values = [PPoint([v for _, v in sorted(x.entries.items())]) for x in (pl, q)]
+            assert (pl == q) == cross_equal(*values)
+        assert pl == pluecker(scaled)
+        assert pl != pluecker(LinSpace([[1, 0] + [0] * n, [0, 1] + [0] * n]))  # in P^(n+1)

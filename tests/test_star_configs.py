@@ -6,7 +6,7 @@ from math import comb
 import pytest
 
 from hadamard_spaces.line_powers import line_power_matrix
-from hadamard_spaces.linalg import PreconditionError
+from hadamard_spaces.linalg import PreconditionError, QMatrix
 from hadamard_spaces.papersuite import collinear_points, random_line
 from hadamard_spaces.projective import (LinSpace, PPoint, intersect_spaces, line_through,
                                         point_times_space, sample_point)
@@ -161,8 +161,14 @@ def test_randomized_star_grid():
 
 
 # ---------------------------------------------------------------------------
-# Reference oracle: the checks as first written, in the ambient P^n, with one
-# intersect_spaces call (a nullspace per hyperplane, then a kernel) per subset.
+# Reference oracle: the checks as first written, in the ambient P^n, with a
+# stacked-rank containment test and one intersect_spaces call (a nullspace
+# per hyperplane, then a kernel) per subset.
+
+
+def stacked_contains_space(ambient, space):
+    stacked = QMatrix(ambient.generators.rows + space.generators.rows)
+    return stacked.rank() == ambient.generators.nrows
 
 
 def reference_general_position(hyperplanes, ambient):
@@ -170,7 +176,7 @@ def reference_general_position(hyperplanes, ambient):
     for h in hyperplanes:
         if h.dim != r - 1:
             raise PreconditionError("hyperplane has dim %d, expected %d" % (h.dim, r - 1))
-        if not ambient.contains_space(h):
+        if not stacked_contains_space(ambient, h):
             raise PreconditionError("hyperplane not contained in the ambient space")
     m = len(hyperplanes)
     for j in range(2, min(m, r + 1) + 1):
