@@ -6,8 +6,7 @@ anywhere.  "Equals zero" is therefore decidable, which the rest of the
 package relies on.
 
 Two exact paths: Bareiss elimination computes RREFs, determinants and
-kernels, and a multi-modular solve computes the integer kernels of the
-interpolation oracle.
+kernels; a p-adic solve computes the interpolation oracle's integer kernels.
 
 Bareiss (`QMatrix.rref`, `det`, `nullspace`, and the fallback of
 `integer_kernel_basis`).  Rows are first cleared to integers, which keeps
@@ -19,14 +18,15 @@ back-substitution (`_back_substitute`) then solves for one kernel vector
 per free column.  This path serves the many small rational matrices of
 spans, Pluecker coordinates and tangent spaces.
 
-Multi-modular (`integer_kernel_basis`, the interpolation oracle's kernel).
-The integer matrix is reduced to RREF modulo each prime of KERNEL_PRIMES in
-turn; primes that agree on the pivot columns are combined by the Chinese
-remainder theorem, the kernel entries are rationally reconstructed (Wang,
-Guy & Davenport 1982), and the lifted vectors are checked exactly, A x = 0
-in integers, before anything is returned.  Its cost follows the size of
-the kernel entries, not of the minors Bareiss carries.  The check is a
-certificate:
+p-adic (`integer_kernel_basis`, the interpolation oracle's kernel).  The
+integer matrix is factored once modulo a prime p of KERNEL_PRIMES.  For
+each free column f, the entries at the pivots before f solve a square
+system in the pivot rows, lifted p-adically to p^k (Dixon, "Exact solution
+of linear equations using p-adic expansions", 1982) and rationally
+reconstructed (Wang, Guy & Davenport 1982); every vector is checked
+exactly, A x = 0 in integers against every row, before anything is
+returned.  Its cost follows the size of the kernel entries, not of the
+minors Bareiss carries.  The check is a certificate, with modulus p^k:
 
 - rank mod p <= rank over Q (every minor that vanishes over Q vanishes
   mod p), so dim ker_p >= dim ker_Q;
@@ -40,15 +40,16 @@ certificate:
   with a 1 at its free column and zeros at the others: the one the
   Bareiss path returns.
 
-A prime whose pivots differ from the rational ones (an unlucky prime) can
-never pass the check.  When every listed prime fails, `integer_kernel_basis`
-falls back to the Bareiss path, so what it returns is always exact.
+A prime whose pivots differ from the rational ones (an unlucky prime)
+never passes the check, and the next prime is tried; when every listed
+prime fails, the Bareiss path answers, so the result is always exact.
 
 The RREF, the kernel basis normalised to the free columns and the
 determinant are unique, so the results do not depend on the path.
 """
 
 import re
+from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
@@ -310,33 +311,28 @@ def _back_substitute(echelon, pivots, nc):
     return d, free, solutions
 
 
-#: Distinct 62-bit primes (the sixteen largest below 2^62) for the
-#: multi-modular kernel, tried in this order.  Their product bounds the
-#: kernel entries that can be reconstructed: numerators and denominators up
-#: to about 495 bits; larger kernels go to the Bareiss fallback.
-KERNEL_PRIMES = (
-    4611686018427387847, 4611686018427387817, 4611686018427387787,
-    4611686018427387761, 4611686018427387751, 4611686018427387737,
-    4611686018427387733, 4611686018427387709, 4611686018427387701,
-    4611686018427387631, 4611686018427387617, 4611686018427387587,
-    4611686018427387461, 4611686018427387421, 4611686018427387409,
-    4611686018427387329,
-)
+#: Distinct 62-bit primes (the three largest below 2^62) for the p-adic
+#: kernel, tried in this order; the next is used only when one fails.
+KERNEL_PRIMES = (4611686018427387847, 4611686018427387817, 4611686018427387787)
+
+#: p-adic lifting steps per kernel vector.  p^16 > 2^991 bounds the kernel
+#: entries that can be reconstructed: numerators and denominators up to
+#: about 495 bits; larger kernels go to the Bareiss fallback.
+LIFT_STEPS = 16
 
 
-def _kernel_mod_p(rows, nc, p):
-    """Pivot columns and RREF kernel vectors of an integer matrix mod p.
+def _factor_mod_p(rows, nc, p):
+    """Pivot columns P, pivot rows R and the LU factors of A[R, P] mod p.
 
-    Returns (pivots, residues): residues[k] holds, for the k-th free column
-    f, the entries at the pivot columns of the kernel vector with a 1 at f
-    and zeros at the other free columns.  Entries at pivots past f are 0.
-    Forward elimination reduces each pivot row mod p with a leading 1 and
-    leaves the rows below it unreduced (each step adds less than p^2 to an
-    entry, which is cheaper than a reduction); entries left of a pivot
-    below it are never read again, so they are not cleared.
-    Back-substitution then solves each free column.
+    Gaussian elimination with row swaps that logs its row operations in
+    place: a row keeps, at each pivot column, the multiple of that pivot row
+    it lost.  So factor[i][P[j]] is L[i][j] for j <= i (the pivots on L's
+    diagonal) and U[i][j] for j > i (U unit upper triangular).  Rows below
+    a pivot are left unreduced (each step adds less than p^2 to an entry,
+    which is cheaper than a reduction).
     """
     work = [[x % p for x in row] for row in rows]
+    order = list(range(len(work)))
     pivots = []
     r = 0
     for c in range(nc):
@@ -344,29 +340,18 @@ def _kernel_mod_p(rows, nc, p):
         if k is None:
             continue
         work[r], work[k] = work[k], work[r]
+        order[r], order[k] = order[k], order[r]
         inv = pow(work[r][c], -1, p)
         top = work[r][c + 1:] = [x * inv % p for x in work[r][c + 1:]]
         for row in work[r + 1:]:
-            f = row[c] % p
+            f = row[c] = row[c] % p
             if f:
                 row[c + 1:] = [x - f * y for x, y in zip(row[c + 1:], top)]
         pivots.append(c)
         r += 1
         if r == len(work):
             break
-    residues = []
-    for f in range(nc):
-        if f in pivots:
-            continue
-        x = [0] * (f + 1)
-        x[f] = 1
-        for i in range(r - 1, -1, -1):
-            c = pivots[i]
-            if c < f:
-                row = work[i]
-                x[c] = -sum(row[j] * x[j] for j in range(c + 1, f + 1) if x[j]) % p
-        residues.append([x[c] if c < f else 0 for c in pivots])
-    return pivots, residues
+    return pivots, order[:r], work[:r]
 
 
 def _rational_reconstruct(u, m):
@@ -387,21 +372,17 @@ def _rational_reconstruct(u, m):
     return Fraction(r1, t1)
 
 
-def _lift(pivots, residues, m, nc):
-    """Kernel vectors with rationals reconstructed from residues mod m, or
-    None when an entry has no reconstruction yet."""
-    free = [c for c in range(nc) if c not in pivots]
-    vectors = []
-    for f, res in zip(free, residues):
-        vec = [Fraction(0)] * nc
-        vec[f] = Fraction(1)
-        for c, u in zip(pivots, res):
-            q = _rational_reconstruct(u, m)
-            if q is None:
-                return None
-            vec[c] = q
-        vectors.append(tuple(vec))
-    return vectors
+def _lift(f, pivots, y, m, nc):
+    """The kernel vector of free column f, its entries at the pivots before
+    f reconstructed from y mod m; None when one has no reconstruction yet."""
+    vec = [Fraction(0)] * nc
+    vec[f] = Fraction(1)
+    for c, u in zip(pivots, y):
+        q = _rational_reconstruct(u, m)
+        if q is None:
+            return None
+        vec[c] = q
+    return tuple(vec)
 
 
 def _annihilates(rows, vec):
@@ -411,46 +392,65 @@ def _annihilates(rows, vec):
     return all(sum(row[j] * v for j, v in ints) == 0 for row in rows)
 
 
+def _dixon_kernel(rows, nc, p):
+    """The kernel basis lifted from one factorization mod p, or None when a
+    vector fails its exact check within LIFT_STEPS steps.
+
+    For free column f with k pivots before it, the pivot entries y solve
+    B y = -A[R_<k, f] with B = A[R_<k, P_<k], whose factors mod p are the
+    leading blocks of L and U.  Dixon's expansion y = sum x_i p^i takes one
+    triangular solve x_i = B^-1 b_i mod p per step and the exact residual
+    b_(i+1) = (b_i - B x_i) / p.
+    """
+    pivots, prows, factor = _factor_mod_p(rows, nc, p)
+    square = [[rows[i][c] for c in pivots] for i in prows]
+    lower = [[row[c] for c in pivots[:i]] for i, row in enumerate(factor)]
+    upper = [[row[c] for c in pivots[i + 1:]] for i, row in enumerate(factor)]
+    dinv = [pow(row[c], -1, p) for row, c in zip(factor, pivots)]
+    vectors = []
+    for f in sorted(set(range(nc)).difference(pivots)):
+        k = bisect_left(pivots, f)
+        b = [-rows[i][f] for i in prows[:k]]
+        y, m = [0] * k, 1
+        for _ in range(LIFT_STEPS):
+            x = []
+            for l, d, bi in zip(lower, dinv, b):
+                x.append((bi - sum(a * v for a, v in zip(l, x))) * d % p)
+            for i in range(k - 1, -1, -1):
+                x[i] = (x[i] - sum(a * v for a, v in zip(upper[i], x[i + 1:]))) % p
+            b = [(bi - sum(a * v for a, v in zip(row, x))) // p for bi, row in zip(b, square)]
+            y = [u + m * v for u, v in zip(y, x)]
+            m *= p
+            vec = _lift(f, pivots, y, m, nc)
+            if vec is not None and _annihilates(rows, vec):
+                break
+        else:
+            return None
+        vectors.append(vec)
+    return vectors
+
+
 def integer_kernel_basis(rows):
     """Kernel basis of an integer matrix, one vector per free column.
 
     Same contract as QMatrix.nullspace: the vector of free column f has a 1
     at f and zeros at the other free columns; entries are Fractions.
 
-    For each prime of KERNEL_PRIMES the matrix is reduced mod p.  Primes
-    with the same pivot columns are combined by CRT; a prime whose pivots
-    rank below another prime's (fewer pivots, or the same number starting
-    later) is unlucky, and the earlier set is kept or restarted from.  The
-    entries are rationally reconstructed and every vector is checked
-    exactly against every row; a failed reconstruction or check moves on
-    to the next prime.  When the primes run out, the Bareiss path computes
-    the basis.
-
-    Certificate (in full in the module docstring): rank mod p <= rank over
-    Q, so the dim ker_p vectors that pass the check, independent through
-    their free columns, are a basis of ker_Q; each is zero past its free
-    column f, so f is free over Q too, and the basis is the unique one
-    Bareiss returns.
+    The matrix is factored once mod a prime of KERNEL_PRIMES, each kernel
+    vector is lifted p-adically to p^k (Dixon 1982), rationally
+    reconstructed and checked exactly against every row.  A vector that
+    fails its check after LIFT_STEPS steps (an unlucky prime, or entries
+    beyond the reach) moves on to the next prime; when the primes run out,
+    the Bareiss path computes the basis.  The certificate, with modulus
+    p^k, is in the module docstring: the basis is the unique one Bareiss
+    returns.
     """
     if not rows:
         return []
     nc = len(rows[0])
-    best = None
     for p in KERNEL_PRIMES:
-        pivots, residues = _kernel_mod_p(rows, nc, p)
-        key = (-len(pivots), pivots)
-        if best is None or key < best:
-            best, m = key, p
-        elif key > best:
-            continue
-        else:
-            t = pow(m, -1, p)
-            residues = [[a + m * ((b - a) * t % p) for a, b in zip(old, new)]
-                        for old, new in zip(kept, residues)]
-            m *= p
-        kept = residues
-        vectors = _lift(pivots, kept, m, nc)
-        if vectors is not None and all(_annihilates(rows, v) for v in vectors):
+        vectors = _dixon_kernel(rows, nc, p)
+        if vectors is not None:
             return vectors
     echelon, pivots, _ = _bareiss_echelon(rows)
     d, _, solutions = _back_substitute(echelon, pivots, nc)

@@ -182,11 +182,16 @@ class SparsePoly:
     @classmethod
     def from_json(cls, nvars, data):
         """Inverse of to_json; every coefficient must be a rational literal
-        (`linalg.is_rational_literal`), as in a CLI payload."""
+        (`linalg.is_rational_literal`) with a nonzero denominator, as in a
+        CLI payload."""
         for _, c in data:
             if not is_rational_literal(c):
                 raise ValueError("expected an integer or a \"num/den\" coefficient, got %r" % (c,))
-        return cls(nvars, {tuple(e): Fraction(c) for e, c in data})
+        try:
+            terms = {tuple(e): Fraction(c) for e, c in data}
+        except ZeroDivisionError:
+            raise ValueError("zero denominator in a coefficient") from None
+        return cls(nvars, terms)
 
 
 def proportional(f: SparsePoly, g: SparsePoly) -> bool:

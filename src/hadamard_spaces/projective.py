@@ -13,7 +13,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
-from .linalg import PreconditionError, BudgetExhausted, QMatrix, rat, rat_str, clear_denominators
+from .linalg import (PreconditionError, BudgetExhausted, QMatrix, rat, rat_str, clear_denominators,
+                     primitive_ints)
 
 #: Coefficient range for random rational combinations; large enough that
 #: genericity failures are negligible across a whole test run, small enough
@@ -22,12 +23,16 @@ SAMPLE_COEFF_BOUND = 10 ** 6
 
 
 class PPoint:
-    """A point of projective n-space with exact rational coordinates."""
+    """A point of projective n-space with exact rational coordinates.
+
+    Coordinates are Fractions or ints: an int is kept as it is, so points
+    drawn in integers (`sample_point`, the samplers) never build a Fraction.
+    """
 
     __slots__ = ("coords", "_key")
 
     def __init__(self, coords):
-        self.coords = tuple(rat(x) for x in coords)
+        self.coords = tuple(x if type(x) is int else rat(x) for x in coords)
         if not any(self.coords):
             raise ValueError("projective point cannot have all coordinates zero")
         self._key = None
@@ -48,7 +53,9 @@ class PPoint:
         Computed on first use and kept: the coordinates never change.
         """
         if self._key is None:
-            self._key = clear_denominators(self.coords)
+            c = self.coords
+            self._key = (primitive_ints(c) if all(type(x) is int for x in c)
+                         else clear_denominators(c))
         return self._key
 
     def __repr__(self):
@@ -112,7 +119,7 @@ class LinSpace:
       iff their frames are, and the frame is also the hash.
     """
 
-    __slots__ = ("generators", "_frame")
+    __slots__ = ("generators", "_frame", "_ints")
 
     def __init__(self, generators):
         mat = generators if isinstance(generators, QMatrix) else QMatrix(generators)
@@ -122,6 +129,7 @@ class LinSpace:
             raise ValueError("generator matrix does not have full row rank")
         self.generators = mat
         self._frame = None
+        self._ints = None
 
     @classmethod
     def span_of(cls, rows):
@@ -144,11 +152,15 @@ class LinSpace:
         """(P, D, D*R) as in the class docstring, computed on first use."""
         if self._frame is None:
             reduced, rank, pivots = self.generators.rref()
-            basis = reduced.rows[:rank]
-            den = lcm(*(x.denominator for row in basis for x in row))
-            self._frame = (pivots, den, tuple(tuple(x.numerator * (den // x.denominator)
-                                                    for x in row) for row in basis))
+            self._frame = (pivots, *_cleared(reduced.rows[:rank]))
         return self._frame
+
+    def integer_generators(self):
+        """The generator rows times the lcm of all their denominators,
+        computed on first use: integer rows spanning the same points."""
+        if self._ints is None:
+            self._ints = _cleared(self.generators.rows)[1]
+        return self._ints
 
     def _holds(self, y):
         """Whether the integer vector y satisfies D*y = y_P (D*R)."""
@@ -181,6 +193,12 @@ class LinSpace:
 
     def to_json(self):
         return [[rat_str(x) for x in row] for row in self.generators.rows]
+
+
+def _cleared(rows):
+    """(D, D * rows) for rational rows, D the lcm of all their denominators."""
+    den = lcm(*(x.denominator for row in rows for x in row))
+    return den, tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in rows)
 
 
 def intersect_spaces(spaces):
@@ -297,17 +315,20 @@ def line_through(p, q):
 
 
 def sample_point(space, rng, avoid_delta=None, budget=200):
-    """Random rational point of a linear space, deterministic per rng state.
+    """Random point of a linear space with int coordinates, deterministic
+    per rng state.
 
     Draws integer coefficients uniformly from [-SAMPLE_COEFF_BOUND, bound]
-    for the generator rows.  With avoid_delta = i, retries until the point
-    avoids Delta_i (i.e. has at least i+2 nonzero coordinates); exhausting
-    the budget signals that the space is (very likely) contained in Delta_i.
+    for the generator rows and combines the space's `integer_generators`
+    (the generator rows times one common scale, so the same projective
+    point).  With avoid_delta = i, retries until the point avoids Delta_i
+    (i.e. has at least i+2 nonzero coordinates); exhausting the budget
+    signals that the space is (very likely) contained in Delta_i.
     """
-    gens = space.generators
+    gens = space.integer_generators()
     for _ in range(budget):
-        coeffs = [rng.randint(-SAMPLE_COEFF_BOUND, SAMPLE_COEFF_BOUND) for _ in range(gens.nrows)]
-        coords = [sum(c * row[j] for c, row in zip(coeffs, gens.rows)) for j in range(gens.ncols)]
+        coeffs = [rng.randint(-SAMPLE_COEFF_BOUND, SAMPLE_COEFF_BOUND) for _ in range(len(gens))]
+        coords = [sum(c * x for c, x in zip(coeffs, col)) for col in zip(*gens)]
         if not any(coords):
             continue
         point = PPoint(coords)

@@ -15,6 +15,7 @@ point `sample` would have given and leaves the random state where
 """
 
 from fractions import Fraction
+from math import prod
 
 from .linalg import BudgetExhausted, QMatrix
 from .projective import LinSpace, PPoint, sample_point
@@ -61,7 +62,8 @@ def linear_space_sampler(space):
 def reciprocal_sampler(space):
     """Sampler of the reciprocal of a linear space.
 
-    Emits the coordinatewise inverse of an all-nonzero sample of the space;
+    Emits the coordinatewise inverse of an all-nonzero sample a of the
+    space, as the integer point prod_{j != i} a_j (1/a times prod a);
     rejection of samples meeting a coordinate hyperplane is built in.  The
     tangent at 1/a is spanned by 1/a itself and the generator rows divided
     entrywise by a^2 (the derivative of t -> 1/(a + t g)).
@@ -70,11 +72,11 @@ def reciprocal_sampler(space):
 
     def draw(rng, tangent):
         base = sample_point(space, rng, avoid_delta=n - 1, budget=SAMPLER_BUDGET)
-        inv = tuple(Fraction(1) / x for x in base.coords)
-        point = PPoint(inv)
+        total = prod(base.coords)
+        point = PPoint([total // x for x in base.coords])
         if not tangent:
             return point, None
-        rows = [inv]
+        rows = [tuple(Fraction(1) / x for x in base.coords)]
         for g in space.generators.rows:
             rows.append(tuple(gx / (x * x) for gx, x in zip(g, base.coords)))
         return point, LinSpace.span_of(QMatrix(rows))
@@ -99,7 +101,7 @@ def segre_sampler(a, b, coeff_bound=1000):
                 break
         else:
             raise BudgetExhausted("could not draw nonzero factors for the Segre sampler")
-        point = PPoint([Fraction(ui * vj) for ui in u for vj in v])
+        point = PPoint([ui * vj for ui in u for vj in v])
         if not tangent:
             return point, None
         rows = []

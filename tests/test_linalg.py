@@ -1,7 +1,9 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hadamard_spaces import linalg
 from hadamard_spaces.linalg import (KERNEL_PRIMES, QMatrix, clear_denominators,
@@ -174,39 +176,46 @@ def _random_integer_matrix(rng, kind, bits):
 
 
 def test_modular_kernel_matches_bareiss(monkeypatch):
-    mod_calls = _count_calls(monkeypatch, "_kernel_mod_p")
+    lift_calls = _count_calls(monkeypatch, "_lift")
     bareiss_calls = _count_calls(monkeypatch, "_bareiss_echelon")
     rng = random.Random(11)
-    primes_used = []
+    steps_used = []
     kinds = ("low_rank", "tall", "wide", "mixed")
     for trial in range(320):
         kind = kinds[trial % 4]
         bits = (3, 40, 120, 300)[trial // 4 % 4]
         rows = _random_integer_matrix(rng, kind, bits)
         expected = _bareiss_kernel(rows)
-        del mod_calls[:], bareiss_calls[:]
+        del lift_calls[:], bareiss_calls[:]
         assert integer_kernel_basis(rows) == expected, rows
         if rows and not bareiss_calls:
-            primes_used.append(len(mod_calls))
+            # Lifting steps of the slowest kernel vector (args[0] is its
+            # free column); 0 for an empty kernel.
+            steps_used.append(max(Counter(args[0] for args in lift_calls).values(), default=0))
         if kind == "tall":
             # Random tall matrices have full column rank: an empty kernel.
             assert expected == []
-    # Most kernels are certified from the primes, some only after several.
-    assert len(primes_used) > 250
-    assert sum(1 for k in primes_used if k >= 3) >= 10
+    # Most kernels are certified p-adically, some only after several steps.
+    assert len(steps_used) > 250
+    assert sum(1 for k in steps_used if k >= 3) >= 10
 
 
 def test_modular_kernel_unlucky_first_prime(monkeypatch):
     # Mod the first prime these matrices lose a pivot: its kernel vectors
-    # are wrong over Q and must be caught by the exact check.
+    # are wrong over Q and must be caught by the exact check, and the
+    # second prime answers.
     p0 = KERNEL_PRIMES[0]
     bareiss_calls = _count_calls(monkeypatch, "_bareiss_echelon")
+    factor_calls = _count_calls(monkeypatch, "_factor_mod_p")
     assert integer_kernel_basis([[p0, 1]]) == [(Fraction(-1, p0), Fraction(1))]
     assert integer_kernel_basis([[p0, 1], [0, 1]]) == []
     rows = [[p0, 1, 0], [3 * p0, 3, 0], [0, p0, 1]]
     assert integer_kernel_basis(rows) == [(Fraction(1, p0 * p0), Fraction(-1, p0), Fraction(1))]
     assert rows == [[p0, 1, 0], [3 * p0, 3, 0], [0, p0, 1]]
-    assert bareiss_calls == []
+    # Mod p0 the rows coincide, and the lifted vector (-1, 1) solves the
+    # pivot row exactly: only the check against the other row refuses it.
+    assert integer_kernel_basis([[1, 1], [1, 1 + p0]]) == []
+    assert bareiss_calls == [] and len(factor_calls) == 4 * 2
 
 
 def test_modular_kernel_falls_back_to_bareiss(monkeypatch):
@@ -216,13 +225,37 @@ def test_modular_kernel_falls_back_to_bareiss(monkeypatch):
     for p in KERNEL_PRIMES:
         big *= p
     bareiss_calls = _count_calls(monkeypatch, "_bareiss_echelon")
-    mod_calls = _count_calls(monkeypatch, "_kernel_mod_p")
+    factor_calls = _count_calls(monkeypatch, "_factor_mod_p")
     assert integer_kernel_basis([[big, 2 * big], [3 * big, 4 * big]]) == []
-    assert len(mod_calls) == len(KERNEL_PRIMES) and len(bareiss_calls) == 1
-    del mod_calls[:], bareiss_calls[:]
+    assert len(factor_calls) == len(KERNEL_PRIMES) and len(bareiss_calls) == 1
+    del factor_calls[:], bareiss_calls[:]
     rows = [[big, 2 * big, 5 * big], [big, 3 * big, 7 * big]]
     assert integer_kernel_basis(rows) == [(Fraction(-1), Fraction(-2), Fraction(1))]
-    assert len(mod_calls) == len(KERNEL_PRIMES) and len(bareiss_calls) == 1
+    assert len(factor_calls) == len(KERNEL_PRIMES) and len(bareiss_calls) == 1
+
+
+def _matrices(nr, nc, entries):
+    return st.lists(st.lists(entries, min_size=nc, max_size=nc), min_size=nr, max_size=nr)
+
+
+@st.composite
+def _big_integer_matrices(draw):
+    """1-8 rows and columns, entries up to 2^300; half of them products
+    through k < min(shape) columns (k = 1 for a single row or column), so
+    rank-deficient with structured kernels."""
+    nr, nc = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    entries = st.integers(-2 ** 300, 2 ** 300)
+    if draw(st.booleans()):
+        return draw(_matrices(nr, nc, entries))
+    k = draw(st.integers(1, max(1, min(nr, nc) - 1)))
+    left, right = draw(_matrices(nr, k, entries)), draw(_matrices(k, nc, st.integers(-9, 9)))
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] for row in left]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_big_integer_matrices())
+def test_integer_kernel_basis_matches_bareiss_fuzzed(rows):
+    assert integer_kernel_basis(rows) == _bareiss_kernel(rows)
 
 
 def _is_prime(n):

@@ -6,7 +6,7 @@ from math import comb
 import pytest
 
 from hadamard_spaces.line_powers import line_power_matrix, power_hyperplane
-from hadamard_spaces.linalg import PreconditionError
+from hadamard_spaces.linalg import PreconditionError, clear_denominators
 from hadamard_spaces import products
 from hadamard_spaces.papersuite import random_space
 from hadamard_spaces.poly import proportional
@@ -15,7 +15,8 @@ from hadamard_spaces.products import (expected_dimension, gen_vandermonde,
                                       identifiability_regime_bound,
                                       interpolate_forms, interpolate_hypersurface,
                                       span_dimension_formula, terracini_span)
-from hadamard_spaces.projective import LinSpace, PPoint, all_ones_point, line_through, pluecker
+from hadamard_spaces.projective import (SAMPLE_COEFF_BOUND, LinSpace, PPoint, all_ones_point,
+                                        line_through, pluecker)
 from hadamard_spaces.samplers import (hadamard_power_sampler,
                                       hadamard_product_sampler,
                                       linear_space_sampler, reciprocal_sampler,
@@ -370,3 +371,79 @@ def test_sample_point_is_the_point_of_sample(monkeypatch):
         for seed in seeds:
             light = random.Random(seed)
             assert (sampler.sample_point(light).coords, light.getstate()) == expected[i, seed]
+
+
+def _fraction_space_point(space, rng, avoid_delta=None):
+    """Oracle: a point of the space combined from its Fraction generator
+    rows, with the draws and redraws of `projective.sample_point`."""
+    gens = space.generators
+    while True:
+        coeffs = [rng.randint(-SAMPLE_COEFF_BOUND, SAMPLE_COEFF_BOUND) for _ in range(gens.nrows)]
+        coords = [sum(c * row[j] for c, row in zip(coeffs, gens.rows)) for j in range(gens.ncols)]
+        if any(coords) and (avoid_delta is None or sum(map(bool, coords)) - 1 > avoid_delta):
+            return coords
+
+
+def _fraction_point(spec, rng):
+    """Oracle: the coordinates of the sampler built from `spec`, in
+    Fractions, drawing the same random values as the package's sampler."""
+    kind = spec[0]
+    if kind == "linear":
+        return _fraction_space_point(spec[1], rng)
+    if kind == "reciprocal":
+        base = _fraction_space_point(spec[1], rng, avoid_delta=spec[1].ambient_dim - 1)
+        return [Fraction(1) / x for x in base]
+    if kind == "segre":
+        while True:
+            u = [rng.randint(-1000, 1000) for _ in range(spec[1] + 1)]
+            v = [rng.randint(-1000, 1000) for _ in range(spec[2] + 1)]
+            if all(u) and all(v):
+                return [Fraction(ui * vj) for ui in u for vj in v]
+    while True:
+        p, q = _fraction_point(spec[1], rng), _fraction_point(spec[2], rng)
+        coords = [a * b for a, b in zip(p, q)]
+        if any(coords):
+            return coords
+
+
+def _sampler_of(spec):
+    kind = spec[0]
+    if kind == "linear":
+        return linear_space_sampler(spec[1])
+    if kind == "reciprocal":
+        return reciprocal_sampler(spec[1])
+    if kind == "segre":
+        return segre_sampler(spec[1], spec[2])
+    return hadamard_product_sampler(_sampler_of(spec[1]), _sampler_of(spec[2]))
+
+
+def test_integer_first_points_match_the_fraction_route():
+    # The samplers of test_sample_point_is_the_point_of_sample (a power is
+    # a chain of products) over integer generators and over generators with
+    # denominators, so the spaces' common lcm is not always 1.
+    rng = random.Random(60)
+    for scaled in (False, True):
+        line, other = random_space(1, 3, rng), random_space(1, 3, rng)
+        plane = random_space(2, 3, rng)
+        if scaled:
+            line, other, plane = (LinSpace([[x / rng.randint(1, 9) for x in row]
+                                            for row in space.generators.rows])
+                                  for space in (line, other, plane))
+        linear, recip, segre = ("linear", line), ("reciprocal", plane), ("segre", 1, 1)
+        specs = [
+            linear, recip, segre, ("segre", 2, 3),
+            ("product", linear, recip),
+            ("product", segre, ("linear", other)),
+            ("product", ("product", linear, linear), linear),
+            ("product", ("product", linear, recip), ("product", linear, recip)),
+            ("product", ("product", recip, recip), segre),
+        ]
+        for spec in specs:
+            sampler = _sampler_of(spec)
+            for seed in range(4):
+                oracle, light, full = (random.Random(seed) for _ in range(3))
+                key = clear_denominators(_fraction_point(spec, oracle))
+                for point in (sampler.sample_point(light), sampler.sample(full)[0]):
+                    assert point.canonical() == key, spec
+                    assert not any(isinstance(x, float) for x in point.coords)
+                assert light.getstate() == full.getstate() == oracle.getstate()

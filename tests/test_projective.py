@@ -33,6 +33,19 @@ def test_projective_equality_and_canonical():
     assert PPoint(["-1/2", 1]).canonical() == (1, -2)
 
 
+def test_int_coordinates_stay_ints_with_the_same_key():
+    p = PPoint([-2, 4, 0, 6])
+    assert [type(x) for x in p.coords] == [int] * 4 and p.canonical() == (1, -2, 0, -3)
+    assert type(PPoint([True, 2]).coords[0]) is Fraction
+    rng = random.Random("int-key")
+    for _ in range(200):
+        ints = random_vector(rng, rng.randint(0, 4), "int")
+        as_fractions = PPoint([Fraction(x) for x in ints])
+        mixed = PPoint([Fraction(x) if j % 2 else x for j, x in enumerate(ints)])
+        assert PPoint(ints).canonical() == as_fractions.canonical() == mixed.canonical()
+        assert PPoint(ints) == as_fractions and hash(PPoint(ints)) == hash(as_fractions)
+
+
 def test_delta_index():
     assert PPoint([0, 0, 0, 1]).delta_index() == 0
     assert PPoint([1, 0, 0, 1]).delta_index() == 1
