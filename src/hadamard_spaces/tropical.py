@@ -12,11 +12,11 @@ lattice index is 1 and every meet test is a sign comparison."""
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from itertools import combinations
-from math import comb, factorial, prod
+from math import comb, factorial, isqrt, prod
 
-from .linalg import PreconditionError
+from .linalg import BudgetExhausted, PreconditionError
 from .projective import LinSpace, PPoint
 
 # ---------------------------------------------------------------------------
@@ -191,13 +191,14 @@ def minkowski_sum(fans, delta=1):
         raise PreconditionError("sum of fan dimensions %d exceeds ambient %d" % (total_dim, n))
     mults = {(frozenset(), frozenset()): 1}
     for fan in fans:
+        factors = [(cone.support, cone.plus, cone.minus, cone.mult) for cone in fan.cones]
         folded = {}
         for (plus, minus), mult in mults.items():
-            for cone in fan.cones:
-                if cone.support & (plus | minus):
-                    continue
-                key = (plus | cone.plus, minus | cone.minus)
-                folded[key] = folded.get(key, 0) + mult * cone.mult
+            used = plus | minus
+            for support, cplus, cminus, cmult in factors:
+                if support.isdisjoint(used):
+                    key = (plus | cplus, minus | cminus)
+                    folded[key] = folded.get(key, 0) + mult * cmult
         mults = folded
     cones = [SignedCone(p, m, c) for (p, m), c in mults.items()]
     weight = reduce(lambda acc, f: acc * f.global_weight, fans, Fraction(1, delta))
@@ -244,31 +245,40 @@ def draw_generic_vector(n, rng):
     p1*q2 = p2*q1 and hence p1 = q1 by unique factorization: the
     coordinates are always pairwise distinct.
     """
-    primes = _first_primes_from(1009, 2 * (n + 1))
+    primes = list(_first_primes_from(1009, 2 * (n + 1)))
     rng.shuffle(primes)
     return tuple(Fraction(primes[2 * i], primes[2 * i + 1]) for i in range(n + 1))
 
 
+@cache
 def _first_primes_from(start, count):
     out = []
     x = start
     while len(out) < count:
-        if all(x % p for p in range(2, int(x ** 0.5) + 1)):
+        if all(x % p for p in range(2, isqrt(x) + 1)):
             out.append(x)
         x += 1
-    return out
+    return tuple(out)
 
 
 def stable_mult_origin(fan_f, fan_g, v, record=None):
     """Multiplicity of the origin in the stable intersection of two fans.
 
     Sums mult(sigma1) * mult(sigma2) * lattice index (always 1) over facet
-    pairs of complementary span whose shifted cones meet, times both global
-    weights.  The displacement v is validated, not trusted: its coordinates
-    must be pairwise distinct, otherwise NonGenericVector is raised.  Then
-    every meeting is transversal and in relative interiors (see
-    cone_pair_meets).  A list passed as `record` collects the contributing
-    pairs as (sigma1, sigma2, 1).
+    pairs whose shifted cones meet, times both global weights.  The
+    displacement v must have pairwise distinct coordinates (else
+    NonGenericVector); then every meeting is transversal and in relative
+    interiors.  A list passed as `record` collects the contributing pairs
+    as (sigma1, sigma2, 1), in fan_f and then fan_g order.
+
+    Each sigma1 and uncovered coordinate c0 has at most one partner, which
+    is looked up.  Overlapping supports meet only shifts with two equal
+    coordinates, so sigma2 covers all but sigma1 and c0, and by
+    cone_pair_meets it meets iff v_i > v_c0 on plus1 and minus2 and
+    v_i < v_c0 on minus1 and plus2: v_c0 lies between sigma1's largest
+    minus and smallest plus coordinate, and plus2 = {j : v_j < v_c0},
+    minus2 = {j : v_j > v_c0}.  The lookup key keeps the signs (cones of a
+    Minkowski sum can share a support); cone_pair_meets decides each hit.
     """
     n = fan_f.ambient_dim
     if fan_g.ambient_dim != n:
@@ -281,16 +291,21 @@ def stable_mult_origin(fan_f, fan_g, v, record=None):
         raise ValueError("displacement vector has wrong length")
     if len({Fraction(x) for x in v}) != n + 1:
         raise NonGenericVector("displacement coordinates are not pairwise distinct")
+    order = sorted(range(n + 1), key=v.__getitem__)
+    rank = {i: r for r, i in enumerate(order)}
+    index = {(c.plus, c.minus): (pos, c) for pos, c in enumerate(fan_g.cones)}
     total = 0
     for cone1 in fan_f.cones:
-        for cone2 in fan_g.cones:
-            # Overlapping supports span less than the whole space; such a
-            # pair meets only shifts with two equal coordinates.
-            if cone1.support & cone2.support or not cone_pair_meets(cone1, cone2, v, n):
-                continue
-            total += cone1.mult * cone2.mult
-            if record is not None:
-                record.append((cone1, cone2, 1))
+        low = max((rank[i] for i in cone1.minus), default=-1)
+        high = min((rank[i] for i in cone1.plus), default=n + 1)
+        rest = [i for i in order if i not in cone1.plus and i not in cone1.minus]
+        keys = [(frozenset(rest[:k]), frozenset(rest[k + 1:]))
+                for k, c0 in enumerate(rest) if low < rank[c0] < high]
+        for _, cone2 in sorted(index[key] for key in keys if key in index):
+            if cone_pair_meets(cone1, cone2, v, n):
+                total += cone1.mult * cone2.mult
+                if record is not None:
+                    record.append((cone1, cone2, 1))
     return total * fan_f.global_weight * fan_g.global_weight
 
 
@@ -304,28 +319,29 @@ def stable_mult_origin_auto(fan_f, fan_g, rng, record=None):
     pairs = None if record is None else []
     result = stable_mult_origin(fan_f, fan_g, v, record=pairs)
     if record is not None:
-        record["displacement"] = v
-        record["pairs"] = pairs
+        record.update(displacement=v, pairs=pairs)
     return result
 
 
 # ---------------------------------------------------------------------------
 # closed-form degrees and the fan pipeline they are checked against
 
+#: Most cone coordinates fan_degree_pipeline enumerates: n + 1 times the
+#: Minkowski sum's prod binom(n+1, m_k) ** r_k factorizations and n + 1
+#: times the complement's binom(n+1, n - dim) cones must each stay within
+#: it.  For n >= 1 one of the two counts is >= n + 1 (the complement's when
+#: dim < n, else a factor's with 1 <= m_k <= n), so (n + 1) ** 2 is a
+#: lower bound that refuses a large n before any binomial is formed.
+FAN_BUDGET = 10 ** 6
+
 
 def _multinomial(parts):
-    total = sum(parts)
-    out = factorial(total)
-    for p in parts:
-        out //= factorial(p)
-    return out
+    return factorial(sum(parts)) // prod(factorial(p) for p in parts)
 
 
 def genericity_bound(plain, reciprocal=()):
     """Smallest ambient dimension for which the degree formulas are proven."""
-    bound = prod(comb(m + r, r) for m, r in plain) if plain else 1
-    bound *= prod(comb(m + s, s) for m, s in reciprocal) if reciprocal else 1
-    return bound - 1
+    return prod(comb(m + r, r) for m, r in [*plain, *reciprocal]) - 1
 
 
 def _factor_dims(plain, reciprocal, n):
@@ -364,9 +380,7 @@ def degree_with_reciprocals(plain, reciprocal, n):
     plain, reciprocal, m, mt = _factor_dims(plain, reciprocal, n)
     d = _multinomial([mk for mk, r in plain for _ in range(r)])
     dt = _multinomial([mk for mk, s in reciprocal for _ in range(s)])
-    degree = Fraction(comb(n - m, mt) * d * dt)
-    for _, r in plain + reciprocal:
-        degree /= factorial(r)
+    degree = Fraction(comb(n - m, mt) * d * dt, prod(factorial(r) for _, r in plain + reciprocal))
     bound = genericity_bound(plain, reciprocal)
     if n < bound:
         warnings.warn("ambient dimension %d is below the genericity bound %d "
@@ -381,9 +395,15 @@ def fan_degree_pipeline(plain, reciprocal, n, rng, transcript=False):
     reciprocal ones), forms their Minkowski sum scaled by 1/delta with
     delta = prod(r_k!) * prod(s_l!), and measures the multiplicity of the
     origin against the complementary standard fan.  Entirely independent of
-    the closed-form route, which it is used to cross-check.
+    the closed-form route, which it is used to cross-check.  Past FAN_BUDGET
+    it raises BudgetExhausted before building any fan.
     """
     plain, reciprocal, m, mt = _factor_dims(plain, reciprocal, n)
+    if (n + 1) ** 2 > FAN_BUDGET or (n + 1) * max(
+            prod(comb(n + 1, mk) ** r for mk, r in plain + reciprocal),
+            comb(n + 1, n - m - mt)) > FAN_BUDGET:
+        raise BudgetExhausted("the fans in P^%d exceed the budget of %d cone coordinates"
+                              % (n, FAN_BUDGET))
     fans = []
     delta = 1
     for mk, r in plain:
@@ -398,8 +418,5 @@ def fan_degree_pipeline(plain, reciprocal, n, rng, transcript=False):
     degree = stable_mult_origin_auto(summed, complement, rng, record=record)
     result = {"dim": m + mt, "degree": degree}
     if transcript:
-        result["fan"] = summed
-        result["complement"] = complement
-        result["delta"] = delta
-        result.update(record)
+        result.update(fan=summed, complement=complement, delta=delta, **record)
     return result

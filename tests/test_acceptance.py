@@ -4,13 +4,19 @@ Every check is exact (tolerance zero).  The check logic lives in
 `hadamard_spaces.papersuite`, shared with the `paper-suite` subcommand; this
 module holds the instance grids and seeds and reports on them.  Run with
 `pytest tests/test_acceptance.py -v -s` to see the per-criterion lines as
-they complete.
+they complete.  One more test pins the `degree --transcript` output on the
+degree grids of criteria 5 and 6.
 """
 
+import hashlib
+import io
+import json
 import random
+import sys
 import time
 from math import comb
 
+from hadamard_spaces import cli
 from hadamard_spaces import papersuite as suite
 
 
@@ -75,37 +81,39 @@ def dim_mult_multisets(max_total):
     return sorted(found)
 
 
+def criterion_05_grid():
+    """(plain, reciprocal, n): multisets of total dimension <= 5, n <= 8."""
+    return [(entries, (), n) for entries in dim_mult_multisets(5)
+            for n in range(sum(m * r for m, r in entries), 9)]
+
+
+def criterion_06_grid():
+    """(plain, reciprocal, n): total dimension <= 4 with a reciprocal factor, n <= 6."""
+    grid = []
+    for plain in [()] + dim_mult_multisets(3):
+        for recip in dim_mult_multisets(4):
+            total = sum(a * b for a, b in plain + recip)
+            if total <= 4:
+                grid.extend((plain, recip, n) for n in range(total, 7))
+    return grid
+
+
 def test_criterion_05_degree_formula_vs_fans():
     rng = random.Random(105)
-    ok = True
-    instances = 0
-    for entries in dim_mult_multisets(5):
-        m_total = sum(m * r for m, r in entries)
-        for n in range(m_total, 9):
-            ok = ok and suite.degree_by_both_routes(list(entries), [], n, rng) is not None
-            instances += 1
+    grid = criterion_05_grid()
+    ok = all([suite.degree_by_both_routes(list(plain), [], n, rng) is not None
+              for plain, _, n in grid])
     spots_ok, spots = suite.check_degree_formulas(rng)
     report(5, ok and spots_ok, "closed-form degree equals the Minkowski-sum/stable-"
                                "intersection pipeline on all %d multiset instances (sum "
-                               "of dims <= 5, n <= 8); spot values %s" % (instances, spots))
+                               "of dims <= 5, n <= 8); spot values %s" % (len(grid), spots))
 
 
 def test_criterion_06_reciprocal_degrees():
     rng = random.Random(106)
-    ok = True
-    instances = 0
-    plain_sets = [()] + dim_mult_multisets(3)
-    recip_sets = dim_mult_multisets(4)
-    for plain in plain_sets:
-        m = sum(a * b for a, b in plain)
-        for recip in recip_sets:
-            mt = sum(a * b for a, b in recip)
-            if m + mt > 4:
-                continue
-            for n in range(m + mt, 7):
-                ok = ok and suite.degree_by_both_routes(list(plain), list(recip), n,
-                                                        rng) is not None
-                instances += 1
+    grid = criterion_06_grid()
+    ok = all([suite.degree_by_both_routes(list(plain), list(recip), n, rng) is not None
+              for plain, recip, n in grid])
     # Hypersurface cases against the interpolation oracle.
     plane = suite.random_space(2, 3, rng)
     line_a, line_b = suite.random_space(1, 3, rng), suite.random_space(1, 3, rng)
@@ -114,7 +122,25 @@ def test_criterion_06_reciprocal_degrees():
                     for n in range(2, 7))
     report(6, ok, "reciprocal degree formula equals the fan pipeline on %d instances; "
                   "interpolated degrees: reciprocal plane 3, line*reciprocal line 2; "
-                  "reciprocal lines have degree n" % instances)
+                  "reciprocal lines have degree n" % len(grid))
+
+
+#: sha256 over the concatenated `degree --transcript --seed 1` stdouts of the
+#: criterion 5 and 6 grids, in grid order, recorded while stable intersection
+#: still tested every cone pair.
+DEGREE_TRANSCRIPTS_SHA256 = "d6058cf88ac9121a2c2239f792f502f3ea4e0436295f43b7c1e0f1b86aff65a9"
+
+
+def test_degree_transcripts_byte_identical(monkeypatch, capsys):
+    digest = hashlib.sha256()
+    for plain, recip, n in criterion_05_grid() + criterion_06_grid():
+        payload = {"plain": [list(x) for x in plain], "n": n}
+        if recip:
+            payload["reciprocal"] = [list(x) for x in recip]
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(payload)))
+        assert cli.main(["degree", "--transcript", "--seed", "1"]) == 0
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == DEGREE_TRANSCRIPTS_SHA256
 
 
 def test_criterion_07_deficient_dimension():

@@ -49,6 +49,22 @@ def test_degree_dimension_above_n_exit_2(flags):
     assert "exceeds ambient" in json.loads(proc.stderr)["error"]["message"]
 
 
+def test_degree_transcript_budget_exit_3():
+    # The complement fan alone would have binom(2001, 1998) cones.
+    proc = run_cli("degree", {"plain": [[1, 1], [1, 1]], "n": 2000}, "--transcript")
+    assert proc.returncode == 3 and proc.stdout == ""
+    error = json.loads(proc.stderr)["error"]
+    assert error["code"] == 3 and "1000000" in error["message"]
+    assert run_cli("degree", {"plain": [[1, 1], [1, 1]], "n": 2000}).returncode == 0
+
+
+def test_degree_transcript_two_lines_in_p40():
+    proc = run_cli("degree", {"plain": [[1, 1], [1, 1]], "n": 40}, "--transcript")
+    assert proc.returncode == 0
+    doc = json.loads(proc.stdout)
+    assert doc["transcript"]["fan_degree"] == doc["degree"] == "2"
+
+
 def test_degree_negative_n_exit_1():
     proc = run_cli("degree", {"plain": [[1, 1]], "n": -1})
     assert proc.returncode == 1 and proc.stdout == ""

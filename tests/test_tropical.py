@@ -6,7 +6,8 @@ from math import comb, factorial, prod
 
 import pytest
 
-from hadamard_spaces.linalg import PreconditionError, smith_normal_form
+from hadamard_spaces import tropical
+from hadamard_spaces.linalg import BudgetExhausted, PreconditionError, smith_normal_form
 from hadamard_spaces.tropical import (NonGenericVector, SignedCone, SignedConeFan,
                                       _quotient_rep, cone_pair_meets,
                                       degree_linear_products,
@@ -138,6 +139,30 @@ def _minkowski_oracle(fans):
             continue
         mults[(plus, minus)] = mults.get((plus, minus), 0) + prod(c.mult for c in combo)
     return mults
+
+
+def _all_pairs_oracle(fan_f, fan_g, v):
+    """Stable intersection by testing every cone pair: (total, record)."""
+    n = fan_f.ambient_dim
+    total, record = 0, []
+    for cone1 in fan_f.cones:
+        for cone2 in fan_g.cones:
+            if cone1.support & cone2.support or not cone_pair_meets(cone1, cone2, v, n):
+                continue
+            total += cone1.mult * cone2.mult
+            record.append((cone1, cone2, 1))
+    return total * fan_f.global_weight * fan_g.global_weight, record
+
+
+def _first_primes_by_float_sqrt(start, count):
+    """Reference prime search, bounded by a float square root."""
+    out = []
+    x = start
+    while len(out) < count:
+        if all(x % p for p in range(2, int(x ** 0.5) + 1)):
+            out.append(x)
+        x += 1
+    return out
 
 
 def _random_signs(rng, support):
@@ -355,6 +380,117 @@ def test_stable_mult_validation():
     bad_v = (Fraction(1), Fraction(1), Fraction(2), Fraction(3))
     with pytest.raises(NonGenericVector):
         stable_mult_origin(standard_tls(1, 3), standard_tls(2, 3), bad_v)
+
+
+def _mixed_fan(rng, m, n):
+    """A fan of dimension m: standard, negated, or a Minkowski sum of
+    standard and negated factors (mixed signs, shared supports)."""
+    kind = rng.randrange(3)
+    if kind == 0 or m < 2:
+        fan = standard_tls(m, n)
+        return negate_fan(fan) if kind == 1 else fan
+    split = rng.randint(1, m - 1)
+    return minkowski_sum([standard_tls(split, n), negate_fan(standard_tls(m - split, n))],
+                         delta=rng.randint(1, 2))
+
+
+def _random_signed_fan(rng, m, n):
+    """Random signed cones of dimension m with random multiplicities: the
+    plus sets differ in size, so one sigma1 can meet several of them."""
+    cones = {}
+    for _ in range(rng.randint(1, 3 * (n + 1))):
+        cone = _random_signs(rng, rng.sample(range(n + 1), m))
+        cones[cone.sort_key()] = SignedCone(cone.plus, cone.minus, rng.randint(1, 3))
+    return SignedConeFan(n, m, list(cones.values()), Fraction(rng.randint(1, 3), rng.randint(1, 3)))
+
+
+def _displacements(rng, n):
+    yield draw_generic_vector(n, rng)
+    yield tuple(Fraction(x) for x in rng.sample(range(-20, 21), n + 1))
+    yield tuple(Fraction(rng.randint(1, 50), d) for d in rng.sample(range(1, 99), n + 1))
+
+
+def test_stable_mult_lookup_matches_all_pairs_oracle():
+    rng = random.Random(71)
+    hits = several = 0
+    for _ in range(150):
+        n = rng.randint(1, 7)
+        m = rng.randint(0, n)
+        for fan_f, fan_g in [(_mixed_fan(rng, m, n), _mixed_fan(rng, n - m, n)),
+                             (_random_fan(rng, m, n), _random_fan(rng, n - m, n)),
+                             (_random_signed_fan(rng, m, n), _random_signed_fan(rng, n - m, n))]:
+            for v in _displacements(rng, n):
+                if len(set(v)) <= n:
+                    continue  # a tie of the Fraction draw: not generic
+                record = []
+                total = stable_mult_origin(fan_f, fan_g, v, record=record)
+                assert (total, record) == _all_pairs_oracle(fan_f, fan_g, v)
+                hits += len(record)
+                firsts = [cone1 for cone1, _, _ in record]
+                several += any(firsts.count(c) > 1 for c in firsts)
+    assert hits > 500 and several > 20
+
+
+def test_stable_mult_lookup_keys_on_signs():
+    # Two cones of fan_g share the support {0, 1}; only the signs tell them apart.
+    fan_g = SignedConeFan(3, 2, [SignedCone(frozenset([0]), frozenset([1])),
+                                 SignedCone(frozenset([1]), frozenset([0]))])
+    fan_f = standard_tls(1, 3)
+    for v, partner in [((0, 3, 2, 1), fan_g.cones[0]), ((3, 0, 2, 1), fan_g.cones[1])]:
+        v = tuple(Fraction(x) for x in v)
+        record = []
+        assert stable_mult_origin(fan_f, fan_g, v, record=record) == 1
+        assert record == [(SignedCone(frozenset([2]), frozenset()), partner, 1)]
+        assert (1, record) == _all_pairs_oracle(fan_f, fan_g, v)
+    # Both sign patterns of each support in one Minkowski sum, against three complements.
+    mixed = minkowski_sum([standard_tls(1, 4), negate_fan(standard_tls(1, 4))])
+    rng = random.Random(72)
+    for fan_f in (standard_tls(2, 4), negate_fan(standard_tls(2, 4)), mixed):
+        for _ in range(10):
+            v = draw_generic_vector(4, rng)
+            record = []
+            total = stable_mult_origin(fan_f, mixed, v, record=record)
+            assert (total, record) == _all_pairs_oracle(fan_f, mixed, v)
+
+
+def test_draw_generic_vector_matches_float_sqrt_prime_search():
+    for seed in range(5):
+        new, old = random.Random(seed), random.Random(seed)
+        for n in range(10):
+            primes = _first_primes_by_float_sqrt(1009, 2 * (n + 1))
+            old.shuffle(primes)
+            want = tuple(Fraction(primes[2 * i], primes[2 * i + 1]) for i in range(n + 1))
+            assert draw_generic_vector(n, new) == want
+            assert new.getstate() == old.getstate()
+    first = tropical._first_primes_from(1009, 20)
+    assert first == tuple(_first_primes_by_float_sqrt(1009, 20))
+    assert tropical._first_primes_from(1009, 20) is first
+
+
+def test_fan_pipeline_budget(monkeypatch):
+    rng = random.Random(73)
+    # Refused at once: the binomials of these would take seconds to form.
+    for plain, n in [([(1, 1), (1, 1)], 2000), ([(500000, 1)], 10 ** 6), ([(1, 10 ** 6)], 10 ** 6)]:
+        with pytest.raises(BudgetExhausted):
+            fan_degree_pipeline(plain, [], n, rng)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert fan_degree_pipeline([(1, 1), (1, 1)], [], 40, rng)["degree"] == 2
+        # Cone coordinates: (4+1) * 5^3 = 625 and (16+1) * binom(17, 15) = 2312.
+        monkeypatch.setattr(tropical, "FAN_BUDGET", 2312)
+        assert fan_degree_pipeline([(1, 1)] * 3, [], 4, rng)["degree"] == 6
+        assert fan_degree_pipeline([(1, 1)], [], 16, rng)["degree"] == 1
+    monkeypatch.setattr(tropical, "FAN_BUDGET", 624)
+    with pytest.raises(BudgetExhausted):  # the Minkowski sum is over, the complement not
+        fan_degree_pipeline([(1, 1)] * 3, [], 4, rng)
+    monkeypatch.setattr(tropical, "FAN_BUDGET", 2311)
+    with pytest.raises(BudgetExhausted):  # the complement is over, the Minkowski sum not
+        fan_degree_pipeline([(1, 1)], [], 16, rng)
+    # A point in P^n: one Minkowski cone, but n + 1 complement cones of n coordinates each.
+    monkeypatch.setattr(tropical, "FAN_BUDGET", 10 ** 6)
+    assert fan_degree_pipeline([(0, 1)], [], 998, rng)["degree"] == 1
+    with pytest.raises(BudgetExhausted):
+        fan_degree_pipeline([(0, 1)], [], 1000, rng)
 
 
 def test_draw_generic_vector_distinct():
