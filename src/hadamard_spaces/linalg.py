@@ -91,11 +91,19 @@ def is_rational_literal(value):
 
 
 def rat_str(q: Fraction) -> str:
-    """Canonical 'num/den' string; the '/1' is omitted for integers."""
+    """Canonical 'num/den' string; the '/1' is omitted for integers.
+
+    A numerator or denominator past Python's int-to-str digit limit raises
+    BudgetExhausted instead of the ValueError of `str`.
+    """
     q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return "%d/%d" % (q.numerator, q.denominator)
+    try:
+        if q.denominator == 1:
+            return str(q.numerator)
+        return "%d/%d" % (q.numerator, q.denominator)
+    except ValueError:
+        raise BudgetExhausted("a number is too long to print: it exceeds Python's "
+                              "int-to-str digit limit") from None
 
 
 def clear_denominators(vec):

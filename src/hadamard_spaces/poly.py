@@ -7,6 +7,7 @@ count is fixed per polynomial and operations require it to agree.
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from .linalg import is_rational_literal, rat, rat_str
 
@@ -222,3 +223,23 @@ def monomials_of_degree(nvars, d):
         return [()] if d == 0 else []
     rec((), d, nvars)
     return out
+
+
+def monomial_products(vectors, d):
+    """The entrywise products prod_k vectors[k] ** e_k, one per exponent
+    tuple e of `monomials_of_degree(len(vectors), d)`, in that order.
+
+    Built degree by degree: the product for e is the one for e minus a unit
+    at its first nonzero slot k, times vectors[k].  Every degree-j tuple has
+    one such parent, so each product costs one entrywise multiplication.
+    """
+    n = len(vectors)
+    level = {(0,) * n: (1,) * len(vectors[0])}
+    for _ in range(d):
+        nxt = {}
+        for e, row in level.items():
+            first = next((k for k, x in enumerate(e) if x), n - 1)
+            for k in range(first + 1):
+                nxt[e[:k] + (e[k] + 1,) + e[k + 1:]] = tuple(map(mul, row, vectors[k]))
+        level = nxt
+    return [level[e] for e in monomials_of_degree(n, d)]

@@ -15,11 +15,10 @@ on the samples, not approximately.
 """
 
 import warnings
-from fractions import Fraction
 from math import comb, prod
 
 from .linalg import PreconditionError, QMatrix, integer_kernel_basis
-from .poly import SparsePoly, monomials_of_degree
+from .poly import SparsePoly, monomial_products, monomials_of_degree
 from .projective import LinSpace, sample_point
 
 #: Oversampling margin for interpolation: extra rows beyond the monomial
@@ -47,15 +46,7 @@ def gen_vandermonde(entries):
             raise ValueError("multiplicities must be >= 1")
         if space.generators.ncols != width:
             raise ValueError("ambient dimensions differ")
-        gens = space.generators.rows
-        block = []
-        for expo in monomials_of_degree(len(gens), mult):
-            row = [Fraction(1)] * width
-            for g, e in zip(gens, expo):
-                if e:
-                    row = [x * v ** e for x, v in zip(row, g)]
-            block.append(tuple(row))
-        blocks.append(block)
+        blocks.append(monomial_products(space.generators.rows, mult))
     rows = blocks[0]
     for block in blocks[1:]:
         rows = [tuple(x * y for x, y in zip(row, other)) for row in rows for other in block]
@@ -170,25 +161,16 @@ def expected_dimension(dim_x, dim_y, dim_h, dim_g):
     return min(dim_x + dim_y - dim_h, dim_g)
 
 
-def _evaluation_rows(sampler, monomials, count, rng):
-    """Integer evaluation matrix: one row per sample, one column per monomial.
+def _evaluation_rows(sampler, d, count, rng):
+    """Integer evaluation matrix: one row per sample, one column per
+    degree-d monomial in `monomials_of_degree` order.
 
     Samples are reduced to canonical integer coordinates first (projectively
     harmless), so the whole matrix is integral and the kernel computation can
     run fraction-free.
     """
-    rows = []
-    for _ in range(count):
-        coords = sampler.sample_point(rng).canonical()
-        row = []
-        for expo in monomials:
-            v = 1
-            for x, e in zip(coords, expo):
-                if e:
-                    v *= x ** e
-            row.append(v)
-        rows.append(row)
-    return rows
+    points = [sampler.sample_point(rng).canonical() for _ in range(count)]
+    return list(zip(*monomial_products(list(zip(*points)), d)))
 
 
 def interpolate_forms(sampler, d, rng):
@@ -203,7 +185,7 @@ def interpolate_forms(sampler, d, rng):
     n = sampler.ambient_dim
     monomials = monomials_of_degree(n + 1, d)
     count = len(monomials) + (len(monomials) * OVERSAMPLE_NUM + OVERSAMPLE_DEN - 1) // OVERSAMPLE_DEN
-    rows = _evaluation_rows(sampler, monomials, count, rng)
+    rows = _evaluation_rows(sampler, d, count, rng)
     forms = []
     for vec in integer_kernel_basis(rows):
         poly = SparsePoly(n + 1, dict(zip(monomials, vec)))

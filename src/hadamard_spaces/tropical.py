@@ -373,14 +373,17 @@ def degree_with_reciprocals(plain, reciprocal, n):
 
     Plain factors of total dimension m and reciprocal factors of total
     dimension mt give a product of dimension m + mt <= n and degree
-    binom(n - m, mt) * d/prod(r_k!) * dt/prod(s_l!).  Below the genericity
-    bound a warning is issued (the formula is still returned; nothing is
-    asserted there).
+    binom(n - m, mt) * d/prod(r_k!) * dt/prod(s_l!), where the factorials
+    run over the factors of dimension >= 1 only: they count the orderings
+    of r distinct points of a factor, and the r-th power of a point is a
+    point.  Below the genericity bound a warning is issued (the formula is
+    still returned; nothing is asserted there).
     """
     plain, reciprocal, m, mt = _factor_dims(plain, reciprocal, n)
     d = _multinomial([mk for mk, r in plain for _ in range(r)])
     dt = _multinomial([mk for mk, s in reciprocal for _ in range(s)])
-    degree = Fraction(comb(n - m, mt) * d * dt, prod(factorial(r) for _, r in plain + reciprocal))
+    degree = Fraction(comb(n - m, mt) * d * dt,
+                      prod(factorial(r) for mk, r in plain + reciprocal if mk))
     bound = genericity_bound(plain, reciprocal)
     if n < bound:
         warnings.warn("ambient dimension %d is below the genericity bound %d "
@@ -393,7 +396,8 @@ def fan_degree_pipeline(plain, reciprocal, n, rng, transcript=False):
 
     Builds one standard tropical linear space per factor (negated for the
     reciprocal ones), forms their Minkowski sum scaled by 1/delta with
-    delta = prod(r_k!) * prod(s_l!), and measures the multiplicity of the
+    delta = prod(r_k!) * prod(s_l!) over the factors of dimension >= 1 (as
+    in degree_with_reciprocals), and measures the multiplicity of the
     origin against the complementary standard fan.  Entirely independent of
     the closed-form route, which it is used to cross-check.  Past FAN_BUDGET
     it raises BudgetExhausted before building any fan.
@@ -405,13 +409,11 @@ def fan_degree_pipeline(plain, reciprocal, n, rng, transcript=False):
         raise BudgetExhausted("the fans in P^%d exceed the budget of %d cone coordinates"
                               % (n, FAN_BUDGET))
     fans = []
-    delta = 1
     for mk, r in plain:
         fans.extend(standard_tls(mk, n) for _ in range(r))
-        delta *= factorial(r)
     for mk, s in reciprocal:
         fans.extend(negate_fan(standard_tls(mk, n)) for _ in range(s))
-        delta *= factorial(s)
+    delta = prod(factorial(r) for mk, r in plain + reciprocal if mk)
     summed = minkowski_sum(fans, delta)
     complement = standard_tls(n - m - mt, n)
     record = {} if transcript else None

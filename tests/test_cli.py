@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import subprocess
@@ -47,6 +48,26 @@ def test_degree_dimension_above_n_exit_2(flags):
     proc = run_cli("degree", {"plain": [[3, 1]], "n": 2}, *flags)
     assert proc.returncode == 2 and proc.stdout == ""
     assert "exceeds ambient" in json.loads(proc.stderr)["error"]["message"]
+
+
+@pytest.mark.parametrize("payload", [
+    {"plain": [[0, 3]], "n": 2},
+    {"plain": [[0, 2], [1, 1]], "n": 3},
+    {"reciprocal": [[0, 2]], "n": 2},
+])
+def test_degree_of_a_zero_dimensional_power_is_1(payload):
+    proc = run_cli("degree", payload, "--transcript")
+    assert proc.returncode == 0
+    doc = json.loads(proc.stdout)
+    assert doc["degree"] == doc["transcript"]["fan_degree"] == "1"
+
+
+def test_degree_too_long_to_print_exit_3():
+    # 1800 lines in P^1800: degree 1800!, about 5,000 digits.
+    proc = run_cli("degree", {"plain": [[1, 1]] * 1800, "n": 1800})
+    assert proc.returncode == 3 and proc.stdout == ""
+    error = json.loads(proc.stderr)["error"]
+    assert error["code"] == 3 and "too long to print" in error["message"]
 
 
 def test_degree_transcript_budget_exit_3():
@@ -244,18 +265,21 @@ def test_span_dim_random_spaces():
     assert doc["match"] is True and doc["span_dim"] == 3
 
 
-def test_dim_estimate_deficient_example():
-    y_rows = []
+def _zero_sum_rows():
+    """Generators of the 3 x 4 matrices with zero row and column sums, flattened."""
+    rows = []
     for i in range(2):
         for j in range(3):
             mat = [[0] * 4 for _ in range(3)]
-            mat[i][j] = 1
-            mat[i][3] = -1
-            mat[2][j] = -1
-            mat[2][3] = 1
-            y_rows.append([x for row in mat for x in row])
+            mat[i][j] = mat[2][3] = 1
+            mat[i][3] = mat[2][j] = -1
+            rows.append([x for row in mat for x in row])
+    return rows
+
+
+def test_dim_estimate_deficient_example():
     payload = {"x": {"type": "segre", "a": 2, "b": 3},
-               "y": {"type": "linear", "generators": y_rows},
+               "y": {"type": "linear", "generators": _zero_sum_rows()},
                "dim_h": 0, "dim_g": 11}
     proc = run_cli("dim-estimate", payload)
     assert proc.returncode == 0
@@ -263,6 +287,33 @@ def test_dim_estimate_deficient_example():
     assert doc["terracini_dim"] == 9
     assert doc["expected_dim"] == 10
     assert doc["deficient"] is True
+
+
+#: sha256 of `dim-estimate` stdout for these payloads at seeds 0-39.  The
+#: output prints dimensions only, so it must not move when a sampler changes
+#: how it draws its points.
+DIM_ESTIMATE_PAYLOADS = [
+    {"x": {"type": "segre", "a": 2, "b": 3}, "y": {"type": "linear", "generators": _zero_sum_rows()},
+     "dim_h": 0, "dim_g": 11},
+    {"x": {"type": "segre", "a": 1, "b": 1},
+     "y": {"type": "linear", "generators": [[1, 2, 3, 4], [0, 1, 5, 7]]}, "dim_h": 0, "dim_g": 3},
+    {"x": {"type": "reciprocal", "generators": [[1, 2, 3, 4], [2, -1, 5, 1]]},
+     "y": {"type": "linear", "generators": [[3, 1, 4, 1], [5, 9, 2, 6]]}, "dim_h": 0, "dim_g": 3},
+    {"x": {"type": "power", "r": 2, "base": {"type": "segre", "a": 1, "b": 2}},
+     "y": {"type": "reciprocal", "generators": [[1, 2, 3, 4, 5, 6], [6, -5, 4, 3, -2, 1]]},
+     "dim_h": 0, "dim_g": 5},
+]
+DIM_ESTIMATE_DIGEST = "efae0402108eb4c505fd3b2d45f9fb4cea8d0d4540105c2c5fc82357ea34e255"
+
+
+def test_dim_estimate_output_digest(monkeypatch, capsys):
+    digest = hashlib.sha256()
+    for payload in DIM_ESTIMATE_PAYLOADS:
+        for seed in range(40):
+            monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(payload)))
+            assert cli.main(["dim-estimate", "--seed", str(seed)]) == 0
+            digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == DIM_ESTIMATE_DIGEST
 
 
 def test_dim_estimate_ambient_mismatch_exit_1():

@@ -4,7 +4,8 @@ from math import comb
 
 import pytest
 
-from hadamard_spaces.poly import SparsePoly, monomials_of_degree, proportional
+from hadamard_spaces.poly import (SparsePoly, monomial_products, monomials_of_degree,
+                                  proportional)
 
 
 def x(i, n=2):
@@ -91,6 +92,48 @@ def test_monomials_of_degree():
         assert len(monos) == comb(n + d - 1, d)
         assert len(set(monos)) == len(monos)
         assert all(sum(m) == d for m in monos)
+
+
+def _former_vandermonde_block(vectors, d):
+    """Oracle: the generalized Vandermonde loop monomial_products replaced."""
+    block = []
+    for expo in monomials_of_degree(len(vectors), d):
+        row = [Fraction(1)] * len(vectors[0])
+        for g, e in zip(vectors, expo):
+            if e:
+                row = [x * v ** e for x, v in zip(row, g)]
+        block.append(tuple(row))
+    return block
+
+
+def _former_evaluation_rows(points, d):
+    """Oracle: the per-monomial power loop of the interpolation matrix."""
+    rows = []
+    for coords in points:
+        row = []
+        for expo in monomials_of_degree(len(coords), d):
+            v = 1
+            for x, e in zip(coords, expo):
+                if e:
+                    v *= x ** e
+            row.append(v)
+        rows.append(row)
+    return rows
+
+
+def test_monomial_products_match_the_power_loops():
+    rng = random.Random(7)
+    for _ in range(30):
+        nvec, width, d = rng.randint(1, 4), rng.randint(1, 6), rng.randint(1, 4)
+        ints = [[rng.randint(-9, 9) for _ in range(width)] for _ in range(nvec)]
+        fracs = [[Fraction(x, rng.randint(1, 5)) for x in row] for row in ints]
+        for vectors in (ints, fracs):
+            got = monomial_products(vectors, d)
+            assert len(got) == comb(nvec + d - 1, d)
+            assert got == _former_vandermonde_block(vectors, d)
+            assert all(type(x) is int for row in monomial_products(ints, d) for x in row)
+            assert [list(r) for r in zip(*got)] == _former_evaluation_rows(list(zip(*vectors)), d)
+    assert monomial_products([[2, 3]], 0) == [(1, 1)]
 
 
 def test_json_round_trip():

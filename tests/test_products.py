@@ -384,6 +384,13 @@ def _fraction_space_point(space, rng, avoid_delta=None):
             return coords
 
 
+def _segre_spaces(a, b):
+    """The (a+1) x (b+1) matrices u 1^T and 1 v^T, flattened row-major."""
+    rows = [[Fraction(i == k) for k in range(a + 1) for _ in range(b + 1)] for i in range(a + 1)]
+    columns = [[Fraction(j == l) for _ in range(a + 1) for l in range(b + 1)] for j in range(b + 1)]
+    return LinSpace(rows), LinSpace(columns)
+
+
 def _fraction_point(spec, rng):
     """Oracle: the coordinates of the sampler built from `spec`, in
     Fractions, drawing the same random values as the package's sampler."""
@@ -394,11 +401,9 @@ def _fraction_point(spec, rng):
         base = _fraction_space_point(spec[1], rng, avoid_delta=spec[1].ambient_dim - 1)
         return [Fraction(1) / x for x in base]
     if kind == "segre":
-        while True:
-            u = [rng.randint(-1000, 1000) for _ in range(spec[1] + 1)]
-            v = [rng.randint(-1000, 1000) for _ in range(spec[2] + 1)]
-            if all(u) and all(v):
-                return [Fraction(ui * vj) for ui in u for vj in v]
+        rows, columns = _segre_spaces(spec[1], spec[2])
+        u_ones, ones_v = _fraction_space_point(rows, rng), _fraction_space_point(columns, rng)
+        return [x * y for x, y in zip(u_ones, ones_v)]
     while True:
         p, q = _fraction_point(spec[1], rng), _fraction_point(spec[2], rng)
         coords = [a * b for a, b in zip(p, q)]
@@ -447,3 +452,63 @@ def test_integer_first_points_match_the_fraction_route():
                     assert point.canonical() == key, spec
                     assert not any(isinstance(x, float) for x in point.coords)
                 assert light.getstate() == full.getstate() == oracle.getstate()
+
+
+def _former_sample(spec, rng):
+    """Oracle: the point and tangent of the sampler built from `spec` by the
+    per-sampler tangent formulas the factor model replaced, drawing the same
+    random values: span(1/a, g/a^2) for a reciprocal, span(e_i v^T, u e_j^T)
+    for a Segre variety, pairwise Terracini spans for products."""
+    kind = spec[0]
+    if kind == "linear":
+        return _fraction_space_point(spec[1], rng), spec[1]
+    if kind == "reciprocal":
+        space = spec[1]
+        a = _fraction_space_point(space, rng, avoid_delta=space.ambient_dim - 1)
+        rows = [[1 / x for x in a]]
+        rows += [[g / (x * x) for g, x in zip(row, a)] for row in space.generators.rows]
+        return rows[0], LinSpace.span_of(rows)
+    if kind == "segre":
+        a, b = spec[1], spec[2]
+        rows, columns = _segre_spaces(a, b)
+        u = _fraction_space_point(rows, rng)[::b + 1]
+        v = _fraction_space_point(columns, rng)[:b + 1]
+        tangent = [[vj if k == i else 0 for k in range(a + 1) for vj in v] for i in range(a + 1)]
+        tangent += [[ui if l == j else 0 for ui in u for l in range(b + 1)] for j in range(b + 1)]
+        return [ui * vj for ui in u for vj in v], LinSpace.span_of(tangent)
+    while True:
+        (p, tp), (q, tq) = _former_sample(spec[1], rng), _former_sample(spec[2], rng)
+        coords = [x * y for x, y in zip(p, q)]
+        if any(coords):
+            rows = [[x * g for x, g in zip(p, row)] for row in tq.generators.rows]
+            rows += [[y * g for y, g in zip(q, row)] for row in tp.generators.rows]
+            return coords, LinSpace.span_of(rows)
+
+
+def test_tangents_match_the_former_formulas():
+    rng = random.Random(61)
+    line, other = random_space(1, 3, rng), random_space(1, 3, rng)
+    plane = random_space(2, 3, rng)
+    linear, recip, segre = ("linear", line), ("reciprocal", plane), ("segre", 1, 1)
+    specs = [
+        linear, recip, segre, ("segre", 2, 3),
+        ("product", ("product", linear, recip), ("linear", other)),
+        ("product", linear, ("product", recip, segre)),
+        ("product", ("product", linear, recip), ("product", segre, recip)),
+    ]
+    cases = [(spec, _sampler_of(spec)) for spec in specs]
+    # A power is the left-nested chain of products of its base.
+    cases += [
+        (("product", ("product", linear, linear), linear),
+         hadamard_power_sampler(linear_space_sampler(line), 3)),
+        (("product", recip, recip), hadamard_power_sampler(reciprocal_sampler(plane), 2)),
+        (("product", segre, segre), hadamard_power_sampler(segre_sampler(1, 1), 2)),
+    ]
+    for spec, sampler in cases:
+        for seed in range(4):
+            oracle, full = random.Random(seed), random.Random(seed)
+            coords, former = _former_sample(spec, oracle)
+            point, tangent = sampler.sample(full)
+            assert point.canonical() == clear_denominators(coords), spec
+            assert tangent == former, spec
+            assert full.getstate() == oracle.getstate()

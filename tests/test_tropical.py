@@ -523,6 +523,11 @@ def test_degree_with_reciprocals_values():
             assert degree_with_reciprocals([], [(1, 1)], n) == (1, n)
         assert degree_with_reciprocals([], [(2, 1)], 3) == (2, 3)
         assert degree_with_reciprocals([(1, 1)], [(1, 1)], 3) == (2, 2)
+        # The r-th Hadamard power of a point is a point: no 1/r! for it.
+        assert degree_with_reciprocals([(0, 3)], [], 2) == (0, 1)
+        assert degree_with_reciprocals([(0, 2), (1, 1)], [], 3) == (1, 1)
+        assert degree_with_reciprocals([], [(0, 2)], 2) == (0, 1)
+        assert degree_with_reciprocals([(0, 3), (2, 2)], [], 5) == (4, 3)
     with pytest.raises(PreconditionError):
         degree_with_reciprocals([(2, 1)], [(2, 1)], 3)
 
@@ -555,6 +560,9 @@ def test_fan_pipeline_matches_closed_form_small_grid():
         ([(1, 1)], [(1, 1)], 4),
         ([], [(1, 2)], 5),
         ([(2, 1)], [(1, 1)], 6),
+        ([(0, 3)], [], 2),
+        ([(0, 2), (1, 1)], [], 3),
+        ([], [(0, 2)], 2),
     ]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
