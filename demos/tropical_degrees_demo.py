@@ -25,11 +25,10 @@ print("  closed form: dimension %d, degree %s" % (dim, degree))
 result = fan_degree_pipeline([(1, 1), (1, 1)], [], 3, rng, transcript=True)
 fan = result["fan"]
 print("  Minkowski sum of two standard fans: %d cones, each multiplicity %d, weight %s"
-      % (len(fan.cones), fan.cones[0].mult, fan.global_weight))
+      % (len(fan.cones), next(iter(fan.cones.values())), fan.global_weight))
 print("  contributing pair(s) of the stable intersection:")
-for c1, c2, idx in result["pairs"]:
-    print("    pos%s meets shifted pos%s, lattice index %d"
-          % (sorted(c1.plus), sorted(c2.plus), idx))
+for (plus1, _), (plus2, _), idx in result["pairs"]:
+    print("    pos%s meets shifted pos%s, lattice index %d" % (sorted(plus1), sorted(plus2), idx))
 print("  fan degree:", result["degree"])
 
 print("\nA plane squared in P^5 (the map is 2-to-1, so delta = 2):")

@@ -6,11 +6,12 @@ Brackets are stored under sorted index tuples; odd permutations negate
 (antisymmetry), fixing the sign convention once.  The cubic's 56 monomial
 coefficients are generated from three printed orbit representatives by a
 symmetric-group transport that is twisted by the sign of the permutation.
-The transported table does not depend on the plane, so it is built once per
-process, on the first cubic; well-definedness of the transport (independence
-of the chosen permutation) is asserted then, via stabilizer generators and a
-term-by-term comparison of two coset representatives.  Interpolation
-agreement is the ground truth it is tested against.
+The transported table is a function of these constants alone, so it is built
+once per process, on the first cubic.  Well-definedness of the transport
+(independence of the chosen permutation) is proved once, in the tests, by
+transporting every representative through all 720 permutations of S6 and
+finding one bracket polynomial per monomial.  Interpolation agreement is the
+ground truth the table is tested against.
 """
 
 from fractions import Fraction
@@ -222,41 +223,6 @@ def _twisted_transport(pattern, perm):
     return {k: factor * v for k, v in transported.items()}
 
 
-def _stabilizer_generators(pattern):
-    if pattern == (0, 0, 0):
-        free = [1, 2, 3, 4, 5]
-    elif pattern == (0, 0, 1):
-        free = [2, 3, 4, 5]
-    else:
-        # x_a x_b x_c is symmetric in its three indices as well.
-        yield from (_transposition(i, j) for i, j in [(0, 1), (1, 2)])
-        free = [3, 4, 5]
-    for a, b in zip(free, free[1:]):
-        yield _transposition(a, b)
-
-
-def _transposition(i, j):
-    perm = list(range(6))
-    perm[i], perm[j] = perm[j], perm[i]
-    return tuple(perm)
-
-
-def assert_orbit_well_defined():
-    """Twisted stabilizer invariance of every printed representative.
-
-    Failure would mean the symmetric-group transport of the cubic's
-    coefficients depends on the chosen permutation; by group theory,
-    invariance under these generators is equivalent to independence.
-    """
-    identity = tuple(range(6))
-    for pattern, (base_sign, terms) in CUBIC_REPRESENTATIVES.items():
-        reference = _twisted_transport(pattern, identity)
-        for perm in _stabilizer_generators(pattern):
-            if _twisted_transport(pattern, perm) != reference:
-                raise AssertionError(
-                    "orbit transport ill-defined for pattern %r under %r" % (pattern, perm))
-
-
 def _pattern_and_map(a, b, c):
     if a == b == c:
         return (0, 0, 0), {0: a}
@@ -278,36 +244,20 @@ def _complete_perm(partial):
     return tuple(perm)
 
 
-def _second_representative(perm, partial):
-    """The coset representative that also swaps the last two untouched indices."""
-    spare = [i for i in range(6) if i not in partial.values()]
-    alt = list(perm)
-    iu, iw = alt.index(spare[-2]), alt.index(spare[-1])
-    alt[iu], alt[iw] = alt[iw], alt[iu]
-    return tuple(alt)
-
-
 @cache
 def _cubic_table():
-    """The 56 transported coefficients, built and checked once per process.
+    """The 56 transported coefficients, built once per process.
 
     A tuple of (exponent vector, ((bracket monomial, int coefficient), ...))
     in the order of combinations_with_replacement(range(6), 3); immutable,
-    since every caller shares it.  Building it runs
-    assert_orbit_well_defined and transports every coefficient through two
-    coset representatives, which must give the same bracket polynomial term
-    for term; equal polynomials agree at every Pluecker vector, so this is
-    at least as strong as comparing their values.
+    since every caller shares it.  Each coefficient is transported through
+    one permutation, which is enough because the transport does not depend
+    on the choice (see the module docstring).
     """
-    assert_orbit_well_defined()
     table = []
     for a, b, c in combinations_with_replacement(range(6), 3):
         pattern, partial = _pattern_and_map(a, b, c)
-        perm = _complete_perm(partial)
-        terms = _twisted_transport(pattern, perm)
-        if _twisted_transport(pattern, _second_representative(perm, partial)) != terms:
-            raise AssertionError(
-                "orbit transport disagreed between permutations for monomial %r" % ((a, b, c),))
+        terms = _twisted_transport(pattern, _complete_perm(partial))
         expo = [0] * 6
         for i in (a, b, c):
             expo[i] += 1
@@ -320,11 +270,11 @@ def cubic_plane_square(pl_p):
 
     All 56 coefficients are transported from the three printed
     representatives by the twisted symmetric-group action (_cubic_table,
-    built and checked on the first call of the process only) and evaluated
-    at the given Pluecker vector.  Evaluation runs in integers: with D the
-    common denominator of the Pluecker entries, every bracket monomial has
-    degree 10, so each integer sum is D^10 times the coefficient, and one
-    division per coefficient gives the exact same Fraction.
+    built on the first call of the process only) and evaluated at the
+    given Pluecker vector.  Evaluation runs in integers: with D the common
+    denominator of the Pluecker entries, every bracket monomial has degree
+    10, so each integer sum is D^10 times the coefficient, and one division
+    per coefficient gives the exact same Fraction.
     """
     if pl_p.ambient_dim != 5 or pl_p.dim != 2:
         raise PreconditionError("expected the Pluecker vector of a 2-plane in P^5")

@@ -272,6 +272,11 @@ def cmd_span_dim(payload, rng, args):
     }
 
 
+def _cone_doc(fan, cone):
+    plus, minus = cone
+    return {"plus": sorted(plus), "minus": sorted(minus), "mult": fan.cones[cone]}
+
+
 def cmd_degree(payload, rng, args):
     plain = _parse_dim_mult_list(payload.get("plain", []), "plain")
     reciprocal = _parse_dim_mult_list(payload.get("reciprocal", []), "reciprocal")
@@ -286,17 +291,15 @@ def cmd_degree(payload, rng, args):
     doc = {"dim": dim, "degree": rat_str(degree)}
     if args.transcript:
         detail = fan_degree_pipeline(plain, reciprocal, n, rng, transcript=True)
-        fan = detail["fan"]
+        fan, complement = detail["fan"], detail["complement"]
         doc["transcript"] = {
             "delta": detail["delta"],
             "fan_degree": rat_str(detail["degree"]),
             "global_weight": rat_str(fan.global_weight),
             "displacement": [rat_str(x) for x in detail["displacement"]],
-            "cones": [{"plus": sorted(c.plus), "minus": sorted(c.minus), "mult": c.mult}
-                      for c in fan.cones],
+            "cones": [_cone_doc(fan, c) for c in fan.cones],
             "contributing_pairs": [
-                {"sigma1": {"plus": sorted(c1.plus), "minus": sorted(c1.minus), "mult": c1.mult},
-                 "sigma2": {"plus": sorted(c2.plus), "minus": sorted(c2.minus), "mult": c2.mult},
+                {"sigma1": _cone_doc(fan, c1), "sigma2": _cone_doc(complement, c2),
                  "lattice_index": idx}
                 for c1, c2, idx in detail["pairs"]],
         }

@@ -96,13 +96,10 @@ def power_linear_equations(line, r):
               for cols in combinations(range(n + 1), r + 1)}
     equations = []
     for cols in combinations(range(n + 1), r + 2):
-        form = SparsePoly.zero(n + 1)
+        coeffs = [0] * (n + 1)
         for t, i in enumerate(cols):
-            minor = minors[cols[:t] + cols[t + 1:]]
-            if minor:
-                sign = (-1) ** (r + 1 + t)
-                form = form + SparsePoly.variable(n + 1, i, sign * minor)
-        equations.append(form.primitive())
+            coeffs[i] = (-1) ** (r + 1 + t) * minors[cols[:t] + cols[t + 1:]]
+        equations.append(SparsePoly.linear_form(coeffs).primitive())
     return equations
 
 

@@ -7,10 +7,15 @@ tropical linear space: the union of positive spans of all m-subsets of the
 images of the standard basis vectors in R^(n+1)/R*1, all multiplicities 1.
 Reciprocal linear spaces tropicalize to the negated fans.  Restricting to
 this cone class makes the whole fan pipeline set and sign operations: every
-lattice index is 1 and every meet test is a sign comparison."""
+lattice index is 1 and every meet test is a sign comparison.
+
+A cone is its signed support (plus, minus), two disjoint frozensets of
+coordinate indices, and a fan maps each of its cones to a positive integer
+multiplicity.  A point tropicalizes to the origin, the identity of the
+Minkowski sum, so a zero-dimensional factor adds no fan to the sum."""
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
 from itertools import combinations
@@ -23,38 +28,10 @@ from .projective import LinSpace, PPoint
 # cones and fans
 
 
-@dataclass(frozen=True)
-class SignedCone:
-    """pos(e_i : i in plus) + neg(e_j : j in minus), with a multiplicity.
-
-    The e_i are images of standard basis vectors in R^(n+1)/R*1; with
-    |plus| + |minus| <= n those images are linearly independent, so the
-    cone dimension is |plus| + |minus|.
-    """
-
-    plus: frozenset
-    minus: frozenset
-    mult: int = 1
-
-    def __post_init__(self):
-        if self.plus & self.minus:
-            raise ValueError("plus and minus sets overlap")
-        if self.mult <= 0:
-            raise ValueError("multiplicity must be positive")
-
-    @property
-    def dim(self):
-        return len(self.plus) + len(self.minus)
-
-    @property
-    def support(self):
-        return self.plus | self.minus
-
-    def signed_indices(self):
-        return tuple((i, 1) for i in sorted(self.plus)) + tuple((j, -1) for j in sorted(self.minus))
-
-    def sort_key(self):
-        return (tuple(sorted(self.plus)), tuple(sorted(self.minus)))
+def _cone_order(cone):
+    """Sort key of a cone (plus, minus): its sorted plus, then minus indices."""
+    plus, minus = cone
+    return sorted(plus), sorted(minus)
 
 
 def _quotient_rep(index, sign, n):
@@ -71,30 +48,33 @@ def _quotient_rep(index, sign, n):
 class SignedConeFan:
     """A pure-dimensional weighted fan of signed coordinate cones.
 
-    Integer cone multiplicities are scaled by one global rational weight,
-    which is where the 1/delta of a generically finite parametrization
-    lives.
+    `cones` maps each cone (plus, minus), the cone pos(e_i : i in plus) +
+    neg(e_j : j in minus), to its multiplicity, in _cone_order.  The e_i are
+    images of standard basis vectors in R^(n+1)/R*1, linearly independent
+    for |plus| + |minus| <= n, so the cone dimension is |plus| + |minus|.
+    Integer multiplicities are scaled by one global rational weight, which
+    is where the 1/delta of a generically finite parametrization lives.
     """
 
     ambient_dim: int
     dim: int
-    cones: list
-    global_weight: Fraction = field(default_factory=lambda: Fraction(1))
+    cones: dict
+    global_weight: Fraction = Fraction(1)
 
     def __post_init__(self):
         self.global_weight = Fraction(self.global_weight)
-        seen = set()
-        for cone in self.cones:
-            if cone.dim != self.dim:
-                raise ValueError("cone of dim %d in a fan of dim %d" % (cone.dim, self.dim))
-            for i in cone.support:
+        for (plus, minus), mult in self.cones.items():
+            if plus & minus:
+                raise ValueError("plus and minus sets overlap")
+            if mult <= 0:
+                raise ValueError("multiplicity must be positive")
+            if len(plus) + len(minus) != self.dim:
+                raise ValueError("cone of dim %d in a fan of dim %d"
+                                 % (len(plus) + len(minus), self.dim))
+            for i in plus | minus:
                 if not 0 <= i <= self.ambient_dim:
                     raise ValueError("index %d outside ambient range" % i)
-            key = cone.sort_key()
-            if key in seen:
-                raise ValueError("duplicate cone %r" % (cone,))
-            seen.add(key)
-        self.cones = sorted(self.cones, key=SignedCone.sort_key)
+        self.cones = dict(sorted(self.cones.items(), key=lambda item: _cone_order(item[0])))
 
     def is_balanced(self):
         """Exact ridge-balancing test.
@@ -103,24 +83,17 @@ class SignedConeFan:
         directions of the facets containing it must lie in the ridge's span.
         """
         n = self.ambient_dim
-        if self.dim == 0:
-            return True
         ridges = {}
-        for cone in self.cones:
-            for idx, sign in cone.signed_indices():
-                plus = cone.plus - {idx} if sign > 0 else cone.plus
-                minus = cone.minus - {idx} if sign < 0 else cone.minus
-                key = (tuple(sorted(plus)), tuple(sorted(minus)))
-                ridges.setdefault(key, []).append((cone.mult, idx, sign))
-        for (plus, minus), facets in ridges.items():
-            total = [Fraction(0)] * n
-            for mult, idx, sign in facets:
-                rep = _quotient_rep(idx, sign, n)
-                total = [t + mult * x for t, x in zip(total, rep)]
-            span_rows = [_quotient_rep(i, 1, n) for i in plus]
-            span_rows += [_quotient_rep(j, -1, n) for j in minus]
+        for (plus, minus), mult in self.cones.items():
+            for idx in plus | minus:
+                ridge = (plus - {idx}, minus - {idx})
+                rep = _quotient_rep(idx, 1 if idx in plus else -1, n)
+                total = ridges.get(ridge, [0] * n)
+                ridges[ridge] = [t + mult * x for t, x in zip(total, rep)]
+        for (plus, minus), total in ridges.items():
             if any(total):
-                span = LinSpace.span_of(span_rows)
+                rows = [_quotient_rep(i, 1 if i in plus else -1, n) for i in plus | minus]
+                span = LinSpace.span_of(rows)
                 if span is None or not span.contains(PPoint(total)):
                     return False
         return True
@@ -134,13 +107,13 @@ def standard_tls(m, n):
     """
     if not 0 <= m <= n:
         raise PreconditionError("need 0 <= m <= n, got m=%d, n=%d" % (m, n))
-    cones = [SignedCone(frozenset(s), frozenset(), 1) for s in combinations(range(n + 1), m)]
+    cones = {(frozenset(s), frozenset()): 1 for s in combinations(range(n + 1), m)}
     return SignedConeFan(n, m, cones)
 
 
 def negate_fan(fan):
     """Pointwise negation: swaps the plus and minus set of every cone."""
-    cones = [SignedCone(c.minus, c.plus, c.mult) for c in fan.cones]
+    cones = {(minus, plus): mult for (plus, minus), mult in fan.cones.items()}
     return SignedConeFan(fan.ambient_dim, fan.dim, cones, fan.global_weight)
 
 
@@ -155,12 +128,9 @@ def lattice_index(cones, ambient_dim):
     not change a lattice, so the generators extend to a basis and the
     index is 1.  The tests check this against the Smith normal form.
     """
-    seen = set()
-    for cone in cones:
-        if cone.support & seen:
-            raise PreconditionError("non-transversal sum of cones")
-        seen |= cone.support
-    if len(seen) > ambient_dim:
+    supports = [plus | minus for plus, minus in cones]
+    size = sum(map(len, supports))
+    if size != len(frozenset().union(*supports)) or size > ambient_dim:
         raise PreconditionError("non-transversal sum of cones")
     return 1
 
@@ -175,8 +145,8 @@ def minkowski_sum(fans, delta=1):
     index (in particular a plus/minus clash) are transversality failures
     and are skipped.  The fans are folded in one at a time: a partial sum
     only needs its signed support, so each factorization prefix is summed
-    once.  The global weight is the product of the input weights divided
-    by delta.
+    once, and the last fold's mapping is the sum's.  The global weight is
+    the product of the input weights divided by delta.
     """
     if not fans:
         raise ValueError("need at least one fan")
@@ -184,23 +154,22 @@ def minkowski_sum(fans, delta=1):
         raise ValueError("delta must be a positive integer")
     n = fans[0].ambient_dim
     total_dim = sum(f.dim for f in fans)
-    for f in fans:
-        if f.ambient_dim != n:
-            raise ValueError("ambient dimensions differ")
+    if any(f.ambient_dim != n for f in fans):
+        raise ValueError("ambient dimensions differ")
     if total_dim > n:
         raise PreconditionError("sum of fan dimensions %d exceeds ambient %d" % (total_dim, n))
-    mults = {(frozenset(), frozenset()): 1}
+    cones = {(frozenset(), frozenset()): 1}
     for fan in fans:
-        factors = [(cone.support, cone.plus, cone.minus, cone.mult) for cone in fan.cones]
+        factors = [(cplus | cminus, cplus, cminus, cmult)
+                   for (cplus, cminus), cmult in fan.cones.items()]
         folded = {}
-        for (plus, minus), mult in mults.items():
+        for (plus, minus), mult in cones.items():
             used = plus | minus
             for support, cplus, cminus, cmult in factors:
                 if support.isdisjoint(used):
                     key = (plus | cplus, minus | cminus)
                     folded[key] = folded.get(key, 0) + mult * cmult
-        mults = folded
-    cones = [SignedCone(p, m, c) for (p, m), c in mults.items()]
+        cones = folded
     weight = reduce(lambda acc, f: acc * f.global_weight, fans, Fraction(1, delta))
     return SignedConeFan(n, total_dim, cones, weight)
 
@@ -230,12 +199,14 @@ def cone_pair_meets(cone1, cone2, v, n):
     inequality is strict, so a meeting point lies in both relative
     interiors.
     """
-    if cone1.support & cone2.support or len(cone1.support | cone2.support) != n:
+    (plus1, minus1), (plus2, minus2) = cone1, cone2
+    support1, support2 = plus1 | minus1, plus2 | minus2
+    if support1 & support2 or len(support1 | support2) != n:
         raise PreconditionError("cones are not complementary: %r, %r" % (cone1, cone2))
-    c0 = (set(range(n + 1)) - cone1.support - cone2.support).pop()
+    c0 = (set(range(n + 1)) - support1 - support2).pop()
     low = v[c0]
-    return (all(v[i] >= low for i in cone1.plus | cone2.minus)
-            and all(v[i] <= low for i in cone1.minus | cone2.plus))
+    return (all(v[i] >= low for i in plus1 | minus2)
+            and all(v[i] <= low for i in minus1 | plus2))
 
 
 def draw_generic_vector(n, rng):
@@ -271,8 +242,8 @@ def stable_mult_origin(fan_f, fan_g, v, record=None):
     interiors.  A list passed as `record` collects the contributing pairs
     as (sigma1, sigma2, 1), in fan_f and then fan_g order.
 
-    Each sigma1 and uncovered coordinate c0 has at most one partner, which
-    is looked up.  Overlapping supports meet only shifts with two equal
+    Each sigma1 and uncovered coordinate c0 has at most one partner, a key
+    of fan_g.cones.  Overlapping supports meet only shifts with two equal
     coordinates, so sigma2 covers all but sigma1 and c0, and by
     cone_pair_meets it meets iff v_i > v_c0 on plus1 and minus2 and
     v_i < v_c0 on minus1 and plus2: v_c0 lies between sigma1's largest
@@ -293,17 +264,17 @@ def stable_mult_origin(fan_f, fan_g, v, record=None):
         raise NonGenericVector("displacement coordinates are not pairwise distinct")
     order = sorted(range(n + 1), key=v.__getitem__)
     rank = {i: r for r, i in enumerate(order)}
-    index = {(c.plus, c.minus): (pos, c) for pos, c in enumerate(fan_g.cones)}
     total = 0
-    for cone1 in fan_f.cones:
-        low = max((rank[i] for i in cone1.minus), default=-1)
-        high = min((rank[i] for i in cone1.plus), default=n + 1)
-        rest = [i for i in order if i not in cone1.plus and i not in cone1.minus]
+    for cone1, mult1 in fan_f.cones.items():
+        plus1, minus1 = cone1
+        low = max((rank[i] for i in minus1), default=-1)
+        high = min((rank[i] for i in plus1), default=n + 1)
+        rest = [i for i in order if i not in plus1 and i not in minus1]
         keys = [(frozenset(rest[:k]), frozenset(rest[k + 1:]))
                 for k, c0 in enumerate(rest) if low < rank[c0] < high]
-        for _, cone2 in sorted(index[key] for key in keys if key in index):
+        for cone2 in sorted((key for key in keys if key in fan_g.cones), key=_cone_order):
             if cone_pair_meets(cone1, cone2, v, n):
-                total += cone1.mult * cone2.mult
+                total += mult1 * fan_g.cones[cone2]
                 if record is not None:
                     record.append((cone1, cone2, 1))
     return total * fan_f.global_weight * fan_g.global_weight
@@ -331,7 +302,8 @@ def stable_mult_origin_auto(fan_f, fan_g, rng, record=None):
 #: times the complement's binom(n+1, n - dim) cones must each stay within
 #: it.  For n >= 1 one of the two counts is >= n + 1 (the complement's when
 #: dim < n, else a factor's with 1 <= m_k <= n), so (n + 1) ** 2 is a
-#: lower bound that refuses a large n before any binomial is formed.
+#: lower bound that refuses a large n before any binomial is formed.  A
+#: point factor contributes a factor 1 and builds no fan.
 FAN_BUDGET = 10 ** 6
 
 
@@ -394,13 +366,15 @@ def degree_with_reciprocals(plain, reciprocal, n):
 def fan_degree_pipeline(plain, reciprocal, n, rng, transcript=False):
     """Degree via tropical fans: Minkowski sum + stable intersection.
 
-    Builds one standard tropical linear space per factor (negated for the
-    reciprocal ones), forms their Minkowski sum scaled by 1/delta with
-    delta = prod(r_k!) * prod(s_l!) over the factors of dimension >= 1 (as
-    in degree_with_reciprocals), and measures the multiplicity of the
-    origin against the complementary standard fan.  Entirely independent of
-    the closed-form route, which it is used to cross-check.  Past FAN_BUDGET
-    it raises BudgetExhausted before building any fan.
+    Builds one standard tropical linear space per factor of dimension >= 1
+    (negated for the reciprocal ones) and takes it r_k times, forms their
+    Minkowski sum scaled by 1/delta with delta = prod(r_k!) * prod(s_l!)
+    over those factors (as in degree_with_reciprocals), and measures the
+    multiplicity of the origin against the complementary standard fan.  A
+    point factor's fan is the origin, the identity of the Minkowski sum, so
+    it adds none.  Entirely independent of the closed-form route, which it
+    is used to cross-check.  Past FAN_BUDGET it raises BudgetExhausted
+    before building any fan.
     """
     plain, reciprocal, m, mt = _factor_dims(plain, reciprocal, n)
     if (n + 1) ** 2 > FAN_BUDGET or (n + 1) * max(
@@ -410,11 +384,13 @@ def fan_degree_pipeline(plain, reciprocal, n, rng, transcript=False):
                               % (n, FAN_BUDGET))
     fans = []
     for mk, r in plain:
-        fans.extend(standard_tls(mk, n) for _ in range(r))
+        if mk:
+            fans += [standard_tls(mk, n)] * r
     for mk, s in reciprocal:
-        fans.extend(negate_fan(standard_tls(mk, n)) for _ in range(s))
+        if mk:
+            fans += [negate_fan(standard_tls(mk, n))] * s
     delta = prod(factorial(r) for mk, r in plain + reciprocal if mk)
-    summed = minkowski_sum(fans, delta)
+    summed = minkowski_sum(fans or [standard_tls(0, n)], delta)
     complement = standard_tls(n - m - mt, n)
     record = {} if transcript else None
     degree = stable_mult_origin_auto(summed, complement, rng, record=record)

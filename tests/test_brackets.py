@@ -3,13 +3,12 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, permutations
 
 import pytest
 
 from hadamard_spaces import brackets
 from hadamard_spaces.brackets import (CUBIC_REPRESENTATIVES, QUADRIC_TABLE,
-                                      assert_orbit_well_defined,
                                       cubic_plane_square,
                                       quadric_bracket_display,
                                       quadric_square_symbolic,
@@ -95,8 +94,22 @@ def test_verify_identity_catches_perturbation():
     assert not verify_identity(broken, sampler, 3, rng)
 
 
-def test_orbit_well_definedness_assertion():
-    assert_orbit_well_defined()
+def test_cubic_transport_is_well_defined_over_s6():
+    # Every representative through all 720 permutations of S6 (2,160
+    # transports): each monomial a permutation reaches gets one bracket
+    # polynomial, whichever permutation reached it, and that is the table's.
+    found = {}
+    for pattern in CUBIC_REPRESENTATIVES:
+        for perm in permutations(range(6)):
+            expo = [0] * 6
+            for i in pattern:
+                expo[perm[i]] += 1
+            terms = brackets._twisted_transport(pattern, perm)
+            found.setdefault(tuple(expo), set()).add(frozenset(terms.items()))
+    assert all(len(polys) == 1 for polys in found.values())
+    table = {expo: frozenset(monomials) for expo, monomials in brackets._cubic_table()}
+    assert {expo: polys.pop() for expo, polys in found.items()} == table
+    assert len(table) == 56
 
 
 def test_cubic_representative_column_degrees():
@@ -162,7 +175,6 @@ def cubic_oracle(pl_p):
     """The cubic as computed before its table was cached: every coefficient
     transported on each call, through two coset representatives, and
     evaluated in Fraction arithmetic."""
-    assert_orbit_well_defined()
 
     def valuation(br):
         return pl_p.entries[br]
@@ -260,9 +272,8 @@ def test_cubic_table_is_built_once_on_first_use():
                          capture_output=True, text=True, check=True).stdout
     on_import, first, second = json.loads(out)
     assert on_import == 0
-    # Three representatives, eleven stabilizer generators, two coset
-    # representatives for each of the 56 coefficients.
-    assert first == 3 + 11 + 2 * 56
+    # One transport for each of the 56 coefficients.
+    assert first == 56
     assert second == first
 
 

@@ -54,12 +54,24 @@ def test_degree_dimension_above_n_exit_2(flags):
     {"plain": [[0, 3]], "n": 2},
     {"plain": [[0, 2], [1, 1]], "n": 3},
     {"reciprocal": [[0, 2]], "n": 2},
+    {"plain": [[0, 200000]], "n": 1},
 ])
 def test_degree_of_a_zero_dimensional_power_is_1(payload):
     proc = run_cli("degree", payload, "--transcript")
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["degree"] == doc["transcript"]["fan_degree"] == "1"
+
+
+#: sha256 of `degree --transcript` stdout for a squared point times a line in
+#: P^3, recorded while every point factor still built its own fan.
+POINT_FACTOR_TRANSCRIPT_SHA256 = "c31608fb98e07675378e382c54504cf285ac64d5be040ee15af85fc8316c9648"
+
+
+def test_degree_transcript_with_point_factors_is_unchanged():
+    proc = run_cli("degree", {"plain": [[0, 2], [1, 1]], "n": 3}, "--transcript")
+    assert proc.returncode == 0
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == POINT_FACTOR_TRANSCRIPT_SHA256
 
 
 def test_degree_too_long_to_print_exit_3():

@@ -8,7 +8,7 @@ import pytest
 
 from hadamard_spaces import tropical
 from hadamard_spaces.linalg import BudgetExhausted, PreconditionError, smith_normal_form
-from hadamard_spaces.tropical import (NonGenericVector, SignedCone, SignedConeFan,
+from hadamard_spaces.tropical import (NonGenericVector, SignedConeFan,
                                       _quotient_rep, cone_pair_meets,
                                       degree_linear_products,
                                       degree_with_reciprocals,
@@ -96,14 +96,20 @@ def _fm_feasible(equalities, inequalities, nvars):
     return True
 
 
+def _signed_indices(cone):
+    """A cone (plus, minus)'s generators sign * e_index as (index, sign) pairs."""
+    plus, minus = cone
+    return [(i, 1) for i in sorted(plus)] + [(j, -1) for j in sorted(minus)]
+
+
 def _cone_shift_system(cone1, cone2, v, n, strict):
     """Linear system for sigma1 meet (sigma2 + v), modulo the all-ones line.
 
     Variables: one nonnegative coefficient per generator of each cone, plus
     one free variable for the quotient by R*1.
     """
-    gens1 = cone1.signed_indices()
-    gens2 = cone2.signed_indices()
+    gens1 = _signed_indices(cone1)
+    gens2 = _signed_indices(cone2)
     k = len(gens1) + len(gens2) + 1
     equalities = []
     for c in range(n + 1):
@@ -132,12 +138,12 @@ def _minkowski_oracle(fans):
     """{(plus, minus): mult} summed over every ordered factorization."""
     total_dim = sum(f.dim for f in fans)
     mults = {}
-    for combo in iproduct(*(f.cones for f in fans)):
-        plus = frozenset().union(*(c.plus for c in combo))
-        minus = frozenset().union(*(c.minus for c in combo))
+    for combo in iproduct(*(f.cones.items() for f in fans)):
+        plus = frozenset().union(*(p for (p, _), _ in combo))
+        minus = frozenset().union(*(m for (_, m), _ in combo))
         if len(plus) + len(minus) != total_dim or (plus & minus):
             continue
-        mults[(plus, minus)] = mults.get((plus, minus), 0) + prod(c.mult for c in combo)
+        mults[(plus, minus)] = mults.get((plus, minus), 0) + prod(c for _, c in combo)
     return mults
 
 
@@ -145,11 +151,11 @@ def _all_pairs_oracle(fan_f, fan_g, v):
     """Stable intersection by testing every cone pair: (total, record)."""
     n = fan_f.ambient_dim
     total, record = 0, []
-    for cone1 in fan_f.cones:
-        for cone2 in fan_g.cones:
-            if cone1.support & cone2.support or not cone_pair_meets(cone1, cone2, v, n):
+    for cone1, mult1 in fan_f.cones.items():
+        for cone2, mult2 in fan_g.cones.items():
+            if set().union(*cone1) & set().union(*cone2) or not cone_pair_meets(cone1, cone2, v, n):
                 continue
-            total += cone1.mult * cone2.mult
+            total += mult1 * mult2
             record.append((cone1, cone2, 1))
     return total * fan_f.global_weight * fan_g.global_weight, record
 
@@ -167,7 +173,11 @@ def _first_primes_by_float_sqrt(start, count):
 
 def _random_signs(rng, support):
     plus = frozenset(i for i in support if rng.random() < 0.5)
-    return SignedCone(plus, frozenset(support) - plus)
+    return plus, frozenset(support) - plus
+
+
+def _cone(plus, minus=()):
+    return frozenset(plus), frozenset(minus)
 
 
 def test_standard_tls_cone_counts():
@@ -176,7 +186,7 @@ def test_standard_tls_cone_counts():
     assert len(standard_tls(1, 3).cones) == 4
     fan = standard_tls(2, 3)
     assert len(fan.cones) == 6
-    assert all(c.mult == 1 for c in fan.cones)
+    assert all(mult == 1 for mult in fan.cones.values())
     with pytest.raises(PreconditionError):
         standard_tls(4, 3)
 
@@ -184,26 +194,32 @@ def test_standard_tls_cone_counts():
 def test_negate_fan():
     fan = standard_tls(1, 3)
     neg = negate_fan(fan)
-    assert all(not c.plus and len(c.minus) == 1 for c in neg.cones)
+    assert all(not plus and len(minus) == 1 for plus, minus in neg.cones)
     assert negate_fan(neg) == fan
     zero = standard_tls(0, 3)
     assert negate_fan(zero) == zero
 
 
-def test_signed_cone_validation():
-    with pytest.raises(ValueError):
-        SignedCone(frozenset([1]), frozenset([1]))
-    with pytest.raises(ValueError):
-        SignedCone(frozenset([1]), frozenset(), 0)
+def test_fan_constructor_validation():
+    for cones in ({_cone([1], [1]): 1},  # overlapping signs
+                  {_cone([1]): 1, _cone([2]): 0},  # multiplicity <= 0
+                  {_cone([1]): 1, _cone([1, 2]): 1},  # wrong dimension
+                  {_cone([], [4]): 1}):  # index outside 0..3
+        with pytest.raises(ValueError):
+            SignedConeFan(3, 1, cones)
+    cones = {_cone([2], [0]): 1, _cone([0], [1]): 2, _cone([], [1, 3]): 1, _cone([0, 3]): 3}
+    fan = SignedConeFan(3, 2, cones)
+    assert fan.cones == cones
+    assert list(fan.cones) == [_cone([], [1, 3]), _cone([0], [1]), _cone([0, 3]), _cone([2], [0])]
 
 
 def test_lattice_index_basics():
     n = 4
-    a = SignedCone(frozenset([0, 1]), frozenset())
-    b = SignedCone(frozenset([2]), frozenset([3]))
+    a = _cone([0, 1])
+    b = _cone([2], [3])
     assert lattice_index([a], n) == 1
     assert lattice_index([a, b], n) == 1
-    overlapping = SignedCone(frozenset([1, 2]), frozenset())
+    overlapping = _cone([1, 2])
     with pytest.raises(PreconditionError):
         lattice_index([a, overlapping], n)
 
@@ -217,7 +233,7 @@ def test_lattice_index_is_one_by_smith_form():
             for i in support:
                 rng.choice(parts).append(i)
             cones = [_random_signs(rng, part) for part in parts]
-            rows = [_quotient_rep(i, sign, n) for c in cones for i, sign in c.signed_indices()]
+            rows = [_quotient_rep(i, sign, n) for c in cones for i, sign in _signed_indices(c)]
             assert smith_normal_form(rows) == [1] * len(rows)
             assert lattice_index(cones, n) == 1
         # All n+1 images are linearly dependent: e_0 + ... + e_n = 0.
@@ -229,7 +245,7 @@ def test_minkowski_two_lines():
     fan = minkowski_sum([standard_tls(1, 3), standard_tls(1, 3)])
     assert fan.dim == 2
     assert len(fan.cones) == comb(4, 2)
-    assert all(c.mult == 2 for c in fan.cones)
+    assert all(mult == 2 for mult in fan.cones.values())
     assert fan.global_weight == 1
 
 
@@ -237,23 +253,23 @@ def test_minkowski_power_with_delta():
     r = 3
     fans = [standard_tls(1, 4) for _ in range(r)]
     fan = minkowski_sum(fans, delta=factorial(r))
-    assert all(c.mult == factorial(r) for c in fan.cones)
+    assert all(mult == factorial(r) for mult in fan.cones.values())
     assert fan.global_weight == Fraction(1, factorial(r))
     # effective multiplicity r!/r! = 1
-    assert all(c.mult * fan.global_weight == 1 for c in fan.cones)
+    assert all(mult * fan.global_weight == 1 for mult in fan.cones.values())
 
 
 def test_minkowski_plane_squares():
     fan = minkowski_sum([standard_tls(2, 5), standard_tls(2, 5)], delta=2)
-    assert all(c.mult == comb(4, 2) for c in fan.cones)
-    assert all(c.mult * fan.global_weight == 3 for c in fan.cones)
+    assert all(mult == comb(4, 2) for mult in fan.cones.values())
+    assert all(mult * fan.global_weight == 3 for mult in fan.cones.values())
 
 
 def test_minkowski_mixed_signs_skips_clashes():
     fan = minkowski_sum([standard_tls(1, 2), negate_fan(standard_tls(1, 2))])
     # cones pos(e_i) + neg(e_j) with i != j only
     assert len(fan.cones) == 6
-    assert all(c.plus != c.minus and len(c.plus) == len(c.minus) == 1 for c in fan.cones)
+    assert all(plus != minus and len(plus) == len(minus) == 1 for plus, minus in fan.cones)
 
 
 def test_minkowski_dimension_overflow():
@@ -268,8 +284,8 @@ def _random_fan(rng, m, n):
     if rng.random() < 0.5:
         fan = negate_fan(fan)
     if rng.random() < 0.5:
-        kept = rng.sample(fan.cones, rng.randint(1, len(fan.cones)))
-        fan = SignedConeFan(n, m, [SignedCone(c.plus, c.minus, rng.randint(1, 3)) for c in kept],
+        kept = rng.sample(list(fan.cones), rng.randint(1, len(fan.cones)))
+        fan = SignedConeFan(n, m, {c: rng.randint(1, 3) for c in kept},
                             Fraction(rng.randint(1, 3), rng.randint(1, 3)))
     return fan
 
@@ -287,7 +303,7 @@ def test_minkowski_sum_matches_factorization_oracle():
         delta = rng.randint(1, 4)
         fan = minkowski_sum(fans, delta)
         assert fan.dim == n - room
-        assert {(c.plus, c.minus): c.mult for c in fan.cones} == _minkowski_oracle(fans)
+        assert fan.cones == _minkowski_oracle(fans)
         assert fan.global_weight == prod(f.global_weight for f in fans) / delta
 
 
@@ -299,9 +315,10 @@ def test_balancing_of_produced_fans():
 
 
 def test_balancing_detects_bad_weights():
-    cones = [SignedCone(frozenset([i]), frozenset(), 2 if i == 0 else 1) for i in range(3)]
-    fan = SignedConeFan(2, 1, cones)
+    fan = SignedConeFan(2, 1, {_cone([i]): 2 if i == 0 else 1 for i in range(3)})
     assert not fan.is_balanced()
+    # Rays e_0 and -e_0 make a line, balanced only when the signs are read.
+    assert SignedConeFan(2, 1, {_cone([0]): 1, _cone([], [0]): 1}).is_balanced()
 
 
 def test_fm_feasibility_basics():
@@ -317,12 +334,12 @@ def test_fm_feasibility_basics():
 def test_cone_pair_meets_shifted():
     n = 2
     v = (Fraction(5), Fraction(2), Fraction(0))
-    up = SignedCone(frozenset([0]), frozenset())
-    down = SignedCone(frozenset([2]), frozenset())
+    up = _cone([0])
+    down = _cone([2])
     # v - v_2 has positive 0-coordinate: pos(e0) meets pos(e2)+v via x = w0*e0.
     assert cone_pair_meets(up, down, v, n)
     # but pos(e1) cannot reach: would need the 0- and 2-coordinates equal
-    mid = SignedCone(frozenset([1]), frozenset())
+    mid = _cone([1])
     assert not cone_pair_meets(mid, down, v, n)
 
 
@@ -351,10 +368,10 @@ def test_cone_pair_meets_matches_fm_oracle():
 
 def test_cone_pair_meets_requires_complementary_cones():
     v = draw_generic_vector(3, random.Random(70))
-    cone = SignedCone(frozenset([0]), frozenset())
-    for other in (SignedCone(frozenset([0, 1]), frozenset([2])),  # overlapping
-                  SignedCone(frozenset([1]), frozenset()),  # covers 2 of 4
-                  SignedCone(frozenset([1]), frozenset([2, 3]))):  # covers all 4
+    cone = _cone([0])
+    for other in (_cone([0, 1], [2]),  # overlapping
+                  _cone([1]),  # covers 2 of 4
+                  _cone([1], [2, 3])):  # covers all 4
         with pytest.raises(PreconditionError):
             cone_pair_meets(cone, other, v, 3)
 
@@ -399,9 +416,8 @@ def _random_signed_fan(rng, m, n):
     plus sets differ in size, so one sigma1 can meet several of them."""
     cones = {}
     for _ in range(rng.randint(1, 3 * (n + 1))):
-        cone = _random_signs(rng, rng.sample(range(n + 1), m))
-        cones[cone.sort_key()] = SignedCone(cone.plus, cone.minus, rng.randint(1, 3))
-    return SignedConeFan(n, m, list(cones.values()), Fraction(rng.randint(1, 3), rng.randint(1, 3)))
+        cones[_random_signs(rng, rng.sample(range(n + 1), m))] = rng.randint(1, 3)
+    return SignedConeFan(n, m, cones, Fraction(rng.randint(1, 3), rng.randint(1, 3)))
 
 
 def _displacements(rng, n):
@@ -433,14 +449,13 @@ def test_stable_mult_lookup_matches_all_pairs_oracle():
 
 def test_stable_mult_lookup_keys_on_signs():
     # Two cones of fan_g share the support {0, 1}; only the signs tell them apart.
-    fan_g = SignedConeFan(3, 2, [SignedCone(frozenset([0]), frozenset([1])),
-                                 SignedCone(frozenset([1]), frozenset([0]))])
+    fan_g = SignedConeFan(3, 2, {_cone([0], [1]): 1, _cone([1], [0]): 1})
     fan_f = standard_tls(1, 3)
-    for v, partner in [((0, 3, 2, 1), fan_g.cones[0]), ((3, 0, 2, 1), fan_g.cones[1])]:
+    for v, partner in [((0, 3, 2, 1), _cone([0], [1])), ((3, 0, 2, 1), _cone([1], [0]))]:
         v = tuple(Fraction(x) for x in v)
         record = []
         assert stable_mult_origin(fan_f, fan_g, v, record=record) == 1
-        assert record == [(SignedCone(frozenset([2]), frozenset()), partner, 1)]
+        assert record == [(_cone([2]), partner, 1)]
         assert (1, record) == _all_pairs_oracle(fan_f, fan_g, v)
     # Both sign patterns of each support in one Minkowski sum, against three complements.
     mixed = minkowski_sum([standard_tls(1, 4), negate_fan(standard_tls(1, 4))])
@@ -491,6 +506,27 @@ def test_fan_pipeline_budget(monkeypatch):
     assert fan_degree_pipeline([(0, 1)], [], 998, rng)["degree"] == 1
     with pytest.raises(BudgetExhausted):
         fan_degree_pipeline([(0, 1)], [], 1000, rng)
+
+
+def test_fan_pipeline_builds_each_factor_fan_once(monkeypatch):
+    built = []
+
+    def counting_tls(m, n):
+        built.append(m)
+        return standard_tls(m, n)
+
+    monkeypatch.setattr(tropical, "standard_tls", counting_tls)
+    rng = random.Random(74)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        # A line cubed, a reciprocal line and two point factors in P^5: one
+        # fan per positive-dimensional factor, then the plane complement.
+        result = fan_degree_pipeline([(1, 3), (0, 4)], [(1, 1), (0, 2)], 5, rng)
+        assert built == [1, 1, 1] and result["degree"] == 2
+        built.clear()
+        # Only points: the origin's fan stands in for the sum.
+        assert fan_degree_pipeline([(0, 10 ** 5)], [(0, 3)], 2, rng)["degree"] == 1
+        assert built == [0, 2]
 
 
 def test_draw_generic_vector_distinct():
