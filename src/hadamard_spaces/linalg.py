@@ -19,10 +19,11 @@ per free column.  This path serves the many small rational matrices of
 spans, Pluecker coordinates and tangent spaces.
 
 p-adic (`integer_kernel_basis`, the interpolation oracle's kernel).  The
-integer matrix is factored once modulo a prime p of KERNEL_PRIMES.  For
-each free column f, the entries at the pivots before f solve a square
-system in the pivot rows, lifted p-adically to p^k (Dixon, "Exact solution
-of linear equations using p-adic expansions", 1982) and rationally
+integer matrix is factored once modulo a prime p of KERNEL_PRIMES, each
+row packed into one int whose slots never carry (`_factor_mod_p`), so a
+row update is one big-int multiply-add with no reduction.  For each free
+column f, the entries at the pivots before f solve a square system in the
+pivot rows, lifted p-adically to p^k (Dixon 1982) and rationally
 reconstructed (Wang, Guy & Davenport 1982); every vector is checked
 exactly, A x = 0 in integers against every row, before anything is
 returned.  Its cost follows the size of the kernel entries, not of the
@@ -40,9 +41,9 @@ minors Bareiss carries.  The check is a certificate, with modulus p^k:
   with a 1 at its free column and zeros at the others: the one the
   Bareiss path returns.
 
-A prime whose pivots differ from the rational ones (an unlucky prime)
-never passes the check, and the next prime is tried; when every listed
-prime fails, the Bareiss path answers, so the result is always exact.
+An unlucky prime (pivots differing from the rational ones) never passes
+the check, and the next prime is tried; entries beyond the lifting reach,
+or no prime left, go to the Bareiss path.  The result is always exact.
 
 The RREF, the kernel basis normalised to the free columns and the
 determinant are unique, so the results do not depend on the path.
@@ -329,37 +330,55 @@ KERNEL_PRIMES = (4611686018427387847, 4611686018427387817, 4611686018427387787)
 LIFT_STEPS = 16
 
 
-def _factor_mod_p(rows, nc, p):
-    """Pivot columns P, pivot rows R and the LU factors of A[R, P] mod p.
+def _pack(values, size):
+    """Ints in [0, 2^(8 size)) as one int of `size`-byte slots, first lowest."""
+    return int.from_bytes(b"".join(v.to_bytes(size, "little") for v in values), "little")
 
-    Gaussian elimination with row swaps that logs its row operations in
-    place: a row keeps, at each pivot column, the multiple of that pivot row
-    it lost.  So factor[i][P[j]] is L[i][j] for j <= i (the pivots on L's
-    diagonal) and U[i][j] for j > i (U unit upper triangular).  Rows below
-    a pivot are left unreduced (each step adds less than p^2 to an entry,
-    which is cheaper than a reduction).
+
+def _factor_mod_p(rows, nc, p):
+    """Pivot columns P, pivot rows R and the LU factors of A[R, P] mod p:
+    lower[i] holds L[i][j] for j < i (the multipliers f) and the inverse of
+    the pivot L[i][i], upper[i] holds U[i][j] for j > i (U unit upper
+    triangular), as residues.  The pivot is the first row nonzero mod p.
+
+    Each row is one int of W-bit slots, slot 0 at the current column (each
+    column drops it: row >> W).  A row update is one multiply-add, row +
+    (p - f) * top = row - f * top mod p, with no reduction; only the pivot
+    row is unpacked, reduced, scaled and repacked as top (its columns after
+    the pivot).  A slot starts below p and each of its at most min(nrows,
+    ncols) updates adds (p - f) y < p^2 < 2^124, so it stays below (nrows +
+    1) p^2 < 2^(124 + bit_length(nrows) + 1) <= 2^W: no slot ever carries.
     """
-    work = [[x % p for x in row] for row in rows]
+    size = (125 + len(rows).bit_length() + 7) // 8
+    width, mask = 8 * size, (1 << 8 * size) - 1
+    work = [_pack([x % p for x in row], size) for row in rows]
     order = list(range(len(work)))
-    pivots = []
+    mults = [[] for _ in work]
+    pivots, lower, upper = [], [], []
     r = 0
     for c in range(nc):
-        k = next((i for i in range(r, len(work)) if work[i][c] % p), None)
+        k = next((i for i in range(r, len(work)) if (work[i] & mask) % p), None)
         if k is None:
+            work[r:] = [row >> width for row in work[r:]]
             continue
-        work[r], work[k] = work[k], work[r]
-        order[r], order[k] = order[k], order[r]
-        inv = pow(work[r][c], -1, p)
-        top = work[r][c + 1:] = [x * inv % p for x in work[r][c + 1:]]
-        for row in work[r + 1:]:
-            f = row[c] = row[c] % p
-            if f:
-                row[c + 1:] = [x - f * y for x, y in zip(row[c + 1:], top)]
+        for a in (work, order, mults):
+            a[r], a[k] = a[k], a[r]
+        inv = pow((work[r] & mask) % p, -1, p)
+        data = (work[r] >> width).to_bytes(size * (nc - c - 1), "little")
+        top = [int.from_bytes(data[j:j + size], "little") * inv % p for j in range(0, len(data), size)]
+        lower.append(mults[r] + [inv])
+        upper.append(top)
+        top = _pack(top, size)
+        for i in range(r + 1, len(work)):
+            f = (work[i] & mask) % p
+            mults[i].append(f)
+            work[i] = (work[i] >> width) + (p - f) * top
         pivots.append(c)
         r += 1
         if r == len(work):
             break
-    return pivots, order[:r], work[:r]
+    upper = [[u[j - c - 1] for j in pivots[i + 1:]] for i, (c, u) in enumerate(zip(pivots, upper))]
+    return pivots, order[:r], lower, upper
 
 
 def _rational_reconstruct(u, m):
@@ -401,8 +420,9 @@ def _annihilates(rows, vec):
 
 
 def _dixon_kernel(rows, nc, p):
-    """The kernel basis lifted from one factorization mod p, or None when a
-    vector fails its exact check within LIFT_STEPS steps.
+    """The kernel basis lifted from one factorization mod p.  A vector failing
+    its check in LIFT_STEPS steps gives None if its last two steps reconstruct
+    the same vector (an unlucky prime), else False (beyond the lifting reach).
 
     For free column f with k pivots before it, the pivot entries y solve
     B y = -A[R_<k, f] with B = A[R_<k, P_<k], whose factors mod p are the
@@ -410,30 +430,27 @@ def _dixon_kernel(rows, nc, p):
     triangular solve x_i = B^-1 b_i mod p per step and the exact residual
     b_(i+1) = (b_i - B x_i) / p.
     """
-    pivots, prows, factor = _factor_mod_p(rows, nc, p)
+    pivots, prows, lower, upper = _factor_mod_p(rows, nc, p)
     square = [[rows[i][c] for c in pivots] for i in prows]
-    lower = [[row[c] for c in pivots[:i]] for i, row in enumerate(factor)]
-    upper = [[row[c] for c in pivots[i + 1:]] for i, row in enumerate(factor)]
-    dinv = [pow(row[c], -1, p) for row, c in zip(factor, pivots)]
     vectors = []
     for f in sorted(set(range(nc)).difference(pivots)):
         k = bisect_left(pivots, f)
         b = [-rows[i][f] for i in prows[:k]]
-        y, m = [0] * k, 1
+        y, m, vec = [0] * k, 1, None
         for _ in range(LIFT_STEPS):
             x = []
-            for l, d, bi in zip(lower, dinv, b):
-                x.append((bi - sum(a * v for a, v in zip(l, x))) * d % p)
+            for l, bi in zip(lower, b):
+                x.append((bi - sum(a * v for a, v in zip(l, x))) * l[-1] % p)
             for i in range(k - 1, -1, -1):
                 x[i] = (x[i] - sum(a * v for a, v in zip(upper[i], x[i + 1:]))) % p
             b = [(bi - sum(a * v for a, v in zip(row, x))) // p for bi, row in zip(b, square)]
             y = [u + m * v for u, v in zip(y, x)]
             m *= p
-            vec = _lift(f, pivots, y, m, nc)
+            last, vec = vec, _lift(f, pivots, y, m, nc)
             if vec is not None and _annihilates(rows, vec):
                 break
         else:
-            return None
+            return None if vec is not None and vec == last else False
         vectors.append(vec)
     return vectors
 
@@ -442,22 +459,17 @@ def integer_kernel_basis(rows):
     """Kernel basis of an integer matrix, one vector per free column.
 
     Same contract as QMatrix.nullspace: the vector of free column f has a 1
-    at f and zeros at the other free columns; entries are Fractions.
-
-    The matrix is factored once mod a prime of KERNEL_PRIMES, each kernel
-    vector is lifted p-adically to p^k (Dixon 1982), rationally
-    reconstructed and checked exactly against every row.  A vector that
-    fails its check after LIFT_STEPS steps (an unlucky prime, or entries
-    beyond the reach) moves on to the next prime; when the primes run out,
-    the Bareiss path computes the basis.  The certificate, with modulus
-    p^k, is in the module docstring: the basis is the unique one Bareiss
-    returns.
+    at f and zeros at the other free columns; entries are Fractions.  The
+    p-adic path and its certificate are in the module docstring; the basis
+    is the unique one Bareiss returns.
     """
     if not rows:
         return []
     nc = len(rows[0])
     for p in KERNEL_PRIMES:
         vectors = _dixon_kernel(rows, nc, p)
+        if vectors is False:
+            break
         if vectors is not None:
             return vectors
     echelon, pivots, _ = _bareiss_echelon(rows)
@@ -483,14 +495,7 @@ def smith_normal_form(rows):
     diag = []
     t = 0
     while t < m:
-        piv = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                if a[i][j]:
-                    piv = (i, j)
-                    break
-            if piv:
-                break
+        piv = next(((i, j) for i in range(t, nr) for j in range(t, nc) if a[i][j]), None)
         if piv is None:
             break
         pi, pj = piv
@@ -517,16 +522,9 @@ def smith_normal_form(rows):
             if all(a[i][t] == 0 for i in range(t + 1, nr)):
                 break
         # Divisibility chain: fold in an offending row and redo this step.
-        offending = False
-        for i in range(t + 1, nr):
-            for j in range(t + 1, nc):
-                if a[i][j] % a[t][t]:
-                    a[t] = [x + y for x, y in zip(a[t], a[i])]
-                    offending = True
-                    break
-            if offending:
-                break
-        if offending:
+        bad = next((i for i in range(t + 1, nr) for j in range(t + 1, nc) if a[i][j] % a[t][t]), None)
+        if bad is not None:
+            a[t] = [x + y for x, y in zip(a[t], a[bad])]
             continue
         diag.append(abs(a[t][t]))
         t += 1

@@ -10,7 +10,7 @@ dimension; those are computed only by sampling, never by the matrix formula.
 
 from fractions import Fraction
 from itertools import combinations
-from math import prod
+from math import lcm, prod
 
 from .linalg import PreconditionError, BudgetExhausted
 from .poly import SparsePoly
@@ -40,7 +40,9 @@ def line_power_pluecker(pl, r, indices):
     """Bracket of the r-th power of a line: the product of pairwise brackets.
 
     For sorted indices i_0 < ... < i_r this equals the corresponding maximal
-    minor of line_power_matrix, exactly.
+    minor of line_power_matrix, exactly.  The product runs in integers: the
+    brackets' denominators are cleared once, to their lcm D, and the
+    product of the cleared brackets is divided by D^binom(r+1, 2) once.
     """
     if pl.dim != 1:
         raise PreconditionError("expected the Pluecker vector of a line")
@@ -50,7 +52,13 @@ def line_power_pluecker(pl, r, indices):
     for i in indices:
         if not 0 <= i <= pl.ambient_dim:
             raise IndexError("index %d out of range for ambient dimension %d" % (i, pl.ambient_dim))
-    return prod(map(pl.bracket, combinations(indices, 2)), start=Fraction(1))
+    pairs = list(combinations(indices, 2))
+    if any(i == j for i, j in pairs):
+        return Fraction(0)
+    brackets = [pl.entries[min(i, j), max(i, j)] for i, j in pairs]
+    d = lcm(*(b.denominator for b in brackets))
+    total = prod(b.numerator * (d // b.denominator) for b in brackets)
+    return Fraction((-1) ** sum(i > j for i, j in pairs) * total, d ** len(pairs))
 
 
 def _hyperplane_coefficients(n, bracket):

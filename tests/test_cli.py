@@ -122,6 +122,39 @@ def test_interp_output_byte_identical(golden, monkeypatch, capsys):
     assert capsys.readouterr().out == golden["stdout"]
 
 
+#: One payload of each kind of the interp benchmark cycle: a squared plane in
+#: P^5, a reciprocal plane in P^3, two spanning lines in P^3, and a line times
+#: a reciprocal line in P^3.
+INTERP_CYCLE_PAYLOADS = [
+    {"type": "power", "r": 2, "base": {"type": "linear", "generators": [
+        [-6, 7, -2, -1, -1, 0], [-7, 5, 0, 5, 3, 3], [-6, -1, -2, 1, 2, -1]]}},
+    {"type": "reciprocal", "generators": [[2, 7, -5, -4], [8, -1, -4, -9], [-7, -6, 1, -9]]},
+    {"type": "product", "factors": [
+        {"type": "linear", "generators": [[-7, -1, -3, 3], [3, 9, 5, -6]]},
+        {"type": "linear", "generators": [[-3, -1, 5, -3], [6, 0, 7, -1]]}]},
+    {"type": "product", "factors": [
+        {"type": "linear", "generators": [[-6, -6, -7, -1], [-1, -6, -9, -4]]},
+        {"type": "reciprocal", "generators": [[4, -6, 7, 9], [-7, 4, 6, -4]]}]},
+]
+
+#: sha256 of the `interp` stdout of the cycle payloads (with dmax 3) and the
+#: golden payloads, each at seeds 0-9, recorded on the list-of-lists
+#: factorization mod p, before rows were packed into integers.
+INTERP_SEEDS_SHA256 = "24c2e73fe9457f9241890a6138b1ea210f8f7d3989ffd0adb2983081eee14349"
+
+
+def test_interp_stdout_over_seeds_is_unchanged(monkeypatch, capsys):
+    payloads = [{"sampler": s, "dmax": 3} for s in INTERP_CYCLE_PAYLOADS]
+    payloads += [g["payload"] for g in INTERP_GOLDENS]
+    digest = hashlib.sha256()
+    for payload in payloads:
+        for seed in range(10):
+            monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(payload)))
+            assert cli.main(["interp", "--seed", str(seed)]) == 0
+            digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == INTERP_SEEDS_SHA256
+
+
 def test_malformed_json_exit_1():
     proc = subprocess.run(RUN + ["degree"], input="{not json",
                           capture_output=True, text=True)

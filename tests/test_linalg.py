@@ -234,6 +234,79 @@ def test_modular_kernel_falls_back_to_bareiss(monkeypatch):
     assert len(factor_calls) == len(KERNEL_PRIMES) and len(bareiss_calls) == 1
 
 
+def test_kernel_beyond_lifting_reach_goes_straight_to_bareiss(monkeypatch):
+    # 300-bit entries: the kernel entries are 6 x 6 minors of about 1800
+    # bits, past the reach of p^LIFT_STEPS; no other prime would do better.
+    rng = random.Random(6)
+    rows = [[rng.randint(-2 ** 300, 2 ** 300) for _ in range(8)] for _ in range(6)]
+    bareiss_calls = _count_calls(monkeypatch, "_bareiss_echelon")
+    factor_calls = _count_calls(monkeypatch, "_factor_mod_p")
+    basis = integer_kernel_basis(rows)
+    assert len(factor_calls) == 1 and len(bareiss_calls) == 1
+    assert basis == _bareiss_kernel(rows)
+
+
+def _factor_mod_p_lists(rows, nc, p):
+    """Reference: the elimination mod p on lists of residues, with the
+    factors logged in place (at pivot column P[j], row i keeps L[i][j] for
+    j <= i and U[i][j] for j > i); lower ends in the inverse pivot."""
+    work = [[x % p for x in row] for row in rows]
+    order = list(range(len(work)))
+    pivots = []
+    r = 0
+    for c in range(nc):
+        k = next((i for i in range(r, len(work)) if work[i][c] % p), None)
+        if k is None:
+            continue
+        work[r], work[k] = work[k], work[r]
+        order[r], order[k] = order[k], order[r]
+        inv = pow(work[r][c], -1, p)
+        top = work[r][c + 1:] = [x * inv % p for x in work[r][c + 1:]]
+        for row in work[r + 1:]:
+            f = row[c] = row[c] % p
+            if f:
+                row[c + 1:] = [x - f * y for x, y in zip(row[c + 1:], top)]
+        pivots.append(c)
+        r += 1
+        if r == len(work):
+            break
+    lower = [[row[c] % p for c in pivots[:i]] + [pow(row[pivots[i]], -1, p)]
+             for i, row in enumerate(work[:r])]
+    upper = [[row[c] for c in pivots[i + 1:]] for i, row in enumerate(work[:r])]
+    return pivots, order[:r], lower, upper
+
+
+def _largest_updates_matrix(nr, nc, p):
+    """A mod p = L U with every multiplier 1 and every entry of the unit U
+    equal to -1: each row update adds (p - 1)^2, the most it can, to a slot,
+    and slot (i, j) gets min(i, j) of them."""
+    lower = [[1 if j <= i else 0 for j in range(nc)] for i in range(nr)]
+    upper = [[1 if j == i else p - 1 if j > i else 0 for j in range(nc)] for i in range(nc)]
+    return [[sum(a * b for a, b in zip(row, col)) % p for col in zip(*upper)] for row in lower]
+
+
+def test_packed_factor_matches_list_factor():
+    p = KERNEL_PRIMES[0]
+    rng = random.Random(14)
+    matrices = []
+    for trial in range(120):
+        kind = ("low_rank", "tall", "wide", "mixed")[trial % 4]
+        matrices.append(_random_integer_matrix(rng, kind, (3, 40, 70, 300)[trial // 4 % 4]))
+    # Entries at and past p, multiples of p, and negative ones.
+    matrices += [[[rng.choice([-1, 1]) * (rng.randint(0, 3) * p + rng.randint(-2, 2)) for _ in range(nc)]
+                  for _ in range(nr)] for nr, nc in [(6, 5), (5, 9), (12, 12)]]
+    matrices += [[[3, 0, 1], [5, 0, 2], [7, 0, 4]],  # a zero column
+                 [[0, 0, 0, 0], [p, 2 * p, 0, -p], [1, 2, 3, 4]],
+                 [[rng.randint(-10 ** 40, 10 ** 40) for _ in range(50)] for _ in range(60)],
+                 _largest_updates_matrix(70, 56, p), _largest_updates_matrix(30, 60, p)]
+    low_rank = [[rng.randint(-99, 99) for _ in range(5)] for _ in range(64)]
+    right = [[rng.randint(-9, 9) for _ in range(52)] for _ in range(5)]
+    matrices.append([[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] for row in low_rank])
+    for rows in filter(None, matrices):
+        nc = len(rows[0])
+        assert linalg._factor_mod_p(rows, nc, p) == _factor_mod_p_lists(rows, nc, p), rows
+
+
 def _matrices(nr, nc, entries):
     return st.lists(st.lists(entries, min_size=nc, max_size=nc), min_size=nr, max_size=nr)
 

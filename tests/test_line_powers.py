@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, prod
 
 import pytest
 
@@ -74,6 +74,30 @@ def test_power_pluecker_equals_all_minors():
             mat = line_power_matrix(line, r)
             for cols in combinations(range(n + 1), r + 1):
                 assert mat.submatrix_columns(cols).det() == line_power_pluecker(pl, r, cols)
+
+
+def _fraction_power_pluecker(pl, r, indices):
+    """Reference: the product of pairwise brackets in Fractions."""
+    return prod(map(pl.bracket, combinations(indices, 2)), start=Fraction(1))
+
+
+def test_power_pluecker_in_integers_matches_fraction_product():
+    rng = random.Random(22)
+    for n in (3, 4, 5, 6):
+        for _ in range(4):
+            rows = [[Fraction(rng.randint(-30, 30), rng.randint(1, 12)) for _ in range(n + 1)]
+                    for _ in range(2)]
+            pl = pluecker(LinSpace(rows))
+            for r in range(1, n + 1):
+                for cols in combinations(range(n + 1), r + 1):
+                    value = line_power_pluecker(pl, r, cols)
+                    assert type(value) is Fraction
+                    assert value == _fraction_power_pluecker(pl, r, cols)
+                # Unsorted and repeated indices: the signed bracket product.
+                cols = rng.sample(range(n + 1), r + 1)
+                assert line_power_pluecker(pl, r, cols) == _fraction_power_pluecker(pl, r, cols)
+                cols[-1] = cols[0]
+                assert line_power_pluecker(pl, r, cols) == 0 == _fraction_power_pluecker(pl, r, cols)
 
 
 def test_power_hyperplane_n2_recovers_line_equation():
