@@ -17,12 +17,12 @@ ground truth the table is tested against.
 from fractions import Fraction
 from functools import cache
 from itertools import chain, combinations_with_replacement
-from math import lcm, prod
+from math import prod
 
 from .linalg import PreconditionError
 from .line_powers import _hyperplane_coefficients
 from .poly import SparsePoly
-from .projective import _permutation_sign
+from .projective import permutation_sign
 
 # ---------------------------------------------------------------------------
 # quadric for the product of two lines in P^3
@@ -71,19 +71,22 @@ def quadric_two_lines(pl_l, pl_m):
     """The quadric in x_0..x_3 vanishing on the product of two lines in P^3.
 
     The ten coefficients are the tabulated bracket monomials evaluated at
-    the given Pluecker vectors.
+    the given Pluecker vectors, in integers: each monomial has degree three
+    in each line's minors, so one division by both scales cubed per
+    coefficient gives the exact Fraction.
     """
     for pl in (pl_l, pl_m):
         if pl.ambient_dim != 3 or pl.dim != 1:
             raise PreconditionError("expected Pluecker vectors of lines in P^3")
+    scale = (pl_l.scale * pl_m.scale) ** 3
     terms = {}
-    for (i, j), coeff in _quadric_coefficients(pl_l.entries.__getitem__,
-                                               pl_m.entries.__getitem__).items():
+    for (i, j), coeff in _quadric_coefficients(pl_l.minors.__getitem__,
+                                               pl_m.minors.__getitem__).items():
         if coeff:
             expo = [0, 0, 0, 0]
             expo[i] += 1
             expo[j] += 1
-            terms[tuple(expo)] = coeff
+            terms[tuple(expo)] = Fraction(coeff, scale)
     return SparsePoly(4, terms)
 
 
@@ -209,7 +212,7 @@ def _transport_terms(terms, perm):
         images = []
         for br in brackets:
             image = tuple(perm[i] for i in br)
-            sign *= _permutation_sign(image)
+            sign *= permutation_sign(image)
             images.append(tuple(sorted(image)))
         key = tuple(sorted(images))
         out[key] = out.get(key, 0) + sign
@@ -219,7 +222,7 @@ def _transport_terms(terms, perm):
 def _twisted_transport(pattern, perm):
     base_sign, terms = CUBIC_REPRESENTATIVES[pattern]
     transported = _transport_terms(terms, perm)
-    factor = base_sign * _permutation_sign(perm)
+    factor = base_sign * permutation_sign(perm)
     return {k: factor * v for k, v in transported.items()}
 
 
@@ -271,22 +274,20 @@ def cubic_plane_square(pl_p):
     All 56 coefficients are transported from the three printed
     representatives by the twisted symmetric-group action (_cubic_table,
     built on the first call of the process only) and evaluated at the
-    given Pluecker vector.  Evaluation runs in integers: with D the common
-    denominator of the Pluecker entries, every bracket monomial has degree
-    10, so each integer sum is D^10 times the coefficient, and one division
-    per coefficient gives the exact same Fraction.
+    given Pluecker vector.  Evaluation runs in integers: every bracket
+    monomial has degree 10 in the integer minors, so each integer sum is
+    scale^10 times the coefficient, and one division per coefficient gives
+    the exact Fraction.
     """
     if pl_p.ambient_dim != 5 or pl_p.dim != 2:
         raise PreconditionError("expected the Pluecker vector of a 2-plane in P^5")
-    d = lcm(*(v.denominator for v in pl_p.entries.values()))
-    scaled = {br: v.numerator * (d // v.denominator) for br, v in pl_p.entries.items()}
-    scale = d ** 10
+    minors, scale = pl_p.minors, pl_p.scale ** 10
     terms = {}
     for expo, monomials in _cubic_table():
         total = 0
         for brackets, coeff in monomials:
             for br in brackets:
-                coeff *= scaled[br]
+                coeff *= minors[br]
             total += coeff
         if total:
             terms[expo] = Fraction(total, scale)

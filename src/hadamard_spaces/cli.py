@@ -179,15 +179,15 @@ def cmd_line_power(payload, rng, args):
     n = line.ambient_dim
     pl = pluecker(line)
     if pl.nonvanishing():
-        mat = line_power_matrix(line, r)
-        power = LinSpace.span_of(mat)
+        power = LinSpace.span_of(line_power_matrix(line, r))
         method = "matrix"
         if r <= n:
-            pk = {",".join(map(str, cols)): rat_str(line_power_pluecker(pl, r, cols))
-                  for cols in combinations(range(n + 1), r + 1)}
+            minors = {cols: line_power_pluecker(pl, r, cols)
+                      for cols in combinations(range(n + 1), r + 1)}
+            pk = {",".join(map(str, cols)): rat_str(m) for cols, m in minors.items()}
         else:
             pk = pluecker(power).to_json()
-        equations = power_linear_equations(line, r) if r < n else []
+        equations = power_linear_equations(n, r, minors) if r < n else []
     else:
         power = sampled_power_span(line, r, rng)
         method = "sampled"

@@ -16,7 +16,8 @@ of the input, the sign of its row swaps, and the pivot columns (each the
 first nonzero entry at or below the current row).  A free-column
 back-substitution (`_back_substitute`) then solves for one kernel vector
 per free column.  This path serves the many small rational matrices of
-spans, Pluecker coordinates and tangent spaces.
+spans and tangent spaces, and through `integer_det` the integer minors of
+Pluecker coordinates.
 
 p-adic (`integer_kernel_basis`, the interpolation oracle's kernel).  The
 integer matrix is factored once modulo a prime p of KERNEL_PRIMES, each
@@ -231,14 +232,11 @@ class QMatrix:
         return basis
 
     def det(self):
-        """Determinant: the last Bareiss pivot, signed, over the row scale."""
+        """Determinant: `integer_det` of the cleared rows over the row scale."""
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
         ints, scale = _integer_rows(self.rows)
-        echelon, pivots, sign = _bareiss_echelon(ints)
-        if len(pivots) < self.nrows:
-            return Fraction(0)
-        return Fraction(sign * echelon[-1][-1], scale) if echelon else Fraction(1)
+        return Fraction(integer_det(ints), scale)
 
 
 def _integer_rows(rows):
@@ -255,6 +253,14 @@ def _integer_rows(rows):
         scale *= mult
         ints.append([x.numerator * (mult // x.denominator) for x in row])
     return ints, scale
+
+
+def integer_det(rows):
+    """Determinant of a square integer matrix: the last Bareiss pivot, signed."""
+    echelon, pivots, sign = _bareiss_echelon(rows)
+    if len(pivots) < len(rows):
+        return 0
+    return sign * echelon[-1][-1] if echelon else 1
 
 
 def _bareiss_echelon(rows):

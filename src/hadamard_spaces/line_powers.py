@@ -10,12 +10,12 @@ dimension; those are computed only by sampling, never by the matrix formula.
 
 from fractions import Fraction
 from itertools import combinations
-from math import lcm, prod
+from math import prod
 
 from .linalg import PreconditionError, BudgetExhausted
 from .poly import SparsePoly
 from .products import gen_vandermonde
-from .projective import LinSpace, pluecker, sample_point
+from .projective import LinSpace, permutation_sign, sample_point
 
 #: Extra rank-stable samples required before a sampled span is trusted.
 SPAN_STABLE_STREAK = 3
@@ -40,9 +40,8 @@ def line_power_pluecker(pl, r, indices):
     """Bracket of the r-th power of a line: the product of pairwise brackets.
 
     For sorted indices i_0 < ... < i_r this equals the corresponding maximal
-    minor of line_power_matrix, exactly.  The product runs in integers: the
-    brackets' denominators are cleared once, to their lcm D, and the
-    product of the cleared brackets is divided by D^binom(r+1, 2) once.
+    minor of line_power_matrix, exactly.  The product runs in integers over
+    the line's integer minors and is divided once by scale^binom(r+1, 2).
     """
     if pl.dim != 1:
         raise PreconditionError("expected the Pluecker vector of a line")
@@ -55,10 +54,8 @@ def line_power_pluecker(pl, r, indices):
     pairs = list(combinations(indices, 2))
     if any(i == j for i, j in pairs):
         return Fraction(0)
-    brackets = [pl.entries[min(i, j), max(i, j)] for i, j in pairs]
-    d = lcm(*(b.denominator for b in brackets))
-    total = prod(b.numerator * (d // b.denominator) for b in brackets)
-    return Fraction((-1) ** sum(i > j for i, j in pairs) * total, d ** len(pairs))
+    total = prod(pl.minors[min(i, j), max(i, j)] for i, j in pairs)
+    return Fraction(permutation_sign(indices) * total, pl.scale ** len(pairs))
 
 
 def _hyperplane_coefficients(n, bracket):
@@ -85,23 +82,18 @@ def power_hyperplane(pl):
     return SparsePoly.linear_form(_hyperplane_coefficients(n, pl.entries.__getitem__))
 
 
-def power_linear_equations(line, r):
-    """Linear equations for the r-th power of a line, r < n.
+def power_linear_equations(n, r, minors):
+    """Linear equations for the r-th power of a line in P^n, r < n, from
+    the (r+1)-minors of its power matrix keyed by sorted column tuples
+    (each a `line_power_pluecker`).
 
     These are the binom(n+1, r+2) maximal minors of the power matrix
     augmented with a row of coordinate variables, expanded along that row.
-    Each (r+1)-minor of the power matrix is the product of pairwise
-    brackets of line_power_pluecker, an identity for every line, computed
-    once per column subset.  Coefficients come out integer-cleared and
-    content-free.  For r = n-1 the single equation agrees with
-    power_hyperplane up to sign.
+    Coefficients come out integer-cleared and content-free.  For r = n-1
+    the single equation agrees with power_hyperplane up to sign.
     """
-    n = line.ambient_dim
     if not 1 <= r < n:
         raise PreconditionError("need 1 <= r < n = %d, got r = %d" % (n, r))
-    pl = pluecker(line)  # line_power_pluecker checks that this is a line
-    minors = {cols: line_power_pluecker(pl, r, cols)
-              for cols in combinations(range(n + 1), r + 1)}
     equations = []
     for cols in combinations(range(n + 1), r + 2):
         coeffs = [0] * (n + 1)

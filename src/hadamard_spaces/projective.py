@@ -14,12 +14,16 @@ from itertools import combinations
 from math import lcm
 
 from .linalg import (PreconditionError, BudgetExhausted, QMatrix, rat, rat_str, clear_denominators,
-                     primitive_ints)
+                     integer_det, primitive_ints)
 
 #: Coefficient range for random rational combinations; large enough that
 #: genericity failures are negligible across a whole test run, small enough
 #: to keep bit growth in downstream exact arithmetic bounded.
 SAMPLE_COEFF_BOUND = 10 ** 6
+
+#: Redraw budget of `sample_point` avoiding a Delta_i, and of the samplers
+#: rejecting undefined products.
+SAMPLE_BUDGET = 200
 
 
 class PPoint:
@@ -156,10 +160,11 @@ class LinSpace:
         return self._frame
 
     def integer_generators(self):
-        """The generator rows times the lcm of all their denominators,
-        computed on first use: integer rows spanning the same points."""
+        """(D, D*G) for the generator matrix G and D the lcm of all its
+        denominators, computed on first use: integer rows spanning the same
+        points."""
         if self._ints is None:
-            self._ints = _cleared(self.generators.rows)[1]
+            self._ints = _cleared(self.generators.rows)
         return self._ints
 
     def _holds(self, y):
@@ -239,35 +244,44 @@ def point_times_space(p, space):
 
 
 class PlueckerVector:
-    """Maximal minors of a generator matrix, keyed by sorted index tuples."""
+    """Maximal minors of a generator matrix G, keyed by sorted index tuples.
 
-    __slots__ = ("ambient_dim", "dim", "entries")
+    With G of k rows and D the lcm of its denominators, `minors` holds the
+    integer minors of D*G and `scale` is D^k: each minor is k-linear in the
+    rows, so a minor of D*G is D^k times that of G, and `entries` (minor /
+    scale, as Fractions) are the minors of G.  Bracket formulas multiply
+    the integer minors and divide once by a power of `scale`.
+    """
 
-    def __init__(self, ambient_dim, dim, entries):
+    __slots__ = ("ambient_dim", "dim", "minors", "scale", "entries")
+
+    def __init__(self, ambient_dim, dim, minors, scale):
         self.ambient_dim = int(ambient_dim)
         self.dim = int(dim)
-        self.entries = {tuple(k): rat(v) for k, v in entries.items()}
-        if not any(self.entries.values()):
+        self.minors = minors
+        self.scale = scale
+        if not any(self.minors.values()):
             raise ValueError("Pluecker vector cannot be identically zero")
+        self.entries = {k: Fraction(m, scale) for k, m in self.minors.items()}
 
     def bracket(self, indices):
         """Entry at a (possibly unsorted) index tuple, with antisymmetry sign."""
         indices = tuple(indices)
         if len(set(indices)) != len(indices):
             return Fraction(0)
-        return _permutation_sign(indices) * self.entries[tuple(sorted(indices))]
+        return Fraction(permutation_sign(indices) * self.minors[tuple(sorted(indices))], self.scale)
 
     def nonvanishing(self):
-        return all(self.entries.values())
+        return all(self.minors.values())
 
     def __eq__(self, other):
-        """Projective equality: the same indices and canonical entries."""
-        if not isinstance(other, PlueckerVector) or self.entries.keys() != other.entries.keys():
+        """Projective equality: the same indices (all k-subsets of the same
+        coordinates, so the same dimensions) and proportional minors."""
+        if not isinstance(other, PlueckerVector) or self.minors.keys() != other.minors.keys():
             return False
-        keys = sorted(self.entries)
-        return ((self.ambient_dim, self.dim) == (other.ambient_dim, other.dim)
-                and clear_denominators([self.entries[k] for k in keys])
-                == clear_denominators([other.entries[k] for k in keys]))
+        keys = sorted(self.minors)
+        return (primitive_ints([self.minors[k] for k in keys])
+                == primitive_ints([other.minors[k] for k in keys]))
 
     def __repr__(self):
         body = ", ".join("[%s]=%s" % ("".join(map(str, k)), rat_str(v))
@@ -278,33 +292,20 @@ class PlueckerVector:
         return {",".join(map(str, k)): rat_str(v) for k, v in sorted(self.entries.items())}
 
 
-def _permutation_sign(seq):
-    """Sign of the permutation that sorts a sequence of distinct items."""
-    perm = sorted(range(len(seq)), key=seq.__getitem__)
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j = i
-        clen = 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            clen += 1
-        if clen % 2 == 0:
-            sign = -sign
-    return sign
+def permutation_sign(seq):
+    """Sign of the permutation that sorts a sequence of distinct items: the
+    parity of its inversion count."""
+    return -1 if sum(a > b for a, b in combinations(seq, 2)) % 2 else 1
 
 
 def pluecker(space):
-    """Pluecker coordinates of a linear space: all maximal generator minors."""
-    gens = space.generators
-    k = gens.nrows
-    entries = {}
-    for cols in combinations(range(gens.ncols), k):
-        entries[cols] = gens.submatrix_columns(cols).det()
-    return PlueckerVector(space.ambient_dim, space.dim, entries)
+    """Pluecker coordinates of a linear space: the maximal minors of its
+    cleared generators D*G (`integer_det` each) over the scale D^k, which
+    are the minors of G since a k-minor is k-linear in the rows."""
+    den, rows = space.integer_generators()
+    minors = {cols: integer_det([[row[c] for c in cols] for row in rows])
+              for cols in combinations(range(space.ambient_dim + 1), len(rows))}
+    return PlueckerVector(space.ambient_dim, space.dim, minors, den ** len(rows))
 
 
 def line_through(p, q):
@@ -314,7 +315,7 @@ def line_through(p, q):
     return LinSpace([p.coords, q.coords])
 
 
-def sample_point(space, rng, avoid_delta=None, budget=200):
+def sample_point(space, rng, avoid_delta=None):
     """Random point of a linear space with int coordinates, deterministic
     per rng state.
 
@@ -322,11 +323,11 @@ def sample_point(space, rng, avoid_delta=None, budget=200):
     for the generator rows and combines the space's `integer_generators`
     (the generator rows times one common scale, so the same projective
     point).  With avoid_delta = i, retries until the point avoids Delta_i
-    (i.e. has at least i+2 nonzero coordinates); exhausting the budget
+    (i.e. has at least i+2 nonzero coordinates); exhausting SAMPLE_BUDGET
     signals that the space is (very likely) contained in Delta_i.
     """
-    gens = space.integer_generators()
-    for _ in range(budget):
+    gens = space.integer_generators()[1]
+    for _ in range(SAMPLE_BUDGET):
         coeffs = [rng.randint(-SAMPLE_COEFF_BOUND, SAMPLE_COEFF_BOUND) for _ in range(len(gens))]
         coords = [sum(c * x for c, x in zip(coeffs, col)) for col in zip(*gens)]
         if not any(coords):
@@ -336,4 +337,4 @@ def sample_point(space, rng, avoid_delta=None, budget=200):
             return point
     raise BudgetExhausted(
         "no sample avoiding Delta_%s in %d draws; the space appears to be contained in it"
-        % (avoid_delta, budget))
+        % (avoid_delta, SAMPLE_BUDGET))

@@ -33,10 +33,7 @@ from math import prod
 
 from .linalg import BudgetExhausted
 from .products import terracini_span
-from .projective import LinSpace, PPoint, point_times_space, sample_point
-
-#: Redraw budget for samplers that must reject degenerate draws.
-SAMPLER_BUDGET = 200
+from .projective import SAMPLE_BUDGET, LinSpace, PPoint, point_times_space, sample_point
 
 
 class VarietySampler:
@@ -54,12 +51,11 @@ class VarietySampler:
 
     def _draw(self, rng, tangent):
         """(point, tangent space), or (point, None) when `tangent` is false."""
-        for _ in range(SAMPLER_BUDGET):
+        for _ in range(SAMPLE_BUDGET):
             point = span = None
             for space, reciprocal in self.factors:
                 if reciprocal:
-                    base = sample_point(space, rng, avoid_delta=space.ambient_dim - 1,
-                                        budget=SAMPLER_BUDGET)
+                    base = sample_point(space, rng, avoid_delta=space.ambient_dim - 1)
                     total = prod(base.coords)
                     q = PPoint([total // x for x in base.coords])
                     tq = point_times_space(q.hadamard(q), space) if tangent else None

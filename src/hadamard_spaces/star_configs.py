@@ -147,8 +147,8 @@ def build_star(zset, line, r):
     if r < 1:
         raise PreconditionError("r must be >= 1")
     pl = pluecker(line)
-    for key in sorted(pl.entries):
-        if not pl.entries[key]:
+    for key in sorted(pl.minors):
+        if not pl.minors[key]:
             raise PreconditionError("bracket [%d,%d] of the line vanishes" % key)
     for idx, p in enumerate(zset.points):
         if not line.contains(p):

@@ -1,13 +1,16 @@
 import hashlib
 import io
 import json
+import random
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
 
-from hadamard_spaces import cli
+from hadamard_spaces import cli, line_powers, products, projective
+from hadamard_spaces.linalg import QMatrix
 
 RUN = [sys.executable, "-m", "hadamard_spaces.cli"]
 
@@ -423,3 +426,106 @@ def test_output_file(tmp_path):
                           input=json.dumps(payload), capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(out.read_text()) == {"dim": 2, "degree": "1"}
+
+
+#: `line-power` payloads for r < n, r = n and r > n on a clean line and for the
+#: sampled route on degenerate lines, and `bracket` quadric and cubic payloads,
+#: each with integer and with "num/den" entries.
+BRACKET_OUTPUT_PAYLOADS = [
+    ("line-power", {"line": [[1, 2, 3, 4], [2, -1, 5, 1]], "r": r}) for r in (1, 2, 3, 5)
+] + [
+    ("line-power", {"line": [["1/2", "2/3", 3, "-4/5"], [2, "-1/7", "5/3", 1]], "r": r})
+    for r in (1, 2, 3, 5)
+] + [
+    ("line-power", {"line": [[1, 3, -2, 0, 5], ["2/9", 1, "7/4", -3, "1/6"]], "r": 2}),
+    ("line-power", {"line": [[1, 0, 2, 3], [0, 0, 1, 1]], "r": 2}),
+    ("line-power", {"line": [[1, -1, -3, 1, -3], [1, -2, -6, 16, 16]], "r": 2}),
+    ("line-power", {"line": [[1, -1, -3, 1, -3], ["1/4", "-1/2", "-3/2", 4, 4]], "r": 2}),
+    ("line-power", {"line": [[-2, -3, -3, -1, 0], [-1, "-3/2", "3/2", "5/4", "5/3"]], "r": 2}),
+    ("line-power", {"line": [[-2, -3, -3, -1, 0], [-1, "-3/2", "3/2", "5/4", "5/3"]], "r": 3}),
+    ("line-power", {"line": [["1/2", 0, "2/3", 3], [0, 0, "1/5", "7/2"]], "r": 5}),
+    ("bracket", {"mode": "quadric", "line_l": [[2, 3, 5, 7], [11, 13, 17, 19]],
+                 "line_m": [[23, 29, 31, 37], [41, 43, 47, 53]]}),
+    ("bracket", {"mode": "quadric", "line_l": [["2/3", 3, "-5/4", 7], [11, "13/2", 17, "19/9"]],
+                 "line_m": [[23, "-29/5", 31, 37], ["41/7", 43, "47/3", 53]]}),
+    ("bracket", {"mode": "cubic", "plane": [[1, 2, -1, 3, 0, 2], [0, 1, 4, -2, 1, 1],
+                                            [3, -1, 0, 1, 2, -3]]}),
+    ("bracket", {"mode": "cubic", "plane": [["1/2", 2, -1, "3/5", 0, 2], [0, "1/3", 4, -2, 1, "7/4"],
+                                            [3, -1, "2/7", 1, "-2/3", -3]]}),
+]
+
+#: sha256 of the stdout of BRACKET_OUTPUT_PAYLOADS at seeds 0-9, recorded while
+#: every Pluecker minor was a Fraction determinant of its own.
+BRACKET_OUTPUT_DIGEST = "4db81d1e2554ad0c8b460bdce5f044129bf23b5ff644f12c5f2f3cad0a2adb49"
+
+
+def test_pluecker_output_digest(monkeypatch, capsys):
+    digest = hashlib.sha256()
+    for command, payload in BRACKET_OUTPUT_PAYLOADS:
+        for seed in range(10):
+            monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(payload)))
+            assert cli.main([command, "--seed", str(seed)]) == 0
+            digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == BRACKET_OUTPUT_DIGEST
+
+
+def count_calls(monkeypatch, fn):
+    """Rebind fn in every hadamard_spaces module that holds it by name; the
+    returned list grows by one per call."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("hadamard_spaces"):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+@pytest.mark.parametrize("n, r", [(2, 1), (3, 1), (3, 2), (5, 2), (6, 4)])
+def test_line_power_computes_each_bracket_once(n, r, monkeypatch, capsys):
+    """A clean line's Pluecker vector is computed once, and each minor of
+    its power once, for the printed coordinates and the equations alike."""
+    pluecker_calls = count_calls(monkeypatch, projective.pluecker)
+    minor_calls = count_calls(monkeypatch, line_powers.line_power_pluecker)
+    line = [[1] * (n + 1), ["%d/3" % (j + 1) for j in range(n + 1)]]  # bracket [ij] = (j-i)/3
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps({"line": line, "r": r})))
+    assert cli.main(["line-power"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["method"] == "matrix" and len(doc["equations"]) == comb(n + 1, r + 2)
+    assert (len(pluecker_calls), len(minor_calls)) == (1, comb(n + 1, r + 1))
+
+
+#: One payload of each CLI op kind that reads brackets or exact small ranks.
+SMALL_OP_PAYLOADS = [
+    ("star-config", {"line": [[1, 1, 1, 1], [1, 2, 3, 4]],
+                     "points": [[2, 3, 4, 5], [3, 5, 7, 9], [3, 4, 5, 6]], "r": 2}),
+    ("line-power", {"line": [[1, 2, 3, 4], ["2/3", -1, 5, 1]], "r": 2}),
+    ("line-power", {"line": [[1, -1, -3, 1, -3], [1, -2, -6, 16, 16]], "r": 3}),
+    ("span-dim", {"dims": [[1, 2], [1, 1]], "n": 5}),
+    ("dim-estimate", {"x": {"type": "segre", "a": 1, "b": 1},
+                      "y": {"type": "linear", "generators": [[1, 2, 3, 4], [0, 1, 5, 7]]},
+                      "dim_h": 0, "dim_g": 3}),
+    ("bracket", {"mode": "quadric", "line_l": [[2, 3, 5, 7], [11, 13, 17, 19]],
+                 "line_m": [[23, 29, 31, 37], [41, 43, 47, 53]]}),
+    ("bracket", {"mode": "cubic", "plane": [[1, 2, -1, 3, 0, 2], [0, 1, 4, -2, 1, 1],
+                                            [3, -1, 0, 1, 2, -3]]}),
+]
+
+
+def test_small_ops_build_no_determinant_matrix(monkeypatch, capsys):
+    """Pluecker minors are integer determinants of cleared rows: no op
+    builds a QMatrix to take its determinant."""
+    det_calls, det = [], QMatrix.det
+    monkeypatch.setattr(QMatrix, "det", lambda self: det_calls.append(self) or det(self))
+    for command, payload in SMALL_OP_PAYLOADS:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(payload)))
+        assert cli.main([command]) == 0
+        capsys.readouterr()
+    products.identifiability_check(projective.LinSpace([[1, 2, 3, 4], [2, -1, 5, 1]]), 2, 50,
+                                   random.Random(0))
+    assert det_calls == []

@@ -119,12 +119,18 @@ def test_power_hyperplane_vanishes_on_sampled_products():
         assert form.eval(prod.coords) == 0
 
 
+def power_minors(pl, r):
+    """The (r+1)-minors of a line's power matrix, as the CLI computes them."""
+    return {cols: line_power_pluecker(pl, r, cols)
+            for cols in combinations(range(pl.ambient_dim + 1), r + 1)}
+
+
 def test_power_linear_equations_count_and_vanishing():
     rng = random.Random(23)
     n = 5
     line = random_space(1, n, rng, 30)
     for r in (1, 2, 3):
-        equations = power_linear_equations(line, r)
+        equations = power_linear_equations(n, r, power_minors(pluecker(line), r))
         assert len(equations) == comb(n + 1, r + 2)
         mat = line_power_matrix(line, r)
         for form in equations:
@@ -159,9 +165,10 @@ def test_power_linear_equations_match_determinants():
             line = LinSpace(rows)
         except ValueError:
             continue
-        degenerate += not pluecker(line).nonvanishing()
+        pl = pluecker(line)
+        degenerate += not pl.nonvanishing()
         for r in range(1, n):
-            assert ([f.to_json() for f in power_linear_equations(line, r)]
+            assert ([f.to_json() for f in power_linear_equations(n, r, power_minors(pl, r))]
                     == [f.to_json() for f in determinant_equations(line, r)])
     assert degenerate >= 5
 
@@ -169,13 +176,13 @@ def test_power_linear_equations_match_determinants():
 def test_power_linear_equations_last_is_hyperplane():
     rng = random.Random(24)
     line = random_space(1, 4, rng, 30)
-    (only,) = power_linear_equations(line, 3)
+    (only,) = power_linear_equations(4, 3, power_minors(pluecker(line), 3))
     assert proportional(only, power_hyperplane(pluecker(line)))
 
 
 def test_power_linear_equations_range():
     with pytest.raises(PreconditionError):
-        power_linear_equations(TEST_LINE, 2)  # r must stay below n = 2
+        power_linear_equations(2, 2, power_minors(pluecker(TEST_LINE), 2))  # r must stay below n = 2
 
 
 def test_sampled_span_matches_matrix_route():

@@ -1,14 +1,16 @@
 import random
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 
 from hadamard_spaces import linalg
-from hadamard_spaces.linalg import BudgetExhausted, PreconditionError, QMatrix
+from hadamard_spaces.linalg import (BudgetExhausted, PreconditionError, QMatrix,
+                                    clear_denominators, rat_str)
 from hadamard_spaces.projective import (LinSpace, PPoint, all_ones_point,
                                         intersect_spaces, line_through,
-                                        pluecker, point_times_space,
-                                        sample_point)
+                                        permutation_sign, pluecker,
+                                        point_times_space, sample_point)
 
 
 def test_hadamard_product_of_points():
@@ -139,7 +141,7 @@ def test_sample_point_delta_avoidance():
     # A coordinate axis cannot avoid the coordinate hyperplanes.
     axis = LinSpace([[1, 0, 0]])
     with pytest.raises(BudgetExhausted):
-        sample_point(axis, random.Random(1), avoid_delta=1, budget=30)
+        sample_point(axis, random.Random(1), avoid_delta=1)
 
 
 def test_point_product_associativity_randomized():
@@ -352,3 +354,75 @@ def test_pluecker_equality_matches_cross_products():
             assert (pl == q) == cross_equal(*values)
         assert pl == pluecker(scaled)
         assert pl != pluecker(LinSpace([[1, 0] + [0] * n, [0, 1] + [0] * n]))  # in P^(n+1)
+
+
+def pluecker_entries_by_det(space):
+    """Every maximal minor as the determinant of its own Fraction QMatrix."""
+    gens = space.generators
+    return {cols: gens.submatrix_columns(cols).det()
+            for cols in combinations(range(gens.ncols), gens.nrows)}
+
+
+def projectively_equal_entries(a, ea, b, eb):
+    """The projective equality of Pluecker vectors, read off oracle entries."""
+    return ((a.ambient_dim, a.dim) == (b.ambient_dim, b.dim) and ea.keys() == eb.keys()
+            and clear_denominators([ea[k] for k in sorted(ea)])
+            == clear_denominators([eb[k] for k in sorted(eb)]))
+
+
+def test_pluecker_matches_per_minor_determinants():
+    """Integer minors of the cleared generators over D^k give the same
+    entries, JSON and equality as one Fraction determinant per minor."""
+    rng = random.Random("pluecker-oracle")
+    scaled = vanishing = equal = 0
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        m = rng.randint(0, min(3, n))
+        kind = rng.choice(["int", "fraction", "zero-column"])
+        zero_cols = set(rng.sample(range(n + 1), rng.randint(1, n - m))) if kind == "zero-column" and m < n else ()
+        space = random_linspace(rng, m, n, "int" if kind == "int" else "fraction", zero_cols)
+        entries = pluecker_entries_by_det(space)
+        pl = pluecker(space)
+        assert pl.entries == entries
+        assert pl.to_json() == {",".join(map(str, k)): rat_str(v) for k, v in sorted(entries.items())}
+        scaled += pl.scale > 1
+        vanishing += not all(entries.values())
+        rows = space.generators.rows
+        factors = [Fraction(rng.choice([-3, -1, 2, 5]), rng.randint(1, 4)) for _ in rows]
+        others = [LinSpace([[c * x for x in row] for c, row in zip(factors, rows)]),
+                  random_linspace(rng, m, n, "fraction", zero_cols),
+                  random_linspace(rng, m, n + 1, "int")]
+        for other in others:
+            expected = projectively_equal_entries(space, entries, other, pluecker_entries_by_det(other))
+            assert (pl == pluecker(other)) == expected
+            equal += expected
+    assert scaled >= 50 and vanishing >= 50 and equal >= 200
+
+
+def cycle_walk_sign(seq):
+    """Sign of the permutation that sorts seq, from the parity of its cycles."""
+    perm = sorted(range(len(seq)), key=seq.__getitem__)
+    sign = 1
+    seen = [False] * len(perm)
+    for i in range(len(perm)):
+        if seen[i]:
+            continue
+        j = i
+        clen = 0
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            clen += 1
+        if clen % 2 == 0:
+            sign = -sign
+    return sign
+
+
+def test_permutation_sign_matches_cycle_walk():
+    for k in range(7):
+        for perm in permutations(range(k)):
+            assert permutation_sign(perm) == cycle_walk_sign(perm)
+    rng = random.Random("permutation-sign")
+    for _ in range(500):
+        seq = rng.sample(range(-50, 50), rng.randint(0, 10))
+        assert permutation_sign(seq) == cycle_walk_sign(seq)

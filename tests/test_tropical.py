@@ -1,7 +1,7 @@
 import random
 import warnings
 from fractions import Fraction
-from itertools import combinations, product as iproduct
+from itertools import product as iproduct
 from math import comb, factorial, prod
 
 import pytest
