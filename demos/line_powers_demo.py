@@ -49,12 +49,12 @@ eqs = QMatrix([
     [0, 0, 3, -1, 0, 0],
     [0, 0, 0, 16, -12, -3],
 ])
-degenerate = LinSpace(QMatrix(eqs.nullspace()))
+degenerate = LinSpace(eqs.nullspace())
 print("  generators:")
 for row in degenerate.generators.rows:
     print("   ", [str(x) for x in row])
 for r in (2, 3, 4, 5):
     span = sampled_power_span(degenerate, r, rng)
-    forms = [SparsePoly.linear_form(v).primitive() for v in span.generators.nullspace()]
+    forms = [SparsePoly.linear_form(v).primitive() for v in span.generators.nullspace().ints]
     print("  power r=%d: dimension %d, equations %s" % (r, span.dim, "; ".join(map(str, forms))))
 print("\nThe dimensions stabilize at 3: lower than min(r, 5), but still linear.")

@@ -5,8 +5,7 @@ tropical degree formulas cross-checked against fan computations, and an
 interpolation oracle recovering defining equations from samples.
 """
 
-from .linalg import (BudgetExhausted, PreconditionError, QMatrix, rat, rat_str,
-                     clear_denominators)
+from .linalg import BudgetExhausted, PreconditionError, QMatrix, rat, rat_str
 from .poly import SparsePoly, monomials_of_degree, proportional
 from .projective import (LinSpace, PPoint, PlueckerVector, all_ones_point,
                          intersect_spaces, line_through, pluecker,

@@ -305,6 +305,6 @@ def verify_identity(form, sampler, trials, rng):
         return True
     for _ in range(trials):
         pt = sampler.sample_point(rng)
-        if form.eval(pt.coords) != 0:
+        if form.eval(pt.ints) != 0:
             return False
     return True

@@ -64,8 +64,10 @@ def _want(payload, field, kind, required=True, default=None):
 
 
 def _parse_rational(value, field, where):
-    """A rational literal (`linalg.is_rational_literal`) as a Fraction;
-    anything else is a validation error."""
+    """A rational literal (`linalg.is_rational_literal`): a JSON integer as
+    it is, a string as a Fraction; anything else is a validation error."""
+    if is_json_int(value):
+        return value
     if is_rational_literal(value):
         try:
             return Fraction(value)
@@ -161,10 +163,6 @@ def _parse_dim_mult_list(data, field):
     return out
 
 
-def _matrix_json(mat):
-    return [[rat_str(x) for x in row] for row in mat.rows]
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -193,11 +191,11 @@ def cmd_line_power(payload, rng, args):
         method = "sampled"
         pk = pluecker(power).to_json()
         equations = [SparsePoly.linear_form(vec).primitive()
-                     for vec in power.generators.nullspace()]
+                     for vec in power.generators.nullspace().ints]
     return {
         "method": method,
         "dim": power.dim,
-        "generators": _matrix_json(power.generators),
+        "generators": power.to_json(),
         "pluecker": pk,
         "equations": [f.to_json() for f in equations],
     }
@@ -218,14 +216,14 @@ def cmd_star_config(payload, rng, args):
     hyperplanes = []
     for h in witness.hyperplanes:
         hyperplanes.append({
-            "generators": _matrix_json(h.generators),
-            "equations": _matrix_json(h.equation_matrix()),
+            "generators": h.to_json(),
+            "equations": h.equation_matrix().to_json(),
         })
     pts = []
     for point, subset in zip(witness.points, witness.origin_subsets):
         pts.append({"coords": point.to_json(), "subset": list(subset)})
     return {
-        "ambient_space": _matrix_json(witness.ambient_space.generators),
+        "ambient_space": witness.ambient_space.to_json(),
         "hyperplanes": hyperplanes,
         "points": pts,
         "verified": verify_star(witness),
@@ -331,8 +329,13 @@ def cmd_dim_estimate(payload, rng, args):
     if sampler_y.ambient_dim != sampler_x.ambient_dim:
         raise ValidationError("y", "ambient dimension P^%d differs from x's P^%d"
                               % (sampler_y.ambient_dim, sampler_x.ambient_dim))
+    n = sampler_x.ambient_dim
     dim_h = _want(payload, "dim_h", int)
+    if dim_h < 0:
+        raise ValidationError("dim_h", "torus dimension must be >= 0")
     dim_g = _want(payload, "dim_g", int)
+    if not 0 <= dim_g <= n:
+        raise ValidationError("dim_g", "torus dimension must be between 0 and n = %d" % n)
     p, tp = sampler_x.sample(rng)
     q, tq = sampler_y.sample(rng)
     tangent = terracini_span(p, tp, q, tq)

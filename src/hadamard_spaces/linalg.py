@@ -1,16 +1,18 @@
 """Exact linear algebra over the rationals and the integers.
 
-Everything here is immutable and pure: matrices are tuples of tuples of
-`fractions.Fraction`, operations return new values, and there is no float
+Everything here is immutable and pure: a matrix is integer rows over one
+positive denominator, the least one, cleared once when it is built
+(`cleared_rows`); operations return new values, and there is no float
 anywhere.  "Equals zero" is therefore decidable, which the rest of the
-package relies on.
+package relies on.  Fractions appear only where a value leaves as one: the
+`rows` view, `det`, and the kernels of `integer_kernel_basis`.
 
 Two exact paths: Bareiss elimination computes RREFs, determinants and
 kernels; a p-adic solve computes the interpolation oracle's integer kernels.
 
 Bareiss (`QMatrix.rref`, `det`, `nullspace`, and the fallback of
-`integer_kernel_basis`).  Rows are first cleared to integers, which keeps
-the row space and the kernel.  A forward Bareiss pass with exact division
+`integer_kernel_basis`) runs on the integer rows, which have the row space
+and the kernel of the matrix.  A forward pass with exact division
 (`_bareiss_echelon`) gives an integer echelon form whose entries are minors
 of the input, the sign of its row swaps, and the pivot columns (each the
 first nonzero entry at or below the current row).  A free-column
@@ -54,6 +56,7 @@ import re
 from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+from operator import mul
 
 
 class PreconditionError(ValueError):
@@ -92,30 +95,48 @@ def is_rational_literal(value):
     return is_json_int(value) or isinstance(value, str) and bool(RATIONAL_STRING.fullmatch(value))
 
 
-def rat_str(q: Fraction) -> str:
-    """Canonical 'num/den' string; the '/1' is omitted for integers.
+def rat_str(q, den=1) -> str:
+    """Canonical 'num/den' string of the rational q / den, for q an int or a
+    Fraction and den a positive int; the '/1' is omitted for integers.
 
     A numerator or denominator past Python's int-to-str digit limit raises
     BudgetExhausted instead of the ValueError of `str`.
     """
-    q = Fraction(q)
+    if type(q) is not int:
+        q, den = q.numerator, q.denominator * den
+    if den != 1:
+        g = gcd(q, den)
+        q, den = q // g, den // g
     try:
-        if q.denominator == 1:
-            return str(q.numerator)
-        return "%d/%d" % (q.numerator, q.denominator)
+        return str(q) if den == 1 else "%d/%d" % (q, den)
     except ValueError:
         raise BudgetExhausted("a number is too long to print: it exceeds Python's "
                               "int-to-str digit limit") from None
 
 
-def clear_denominators(vec):
-    """Scale a rational vector to coprime integers, first nonzero positive.
+def cleared_rows(rows, den=1):
+    """(D, integer rows) with the values of rows / den and D > 0 least:
+    rows of ints, Fractions or 'num/den' strings, den a nonzero int.
 
-    Returns a tuple of ints; the zero vector maps to itself.
+    Rationals cleared by the lcm of their denominators have the least D: a
+    prime power exactly dividing the lcm exactly divides some entry's
+    denominator, and that entry's numerator is prime to it.  So only a den
+    other than 1 costs a gcd over the entries.
     """
-    vec = [Fraction(x) for x in vec]
-    mult = lcm(*(x.denominator for x in vec)) if vec else 1
-    return primitive_ints([x.numerator * (mult // x.denominator) for x in vec])
+    rows = tuple(map(tuple, rows))
+    given = den
+    if not all(type(x) is int for row in rows for x in row):
+        rows = tuple(tuple(map(rat, row)) for row in rows)
+        mult = lcm(*(x.denominator for row in rows for x in row))
+        rows = tuple(tuple(x.numerator * (mult // x.denominator) for x in row) for row in rows)
+        den *= mult
+    if given != 1:
+        g = gcd(den, *(x for row in rows for x in row))
+        g = -g if den < 0 else g
+        if g != 1:
+            den //= g
+            rows = tuple(tuple(x // g for x in row) for row in rows)
+    return den, rows
 
 
 def primitive_ints(ints):
@@ -132,127 +153,109 @@ def primitive_ints(ints):
 
 
 class QMatrix:
-    """Immutable matrix over Fraction entries.
+    """Immutable rational matrix: integer rows `ints` over one positive
+    denominator `den`, the least one (`cleared_rows`), so two matrices are
+    equal iff their pairs are.
 
     The reduced row echelon form is computed on first use and cached in
     `_rref`; rank, row space and kernel are read off it.
     """
 
-    __slots__ = ("rows", "_rref")
+    __slots__ = ("den", "ints", "_rref")
 
-    def __init__(self, rows):
-        self.rows = tuple(tuple(rat(x) for x in row) for row in rows)
-        if self.rows:
-            width = len(self.rows[0])
-            for row in self.rows:
-                if len(row) != width:
-                    raise ValueError("ragged rows")
+    def __init__(self, rows, den=1):
+        """The matrix rows / den (rows and den as in `cleared_rows`)."""
+        self.den, self.ints = cleared_rows(rows, den)
+        if any(len(row) != len(self.ints[0]) for row in self.ints):
+            raise ValueError("ragged rows")
         self._rref = None
 
     @property
+    def rows(self):
+        """The entries as Fractions."""
+        return tuple(tuple(Fraction(x, self.den) for x in row) for row in self.ints)
+
+    @property
     def nrows(self):
-        return len(self.rows)
+        return len(self.ints)
 
     @property
     def ncols(self):
-        return len(self.rows[0]) if self.rows else 0
+        return len(self.ints[0]) if self.ints else 0
 
     def __eq__(self, other):
-        return isinstance(other, QMatrix) and self.rows == other.rows
+        return isinstance(other, QMatrix) and self.den == other.den and self.ints == other.ints
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash((self.den, self.ints))
 
     def __repr__(self):
-        body = "; ".join(" ".join(rat_str(x) for x in row) for row in self.rows)
-        return "QMatrix[%s]" % body
+        return "QMatrix[%s]" % "; ".join(" ".join(row) for row in self.to_json())
 
-    def scale_columns(self, scalars):
+    def to_json(self):
+        return [[rat_str(x, self.den) for x in row] for row in self.ints]
+
+    def scale_columns(self, scalars, den=1):
+        """Column j times scalars[j] / den (as in `cleared_rows`)."""
         if len(scalars) != self.ncols:
             raise ValueError("column count mismatch")
-        scalars = [rat(s) for s in scalars]
-        return QMatrix(tuple(tuple(x * s for x, s in zip(row, scalars)) for row in self.rows))
+        sden, (ints,) = cleared_rows((scalars,), den)
+        return QMatrix(tuple(tuple(map(mul, row, ints)) for row in self.ints), self.den * sden)
 
     def submatrix_columns(self, cols):
-        return QMatrix(tuple(tuple(row[c] for c in cols) for row in self.rows))
+        return QMatrix(tuple(tuple(row[c] for c in cols) for row in self.ints), self.den)
 
     def rref(self):
         """Reduced row echelon form, rank and pivot columns, computed once.
 
-        Row i of the reduced form has a 1 at pivot p_i, zeros at the other
+        Row i of the reduced form R has a 1 at pivot p_i, zeros at the other
         pivots, and -v_f[p_i] at free column f, where v_f is the kernel
-        vector of free column f.  Rows past the rank are zero.
+        vector of free column f; rows past the rank are zero.  The solution
+        x_f of `_back_substitute` is d v_f, so R is the integer rows with d
+        at p_i and -x_f[p_i] at f, over d (reduced to the least positive
+        denominator by the constructor).
         """
         if self._rref is not None:
             return self._rref
         nc = self.ncols
-        echelon, pivots, _ = _bareiss_echelon(_integer_rows(self.rows)[0])
+        echelon, pivots, _ = _bareiss_echelon(self.ints)
         d, free, solutions = _back_substitute(echelon, pivots, nc)
-        rows = []
-        for p in pivots:
-            row = [Fraction(0)] * nc
-            row[p] = Fraction(1)
+        rows = [[0] * nc for _ in range(self.nrows)]
+        for row, p in zip(rows, pivots):
+            row[p] = d
             for f, x in zip(free, solutions):
-                row[f] = Fraction(-x[p], d)
-            rows.append(row)
-        rows.extend([Fraction(0)] * nc for _ in range(self.nrows - len(pivots)))
-        reduced = QMatrix(rows)
+                row[f] = -x[p]
+        reduced = QMatrix(rows, d)
         reduced._rref = self._rref = (reduced, len(pivots), tuple(pivots))
         return self._rref
 
     def rank(self):
         return self.rref()[1]
 
-    def row_space_matrix(self):
-        """RREF with zero rows dropped: a canonical basis of the row space.
-
-        The basis is its own RREF, so it comes with its reduction cached.
-        """
-        reduced, rank, pivots = self.rref()
-        basis = QMatrix(reduced.rows[:rank])
-        basis._rref = (basis, rank, pivots)
-        return basis
-
     def nullspace(self):
-        """Basis of the right kernel, one vector per free column.
+        """Basis of the right kernel as the rows of a matrix, one per free
+        column, over the RREF's denominator D.
 
-        The basis vector for free column f has a 1 in position f and zeros
-        in every other free position.
+        The row of free column f has a 1 at f, zeros at the other free
+        columns and -R[i][f] at pivot p_i: in integers, D at f and
+        -(D R)[i][f] at p_i.
         """
         reduced, rank, pivots = self.rref()
-        nc = self.ncols
-        free = [c for c in range(nc) if c not in pivots]
         basis = []
-        for f in free:
-            vec = [Fraction(0)] * nc
-            vec[f] = Fraction(1)
-            for r, c in enumerate(pivots):
-                vec[c] = -reduced.rows[r][f]
-            basis.append(tuple(vec))
-        return basis
+        for f in range(self.ncols):
+            if f not in pivots:
+                vec = [0] * self.ncols
+                vec[f] = reduced.den
+                for c, row in zip(pivots, reduced.ints):
+                    vec[c] = -row[f]
+                basis.append(vec)
+        return QMatrix(basis, reduced.den)
 
     def det(self):
-        """Determinant: `integer_det` of the cleared rows over the row scale."""
+        """Determinant: `integer_det` of the integer rows over den^n."""
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
-        ints, scale = _integer_rows(self.rows)
-        return Fraction(integer_det(ints), scale)
-
-
-def _integer_rows(rows):
-    """Each rational row times the lcm of its denominators, and the product
-    of those multipliers.
-
-    Scaling rows by nonzero integers keeps the row space and the kernel and
-    multiplies the determinant by the returned scale.
-    """
-    scale = 1
-    ints = []
-    for row in rows:
-        mult = lcm(*(x.denominator for x in row))
-        scale *= mult
-        ints.append([x.numerator * (mult // x.denominator) for x in row])
-    return ints, scale
+        return Fraction(integer_det(self.ints), self.den ** self.nrows)
 
 
 def integer_det(rows):
@@ -273,7 +276,7 @@ def _bareiss_echelon(rows):
     at minor size; in particular the last pivot of a nonsingular square
     matrix is its determinant times the sign.
     """
-    rows = [list(map(int, r)) for r in rows]
+    rows = [list(r) for r in rows]
     nr = len(rows)
     nc = len(rows[0]) if rows else 0
     pivots = []
@@ -420,8 +423,7 @@ def _lift(f, pivots, y, m, nc):
 
 def _annihilates(rows, vec):
     """Whether rows @ vec == 0, checked in integers on the cleared vector."""
-    den = lcm(*(x.denominator for x in vec))
-    ints = [(j, x.numerator * (den // x.denominator)) for j, x in enumerate(vec) if x]
+    ints = [(j, v) for j, v in enumerate(cleared_rows((vec,))[1][0]) if v]
     return all(sum(row[j] * v for j, v in ints) == 0 for row in rows)
 
 

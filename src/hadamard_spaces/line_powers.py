@@ -135,7 +135,7 @@ def sampled_power_span(line_or_space, r, rng, budget=200):
                 return span
             continue
         streak = 0
-        span = LinSpace.span_of((span.generators.rows if span else ()) + (product.coords,))
+        span = LinSpace.span_of((span.generators.ints if span else ()) + (product.ints,))
         if span.dim == n:
             return span
     raise BudgetExhausted("sampled span did not stabilize within %d draws" % budget)

@@ -66,15 +66,15 @@ def benchmark_plane():
 
 
 def degenerate_line():
-    return LinSpace(QMatrix(QMatrix(DEGENERATE_LINE_EQS).nullspace()))
+    return LinSpace(QMatrix(DEGENERATE_LINE_EQS).nullspace())
 
 
 def span_satisfies_exactly(space, coeff_rows):
     """The space's linear equations are spanned by exactly the given forms."""
     forms = [SparsePoly.linear_form(row) for row in coeff_rows]
-    vanish = all(f.eval(row) == 0 for f in forms for row in space.generators.rows)
+    vanish = all(f.eval(row) == 0 for f in forms for row in space.generators.ints)
     independent = QMatrix(coeff_rows).rank() == len(coeff_rows)
-    dual_dim = len(space.generators.nullspace())
+    dual_dim = space.generators.nullspace().nrows
     return vanish and independent and dual_dim == len(coeff_rows)
 
 

@@ -16,6 +16,7 @@ on the samples, not approximately.
 
 import warnings
 from math import comb, prod
+from operator import mul
 
 from .linalg import PreconditionError, QMatrix, integer_kernel_basis
 from .poly import SparsePoly, monomial_products, monomials_of_degree
@@ -40,17 +41,18 @@ def gen_vandermonde(entries):
     if not entries:
         raise ValueError("need at least one (space, multiplicity) entry")
     width = entries[0][0].generators.ncols
-    blocks = []
+    blocks, den = [], 1
     for space, mult in entries:
         if mult < 1:
             raise ValueError("multiplicities must be >= 1")
         if space.generators.ncols != width:
             raise ValueError("ambient dimensions differ")
-        blocks.append(monomial_products(space.generators.rows, mult))
+        blocks.append(monomial_products(space.generators.ints, mult))
+        den *= space.generators.den ** mult
     rows = blocks[0]
     for block in blocks[1:]:
-        rows = [tuple(x * y for x, y in zip(row, other)) for row in rows for other in block]
-    return QMatrix(rows)
+        rows = [tuple(map(mul, row, other)) for row in rows for other in block]
+    return QMatrix(rows, den)
 
 
 def span_dimension_formula(dims_and_mults, n):
@@ -134,19 +136,18 @@ def _search_collisions(space, r, trials, rng):
 
 
 def terracini_span(p, tp, q, tq):
-    """Tangent space of X*Y at p*q: the span of p*T_q(Y) and q*T_p(X)."""
-    if len(p.coords) != len(q.coords):
+    """Tangent space of X*Y at p*q: the span of p*T_q(Y) and q*T_p(X),
+    from the integer rows of the points and generators (a row times a
+    nonzero scale spans the same)."""
+    if len(p.ints) != len(q.ints):
         raise ValueError("ambient dimensions differ")
     if not tp.contains(p):
         raise PreconditionError("first point does not lie in its tangent space")
     if not tq.contains(q):
         raise PreconditionError("second point does not lie in its tangent space")
-    rows = []
-    for g in tq.generators.rows:
-        rows.append(tuple(a * b for a, b in zip(p.coords, g)))
-    for g in tp.generators.rows:
-        rows.append(tuple(a * b for a, b in zip(q.coords, g)))
-    span = LinSpace.span_of(QMatrix(rows))
+    rows = [tuple(map(mul, p.ints, g)) for g in tq.generators.ints]
+    rows += [tuple(map(mul, q.ints, g)) for g in tp.generators.ints]
+    span = LinSpace.span_of(rows)
     if span is None:
         raise PreconditionError("the Terracini span collapsed to nothing")
     return span

@@ -1,19 +1,21 @@
 """Projective points, linear spaces, Pluecker coordinates, and the
 coordinatewise (Hadamard) product of points and point-by-space products.
 
-Points and spaces are exact rational objects with one canonical form each,
-which equality, hashing and membership all read.  A point is defined up to
-a global nonzero scale; its form is the coprime integer key of
-`PPoint.canonical`.  A linear space keeps the generator matrix it was built
-from (full row rank enforced); its form is the integer pivot frame of
-`LinSpace.frame`.
+Points and spaces are exact rational objects stored in integers: a point
+is integer coordinates over one positive denominator, as a `QMatrix` is
+integer rows over one.  Each has one canonical form, which equality,
+hashing and membership all read.  A point is defined up to a global
+nonzero scale; its form is the coprime integer key of `PPoint.canonical`.
+A linear space keeps the generator matrix it was built from (full row rank
+enforced); its form is the integer pivot frame of `LinSpace.frame`, which
+is its RREF's integer rows and denominator.
 """
 
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from operator import mul
 
-from .linalg import (PreconditionError, BudgetExhausted, QMatrix, rat, rat_str, clear_denominators,
+from .linalg import (PreconditionError, BudgetExhausted, QMatrix, cleared_rows, rat_str,
                      integer_det, primitive_ints)
 
 #: Coefficient range for random rational combinations; large enough that
@@ -27,23 +29,27 @@ SAMPLE_BUDGET = 200
 
 
 class PPoint:
-    """A point of projective n-space with exact rational coordinates.
-
-    Coordinates are Fractions or ints: an int is kept as it is, so points
-    drawn in integers (`sample_point`, the samplers) never build a Fraction.
+    """A point of projective n-space with exact rational coordinates: the
+    integer coordinates `ints` over the least positive denominator `den`.
     """
 
-    __slots__ = ("coords", "_key")
+    __slots__ = ("den", "ints", "_key")
 
-    def __init__(self, coords):
-        self.coords = tuple(x if type(x) is int else rat(x) for x in coords)
-        if not any(self.coords):
+    def __init__(self, coords, den=1):
+        """The point coords / den (as in `linalg.cleared_rows`)."""
+        self.den, (self.ints,) = cleared_rows((coords,), den)
+        if not any(self.ints):
             raise ValueError("projective point cannot have all coordinates zero")
         self._key = None
 
     @property
+    def coords(self):
+        """The coordinates as Fractions."""
+        return tuple(Fraction(x, self.den) for x in self.ints)
+
+    @property
     def ambient_dim(self):
-        return len(self.coords) - 1
+        return len(self.ints) - 1
 
     def __eq__(self, other):
         return isinstance(other, PPoint) and self.canonical() == other.canonical()
@@ -57,16 +63,14 @@ class PPoint:
         Computed on first use and kept: the coordinates never change.
         """
         if self._key is None:
-            c = self.coords
-            self._key = (primitive_ints(c) if all(type(x) is int for x in c)
-                         else clear_denominators(c))
+            self._key = primitive_ints(self.ints)
         return self._key
 
     def __repr__(self):
-        return "[" + " : ".join(rat_str(x) for x in self.coords) + "]"
+        return "[" + " : ".join(self.to_json()) + "]"
 
     def nonzero_count(self):
-        return sum(1 for x in self.coords if x)
+        return sum(1 for x in self.ints if x)
 
     def delta_index(self):
         """Smallest i such that the point lies in Delta_i.
@@ -84,33 +88,33 @@ class PPoint:
         """
         if not isinstance(other, PPoint):
             raise TypeError("expected a PPoint")
-        if len(self.coords) != len(other.coords):
+        if len(self.ints) != len(other.ints):
             raise ValueError("ambient dimensions differ")
-        prod = tuple(a * b for a, b in zip(self.coords, other.coords))
+        prod = tuple(map(mul, self.ints, other.ints))
         if not any(prod):
             return None
-        return PPoint(prod)
+        return PPoint(prod, self.den * other.den)
 
     def __mul__(self, other):
         return self.hadamard(other)
 
     def to_json(self):
-        return [rat_str(x) for x in self.coords]
+        return [rat_str(x, self.den) for x in self.ints]
 
 
 def all_ones_point(n):
     """The identity for the Hadamard product (the 0-th power of anything)."""
-    return PPoint([Fraction(1)] * (n + 1))
+    return PPoint([1] * (n + 1))
 
 
 class LinSpace:
     """A projective linear space presented by a full-row-rank generator matrix.
 
-    Membership and equality read one integer pivot frame (P, D, D*R),
-    computed once from the reduction the generator matrix caches: R is the
-    RREF basis of the space, P its pivot columns and D the lcm of its
-    denominators, so D*R is an integer matrix with D at (i, P_i) and 0 at
-    the other pivots.
+    Membership and equality read one integer pivot frame (P, D, D*R), kept
+    from the reduction that checks the rank: R is the RREF basis of the
+    space (the generators' RREF, which has no zero row), P its pivot
+    columns and D its least denominator, so D*R is an integer matrix with D
+    at (i, P_i) and 0 at the other pivots.
 
     - Coordinates.  R has the identity at P, so a vector y of the space is
       y_P R, its coefficients in the basis R being its entries at P.  So y
@@ -123,25 +127,27 @@ class LinSpace:
       iff their frames are, and the frame is also the hash.
     """
 
-    __slots__ = ("generators", "_frame", "_ints")
+    __slots__ = ("generators", "_frame")
 
     def __init__(self, generators):
         mat = generators if isinstance(generators, QMatrix) else QMatrix(generators)
         if mat.nrows == 0:
             raise ValueError("a linear space needs at least one generator row")
-        if mat.rank() != mat.nrows:
+        reduced, rank, pivots = mat.rref()
+        if rank != mat.nrows:
             raise ValueError("generator matrix does not have full row rank")
         self.generators = mat
-        self._frame = None
-        self._ints = None
+        self._frame = (pivots, reduced.den, reduced.ints)
 
     @classmethod
     def span_of(cls, rows):
         """Row space of arbitrary rows; None if they all vanish."""
         mat = rows if isinstance(rows, QMatrix) else QMatrix(rows)
-        basis = mat.row_space_matrix()
-        if basis.nrows == 0:
+        reduced, rank, pivots = mat.rref()
+        if not rank:
             return None
+        basis = QMatrix(reduced.ints[:rank], reduced.den)
+        basis._rref = (basis, rank, pivots)  # a basis in RREF is its own reduction
         return cls(basis)
 
     @property
@@ -153,30 +159,20 @@ class LinSpace:
         return self.generators.ncols - 1
 
     def frame(self):
-        """(P, D, D*R) as in the class docstring, computed on first use."""
-        if self._frame is None:
-            reduced, rank, pivots = self.generators.rref()
-            self._frame = (pivots, *_cleared(reduced.rows[:rank]))
+        """(P, D, D*R) as in the class docstring."""
         return self._frame
 
-    def integer_generators(self):
-        """(D, D*G) for the generator matrix G and D the lcm of all its
-        denominators, computed on first use: integer rows spanning the same
-        points."""
-        if self._ints is None:
-            self._ints = _cleared(self.generators.rows)
-        return self._ints
-
     def _holds(self, y):
-        """Whether the integer vector y satisfies D*y = y_P (D*R)."""
+        """Whether the integer vector y satisfies D*y = y_P (D*R); a point
+        is in the space iff its integer coordinates are."""
         pivots, den, basis = self.frame()
         head = [y[p] for p in pivots]
         return all(den * v == sum(c * b[j] for c, b in zip(head, basis)) for j, v in enumerate(y))
 
     def contains(self, point):
-        if len(point.coords) != self.generators.ncols:
+        if len(point.ints) != self.generators.ncols:
             raise ValueError("ambient dimensions differ")
-        return self._holds(point.canonical())
+        return self._holds(point.ints)
 
     def contains_space(self, other):
         if other.generators.ncols != self.generators.ncols:
@@ -194,16 +190,10 @@ class LinSpace:
 
     def equation_matrix(self):
         """Rows of linear-form coefficients cutting out this space."""
-        return QMatrix(self.generators.nullspace())
+        return self.generators.nullspace()
 
     def to_json(self):
-        return [[rat_str(x) for x in row] for row in self.generators.rows]
-
-
-def _cleared(rows):
-    """(D, D * rows) for rational rows, D the lcm of all their denominators."""
-    den = lcm(*(x.denominator for row in rows for x in row))
-    return den, tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in rows)
+        return self.generators.to_json()
 
 
 def intersect_spaces(spaces):
@@ -216,13 +206,13 @@ def intersect_spaces(spaces):
         raise ValueError("need at least one space")
     rows = []
     for sp in spaces:
-        rows.extend(sp.equation_matrix().rows)
+        rows.extend(sp.equation_matrix().ints)
     if not rows:
         return spaces[0]
     kernel = QMatrix(rows).nullspace()
-    if not kernel:
+    if not kernel.nrows:
         return None
-    return LinSpace(QMatrix(kernel))
+    return LinSpace(kernel)
 
 
 def point_times_space(p, space):
@@ -235,9 +225,9 @@ def point_times_space(p, space):
     returned as-is, so its maximal minors are exactly the minors of L scaled
     by the products of the corresponding coordinates of p.
     """
-    if len(p.coords) != space.generators.ncols:
+    if len(p.ints) != space.generators.ncols:
         raise ValueError("ambient dimensions differ")
-    scaled = space.generators.scale_columns(p.coords)
+    scaled = space.generators.scale_columns(p.ints, p.den)
     if scaled.rank() == scaled.nrows:
         return LinSpace(scaled)
     return LinSpace.span_of(scaled)
@@ -300,19 +290,20 @@ def permutation_sign(seq):
 
 def pluecker(space):
     """Pluecker coordinates of a linear space: the maximal minors of its
-    cleared generators D*G (`integer_det` each) over the scale D^k, which
-    are the minors of G since a k-minor is k-linear in the rows."""
-    den, rows = space.integer_generators()
-    minors = {cols: integer_det([[row[c] for c in cols] for row in rows])
-              for cols in combinations(range(space.ambient_dim + 1), len(rows))}
-    return PlueckerVector(space.ambient_dim, space.dim, minors, den ** len(rows))
+    generators' integer rows D*G (`integer_det` each) over the scale D^k,
+    which are the minors of G since a k-minor is k-linear in the rows."""
+    gens = space.generators
+    minors = {cols: integer_det([[row[c] for c in cols] for row in gens.ints])
+              for cols in combinations(range(space.ambient_dim + 1), gens.nrows)}
+    return PlueckerVector(space.ambient_dim, space.dim, minors, gens.den ** gens.nrows)
 
 
 def line_through(p, q):
     """The line spanned by two distinct points, keeping them as generators."""
     if p == q:
         raise PreconditionError("the two points coincide projectively")
-    return LinSpace([p.coords, q.coords])
+    rows = [[x * q.den for x in p.ints], [x * p.den for x in q.ints]]
+    return LinSpace(QMatrix(rows, p.den * q.den))
 
 
 def sample_point(space, rng, avoid_delta=None):
@@ -320,13 +311,13 @@ def sample_point(space, rng, avoid_delta=None):
     per rng state.
 
     Draws integer coefficients uniformly from [-SAMPLE_COEFF_BOUND, bound]
-    for the generator rows and combines the space's `integer_generators`
-    (the generator rows times one common scale, so the same projective
+    for the generator rows and combines the generators' integer rows
+    (the generator rows times their denominator, so the same projective
     point).  With avoid_delta = i, retries until the point avoids Delta_i
     (i.e. has at least i+2 nonzero coordinates); exhausting SAMPLE_BUDGET
     signals that the space is (very likely) contained in Delta_i.
     """
-    gens = space.integer_generators()[1]
+    gens = space.generators.ints
     for _ in range(SAMPLE_BUDGET):
         coeffs = [rng.randint(-SAMPLE_COEFF_BOUND, SAMPLE_COEFF_BOUND) for _ in range(len(gens))]
         coords = [sum(c * x for c, x in zip(coeffs, col)) for col in zip(*gens)]

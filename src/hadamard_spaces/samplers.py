@@ -56,8 +56,8 @@ class VarietySampler:
             for space, reciprocal in self.factors:
                 if reciprocal:
                     base = sample_point(space, rng, avoid_delta=space.ambient_dim - 1)
-                    total = prod(base.coords)
-                    q = PPoint([total // x for x in base.coords])
+                    total = prod(base.ints)
+                    q = PPoint([total // x for x in base.ints])
                     tq = point_times_space(q.hadamard(q), space) if tangent else None
                 else:
                     q, tq = sample_point(space, rng), space

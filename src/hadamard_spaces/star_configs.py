@@ -158,7 +158,7 @@ def build_star(zset, line, r):
 
     ambient = LinSpace(line_power_matrix(line, r))
     if r == 1:
-        factor = LinSpace([all_ones_point(n).coords])
+        factor = LinSpace([all_ones_point(n).ints])
     else:
         factor = LinSpace(line_power_matrix(line, r - 1))
     hyperplanes = [point_times_space(p, factor) for p in zset.points]

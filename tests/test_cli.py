@@ -373,6 +373,24 @@ def test_dim_estimate_ambient_mismatch_exit_1():
     assert json.loads(proc.stderr)["error"]["field"] == "y"
 
 
+#: Two lines in P^3: the torus dimensions must satisfy 0 <= dim_h and 0 <= dim_g <= 3.
+@pytest.mark.parametrize("dims, field", [
+    ({"dim_h": -3, "dim_g": 50}, "dim_h"),
+    ({"dim_h": -1, "dim_g": 3}, "dim_h"),
+    ({"dim_h": 0, "dim_g": -1}, "dim_g"),
+    ({"dim_h": 0, "dim_g": 4}, "dim_g"),
+])
+def test_dim_estimate_torus_dimensions_exit_1(dims, field):
+    payload = {"x": {"type": "linear", "generators": [[1, 2, 3, 4], [0, 1, 5, 7]]},
+               "y": {"type": "linear", "generators": [[3, 1, 4, 1], [5, 9, 2, 6]]}, **dims}
+    proc = run_cli("dim-estimate", payload)
+    assert proc.returncode == 1 and proc.stdout == ""
+    err = json.loads(proc.stderr)["error"]
+    assert err["code"] == 1 and err["field"] == field
+    payload.update(dim_h=0, dim_g=3)
+    assert run_cli("dim-estimate", payload).returncode == 0
+
+
 @pytest.mark.parametrize("payload, field", [
     ({"spaces": []}, "spaces"),
     ({"dims": [], "n": 3}, "dims"),
@@ -529,3 +547,54 @@ def test_small_ops_build_no_determinant_matrix(monkeypatch, capsys):
     products.identifiability_check(projective.LinSpace([[1, 2, 3, 4], [2, -1, 5, 1]]), 2, 50,
                                    random.Random(0))
     assert det_calls == []
+
+
+#: `star-config` payloads with integer and with "num/den" lines and points
+#: (r from 1 to 4), and `span-dim` payloads by `spaces` (integer and
+#: "num/den" generators, multiplicities 1-3) and by `dims` (drawn from the seed).
+STAR_SPAN_PAYLOADS = [
+    ("star-config", {"line": [[1, 1, 1, 1], [1, 2, 3, 4]],
+                     "points": [[2, 3, 4, 5], [3, 5, 7, 9], [4, 7, 10, 13], [6, 11, 16, 21]], "r": 2}),
+    ("star-config", {"line": [[1, 1, 1, 1], [1, 2, 3, 4]],
+                     "points": [[2, 3, 4, 5], [3, 5, 7, 9], [4, 7, 10, 13], [6, 11, 16, 21],
+                                [8, 15, 22, 29]], "r": 3}),
+    ("star-config", {"line": [[1, 1, 1, 1], [1, 2, 3, 4]], "points": [[3, 5, 7, 9], [4, 7, 10, 13]],
+                     "r": 1}),
+] + [
+    ("star-config", {"line": [["1/2", 1, "3/2", -2], [1, "1/3", "-2/5", 3]],
+                     "points": [[1, "7/6", "13/10", "-1/2"], ["5/2", "5/3", "7/10", 4],
+                                ["-1/4", "3/4", "9/5", "-17/4"], ["11/2", "8/3", "-1/2", 13]], "r": r})
+    for r in (2, 3)
+] + [
+    ("star-config", {"line": [[1, 3, -2, 5, 7], ["2/9", 1, "7/4", -3, "1/6"]],
+                     "points": [["11/9", 4, "-1/4", 2, "43/6"], ["31/27", "11/3", "-5/6", 3, "64/9"],
+                                ["5/9", 1, "-11/2", 11, "20/3"], ["73/63", "26/7", "-3/4", "20/7", "299/42"],
+                                ["17/9", 7, 5, -7, "23/3"]], "r": r})
+    for r in (2, 4)
+] + [
+    ("span-dim", {"spaces": [{"generators": [[1, 1, 1, 1], [1, 2, 3, 4]], "mult": 2}]}),
+    ("span-dim", {"spaces": [{"generators": [[1, 2, 0, -1, 3], [0, 1, 1, 2, -2]]},
+                             {"generators": [[2, -1, 3, 1, 1], [1, 1, 1, 1, 1]], "mult": 2}]}),
+    ("span-dim", {"spaces": [{"generators": [["1/2", 2, "-3/4", 1, 5, "2/7"],
+                                             [1, "1/3", 2, "-5/2", 0, 1],
+                                             [0, 1, "7/3", 2, "1/9", -1]], "mult": 3}]}),
+    ("span-dim", {"spaces": [{"generators": [["2/3", 1, -1, "5/2"], [1, "-1/4", 3, 0]]},
+                             {"generators": [[1, "3/5", 2, 1]], "mult": 2}]}),
+    ("span-dim", {"dims": [[1, 1], [1, 1]], "n": 3}),
+    ("span-dim", {"dims": [[1, 2], [2, 1]], "n": 9}),
+    ("span-dim", {"dims": [[2, 2]], "n": 4}),
+]
+
+#: sha256 of the stdout of STAR_SPAN_PAYLOADS at seeds 0-9, recorded while
+#: every matrix entry and point coordinate was a Fraction.
+STAR_SPAN_DIGEST = "4a1de67e3506cf4516f3e1aa15a0b34a4024b283a6c546f95ea367ea11eb2817"
+
+
+def test_star_config_and_span_dim_output_digest(monkeypatch, capsys):
+    digest = hashlib.sha256()
+    for command, payload in STAR_SPAN_PAYLOADS:
+        for seed in range(10):
+            monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(payload)))
+            assert cli.main([command, "--seed", str(seed)]) == 0
+            digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == STAR_SPAN_DIGEST

@@ -1,12 +1,13 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hadamard_spaces import linalg
-from hadamard_spaces.linalg import (KERNEL_PRIMES, QMatrix, clear_denominators,
+from hadamard_spaces.linalg import (KERNEL_PRIMES, QMatrix, cleared_rows,
                                     integer_kernel_basis, rat, rat_str,
                                     smith_normal_form)
 
@@ -92,17 +93,17 @@ def test_rref_row_space_preserved():
 
 
 def test_nullspace_identity_empty():
-    assert _identity(4).nullspace() == []
+    assert _identity(4).nullspace() == QMatrix([])
 
 
 def test_nullspace_single_row():
     basis = QMatrix([[1, -1]]).nullspace()
-    assert basis == [(Fraction(1), Fraction(1))]
+    assert basis.rows == ((Fraction(1), Fraction(1)),)
 
 
 def test_nullspace_two_rows():
     basis = QMatrix([[1, 0, -1], [0, 1, -1]]).nullspace()
-    assert basis == [(Fraction(1), Fraction(1), Fraction(1))]
+    assert basis.rows == ((Fraction(1), Fraction(1), Fraction(1)),)
 
 
 def test_rank_equals_transpose_rank_randomized():
@@ -122,7 +123,7 @@ def test_nullspace_vectors_annihilated_and_counted():
             m = QMatrix(_random_rows(rng, 5, 6, lambda: rng.randint(-5, 5)))
         else:
             m = QMatrix(_random_rows(rng, 7, 7, lambda: _random_fraction(rng)))
-        basis = m.nullspace()
+        basis = m.nullspace().rows
         assert m.rank() + len(basis) == m.ncols
         for vec in basis:
             assert all(x == 0 for x in _mat_vec(m, vec))
@@ -132,7 +133,7 @@ def test_integer_kernel_matches_nullspace():
     rng = random.Random(3)
     for _ in range(60):
         rows = _random_rows(rng, 7, 7, lambda: rng.randint(-9, 9))
-        assert integer_kernel_basis(rows) == QMatrix(rows).nullspace()
+        assert integer_kernel_basis(rows) == list(QMatrix(rows).nullspace().rows)
 
 
 def _bareiss_kernel(rows):
@@ -435,12 +436,17 @@ def test_det_bareiss_vs_definition():
         assert m.det() == cof([list(r) for r in m.rows])
 
 
-def test_rat_str_and_clear_denominators():
+def test_rat_str_and_cleared_rows():
     assert rat_str(rat("5")) == "5"
     assert rat_str(rat("-3/7")) == "-3/7"
-    assert clear_denominators([rat("1/2"), rat("-1/3")]) == (3, -2)
-    assert clear_denominators([rat("-1/2"), rat("-1/3")]) == (3, 2)
-    assert clear_denominators([0, 0]) == (0, 0)
+    assert rat_str(5) == "5" and rat_str(-6, 4) == "-3/2" and rat_str(6, 3) == "2"
+    assert rat_str(Fraction(-3, 7), 2) == "-3/14" and rat_str(0, 5) == "0"
+    assert cleared_rows([[rat("1/2"), rat("-1/3")]]) == (6, ((3, -2),))
+    assert cleared_rows([["-1/2", 3], [0, "1/4"]]) == (4, ((-2, 12), (0, 1)))
+    assert cleared_rows([[6, -4], [0, 2]], 4) == (2, ((3, -2), (0, 1)))
+    assert cleared_rows([[Fraction(2, 3), 4]], 6) == (9, ((1, 6),))
+    assert cleared_rows([[0, 0]], 5) == (1, ((0, 0),))
+    assert cleared_rows([]) == (1, ())
 
 
 def test_floats_rejected():
@@ -448,3 +454,84 @@ def test_floats_rejected():
         rat(0.5)
     with pytest.raises(TypeError):
         QMatrix([[0.5]])
+
+
+def _fraction_rref(rows):
+    """The Fraction route: each row cleared by the lcm of its denominators,
+    Bareiss, and the reduced rows rebuilt as Fractions; with the pivots and
+    the product of the row multipliers."""
+    ints, scale = [], 1
+    for row in rows:
+        mult = lcm(*(x.denominator for x in row))
+        scale *= mult
+        ints.append([x.numerator * (mult // x.denominator) for x in row])
+    nc = len(rows[0]) if rows else 0
+    echelon, pivots, _ = linalg._bareiss_echelon(ints)
+    d, free, solutions = linalg._back_substitute(echelon, pivots, nc)
+    reduced = []
+    for p in pivots:
+        row = [Fraction(0)] * nc
+        row[p] = Fraction(1)
+        for f, x in zip(free, solutions):
+            row[f] = Fraction(-x[p], d)
+        reduced.append(tuple(row))
+    reduced += [(Fraction(0),) * nc] * (len(rows) - len(pivots))
+    return reduced, tuple(pivots), ints, scale
+
+
+def _fraction_nullspace(reduced, pivots, nc):
+    basis = []
+    for f in (c for c in range(nc) if c not in pivots):
+        vec = [Fraction(0)] * nc
+        vec[f] = Fraction(1)
+        for r, c in enumerate(pivots):
+            vec[c] = -reduced[r][f]
+        basis.append(tuple(vec))
+    return basis
+
+
+def _assert_integer_pair(m):
+    """Stored entries are ints over a positive den that no prime shares with all of them."""
+    assert type(m.den) is int and m.den > 0
+    assert all(type(x) is int for row in m.ints for x in row)
+    assert gcd(m.den, *(x for row in m.ints for x in row)) == 1
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction", "zero-column"])
+def test_integer_matrices_match_the_fraction_route(kind):
+    """rref, nullspace, det and scale_columns give the rationals of the
+    Fraction route, and equal matrices have equal pairs and hashes."""
+    rng = random.Random("fraction-route:" + kind)
+    entry = (lambda: rng.randint(-6, 6)) if kind == "int" else (lambda: _random_fraction(rng))
+    cases = [[[], []]] if kind == "zero-column" else []
+    for trial in range(120):
+        rows = _random_rows(rng, 6, 6, entry)
+        if kind == "zero-column" and rows:
+            zero = rng.sample(range(len(rows[0])), rng.randint(1, len(rows[0])))
+            rows = [[0 if j in zero else x for j, x in enumerate(row)] for row in rows]
+        cases.append(rows)
+        n = rng.randint(0, 5)
+        cases.append([[entry() for _ in range(n)] for _ in range(n)])
+    for rows in cases:
+        frows = [tuple(map(Fraction, row)) for row in rows]
+        m = QMatrix(rows)
+        _assert_integer_pair(m)
+        assert m.rows == tuple(frows) and m == QMatrix(frows) and hash(m) == hash(QMatrix(frows))
+        expected, pivots, ints, scale = _fraction_rref(frows)
+        reduced, rank, got_pivots = m.rref()
+        _assert_integer_pair(reduced)
+        assert reduced.rows == tuple(expected) and got_pivots == pivots and rank == len(pivots)
+        assert reduced == QMatrix(expected) and hash(reduced) == hash(QMatrix(expected))
+        kernel = m.nullspace()
+        _assert_integer_pair(kernel)
+        expected_kernel = _fraction_nullspace(expected, pivots, m.ncols)
+        assert list(kernel.rows) == expected_kernel and kernel == QMatrix(expected_kernel)
+        if m.nrows == m.ncols:
+            assert m.det() == Fraction(linalg.integer_det(ints), scale)
+        if m.ncols:
+            scalars = [entry() for _ in range(m.ncols)]
+            scaled = m.scale_columns(scalars)
+            products = [tuple(x * Fraction(s) for x, s in zip(row, scalars)) for row in frows]
+            _assert_integer_pair(scaled)
+            assert scaled.rows == tuple(products) and scaled == QMatrix(products)
+            assert hash(scaled) == hash(QMatrix(products))

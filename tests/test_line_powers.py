@@ -207,7 +207,7 @@ def degenerate_line_p5():
         [0, 0, 3, -1, 0, 0],
         [0, 0, 0, 16, -12, -3],
     ])
-    return LinSpace(QMatrix(eqs.nullspace()))
+    return LinSpace(eqs.nullspace())
 
 
 def test_degenerate_line_square_equations():

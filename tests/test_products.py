@@ -1,12 +1,12 @@
 import random
 import warnings
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 import pytest
 
 from hadamard_spaces.line_powers import line_power_matrix, power_hyperplane
-from hadamard_spaces.linalg import PreconditionError, clear_denominators
+from hadamard_spaces.linalg import PreconditionError, primitive_ints
 from hadamard_spaces import products
 from hadamard_spaces.papersuite import random_space
 from hadamard_spaces.poly import proportional
@@ -21,6 +21,14 @@ from hadamard_spaces.samplers import (hadamard_power_sampler,
                                       hadamard_product_sampler,
                                       linear_space_sampler, reciprocal_sampler,
                                       segre_sampler)
+
+
+def clear_denominators(vec):
+    """A rational vector times the lcm of its denominators, as coprime
+    integers with the first nonzero entry positive."""
+    vec = [Fraction(x) for x in vec]
+    mult = lcm(*(x.denominator for x in vec))
+    return primitive_ints([x.numerator * (mult // x.denominator) for x in vec])
 
 
 def test_gen_vandermonde_line_square_matches_power_matrix():
@@ -238,7 +246,7 @@ def degenerate_line_p5():
         [0, 0, 3, -1, 0, 0],
         [0, 0, 0, 16, -12, -3],
     ])
-    return LinSpace(QMatrix(eqs.nullspace()))
+    return LinSpace(eqs.nullspace())
 
 
 def test_interpolate_forms_degenerate_square():

@@ -1,16 +1,25 @@
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import gcd, lcm
 
 import pytest
 
 from hadamard_spaces import linalg
 from hadamard_spaces.linalg import (BudgetExhausted, PreconditionError, QMatrix,
-                                    clear_denominators, rat_str)
+                                    primitive_ints, rat_str)
 from hadamard_spaces.projective import (LinSpace, PPoint, all_ones_point,
                                         intersect_spaces, line_through,
                                         permutation_sign, pluecker,
                                         point_times_space, sample_point)
+
+
+def clear_denominators(vec):
+    """A rational vector times the lcm of its denominators, as coprime
+    integers with the first nonzero entry positive."""
+    vec = [Fraction(x) for x in vec]
+    mult = lcm(*(x.denominator for x in vec))
+    return primitive_ints([x.numerator * (mult // x.denominator) for x in vec])
 
 
 def test_hadamard_product_of_points():
@@ -37,13 +46,14 @@ def test_projective_equality_and_canonical():
 
 def test_int_coordinates_stay_ints_with_the_same_key():
     p = PPoint([-2, 4, 0, 6])
-    assert [type(x) for x in p.coords] == [int] * 4 and p.canonical() == (1, -2, 0, -3)
-    assert type(PPoint([True, 2]).coords[0]) is Fraction
+    assert (p.den, p.ints) == (1, (-2, 4, 0, 6)) and p.canonical() == (1, -2, 0, -3)
+    assert [type(x) for x in PPoint([True, 2]).ints] == [int, int]
     rng = random.Random("int-key")
     for _ in range(200):
         ints = random_vector(rng, rng.randint(0, 4), "int")
         as_fractions = PPoint([Fraction(x) for x in ints])
         mixed = PPoint([Fraction(x) if j % 2 else x for j, x in enumerate(ints)])
+        assert (1, tuple(ints)) == (as_fractions.den, as_fractions.ints) == (mixed.den, mixed.ints)
         assert PPoint(ints).canonical() == as_fractions.canonical() == mixed.canonical()
         assert PPoint(ints) == as_fractions and hash(PPoint(ints)) == hash(as_fractions)
 
@@ -314,6 +324,48 @@ def test_linspace_canonical_form_matches_stacked_rank(kind):
                     assert hash(a) == hash(b)
         assert space == same and space.contains_space(sub) and sup.contains_space(space)
 
+
+
+def fraction_frame(space):
+    """The frame from Fraction rows: the RREF's nonzero rows times the lcm of
+    their denominators."""
+    reduced, rank, pivots = space.generators.rref()
+    rows = reduced.rows[:rank]
+    den = lcm(*(x.denominator for row in rows for x in row))
+    return pivots, den, tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in rows)
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction", "zero-column"])
+def test_integer_points_and_frames_match_the_fraction_route(kind):
+    """Hadamard products and frames give the rationals of the Fraction route,
+    stored as ints over the least positive denominator."""
+    rng = random.Random("fraction-route:" + kind)
+    entries = "int" if kind == "int" else "fraction"
+    for _ in range(100):
+        n = rng.randint(1, 5)
+        zero_cols = set(rng.sample(range(n + 1), rng.randint(1, n))) if kind == "zero-column" else ()
+        p, q = (random_vector(rng, n, entries, zero_cols) for _ in range(2))
+        a, b = PPoint(p), PPoint(q)
+        product = [Fraction(x) * Fraction(y) for x, y in zip(p, q)]
+        for point, coords in ((a, p), (b, q)):
+            assert type(point.den) is int and point.den > 0
+            assert all(type(x) is int for x in point.ints) and gcd(point.den, *point.ints) == 1
+            assert point.coords == tuple(map(Fraction, coords))
+        if not any(product):
+            assert a.hadamard(b) is None
+            continue
+        got, expected = a.hadamard(b), PPoint(product)
+        assert got.coords == tuple(product) and (got.den, got.ints) == (expected.den, expected.ints)
+        assert got == expected and hash(got) == hash(expected)
+        assert got.canonical() == clear_denominators(product)
+
+        m = rng.randint(0, n - len(zero_cols))
+        space = random_linspace(rng, m, n, entries, zero_cols)
+        factors = [Fraction(rng.choice([-3, 2, 5]), rng.randint(1, 4)) for _ in range(m + 1)]
+        scaled = LinSpace([[c * x for x in row] for c, row in zip(factors, space.generators.rows)])
+        assert space.frame() == fraction_frame(space) == scaled.frame()
+        assert space == scaled and hash(space) == hash(scaled)
+        assert all(type(x) is int for row in space.frame()[2] for x in row)
 
 def test_linspace_membership_ambient_mismatch_raises():
     space = LinSpace([[1, 0, 2], [0, 1, 1]])
