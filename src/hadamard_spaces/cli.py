@@ -7,7 +7,8 @@ document.  Identical payload + seed always produces byte-identical output.
 Exit codes: 0 success, 1 payload validation error (the message points at
 the offending field), 2 mathematical precondition failure (the message
 names the violated hypothesis), 3 retry/sampling budget exhaustion (also a
-`degree --transcript` past tropical.FAN_BUDGET).
+`degree --transcript` past tropical.FAN_BUDGET, and an `interp` degree past
+products.INTERP_MONOMIAL_BUDGET).
 """
 
 import argparse

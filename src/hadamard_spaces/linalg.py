@@ -22,31 +22,33 @@ spans and tangent spaces, and through `integer_det` the integer minors of
 Pluecker coordinates.
 
 p-adic (`integer_kernel_basis`, the interpolation oracle's kernel).  The
-integer matrix is factored once modulo a prime p of KERNEL_PRIMES, each
-row packed into one int whose slots never carry (`_factor_mod_p`), so a
-row update is one big-int multiply-add with no reduction.  For each free
-column f, the entries at the pivots before f solve a square system in the
-pivot rows, lifted p-adically to p^k (Dixon 1982) and rationally
-reconstructed (Wang, Guy & Davenport 1982); every vector is checked
-exactly, A x = 0 in integers against every row, before anything is
-returned.  Its cost follows the size of the kernel entries, not of the
-minors Bareiss carries.  The check is a certificate, with modulus p^k:
+integer matrix A, or only its leading nc x nc block when A has more rows
+than its nc columns (call the factored rows S), is factored modulo a prime
+p of KERNEL_PRIMES, each row packed into one int whose slots never carry
+(`_factor_mod_p`), so a row update is one big-int multiply-add with no
+reduction.  For each free column f, the entries at the pivots before f
+solve a square system in the pivot rows, lifted p-adically to p^k (Dixon
+1982) and rationally reconstructed (Wang, Guy & Davenport 1982); every
+vector is checked exactly, A x = 0 in integers against every row of A,
+before anything is returned.  Its cost follows the size of the kernel
+entries, not of the minors Bareiss carries.  The check is a certificate:
 
-- rank mod p <= rank over Q (every minor that vanishes over Q vanishes
-  mod p), so dim ker_p >= dim ker_Q;
+- ker_Q(A) lies in ker_Q(S), and rank mod p <= rank over Q (every minor
+  that vanishes over Q vanishes mod p), so dim ker_p(S) >= dim ker_Q(A);
 - the lifted vectors are independent, because each has a 1 at its own
   free column and zeros at the other free columns;
-- so dim ker_p exactly verified vectors prove dim ker_Q = dim ker_p, and
-  they are a basis of ker_Q;
+- so dim ker_p(S) vectors that pass the check on all rows prove dim
+  ker_Q(A) = dim ker_p(S), and they are a basis of ker_Q(A);
 - the vector of free column f is zero past column f, so column f is a
-  combination of earlier columns and is not a pivot over Q.  The free sets
-  mod p and over Q therefore coincide, and the basis is the unique one
-  with a 1 at its free column and zeros at the others: the one the
-  Bareiss path returns.
+  combination of earlier columns of A and is not a pivot over Q.  The free
+  sets of S mod p and of A over Q therefore coincide, and the basis is the
+  unique one with a 1 at its free column and zeros at the others: the one
+  the Bareiss path returns.
 
-An unlucky prime (pivots differing from the rational ones) never passes
-the check, and the next prime is tried; entries beyond the lifting reach,
-or no prime left, go to the Bareiss path.  The result is always exact.
+A vector that reconstructs but fails the check (an unlucky prime, or a
+block S with a larger kernel than A) sends a block to all of A with the
+same prime and all of A to the next prime; entries beyond the lifting
+reach, or no prime left, go to Bareiss.  The result is always exact.
 
 The RREF, the kernel basis normalised to the free columns and the
 determinant are unique, so the results do not depend on the path.
@@ -55,6 +57,7 @@ determinant are unique, so the results do not depend on the path.
 import re
 from bisect import bisect_left
 from fractions import Fraction
+from itertools import compress
 from math import gcd, isqrt, lcm
 from operator import mul
 
@@ -422,15 +425,17 @@ def _lift(f, pivots, y, m, nc):
 
 
 def _annihilates(rows, vec):
-    """Whether rows @ vec == 0, checked in integers on the cleared vector."""
-    ints = [(j, v) for j, v in enumerate(cleared_rows((vec,))[1][0]) if v]
-    return all(sum(row[j] * v for j, v in ints) == 0 for row in rows)
+    """Whether rows @ vec == 0, in integers on the cleared vector's support."""
+    ints = cleared_rows((vec,))[1][0]
+    values = [v for v in ints if v]
+    return all(sum(map(mul, compress(row, ints), values)) == 0 for row in rows)
 
 
-def _dixon_kernel(rows, nc, p):
-    """The kernel basis lifted from one factorization mod p.  A vector failing
-    its check in LIFT_STEPS steps gives None if its last two steps reconstruct
-    the same vector (an unlucky prime), else False (beyond the lifting reach).
+def _dixon_kernel(rows, height, nc, p):
+    """The kernel basis lifted from one factorization mod p of the first
+    `height` rows, checked on all rows.  A vector failing its check in
+    LIFT_STEPS steps gives None if its last two steps reconstruct the same
+    vector (see the module docstring), else False (beyond the lifting reach).
 
     For free column f with k pivots before it, the pivot entries y solve
     B y = -A[R_<k, f] with B = A[R_<k, P_<k], whose factors mod p are the
@@ -438,7 +443,7 @@ def _dixon_kernel(rows, nc, p):
     triangular solve x_i = B^-1 b_i mod p per step and the exact residual
     b_(i+1) = (b_i - B x_i) / p.
     """
-    pivots, prows, lower, upper = _factor_mod_p(rows, nc, p)
+    pivots, prows, lower, upper = _factor_mod_p(rows[:height], nc, p)
     square = [[rows[i][c] for c in pivots] for i in prows]
     vectors = []
     for f in sorted(set(range(nc)).difference(pivots)):
@@ -448,10 +453,10 @@ def _dixon_kernel(rows, nc, p):
         for _ in range(LIFT_STEPS):
             x = []
             for l, bi in zip(lower, b):
-                x.append((bi - sum(a * v for a, v in zip(l, x))) * l[-1] % p)
+                x.append((bi - sum(map(mul, l, x))) * l[-1] % p)
             for i in range(k - 1, -1, -1):
-                x[i] = (x[i] - sum(a * v for a, v in zip(upper[i], x[i + 1:]))) % p
-            b = [(bi - sum(a * v for a, v in zip(row, x))) // p for bi, row in zip(b, square)]
+                x[i] = (x[i] - sum(map(mul, upper[i], x[i + 1:]))) % p
+            b = [(bi - sum(map(mul, row, x))) // p for bi, row in zip(b, square)]
             y = [u + m * v for u, v in zip(y, x)]
             m *= p
             last, vec = vec, _lift(f, pivots, y, m, nc)
@@ -468,14 +473,17 @@ def integer_kernel_basis(rows):
 
     Same contract as QMatrix.nullspace: the vector of free column f has a 1
     at f and zeros at the other free columns; entries are Fractions.  The
-    p-adic path and its certificate are in the module docstring; the basis
-    is the unique one Bareiss returns.
+    p-adic path, its square block and its certificate are in the module
+    docstring; the basis is the unique one Bareiss returns.
     """
     if not rows:
         return []
     nc = len(rows[0])
-    for p in KERNEL_PRIMES:
-        vectors = _dixon_kernel(rows, nc, p)
+    attempts = [(p, len(rows)) for p in KERNEL_PRIMES]
+    if len(rows) > nc:
+        attempts.insert(0, (KERNEL_PRIMES[0], nc))
+    for p, height in attempts:
+        vectors = _dixon_kernel(rows, height, nc, p)
         if vectors is False:
             break
         if vectors is not None:

@@ -28,6 +28,13 @@ class SparsePoly:
         self.terms = clean
 
     @classmethod
+    def _trusted(cls, nvars, terms):
+        """Terms the arithmetic built (nvars-tuples, nonzero Fractions), unchecked."""
+        poly = object.__new__(cls)
+        poly.nvars, poly.terms = nvars, terms
+        return poly
+
+    @classmethod
     def zero(cls, nvars):
         return cls(nvars, {})
 
@@ -75,10 +82,10 @@ class SparsePoly:
                 terms[expo] = s
             else:
                 terms.pop(expo, None)
-        return SparsePoly(self.nvars, terms)
+        return SparsePoly._trusted(self.nvars, terms)
 
     def __neg__(self):
-        return SparsePoly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return SparsePoly._trusted(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, SparsePoly) else SparsePoly.constant(self.nvars, -rat(other)))
@@ -96,7 +103,7 @@ class SparsePoly:
                     terms[expo] = s
                 else:
                     terms.pop(expo, None)
-        return SparsePoly(self.nvars, terms)
+        return SparsePoly._trusted(self.nvars, terms)
 
     __rmul__ = __mul__
 
@@ -104,7 +111,7 @@ class SparsePoly:
         c = rat(c)
         if not c:
             return SparsePoly.zero(self.nvars)
-        return SparsePoly(self.nvars, {e: c * v for e, v in self.terms.items()})
+        return SparsePoly._trusted(self.nvars, {e: c * v for e, v in self.terms.items()})
 
     def __pow__(self, k):
         if k < 0:
@@ -151,7 +158,7 @@ class SparsePoly:
         lead = max(ints)
         if ints[lead] < 0:
             g = -g
-        return SparsePoly(self.nvars, {e: Fraction(v, g) for e, v in ints.items()})
+        return SparsePoly._trusted(self.nvars, {e: Fraction(v, g) for e, v in ints.items()})
 
     def __str__(self):
         if not self.terms:

@@ -18,14 +18,19 @@ import warnings
 from math import comb, prod
 from operator import mul
 
-from .linalg import PreconditionError, QMatrix, integer_kernel_basis
+from .linalg import BudgetExhausted, PreconditionError, QMatrix, integer_kernel_basis
 from .poly import SparsePoly, monomial_products, monomials_of_degree
 from .projective import LinSpace, sample_point
 
 #: Oversampling margin for interpolation: extra rows beyond the monomial
-#: count, as a fraction of it.  Makes spurious kernel vectors a
-#: probability-zero event while keeping the matrices small.
+#: count, as a fraction of it, that only the kernel's exact check reads.
+#: They make spurious kernel vectors a probability-zero event.
 OVERSAMPLE_NUM, OVERSAMPLE_DEN = 1, 4
+
+#: Largest monomial count binom(n+d, d) `interpolate_forms` accepts; past it,
+#: it raises BudgetExhausted before any draw.  The slowest payload measured
+#: at 300 (degree 2 on a 20-space in P^23) takes 4.3 s on a 2-vCPU Xeon VM.
+INTERP_MONOMIAL_BUDGET = 300
 
 
 def gen_vandermonde(entries):
@@ -162,31 +167,27 @@ def expected_dimension(dim_x, dim_y, dim_h, dim_g):
     return min(dim_x + dim_y - dim_h, dim_g)
 
 
-def _evaluation_rows(sampler, d, count, rng):
-    """Integer evaluation matrix: one row per sample, one column per
-    degree-d monomial in `monomials_of_degree` order.
-
-    Samples are reduced to canonical integer coordinates first (projectively
-    harmless), so the whole matrix is integral and the kernel computation can
-    run fraction-free.
-    """
-    points = [sampler.sample_point(rng).canonical() for _ in range(count)]
-    return list(zip(*monomial_products(list(zip(*points)), d)))
-
-
-def interpolate_forms(sampler, d, rng):
+def interpolate_forms(sampler, d, rng, points=None):
     """Basis of degree-d forms vanishing on the sampled variety.
 
-    Uses binom(n+d, d) monomials and 25% more samples than monomials; the
-    kernel of the evaluation matrix contains the true degree-d piece of the
-    vanishing ideal and equals it with probability one over seeds.
+    Uses binom(n+d, d) monomials and 25% more samples than monomials, the
+    first of `points` (canonical integer points; extended in place by fresh
+    draws, a new list when None).  The kernel of the integer evaluation
+    matrix contains the true degree-d piece of the vanishing ideal and
+    equals it with probability one over seeds; it is solved on as many
+    samples as monomials, and the extra ones serve its exact check.
     """
     if d < 1:
         raise PreconditionError("degree must be >= 1")
     n = sampler.ambient_dim
+    if comb(n + d, d) > INTERP_MONOMIAL_BUDGET:
+        raise BudgetExhausted("degree %d in P^%d has %d monomials, past the budget of %d"
+                              % (d, n, comb(n + d, d), INTERP_MONOMIAL_BUDGET))
     monomials = monomials_of_degree(n + 1, d)
     count = len(monomials) + (len(monomials) * OVERSAMPLE_NUM + OVERSAMPLE_DEN - 1) // OVERSAMPLE_DEN
-    rows = _evaluation_rows(sampler, d, count, rng)
+    points = [] if points is None else points
+    points.extend(sampler.sample_point(rng).canonical() for _ in range(count - len(points)))
+    rows = list(zip(*monomial_products(list(zip(*points[:count])), d)))
     forms = []
     for vec in integer_kernel_basis(rows):
         poly = SparsePoly(n + 1, dict(zip(monomials, vec)))
@@ -200,10 +201,13 @@ def interpolate_hypersurface(sampler, dmax, rng):
     Returns the smallest d <= dmax with a one-dimensional space of
     vanishing forms, together with that form, integer-cleared.  A kernel of
     dimension greater than one at the first hit means the variety is not a
-    hypersurface (or the sampling was insufficient) and raises.
+    hypersurface (or the sampling was insufficient) and raises.  One draw
+    serves the whole search: degree d reads the first samples of one
+    growing list.
     """
+    points = []
     for d in range(1, dmax + 1):
-        forms = interpolate_forms(sampler, d, rng)
+        forms = interpolate_forms(sampler, d, rng, points)
         if len(forms) == 1:
             return d, forms[0]
         if len(forms) > 1:

@@ -239,11 +239,12 @@ class PlueckerVector:
     With G of k rows and D the lcm of its denominators, `minors` holds the
     integer minors of D*G and `scale` is D^k: each minor is k-linear in the
     rows, so a minor of D*G is D^k times that of G, and `entries` (minor /
-    scale, as Fractions) are the minors of G.  Bracket formulas multiply
-    the integer minors and divide once by a power of `scale`.
+    scale, as Fractions, built on each read) are the minors of G.  Bracket
+    formulas multiply the integer minors and divide once by a power of
+    `scale`.
     """
 
-    __slots__ = ("ambient_dim", "dim", "minors", "scale", "entries")
+    __slots__ = ("ambient_dim", "dim", "minors", "scale")
 
     def __init__(self, ambient_dim, dim, minors, scale):
         self.ambient_dim = int(ambient_dim)
@@ -252,7 +253,11 @@ class PlueckerVector:
         self.scale = scale
         if not any(self.minors.values()):
             raise ValueError("Pluecker vector cannot be identically zero")
-        self.entries = {k: Fraction(m, scale) for k, m in self.minors.items()}
+
+    @property
+    def entries(self):
+        """The minors of G as Fractions, keyed like `minors`."""
+        return {k: Fraction(m, self.scale) for k, m in self.minors.items()}
 
     def bracket(self, indices):
         """Entry at a (possibly unsorted) index tuple, with antisymmetry sign."""
@@ -274,12 +279,12 @@ class PlueckerVector:
                 == primitive_ints([other.minors[k] for k in keys]))
 
     def __repr__(self):
-        body = ", ".join("[%s]=%s" % ("".join(map(str, k)), rat_str(v))
-                         for k, v in sorted(self.entries.items()))
+        body = ", ".join("[%s]=%s" % ("".join(map(str, k)), rat_str(m, self.scale))
+                         for k, m in sorted(self.minors.items()))
         return "Pluecker(%s)" % body
 
     def to_json(self):
-        return {",".join(map(str, k)): rat_str(v) for k, v in sorted(self.entries.items())}
+        return {",".join(map(str, k)): rat_str(m, self.scale) for k, m in sorted(self.minors.items())}
 
 
 def permutation_sign(seq):
@@ -320,7 +325,7 @@ def sample_point(space, rng, avoid_delta=None):
     gens = space.generators.ints
     for _ in range(SAMPLE_BUDGET):
         coeffs = [rng.randint(-SAMPLE_COEFF_BOUND, SAMPLE_COEFF_BOUND) for _ in range(len(gens))]
-        coords = [sum(c * x for c, x in zip(coeffs, col)) for col in zip(*gens)]
+        coords = [sum(map(mul, coeffs, col)) for col in zip(*gens)]
         if not any(coords):
             continue
         point = PPoint(coords)

@@ -175,10 +175,7 @@ def cubic_oracle(pl_p):
     """The cubic as computed before its table was cached: every coefficient
     transported on each call, through two coset representatives, and
     evaluated in Fraction arithmetic."""
-
-    def valuation(br):
-        return pl_p.entries[br]
-
+    valuation = pl_p.entries.__getitem__
     terms = {}
     for a, b, c in combinations_with_replacement(range(6), 3):
         pattern, partial = brackets._pattern_and_map(a, b, c)

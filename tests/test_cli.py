@@ -4,12 +4,13 @@ import json
 import random
 import subprocess
 import sys
+import time
 from math import comb
 from pathlib import Path
 
 import pytest
 
-from hadamard_spaces import cli, line_powers, products, projective
+from hadamard_spaces import cli, line_powers, products, projective, samplers
 from hadamard_spaces.linalg import QMatrix
 
 RUN = [sys.executable, "-m", "hadamard_spaces.cli"]
@@ -156,6 +157,43 @@ def test_interp_stdout_over_seeds_is_unchanged(monkeypatch, capsys):
             assert cli.main(["interp", "--seed", str(seed)]) == 0
             digest.update(capsys.readouterr().out.encode())
     assert digest.hexdigest() == INTERP_SEEDS_SHA256
+
+
+def test_interp_dmax_search_draws_each_point_once(monkeypatch, capsys):
+    # Degrees 1, 2 and 3 of the squared plane in P^5 read the first 8, 27
+    # and 70 samples of one list; a fresh draw per degree took 105.
+    calls = []
+    draw = samplers.VarietySampler.sample_point
+
+    def counted(self, rng):
+        calls.append(rng)
+        return draw(self, rng)
+
+    monkeypatch.setattr(samplers.VarietySampler, "sample_point", counted)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(
+        {"sampler": INTERP_CYCLE_PAYLOADS[0], "dmax": 3})))
+    assert cli.main(["interp"]) == 0
+    assert json.loads(capsys.readouterr().out)["degree"] == 3
+    assert len(calls) == 70
+
+
+def test_interp_past_the_monomial_budget_exit_3():
+    # Degree 40 on a line in P^11 has binom(51, 40) monomials: enumerating
+    # them ran until killed.
+    line = {"type": "linear", "generators": [[1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12],
+                                             [3, -1, 4, 1, -5, 9, 2, -6, 5, 3, -5, 8]]}
+    start = time.perf_counter()
+    proc = run_cli("interp", {"sampler": line, "degree": 40})
+    assert time.perf_counter() - start < 1
+    assert proc.returncode == 3 and proc.stdout == "" and "Traceback" not in proc.stderr
+    error = json.loads(proc.stderr)["error"]
+    assert error["code"] == 3 and str(products.INTERP_MONOMIAL_BUDGET) in error["message"]
+    # A dmax search checks each degree: all of P^7 has no vanishing form,
+    # and its 330 quartic monomials are past the budget.
+    space = {"type": "linear", "generators": [[int(i == j) for j in range(8)] for i in range(8)]}
+    proc = run_cli("interp", {"sampler": space, "dmax": 40})
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert json.loads(proc.stderr)["error"]["message"].startswith("degree 4 in P^7 has 330 monomials")
 
 
 def test_malformed_json_exit_1():

@@ -10,6 +10,9 @@ from hadamard_spaces import linalg
 from hadamard_spaces.linalg import (KERNEL_PRIMES, QMatrix, cleared_rows,
                                     integer_kernel_basis, rat, rat_str,
                                     smith_normal_form)
+from hadamard_spaces.poly import monomial_products
+from hadamard_spaces.projective import LinSpace
+from hadamard_spaces.samplers import hadamard_power_sampler, linear_space_sampler
 
 
 def _transpose(m):
@@ -247,6 +250,34 @@ def test_kernel_beyond_lifting_reach_goes_straight_to_bareiss(monkeypatch):
     assert basis == _bareiss_kernel(rows)
 
 
+def test_tall_kernel_falls_back_from_a_singular_block(monkeypatch):
+    # The leading 2 x 2 block is singular: its kernel vector (-2, 1)
+    # reconstructs exactly but fails the third row, so the whole matrix is
+    # factored with the same prime, where it has full rank.
+    bareiss_calls = _count_calls(monkeypatch, "_bareiss_echelon")
+    factor_calls = _count_calls(monkeypatch, "_factor_mod_p")
+    assert integer_kernel_basis([[1, 2], [2, 4], [1, 3]]) == []
+    assert [(len(args[0]), args[2]) for args in factor_calls] == [(2, KERNEL_PRIMES[0]),
+                                                                  (3, KERNEL_PRIMES[0])]
+    assert bareiss_calls == []
+
+
+def test_interp_sized_tall_kernel_factors_its_square_block(monkeypatch):
+    # 70 samples of the square of a plane in P^5 against its 56 cubic
+    # monomials: one kernel vector, the cubic.
+    rng = random.Random(17)
+    plane = LinSpace([[rng.randint(-9, 9) for _ in range(6)] for _ in range(3)])
+    sampler = hadamard_power_sampler(linear_space_sampler(plane), 2)
+    points = [sampler.sample_point(rng).canonical() for _ in range(70)]
+    rows = [list(r) for r in zip(*monomial_products(list(zip(*points)), 3))]
+    whole = linalg._dixon_kernel(rows, len(rows), 56, KERNEL_PRIMES[0])
+    bareiss_calls = _count_calls(monkeypatch, "_bareiss_echelon")
+    factor_calls = _count_calls(monkeypatch, "_factor_mod_p")
+    basis = integer_kernel_basis(rows)
+    assert [len(args[0]) for args in factor_calls] == [56] and bareiss_calls == []
+    assert len(basis) == 1 and basis == whole
+
+
 def _factor_mod_p_lists(rows, nc, p):
     """Reference: the elimination mod p on lists of residues, with the
     factors logged in place (at pivot column P[j], row i keeps L[i][j] for
@@ -312,18 +343,39 @@ def _matrices(nr, nc, entries):
     return st.lists(st.lists(entries, min_size=nc, max_size=nc), min_size=nr, max_size=nr)
 
 
+def _product(left, right):
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] for row in left]
+
+
 @st.composite
 def _big_integer_matrices(draw):
-    """1-8 rows and columns, entries up to 2^300; half of them products
-    through k < min(shape) columns (k = 1 for a single row or column), so
-    rank-deficient with structured kernels."""
+    """Integer matrices, a third of each kind.  Free and product ones have
+    1-8 rows and columns and entries up to 2^300; a product goes through
+    k < min(shape) columns (k = 1 for a single row or column), so it is
+    rank-deficient with a structured kernel.  Tall ones have dependent
+    leading rows: an nc x nc product of rank k < nc, then 1-3 rows that
+    are free (the whole kernel is smaller than the block's) or products
+    through the same k columns (the kernels agree), entries up to 2^3,
+    2^40 or 2^300."""
     nr, nc = draw(st.integers(1, 8)), draw(st.integers(1, 8))
     entries = st.integers(-2 ** 300, 2 ** 300)
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["free", "product", "tall"]))
+    if kind == "free":
         return draw(_matrices(nr, nc, entries))
-    k = draw(st.integers(1, max(1, min(nr, nc) - 1)))
-    left, right = draw(_matrices(nr, k, entries)), draw(_matrices(k, nc, st.integers(-9, 9)))
-    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] for row in left]
+    if kind == "product":
+        k = draw(st.integers(1, max(1, min(nr, nc) - 1)))
+        return _product(draw(_matrices(nr, k, entries)), draw(_matrices(k, nc, st.integers(-9, 9))))
+    nc = draw(st.integers(2, 7))
+    k = draw(st.integers(1, nc - 1))
+    bits = draw(st.sampled_from([3, 40, 300]))
+    entries = st.integers(-2 ** bits, 2 ** bits)
+    right = draw(_matrices(k, nc, st.integers(-9, 9)))
+    more = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        extra = draw(_matrices(more, nc, entries))
+    else:
+        extra = _product(draw(_matrices(more, k, entries)), right)
+    return _product(draw(_matrices(nc, k, entries)), right) + extra
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)

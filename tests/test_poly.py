@@ -52,6 +52,18 @@ def test_ring_axioms_randomized():
         assert (f - f).is_zero()
 
 
+def test_arithmetic_results_pass_the_constructor_checks():
+    # The arithmetic skips the constructor's checks: its terms must already
+    # be nvars-tuples of ints with nonzero Fraction coefficients.
+    rng = random.Random(13)
+    for _ in range(30):
+        f, g = random_poly(rng), random_poly(rng)
+        for result in (f + g, f - g, -f, f * g, f.scale("-2/3"), (f * g).primitive(), f + (-f)):
+            assert result == SparsePoly(result.nvars, result.terms)
+            assert all(len(e) == result.nvars and all(type(v) is int for v in e)
+                       and type(c) is Fraction and c for e, c in result.terms.items())
+
+
 def test_eval_is_ring_hom():
     rng = random.Random(12)
     for _ in range(20):

@@ -6,7 +6,7 @@ from math import comb, lcm
 import pytest
 
 from hadamard_spaces.line_powers import line_power_matrix, power_hyperplane
-from hadamard_spaces.linalg import PreconditionError, primitive_ints
+from hadamard_spaces.linalg import BudgetExhausted, PreconditionError, primitive_ints
 from hadamard_spaces import products
 from hadamard_spaces.papersuite import random_space
 from hadamard_spaces.poly import proportional
@@ -310,6 +310,15 @@ def test_interpolate_hypersurface_error_when_not_hypersurface():
     line = random_space(1, 3, rng)  # a line in P^3 is not a hypersurface
     with pytest.raises(PreconditionError):
         interpolate_hypersurface(linear_space_sampler(line), 2, rng)
+
+
+def test_interpolation_past_the_monomial_budget_draws_nothing():
+    rng = random.Random(56)
+    sampler = linear_space_sampler(random_space(1, 11, rng))
+    state = rng.getstate()
+    with pytest.raises(BudgetExhausted, match=r"degree 5 in P\^11 has 4368 monomials"):
+        interpolate_forms(sampler, 5, rng)
+    assert rng.getstate() == state
 
 
 def test_reciprocal_sampler_contract():

@@ -422,6 +422,23 @@ def projectively_equal_entries(a, ea, b, eb):
             == clear_denominators([eb[k] for k in sorted(eb)]))
 
 
+def test_pluecker_builds_no_fraction(monkeypatch):
+    """pluecker() keeps integer minors over one scale; the Fraction
+    entries are built only when read."""
+    space = LinSpace([["1/2", 3, -1, 4], [2, "5/3", 0, 1]])
+    calls = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        calls.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    pl = pluecker(space)
+    assert pl.to_json()["0,1"] == "-31/6" and calls == []
+    assert pl.entries[(0, 1)] == Fraction(-31, 6) and calls
+
+
 def test_pluecker_matches_per_minor_determinants():
     """Integer minors of the cleared generators over D^k give the same
     entries, JSON and equality as one Fraction determinant per minor."""
