@@ -6,17 +6,13 @@ of dimension min(r, n), generated by entrywise products of the two
 generator rows.  Its Pluecker coordinates factor into pairwise brackets of
 the original line, which yields closed-form linear equations.  Lines that
 meet a codimension-2 coordinate stratum escape the closed form but are
-still linear; a sampled span finds them.
+still linear: the row space of the same power matrix is their power, exactly.
 """
-
-import random
 
 from hadamard_spaces import (LinSpace, PPoint, QMatrix, SparsePoly,
                              line_power_matrix, line_power_pluecker,
                              line_through, pluecker, power_hyperplane,
                              power_linear_equations, sampled_power_span)
-
-rng = random.Random(2)
 
 print("A line through [1:1:1:1] and [1:2:3:4] in P^3")
 line = line_through(PPoint([1, 1, 1, 1]), PPoint([1, 2, 3, 4]))
@@ -54,7 +50,7 @@ print("  generators:")
 for row in degenerate.generators.rows:
     print("   ", [str(x) for x in row])
 for r in (2, 3, 4, 5):
-    span = sampled_power_span(degenerate, r, rng)
+    span = sampled_power_span(degenerate, r)
     forms = [SparsePoly.linear_form(v).primitive() for v in span.generators.nullspace().ints]
     print("  power r=%d: dimension %d, equations %s" % (r, span.dim, "; ".join(map(str, forms))))
 print("\nThe dimensions stabilize at 3: lower than min(r, 5), but still linear.")

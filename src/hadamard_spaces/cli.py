@@ -188,7 +188,7 @@ def cmd_line_power(payload, rng, args):
             pk = pluecker(power).to_json()
         equations = power_linear_equations(n, r, minors) if r < n else []
     else:
-        power = sampled_power_span(line, r, rng)
+        power = sampled_power_span(line, r)
         method = "sampled"
         pk = pluecker(power).to_json()
         equations = [SparsePoly.linear_form(vec).primitive()

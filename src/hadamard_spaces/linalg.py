@@ -45,10 +45,11 @@ entries, not of the minors Bareiss carries.  The check is a certificate:
   unique one with a 1 at its free column and zeros at the others: the one
   the Bareiss path returns.
 
-A vector that reconstructs but fails the check (an unlucky prime, or a
-block S with a larger kernel than A) sends a block to all of A with the
-same prime and all of A to the next prime; entries beyond the lifting
-reach, or no prime left, go to Bareiss.  The result is always exact.
+A vector that fails the check with the same reconstruction at two steps in
+a row (an unlucky prime, or a block S with a larger kernel than A) stops
+the lifting at once and sends a block to all of A with the same prime and
+all of A to the next prime; entries beyond the lifting reach, or no prime
+left, go to Bareiss.  The result is always exact.
 
 The RREF, the kernel basis normalised to the free columns and the
 determinant are unique, so the results do not depend on the path.
@@ -433,9 +434,10 @@ def _annihilates(rows, vec):
 
 def _dixon_kernel(rows, height, nc, p):
     """The kernel basis lifted from one factorization mod p of the first
-    `height` rows, checked on all rows.  A vector failing its check in
-    LIFT_STEPS steps gives None if its last two steps reconstruct the same
-    vector (see the module docstring), else False (beyond the lifting reach).
+    `height` rows, checked on all rows.  A vector failing its check gives
+    None as soon as two steps in a row reconstruct it (see the module
+    docstring), and False if it does not pass within LIFT_STEPS steps
+    (beyond the lifting reach).
 
     For free column f with k pivots before it, the pivot entries y solve
     B y = -A[R_<k, f] with B = A[R_<k, P_<k], whose factors mod p are the
@@ -460,10 +462,13 @@ def _dixon_kernel(rows, height, nc, p):
             y = [u + m * v for u, v in zip(y, x)]
             m *= p
             last, vec = vec, _lift(f, pivots, y, m, nc)
-            if vec is not None and _annihilates(rows, vec):
-                break
+            if vec is not None:
+                if _annihilates(rows, vec):
+                    break
+                if vec == last:
+                    return None
         else:
-            return None if vec is not None and vec == last else False
+            return False
         vectors.append(vec)
     return vectors
 

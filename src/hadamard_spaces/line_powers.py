@@ -1,24 +1,22 @@
 """Hadamard powers of a line: power generator matrices, the pairwise-bracket
-product formula for their Pluecker coordinates, linear equations cutting the
-powers out, and a sampling fallback for degenerate lines.
+product formula for their Pluecker coordinates, and linear equations cutting
+the powers out.
 
 The closed forms require the line to meet no coordinate codimension-2
 stratum, which for a line is exactly the nonvanishing of all its Pluecker
 brackets.  Degenerate lines still have linear powers, but possibly of lower
-dimension; those are computed only by sampling, never by the matrix formula.
+dimension; those are computed exactly as the row space of the same power
+matrix (sampled_power_span), without the bracket formulas.
 """
 
 from fractions import Fraction
 from itertools import combinations
 from math import prod
 
-from .linalg import PreconditionError, BudgetExhausted
+from .linalg import PreconditionError
 from .poly import SparsePoly
 from .products import gen_vandermonde
-from .projective import LinSpace, permutation_sign, sample_point
-
-#: Extra rank-stable samples required before a sampled span is trusted.
-SPAN_STABLE_STREAK = 3
+from .projective import LinSpace, permutation_sign
 
 
 def line_power_matrix(line, r):
@@ -103,39 +101,26 @@ def power_linear_equations(n, r, minors):
     return equations
 
 
-def sampled_power_span(line_or_space, r, rng, budget=200):
-    """Span of sampled r-fold Hadamard products of points of a space.
+def sampled_power_span(line_or_space, r):
+    """The r-th Hadamard power of a line: the row space of its power matrix.
 
-    Keeps adding products of r independently sampled points until the span
-    is unchanged for SPAN_STABLE_STREAK consecutive extra samples (or is
-    the whole ambient space).  This is the computation of choice for
-    degenerate lines, whose powers are linear but fall outside the
-    hypotheses of the closed-form matrix.
+    Used for lines with a vanishing bracket; exact for every line.  The
+    name, like the CLI's `"method": "sampled"` label, means "the power as a
+    span, used when a bracket vanishes".
+
+    Proof.  Let g0, g1 be the generator rows and a_k = (g0[k], g1[k]) the
+    columns.  The product of r points s_j g0 + t_j g1 has coordinate k equal
+    to F(a_k), where F is the product of the linear forms s_j x + t_j y.  So
+    the linear span of all such products is the image of the binary forms
+    of degree r under F -> (F(a_0), ..., F(a_n)).  That image is spanned by
+    the images of the monomials x^(r-i) y^i, which are the rows
+    g0^(r-i) * g1^i of `gen_vandermonde([(line, r)])`.  Over C every binary
+    form is a product of linear forms, so the products span the whole row
+    space.  Every Hadamard power of a line is linear (the paper's first
+    theorem), so the power is that row space, whether or not a bracket
+    vanishes.  For a space of higher dimension the same argument, with forms
+    in m+1 variables, gives the linear span of its r-th power.
     """
-    space = line_or_space
     if r < 1:
         raise PreconditionError("power must be >= 1")
-    n = space.ambient_dim
-    span = None   # the span of the products kept so far
-    streak = 0
-    draws = 0
-    while draws < budget:
-        draws += 1
-        product = None
-        for _ in range(r):
-            pt = sample_point(space, rng)
-            product = pt if product is None else product.hadamard(pt)
-            if product is None:
-                break
-        if product is None:
-            continue
-        if span is not None and span.contains(product):
-            streak += 1
-            if streak >= SPAN_STABLE_STREAK:
-                return span
-            continue
-        streak = 0
-        span = LinSpace.span_of((span.generators.ints if span else ()) + (product.ints,))
-        if span.dim == n:
-            return span
-    raise BudgetExhausted("sampled span did not stabilize within %d draws" % budget)
+    return LinSpace.span_of(gen_vandermonde([(line_or_space, r)]))

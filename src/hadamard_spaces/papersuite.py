@@ -2,7 +2,7 @@
 
 Each check recomputes a published value from scratch along an independent
 route (interpolation vs bracket formula, fan computation vs closed form,
-sampled span vs printed equations) and reports pass/fail.  Every check's
+power-matrix span vs printed equations) and reports pass/fail.  Every check's
 logic is written once, as a predicate over one instance.  The `paper-suite`
 subcommand runs each predicate on the spot instances below; the pytest
 acceptance module runs the same predicates (and the instance draws
@@ -234,7 +234,7 @@ def check_degenerate_line_powers(rng):
     details = []
     ok = True
     for r, dim in sorted(DEGENERATE_POWER_DIMS.items()):
-        span = line_powers.sampled_power_span(line, r, rng)
+        span = line_powers.sampled_power_span(line, r)
         good = span.dim == dim
         if r in DEGENERATE_POWER_EQS:
             good = good and span_satisfies_exactly(span, DEGENERATE_POWER_EQS[r])

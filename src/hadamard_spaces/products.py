@@ -60,14 +60,17 @@ def gen_vandermonde(entries):
     return QMatrix(rows, den)
 
 
+def identifiability_regime_bound(dims_and_mults):
+    """prod binom(m_k + r_k, r_k) - 1, one less than the row count of
+    gen_vandermonde: the smallest ambient dimension with guaranteed
+    identifiability, and the one copy of the bound that the span formula and
+    `tropical.genericity_bound` read."""
+    return prod(comb(m + r, r) for m, r in dims_and_mults) - 1
+
+
 def span_dimension_formula(dims_and_mults, n):
     """Closed-form expected span dimension min(prod binom(m+r, r) - 1, n)."""
-    return min(prod(comb(m + r, r) for m, r in dims_and_mults) - 1, n)
-
-
-def identifiability_regime_bound(dims_and_mults):
-    """Smallest ambient dimension with guaranteed identifiability."""
-    return prod(comb(m + r, r) for m, r in dims_and_mults) - 1
+    return min(identifiability_regime_bound(dims_and_mults), n)
 
 
 def identifiability_check(space, r, trials, rng):
@@ -188,11 +191,8 @@ def interpolate_forms(sampler, d, rng, points=None):
     points = [] if points is None else points
     points.extend(sampler.sample_point(rng).canonical() for _ in range(count - len(points)))
     rows = list(zip(*monomial_products(list(zip(*points[:count])), d)))
-    forms = []
-    for vec in integer_kernel_basis(rows):
-        poly = SparsePoly(n + 1, dict(zip(monomials, vec)))
-        forms.append(poly.primitive())
-    return forms
+    return [SparsePoly._trusted(n + 1, {m: v for m, v in zip(monomials, vec) if v}).primitive()
+            for vec in integer_kernel_basis(rows)]
 
 
 def interpolate_hypersurface(sampler, dmax, rng):

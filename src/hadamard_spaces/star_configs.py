@@ -76,7 +76,11 @@ class PointSet:
 
 
 class StarWitness:
-    """Ambient space M, hyperplanes of M, points, and their generating subsets."""
+    """Ambient space M, hyperplanes of M, points, and their generating subsets.
+
+    The hyperplanes' dimension and containment in M are checked once, by
+    verify_star and verify_general_position (`_normals`), not here.
+    """
 
     __slots__ = ("ambient_space", "hyperplanes", "points", "origin_subsets")
 
@@ -86,11 +90,6 @@ class StarWitness:
         self.points = points
         self.origin_subsets = origin_subsets
         r = ambient_space.dim
-        for h in self.hyperplanes:
-            if h.dim != r - 1:
-                raise PreconditionError("hyperplane of dim %d in a dim-%d space" % (h.dim, r))
-            if not ambient_space.contains_space(h):
-                raise PreconditionError("hyperplane not contained in the ambient space")
         if len(points) != comb(len(self.hyperplanes), r):
             raise PreconditionError(
                 "expected binom(%d, %d) = %d points, got %d"

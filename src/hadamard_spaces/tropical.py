@@ -22,6 +22,7 @@ from itertools import combinations
 from math import comb, factorial, isqrt, prod
 
 from .linalg import BudgetExhausted, PreconditionError
+from .products import identifiability_regime_bound
 from .projective import LinSpace, PPoint
 
 # ---------------------------------------------------------------------------
@@ -312,8 +313,9 @@ def _multinomial(parts):
 
 
 def genericity_bound(plain, reciprocal=()):
-    """Smallest ambient dimension for which the degree formulas are proven."""
-    return prod(comb(m + r, r) for m, r in [*plain, *reciprocal]) - 1
+    """Smallest ambient dimension for which the degree formulas are proven:
+    the bound of `products.identifiability_regime_bound` over all factors."""
+    return identifiability_regime_bound([*plain, *reciprocal])
 
 
 def _factor_dims(plain, reciprocal, n):

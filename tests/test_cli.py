@@ -336,6 +336,25 @@ def test_star_config_document():
     assert all(len(p["subset"]) == 2 for p in doc["points"])
 
 
+def test_star_config_checks_each_hyperplane_once(monkeypatch, capsys):
+    calls = []
+    contains_space = projective.LinSpace.contains_space
+
+    def counting(self, other):
+        calls.append(other)
+        return contains_space(self, other)
+
+    monkeypatch.setattr(projective.LinSpace, "contains_space", counting)
+    payload = {"line": [[1, 1, 1, 1], [1, 2, 3, 5]],
+               "points": [[1, 1, 1, 1], [1, 2, 3, 5], [2, 3, 4, 6], [3, 4, 5, 7], [1, 3, 5, 9]],
+               "r": 3}
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(payload)))
+    assert cli.main(["star-config"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["verified"] is True and len(doc["hyperplanes"]) == 5
+    assert len(calls) == 5
+
+
 def test_span_dim_explicit_spaces():
     payload = {"spaces": [{"generators": [[1, 1, 1, 1], [1, 2, 3, 4]], "mult": 2}]}
     proc = run_cli("span-dim", payload)

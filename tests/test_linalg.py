@@ -262,6 +262,15 @@ def test_tall_kernel_falls_back_from_a_singular_block(monkeypatch):
     assert bareiss_calls == []
 
 
+def test_refused_block_vector_is_lifted_twice(monkeypatch):
+    # The block's vector (-2, 1) reconstructs at the first step and again at
+    # the second; a vector refused twice in a row stops the lifting there,
+    # not after LIFT_STEPS steps.
+    lift_calls = _count_calls(monkeypatch, "_lift")
+    assert integer_kernel_basis([[1, 2], [2, 4], [1, 3]]) == []
+    assert len(lift_calls) == 2
+
+
 def test_interp_sized_tall_kernel_factors_its_square_block(monkeypatch):
     # 70 samples of the square of a plane in P^5 against its 56 cubic
     # monomials: one kernel vector, the cubic.

@@ -5,7 +5,7 @@ from math import comb, prod
 
 import pytest
 
-from hadamard_spaces.linalg import BudgetExhausted, PreconditionError, QMatrix
+from hadamard_spaces.linalg import PreconditionError, QMatrix
 from hadamard_spaces.line_powers import (line_power_matrix, line_power_pluecker,
                                          power_hyperplane, power_linear_equations,
                                          sampled_power_span)
@@ -191,13 +191,8 @@ def test_sampled_span_matches_matrix_route():
         line = random_space(1, n, rng, 30)
         if not pluecker(line).nonvanishing():
             continue
-        span = sampled_power_span(line, r, rng)
+        span = sampled_power_span(line, r)
         assert span == LinSpace.span_of(line_power_matrix(line, r))
-
-
-def test_sampled_span_budget():
-    with pytest.raises(BudgetExhausted):
-        sampled_power_span(TEST_LINE, 2, random.Random(0), budget=2)
 
 
 def degenerate_line_p5():
@@ -210,19 +205,38 @@ def degenerate_line_p5():
     return LinSpace(eqs.nullspace())
 
 
+#: The degenerate `line-power` payload of the README: brackets [0,1] and
+#: [2,3] vanish.
+README_DEGENERATE_LINE = LinSpace([[1, 2, 0, 0, 2, -8], [0, 0, 1, 3, 3, 4]])
+
+
+def test_degenerate_power_is_the_power_matrix_row_space():
+    rng = random.Random(29)
+    cases = [(degenerate_line_p5(), r) for r in (2, 3, 4, 5)] + [(README_DEGENERATE_LINE, 3)]
+    for line, r in cases:
+        assert not pluecker(line).nonvanishing()
+        span = sampled_power_span(line, r)
+        assert span == LinSpace.span_of(line_power_matrix(line, r))
+        for _ in range(5):
+            product = sample_point(line, rng)
+            for _ in range(r - 1):
+                product = product.hadamard(sample_point(line, rng))
+                if product is None:  # the zero vector: no point
+                    break
+            assert product is None or span.contains(product)
+
+
 def test_degenerate_line_square_equations():
-    rng = random.Random(26)
     line = degenerate_line_p5()
-    span = sampled_power_span(line, 2, rng)
+    span = sampled_power_span(line, 2)
     assert span.dim == 2
     form = SparsePoly.linear_form([0, 0, 9, -1, 0, 0])
     assert all(form.eval(row) == 0 for row in span.generators.rows)
 
 
 def test_degenerate_line_cube_equations_and_dim():
-    rng = random.Random(27)
     line = degenerate_line_p5()
-    span = sampled_power_span(line, 3, rng)
+    span = sampled_power_span(line, 3)
     assert span.dim == 3
     for coeffs in ([0, 0, 27, -1, 0, 0], [8, -1, 0, 0, 0, 0]):
         form = SparsePoly.linear_form(coeffs)
