@@ -13,8 +13,8 @@ import random
 import warnings
 
 from hadamard_spaces import (degree_linear_products, degree_with_reciprocals,
-                             fan_degree_pipeline, minkowski_sum, negate_fan,
-                             standard_tls)
+                             fan_degree_pipeline, mask_indices, minkowski_sum,
+                             negate_fan, standard_tls)
 
 rng = random.Random(12)
 warnings.simplefilter("ignore")
@@ -28,7 +28,8 @@ print("  Minkowski sum of two standard fans: %d cones, each multiplicity %d, wei
       % (len(fan.cones), next(iter(fan.cones.values())), fan.global_weight))
 print("  contributing pair(s) of the stable intersection:")
 for (plus1, _), (plus2, _), idx in result["pairs"]:
-    print("    pos%s meets shifted pos%s, lattice index %d" % (sorted(plus1), sorted(plus2), idx))
+    print("    pos%s meets shifted pos%s, lattice index %d"
+          % (mask_indices(plus1), mask_indices(plus2), idx))
 print("  fan degree:", result["degree"])
 
 print("\nA plane squared in P^5 (the map is 2-to-1, so delta = 2):")

@@ -26,8 +26,8 @@ from .products import (expected_dimension, gen_vandermonde,
 from .tropical import (NonGenericVector, SignedConeFan,
                        degree_linear_products, degree_with_reciprocals,
                        draw_generic_vector, fan_degree_pipeline,
-                       genericity_bound, lattice_index, minkowski_sum,
-                       negate_fan, stable_mult_origin,
+                       genericity_bound, lattice_index, mask_indices,
+                       minkowski_sum, negate_fan, stable_mult_origin,
                        stable_mult_origin_auto, standard_tls)
 from .brackets import (cubic_plane_square, quadric_bracket_display,
                        quadric_square_symbolic, quadric_symbolic_identity,

@@ -19,7 +19,7 @@ from functools import cache
 from itertools import chain, combinations_with_replacement
 from math import prod
 
-from .linalg import PreconditionError
+from .linalg import BudgetExhausted, PreconditionError
 from .line_powers import _hyperplane_coefficients
 from .poly import SparsePoly
 from .projective import permutation_sign
@@ -294,13 +294,23 @@ def cubic_plane_square(pl_p):
     return SparsePoly(6, terms)
 
 
+#: Most samples verify_identity draws.  The cubic is the slower identity: at
+#: this limit `bracket verify` of the default plane takes 2.1 to 2.3 s as a
+#: whole process on a 2-vCPU VM (about 0.8 ms a trial), inside the 5 s
+#: gate of acceptance criterion 1.
+VERIFY_TRIALS_LIMIT = 2500
+
+
 def verify_identity(form, sampler, trials, rng):
     """Exact sampling verification: the form vanishes at `trials` samples.
 
     The zero polynomial passes vacuously.  This is the default (fast)
     verification mode; the symbolic mode for the two-lines identity is
-    quadric_symbolic_identity.
+    quadric_symbolic_identity.  More than VERIFY_TRIALS_LIMIT trials raise
+    BudgetExhausted before any draw.
     """
+    if trials > VERIFY_TRIALS_LIMIT:
+        raise BudgetExhausted("%d trials exceed the limit of %d" % (trials, VERIFY_TRIALS_LIMIT))
     if form.is_zero():
         return True
     for _ in range(trials):

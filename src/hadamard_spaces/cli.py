@@ -7,8 +7,9 @@ document.  Identical payload + seed always produces byte-identical output.
 Exit codes: 0 success, 1 payload validation error (the message points at
 the offending field), 2 mathematical precondition failure (the message
 names the violated hypothesis), 3 retry/sampling budget exhaustion (also a
-`degree --transcript` past tropical.FAN_BUDGET, and an `interp` degree past
-products.INTERP_MONOMIAL_BUDGET).
+`degree --transcript` past tropical.FAN_BUDGET, an `interp` degree past
+products.INTERP_MONOMIAL_BUDGET, and `bracket verify` trials past
+brackets.VERIFY_TRIALS_LIMIT).
 """
 
 import argparse
@@ -36,7 +37,7 @@ from .projective import LinSpace, PPoint, pluecker
 from .samplers import (hadamard_power_sampler, hadamard_product_sampler,
                        linear_space_sampler, reciprocal_sampler, segre_sampler)
 from .star_configs import PointSet, build_star, verify_star
-from .tropical import degree_with_reciprocals, fan_degree_pipeline
+from .tropical import degree_with_reciprocals, fan_degree_pipeline, mask_indices
 
 DEFAULT_SEED = 20259
 
@@ -273,7 +274,7 @@ def cmd_span_dim(payload, rng, args):
 
 def _cone_doc(fan, cone):
     plus, minus = cone
-    return {"plus": sorted(plus), "minus": sorted(minus), "mult": fan.cones[cone]}
+    return {"plus": mask_indices(plus), "minus": mask_indices(minus), "mult": fan.cones[cone]}
 
 
 def cmd_degree(payload, rng, args):

@@ -9,10 +9,12 @@ Reciprocal linear spaces tropicalize to the negated fans.  Restricting to
 this cone class makes the whole fan pipeline set and sign operations: every
 lattice index is 1 and every meet test is a sign comparison.
 
-A cone is its signed support (plus, minus), two disjoint frozensets of
-coordinate indices, and a fan maps each of its cones to a positive integer
-multiplicity.  A point tropicalizes to the origin, the identity of the
-Minkowski sum, so a zero-dimensional factor adds no fan to the sum."""
+A cone is its signed support (plus, minus), two disjoint int bitmasks in
+which bit i stands for coordinate i, so the set algebra on supports is
+integer bit operations; `mask_indices` reads a mask back as its sorted
+coordinate list.  A fan maps each of its cones to a positive integer
+multiplicity.  A point tropicalizes to the origin (0, 0), the identity of
+the Minkowski sum, so a zero-dimensional factor adds no fan to the sum."""
 
 import warnings
 from dataclasses import dataclass
@@ -20,6 +22,7 @@ from fractions import Fraction
 from functools import cache, reduce
 from itertools import combinations
 from math import comb, factorial, isqrt, prod
+from operator import or_
 
 from .linalg import BudgetExhausted, PreconditionError
 from .products import identifiability_regime_bound
@@ -28,11 +31,35 @@ from .projective import LinSpace, PPoint
 # ---------------------------------------------------------------------------
 # cones and fans
 
+_ORDER_CHARS = str.maketrans("01", "21")
+
+
+def mask_indices(mask):
+    """The coordinates of a mask's set bits, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
 
 def _cone_order(cone):
-    """Sort key of a cone (plus, minus): its sorted plus, then minus indices."""
+    """Sort key of a cone (plus, minus) that orders cones by sorted plus,
+    then sorted minus indices.
+
+    A mask's part of the key is its bits from coordinate 0 up, each 1
+    spelt "1" and each 0 spelt "2", up to the highest set bit, so the empty
+    mask's part is "".  Two masks A and B first differ at the lowest
+    coordinate d in one of them only, say A.  If B has a coordinate above
+    d, B's index list continues past their common part with one > d where
+    A's has d, and B's key has "2" where A's has "1": both put A first.
+    Otherwise B's list is a proper prefix of A's and B's key is a proper
+    prefix of A's: both put B first.
+    """
     plus, minus = cone
-    return sorted(plus), sorted(minus)
+    return (bin(plus)[:1:-1].translate(_ORDER_CHARS) if plus else "",
+            bin(minus)[:1:-1].translate(_ORDER_CHARS) if minus else "")
 
 
 def _quotient_rep(index, sign, n):
@@ -50,9 +77,11 @@ class SignedConeFan:
     """A pure-dimensional weighted fan of signed coordinate cones.
 
     `cones` maps each cone (plus, minus), the cone pos(e_i : i in plus) +
-    neg(e_j : j in minus), to its multiplicity, in _cone_order.  The e_i are
-    images of standard basis vectors in R^(n+1)/R*1, linearly independent
-    for |plus| + |minus| <= n, so the cone dimension is |plus| + |minus|.
+    neg(e_j : j in minus) with plus and minus int bitmasks of coordinates
+    (bit i is coordinate i), to its multiplicity, in _cone_order: sorted
+    plus, then sorted minus indices.  The e_i are images of standard basis
+    vectors in R^(n+1)/R*1, linearly independent for |plus| + |minus| <= n,
+    so the cone dimension is the number of set bits of plus | minus.
     Integer multiplicities are scaled by one global rational weight, which
     is where the 1/delta of a generically finite parametrization lives.
     """
@@ -69,12 +98,12 @@ class SignedConeFan:
                 raise ValueError("plus and minus sets overlap")
             if mult <= 0:
                 raise ValueError("multiplicity must be positive")
-            if len(plus) + len(minus) != self.dim:
+            support = plus | minus
+            if support.bit_count() != self.dim:
                 raise ValueError("cone of dim %d in a fan of dim %d"
-                                 % (len(plus) + len(minus), self.dim))
-            for i in plus | minus:
-                if not 0 <= i <= self.ambient_dim:
-                    raise ValueError("index %d outside ambient range" % i)
+                                 % (support.bit_count(), self.dim))
+            if support >> (self.ambient_dim + 1):  # also true for a negative mask
+                raise ValueError("index outside ambient range 0..%d" % self.ambient_dim)
         self.cones = dict(sorted(self.cones.items(), key=lambda item: _cone_order(item[0])))
 
     def is_balanced(self):
@@ -86,14 +115,16 @@ class SignedConeFan:
         n = self.ambient_dim
         ridges = {}
         for (plus, minus), mult in self.cones.items():
-            for idx in plus | minus:
-                ridge = (plus - {idx}, minus - {idx})
-                rep = _quotient_rep(idx, 1 if idx in plus else -1, n)
+            for idx in mask_indices(plus | minus):
+                bit = 1 << idx
+                ridge = (plus & ~bit, minus & ~bit)
+                rep = _quotient_rep(idx, 1 if plus & bit else -1, n)
                 total = ridges.get(ridge, [0] * n)
                 ridges[ridge] = [t + mult * x for t, x in zip(total, rep)]
         for (plus, minus), total in ridges.items():
             if any(total):
-                rows = [_quotient_rep(i, 1 if i in plus else -1, n) for i in plus | minus]
+                rows = [_quotient_rep(i, 1 if plus >> i & 1 else -1, n)
+                        for i in mask_indices(plus | minus)]
                 span = LinSpace.span_of(rows)
                 if span is None or not span.contains(PPoint(total)):
                     return False
@@ -108,12 +139,12 @@ def standard_tls(m, n):
     """
     if not 0 <= m <= n:
         raise PreconditionError("need 0 <= m <= n, got m=%d, n=%d" % (m, n))
-    cones = {(frozenset(s), frozenset()): 1 for s in combinations(range(n + 1), m)}
+    cones = {(sum(1 << i for i in s), 0): 1 for s in combinations(range(n + 1), m)}
     return SignedConeFan(n, m, cones)
 
 
 def negate_fan(fan):
-    """Pointwise negation: swaps the plus and minus set of every cone."""
+    """Pointwise negation: swaps the plus and minus mask of every cone."""
     cones = {(minus, plus): mult for (plus, minus), mult in fan.cones.items()}
     return SignedConeFan(fan.ambient_dim, fan.dim, cones, fan.global_weight)
 
@@ -130,8 +161,8 @@ def lattice_index(cones, ambient_dim):
     index is 1.  The tests check this against the Smith normal form.
     """
     supports = [plus | minus for plus, minus in cones]
-    size = sum(map(len, supports))
-    if size != len(frozenset().union(*supports)) or size > ambient_dim:
+    size = sum(support.bit_count() for support in supports)
+    if size != reduce(or_, supports, 0).bit_count() or size > ambient_dim:
         raise PreconditionError("non-transversal sum of cones")
     return 1
 
@@ -159,7 +190,7 @@ def minkowski_sum(fans, delta=1):
         raise ValueError("ambient dimensions differ")
     if total_dim > n:
         raise PreconditionError("sum of fan dimensions %d exceeds ambient %d" % (total_dim, n))
-    cones = {(frozenset(), frozenset()): 1}
+    cones = {(0, 0): 1}
     for fan in fans:
         factors = [(cplus | cminus, cplus, cminus, cmult)
                    for (cplus, cminus), cmult in fan.cones.items()]
@@ -167,7 +198,7 @@ def minkowski_sum(fans, delta=1):
         for (plus, minus), mult in cones.items():
             used = plus | minus
             for support, cplus, cminus, cmult in factors:
-                if support.isdisjoint(used):
+                if not support & used:
                     key = (plus | cplus, minus | cminus)
                     folded[key] = folded.get(key, 0) + mult * cmult
         cones = folded
@@ -202,12 +233,13 @@ def cone_pair_meets(cone1, cone2, v, n):
     """
     (plus1, minus1), (plus2, minus2) = cone1, cone2
     support1, support2 = plus1 | minus1, plus2 | minus2
-    if support1 & support2 or len(support1 | support2) != n:
+    covered = support1 | support2
+    if support1 & support2 or covered.bit_count() != n or covered >> (n + 1):
         raise PreconditionError("cones are not complementary: %r, %r" % (cone1, cone2))
-    c0 = (set(range(n + 1)) - support1 - support2).pop()
+    c0 = (((1 << (n + 1)) - 1) ^ covered).bit_length() - 1
     low = v[c0]
-    return (all(v[i] >= low for i in plus1 | minus2)
-            and all(v[i] <= low for i in minus1 | plus2))
+    return (all(v[i] >= low for i in mask_indices(plus1 | minus2))
+            and all(v[i] <= low for i in mask_indices(minus1 | plus2)))
 
 
 def draw_generic_vector(n, rng):
@@ -249,8 +281,11 @@ def stable_mult_origin(fan_f, fan_g, v, record=None):
     cone_pair_meets it meets iff v_i > v_c0 on plus1 and minus2 and
     v_i < v_c0 on minus1 and plus2: v_c0 lies between sigma1's largest
     minus and smallest plus coordinate, and plus2 = {j : v_j < v_c0},
-    minus2 = {j : v_j > v_c0}.  The lookup key keeps the signs (cones of a
-    Minkowski sum can share a support); cone_pair_meets decides each hit.
+    minus2 = {j : v_j > v_c0}.  So one walk up the coordinates in the order
+    of v, with the mask of the coordinates outside sigma1 passed so far,
+    yields every candidate past sigma1's last minus and before its first
+    plus coordinate.  The lookup key keeps the signs (cones of a Minkowski
+    sum can share a support); cone_pair_meets decides each hit.
     """
     n = fan_f.ambient_dim
     if fan_g.ambient_dim != n:
@@ -263,19 +298,29 @@ def stable_mult_origin(fan_f, fan_g, v, record=None):
         raise ValueError("displacement vector has wrong length")
     if len({Fraction(x) for x in v}) != n + 1:
         raise NonGenericVector("displacement coordinates are not pairwise distinct")
-    order = sorted(range(n + 1), key=v.__getitem__)
-    rank = {i: r for r, i in enumerate(order)}
+    walk = [1 << i for i in sorted(range(n + 1), key=v.__getitem__)]
+    full = (1 << (n + 1)) - 1
+    partners = fan_g.cones
     total = 0
     for cone1, mult1 in fan_f.cones.items():
         plus1, minus1 = cone1
-        low = max((rank[i] for i in minus1), default=-1)
-        high = min((rank[i] for i in plus1), default=n + 1)
-        rest = [i for i in order if i not in plus1 and i not in minus1]
-        keys = [(frozenset(rest[:k]), frozenset(rest[k + 1:]))
-                for k, c0 in enumerate(rest) if low < rank[c0] < high]
-        for cone2 in sorted((key for key in keys if key in fan_g.cones), key=_cone_order):
+        rest = full ^ plus1 ^ minus1
+        unseen_minus, below = minus1, 0
+        hits = []
+        for bit in walk:
+            if bit & rest:
+                if not unseen_minus:
+                    key = (below, rest ^ below ^ bit)
+                    if key in partners:
+                        hits.append(key)
+                below |= bit
+            elif bit & plus1:
+                break
+            else:  # a minus coordinate of sigma1
+                unseen_minus ^= bit
+        for cone2 in sorted(hits, key=_cone_order):
             if cone_pair_meets(cone1, cone2, v, n):
-                total += mult1 * fan_g.cones[cone2]
+                total += mult1 * partners[cone2]
                 if record is not None:
                     record.append((cone1, cone2, 1))
     return total * fan_f.global_weight * fan_g.global_weight

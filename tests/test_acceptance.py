@@ -4,8 +4,8 @@ Every check is exact (tolerance zero).  The check logic lives in
 `hadamard_spaces.papersuite`, shared with the `paper-suite` subcommand; this
 module holds the instance grids and seeds and reports on them.  Run with
 `pytest tests/test_acceptance.py -v -s` to see the per-criterion lines as
-they complete.  One more test pins the `degree --transcript` output on the
-degree grids of criteria 5 and 6.
+they complete.  Two more tests pin the `degree --transcript` output on the
+degree grids of criteria 5 and 6, at two seeds.
 """
 
 import hashlib
@@ -130,17 +130,29 @@ def test_criterion_06_reciprocal_degrees():
 #: still tested every cone pair.
 DEGREE_TRANSCRIPTS_SHA256 = "d6058cf88ac9121a2c2239f792f502f3ea4e0436295f43b7c1e0f1b86aff65a9"
 
+#: The same over `--seed 2` (another displacement vector per instance),
+#: recorded while cones were still pairs of frozensets.
+DEGREE_TRANSCRIPTS_SEED_2_SHA256 = "89944cde36f9c9aeac8408e9e9190458312813d991f6c25f092780f2c52d50c2"
 
-def test_degree_transcripts_byte_identical(monkeypatch, capsys):
+
+def degree_transcripts_digest(seed, monkeypatch, capsys):
     digest = hashlib.sha256()
     for plain, recip, n in criterion_05_grid() + criterion_06_grid():
         payload = {"plain": [list(x) for x in plain], "n": n}
         if recip:
             payload["reciprocal"] = [list(x) for x in recip]
         monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(payload)))
-        assert cli.main(["degree", "--transcript", "--seed", "1"]) == 0
+        assert cli.main(["degree", "--transcript", "--seed", str(seed)]) == 0
         digest.update(capsys.readouterr().out.encode())
-    assert digest.hexdigest() == DEGREE_TRANSCRIPTS_SHA256
+    return digest.hexdigest()
+
+
+def test_degree_transcripts_byte_identical(monkeypatch, capsys):
+    assert degree_transcripts_digest(1, monkeypatch, capsys) == DEGREE_TRANSCRIPTS_SHA256
+
+
+def test_degree_transcripts_at_seed_2_byte_identical(monkeypatch, capsys):
+    assert degree_transcripts_digest(2, monkeypatch, capsys) == DEGREE_TRANSCRIPTS_SEED_2_SHA256
 
 
 def test_criterion_07_deficient_dimension():

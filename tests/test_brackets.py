@@ -15,7 +15,7 @@ from hadamard_spaces.brackets import (CUBIC_REPRESENTATIVES, QUADRIC_TABLE,
                                       quadric_symbolic_identity,
                                       quadric_two_lines, verify_identity)
 from hadamard_spaces.line_powers import power_hyperplane
-from hadamard_spaces.linalg import PreconditionError
+from hadamard_spaces.linalg import BudgetExhausted, PreconditionError
 from hadamard_spaces.papersuite import random_line
 from hadamard_spaces.poly import SparsePoly, proportional
 from hadamard_spaces.products import interpolate_hypersurface
@@ -83,6 +83,19 @@ def test_verify_identity_zero_polynomial_vacuous():
     rng = random.Random(73)
     sampler = linear_space_sampler(BENCH_L)
     assert verify_identity(SparsePoly.zero(4), sampler, 3, rng)
+
+
+def test_verify_identity_refuses_trials_past_the_limit_before_any_draw():
+    class NoDraws:
+        def sample_point(self, rng):
+            raise AssertionError("drew a sample")
+
+    rng = random.Random(75)
+    form = quadric_two_lines(pluecker(BENCH_L), pluecker(BENCH_M))
+    for poly in (form, SparsePoly.zero(4)):
+        with pytest.raises(BudgetExhausted):
+            verify_identity(poly, NoDraws(), brackets.VERIFY_TRIALS_LIMIT + 1, rng)
+    assert rng.getstate() == random.Random(75).getstate()
 
 
 def test_verify_identity_catches_perturbation():

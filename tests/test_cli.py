@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from hadamard_spaces import cli, line_powers, products, projective, samplers
+from hadamard_spaces import brackets, cli, line_powers, products, projective, samplers
 from hadamard_spaces.linalg import QMatrix
 
 RUN = [sys.executable, "-m", "hadamard_spaces.cli"]
@@ -76,6 +76,25 @@ def test_degree_transcript_with_point_factors_is_unchanged():
     proc = run_cli("degree", {"plain": [[0, 2], [1, 1]], "n": 3}, "--transcript")
     assert proc.returncode == 0
     assert hashlib.sha256(proc.stdout.encode()).hexdigest() == POINT_FACTOR_TRANSCRIPT_SHA256
+
+
+#: sha256 of `degree --transcript` stdout, recorded while cones were pairs of
+#: frozensets: a point in P^998 (its complement's cones have 998 of 999
+#: coordinates, at the edge of tropical.FAN_BUDGET) and a squared line times a
+#: squared reciprocal line in P^12 (mixed signs, several pairs).
+WIDE_TRANSCRIPT_SHA256 = [
+    ({"plain": [[0, 1]], "n": 998},
+     "5630b2684b16bf3add958c0c728348fcfd5811213ad1354dbe86541d87b991da"),
+    ({"plain": [[1, 2]], "reciprocal": [[1, 2]], "n": 12},
+     "239a709a8da15b04d9f6f41e076c5b394f3c097342bcfd65c5b8bab5455727ff"),
+]
+
+
+@pytest.mark.parametrize("payload, digest", WIDE_TRANSCRIPT_SHA256)
+def test_degree_transcript_of_wide_fans_is_unchanged(payload, digest):
+    proc = run_cli("degree", payload, "--transcript")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
 
 
 def test_degree_too_long_to_print_exit_3():
@@ -492,6 +511,21 @@ def test_bracket_verify_cubic_sampling():
     proc = run_cli("bracket", {"mode": "verify", "identity": "cubic", "trials": 4})
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["verified"] is True
+
+
+def test_bracket_verify_refuses_trials_past_the_limit():
+    for identity in ("quadric", "cubic"):
+        for trials in (brackets.VERIFY_TRIALS_LIMIT + 1, 10 ** 8):
+            start = time.perf_counter()
+            proc = run_cli("bracket", {"mode": "verify", "identity": identity, "trials": trials})
+            assert time.perf_counter() - start < 1.0
+            assert (proc.returncode, proc.stdout) == (3, "")
+            assert "Traceback" not in proc.stderr
+            assert json.loads(proc.stderr)["error"]["code"] == 3
+        # The default of 25 trials, bytes recorded before the limit existed.
+        proc = run_cli("bracket", {"mode": "verify", "identity": identity}, "--seed", "7")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == '{"mode":"sampling","trials":25,"verified":true}\n'
 
 
 def test_output_file(tmp_path):

@@ -1,12 +1,17 @@
+import io
+import json
 import random
+import sys
 import warnings
 from fractions import Fraction
+from functools import reduce
 from itertools import product as iproduct
 from math import comb, factorial, prod
+from operator import or_
 
 import pytest
 
-from hadamard_spaces import tropical
+from hadamard_spaces import cli, tropical
 from hadamard_spaces.linalg import BudgetExhausted, PreconditionError, smith_normal_form
 from hadamard_spaces.tropical import (NonGenericVector, SignedConeFan,
                                       _quotient_rep, cone_pair_meets,
@@ -14,14 +19,15 @@ from hadamard_spaces.tropical import (NonGenericVector, SignedConeFan,
                                       degree_with_reciprocals,
                                       draw_generic_vector, fan_degree_pipeline,
                                       genericity_bound, lattice_index,
-                                      minkowski_sum, negate_fan,
+                                      mask_indices, minkowski_sum, negate_fan,
                                       stable_mult_origin, stable_mult_origin_auto,
                                       standard_tls)
 
 
 # ---------------------------------------------------------------------------
 # reference oracles: exact linear feasibility by Fourier-Motzkin elimination,
-# and the Minkowski sum as a sum over every ordered factorization
+# the Minkowski sum as a sum over every ordered factorization, and the fan
+# pipeline on cones of two frozensets, as it stood before cones were bitmasks
 
 
 def _fm_feasible(equalities, inequalities, nvars):
@@ -96,10 +102,15 @@ def _fm_feasible(equalities, inequalities, nvars):
     return True
 
 
+def _bits(mask):
+    """A mask's set bits in increasing order, one shift per bit position."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
 def _signed_indices(cone):
     """A cone (plus, minus)'s generators sign * e_index as (index, sign) pairs."""
     plus, minus = cone
-    return [(i, 1) for i in sorted(plus)] + [(j, -1) for j in sorted(minus)]
+    return [(i, 1) for i in _bits(plus)] + [(j, -1) for j in _bits(minus)]
 
 
 def _cone_shift_system(cone1, cone2, v, n, strict):
@@ -139,12 +150,70 @@ def _minkowski_oracle(fans):
     total_dim = sum(f.dim for f in fans)
     mults = {}
     for combo in iproduct(*(f.cones.items() for f in fans)):
-        plus = frozenset().union(*(p for (p, _), _ in combo))
-        minus = frozenset().union(*(m for (_, m), _ in combo))
-        if len(plus) + len(minus) != total_dim or (plus & minus):
+        plus = reduce(or_, (p for (p, _), _ in combo), 0)
+        minus = reduce(or_, (m for (_, m), _ in combo), 0)
+        if plus.bit_count() + minus.bit_count() != total_dim or (plus & minus):
             continue
         mults[(plus, minus)] = mults.get((plus, minus), 0) + prod(c for _, c in combo)
     return mults
+
+
+def _as_sets(cone):
+    return tuple(frozenset(_bits(mask)) for mask in cone)
+
+
+def _set_cone_order(cone):
+    """Sort key of a frozenset cone (plus, minus): sorted plus, then minus."""
+    plus, minus = cone
+    return sorted(plus), sorted(minus)
+
+
+def _set_fan(fan):
+    """A fan's cones as frozenset pairs in frozenset order, with multiplicities."""
+    cones = {_as_sets(cone): mult for cone, mult in fan.cones.items()}
+    return dict(sorted(cones.items(), key=lambda item: _set_cone_order(item[0])))
+
+
+def _set_minkowski_fold(fans):
+    """The Minkowski fold on frozenset cones, in frozenset order."""
+    cones = {(frozenset(), frozenset()): 1}
+    for fan in fans:
+        factors = [(cplus | cminus, cplus, cminus, cmult)
+                   for (cplus, cminus), cmult in _set_fan(fan).items()]
+        folded = {}
+        for (plus, minus), mult in cones.items():
+            used = plus | minus
+            for support, cplus, cminus, cmult in factors:
+                if support.isdisjoint(used):
+                    key = (plus | cplus, minus | cminus)
+                    folded[key] = folded.get(key, 0) + mult * cmult
+        cones = folded
+    return dict(sorted(cones.items(), key=lambda item: _set_cone_order(item[0])))
+
+
+def _set_stable_mult(fan_f, fan_g, v):
+    """Stable intersection by the frozenset partner lookup: (total, record),
+    the record's cones as frozenset pairs."""
+    n = fan_f.ambient_dim
+    cones_f, cones_g = _set_fan(fan_f), _set_fan(fan_g)
+    order = sorted(range(n + 1), key=v.__getitem__)
+    rank = {i: r for r, i in enumerate(order)}
+    total, record = 0, []
+    for cone1, mult1 in cones_f.items():
+        plus1, minus1 = cone1
+        low = max((rank[i] for i in minus1), default=-1)
+        high = min((rank[i] for i in plus1), default=n + 1)
+        rest = [i for i in order if i not in plus1 and i not in minus1]
+        keys = [(frozenset(rest[:k]), frozenset(rest[k + 1:]))
+                for k, c0 in enumerate(rest) if low < rank[c0] < high]
+        for cone2 in sorted((key for key in keys if key in cones_g), key=_set_cone_order):
+            plus2, minus2 = cone2
+            (c0,) = set(range(n + 1)) - plus1 - minus1 - plus2 - minus2
+            if (all(v[i] >= v[c0] for i in plus1 | minus2)
+                    and all(v[i] <= v[c0] for i in minus1 | plus2)):
+                total += mult1 * cones_g[cone2]
+                record.append((cone1, cone2, 1))
+    return total * fan_f.global_weight * fan_g.global_weight, record
 
 
 def _all_pairs_oracle(fan_f, fan_g, v):
@@ -153,7 +222,7 @@ def _all_pairs_oracle(fan_f, fan_g, v):
     total, record = 0, []
     for cone1, mult1 in fan_f.cones.items():
         for cone2, mult2 in fan_g.cones.items():
-            if set().union(*cone1) & set().union(*cone2) or not cone_pair_meets(cone1, cone2, v, n):
+            if reduce(or_, cone1) & reduce(or_, cone2) or not cone_pair_meets(cone1, cone2, v, n):
                 continue
             total += mult1 * mult2
             record.append((cone1, cone2, 1))
@@ -171,13 +240,138 @@ def _first_primes_by_float_sqrt(start, count):
     return out
 
 
+def _mask(coords):
+    return sum(1 << i for i in coords)
+
+
 def _random_signs(rng, support):
-    plus = frozenset(i for i in support if rng.random() < 0.5)
-    return plus, frozenset(support) - plus
+    plus = _mask(i for i in support if rng.random() < 0.5)
+    return plus, _mask(support) ^ plus
 
 
 def _cone(plus, minus=()):
-    return frozenset(plus), frozenset(minus)
+    return _mask(plus), _mask(minus)
+
+
+def test_mask_indices_matches_bit_scan():
+    rng = random.Random(75)
+    masks = [0, 1, 2 ** 64 - 1, 2 ** 64, 2 ** 64 + 1, 2 ** 999 - 1]
+    masks += [rng.getrandbits(rng.choice((9, 63, 64, 65, 200, 999))) for _ in range(300)]
+    for mask in masks:
+        assert mask_indices(mask) == _bits(mask)
+
+
+def _random_cone(rng, m, n):
+    return _random_signs(rng, rng.sample(range(n + 1), m))
+
+
+def test_cone_order_matches_frozenset_order():
+    rng = random.Random(76)
+    for n in (1, 2, 3, 5, 8, 62, 63, 64, 65, 130):
+        for _ in range(20):
+            m = rng.randint(0, min(n, 6)) if rng.random() < 0.5 else rng.randint(0, n)
+            cones = {_random_cone(rng, m, n): rng.randint(1, 3) for _ in range(rng.randint(1, 40))}
+            fan = SignedConeFan(n, m, cones)
+            assert fan.cones == cones
+            as_sets = [_as_sets(cone) for cone in fan.cones]
+            assert as_sets == sorted(as_sets, key=_set_cone_order)
+        # Cones of mixed dimensions, as the hits of one stable-intersection cone can be.
+        cones = [_random_cone(rng, rng.randint(0, n), n) for _ in range(60)]
+        got = [_as_sets(cone) for cone in sorted(cones, key=tropical._cone_order)]
+        assert got == sorted(map(_as_sets, cones), key=_set_cone_order)
+
+
+def _wide_fans(rng, n):
+    """One to three random fans in P^n of total dimension at most 4 and n."""
+    fans, room = [], min(4, n)
+    for _ in range(rng.randint(1, 3)):
+        m = rng.randint(0, min(room, 2))
+        cones = {_random_cone(rng, m, n): rng.randint(1, 3) for _ in range(rng.randint(1, 12))}
+        fan = SignedConeFan(n, m, cones, Fraction(rng.randint(1, 3), rng.randint(1, 3)))
+        fans.append(negate_fan(fan) if rng.random() < 0.3 else fan)
+        room -= m
+    return fans
+
+
+def test_minkowski_sum_matches_frozenset_fold():
+    rng = random.Random(77)
+    for n in [rng.randint(2, 8) for _ in range(40)] + [63, 64, 65, 100] * 10:
+        fans = _wide_fans(rng, n) if n > 8 or rng.random() < 0.5 else [
+            _random_fan(rng, rng.randint(0, n // 2), n) for _ in range(rng.randint(1, 2))]
+        fan = minkowski_sum(fans, delta=rng.randint(1, 3))
+        want = _set_minkowski_fold(fans)
+        assert [(_as_sets(cone), mult) for cone, mult in fan.cones.items()] == list(want.items())
+        if n <= 8:
+            assert fan.cones == _minkowski_oracle(fans)
+
+
+def _partner_fan(rng, m, n, v):
+    """A fan of dimension n - m whose cones are often stable-intersection
+    partners under v: each leaves out m + 1 coordinates, among them c0, and
+    mostly puts the rest with v below v_c0 in plus and above it in minus."""
+    cones = {}
+    for _ in range(rng.randint(1, 4 * (n + 1))):
+        left_out = rng.sample(range(n + 1), m + 1)
+        support = [i for i in range(n + 1) if i not in left_out]
+        if rng.random() < 0.8:
+            plus = _mask(i for i in support if v[i] < v[left_out[0]])
+            cones[(plus, _mask(support) ^ plus)] = rng.randint(1, 3)
+        else:
+            cones[_random_signs(rng, support)] = rng.randint(1, 3)
+    return SignedConeFan(n, n - m, cones, Fraction(rng.randint(1, 3), rng.randint(1, 3)))
+
+
+def test_stable_mult_matches_frozenset_lookup():
+    rng = random.Random(78)
+    hits = several = wide_hits = 0
+    for n in [rng.randint(1, 8) for _ in range(60)] + [63, 64, 65, 100] * 8:
+        m = rng.randint(0, min(n, 3))
+        v = draw_generic_vector(n, rng)
+        # The standard fans of a wide P^n have too many cones for a test.
+        if n > 8 or rng.random() < 0.5:
+            fan_f = _random_signed_fan(rng, m, n)
+        else:
+            fan_f = _random_fan(rng, m, n)
+        fan_g = _partner_fan(rng, m, n, v)
+        record = []
+        total = stable_mult_origin(fan_f, fan_g, v, record=record)
+        want_total, want_record = _set_stable_mult(fan_f, fan_g, v)
+        assert total == want_total
+        assert [(_as_sets(c1), _as_sets(c2), idx) for c1, c2, idx in record] == want_record
+        hits += len(record)
+        wide_hits += len(record) * (n >= 64)
+        firsts = [cone1 for cone1, _, _ in record]
+        several += any(firsts.count(c) > 1 for c in firsts)
+    assert hits > 500 and wide_hits > 100 and several > 20
+
+
+def test_traced_layers_count_pipelines_and_pairs(monkeypatch, capsys):
+    # A tracer rebinds these module globals by name: every partner hit must be
+    # certified through cone_pair_meets, and each pipeline sums its fans once.
+    calls = {"meets": 0, "minkowski": 0}
+
+    def counting_meets(*args):
+        calls["meets"] += 1
+        return meets(*args)
+
+    def counting_minkowski(*args, **kwargs):
+        calls["minkowski"] += 1
+        return minkowski(*args, **kwargs)
+
+    meets, minkowski = tropical.cone_pair_meets, tropical.minkowski_sum
+    monkeypatch.setattr(tropical, "cone_pair_meets", counting_meets)
+    monkeypatch.setattr(tropical, "minkowski_sum", counting_minkowski)
+    payloads = [{"plain": [[1, 1], [1, 1]], "n": 3}, {"plain": [[2, 2]], "n": 5},
+                {"plain": [[1, 2]], "reciprocal": [[1, 2]], "n": 12},
+                {"plain": [[1, 1]], "reciprocal": [[2, 1]], "n": 6},
+                {"plain": [[0, 1]], "n": 70}]
+    pairs = 0
+    for seed, payload in enumerate(payloads):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(payload)))
+        assert cli.main(["degree", "--transcript", "--seed", str(seed)]) == 0
+        pairs += len(json.loads(capsys.readouterr().out)["transcript"]["contributing_pairs"])
+    assert calls == {"meets": pairs, "minkowski": len(payloads)}
+    assert pairs > len(payloads)
 
 
 def test_standard_tls_cone_counts():
@@ -194,7 +388,7 @@ def test_standard_tls_cone_counts():
 def test_negate_fan():
     fan = standard_tls(1, 3)
     neg = negate_fan(fan)
-    assert all(not plus and len(minus) == 1 for plus, minus in neg.cones)
+    assert all(not plus and minus.bit_count() == 1 for plus, minus in neg.cones)
     assert negate_fan(neg) == fan
     zero = standard_tls(0, 3)
     assert negate_fan(zero) == zero
@@ -269,7 +463,8 @@ def test_minkowski_mixed_signs_skips_clashes():
     fan = minkowski_sum([standard_tls(1, 2), negate_fan(standard_tls(1, 2))])
     # cones pos(e_i) + neg(e_j) with i != j only
     assert len(fan.cones) == 6
-    assert all(plus != minus and len(plus) == len(minus) == 1 for plus, minus in fan.cones)
+    assert all(plus != minus and plus.bit_count() == minus.bit_count() == 1
+               for plus, minus in fan.cones)
 
 
 def test_minkowski_dimension_overflow():
