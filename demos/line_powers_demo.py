@@ -9,7 +9,7 @@ meet a codimension-2 coordinate stratum escape the closed form but are
 still linear: the row space of the same power matrix is their power, exactly.
 """
 
-from hadamard_spaces import (LinSpace, PPoint, QMatrix, SparsePoly,
+from hadamard_spaces import (LinSpace, PPoint, QMatrix, SparsePoly, integer_rank,
                              line_power_matrix, line_power_pluecker,
                              line_through, pluecker, power_hyperplane,
                              power_linear_equations, sampled_power_span)
@@ -23,7 +23,7 @@ print("\nIts square is the row space of the entrywise-power matrix:")
 mat = line_power_matrix(line, 2)
 for row in mat.rows:
     print("   ", [str(x) for x in row])
-print("  rank:", mat.rank(), "(so the square is a plane, min(2,3)+1 generators)")
+print("  rank:", integer_rank(mat.ints), "(so the square is a plane, min(2,3)+1 generators)")
 
 print("\nEach maximal minor factors into pairwise brackets, e.g. columns (0,1,3):")
 minor = mat.submatrix_columns((0, 1, 3)).det()

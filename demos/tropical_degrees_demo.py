@@ -22,7 +22,7 @@ warnings.simplefilter("ignore")
 print("Two distinct generic lines in P^3:")
 dim, degree = degree_linear_products([(1, 1), (1, 1)], 3)
 print("  closed form: dimension %d, degree %s" % (dim, degree))
-result = fan_degree_pipeline([(1, 1), (1, 1)], [], 3, rng, transcript=True)
+result = fan_degree_pipeline([(1, 1), (1, 1)], [], 3, rng)
 fan = result["fan"]
 print("  Minkowski sum of two standard fans: %d cones, each multiplicity %d, weight %s"
       % (len(fan.cones), next(iter(fan.cones.values())), fan.global_weight))

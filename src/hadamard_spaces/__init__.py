@@ -5,7 +5,8 @@ tropical degree formulas cross-checked against fan computations, and an
 interpolation oracle recovering defining equations from samples.
 """
 
-from .linalg import BudgetExhausted, PreconditionError, QMatrix, rat, rat_str
+from .linalg import (BudgetExhausted, PreconditionError, QMatrix, integer_rank, rat,
+                     rat_str)
 from .poly import SparsePoly, monomials_of_degree, proportional
 from .projective import (LinSpace, PPoint, PlueckerVector, all_ones_point,
                          intersect_spaces, line_through, pluecker,
@@ -28,7 +29,7 @@ from .tropical import (NonGenericVector, SignedConeFan,
                        draw_generic_vector, fan_degree_pipeline,
                        genericity_bound, lattice_index, mask_indices,
                        minkowski_sum, negate_fan, stable_mult_origin,
-                       stable_mult_origin_auto, standard_tls)
+                       standard_tls)
 from .brackets import (cubic_plane_square, quadric_bracket_display,
                        quadric_square_symbolic, quadric_symbolic_identity,
                        quadric_two_lines, verify_identity)

@@ -25,14 +25,14 @@ from . import papersuite
 from .brackets import (cubic_plane_square, quadric_bracket_display,
                        quadric_square_symbolic, quadric_symbolic_identity,
                        quadric_two_lines, verify_identity)
-from .linalg import (BudgetExhausted, PreconditionError, QMatrix, is_json_int,
+from .linalg import (BudgetExhausted, PreconditionError, QMatrix, integer_rank, is_json_int,
                      is_rational_literal, rat_str)
 from .line_powers import (line_power_matrix, line_power_pluecker,
                           power_linear_equations, sampled_power_span)
 from .poly import SparsePoly
-from .products import (expected_dimension, gen_vandermonde, interpolate_forms,
-                       interpolate_hypersurface, span_dimension_formula,
-                       terracini_span)
+from .products import (check_span_dim_work, expected_dimension, gen_vandermonde,
+                       interpolate_forms, interpolate_hypersurface,
+                       span_dimension_formula, terracini_span)
 from .projective import LinSpace, PPoint, pluecker
 from .samplers import (hadamard_power_sampler, hadamard_product_sampler,
                        linear_space_sampler, reciprocal_sampler, segre_sampler)
@@ -250,6 +250,7 @@ def cmd_span_dim(payload, rng, args):
                 raise ValidationError("spaces[%d].mult" % i, "multiplicity must be >= 1")
             entries.append((space, mult))
         n = entries[0][0].ambient_dim
+        check_span_dim_work([(s.dim, r) for s, r in entries], n)
     else:
         dims = _parse_dim_mult_list(_want(payload, "dims", list), "dims")
         if not dims:
@@ -257,12 +258,12 @@ def cmd_span_dim(payload, rng, args):
         n = _want(payload, "n", int)
         if any(m > n for m, _ in dims):
             raise ValidationError("n", "ambient dimension must be at least every dimension in dims")
+        check_span_dim_work(dims, n)
         entries = []
         for m, r in dims:
             rows = [[rng.randint(-1000, 1000) for _ in range(n + 1)] for _ in range(m + 1)]
             entries.append((LinSpace(rows), r))
-    matrix = gen_vandermonde(entries)
-    rank = matrix.rank()
+    rank = integer_rank(gen_vandermonde(entries).ints)
     formula = span_dimension_formula([(s.dim, r) for s, r in entries], n)
     return {
         "rank": rank,
@@ -285,12 +286,14 @@ def cmd_degree(payload, rng, args):
     n = _want(payload, "n", int)
     if n < 0:
         raise ValidationError("n", "ambient dimension must be >= 0")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         dim, degree = degree_with_reciprocals(plain, reciprocal, n)
     doc = {"dim": dim, "degree": rat_str(degree)}
+    if caught:
+        doc["warning"] = str(caught[0].message)
     if args.transcript:
-        detail = fan_degree_pipeline(plain, reciprocal, n, rng, transcript=True)
+        detail = fan_degree_pipeline(plain, reciprocal, n, rng)
         fan, complement = detail["fan"], detail["complement"]
         doc["transcript"] = {
             "delta": detail["delta"],

@@ -5,26 +5,28 @@ positive denominator, the least one, cleared once when it is built
 (`cleared_rows`); operations return new values, and there is no float
 anywhere.  "Equals zero" is therefore decidable, which the rest of the
 package relies on.  Fractions appear only where a value leaves as one: the
-`rows` view, `det`, and the kernels of `integer_kernel_basis`.
+`rows` view and `det`.
 
-Two exact paths: Bareiss elimination computes RREFs, determinants and
-kernels; a p-adic solve computes the interpolation oracle's integer kernels.
+Two exact paths: Bareiss elimination computes ranks, RREFs, determinants
+and kernels; a p-adic solve computes the interpolation oracle's integer
+kernels.  Both give a kernel vector as the same primitive integer vector.
 
-Bareiss (`QMatrix.rref`, `det`, `nullspace`, and the fallback of
-`integer_kernel_basis`) runs on the integer rows, which have the row space
-and the kernel of the matrix.  A forward pass with exact division
-(`_bareiss_echelon`) gives an integer echelon form whose entries are minors
-of the input, the sign of its row swaps, and the pivot columns (each the
-first nonzero entry at or below the current row).  A free-column
-back-substitution (`_back_substitute`) then solves for one kernel vector
-per free column.  This path serves the many small rational matrices of
-spans and tangent spaces, and through `integer_det` the integer minors of
+Bareiss (`integer_rank`, `QMatrix.rref`, `det`, `nullspace`, and
+`bareiss_kernel_basis`, the fallback of `integer_kernel_basis`) runs on
+integer rows, which have the row space and the kernel of the matrix.  A
+forward pass with exact division (`_bareiss_echelon`) gives an integer
+echelon form whose entries are minors of the input, the sign of its row
+swaps, and the pivot columns (each the first nonzero entry at or below the
+current row), whose count is the rank.  A back-substitution
+(`_back_substitute`) solves the pivot entries of one kernel vector per
+free column.  This path serves the many small rational matrices of spans
+and tangent spaces, and through `integer_det` the integer minors of
 Pluecker coordinates.
 
 p-adic (`integer_kernel_basis`, the interpolation oracle's kernel).  The
 integer matrix A, or only its leading nc x nc block when A has more rows
-than its nc columns (call the factored rows S), is factored modulo a prime
-p of KERNEL_PRIMES, each row packed into one int whose slots never carry
+than its nc columns (call the factored rows S), is factored modulo the
+prime KERNEL_PRIME, each row packed into one int whose slots never carry
 (`_factor_mod_p`), so a row update is one big-int multiply-add with no
 reduction.  For each free column f, the entries at the pivots before f
 solve a square system in the pivot rows, lifted p-adically to p^k (Dixon
@@ -35,24 +37,23 @@ entries, not of the minors Bareiss carries.  The check is a certificate:
 
 - ker_Q(A) lies in ker_Q(S), and rank mod p <= rank over Q (every minor
   that vanishes over Q vanishes mod p), so dim ker_p(S) >= dim ker_Q(A);
-- the lifted vectors are independent, because each has a 1 at its own
-  free column and zeros at the other free columns;
+- the lifted vectors are independent, because each is nonzero at its own
+  free column and zero at the other free columns;
 - so dim ker_p(S) vectors that pass the check on all rows prove dim
   ker_Q(A) = dim ker_p(S), and they are a basis of ker_Q(A);
 - the vector of free column f is zero past column f, so column f is a
   combination of earlier columns of A and is not a pivot over Q.  The free
-  sets of S mod p and of A over Q therefore coincide, and the basis is the
-  unique one with a 1 at its free column and zeros at the others: the one
-  the Bareiss path returns.
+  sets of S mod p and of A over Q therefore coincide, and each vector is
+  the unique primitive one positive at its free column and zero at the
+  others: the one the Bareiss path returns.
 
 A vector that fails the check with the same reconstruction at two steps in
 a row (an unlucky prime, or a block S with a larger kernel than A) stops
-the lifting at once and sends a block to all of A with the same prime and
-all of A to the next prime; entries beyond the lifting reach, or no prime
-left, go to Bareiss.  The result is always exact.
+the lifting at once and sends a block to all of A; all of A, or entries
+beyond the lifting reach, go to Bareiss.  The result is always exact.
 
-The RREF, the kernel basis normalised to the free columns and the
-determinant are unique, so the results do not depend on the path.
+The rank, the RREF, the kernel basis and the determinant are unique, so
+the results do not depend on the path.
 """
 
 import re
@@ -214,10 +215,11 @@ class QMatrix:
 
         Row i of the reduced form R has a 1 at pivot p_i, zeros at the other
         pivots, and -v_f[p_i] at free column f, where v_f is the kernel
-        vector of free column f; rows past the rank are zero.  The solution
-        x_f of `_back_substitute` is d v_f, so R is the integer rows with d
-        at p_i and -x_f[p_i] at f, over d (reduced to the least positive
-        denominator by the constructor).
+        vector of free column f with a 1 at f; rows past the rank are zero.
+        `_back_substitute` solves d v_f[p_i] for every f, so R is the
+        integer rows with d at p_i and minus those solutions at the free
+        columns, over d (reduced to the least positive denominator by the
+        constructor).
         """
         if self._rref is not None:
             return self._rref
@@ -225,16 +227,13 @@ class QMatrix:
         echelon, pivots, _ = _bareiss_echelon(self.ints)
         d, free, solutions = _back_substitute(echelon, pivots, nc)
         rows = [[0] * nc for _ in range(self.nrows)]
-        for row, p in zip(rows, pivots):
+        for row, p, x in zip(rows, pivots, solutions):
             row[p] = d
-            for f, x in zip(free, solutions):
-                row[f] = -x[p]
+            for f, v in zip(free, x):
+                row[f] = -v
         reduced = QMatrix(rows, d)
         reduced._rref = self._rref = (reduced, len(pivots), tuple(pivots))
         return self._rref
-
-    def rank(self):
-        return self.rref()[1]
 
     def nullspace(self):
         """Basis of the right kernel as the rows of a matrix, one per free
@@ -260,6 +259,11 @@ class QMatrix:
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
         return Fraction(integer_det(self.ints), self.den ** self.nrows)
+
+
+def integer_rank(rows):
+    """Rank of an integer matrix: the pivot count of one Bareiss pass."""
+    return len(_bareiss_echelon(rows)[1])
 
 
 def integer_det(rows):
@@ -312,30 +316,53 @@ def _bareiss_echelon(rows):
 def _back_substitute(echelon, pivots, nc):
     """Free-column back-substitution on a Bareiss echelon form.
 
-    Returns (d, free columns, solutions): the solution for free column f is
-    an integer vector x with x[f] = d, zero at the other free columns and
-    echelon @ x = 0, where d is the last pivot.  The kernel vector of f is
-    x / d.  By Cramer's rule d times that vector is integral (d is the
-    pivot minor of the rows the echelon form came from), so every division
-    below is exact.
+    Returns (d, free columns, solutions), d the last pivot.  The integer
+    vector x_f with x_f[f] = d, zero at the other free columns and echelon
+    @ x_f = 0 is d times the kernel vector of free column f; solutions[i]
+    lists x_f[p_i] for every f, row i solved from the later ones: rank^2
+    products per free column, whatever nc is (x_f is zero at the pivots
+    after f, as row i is zero before p_i).  By Cramer's rule x_f is integral
+    (d is the pivot minor of the rows the echelon form came from), so every
+    division below is exact.
     """
-    free = [c for c in range(nc) if c not in pivots]
+    pivot_set = set(pivots)
+    free = [c for c in range(nc) if c not in pivot_set]
     d = echelon[-1][pivots[-1]] if pivots else 1
-    solutions = []
-    for f in free:
-        x = [0] * nc
-        x[f] = d
-        for r in range(len(pivots) - 1, -1, -1):
-            c = pivots[r]
-            row = echelon[r]
-            x[c] = -sum(row[j] * x[j] for j in range(c + 1, nc) if x[j]) // row[c]
-        solutions.append(x)
+    solutions = [None] * len(pivots)
+    for i in range(len(pivots) - 1, -1, -1):
+        row = echelon[i]
+        acc = [d * row[f] for f in free]
+        for j in range(i + 1, len(pivots)):
+            h = row[pivots[j]]
+            if h:
+                acc = [a + h * x for a, x in zip(acc, solutions[j])]
+        h = row[pivots[i]]
+        solutions[i] = [-a // h for a in acc]
     return d, free, solutions
 
 
-#: Distinct 62-bit primes (the three largest below 2^62) for the p-adic
-#: kernel, tried in this order; the next is used only when one fails.
-KERNEL_PRIMES = (4611686018427387847, 4611686018427387817, 4611686018427387787)
+def bareiss_kernel_basis(rows):
+    """Kernel basis of an integer matrix from one Bareiss echelon form: for
+    each free column, the primitive integer vector positive there and zero
+    at the other free columns (the back-substituted solution over its gcd)."""
+    if not rows:
+        return []
+    echelon, pivots, _ = _bareiss_echelon(rows)
+    d, free, solutions = _back_substitute(echelon, pivots, len(rows[0]))
+    basis = []
+    for j, f in enumerate(free):
+        x = [solved[j] for solved in solutions]
+        g = gcd(d, *x) if d > 0 else -gcd(d, *x)
+        vec = [0] * len(rows[0])
+        vec[f] = d // g
+        for p, v in zip(pivots, x):
+            vec[p] = v // g
+        basis.append(tuple(vec))
+    return basis
+
+
+#: The 62-bit prime (the largest below 2^62) of the p-adic kernel.
+KERNEL_PRIME = 4611686018427387847
 
 #: p-adic lifting steps per kernel vector.  p^16 > 2^991 bounds the kernel
 #: entries that can be reconstructed: numerators and denominators up to
@@ -395,7 +422,8 @@ def _factor_mod_p(rows, nc, p):
 
 
 def _rational_reconstruct(u, m):
-    """The fraction a/b = u mod m with |a|, b <= sqrt(m/2), or None.
+    """The fraction a/b = u mod m with |a|, b <= sqrt(m/2), as (a, b > 0),
+    or None.
 
     Extended Euclid on (m, u) stopped at the first remainder within the
     bound; such a fraction is unique when it exists.
@@ -409,35 +437,39 @@ def _rational_reconstruct(u, m):
         t0, t1 = t1, t0 - q * t1
     if abs(t1) > bound or gcd(r1, t1) != 1:
         return None
-    return Fraction(r1, t1)
+    return (r1, t1) if t1 > 0 else (-r1, -t1)
 
 
 def _lift(f, pivots, y, m, nc):
-    """The kernel vector of free column f, its entries at the pivots before
-    f reconstructed from y mod m; None when one has no reconstruction yet."""
-    vec = [Fraction(0)] * nc
-    vec[f] = Fraction(1)
-    for c, u in zip(pivots, y):
+    """The kernel vector of free column f: its entries a/b at the pivots
+    before f reconstructed from y mod m (None while one is not), cleared by
+    the lcm of the b's, which is at f; lowest terms make it primitive."""
+    pairs = []
+    for u in y:
         q = _rational_reconstruct(u, m)
         if q is None:
             return None
-        vec[c] = q
+        pairs.append(q)
+    den = lcm(*(b for _, b in pairs))
+    vec = [0] * nc
+    vec[f] = den
+    for c, (a, b) in zip(pivots, pairs):
+        vec[c] = a * (den // b)
     return tuple(vec)
 
 
 def _annihilates(rows, vec):
-    """Whether rows @ vec == 0, in integers on the cleared vector's support."""
-    ints = cleared_rows((vec,))[1][0]
-    values = [v for v in ints if v]
-    return all(sum(map(mul, compress(row, ints), values)) == 0 for row in rows)
+    """Whether rows @ vec == 0 for an integer vector, on its support."""
+    values = [v for v in vec if v]
+    return all(sum(map(mul, compress(row, vec), values)) == 0 for row in rows)
 
 
-def _dixon_kernel(rows, height, nc, p):
-    """The kernel basis lifted from one factorization mod p of the first
-    `height` rows, checked on all rows.  A vector failing its check gives
-    None as soon as two steps in a row reconstruct it (see the module
-    docstring), and False if it does not pass within LIFT_STEPS steps
-    (beyond the lifting reach).
+def _dixon_kernel(rows, height, nc):
+    """The kernel basis lifted from one factorization mod KERNEL_PRIME of
+    the first `height` rows, checked on all rows.  A vector failing its
+    check gives None as soon as two steps in a row reconstruct it (see the
+    module docstring), and False if it does not pass within LIFT_STEPS
+    steps (beyond the lifting reach).
 
     For free column f with k pivots before it, the pivot entries y solve
     B y = -A[R_<k, f] with B = A[R_<k, P_<k], whose factors mod p are the
@@ -445,6 +477,7 @@ def _dixon_kernel(rows, height, nc, p):
     triangular solve x_i = B^-1 b_i mod p per step and the exact residual
     b_(i+1) = (b_i - B x_i) / p.
     """
+    p = KERNEL_PRIME
     pivots, prows, lower, upper = _factor_mod_p(rows[:height], nc, p)
     square = [[rows[i][c] for c in pivots] for i in prows]
     vectors = []
@@ -474,28 +507,20 @@ def _dixon_kernel(rows, height, nc, p):
 
 
 def integer_kernel_basis(rows):
-    """Kernel basis of an integer matrix, one vector per free column.
-
-    Same contract as QMatrix.nullspace: the vector of free column f has a 1
-    at f and zeros at the other free columns; entries are Fractions.  The
-    p-adic path, its square block and its certificate are in the module
-    docstring; the basis is the unique one Bareiss returns.
-    """
+    """Kernel basis of an integer matrix, the one `bareiss_kernel_basis`
+    gives.  The p-adic path and its certificate are in the module docstring;
+    on KERNEL_PRIME it tries the square block of a tall matrix, then the
+    whole matrix, then falls back to Bareiss."""
     if not rows:
         return []
     nc = len(rows[0])
-    attempts = [(p, len(rows)) for p in KERNEL_PRIMES]
-    if len(rows) > nc:
-        attempts.insert(0, (KERNEL_PRIMES[0], nc))
-    for p, height in attempts:
-        vectors = _dixon_kernel(rows, height, nc, p)
+    for height in ([nc] if len(rows) > nc else []) + [len(rows)]:
+        vectors = _dixon_kernel(rows, height, nc)
         if vectors is False:
             break
         if vectors is not None:
             return vectors
-    echelon, pivots, _ = _bareiss_echelon(rows)
-    d, _, solutions = _back_substitute(echelon, pivots, nc)
-    return [tuple(Fraction(v, d) for v in x) for x in solutions]
+    return bareiss_kernel_basis(rows)
 
 
 def smith_normal_form(rows):

@@ -16,7 +16,7 @@ from math import comb
 from itertools import combinations
 
 from . import brackets, line_powers, products, samplers, star_configs, tropical
-from .linalg import QMatrix, rat_str
+from .linalg import QMatrix, integer_rank, rat_str
 from .poly import SparsePoly, proportional
 from .projective import LinSpace, PPoint, line_through, pluecker, sample_point
 
@@ -73,7 +73,7 @@ def span_satisfies_exactly(space, coeff_rows):
     """The space's linear equations are spanned by exactly the given forms."""
     forms = [SparsePoly.linear_form(row) for row in coeff_rows]
     vanish = all(f.eval(row) == 0 for f in forms for row in space.generators.ints)
-    independent = QMatrix(coeff_rows).rank() == len(coeff_rows)
+    independent = integer_rank(QMatrix(coeff_rows).ints) == len(coeff_rows)
     dual_dim = space.generators.nullspace().nrows
     return vanish and independent and dual_dim == len(coeff_rows)
 
@@ -146,7 +146,7 @@ def power_minors_are_brackets(line):
                          == line_powers.line_power_pluecker(pl, r, cols))
             minors += 1
         if clean:
-            ok = ok and mat.rank() == min(r, n) + 1
+            ok = ok and integer_rank(mat.ints) == min(r, n) + 1
     return ok, minors
 
 
@@ -205,7 +205,7 @@ def span_rank_and_identifiability(entries, rng):
     draws at most).  Returns (holds, whether identifiability was tested)."""
     n = entries[0][0].ambient_dim
     dims = [(space.dim, r) for space, r in entries]
-    ok = (products.gen_vandermonde(entries).rank()
+    ok = (integer_rank(products.gen_vandermonde(entries).ints)
           == products.span_dimension_formula(dims, n) + 1)
     if len(entries) > 1 or n < products.identifiability_regime_bound(dims):
         return ok, False

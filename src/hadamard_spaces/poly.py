@@ -63,10 +63,6 @@ class SparsePoly:
     def is_zero(self):
         return not self.terms
 
-    def degree(self):
-        """Total degree; the zero polynomial has degree -1."""
-        return max((sum(e) for e in self.terms), default=-1)
-
     def _check(self, other):
         if self.nvars != other.nvars:
             raise ValueError("variable counts differ: %d vs %d" % (self.nvars, other.nvars))
@@ -112,14 +108,6 @@ class SparsePoly:
         if not c:
             return SparsePoly.zero(self.nvars)
         return SparsePoly._trusted(self.nvars, {e: c * v for e, v in self.terms.items()})
-
-    def __pow__(self, k):
-        if k < 0:
-            raise ValueError("negative power")
-        out = SparsePoly.constant(self.nvars, 1)
-        for _ in range(k):
-            out = out * self
-        return out
 
     def __eq__(self, other):
         return (isinstance(other, SparsePoly) and self.nvars == other.nvars

@@ -18,7 +18,8 @@ import warnings
 from math import comb, prod
 from operator import mul
 
-from .linalg import BudgetExhausted, PreconditionError, QMatrix, integer_kernel_basis
+from .linalg import (BudgetExhausted, PreconditionError, QMatrix, integer_kernel_basis,
+                     integer_rank)
 from .poly import SparsePoly, monomial_products, monomials_of_degree
 from .projective import LinSpace, sample_point
 
@@ -31,6 +32,14 @@ OVERSAMPLE_NUM, OVERSAMPLE_DEN = 1, 4
 #: it raises BudgetExhausted before any draw.  The slowest payload measured
 #: at 300 (degree 2 on a 20-space in P^23) takes 4.3 s on a 2-vCPU Xeon VM.
 INTERP_MONOMIAL_BUDGET = 300
+
+#: Largest work of a generalized Vandermonde rank (`check_span_dim_work`)
+#: that `span-dim` accepts; past it, it raises BudgetExhausted before any
+#: draw.  Payloads at the limit, whole processes on a 2-vCPU Xeon VM: the
+#: slowest measured, dims [[5, 1]] in P^166665, takes 3.2 s; [[1, 1]] in
+#: P^735293 2.1 s (321 MiB), [[1, 55]] in P^30 2.3 s, [[3, 24]] in P^10
+#: 1.1 s and [[1, 39]] in P^39 1.5 s.
+SPAN_DIM_WORK_LIMIT = 10 ** 8
 
 
 def gen_vandermonde(entries):
@@ -58,6 +67,32 @@ def gen_vandermonde(entries):
     for block in blocks[1:]:
         rows = [tuple(map(mul, row, other)) for row in rows for other in block]
     return QMatrix(rows, den)
+
+
+def check_span_dim_work(dims_and_mults, n):
+    """Raise BudgetExhausted when the generalized Vandermonde matrix of
+    spaces of dimensions m_k with multiplicities r_k in P^n, with R = prod
+    binom(m_k + r_k, r_k) rows and C = n + 1 columns, has a work R C (k^2 r
+    + 64) past SPAN_DIM_WORK_LIMIT, where k = min(R, C) bounds its rank and
+    r = sum r_k.
+
+    Bareiss makes about R C k cell updates on minors of up to k r factors
+    of the entries: k^2 r per cell.  The 64 charges each cell's drawing,
+    building and clearing, which is most of the cost when k r is small.
+    The row count is built one binomial factor at a time and stops as soon
+    as 64 R C alone is past the limit, so no huge binomial is formed.  The
+    digits of explicit generators are not counted.
+    """
+    rows, cols = 1, n + 1
+    for m, r in dims_and_mults:
+        for i in range(1, min(m, r) + 1):
+            rows = rows * (max(m, r) + i) // i
+            if 64 * rows * cols > SPAN_DIM_WORK_LIMIT:
+                break
+    k = min(rows, cols)
+    if rows * cols * (k * k * sum(r for _, r in dims_and_mults) + 64) > SPAN_DIM_WORK_LIMIT:
+        raise BudgetExhausted("the generalized Vandermonde matrix in P^%d is past the "
+                              "span-dim work limit of %d" % (n, SPAN_DIM_WORK_LIMIT))
 
 
 def identifiability_regime_bound(dims_and_mults):
@@ -106,7 +141,7 @@ def identifiability_check(space, r, trials, rng):
     if n < bound:
         warnings.warn("ambient dimension %d is below the identifiability bound %d; "
                       "collisions are not excluded by theory" % (n, bound))
-    if gen_vandermonde([(space, r)]).rank() == comb(space.dim + r, r):
+    if integer_rank(gen_vandermonde([(space, r)]).ints) == comb(space.dim + r, r):
         return None
     return _search_collisions(space, r, trials, rng)
 

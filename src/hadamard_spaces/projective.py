@@ -228,7 +228,7 @@ def point_times_space(p, space):
     if len(p.ints) != space.generators.ncols:
         raise ValueError("ambient dimensions differ")
     scaled = space.generators.scale_columns(p.ints, p.den)
-    if scaled.rank() == scaled.nrows:
+    if scaled.rref()[1] == scaled.nrows:
         return LinSpace(scaled)
     return LinSpace.span_of(scaled)
 

@@ -34,7 +34,7 @@ by its entries y_P at the pivots and that D*y = y_P (D*R) decides membership.
 from itertools import combinations
 from math import comb
 
-from .linalg import PreconditionError, _back_substitute, _bareiss_echelon, primitive_ints
+from .linalg import PreconditionError, bareiss_kernel_basis, integer_rank, primitive_ints
 from .line_powers import line_power_matrix
 from .projective import LinSpace, all_ones_point, pluecker, point_times_space
 
@@ -165,16 +165,6 @@ def build_star(zset, line, r):
     return StarWitness(ambient, hyperplanes, points, origin_subsets)
 
 
-def _kernel_line(rows):
-    """Integer vector spanning the kernel of a k x (k+1) integer matrix of rank k."""
-    echelon, pivots, _ = _bareiss_echelon(rows)
-    return _back_substitute(echelon, pivots, len(rows) + 1)[2][0]
-
-
-def _rank(rows):
-    return len(_bareiss_echelon(rows)[1])
-
-
 def _normals(hyperplanes, ambient):
     """Integer normals w_H of hyperplanes of M, after their dimension and
     containment checks: the kernel lines of the rows of each H's frame at
@@ -187,7 +177,7 @@ def _normals(hyperplanes, ambient):
             raise PreconditionError("hyperplane has dim %d, expected %d" % (h.dim, r - 1))
         if not ambient.contains_space(h):
             raise PreconditionError("hyperplane not contained in the ambient space")
-        normals.append(_kernel_line([[y[p] for p in pivots] for y in h.frame()[2]]))
+        normals.append(bareiss_kernel_basis([[y[p] for p in pivots] for y in h.frame()[2]])[0])
     return normals
 
 
@@ -195,11 +185,11 @@ def _first_dependent(normals, r):
     """None in general position, else the first index subset with dependent normals."""
     m = len(normals)
     k = min(m, r + 1)
-    if all(_rank(rows) == k for rows in combinations(normals, k)):
+    if all(integer_rank(rows) == k for rows in combinations(normals, k)):
         return None
     for j in range(2, k + 1):
         for subset in combinations(range(m), j):
-            if _rank([normals[i] for i in subset]) < j:
+            if integer_rank([normals[i] for i in subset]) < j:
                 return subset
 
 
@@ -232,6 +222,6 @@ def verify_star(witness):
     columns = list(zip(*ambient.frame()[2]))
     keys = set()
     for rows in combinations(normals, r):
-        y_p = _kernel_line(rows)
+        (y_p,) = bareiss_kernel_basis(rows)
         keys.add(primitive_ints([sum(c * v for c, v in zip(y_p, col)) for col in columns]))
     return keys == witness.points.canonical_keys()

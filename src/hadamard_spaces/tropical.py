@@ -24,7 +24,7 @@ from itertools import combinations
 from math import comb, factorial, isqrt, prod
 from operator import or_
 
-from .linalg import BudgetExhausted, PreconditionError
+from .linalg import BudgetExhausted, PreconditionError, rat_str
 from .products import identifiability_regime_bound
 from .projective import LinSpace, PPoint
 
@@ -265,15 +265,15 @@ def _first_primes_from(start, count):
     return tuple(out)
 
 
-def stable_mult_origin(fan_f, fan_g, v, record=None):
+def stable_mult_origin(fan_f, fan_g, v):
     """Multiplicity of the origin in the stable intersection of two fans.
 
     Sums mult(sigma1) * mult(sigma2) * lattice index (always 1) over facet
     pairs whose shifted cones meet, times both global weights.  The
     displacement v must have pairwise distinct coordinates (else
     NonGenericVector); then every meeting is transversal and in relative
-    interiors.  A list passed as `record` collects the contributing pairs
-    as (sigma1, sigma2, 1), in fan_f and then fan_g order.
+    interiors.  Returns (multiplicity, contributing pairs), the pairs as
+    (sigma1, sigma2, 1) in fan_f and then fan_g order.
 
     Each sigma1 and uncovered coordinate c0 has at most one partner, a key
     of fan_g.cones.  Overlapping supports meet only shifts with two equal
@@ -301,7 +301,7 @@ def stable_mult_origin(fan_f, fan_g, v, record=None):
     walk = [1 << i for i in sorted(range(n + 1), key=v.__getitem__)]
     full = (1 << (n + 1)) - 1
     partners = fan_g.cones
-    total = 0
+    total, pairs = 0, []
     for cone1, mult1 in fan_f.cones.items():
         plus1, minus1 = cone1
         rest = full ^ plus1 ^ minus1
@@ -321,23 +321,8 @@ def stable_mult_origin(fan_f, fan_g, v, record=None):
         for cone2 in sorted(hits, key=_cone_order):
             if cone_pair_meets(cone1, cone2, v, n):
                 total += mult1 * partners[cone2]
-                if record is not None:
-                    record.append((cone1, cone2, 1))
-    return total * fan_f.global_weight * fan_g.global_weight
-
-
-def stable_mult_origin_auto(fan_f, fan_g, rng, record=None):
-    """stable_mult_origin with the displacement drawn by draw_generic_vector.
-
-    When a dict is passed as `record`, the displacement is stored under
-    "displacement" and the contributing pairs under "pairs".
-    """
-    v = draw_generic_vector(fan_f.ambient_dim, rng)
-    pairs = None if record is None else []
-    result = stable_mult_origin(fan_f, fan_g, v, record=pairs)
-    if record is not None:
-        record.update(displacement=v, pairs=pairs)
-    return result
+                pairs.append((cone1, cone2, 1))
+    return total * fan_f.global_weight * fan_g.global_weight, pairs
 
 
 # ---------------------------------------------------------------------------
@@ -395,8 +380,9 @@ def degree_with_reciprocals(plain, reciprocal, n):
     binom(n - m, mt) * d/prod(r_k!) * dt/prod(s_l!), where the factorials
     run over the factors of dimension >= 1 only: they count the orderings
     of r distinct points of a factor, and the r-th power of a point is a
-    point.  Below the genericity bound a warning is issued (the formula is
-    still returned; nothing is asserted there).
+    point.  Below the genericity bound a warning naming n and the bound is
+    issued (the formula is still returned; nothing is asserted there); a
+    bound too long to print raises BudgetExhausted, as `rat_str` does.
     """
     plain, reciprocal, m, mt = _factor_dims(plain, reciprocal, n)
     d = _multinomial([mk for mk, r in plain for _ in range(r)])
@@ -405,12 +391,12 @@ def degree_with_reciprocals(plain, reciprocal, n):
                       prod(factorial(r) for mk, r in plain + reciprocal if mk))
     bound = genericity_bound(plain, reciprocal)
     if n < bound:
-        warnings.warn("ambient dimension %d is below the genericity bound %d "
-                      "of the degree formula" % (n, bound))
+        warnings.warn("ambient dimension %d is below the genericity bound %s "
+                      "of the degree formula" % (n, rat_str(bound)))
     return m + mt, degree
 
 
-def fan_degree_pipeline(plain, reciprocal, n, rng, transcript=False):
+def fan_degree_pipeline(plain, reciprocal, n, rng):
     """Degree via tropical fans: Minkowski sum + stable intersection.
 
     Builds one standard tropical linear space per factor of dimension >= 1
@@ -422,6 +408,10 @@ def fan_degree_pipeline(plain, reciprocal, n, rng, transcript=False):
     it adds none.  Entirely independent of the closed-form route, which it
     is used to cross-check.  Past FAN_BUDGET it raises BudgetExhausted
     before building any fan.
+
+    Returns one dict: "dim" and "degree", the summed "fan", its
+    "complement", "delta", the "displacement" drawn by draw_generic_vector,
+    and the contributing "pairs" of stable_mult_origin.
     """
     plain, reciprocal, m, mt = _factor_dims(plain, reciprocal, n)
     if (n + 1) ** 2 > FAN_BUDGET or (n + 1) * max(
@@ -439,9 +429,7 @@ def fan_degree_pipeline(plain, reciprocal, n, rng, transcript=False):
     delta = prod(factorial(r) for mk, r in plain + reciprocal if mk)
     summed = minkowski_sum(fans or [standard_tls(0, n)], delta)
     complement = standard_tls(n - m - mt, n)
-    record = {} if transcript else None
-    degree = stable_mult_origin_auto(summed, complement, rng, record=record)
-    result = {"dim": m + mt, "degree": degree}
-    if transcript:
-        result.update(fan=summed, complement=complement, delta=delta, **record)
-    return result
+    v = draw_generic_vector(n, rng)
+    degree, pairs = stable_mult_origin(summed, complement, v)
+    return {"dim": m + mt, "degree": degree, "fan": summed, "complement": complement,
+            "delta": delta, "displacement": v, "pairs": pairs}

@@ -105,6 +105,43 @@ def test_degree_too_long_to_print_exit_3():
     assert error["code"] == 3 and "too long to print" in error["message"]
 
 
+def test_degree_with_a_bound_too_long_to_print_exit_3():
+    # 15,000 lines in P^15000: the genericity bound 2^15000 - 1 of the
+    # warning has 4,516 digits, past the int-to-str limit.
+    proc = run_cli("degree", {"plain": [[1, 1]] * 15000, "n": 15000})
+    assert (proc.returncode, proc.stdout) == (3, "") and "Traceback" not in proc.stderr
+    error = json.loads(proc.stderr)["error"]
+    assert error["code"] == 3 and "too long to print" in error["message"]
+
+
+#: (payload, genericity bound) of `degree` payloads below and at or above it.
+DEGREE_BOUND_CASES = [
+    ({"plain": [[1, 1], [1, 1]], "n": 2}, 3),
+    ({"plain": [[1, 2], [1, 1]], "n": 3}, 5),
+    ({"plain": [[2, 3]], "n": 6}, 9),
+    ({"plain": [[1, 1]], "reciprocal": [[1, 1]], "n": 2}, 3),
+    ({"plain": [[1, 1], [1, 1]], "n": 3}, 3),
+    ({"plain": [[2, 2]], "n": 5}, 5),
+    ({"reciprocal": [[1, 1]], "n": 4}, 1),
+]
+
+
+@pytest.mark.parametrize("flags", [(), ("--transcript",)])
+def test_degree_warns_exactly_below_the_genericity_bound(flags, monkeypatch, capsys):
+    for payload, bound in DEGREE_BOUND_CASES:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(payload)))
+        assert cli.main(["degree", *flags]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        if payload["n"] < bound:
+            assert doc.pop("warning") == ("ambient dimension %d is below the genericity bound "
+                                          "%d of the degree formula" % (payload["n"], bound))
+        assert "warning" not in doc and ("transcript" in doc) == bool(flags)
+    # At the bound the bytes are the ones printed before the warning existed.
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps({"plain": [[1, 1], [1, 1]], "n": 3})))
+    assert cli.main(["degree"]) == 0
+    assert capsys.readouterr().out == '{"degree":"2","dim":2}\n'
+
+
 def test_degree_transcript_budget_exit_3():
     # The complement fan alone would have binom(2001, 1998) cones.
     proc = run_cli("degree", {"plain": [[1, 1], [1, 1]], "n": 2000}, "--transcript")
@@ -387,6 +424,55 @@ def test_span_dim_random_spaces():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["match"] is True and doc["span_dim"] == 3
+
+
+def test_span_dim_of_a_wide_matrix_is_fast(monkeypatch, capsys):
+    # A line in P^5000: back-substitution solves only the two pivot entries
+    # of each of the 4,999 free columns; scanning every column for each of
+    # them took seconds.
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps({"dims": [[1, 1]], "n": 5000})))
+    start = time.perf_counter()
+    assert cli.main(["span-dim"]) == 0
+    assert time.perf_counter() - start < 1.0
+    assert json.loads(capsys.readouterr().out) == {
+        "rank": 2, "span_dim": 1, "formula_dim": 1, "match": True}
+
+
+def test_span_dim_past_the_work_limit_exit_3():
+    # Each ran until killed: a 12,341 x 11 matrix, 10^8 + 1 columns, a
+    # binomial of 60,000 digits, and a degree-10^6 monomial enumeration.
+    for payload in ({"dims": [[3, 40]], "n": 10}, {"dims": [[1, 1]], "n": 10 ** 8},
+                    {"dims": [[100000, 100000]], "n": 100000},
+                    {"spaces": [{"generators": [[1, 1, 1, 1], [1, 2, 3, 4]], "mult": 10 ** 6}]}):
+        start = time.perf_counter()
+        proc = run_cli("span-dim", payload)
+        assert time.perf_counter() - start < 1.0
+        assert (proc.returncode, proc.stdout) == (3, "") and "Traceback" not in proc.stderr
+        error = json.loads(proc.stderr)["error"]
+        assert error["code"] == 3 and str(products.SPAN_DIM_WORK_LIMIT) in error["message"]
+
+
+def test_vandermonde_ranks_build_no_rref(monkeypatch, capsys):
+    # The rank of a Vandermonde matrix is one Bareiss pass: the only RREFs
+    # are those of the 2-row generator matrices the spaces are built from.
+    space = projective.LinSpace([[1, 2, 3, 4], [1, 3, 7, 13]])
+    rrefs = []
+    original = QMatrix.rref
+
+    def counting(self):
+        rrefs.append(self.nrows)
+        return original(self)
+
+    monkeypatch.setattr(QMatrix, "rref", counting)
+    assert products.identifiability_check(space, 2, 10, random.Random(1)) is None
+    assert rrefs == []
+    for payload in ({"dims": [[1, 2]], "n": 3},
+                    {"spaces": [{"generators": [[1, 1, 1, 1], [1, 2, 3, 4]], "mult": 2}]}):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(payload)))
+        assert cli.main(["span-dim"]) == 0
+        assert json.loads(capsys.readouterr().out)["rank"] == 3
+        assert rrefs == [2]
+        rrefs.clear()
 
 
 def _zero_sum_rows():

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hadamard_spaces import linalg
-from hadamard_spaces.linalg import (KERNEL_PRIMES, QMatrix, cleared_rows,
-                                    integer_kernel_basis, rat, rat_str,
-                                    smith_normal_form)
+from hadamard_spaces.linalg import (KERNEL_PRIME, QMatrix, bareiss_kernel_basis,
+                                    cleared_rows, integer_kernel_basis, integer_rank,
+                                    rat, rat_str, smith_normal_form)
 from hadamard_spaces.poly import monomial_products
 from hadamard_spaces.projective import LinSpace
 from hadamard_spaces.samplers import hadamard_power_sampler, linear_space_sampler
@@ -56,13 +56,13 @@ def test_rref_identity():
 
 def test_rref_proportional_rows():
     m = QMatrix([[1, 2, 3], [2, 4, 6]])
-    assert m.rank() == 1
+    assert integer_rank(m.ints) == 1
 
 
 def test_rref_vandermonde_rank():
     # Vandermonde determinant (2-1)(3-1)(3-2) = 2 is nonzero.
     m = QMatrix([[1, 1, 1], [1, 2, 3], [1, 4, 9]])
-    assert m.rank() == 3
+    assert integer_rank(m.ints) == 3
     assert m.det() == 2
 
 
@@ -70,7 +70,7 @@ def test_rref_row_space_preserved():
     m = QMatrix([[1, 2, 3], [4, 5, 6]])
     reduced, rank, _ = m.rref()
     stacked = QMatrix(m.rows + reduced.rows[:rank])
-    assert stacked.rank() == rank
+    assert integer_rank(stacked.ints) == rank
     rng = random.Random(7)
     for _ in range(60):
         m = QMatrix(_random_rows(rng, 6, 6, lambda: _random_fraction(rng)))
@@ -116,7 +116,7 @@ def test_rank_equals_transpose_rank_randomized():
         nc = rng.randint(1, 6)
         m = QMatrix([[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(nc)]
                      for _ in range(nr)])
-        assert m.rank() == _transpose(m).rank()
+        assert integer_rank(m.ints) == integer_rank(_transpose(m).ints)
 
 
 def test_nullspace_vectors_annihilated_and_counted():
@@ -127,25 +127,23 @@ def test_nullspace_vectors_annihilated_and_counted():
         else:
             m = QMatrix(_random_rows(rng, 7, 7, lambda: _random_fraction(rng)))
         basis = m.nullspace().rows
-        assert m.rank() + len(basis) == m.ncols
+        assert integer_rank(m.ints) + len(basis) == m.ncols
         for vec in basis:
             assert all(x == 0 for x in _mat_vec(m, vec))
+
+
+def _primitive_at_free(vectors):
+    """Rational kernel vectors with a 1 at their free column, each cleared
+    by the lcm of its denominators: the primitive integer vector positive
+    at its free column."""
+    return [cleared_rows((vec,))[1][0] for vec in vectors]
 
 
 def test_integer_kernel_matches_nullspace():
     rng = random.Random(3)
     for _ in range(60):
         rows = _random_rows(rng, 7, 7, lambda: rng.randint(-9, 9))
-        assert integer_kernel_basis(rows) == list(QMatrix(rows).nullspace().rows)
-
-
-def _bareiss_kernel(rows):
-    """Reference: the kernel read off the Bareiss echelon form."""
-    if not rows:
-        return []
-    echelon, pivots, _ = linalg._bareiss_echelon(rows)
-    d, _, solutions = linalg._back_substitute(echelon, pivots, len(rows[0]))
-    return [tuple(Fraction(v, d) for v in x) for x in solutions]
+        assert integer_kernel_basis(rows) == _primitive_at_free(QMatrix(rows).nullspace().rows)
 
 
 def _count_calls(monkeypatch, name):
@@ -189,7 +187,7 @@ def test_modular_kernel_matches_bareiss(monkeypatch):
         kind = kinds[trial % 4]
         bits = (3, 40, 120, 300)[trial // 4 % 4]
         rows = _random_integer_matrix(rng, kind, bits)
-        expected = _bareiss_kernel(rows)
+        expected = bareiss_kernel_basis(rows)
         del lift_calls[:], bareiss_calls[:]
         assert integer_kernel_basis(rows) == expected, rows
         if rows and not bareiss_calls:
@@ -204,50 +202,77 @@ def test_modular_kernel_matches_bareiss(monkeypatch):
     assert sum(1 for k in steps_used if k >= 3) >= 10
 
 
+def _ladder(monkeypatch, rows):
+    """The kernel, and the calls it made in order: ("block", height) or
+    ("whole", height) per factorization mod KERNEL_PRIME, "bareiss" per
+    Bareiss pass."""
+    calls = []
+    factor, echelon = linalg._factor_mod_p, linalg._bareiss_echelon
+
+    def counting_factor(block, nc, p):
+        assert p == KERNEL_PRIME
+        calls.append(("whole" if len(block) == len(rows) else "block", len(block)))
+        return factor(block, nc, p)
+
+    def counting_echelon(echelon_rows):
+        calls.append("bareiss")
+        return echelon(echelon_rows)
+
+    monkeypatch.setattr(linalg, "_factor_mod_p", counting_factor)
+    monkeypatch.setattr(linalg, "_bareiss_echelon", counting_echelon)
+    return integer_kernel_basis(rows), calls
+
+
 def test_modular_kernel_unlucky_first_prime(monkeypatch):
-    # Mod the first prime these matrices lose a pivot: its kernel vectors
-    # are wrong over Q and must be caught by the exact check, and the
-    # second prime answers.
-    p0 = KERNEL_PRIMES[0]
-    bareiss_calls = _count_calls(monkeypatch, "_bareiss_echelon")
-    factor_calls = _count_calls(monkeypatch, "_factor_mod_p")
-    assert integer_kernel_basis([[p0, 1]]) == [(Fraction(-1, p0), Fraction(1))]
-    assert integer_kernel_basis([[p0, 1], [0, 1]]) == []
+    # Mod KERNEL_PRIME these matrices lose a pivot: the kernel vectors it
+    # lifts are wrong over Q and are caught by the exact check, and Bareiss
+    # answers.
+    p0 = KERNEL_PRIME
+    assert _ladder(monkeypatch, [[p0, 1]]) == ([(-1, p0)], [("whole", 1), "bareiss"])
+    assert _ladder(monkeypatch, [[p0, 1], [0, 1]]) == ([], [("whole", 2), "bareiss"])
     rows = [[p0, 1, 0], [3 * p0, 3, 0], [0, p0, 1]]
-    assert integer_kernel_basis(rows) == [(Fraction(1, p0 * p0), Fraction(-1, p0), Fraction(1))]
+    assert _ladder(monkeypatch, rows) == ([(1, -p0, p0 * p0)], [("whole", 3), "bareiss"])
     assert rows == [[p0, 1, 0], [3 * p0, 3, 0], [0, p0, 1]]
     # Mod p0 the rows coincide, and the lifted vector (-1, 1) solves the
     # pivot row exactly: only the check against the other row refuses it.
-    assert integer_kernel_basis([[1, 1], [1, 1 + p0]]) == []
-    assert bareiss_calls == [] and len(factor_calls) == 4 * 2
+    assert _ladder(monkeypatch, [[1, 1], [1, 1 + p0]]) == ([], [("whole", 2), "bareiss"])
+
+
+def test_kernel_ladder_runs_block_then_whole_then_bareiss(monkeypatch):
+    # The leading 2 x 2 block is singular over Q, and mod KERNEL_PRIME all
+    # three rows are proportional; only Bareiss sees the full rank.
+    p0 = KERNEL_PRIME
+    rows = [[1, 1], [2, 2], [1, 1 + p0]]
+    assert _ladder(monkeypatch, rows) == ([], [("block", 2), ("whole", 3), "bareiss"])
+    # A tall matrix whose block has the kernel of the whole: the block answers.
+    rows = [[1, 2, 3], [4, 5, 6], [7, 8, 9], [2, 1, 0]]
+    assert _ladder(monkeypatch, rows) == ([(1, -2, 1)], [("block", 3)])
 
 
 def test_modular_kernel_falls_back_to_bareiss(monkeypatch):
-    # Every entry is 0 mod every listed prime, so each prime claims a full
-    # kernel that the exact check refuses; only Bareiss can answer.
-    big = 1
-    for p in KERNEL_PRIMES:
-        big *= p
+    # Every entry is 0 mod KERNEL_PRIME, so it claims a full kernel that the
+    # exact check refuses; only Bareiss can answer.
+    big = 3 * KERNEL_PRIME
     bareiss_calls = _count_calls(monkeypatch, "_bareiss_echelon")
     factor_calls = _count_calls(monkeypatch, "_factor_mod_p")
     assert integer_kernel_basis([[big, 2 * big], [3 * big, 4 * big]]) == []
-    assert len(factor_calls) == len(KERNEL_PRIMES) and len(bareiss_calls) == 1
+    assert len(factor_calls) == 1 and len(bareiss_calls) == 1
     del factor_calls[:], bareiss_calls[:]
     rows = [[big, 2 * big, 5 * big], [big, 3 * big, 7 * big]]
-    assert integer_kernel_basis(rows) == [(Fraction(-1), Fraction(-2), Fraction(1))]
-    assert len(factor_calls) == len(KERNEL_PRIMES) and len(bareiss_calls) == 1
+    assert integer_kernel_basis(rows) == [(-1, -2, 1)]
+    assert len(factor_calls) == 1 and len(bareiss_calls) == 1
 
 
 def test_kernel_beyond_lifting_reach_goes_straight_to_bareiss(monkeypatch):
     # 300-bit entries: the kernel entries are 6 x 6 minors of about 1800
-    # bits, past the reach of p^LIFT_STEPS; no other prime would do better.
+    # bits, past the reach of p^LIFT_STEPS.
     rng = random.Random(6)
     rows = [[rng.randint(-2 ** 300, 2 ** 300) for _ in range(8)] for _ in range(6)]
     bareiss_calls = _count_calls(monkeypatch, "_bareiss_echelon")
     factor_calls = _count_calls(monkeypatch, "_factor_mod_p")
     basis = integer_kernel_basis(rows)
     assert len(factor_calls) == 1 and len(bareiss_calls) == 1
-    assert basis == _bareiss_kernel(rows)
+    assert basis == bareiss_kernel_basis(rows)
 
 
 def test_tall_kernel_falls_back_from_a_singular_block(monkeypatch):
@@ -257,8 +282,8 @@ def test_tall_kernel_falls_back_from_a_singular_block(monkeypatch):
     bareiss_calls = _count_calls(monkeypatch, "_bareiss_echelon")
     factor_calls = _count_calls(monkeypatch, "_factor_mod_p")
     assert integer_kernel_basis([[1, 2], [2, 4], [1, 3]]) == []
-    assert [(len(args[0]), args[2]) for args in factor_calls] == [(2, KERNEL_PRIMES[0]),
-                                                                  (3, KERNEL_PRIMES[0])]
+    assert [(len(args[0]), args[2]) for args in factor_calls] == [(2, KERNEL_PRIME),
+                                                                  (3, KERNEL_PRIME)]
     assert bareiss_calls == []
 
 
@@ -279,7 +304,7 @@ def test_interp_sized_tall_kernel_factors_its_square_block(monkeypatch):
     sampler = hadamard_power_sampler(linear_space_sampler(plane), 2)
     points = [sampler.sample_point(rng).canonical() for _ in range(70)]
     rows = [list(r) for r in zip(*monomial_products(list(zip(*points)), 3))]
-    whole = linalg._dixon_kernel(rows, len(rows), 56, KERNEL_PRIMES[0])
+    whole = linalg._dixon_kernel(rows, len(rows), 56)
     bareiss_calls = _count_calls(monkeypatch, "_bareiss_echelon")
     factor_calls = _count_calls(monkeypatch, "_factor_mod_p")
     basis = integer_kernel_basis(rows)
@@ -327,7 +352,7 @@ def _largest_updates_matrix(nr, nc, p):
 
 
 def test_packed_factor_matches_list_factor():
-    p = KERNEL_PRIMES[0]
+    p = KERNEL_PRIME
     rng = random.Random(14)
     matrices = []
     for trial in range(120):
@@ -390,7 +415,7 @@ def _big_integer_matrices(draw):
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(_big_integer_matrices())
 def test_integer_kernel_basis_matches_bareiss_fuzzed(rows):
-    assert integer_kernel_basis(rows) == _bareiss_kernel(rows)
+    assert integer_kernel_basis(rows) == bareiss_kernel_basis(rows)
 
 
 def _is_prime(n):
@@ -417,12 +442,10 @@ def _is_prime(n):
     return True
 
 
-def test_kernel_primes_are_distinct_62_bit_primes():
-    assert len(set(KERNEL_PRIMES)) == len(KERNEL_PRIMES) >= 2
-    for p in KERNEL_PRIMES:
-        assert p < 2 ** 63 and p.bit_length() == 62
-        assert _is_prime(p)
-    assert not _is_prime(KERNEL_PRIMES[0] * KERNEL_PRIMES[1])
+def test_kernel_prime_is_the_largest_62_bit_prime():
+    assert KERNEL_PRIME.bit_length() == 62 and _is_prime(KERNEL_PRIME)
+    assert not any(_is_prime(x) for x in range(KERNEL_PRIME + 1, 2 ** 62))
+    assert not _is_prime(KERNEL_PRIME * 4611686018427387817)
     assert not _is_prime(3215031751)  # a strong pseudoprime to bases 2, 3, 5, 7
 
 
@@ -453,7 +476,7 @@ def test_smith_divisibility_and_sign():
             # zeros trail
         nz = [d for d in diag if d]
         assert diag[:len(nz)] == nz
-        assert len(nz) == QMatrix(rows).rank()
+        assert len(nz) == integer_rank(QMatrix(rows).ints)
 
 
 def test_smith_unimodular_all_ones():
@@ -517,27 +540,36 @@ def test_floats_rejected():
         QMatrix([[0.5]])
 
 
+def _gauss_jordan(rows):
+    """Reference: the reduced rows (zero rows last) and the pivot columns of
+    plain Gauss-Jordan elimination in Fractions."""
+    work = [list(map(Fraction, row)) for row in rows]
+    pivots = []
+    for c in range(len(work[0]) if work else 0):
+        r = len(pivots)
+        k = next((i for i in range(r, len(work)) if work[i][c]), None)
+        if k is None:
+            continue
+        work[r], work[k] = work[k], work[r]
+        work[r] = [x / work[r][c] for x in work[r]]
+        for i, row in enumerate(work):
+            if i != r and row[c]:
+                work[i] = [x - row[c] * y for x, y in zip(row, work[r])]
+        pivots.append(c)
+    return [tuple(row) for row in work], tuple(pivots)
+
+
 def _fraction_rref(rows):
-    """The Fraction route: each row cleared by the lcm of its denominators,
-    Bareiss, and the reduced rows rebuilt as Fractions; with the pivots and
-    the product of the row multipliers."""
+    """The Fraction route: the Gauss-Jordan reduced rows and pivots, with
+    the rows cleared by the lcm of their denominators and the product of
+    those multipliers."""
     ints, scale = [], 1
     for row in rows:
         mult = lcm(*(x.denominator for x in row))
         scale *= mult
         ints.append([x.numerator * (mult // x.denominator) for x in row])
-    nc = len(rows[0]) if rows else 0
-    echelon, pivots, _ = linalg._bareiss_echelon(ints)
-    d, free, solutions = linalg._back_substitute(echelon, pivots, nc)
-    reduced = []
-    for p in pivots:
-        row = [Fraction(0)] * nc
-        row[p] = Fraction(1)
-        for f, x in zip(free, solutions):
-            row[f] = Fraction(-x[p], d)
-        reduced.append(tuple(row))
-    reduced += [(Fraction(0),) * nc] * (len(rows) - len(pivots))
-    return reduced, tuple(pivots), ints, scale
+    reduced, pivots = _gauss_jordan(rows)
+    return reduced, pivots, ints, scale
 
 
 def _fraction_nullspace(reduced, pivots, nc):
@@ -596,3 +628,68 @@ def test_integer_matrices_match_the_fraction_route(kind):
             _assert_integer_pair(scaled)
             assert scaled.rows == tuple(products) and scaled == QMatrix(products)
             assert hash(scaled) == hash(QMatrix(products))
+
+
+def _oracle_matrices(rng):
+    """Integer matrices of every shape the rank and kernel see: tall, wide,
+    rank-deficient, with zero rows or no rows, and with entries that are
+    multiples of KERNEL_PRIME (their rank mod p drops)."""
+    matrices = [[], [[0, 0, 0]], [[0], [0]]]
+    for trial in range(160):
+        kind = ("low_rank", "tall", "wide", "mixed")[trial % 4]
+        matrices.append(_random_integer_matrix(rng, kind, (3, 40, 120)[trial // 4 % 3]))
+    for _ in range(20):
+        nr, nc = rng.randint(1, 6), rng.randint(1, 6)
+        matrices.append([[KERNEL_PRIME * rng.randint(-3, 3) + rng.choice([0, 0, 1])
+                          for _ in range(nc)] for _ in range(nr)])
+    return matrices
+
+
+def test_integer_rank_matches_fraction_elimination():
+    rng = random.Random("integer-rank")
+    for rows in _oracle_matrices(rng):
+        assert integer_rank(rows) == len(_gauss_jordan(rows)[1]), rows
+    # Rank drops mod KERNEL_PRIME but not over Q.
+    assert integer_rank([[KERNEL_PRIME, 1], [0, KERNEL_PRIME]]) == 2
+    assert integer_rank([[1, 1], [1, 1 + KERNEL_PRIME]]) == 2
+
+
+def _fraction_kernel(rows, nc):
+    """Reference: the Gauss-Jordan kernel, a 1 at each free column and
+    -R[i][f] at pivot i, as primitive integer vectors."""
+    reduced, pivots = _gauss_jordan(rows)
+    basis = []
+    for f in (c for c in range(nc) if c not in pivots):
+        vec = [Fraction(0)] * nc
+        vec[f] = Fraction(1)
+        for row, p in zip(reduced, pivots):
+            vec[p] = -row[f]
+        basis.append(vec)
+    return _primitive_at_free(basis)
+
+
+def test_bareiss_kernel_basis_matches_fraction_elimination():
+    rng = random.Random("bareiss-kernel")
+    for rows in filter(None, _oracle_matrices(rng)):
+        basis = bareiss_kernel_basis(rows)
+        assert basis == _fraction_kernel(rows, len(rows[0])), rows
+        assert all(gcd(*vec) == 1 and type(vec) is tuple for vec in basis)
+        assert integer_kernel_basis(rows) == basis
+
+
+def test_wide_rref_matches_fraction_elimination():
+    # Rank 3 of 3 or 4 rows, 600 columns: the back-substitution solves only
+    # the entries at the pivots.
+    rng = random.Random("wide-rref")
+    top = [[rng.randint(-9, 9) for _ in range(600)] for _ in range(3)]
+    for rows in (top, top + [[a - 2 * b for a, b in zip(top[0], top[2])]]):
+        rows = [[0, 0] + row[2:] for row in rows]
+        reduced, rank, pivots = QMatrix(rows).rref()
+        expected, expected_pivots = _gauss_jordan(rows)
+        assert reduced.rows == tuple(expected) and pivots == expected_pivots and rank == 3
+        echelon, got_pivots, _ = linalg._bareiss_echelon(rows)
+        _, free, solutions = linalg._back_substitute(echelon, got_pivots, 600)
+        # One entry per pivot and free column, zero where the pivot is later.
+        assert len(free) == 597 and [len(x) for x in solutions] == [597] * 3
+        assert all(x[j] == 0 for x, p in zip(solutions, pivots)
+                   for j, f in enumerate(free) if f < p)

@@ -6,7 +6,8 @@ from math import comb, lcm
 import pytest
 
 from hadamard_spaces.line_powers import line_power_matrix, power_hyperplane
-from hadamard_spaces.linalg import BudgetExhausted, PreconditionError, primitive_ints
+from hadamard_spaces.linalg import (BudgetExhausted, PreconditionError, integer_rank,
+                                    primitive_ints)
 from hadamard_spaces import products
 from hadamard_spaces.papersuite import random_space
 from hadamard_spaces.poly import proportional
@@ -42,20 +43,36 @@ def test_gen_vandermonde_plane_square_rank():
     plane = random_space(2, 5, rng)
     mat = gen_vandermonde([(plane, 2)])
     assert mat.nrows == 6 and mat.ncols == 6
-    assert mat.rank() == 6
+    assert integer_rank(mat.ints) == 6
 
 
 def test_gen_vandermonde_two_lines_rank():
     rng = random.Random(42)
     entries = [(random_space(1, 3, rng), 1), (random_space(1, 3, rng), 1)]
     mat = gen_vandermonde(entries)
-    assert mat.nrows == 4 and mat.rank() == 4
+    assert mat.nrows == 4 and integer_rank(mat.ints) == 4
 
 
 def test_span_dimension_formula():
     assert span_dimension_formula([(1, 2)], 3) == 2
     assert span_dimension_formula([(2, 2)], 5) == 5
     assert span_dimension_formula([(1, 5)], 3) == 3
+
+
+def test_span_dim_work_limit_boundary():
+    # Two rows, n + 1 columns, rank 2, r = 1: work 2 (n + 1) (4 + 64).
+    assert 136 * 735294 <= products.SPAN_DIM_WORK_LIMIT < 136 * 735295
+    products.check_span_dim_work([(1, 1)], 735293)
+    with pytest.raises(BudgetExhausted):
+        products.check_span_dim_work([(1, 1)], 735294)
+    # A 2,925 x 11 matrix of rank 11 with r = 24, and the same at r = 25.
+    products.check_span_dim_work([(3, 24)], 10)
+    with pytest.raises(BudgetExhausted):
+        products.check_span_dim_work([(3, 25)], 10)
+    # The benchmark's and the README's span payloads, and a point factor.
+    for dims, n in [([(1, 2)], 3), ([(1, 2), (1, 1)], 5), ([(2, 2)], 5), ([(1, 3)], 4),
+                    ([(1, 1), (1, 1)], 6), ([(1, 1), (1, 1)], 3), ([(0, 1000)], 1)]:
+        products.check_span_dim_work(dims, n)
 
 
 def test_gen_vandermonde_rank_matches_formula_randomized():
@@ -75,7 +92,7 @@ def test_gen_vandermonde_rank_matches_formula_randomized():
             continue
         mat = gen_vandermonde(entries)
         formula = span_dimension_formula([(s.dim, r) for s, r in entries], n)
-        assert mat.rank() == formula + 1
+        assert integer_rank(mat.ints) == formula + 1
 
 
 def test_identifiability_line_in_p3():
@@ -110,7 +127,7 @@ def test_identifiability_rejects_bad_arguments(r, trials, name):
 
 
 def _certified(space, r):
-    return gen_vandermonde([(space, r)]).rank() == comb(space.dim + r, r)
+    return integer_rank(gen_vandermonde([(space, r)]).ints) == comb(space.dim + r, r)
 
 
 def test_identifiability_certificate_draws_nothing():
@@ -262,7 +279,7 @@ def test_interpolate_forms_degenerate_square():
                   for i in range(6)] for f in forms]
     stacked = QMatrix(span_rows + [[target.terms.get(tuple(1 if j == i else 0 for j in range(6)),
                                                      Fraction(0)) for i in range(6)]])
-    assert stacked.rank() == 3
+    assert integer_rank(stacked.ints) == 3
 
 
 def test_interpolate_forms_generic_power_hyperplane():

@@ -6,7 +6,7 @@ from math import comb
 import pytest
 
 from hadamard_spaces.line_powers import line_power_matrix
-from hadamard_spaces.linalg import PreconditionError, QMatrix
+from hadamard_spaces.linalg import PreconditionError, QMatrix, integer_rank
 from hadamard_spaces.papersuite import collinear_points, random_line
 from hadamard_spaces.projective import (LinSpace, PPoint, intersect_spaces, line_through,
                                         point_times_space, sample_point)
@@ -168,7 +168,7 @@ def test_randomized_star_grid():
 
 def stacked_contains_space(ambient, space):
     stacked = QMatrix(ambient.generators.rows + space.generators.rows)
-    return stacked.rank() == ambient.generators.nrows
+    return integer_rank(stacked.ints) == ambient.generators.nrows
 
 
 def reference_general_position(hyperplanes, ambient):

@@ -20,7 +20,7 @@ from hadamard_spaces.tropical import (NonGenericVector, SignedConeFan,
                                       draw_generic_vector, fan_degree_pipeline,
                                       genericity_bound, lattice_index,
                                       mask_indices, minkowski_sum, negate_fan,
-                                      stable_mult_origin, stable_mult_origin_auto,
+                                      stable_mult_origin,
                                       standard_tls)
 
 
@@ -333,8 +333,7 @@ def test_stable_mult_matches_frozenset_lookup():
         else:
             fan_f = _random_fan(rng, m, n)
         fan_g = _partner_fan(rng, m, n, v)
-        record = []
-        total = stable_mult_origin(fan_f, fan_g, v, record=record)
+        total, record = stable_mult_origin(fan_f, fan_g, v)
         want_total, want_record = _set_stable_mult(fan_f, fan_g, v)
         assert total == want_total
         assert [(_as_sets(c1), _as_sets(c2), idx) for c1, c2, idx in record] == want_record
@@ -574,14 +573,15 @@ def test_cone_pair_meets_requires_complementary_cones():
 def test_stable_mult_standard_complements():
     rng = random.Random(61)
     for m, n in [(1, 2), (1, 3), (2, 4), (2, 5), (0, 3)]:
-        value = stable_mult_origin_auto(standard_tls(m, n), standard_tls(n - m, n), rng)
+        value, _ = stable_mult_origin(standard_tls(m, n), standard_tls(n - m, n),
+                                      draw_generic_vector(n, rng))
         assert value == 1
 
 
 def test_stable_mult_respects_weights():
     rng = random.Random(62)
     fan = minkowski_sum([standard_tls(1, 4), standard_tls(1, 4)])  # weight-2 cones
-    assert stable_mult_origin_auto(fan, standard_tls(2, 4), rng) == 2
+    assert stable_mult_origin(fan, standard_tls(2, 4), draw_generic_vector(4, rng))[0] == 2
 
 
 def test_stable_mult_validation():
@@ -633,8 +633,7 @@ def test_stable_mult_lookup_matches_all_pairs_oracle():
             for v in _displacements(rng, n):
                 if len(set(v)) <= n:
                     continue  # a tie of the Fraction draw: not generic
-                record = []
-                total = stable_mult_origin(fan_f, fan_g, v, record=record)
+                total, record = stable_mult_origin(fan_f, fan_g, v)
                 assert (total, record) == _all_pairs_oracle(fan_f, fan_g, v)
                 hits += len(record)
                 firsts = [cone1 for cone1, _, _ in record]
@@ -648,9 +647,8 @@ def test_stable_mult_lookup_keys_on_signs():
     fan_f = standard_tls(1, 3)
     for v, partner in [((0, 3, 2, 1), _cone([0], [1])), ((3, 0, 2, 1), _cone([1], [0]))]:
         v = tuple(Fraction(x) for x in v)
-        record = []
-        assert stable_mult_origin(fan_f, fan_g, v, record=record) == 1
-        assert record == [(_cone([2]), partner, 1)]
+        total, record = stable_mult_origin(fan_f, fan_g, v)
+        assert total == 1 and record == [(_cone([2]), partner, 1)]
         assert (1, record) == _all_pairs_oracle(fan_f, fan_g, v)
     # Both sign patterns of each support in one Minkowski sum, against three complements.
     mixed = minkowski_sum([standard_tls(1, 4), negate_fan(standard_tls(1, 4))])
@@ -658,8 +656,7 @@ def test_stable_mult_lookup_keys_on_signs():
     for fan_f in (standard_tls(2, 4), negate_fan(standard_tls(2, 4)), mixed):
         for _ in range(10):
             v = draw_generic_vector(4, rng)
-            record = []
-            total = stable_mult_origin(fan_f, mixed, v, record=record)
+            total, record = stable_mult_origin(fan_f, mixed, v)
             assert (total, record) == _all_pairs_oracle(fan_f, mixed, v)
 
 
@@ -809,8 +806,7 @@ def test_fan_pipeline_matches_closed_form_small_grid():
 
 def test_lattice_indices_always_one_regression():
     rng = random.Random(66)
-    record = {}
     fan = minkowski_sum([standard_tls(1, 5), negate_fan(standard_tls(2, 5))])
-    stable_mult_origin_auto(fan, standard_tls(2, 5), rng, record=record)
-    assert record["pairs"]
-    assert all(idx == 1 for _, _, idx in record["pairs"])
+    _, pairs = stable_mult_origin(fan, standard_tls(2, 5), draw_generic_vector(5, rng))
+    assert pairs
+    assert all(idx == 1 for _, _, idx in pairs)
