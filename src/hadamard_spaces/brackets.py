@@ -14,7 +14,6 @@ finding one bracket polynomial per monomial.  Interpolation agreement is the
 ground truth the table is tested against.
 """
 
-from fractions import Fraction
 from functools import cache
 from itertools import chain, combinations_with_replacement
 from math import prod
@@ -72,8 +71,8 @@ def quadric_two_lines(pl_l, pl_m):
 
     The ten coefficients are the tabulated bracket monomials evaluated at
     the given Pluecker vectors, in integers: each monomial has degree three
-    in each line's minors, so one division by both scales cubed per
-    coefficient gives the exact Fraction.
+    in each line's minors, so the integer sums over both scales cubed are
+    the coefficients.
     """
     for pl in (pl_l, pl_m):
         if pl.ambient_dim != 3 or pl.dim != 1:
@@ -86,8 +85,8 @@ def quadric_two_lines(pl_l, pl_m):
             expo = [0, 0, 0, 0]
             expo[i] += 1
             expo[j] += 1
-            terms[tuple(expo)] = Fraction(coeff, scale)
-    return SparsePoly(4, terms)
+            terms[tuple(expo)] = coeff
+    return SparsePoly._trusted(4, terms, scale)
 
 
 def _symbolic_bracket(nv, offset):
@@ -276,8 +275,8 @@ def cubic_plane_square(pl_p):
     built on the first call of the process only) and evaluated at the
     given Pluecker vector.  Evaluation runs in integers: every bracket
     monomial has degree 10 in the integer minors, so each integer sum is
-    scale^10 times the coefficient, and one division per coefficient gives
-    the exact Fraction.
+    scale^10 times the coefficient, and the sums over scale^10 are the
+    polynomial.
     """
     if pl_p.ambient_dim != 5 or pl_p.dim != 2:
         raise PreconditionError("expected the Pluecker vector of a 2-plane in P^5")
@@ -290,8 +289,8 @@ def cubic_plane_square(pl_p):
                 coeff *= minors[br]
             total += coeff
         if total:
-            terms[expo] = Fraction(total, scale)
-    return SparsePoly(6, terms)
+            terms[expo] = total
+    return SparsePoly._trusted(6, terms, scale)
 
 
 #: Most samples verify_identity draws.  The cubic is the slower identity: at

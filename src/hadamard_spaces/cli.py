@@ -6,10 +6,15 @@ document.  Identical payload + seed always produces byte-identical output.
 
 Exit codes: 0 success, 1 payload validation error (the message points at
 the offending field), 2 mathematical precondition failure (the message
-names the violated hypothesis), 3 retry/sampling budget exhaustion (also a
-`degree --transcript` past tropical.FAN_BUDGET, an `interp` degree past
-products.INTERP_MONOMIAL_BUDGET, and `bracket verify` trials past
-brackets.VERIFY_TRIALS_LIMIT).
+names the violated hypothesis), 3 retry/sampling budget exhaustion.  Exit 3
+also covers every limit checked before the work:
+- `degree --transcript` fans past tropical.FAN_BUDGET;
+- a `degree` whose digit bound is past Python's int-to-str limit;
+- `line-power` past products.SPAN_DIM_WORK_LIMIT (its power matrix) or
+  past line_powers.LINE_POWER_OUTPUT_LIMIT (its printed entries);
+- `span-dim` past products.SPAN_DIM_WORK_LIMIT;
+- an `interp` degree past products.INTERP_MONOMIAL_BUDGET;
+- `bracket verify` trials past brackets.VERIFY_TRIALS_LIMIT.
 """
 
 import argparse
@@ -27,7 +32,7 @@ from .brackets import (cubic_plane_square, quadric_bracket_display,
                        quadric_two_lines, verify_identity)
 from .linalg import (BudgetExhausted, PreconditionError, QMatrix, integer_rank, is_json_int,
                      is_rational_literal, rat_str)
-from .line_powers import (line_power_matrix, line_power_pluecker,
+from .line_powers import (check_line_power_limits, line_power_matrix, line_power_pluecker,
                           power_linear_equations, sampled_power_span)
 from .poly import SparsePoly
 from .products import (check_span_dim_work, expected_dimension, gen_vandermonde,
@@ -176,6 +181,7 @@ def cmd_line_power(payload, rng, args):
     r = _want(payload, "r", int)
     if r < 1:
         raise ValidationError("r", "power must be >= 1")
+    check_line_power_limits(line, r)
     n = line.ambient_dim
     pl = pluecker(line)
     if pl.nonvanishing():

@@ -57,6 +57,7 @@ the results do not depend on the path.
 """
 
 import re
+import sys
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import compress
@@ -100,6 +101,9 @@ def is_rational_literal(value):
     return is_json_int(value) or isinstance(value, str) and bool(RATIONAL_STRING.fullmatch(value))
 
 
+TOO_LONG_TO_PRINT = "a number is too long to print: it exceeds Python's int-to-str digit limit"
+
+
 def rat_str(q, den=1) -> str:
     """Canonical 'num/den' string of the rational q / den, for q an int or a
     Fraction and den a positive int; the '/1' is omitted for integers.
@@ -115,8 +119,16 @@ def rat_str(q, den=1) -> str:
     try:
         return str(q) if den == 1 else "%d/%d" % (q, den)
     except ValueError:
-        raise BudgetExhausted("a number is too long to print: it exceeds Python's "
-                              "int-to-str digit limit") from None
+        raise BudgetExhausted(TOO_LONG_TO_PRINT) from None
+
+
+def check_printable(tenths):
+    """Raise rat_str's BudgetExhausted for a number x known to have
+    10 log10(x) >= tenths, when that puts it past Python's int-to-str digit
+    limit (0 means no limit): x >= 10^limit has more than limit digits."""
+    limit = sys.get_int_max_str_digits()
+    if limit and tenths >= 10 * limit:
+        raise BudgetExhausted(TOO_LONG_TO_PRINT)
 
 
 def cleared_rows(rows, den=1):
@@ -131,7 +143,7 @@ def cleared_rows(rows, den=1):
     rows = tuple(map(tuple, rows))
     given = den
     if not all(type(x) is int for row in rows for x in row):
-        rows = tuple(tuple(map(rat, row)) for row in rows)
+        rows = tuple(tuple(x if type(x) is int else rat(x) for x in row) for row in rows)
         mult = lcm(*(x.denominator for row in rows for x in row))
         rows = tuple(tuple(x.numerator * (mult // x.denominator) for x in row) for row in rows)
         den *= mult

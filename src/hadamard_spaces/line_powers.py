@@ -11,12 +11,23 @@ matrix (sampled_power_span), without the bracket formulas.
 
 from fractions import Fraction
 from itertools import combinations
-from math import prod
+from math import comb, prod
 
-from .linalg import PreconditionError
+from .linalg import BudgetExhausted, PreconditionError, primitive_ints
 from .poly import SparsePoly
-from .products import gen_vandermonde
+from .products import SPAN_DIM_WORK_LIMIT, gen_vandermonde, vandermonde_work
 from .projective import LinSpace, permutation_sign
+
+#: Most Pluecker entries plus equations `line-power` prints
+#: (`power_output_count`); past it, `check_line_power_limits` raises
+#: BudgetExhausted before any work.  Each clean equation prints n + 1
+#: exponents per term, so a clean line at r = 1 is the slowest kind per
+#: entry.  Payloads near the limit, whole processes on a 2-vCPU Xeon VM:
+#: clean lines [[1, ..., 1], [0, 1, ..., n]] at r = 1 in P^55 (29,260
+#: entries) 2.8 s, r = 2 in P^28 2.1 s, r = 3 in P^20 1.5 s, r = 4 in P^17
+#: 1.5 s; a line of two column points at r = 1 in P^243 0.5 s.  The work
+#: limit's edge, a clean line in P^3 at r = 1245, takes 1.6 s.
+LINE_POWER_OUTPUT_LIMIT = 30000
 
 
 def line_power_matrix(line, r):
@@ -32,6 +43,41 @@ def line_power_matrix(line, r):
     if r < 1:
         raise PreconditionError("power must be >= 1")
     return gen_vandermonde([(line, r)])
+
+
+def power_output_count(line, r):
+    """Pluecker entries plus linear equations `line-power` prints for the
+    r-th power of a line in P^n, counted from its columns, nothing formed.
+
+    Column k of the power matrix is the r-th Veronese image of the
+    generator column a_k, and at most r + 1 distinct points of P^1 have
+    independent images (Vandermonde).  So the power has dimension d =
+    min(r, c - 1), where c counts the distinct points among the nonzero
+    columns; the line is clean (no vanishing bracket) iff c = n + 1.  A
+    clean power with r < n prints its binom(n+1, r+1) minors and the
+    binom(n+1, r+2) equations of `power_linear_equations`; every other
+    power prints the binom(n+1, d+1) Pluecker coordinates of its span and
+    its n - d kernel equations.
+    """
+    n = line.ambient_dim
+    c = len({primitive_ints(col) for col in zip(*line.generators.ints) if any(col)})
+    d = min(r, c - 1)
+    return comb(n + 1, d + 1) + (comb(n + 1, d + 2) if c == n + 1 and r < n else n - d)
+
+
+def check_line_power_limits(line, r):
+    """Raise BudgetExhausted when the r-th power of a line is past a limit:
+    its (r+1) x (n+1) power matrix past span-dim's SPAN_DIM_WORK_LIMIT
+    (`products.vandermonde_work`), or its output past
+    LINE_POWER_OUTPUT_LIMIT (`power_output_count`)."""
+    n = line.ambient_dim
+    if vandermonde_work([(1, r)], n) > SPAN_DIM_WORK_LIMIT:
+        raise BudgetExhausted("the power matrix at r = %d in P^%d is past the work limit of %d"
+                              % (r, n, SPAN_DIM_WORK_LIMIT))
+    count = power_output_count(line, r)
+    if count > LINE_POWER_OUTPUT_LIMIT:
+        raise BudgetExhausted("the power at r = %d in P^%d has %d Pluecker entries and "
+                              "equations, past the limit of %d" % (r, n, count, LINE_POWER_OUTPUT_LIMIT))
 
 
 def line_power_pluecker(pl, r, indices):

@@ -69,12 +69,12 @@ def gen_vandermonde(entries):
     return QMatrix(rows, den)
 
 
-def check_span_dim_work(dims_and_mults, n):
-    """Raise BudgetExhausted when the generalized Vandermonde matrix of
-    spaces of dimensions m_k with multiplicities r_k in P^n, with R = prod
-    binom(m_k + r_k, r_k) rows and C = n + 1 columns, has a work R C (k^2 r
-    + 64) past SPAN_DIM_WORK_LIMIT, where k = min(R, C) bounds its rank and
-    r = sum r_k.
+def vandermonde_work(dims_and_mults, n):
+    """The work R C (k^2 r + 64) of the rank of the generalized Vandermonde
+    matrix of spaces of dimensions m_k with multiplicities r_k in P^n, with
+    R = prod binom(m_k + r_k, r_k) rows and C = n + 1 columns, where k =
+    min(R, C) bounds its rank and r = sum r_k; or, once 64 R C alone is past
+    SPAN_DIM_WORK_LIMIT, some number past it.
 
     Bareiss makes about R C k cell updates on minors of up to k r factors
     of the entries: k^2 r per cell.  The 64 charges each cell's drawing,
@@ -90,7 +90,12 @@ def check_span_dim_work(dims_and_mults, n):
             if 64 * rows * cols > SPAN_DIM_WORK_LIMIT:
                 break
     k = min(rows, cols)
-    if rows * cols * (k * k * sum(r for _, r in dims_and_mults) + 64) > SPAN_DIM_WORK_LIMIT:
+    return rows * cols * (k * k * sum(r for _, r in dims_and_mults) + 64)
+
+
+def check_span_dim_work(dims_and_mults, n):
+    """Raise BudgetExhausted when `vandermonde_work` is past SPAN_DIM_WORK_LIMIT."""
+    if vandermonde_work(dims_and_mults, n) > SPAN_DIM_WORK_LIMIT:
         raise BudgetExhausted("the generalized Vandermonde matrix in P^%d is past the "
                               "span-dim work limit of %d" % (n, SPAN_DIM_WORK_LIMIT))
 

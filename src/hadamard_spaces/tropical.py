@@ -24,7 +24,7 @@ from itertools import combinations
 from math import comb, factorial, isqrt, prod
 from operator import or_
 
-from .linalg import BudgetExhausted, PreconditionError, rat_str
+from .linalg import BudgetExhausted, PreconditionError, check_printable, rat_str
 from .products import identifiability_regime_bound
 from .projective import LinSpace, PPoint
 
@@ -338,8 +338,52 @@ def stable_mult_origin(fan_f, fan_g, v):
 FAN_BUDGET = 10 ** 6
 
 
-def _multinomial(parts):
-    return factorial(sum(parts)) // prod(factorial(p) for p in parts)
+def _partitions(factors):
+    """M! / prod((m_k!)^r_k r_k!) over the factors of dimension m_k >= 1,
+    with M = sum m_k r_k: the ways to split M items into r_k unordered
+    blocks of m_k items for each k.  Formed without a factorial, as the
+    product of binom(S_k, m_k r_k), S_k the items of the factors not yet
+    taken, and of P(m_k, r_k) = prod_{j=1..r_k} binom(j m_k - 1, m_k - 1),
+    the ways to split m r items into r blocks of m (the block of the least
+    item left first); P(1, r) = 1."""
+    count, left = 1, sum(mk * r for mk, r in factors)
+    for mk, r in factors:
+        count *= comb(left, mk * r)
+        left -= mk * r
+        if mk > 1:
+            count *= prod(comb(j * mk - 1, mk - 1) for j in range(2, r + 1))
+    return count
+
+
+def _tenths(x):
+    """A lower bound on 10 log10(x) for an int x >= 1: 3 per bit past the
+    first, as log10(2) > 0.3."""
+    return 3 * (x.bit_length() - 1)
+
+
+def _binom_tenths(a, b):
+    """A lower bound on 10 log10 binom(a, b) for 0 <= b <= a, from
+    binom(a, b) >= (a / b)^b with b <= a - b."""
+    b = min(b, a - b)
+    return b * _tenths(a // b) if b else 0
+
+
+def _degree_tenths(plain, reciprocal, n, m, mt):
+    """A lower bound on 10 log10 of the degree of degree_with_reciprocals,
+    in integers and without forming the degree: the binomials of
+    binom(n - m, mt) and of `_partitions` are bounded by `_binom_tenths`,
+    and P(m, r) >= (r!)^(m - 1), since binom(j m - 1, m - 1) >= j^(m - 1),
+    with r! >= max(2^(r - 1), (r / 3)^r).
+    """
+    total = _binom_tenths(n - m, mt)
+    for factors in (plain, reciprocal):
+        left = sum(mk * r for mk, r in factors)
+        for mk, r in factors:
+            total += _binom_tenths(left, mk * r)
+            left -= mk * r
+            if mk > 1:
+                total += (mk - 1) * max(3 * (r - 1), r * _tenths(r // 3) if r >= 3 else 0)
+    return total
 
 
 def genericity_bound(plain, reciprocal=()):
@@ -377,18 +421,20 @@ def degree_with_reciprocals(plain, reciprocal, n):
 
     Plain factors of total dimension m and reciprocal factors of total
     dimension mt give a product of dimension m + mt <= n and degree
-    binom(n - m, mt) * d/prod(r_k!) * dt/prod(s_l!), where the factorials
-    run over the factors of dimension >= 1 only: they count the orderings
-    of r distinct points of a factor, and the r-th power of a point is a
-    point.  Below the genericity bound a warning naming n and the bound is
-    issued (the formula is still returned; nothing is asserted there); a
-    bound too long to print raises BudgetExhausted, as `rat_str` does.
+    binom(n - m, mt) * d/prod(r_k!) * dt/prod(s_l!), where d and dt are
+    the multinomials m! / prod(m_k!)^r_k and mt! / prod(m_l!)^s_l, and
+    the factorials run over the factors of dimension >= 1 only: they count
+    the orderings of r distinct points of a factor, and the r-th power of
+    a point is a point.  Each quotient is `_partitions` of its factors.
+    Below the genericity bound a warning naming n and the bound is issued
+    (the formula is still returned; nothing is asserted there).  A degree
+    whose digit bound (`_degree_tenths`) is past Python's int-to-str limit
+    raises BudgetExhausted before the degree is formed, and so does a
+    bound too long to print, as in `rat_str`.
     """
     plain, reciprocal, m, mt = _factor_dims(plain, reciprocal, n)
-    d = _multinomial([mk for mk, r in plain for _ in range(r)])
-    dt = _multinomial([mk for mk, s in reciprocal for _ in range(s)])
-    degree = Fraction(comb(n - m, mt) * d * dt,
-                      prod(factorial(r) for mk, r in plain + reciprocal if mk))
+    check_printable(_degree_tenths(plain, reciprocal, n, m, mt))
+    degree = Fraction(comb(n - m, mt) * _partitions(plain) * _partitions(reciprocal))
     bound = genericity_bound(plain, reciprocal)
     if n < bound:
         warnings.warn("ambient dimension %d is below the genericity bound %s "

@@ -114,6 +114,28 @@ def test_degree_with_a_bound_too_long_to_print_exit_3():
     assert error["code"] == 3 and "too long to print" in error["message"]
 
 
+def test_degree_past_the_digit_bound_exit_3_at_once():
+    # Ran past 60 s: 1,000,000! divided by (100,000!)^10 for a degree of
+    # millions of digits.  The digit bound refuses it before the degree is formed.
+    for payload in ({"plain": [[100000, 10]], "n": 1000000},
+                    {"plain": [[1000000, 10]], "n": 10000000}):
+        start = time.perf_counter()
+        proc = run_cli("degree", payload)
+        assert time.perf_counter() - start < 1.0
+        assert (proc.returncode, proc.stdout) == (3, "") and "Traceback" not in proc.stderr
+        error = json.loads(proc.stderr)["error"]
+        assert error["code"] == 3 and "too long to print" in error["message"]
+
+
+def test_degree_below_the_digit_bound_prints_as_before():
+    # About 1,800 digits: the bound, 900 of them, lets it through; the
+    # digest is the one printed before the bound existed.
+    proc = run_cli("degree", {"plain": [[3000, 2]], "n": 6000})
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
+        "1ae73102ebead9c285ecb062b8eb44cbba7641bcb2ad534af60f3b6071000db8")
+
+
 #: (payload, genericity bound) of `degree` payloads below and at or above it.
 DEGREE_BOUND_CASES = [
     ({"plain": [[1, 1], [1, 1]], "n": 2}, 3),
@@ -378,6 +400,86 @@ def test_line_power_sampled_route():
     assert doc["method"] == "sampled"
     assert doc["dim"] == 3
     assert len(doc["equations"]) == 2
+
+
+def _clean_line(n):
+    return [[1] * (n + 1), list(range(n + 1))]
+
+
+def test_line_power_past_its_limits_exit_3():
+    # A clean line in P^100 at r = 1 took 42 s and printed 106 MB; in P^3,
+    # r = 2000 took 4.1 s and r = 100000 ran until killed.
+    for payload, limit in (({"line": _clean_line(100), "r": 1}, line_powers.LINE_POWER_OUTPUT_LIMIT),
+                           ({"line": _clean_line(3), "r": 100000}, products.SPAN_DIM_WORK_LIMIT),
+                           ({"line": _clean_line(3), "r": 2000}, products.SPAN_DIM_WORK_LIMIT),
+                           ({"line": [[1] * 1001, [0, 1] * 500 + [0]], "r": 1},
+                            line_powers.LINE_POWER_OUTPUT_LIMIT)):
+        start = time.perf_counter()
+        proc = run_cli("line-power", payload)
+        assert time.perf_counter() - start < 1.0
+        assert (proc.returncode, proc.stdout) == (3, "") and "Traceback" not in proc.stderr
+        error = json.loads(proc.stderr)["error"]
+        assert error["code"] == 3 and str(limit) in error["message"]
+
+
+def _printed_count(monkeypatch, capsys, line, r):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps({"line": line, "r": r})))
+    assert cli.main(["line-power"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    return len(doc["pluecker"]) + len(doc["equations"])
+
+
+def test_line_power_output_count_is_what_it_prints(monkeypatch, capsys):
+    """power_output_count, read off the columns, is the number of Pluecker
+    entries plus equations printed: clean lines for r below, at and above
+    n, and lines with zero, repeated and proportional columns."""
+    rng = random.Random(71)
+    kinds = set()
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        points = rng.randint(2, n + 1)
+        classes = [[rng.randint(-5, 5), rng.randint(1, 5)] for _ in range(points)]
+        cols = [classes[i] for i in range(points)]
+        cols += [rng.choice(classes + [[0, 0]]) for _ in range(n + 1 - points)]
+        cols = [[a * k, b * k] for (a, b), k in zip(cols, (rng.choice([1, -2, 3]) for _ in cols))]
+        rng.shuffle(cols)
+        line = [[str(a) + rng.choice(["", "/2"]) for a, _ in cols], [b for _, b in cols]]
+        try:
+            space = projective.LinSpace(line)
+        except ValueError:  # all columns on one point: not a line
+            continue
+        r = rng.randint(1, n + 2)
+        count = line_powers.power_output_count(space, r)
+        assert _printed_count(monkeypatch, capsys, line, r) == count
+        kinds.add((projective.pluecker(space).nonvanishing(), (r > n) - (r < n)))
+    assert len(kinds) == 6
+
+
+def test_line_power_limit_boundaries():
+    clean = {n: projective.LinSpace(_clean_line(n)) for n in (3, 20, 21, 55, 56)}
+    # The (r+1) x 4 power matrix in P^3: work 6.4e7 at r = 1000, 2.6e8 at 2000.
+    assert products.vandermonde_work([(1, 1000)], 3) == 1001 * 4 * (16 * 1000 + 64)
+    line_powers.check_line_power_limits(clean[3], 1000)
+    with pytest.raises(products.BudgetExhausted, match="work limit"):
+        line_powers.check_line_power_limits(clean[3], 2000)
+    # binom(n + 2, r + 2) outputs of a clean line below r = n.
+    for n, r in ((55, 1), (20, 3)):
+        assert line_powers.power_output_count(clean[n], r) == comb(n + 2, r + 2)
+        line_powers.check_line_power_limits(clean[n], r)
+        with pytest.raises(products.BudgetExhausted, match="Pluecker entries"):
+            line_powers.check_line_power_limits(clean[n + 1], r)
+    # Every line of the small-exact pool (n <= 5, r <= 4) and the README's.
+    for n in range(1, 6):
+        for points in range(2, n + 2):
+            line = projective.LinSpace([[1] * (n + 1), [i % points for i in range(n + 1)]])
+            for r in range(1, 5):
+                line_powers.check_line_power_limits(line, r)
+    line_powers.check_line_power_limits(projective.LinSpace([[1, 1, 1, 1], [1, 2, 3, 4]]), 2)
+    # The work formula is span-dim's, and so are its error bytes.
+    with pytest.raises(products.BudgetExhausted) as exc:
+        products.check_span_dim_work([(1, 1)], 735294)
+    assert str(exc.value) == ("the generalized Vandermonde matrix in P^735294 is past the "
+                              "span-dim work limit of 100000000")
 
 
 def test_star_config_document():

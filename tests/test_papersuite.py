@@ -2,8 +2,13 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
 
 from hadamard_spaces.papersuite import ALL_CHECKS, run_all
+
+DIGEST_SCRIPT = Path(__file__).resolve().parent / "output_digest.py"
 
 #: Prints the first draws of every check's stream at a few master seeds.
 FIRST_DRAWS_SCRIPT = """
@@ -87,3 +92,31 @@ def test_check_streams_independent_of_hash_seed():
     assert len(draws) == 3 * len(ALL_CHECKS)
     streams = {tuple(d) for d in draws.values()}
     assert len(streams) == len(draws), "two (seed, check) pairs share a stream"
+
+
+def _pyenv_root():
+    """`pyenv root`, else $PYENV_ROOT, else ~/.pyenv."""
+    try:
+        return Path(subprocess.run(["pyenv", "root"], capture_output=True, text=True,
+                                   check=True).stdout.strip())
+    except (OSError, subprocess.CalledProcessError):
+        return Path(os.environ.get("PYENV_ROOT", Path.home() / ".pyenv"))
+
+
+def _output_digest(python):
+    proc = subprocess.run([str(python), str(DIGEST_SCRIPT)], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_outputs_agree_across_installed_pythons():
+    """The README payloads and `paper-suite` print the same bytes and exit
+    codes under every other installed CPython 3.10+ as under this one."""
+    here = Path(sys.executable).resolve()
+    others = [p for p in sorted(_pyenv_root().glob("versions/3.1[0-9]*/bin/python3"))
+              if p.resolve() != here]
+    if not others:
+        pytest.skip("no other Python 3.1x interpreter under pyenv")
+    want = _output_digest(sys.executable)
+    assert {str(p): _output_digest(p) for p in others} == {str(p): want for p in others}

@@ -1,11 +1,20 @@
+import io
+import json
 import random
+import sys
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 
 import pytest
 
+from hadamard_spaces import cli, poly
+from hadamard_spaces.brackets import (cubic_plane_square, quadric_symbolic_identity,
+                                      quadric_two_lines)
 from hadamard_spaces.poly import (SparsePoly, monomial_products, monomials_of_degree,
                                   proportional)
+from hadamard_spaces.products import interpolate_forms
+from hadamard_spaces.projective import LinSpace, pluecker
+from hadamard_spaces.samplers import hadamard_product_sampler, linear_space_sampler
 
 
 def x(i, n=2):
@@ -162,3 +171,165 @@ def test_from_json_reads_only_rational_literals(coeff):
 def test_str():
     f = SparsePoly(3, {(2, 0, 0): 9, (0, 0, 1): -1})
     assert str(f) == "9*x0^2 - x2"
+
+
+@pytest.mark.parametrize("data", [
+    [[[1.7, 0], "3"]],
+    [[[True, 1], "1"]],
+    [[[1.7, 0], "3"], [[True, 1], "1"]],
+    [[[-1, 0], "1"]],
+    [[[1, "0"], "1"]],
+    [[[1, 0], "1"], [[1, 0], "2"]],
+    [[[1, 0], "1"], [[0, 1], "1"], [[1, 0], "-1"]],
+    [[1, "1"]],
+    [[[1, 0], "1", "2"]],
+    [[[1, 0, 0], "1"]],
+])
+def test_from_json_refuses_exponents_that_are_not_polynomial(data):
+    # Floats, bools, negative numbers and strings are no exponents, and two
+    # terms may not name one exponent vector: each used to be read as some
+    # other polynomial.
+    with pytest.raises(ValueError):
+        SparsePoly.from_json(2, data)
+
+
+@pytest.mark.parametrize("expo", [(-1, 0), (1.0, 0), (0.5, 1), (True, 0), (1, False), ("1", 0)])
+def test_constructor_refuses_exponents_that_are_not_polynomial(expo):
+    # (-1, 0) printed x0^-1 and evaluated to 1/2 at (2, 1).
+    with pytest.raises(ValueError):
+        SparsePoly(2, {expo: 1})
+    with pytest.raises(ValueError):
+        SparsePoly(2, {expo: 1, (0, 1): 2})
+
+
+def test_exponents_keep_their_integer_type():
+    f = SparsePoly(2, {(2, 0): 1, (0, 3): "1/2"})
+    assert str(f) == "x0^2 + 1/2*x1^3" and f.eval([2, 1]) == Fraction(9, 2)
+    assert all(type(e) is int for expo in f.ints for e in expo)
+
+
+def _fraction_primitive(terms):
+    """Oracle: the Fraction route of primitive before polynomials were
+    stored as integers over one denominator."""
+    if not terms:
+        return {}
+    mult = lcm(*(c.denominator for c in terms.values()))
+    ints = {e: int(c * mult) for e, c in terms.items()}
+    g = 0
+    for v in ints.values():
+        g = gcd(g, v)
+    if ints[max(ints)] < 0:
+        g = -g
+    return {e: Fraction(v, g) for e, v in ints.items()}
+
+
+def _fraction_proportional(f, g):
+    """Oracle: the former ratio loop over Fraction coefficients."""
+    if not f or not g:
+        return not f and not g
+    if set(f) != set(g):
+        return False
+    expo = next(iter(f))
+    c = f[expo] / g[expo]
+    return all(coeff == c * g[e] for e, coeff in f.items())
+
+
+def test_integer_storage_matches_the_fraction_oracle():
+    rng = random.Random(17)
+    dens = set()
+    for _ in range(300):
+        f = random_poly(rng, nterms=rng.randint(0, 5))
+        c = Fraction(rng.choice([-5, -1, 2, 3, 7]), rng.randint(1, 6))
+        g = rng.choice([f.scale(c), random_poly(rng), f + SparsePoly.variable(3, 0, c),
+                        f.scale(c) * SparsePoly.constant(3, 1 / c)])
+        dens.add(f.den)
+        assert f.den == lcm(1, *(v.denominator for v in f.terms.values()))
+        assert f.primitive().terms == _fraction_primitive(f.terms)
+        assert f.primitive().den == 1
+        assert proportional(f, g) == _fraction_proportional(f.terms, g.terms)
+        assert (f == g) == (f.terms == g.terms)
+        if f == g:
+            assert hash(f) == hash(g)
+        assert f == SparsePoly(3, f.terms) and hash(f) == hash(SparsePoly(3, f.terms))
+    assert len(dens) > 3
+
+
+def test_equal_polynomials_reached_through_different_denominators_hash_alike():
+    x0, x1 = SparsePoly.variable(2, 0), SparsePoly.variable(2, 1)
+    over_6 = x0.scale("1/6") + x0.scale("1/3") + x1.scale("2/3") - x1.scale("1/6")
+    over_2 = (x0 + x1).scale("1/2")
+    over_12 = (x0.scale("3/4") + x1.scale("3/4")) * SparsePoly.constant(2, "2/3")
+    from_json = SparsePoly.from_json(2, [[[1, 0], "2/4"], [[0, 1], "3/6"]])
+    assert over_6 == over_2 == over_12 == from_json
+    assert len({over_6, over_2, over_12, from_json}) == 1
+    assert (over_6.den, over_6.ints) == (2, {(1, 0): 1, (0, 1): 1})
+    assert (over_12 - over_2).is_zero() and (over_12 - over_2).den == 1
+
+
+def _fraction_counter(monkeypatch):
+    """Record each Fraction built: the SparsePoly method (or `proportional`)
+    on the stack, or None when it is built under none of them.  `terms` and
+    `eval` build them by design, and what they build is not recorded."""
+    by_design = {"terms", "eval"}
+    names = {name for name in vars(SparsePoly) if callable(getattr(SparsePoly, name))}
+    names |= {"proportional"}
+    built = []
+
+    def note():
+        frame = sys._getframe(2)
+        while frame is not None:
+            code = frame.f_code
+            if code.co_filename == poly.__file__ and code.co_name in names | by_design:
+                if code.co_name not in by_design:
+                    built.append(code.co_name)
+                return
+            frame = frame.f_back
+        built.append(None)
+
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        note()
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    if hasattr(Fraction, "_from_coprime_ints"):  # Fraction arithmetic skips __new__ there
+        coprime = Fraction._from_coprime_ints.__func__
+
+        def counted_coprime(cls, n, d):
+            note()
+            return coprime(cls, n, d)
+
+        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(counted_coprime))
+    return built
+
+
+def test_polynomial_producers_build_no_fraction(monkeypatch, capsys):
+    """The bracket quadric and cubic, the symbolic identity, interpolation
+    and a clean `line-power` run their polynomial arithmetic, primitive,
+    proportional and to_json in integers; the bracket polynomials are built
+    from integer minors with no Fraction at all."""
+    line_l = LinSpace([["1/2", 3, 5, 7], [11, "13/3", 17, 19]])
+    line_m = LinSpace([[23, 29, "31/5", 37], [41, 43, 47, 53]])
+    plane = LinSpace([[3, 1, 4, 1, 5, 9], [2, "6/7", 5, 3, 5, 8], [9, 7, 9, 3, 2, 3]])
+    pl_l, pl_m, pl_p = pluecker(line_l), pluecker(line_m), pluecker(plane)
+    sampler = hadamard_product_sampler(linear_space_sampler(line_l), linear_space_sampler(line_m))
+    built = _fraction_counter(monkeypatch)
+    quadric, cubic = quadric_two_lines(pl_l, pl_m), cubic_plane_square(pl_p)
+    assert built == [] and quadric.den > 1 and cubic.den > 1
+    assert quadric_symbolic_identity().is_zero()
+    forms = interpolate_forms(sampler, 2, random.Random(5))
+    assert len(forms) == 1 and proportional(forms[0], quadric)
+    assert not proportional(forms[0], quadric + quadric * quadric)
+    for f in (quadric, cubic, cubic * cubic - cubic.scale(Fraction(2, 3))):
+        f.primitive().to_json()
+        f.to_json()
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(
+        {"line": [["1/2", "2/3", 3, "-4/5"], [2, "-1/7", "5/3", 1]], "r": 1})))
+    assert cli.main(["line-power"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["equations"]) == 4
+    assert [name for name in built if name] == [] and None in built
+    # The counter sees a Fraction built under a SparsePoly method: a string
+    # coefficient is parsed into one inside the constructor.
+    SparsePoly(2, {(1, 0): "1/2"})
+    assert [name for name in built if name] == ["__init__"]

@@ -12,7 +12,8 @@ from operator import or_
 import pytest
 
 from hadamard_spaces import cli, tropical
-from hadamard_spaces.linalg import BudgetExhausted, PreconditionError, smith_normal_form
+from hadamard_spaces.linalg import (BudgetExhausted, PreconditionError, rat_str,
+                                    smith_normal_form)
 from hadamard_spaces.tropical import (NonGenericVector, SignedConeFan,
                                       _quotient_rep, cone_pair_meets,
                                       degree_linear_products,
@@ -758,6 +759,56 @@ def test_degree_with_reciprocals_values():
         assert degree_with_reciprocals([(0, 3), (2, 2)], [], 5) == (4, 3)
     with pytest.raises(PreconditionError):
         degree_with_reciprocals([(2, 1)], [(2, 1)], 3)
+
+
+def test_degree_digit_bound_is_a_lower_bound():
+    """10 log10(degree) >= _degree_tenths, in integers: degree^10 >=
+    10^tenths, over plain and reciprocal factors of every small shape."""
+    rng = random.Random(67)
+    positive = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for _ in range(400):
+            plain = [(rng.randint(0, 12), rng.randint(1, 7)) for _ in range(rng.randint(0, 3))]
+            recip = [(rng.randint(0, 12), rng.randint(1, 7)) for _ in range(rng.randint(0, 2))]
+            m, mt = sum(a * b for a, b in plain), sum(a * b for a, b in recip)
+            n = m + mt + rng.choice([0, 1, rng.randint(0, 60)])
+            _, degree = degree_with_reciprocals(plain, recip, n)
+            tenths = tropical._degree_tenths(plain, recip, n, m, mt)
+            assert degree.denominator == 1 and 10 ** tenths <= degree.numerator ** 10
+            positive += tenths > 0
+    assert positive > 200
+
+
+def test_degree_past_the_digit_bound_forms_no_binomial(monkeypatch):
+    """At Python's int-to-str limit L: a factor [[k + 1, 2]] has a bound of
+    3k tenths of a digit, so k = ceil(10 L / 3) is refused before any
+    binomial of the degree is formed; at k - 1 they are formed (and
+    rat_str refuses the 8,600-digit answer)."""
+    k = -(-10 * sys.get_int_max_str_digits() // 3)
+    calls = []
+    monkeypatch.setattr(tropical, "comb", lambda a, b: calls.append((a, b)) or comb(a, b))
+    for mk, formed in ((k + 1, False), (k, True)):
+        calls.clear()
+        assert tropical._degree_tenths([(mk, 2)], [], 2 * mk, 2 * mk, 0) == 3 * (mk - 1)
+        with pytest.raises(BudgetExhausted, match="too long to print"), warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # n is below the genericity bound
+            dim, degree = degree_with_reciprocals([(mk, 2)], [], 2 * mk)
+            rat_str(degree)
+        assert bool(calls) == formed
+
+
+def test_degree_is_formed_without_factorials():
+    """_partitions is M! / prod((m_k!)^r_k r_k!); a million lines in
+    P^1000000 have degree 1, which took 29 s through 1,000,000!."""
+    rng = random.Random(68)
+    for _ in range(200):
+        factors = [(rng.randint(0, 9), rng.randint(1, 6)) for _ in range(rng.randint(0, 4))]
+        total = sum(mk * r for mk, r in factors)
+        want = factorial(total) // prod(factorial(mk) ** r * (factorial(r) if mk else 1)
+                                         for mk, r in factors)
+        assert tropical._partitions(factors) == want
+    assert degree_with_reciprocals([(1, 10 ** 6)], [], 10 ** 6) == (10 ** 6, 1)
 
 
 def test_degree_formulas_share_one_precondition():
