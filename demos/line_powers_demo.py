@@ -35,7 +35,7 @@ print("  ", power_hyperplane(pl))
 
 print("\nFor r < n-1 the power is cut out by binom(n+1, r+2) linear forms;")
 print("for this line and r = 1 (the line itself):")
-for eq in power_linear_equations(3, 1, pl.entries):  # the line's own minors
+for eq in power_linear_equations(3, 1, pl.minors):  # the line's own minors
     print("  ", eq)
 
 print("\nA degenerate line in P^5 (it meets a codimension-2 coordinate stratum):")

@@ -29,7 +29,7 @@ print("  Minkowski sum of two standard fans: %d cones, each multiplicity %d, wei
 print("  contributing pair(s) of the stable intersection:")
 for (plus1, _), (plus2, _), idx in result["pairs"]:
     print("    pos%s meets shifted pos%s, lattice index %d"
-          % (mask_indices(plus1), mask_indices(plus2), idx))
+          % (list(mask_indices(plus1)), list(mask_indices(plus2)), idx))
 print("  fan degree:", result["degree"])
 
 print("\nA plane squared in P^5 (the map is 2-to-1, so delta = 2):")

@@ -11,7 +11,7 @@ from .poly import SparsePoly, monomials_of_degree, proportional
 from .projective import (LinSpace, PPoint, PlueckerVector, all_ones_point,
                          intersect_spaces, line_through, pluecker,
                          point_times_space, sample_point)
-from .line_powers import (line_power_matrix, line_power_pluecker,
+from .line_powers import (line_power_matrix, line_power_minor, line_power_pluecker,
                           power_hyperplane, power_linear_equations,
                           sampled_power_span)
 from .star_configs import (PointSet, StarWitness, build_star,

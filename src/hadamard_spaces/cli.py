@@ -25,6 +25,7 @@ import warnings
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
+from math import comb
 
 from . import papersuite
 from .brackets import (cubic_plane_square, quadric_bracket_display,
@@ -32,7 +33,7 @@ from .brackets import (cubic_plane_square, quadric_bracket_display,
                        quadric_two_lines, verify_identity)
 from .linalg import (BudgetExhausted, PreconditionError, QMatrix, integer_rank, is_json_int,
                      is_rational_literal, rat_str)
-from .line_powers import (check_line_power_limits, line_power_matrix, line_power_pluecker,
+from .line_powers import (check_line_power_limits, line_power_matrix, line_power_minor,
                           power_linear_equations, sampled_power_span)
 from .poly import SparsePoly
 from .products import (check_span_dim_work, expected_dimension, gen_vandermonde,
@@ -188,9 +189,10 @@ def cmd_line_power(payload, rng, args):
         power = LinSpace.span_of(line_power_matrix(line, r))
         method = "matrix"
         if r <= n:
-            minors = {cols: line_power_pluecker(pl, r, cols)
+            scale = pl.scale ** comb(r + 1, 2)
+            minors = {cols: line_power_minor(pl, r, cols)
                       for cols in combinations(range(n + 1), r + 1)}
-            pk = {",".join(map(str, cols)): rat_str(m) for cols, m in minors.items()}
+            pk = {",".join(map(str, cols)): rat_str(m, scale) for cols, m in minors.items()}
         else:
             pk = pluecker(power).to_json()
         equations = power_linear_equations(n, r, minors) if r < n else []
@@ -301,14 +303,15 @@ def cmd_degree(payload, rng, args):
     if args.transcript:
         detail = fan_degree_pipeline(plain, reciprocal, n, rng)
         fan, complement = detail["fan"], detail["complement"]
+        docs = {c: _cone_doc(fan, c) for c in fan.cones}
         doc["transcript"] = {
             "delta": detail["delta"],
             "fan_degree": rat_str(detail["degree"]),
             "global_weight": rat_str(fan.global_weight),
             "displacement": [rat_str(x) for x in detail["displacement"]],
-            "cones": [_cone_doc(fan, c) for c in fan.cones],
+            "cones": list(docs.values()),
             "contributing_pairs": [
-                {"sigma1": _cone_doc(fan, c1), "sigma2": _cone_doc(complement, c2),
+                {"sigma1": docs[c1], "sigma2": _cone_doc(complement, c2),
                  "lattice_index": idx}
                 for c1, c2, idx in detail["pairs"]],
         }

@@ -13,9 +13,9 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, prod
 
-from .linalg import BudgetExhausted, PreconditionError, primitive_ints
+from .linalg import BudgetExhausted, PreconditionError
 from .poly import SparsePoly
-from .products import SPAN_DIM_WORK_LIMIT, gen_vandermonde, vandermonde_work
+from .products import SPAN_DIM_WORK_LIMIT, column_points, gen_vandermonde, vandermonde_work
 from .projective import LinSpace, permutation_sign
 
 #: Most Pluecker entries plus equations `line-power` prints
@@ -28,6 +28,14 @@ from .projective import LinSpace, permutation_sign
 #: 1.5 s; a line of two column points at r = 1 in P^243 0.5 s.  The work
 #: limit's edge, a clean line in P^3 at r = 1245, takes 1.6 s.
 LINE_POWER_OUTPUT_LIMIT = 30000
+
+#: Most `power_bit_work` that `line-power` accepts; past it,
+#: `check_line_power_limits` raises BudgetExhausted before any work.  Whole
+#: `line-power` calls on a 2-vCPU Xeon VM took 1.0-2.3 * 10^-13 s per unit
+#: in P^3, P^10 and P^20 (entries of 6 to 1,003 bits), so the limit keeps
+#: a power near 2 s; a line of 67-bit entries in P^3 at r = 300 took 7.4 s
+#: and a line of 60-digit entries there ran past 60 s.
+LINE_POWER_BIT_WORK_LIMIT = 10 ** 13
 
 
 def line_power_matrix(line, r):
@@ -60,32 +68,52 @@ def power_output_count(line, r):
     its n - d kernel equations.
     """
     n = line.ambient_dim
-    c = len({primitive_ints(col) for col in zip(*line.generators.ints) if any(col)})
+    c = len(column_points(line))
     d = min(r, c - 1)
     return comb(n + 1, d + 1) + (comb(n + 1, d + 2) if c == n + 1 and r < n else n - d)
+
+
+def power_bit_work(line, r):
+    """The work R C k^3 (r b)^2 of eliminating the r-th power matrix of a
+    line in P^n: R = r + 1 rows, C = n + 1 columns, k = min(R, C), and b
+    the largest bit length of the line's integer generator entries.
+
+    The power matrix's entries are products of r generator entries, of up
+    to r b bits.  Bareiss makes about R C k cell updates, those of step j
+    on minors of about j r b bits, and CPython multiplies and exactly
+    divides ints of these sizes in time about quadratic in their bits.
+    `products.vandermonde_work` counts the same updates linearly in r
+    only, which is right for the small entries it was timed on.
+    """
+    bits = max(abs(x).bit_length() for row in line.generators.ints for x in row)
+    rows, cols = r + 1, line.ambient_dim + 1
+    return rows * cols * min(rows, cols) ** 3 * (r * bits) ** 2
 
 
 def check_line_power_limits(line, r):
     """Raise BudgetExhausted when the r-th power of a line is past a limit:
     its (r+1) x (n+1) power matrix past span-dim's SPAN_DIM_WORK_LIMIT
-    (`products.vandermonde_work`), or its output past
+    (`products.vandermonde_work`) or, counting its entries' bits, past
+    LINE_POWER_BIT_WORK_LIMIT (`power_bit_work`); or its output past
     LINE_POWER_OUTPUT_LIMIT (`power_output_count`)."""
     n = line.ambient_dim
     if vandermonde_work([(1, r)], n) > SPAN_DIM_WORK_LIMIT:
         raise BudgetExhausted("the power matrix at r = %d in P^%d is past the work limit of %d"
                               % (r, n, SPAN_DIM_WORK_LIMIT))
+    if power_bit_work(line, r) > LINE_POWER_BIT_WORK_LIMIT:
+        raise BudgetExhausted("the power matrix at r = %d in P^%d, counting its entries' bits, "
+                              "is past the bit work limit of %d" % (r, n, LINE_POWER_BIT_WORK_LIMIT))
     count = power_output_count(line, r)
     if count > LINE_POWER_OUTPUT_LIMIT:
         raise BudgetExhausted("the power at r = %d in P^%d has %d Pluecker entries and "
                               "equations, past the limit of %d" % (r, n, count, LINE_POWER_OUTPUT_LIMIT))
 
 
-def line_power_pluecker(pl, r, indices):
-    """Bracket of the r-th power of a line: the product of pairwise brackets.
-
-    For sorted indices i_0 < ... < i_r this equals the corresponding maximal
-    minor of line_power_matrix, exactly.  The product runs in integers over
-    the line's integer minors and is divided once by scale^binom(r+1, 2).
+def line_power_minor(pl, r, indices):
+    """The maximal minor of line_power_matrix at the columns `indices`,
+    times pl.scale^binom(r+1, 2), as an int: the product of the line's
+    pairwise integer brackets, one factor per index pair, with the sign
+    of the indices' order.  All minors of one power share that scale.
     """
     if pl.dim != 1:
         raise PreconditionError("expected the Pluecker vector of a line")
@@ -97,9 +125,18 @@ def line_power_pluecker(pl, r, indices):
             raise IndexError("index %d out of range for ambient dimension %d" % (i, pl.ambient_dim))
     pairs = list(combinations(indices, 2))
     if any(i == j for i, j in pairs):
-        return Fraction(0)
-    total = prod(pl.minors[min(i, j), max(i, j)] for i, j in pairs)
-    return Fraction(permutation_sign(indices) * total, pl.scale ** len(pairs))
+        return 0
+    return permutation_sign(indices) * prod(pl.minors[min(i, j), max(i, j)] for i, j in pairs)
+
+
+def line_power_pluecker(pl, r, indices):
+    """Bracket of the r-th power of a line: the product of pairwise brackets.
+
+    For sorted indices i_0 < ... < i_r this equals the corresponding maximal
+    minor of line_power_matrix, exactly: `line_power_minor` divided once by
+    scale^binom(r+1, 2).
+    """
+    return Fraction(line_power_minor(pl, r, indices), pl.scale ** comb(r + 1, 2))
 
 
 def _hyperplane_coefficients(n, bracket):
@@ -128,22 +165,26 @@ def power_hyperplane(pl):
 
 def power_linear_equations(n, r, minors):
     """Linear equations for the r-th power of a line in P^n, r < n, from
-    the (r+1)-minors of its power matrix keyed by sorted column tuples
-    (each a `line_power_pluecker`).
+    the (r+1)-minors of its power matrix keyed by sorted column tuples, as
+    ints over one common denominator (each a `line_power_minor`).
 
     These are the binom(n+1, r+2) maximal minors of the power matrix
-    augmented with a row of coordinate variables, expanded along that row.
-    Coefficients come out integer-cleared and content-free.  For r = n-1
-    the single equation agrees with power_hyperplane up to sign.
+    augmented with a row of coordinate variables, expanded along that row:
+    each has the r + 2 terms of its columns.  Coefficients come out
+    content-free, so the common denominator drops out.  For r = n-1 the
+    single equation agrees with power_hyperplane up to sign.
     """
     if not 1 <= r < n:
         raise PreconditionError("need 1 <= r < n = %d, got r = %d" % (n, r))
+    variables = [(0,) * i + (1,) + (0,) * (n - i) for i in range(n + 1)]
     equations = []
     for cols in combinations(range(n + 1), r + 2):
-        coeffs = [0] * (n + 1)
+        terms = {}
         for t, i in enumerate(cols):
-            coeffs[i] = (-1) ** (r + 1 + t) * minors[cols[:t] + cols[t + 1:]]
-        equations.append(SparsePoly.linear_form(coeffs).primitive())
+            minor = minors[cols[:t] + cols[t + 1:]]
+            if minor:
+                terms[variables[i]] = minor if (r + 1 + t) % 2 == 0 else -minor
+        equations.append(SparsePoly._trusted(n + 1, terms).primitive())
     return equations
 
 

@@ -5,7 +5,8 @@ Span dimensions and identifiability both rest on the generalized
 Vandermonde matrix: its rank is the span dimension plus one, and full rank
 binom(m + r, r) for one space is an exact proof that unordered r-tuples of
 its points are recovered from their product (see identifiability_check).
-Only rank-deficient spaces fall back to a sampled collision search.
+Below full rank a line gets a constructed exact collision, and only a
+rank-deficient space of higher dimension falls back to a sampled search.
 
 The interpolation oracle replaces ideal elimination as the independent
 verification route: degree-d forms vanishing on a sampled variety are the
@@ -19,9 +20,9 @@ from math import comb, prod
 from operator import mul
 
 from .linalg import (BudgetExhausted, PreconditionError, QMatrix, integer_kernel_basis,
-                     integer_rank)
+                     integer_rank, primitive_ints)
 from .poly import SparsePoly, monomial_products, monomials_of_degree
-from .projective import LinSpace, sample_point
+from .projective import LinSpace, PPoint, sample_point
 
 #: Oversampling margin for interpolation: extra rows beyond the monomial
 #: count, as a fraction of it, that only the kernel's exact check reads.
@@ -131,11 +132,12 @@ def identifiability_check(space, r, trials, rng):
     alone proves identifiability; nothing is drawn and `rng` is left
     untouched.
 
-    Below that rank the check falls back to a sampled collision search
-    (`_search_collisions`), whose reported pairs are exact counterexamples,
-    but whose None is not a proof.  Below the guarantee regime
-    n >= binom(m + r, r) - 1 the rank cannot be full, and a warning is
-    issued.
+    Below that rank a line (m = 1) gets the exact collision of
+    `line_collision`, again without a draw.  A space of higher dimension
+    falls back to a sampled collision search (`_search_collisions`), whose
+    reported pairs are exact counterexamples, but whose None is not a
+    proof.  Below the guarantee regime n >= binom(m + r, r) - 1 the rank
+    cannot be full, and a warning is issued.
     """
     if r < 1:
         raise ValueError("r must be >= 1, got %r" % (r,))
@@ -148,7 +150,46 @@ def identifiability_check(space, r, trials, rng):
                       "collisions are not excluded by theory" % (n, bound))
     if integer_rank(gen_vandermonde([(space, r)]).ints) == comb(space.dim + r, r):
         return None
+    if space.dim == 1:
+        return line_collision(space, r)
     return _search_collisions(space, r, trials, rng)
+
+
+def column_points(space):
+    """The distinct points of P^m among the nonzero columns of a space's
+    integer generators, as primitive int tuples in column order.  Column k
+    carries coordinate k: the point with form l = s_0 x_0 + ... + s_m x_m
+    has coordinate k equal to l(column k)."""
+    return list(dict.fromkeys(primitive_ints(col) for col in zip(*space.generators.ints)
+                              if any(col)))
+
+
+def line_collision(line, r):
+    """Two distinct unordered r-tuples of points of a line with equal
+    Hadamard products, for a line whose columns give c <= r points of P^1
+    (`column_points`), that is, whose power matrix is below full rank r + 1
+    (its rank is min(r + 1, c)).  Returned as `_search_collisions` does.
+
+    Construction.  The point s g0 + t g1 is the form l = s x + t y, and a
+    product of r points is F(a_0) : ... : F(a_n) for F their product and
+    a_k the columns (see identifiability_check).  For the class points
+    p_i = (u_i, w_i), q_i = u_i y - w_i x vanishes at p_i only, and
+    B = u_1 x + w_1 y is u_1^2 + w_1^2 != 0 at p_1.  With P = q_2 ... q_c,
+    F1 = P (B + q_1) B^(r - c) and F2 = P B B^(r - c) agree on every
+    column: both vanish on the zero columns and on the classes 2..c, and
+    q_1 vanishes on class 1.  They are nonzero on class 1, and B + q_1 is
+    not proportional to B (q_1 vanishes at p_1, B does not), so by unique
+    factorization their r-tuples of linear factors differ.
+    """
+    (u1, w1), *others = column_points(line)
+    shared = [(-w, u) for u, w in others] + [(u1, w1)] * (r - 1 - len(others))
+    g0, g1 = line.generators.ints
+
+    def points(forms):
+        return tuple(sorted(PPoint([s * a + t * b for a, b in zip(g0, g1)]).canonical()
+                            for s, t in forms))
+
+    return points(shared + [(u1 - w1, w1 + u1)]), points(shared + [(u1, w1)])
 
 
 def _search_collisions(space, r, trials, rng):

@@ -16,7 +16,7 @@ import sys
 import time
 from math import comb
 
-from hadamard_spaces import cli
+from hadamard_spaces import cli, tropical
 from hadamard_spaces import papersuite as suite
 
 
@@ -150,6 +150,12 @@ def degree_transcripts_digest(seed, monkeypatch, capsys):
 
 
 def test_degree_transcripts_byte_identical(monkeypatch, capsys):
+    """With every memoized standard fan and mask built afresh, and again
+    with the memos warm."""
+    tropical._memo_standard_fan.cache_clear()
+    tropical._memo_mask_indices.cache_clear()
+    assert degree_transcripts_digest(1, monkeypatch, capsys) == DEGREE_TRANSCRIPTS_SHA256
+    assert tropical._memo_standard_fan.cache_info().currsize > 0
     assert degree_transcripts_digest(1, monkeypatch, capsys) == DEGREE_TRANSCRIPTS_SHA256
 
 

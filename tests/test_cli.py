@@ -408,8 +408,12 @@ def _clean_line(n):
 
 def test_line_power_past_its_limits_exit_3():
     # A clean line in P^100 at r = 1 took 42 s and printed 106 MB; in P^3,
-    # r = 2000 took 4.1 s and r = 100000 ran until killed.
+    # r = 2000 took 4.1 s, r = 100000 ran until killed, and a line of
+    # 60-digit entries at r = 300 ran past 60 s.
+    big = 10 ** 60
+    digits = [[big + 1, big + 2, big + 3, big + 5], [big + 7, 2 * big + 11, 3 * big + 13, 5 * big + 17]]
     for payload, limit in (({"line": _clean_line(100), "r": 1}, line_powers.LINE_POWER_OUTPUT_LIMIT),
+                           ({"line": digits, "r": 300}, line_powers.LINE_POWER_BIT_WORK_LIMIT),
                            ({"line": _clean_line(3), "r": 100000}, products.SPAN_DIM_WORK_LIMIT),
                            ({"line": _clean_line(3), "r": 2000}, products.SPAN_DIM_WORK_LIMIT),
                            ({"line": [[1] * 1001, [0, 1] * 500 + [0]], "r": 1},
@@ -462,6 +466,17 @@ def test_line_power_limit_boundaries():
     line_powers.check_line_power_limits(clean[3], 1000)
     with pytest.raises(products.BudgetExhausted, match="work limit"):
         line_powers.check_line_power_limits(clean[3], 2000)
+    # Counting bits: 1001 * 4 * 4^3 * (1000 b)^2 for entries of b bits, 2.3e12
+    # for the README's line (b = 3), 9.2e12 for b = 6 (1.3-1.8 s), 1.9e13
+    # for b = 9 (refused).
+    for b in (3, 6, 9):
+        line = projective.LinSpace([[1, 1, 1, 1], [1, 2, 3, 2 ** b - 1]])
+        assert line_powers.power_bit_work(line, 1000) == 1001 * 4 * 4 ** 3 * (1000 * b) ** 2
+        if b < 9:
+            line_powers.check_line_power_limits(line, 1000)
+        else:
+            with pytest.raises(products.BudgetExhausted, match="bit work limit"):
+                line_powers.check_line_power_limits(line, 1000)
     # binom(n + 2, r + 2) outputs of a clean line below r = n.
     for n, r in ((55, 1), (20, 3)):
         assert line_powers.power_output_count(clean[n], r) == comb(n + 2, r + 2)
@@ -788,7 +803,7 @@ def test_line_power_computes_each_bracket_once(n, r, monkeypatch, capsys):
     """A clean line's Pluecker vector is computed once, and each minor of
     its power once, for the printed coordinates and the equations alike."""
     pluecker_calls = count_calls(monkeypatch, projective.pluecker)
-    minor_calls = count_calls(monkeypatch, line_powers.line_power_pluecker)
+    minor_calls = count_calls(monkeypatch, line_powers.line_power_minor)
     line = [[1] * (n + 1), ["%d/3" % (j + 1) for j in range(n + 1)]]  # bracket [ij] = (j-i)/3
     monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps({"line": line, "r": r})))
     assert cli.main(["line-power"]) == 0

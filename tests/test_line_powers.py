@@ -6,7 +6,7 @@ from math import comb, prod
 import pytest
 
 from hadamard_spaces.linalg import PreconditionError, QMatrix, integer_rank
-from hadamard_spaces.line_powers import (line_power_matrix, line_power_pluecker,
+from hadamard_spaces.line_powers import (line_power_matrix, line_power_minor, line_power_pluecker,
                                          power_hyperplane, power_linear_equations,
                                          sampled_power_span)
 from hadamard_spaces.papersuite import random_space
@@ -121,7 +121,7 @@ def test_power_hyperplane_vanishes_on_sampled_products():
 
 def power_minors(pl, r):
     """The (r+1)-minors of a line's power matrix, as the CLI computes them."""
-    return {cols: line_power_pluecker(pl, r, cols)
+    return {cols: line_power_minor(pl, r, cols)
             for cols in combinations(range(pl.ambient_dim + 1), r + 1)}
 
 

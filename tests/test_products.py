@@ -147,10 +147,29 @@ def test_identifiability_certificate_draws_nothing():
         assert rng.getstate() == state
 
 
+def _product(points):
+    out = PPoint(points[0])
+    for p in points[1:]:
+        out = out.hadamard(PPoint(p))
+    return out
+
+
+def _assert_collision(space, r, collision):
+    """Two distinct sorted r-tuples of canonical points of the space with
+    equal Hadamard products."""
+    first, second = collision
+    assert first != second
+    for points in collision:
+        assert len(points) == r and list(points) == sorted(points)
+        assert all(space.contains(PPoint(p)) and PPoint(p).canonical() == p for p in points)
+    assert _product(first) == _product(second)
+
+
 def test_identifiability_rank_deficient_space_is_searched():
     # In the regime, but the generators have disjoint supports, so every
     # mixed-monomial row of the Vandermonde matrix vanishes, its rank drops,
-    # and the check falls through to the sampled search.
+    # and the check falls through: to the constructed collision for a line,
+    # drawing nothing, and to the sampled search above it.
     rng = random.Random(49)
     for rows, r in [([[1, 1, 0, 0], [0, 0, 1, 1]], 2),
                     ([[1, 1, 0, 0, 0, 0], [0, 0, 1, 1, 0, 0], [0, 0, 0, 0, 1, 1]], 2),
@@ -159,8 +178,44 @@ def test_identifiability_rank_deficient_space_is_searched():
         assert space.ambient_dim >= identifiability_regime_bound([(space.dim, r)])
         assert not _certified(space, r)
         state = rng.getstate()
-        identifiability_check(space, r, 5, rng)
-        assert rng.getstate() != state
+        result = identifiability_check(space, r, 5, rng)
+        if space.dim == 1:
+            _assert_collision(space, r, result)
+        assert (rng.getstate() != state) == (space.dim > 1)
+
+
+def test_line_below_full_rank_gets_an_exact_collision():
+    # At the regime bound, no warning, rank 3 of 4, and 2,000 sampled trials
+    # found no collision: g0 (g0 - g1) (g0 + g1) and g0 g0 (g0 - g1) both
+    # have the product [1 : 8 : 0 : 0].
+    line = LinSpace([[1, 2, 0, 1], [0, 0, 1, 1]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        collision = identifiability_check(line, 3, 0, None)
+    _assert_collision(line, 3, collision)
+    assert _product(collision[0]) == PPoint([1, 8, 0, 0])
+    assert set(collision) == {((1, 2, -1, 0), (1, 2, 0, 1), (1, 2, 1, 2)),
+                              ((1, 2, -1, 0), (1, 2, 0, 1), (1, 2, 0, 1))}
+    # Fuzzed lines with zero, repeated and scaled columns, at every r >= c.
+    rng = random.Random(52)
+    made = 0
+    while made < 200:
+        n = rng.randint(1, 6)
+        classes = [(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(rng.randint(2, n + 1))]
+        cols = [rng.choice(classes + [(0, 0)]) for _ in range(n + 1)]
+        cols = [(a * k, b * k) for (a, b), k in zip(cols, (rng.choice([1, -2, 3]) for _ in cols))]
+        try:
+            line = LinSpace([[a for a, _ in cols], [b for _, b in cols]])
+        except ValueError:  # dependent rows: not a line
+            continue
+        c = len(products.column_points(line))
+        r = rng.randint(c, c + 2)
+        assert not _certified(line, r)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            _assert_collision(line, r, identifiability_check(line, r, 0, None))
+        assert _certified(line, c - 1) and identifiability_check(line, c - 1, 0, None) is None
+        made += 1
 
 
 def test_identifiability_certificate_agrees_with_search():
@@ -183,19 +238,7 @@ class _SmallRandom(random.Random):
 
 def test_search_finds_exact_collision():
     line = LinSpace([[1, 0], [0, 1]])
-    with pytest.warns(UserWarning):
-        collision = identifiability_check(line, 2, 200, _SmallRandom(51))
-    assert collision is not None
-    first, second = collision
-    assert first != second
-
-    def product(points):
-        out = PPoint(points[0])
-        for p in points[1:]:
-            out = out.hadamard(PPoint(p))
-        return out
-
-    assert product(first) == product(second)
+    _assert_collision(line, 2, products._search_collisions(line, 2, 200, _SmallRandom(51)))
 
 
 def test_product_commutative_sanity():

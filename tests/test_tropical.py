@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import random
@@ -5,6 +6,7 @@ import sys
 import warnings
 from fractions import Fraction
 from functools import reduce
+from itertools import combinations
 from itertools import product as iproduct
 from math import comb, factorial, prod
 from operator import or_
@@ -256,10 +258,10 @@ def _cone(plus, minus=()):
 
 def test_mask_indices_matches_bit_scan():
     rng = random.Random(75)
-    masks = [0, 1, 2 ** 64 - 1, 2 ** 64, 2 ** 64 + 1, 2 ** 999 - 1]
-    masks += [rng.getrandbits(rng.choice((9, 63, 64, 65, 200, 999))) for _ in range(300)]
-    for mask in masks:
-        assert mask_indices(mask) == _bits(mask)
+    masks = [0, 1, 2 ** 12 - 1, 2 ** 12, 2 ** 64 - 1, 2 ** 64, 2 ** 64 + 1, 2 ** 999 - 1]
+    masks += [rng.getrandbits(rng.choice((9, 12, 13, 63, 64, 65, 200, 999))) for _ in range(300)]
+    for mask in masks * 2:  # the second read of a memoized mask hits the memo
+        assert mask_indices(mask) == tuple(_bits(mask))
 
 
 def _random_cone(rng, m, n):
@@ -383,6 +385,37 @@ def test_standard_tls_cone_counts():
     assert all(mult == 1 for mult in fan.cones.values())
     with pytest.raises(PreconditionError):
         standard_tls(4, 3)
+    # Every m-subset of coordinates, inside and past the memoized domain.
+    for n in (1, 2, 5, 6, tropical.MEMO_COORDS, tropical.MEMO_COORDS + 1):
+        for m in range(n + 1) if n < 7 else (1, n - 1):
+            want = {(_mask(s), 0): 1 for s in combinations(range(n + 1), m)}
+            assert standard_tls(m, n).cones == want
+            assert standard_tls(m, n, True).cones == {(0, plus): 1 for plus, _ in want}
+
+
+def test_fans_are_immutable_and_standard_fans_shared():
+    fan = standard_tls(2, 4)
+    for field, value in [("ambient_dim", 5), ("dim", 1), ("cones", {}), ("global_weight", 2)]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(fan, field, value)
+    with pytest.raises(TypeError):
+        fan.cones[_cone([0, 1])] = 2
+    with pytest.raises(TypeError):
+        del fan.cones[_cone([0, 1])]
+    assert fan.cones[_cone([0, 1])] == 1 and len(fan.cones) == comb(5, 2)
+    # Built once: the same value on every call, plain and negated alike,
+    # and equal to a fan built afresh past the memoized domain.
+    assert standard_tls(2, 4) is fan
+    assert standard_tls(2, 4, negated=True) is standard_tls(2, 4, True)
+    assert standard_tls(2, 4, negated=True) == negate_fan(fan)
+    n = tropical.MEMO_COORDS
+    assert standard_tls(1, n) is not standard_tls(1, n)
+    assert standard_tls(1, n) == standard_tls(1, n)
+    # A caller's dict is copied, not shared.
+    cones = {_cone([0]): 1, _cone([1]): 1}
+    mine = SignedConeFan(2, 1, cones)
+    cones[_cone([2])] = 1
+    assert len(mine.cones) == 2
 
 
 def test_negate_fan():
@@ -553,6 +586,8 @@ def test_cone_pair_meets_matches_fm_oracle():
         else:
             v = tuple(Fraction(rng.randint(-2, 2)) for _ in range(n + 1))
         meets = cone_pair_meets(cone1, cone2, v, n)
+        # A strictly increasing relabeling, here the dense rank, keeps every comparison.
+        assert cone_pair_meets(cone1, cone2, [sorted(set(v)).index(x) for x in v], n) == meets
         tied = any(v[i] == v[c0] for i in rest)
         assert meets == _fm_meets(cone1, cone2, v, n, strict=False)
         assert _fm_meets(cone1, cone2, v, n, strict=True) == (meets and not tied)
@@ -704,9 +739,9 @@ def test_fan_pipeline_budget(monkeypatch):
 def test_fan_pipeline_builds_each_factor_fan_once(monkeypatch):
     built = []
 
-    def counting_tls(m, n):
+    def counting_tls(m, n, negated=False):
         built.append(m)
-        return standard_tls(m, n)
+        return standard_tls(m, n, negated)
 
     monkeypatch.setattr(tropical, "standard_tls", counting_tls)
     rng = random.Random(74)
