@@ -26,13 +26,15 @@ Pluecker coordinates.
 p-adic (`integer_kernel_basis`, the interpolation oracle's kernel).  The
 integer matrix A, or only its leading nc x nc block when A has more rows
 than its nc columns (call the factored rows S), is factored modulo the
-prime KERNEL_PRIME, each row packed into one int whose slots never carry
-(`_factor_mod_p`), so a row update is one big-int multiply-add with no
-reduction.  For each free column f, the entries at the pivots before f
-solve a square system in the pivot rows, lifted p-adically to p^k (Dixon
-1982) and rationally reconstructed (Wang, Guy & Davenport 1982); every
-vector is checked exactly, A x = 0 in integers against every row of A,
-before anything is returned.  Its cost follows the size of the kernel
+prime KERNEL_PRIME = 2^59 - 55, each row packed into one int of
+word-aligned slots that never carry (`_factor_mod_p`): a row update is one
+big-int multiply-add with no reduction, and a pivot row is reduced in
+packed form by folding each slot's bits above 2^59 down, times 55.  For
+each free column f, the entries at the pivots before f solve a square
+system in the pivot rows, lifted p-adically to p^k (Dixon 1982) and
+rationally reconstructed (Wang, Guy & Davenport 1982); every vector is
+checked exactly, A x = 0 in integers against every row of A, before
+anything is returned.  Its cost follows the size of the kernel
 entries, not of the minors Bareiss carries.  The check is a certificate:
 
 - ker_Q(A) lies in ker_Q(S), and rank mod p <= rank over Q (every minor
@@ -58,6 +60,7 @@ the results do not depend on the path.
 
 import re
 import sys
+from array import array
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import compress
@@ -373,18 +376,55 @@ def bareiss_kernel_basis(rows):
     return basis
 
 
-#: The 62-bit prime (the largest below 2^62) of the p-adic kernel.
-KERNEL_PRIME = 4611686018427387847
+#: The prime of the p-adic kernel: 2^59 - 55, the largest prime below 2^59.
+#: A residue fits one 64-bit word, and 2^59 = 55 mod p lets
+#: `_factor_mod_p` reduce packed rows by a shift, a mask and a small multiply.
+KERNEL_PRIME = (1 << 59) - 55
 
-#: p-adic lifting steps per kernel vector.  p^16 > 2^991 bounds the kernel
+#: p-adic lifting steps per kernel vector.  p^17 > 2^1002 bounds the kernel
 #: entries that can be reconstructed: numerators and denominators up to
-#: about 495 bits; larger kernels go to the Bareiss fallback.
-LIFT_STEPS = 16
+#: about 500 bits; larger kernels go to the Bareiss fallback.
+LIFT_STEPS = 17
 
 
-def _pack(values, size):
-    """Ints in [0, 2^(8 size)) as one int of `size`-byte slots, first lowest."""
-    return int.from_bytes(b"".join(v.to_bytes(size, "little") for v in values), "little")
+def _pack(values, words):
+    """Ints in [0, 2^64) as one int of `words`-word slots, first lowest.
+
+    `array("Q")` holds words in the host's byte order, so a big-endian host
+    swaps them to little-endian first (and `_unpack` swaps them back).  Only
+    such a host runs the swap: test runs on x86 cannot reach it.
+    """
+    slots = array("Q", bytes(8 * words * len(values)))
+    slots[::words] = array("Q", values)
+    if sys.byteorder == "big":
+        slots.byteswap()
+    return int.from_bytes(slots, "little")
+
+
+def _unpack(packed, words, count):
+    """The low words of the first `count` slots of a `_pack`ed int (the
+    inverse of `_pack` for slots below 2^64)."""
+    slots = array("Q", packed.to_bytes(8 * words * count, "little"))
+    if sys.byteorder == "big":
+        slots.byteswap()
+    return slots[::words]
+
+
+def _folder(p, words, count):
+    """fold(v) for an int of `count` slots of `words` words and p = 2^s - e:
+    each slot hi 2^s + lo becomes the congruent e hi + lo, twice: the
+    special-form reduction of Crandall & Pomerance, Prime Numbers, 9.2.3,
+    slot by slot (the bounds are in `_factor_mod_p`)."""
+    s = p.bit_length()
+    e = (1 << s) - p
+    lo = int.from_bytes(((1 << s) - 1).to_bytes(8 * words, "little") * count, "little")
+    hi = int.from_bytes(((1 << 64 * words - s) - 1).to_bytes(8 * words, "little") * count, "little")
+
+    def fold(v):
+        v = ((v >> s) & hi) * e + (v & lo)
+        return ((v >> s) & hi) * e + (v & lo)
+
+    return fold
 
 
 def _factor_mod_p(rows, nc, p):
@@ -393,17 +433,28 @@ def _factor_mod_p(rows, nc, p):
     the pivot L[i][i], upper[i] holds U[i][j] for j > i (U unit upper
     triangular), as residues.  The pivot is the first row nonzero mod p.
 
-    Each row is one int of W-bit slots, slot 0 at the current column (each
-    column drops it: row >> W).  A row update is one multiply-add, row +
-    (p - f) * top = row - f * top mod p, with no reduction; only the pivot
-    row is unpacked, reduced, scaled and repacked as top (its columns after
-    the pivot).  A slot starts below p and each of its at most min(nrows,
-    ncols) updates adds (p - f) y < p^2 < 2^124, so it stays below (nrows +
-    1) p^2 < 2^(124 + bit_length(nrows) + 1) <= 2^W: no slot ever carries.
+    p is KERNEL_PRIME = 2^s - e (s = 59, e = 55).  Each row is one int of
+    W-bit slots, W a multiple of 64 (`_pack`), slot 0 at the current column
+    (each column drops it: row >> W).  A row update is one multiply-add,
+    row + (p - f) * top = row - f * top mod p, with no reduction.  Only the
+    pivot row is reduced, in packed form: its columns after the pivot
+    become top = fold(fold(row >> W) * inv), where fold (`_folder`) takes
+    two rounds of replacing each slot hi 2^s + lo by the congruent e hi + lo.
+
+    No slot ever carries.  A slot starts below p, and each of its fewer
+    than n = nrows updates adds (p - f) t < 2p^2 < 2^(2s+1) for a top slot
+    t < 2p, so it stays below 2^(2s+1+b), b = bit_length(n), which W is
+    chosen to hold: two words up to 511 rows.  A round takes a slot below
+    2^(2s+1+b) below e 2^(s+1+b) + 2^s < 2^(s+7+b), the second round below
+    e 2^(7+b) + 2^s < 2p (for b <= 46, far past any matrix here).  So the
+    folded row is below 2p, times inv below 2p^2, and folded again below
+    2p.  upper reads the low word of each top slot (2p < 2^64) and
+    subtracts p once where needed.
     """
-    size = (125 + len(rows).bit_length() + 7) // 8
-    width, mask = 8 * size, (1 << 8 * size) - 1
-    work = [_pack([x % p for x in row], size) for row in rows]
+    words = (2 * p.bit_length() + 1 + len(rows).bit_length() + 63) // 64
+    width, mask = 64 * words, (1 << 64 * words) - 1
+    fold = _folder(p, words, nc)
+    work = [_pack([x % p for x in row], words) for row in rows]
     order = list(range(len(work)))
     mults = [[] for _ in work]
     pivots, lower, upper = [], [], []
@@ -416,11 +467,9 @@ def _factor_mod_p(rows, nc, p):
         for a in (work, order, mults):
             a[r], a[k] = a[k], a[r]
         inv = pow((work[r] & mask) % p, -1, p)
-        data = (work[r] >> width).to_bytes(size * (nc - c - 1), "little")
-        top = [int.from_bytes(data[j:j + size], "little") * inv % p for j in range(0, len(data), size)]
+        top = fold(fold(work[r] >> width) * inv)
         lower.append(mults[r] + [inv])
-        upper.append(top)
-        top = _pack(top, size)
+        upper.append([u - p if u >= p else u for u in _unpack(top, words, nc - c - 1)])
         for i in range(r + 1, len(work)):
             f = (work[i] & mask) % p
             mults[i].append(f)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
 from itertools import combinations, compress, count
-from math import comb, factorial, isqrt, prod
+from math import comb, factorial, isqrt, lcm, prod
 from operator import or_
 from types import MappingProxyType
 
@@ -283,13 +283,19 @@ def draw_generic_vector(n, rng):
 
 @cache
 def _first_primes_from(start, count):
-    out = []
-    x = start
-    while len(out) < count:
-        if all(x % p for p in range(2, isqrt(x) + 1)):
-            out.append(x)
-        x += 1
-    return tuple(out)
+    """The first `count` primes >= start: a sieve of Eratosthenes whose
+    bound doubles until it holds them."""
+    bound = 2 * (start + count)
+    while True:
+        sieve = bytearray([1]) * bound
+        sieve[:2] = bytes(2)
+        for x in range(2, isqrt(bound - 1) + 1):
+            if sieve[x]:
+                sieve[x * x::x] = bytes(len(range(x * x, bound, x)))
+        primes = tuple(compress(range(start, bound), sieve[start:]))
+        if len(primes) >= count:
+            return primes[:count]
+        bound *= 2
 
 
 def stable_mult_origin(fan_f, fan_g, v):
@@ -315,7 +321,9 @@ def stable_mult_origin(fan_f, fan_g, v):
     sum can share a support); cone_pair_meets decides each hit, on the
     ranks of v's coordinates in place of v: it only compares coordinates,
     and a strictly increasing relabeling keeps every comparison, so the
-    ranks give its answers for v in small int comparisons.
+    ranks give its answers for v in small int comparisons.  Distinctness
+    and the order of v are read off integer keys, v times the lcm of its
+    denominators, another such relabeling.
     """
     n = fan_f.ambient_dim
     if fan_g.ambient_dim != n:
@@ -326,9 +334,12 @@ def stable_mult_origin(fan_f, fan_g, v):
             % (fan_f.dim, fan_g.dim, n))
     if len(v) != n + 1:
         raise ValueError("displacement vector has wrong length")
-    if len({Fraction(x) for x in v}) != n + 1:
+    coords = [Fraction(x) for x in v]
+    scale = lcm(*(x.denominator for x in coords))
+    keys = [x.numerator * (scale // x.denominator) for x in coords]
+    if len(set(keys)) != n + 1:
         raise NonGenericVector("displacement coordinates are not pairwise distinct")
-    order = sorted(range(n + 1), key=v.__getitem__)
+    order = sorted(range(n + 1), key=keys.__getitem__)
     walk = [1 << i for i in order]
     ranks = [0] * (n + 1)
     for rank, i in enumerate(order):

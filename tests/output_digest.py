@@ -1,6 +1,8 @@
 """Print one sha256 over the exit codes and stdout of the README payloads
 (`perfbench/probes.README_CASES`) and of `paper-suite`, all at the default
-seed.  Standard library only, so every installed Python can run it:
+seed, and of the interp payloads of `tests/interp_goldens.json` at their
+seed 20259 (kernels at interp size).  Standard library only, so every
+installed Python can run it:
 
     python3 tests/output_digest.py
 
@@ -18,7 +20,10 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 from hadamard_spaces import cli  # noqa: E402
 from probes import README_CASES, run_case  # noqa: E402
 
-CASES = README_CASES + [("paper-suite", ["paper-suite"], {})]
+INTERP_GOLDENS = json.loads((ROOT / "tests" / "interp_goldens.json").read_text())
+
+CASES = README_CASES + [("paper-suite", ["paper-suite"], {})] + [
+    ("interp " + g["name"], ["interp", "--seed", "20259"], g["payload"]) for g in INTERP_GOLDENS]
 
 if __name__ == "__main__":
     digest = hashlib.sha256()

@@ -368,9 +368,30 @@ def test_packed_factor_matches_list_factor():
     low_rank = [[rng.randint(-99, 99) for _ in range(5)] for _ in range(64)]
     right = [[rng.randint(-9, 9) for _ in range(52)] for _ in range(5)]
     matrices.append([[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] for row in low_rank])
+    # More than 511 rows: three-word slots.
+    matrices.append([[rng.randint(-p, p) for _ in range(40)] for _ in range(600)])
     for rows in filter(None, matrices):
         nc = len(rows[0])
         assert linalg._factor_mod_p(rows, nc, p) == _factor_mod_p_lists(rows, nc, p), rows
+
+
+@pytest.mark.parametrize("words, rows", [(2, 511), (3, 2 ** 46 - 1)], ids=["two_words", "three_words"])
+def test_fold_keeps_residues_below_2p_and_pack_round_trips(words, rows):
+    # Slots below 2^(119 + bit_length(rows)), the bound of _factor_mod_p's
+    # proof for `rows` rows, fold to congruent slots below 2p.
+    p = KERNEL_PRIME
+    rng = random.Random(words)
+    width, bound = 64 * words, 2 ** (2 * 59 + 1 + rows.bit_length())
+    assert bound <= 2 ** width
+    slots = [0, p, 2 * p - 1, bound - 1] + [rng.randrange(bound) for _ in range(200)]
+    folded = linalg._folder(p, words, len(slots))(sum(v << width * j for j, v in enumerate(slots)))
+    out = [(folded >> width * j) % 2 ** width for j in range(len(slots))]
+    assert folded >> width * len(slots) == 0
+    assert all(w < 2 * p and w % p == v % p for v, w in zip(slots, out))
+    values = [0, 2 ** 64 - 1] + [rng.randrange(2 ** 64) for _ in range(50)]
+    packed = linalg._pack(values, words)
+    assert packed == sum(v << width * j for j, v in enumerate(values))
+    assert list(linalg._unpack(packed, words, len(values))) == values
 
 
 def _matrices(nr, nc, entries):
@@ -442,10 +463,11 @@ def _is_prime(n):
     return True
 
 
-def test_kernel_prime_is_the_largest_62_bit_prime():
-    assert KERNEL_PRIME.bit_length() == 62 and _is_prime(KERNEL_PRIME)
-    assert not any(_is_prime(x) for x in range(KERNEL_PRIME + 1, 2 ** 62))
-    assert not _is_prime(KERNEL_PRIME * 4611686018427387817)
+def test_kernel_prime_is_the_largest_59_bit_prime():
+    assert KERNEL_PRIME.bit_length() == 59 and _is_prime(KERNEL_PRIME)
+    assert not any(_is_prime(x) for x in range(KERNEL_PRIME + 1, 2 ** 59))
+    assert pow(2, 59, KERNEL_PRIME) == 55  # the fold of _factor_mod_p
+    assert not _is_prime(KERNEL_PRIME * 576460752303423389)
     assert not _is_prime(3215031751)  # a strong pseudoprime to bases 2, 3, 5, 7
 
 

@@ -628,6 +628,8 @@ def test_stable_mult_validation():
     bad_v = (Fraction(1), Fraction(1), Fraction(2), Fraction(3))
     with pytest.raises(NonGenericVector):
         stable_mult_origin(standard_tls(1, 3), standard_tls(2, 3), bad_v)
+    with pytest.raises(NonGenericVector):  # equal values of different types
+        stable_mult_origin(standard_tls(1, 3), standard_tls(2, 3), (1, Fraction(2, 3), Fraction(2), 2))
 
 
 def _mixed_fan(rng, m, n):
@@ -708,6 +710,18 @@ def test_draw_generic_vector_matches_float_sqrt_prime_search():
     first = tropical._first_primes_from(1009, 20)
     assert first == tuple(_first_primes_by_float_sqrt(1009, 20))
     assert tropical._first_primes_from(1009, 20) is first
+
+
+def test_prime_sieve_matches_trial_division():
+    # Small counts from several starts, and counts that double the sieve's
+    # bound a few times.
+    for start in (2, 3, 10, 97, 1009):
+        for count in range(30):
+            assert tropical._first_primes_from(start, count) == tuple(
+                _first_primes_by_float_sqrt(start, count))
+    for start, count in [(2, 500), (1009, 600)]:
+        assert tropical._first_primes_from(start, count) == tuple(
+            _first_primes_by_float_sqrt(start, count))
 
 
 def test_fan_pipeline_budget(monkeypatch):
