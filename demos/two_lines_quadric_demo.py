@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Walkthrough: the product of two lines in P^3 is a quadric surface.
 
-Two independent routes produce the same equation: interpolation from exact
-samples of the product, and a bracket-polynomial formula whose ten
+Two independent routes produce the same equation: exact interpolation on a
+parameter grid of the product, and a bracket-polynomial formula whose ten
 coefficients are built from the Pluecker coordinates of the two lines.
 The formula itself is certified by a 20-variable symbolic expansion.
 """
@@ -23,7 +23,7 @@ print("L through [2:3:5:7], [11:13:17:19];  M through [23:29:31:37], [41:43:47:5
 
 sampler = hadamard_product_sampler(linear_space_sampler(line_l),
                                    linear_space_sampler(line_m))
-degree, interpolated = interpolate_hypersurface(sampler, 3, rng)
+degree, interpolated = interpolate_hypersurface(sampler, 3)
 print("\nInterpolation from exact samples finds a hypersurface of degree", degree)
 print("  ", interpolated)
 

@@ -2,7 +2,8 @@
 linear spaces: generator matrices and Pluecker formulas for line powers,
 star configurations from collinear points, Terracini tangent spans,
 tropical degree formulas cross-checked against fan computations, and an
-interpolation oracle recovering defining equations from samples.
+interpolation oracle recovering defining equations exactly from a
+unisolvent parameter grid.
 """
 
 from .linalg import (BudgetExhausted, PreconditionError, QMatrix, integer_rank, rat,

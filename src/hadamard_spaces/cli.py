@@ -2,7 +2,8 @@
 
 Every subcommand reads a JSON payload (from --in or standard input), runs
 one computation with a single seeded random state, and emits a JSON
-document.  Identical payload + seed always produces byte-identical output.
+document.  Identical payload + seed always produces byte-identical output;
+`interp` reads no random state, so its output is the same at every seed.
 
 Exit codes: 0 success, 1 payload validation error (the message points at
 the offending field), 2 mathematical precondition failure (the message
@@ -10,10 +11,16 @@ names the violated hypothesis), 3 retry/sampling budget exhaustion.  Exit 3
 also covers every limit checked before the work:
 - `degree --transcript` fans past tropical.FAN_BUDGET;
 - a `degree` whose digit bound is past Python's int-to-str limit;
-- `line-power` past products.SPAN_DIM_WORK_LIMIT (its power matrix) or
-  past line_powers.LINE_POWER_OUTPUT_LIMIT (its printed entries);
-- `span-dim` past products.SPAN_DIM_WORK_LIMIT;
-- an `interp` degree past products.INTERP_MONOMIAL_BUDGET;
+- `line-power` past products.SPAN_DIM_WORK_LIMIT or
+  products.SPAN_DIM_BIT_WORK_LIMIT (its power matrix) or past
+  line_powers.LINE_POWER_OUTPUT_LIMIT (its printed entries);
+- `span-dim` past products.SPAN_DIM_WORK_LIMIT or, with explicit
+  generators, past products.SPAN_DIM_BIT_WORK_LIMIT (counting its entries'
+  bits);
+- an `interp` degree past products.INTERP_MONOMIAL_BUDGET, or whose
+  parameter grid times its monomials is past products.INTERP_GRID_LIMIT;
+- an `interp` of an empty product (a reciprocal factor in a coordinate
+  hyperplane, or factors whose product map vanishes);
 - `bracket verify` trials past brackets.VERIFY_TRIALS_LIMIT.
 """
 
@@ -36,8 +43,8 @@ from .linalg import (BudgetExhausted, PreconditionError, QMatrix, integer_rank, 
 from .line_powers import (check_line_power_limits, line_power_matrix, line_power_minor,
                           power_linear_equations, sampled_power_span)
 from .poly import SparsePoly
-from .products import (check_span_dim_work, expected_dimension, gen_vandermonde,
-                       interpolate_forms, interpolate_hypersurface,
+from .products import (check_span_dim_bit_work, check_span_dim_work, expected_dimension,
+                       gen_vandermonde, interpolate_forms, interpolate_hypersurface,
                        span_dimension_formula, terracini_span)
 from .projective import LinSpace, PPoint, pluecker
 from .samplers import (hadamard_power_sampler, hadamard_product_sampler,
@@ -259,6 +266,7 @@ def cmd_span_dim(payload, rng, args):
             entries.append((space, mult))
         n = entries[0][0].ambient_dim
         check_span_dim_work([(s.dim, r) for s, r in entries], n)
+        check_span_dim_bit_work(entries)
     else:
         dims = _parse_dim_mult_list(_want(payload, "dims", list), "dims")
         if not dims:
@@ -328,12 +336,12 @@ def cmd_interp(payload, rng, args):
         d = _want(payload, "degree", int)
         if d < 1:
             raise ValidationError("degree", "degree must be >= 1")
-        forms = interpolate_forms(sampler, d, rng)
+        forms = interpolate_forms(sampler, d)
         return {"degree": d, "forms": [f.to_json() for f in forms]}
     dmax = _want(payload, "dmax", int)
     if dmax < 1:
         raise ValidationError("dmax", "dmax must be >= 1")
-    degree, form = interpolate_hypersurface(sampler, dmax, rng)
+    degree, form = interpolate_hypersurface(sampler, dmax)
     return {"degree": degree, "form": form.to_json()}
 
 

@@ -23,7 +23,8 @@ free column.  This path serves the many small rational matrices of spans
 and tangent spaces, and through `integer_det` the integer minors of
 Pluecker coordinates.
 
-p-adic (`integer_kernel_basis`, the interpolation oracle's kernel).  The
+p-adic (`integer_kernel_basis`, the kernel of the interpolation oracle's
+evaluation matrix at its parameter grid, wide or tall).  The
 integer matrix A, or only its leading nc x nc block when A has more rows
 than its nc columns (call the factored rows S), is factored modulo the
 prime KERNEL_PRIME = 2^59 - 55, each row packed into one int of
@@ -51,8 +52,11 @@ entries, not of the minors Bareiss carries.  The check is a certificate:
 
 A vector that fails the check with the same reconstruction at two steps in
 a row (an unlucky prime, or a block S with a larger kernel than A) stops
-the lifting at once and sends a block to all of A; all of A, or entries
-beyond the lifting reach, go to Bareiss.  The result is always exact.
+the lifting at once; so does one that has not passed within LIFT_STEPS
+steps (entries beyond the lifting reach, which a spurious vector of a
+singular block can have while A's own kernel is small).  Either sends a
+block on to all of A, and all of A on to Bareiss.  The result is always
+exact.
 
 The rank, the RREF, the kernel basis and the determinant are unique, so
 the results do not depend on the path.
@@ -527,9 +531,9 @@ def _annihilates(rows, vec):
 
 def _dixon_kernel(rows, height, nc):
     """The kernel basis lifted from one factorization mod KERNEL_PRIME of
-    the first `height` rows, checked on all rows.  A vector failing its
-    check gives None as soon as two steps in a row reconstruct it (see the
-    module docstring), and False if it does not pass within LIFT_STEPS
+    the first `height` rows, checked on all rows, or None when a vector
+    fails its check: as soon as two steps in a row reconstruct it the same
+    (see the module docstring), or when it has not passed within LIFT_STEPS
     steps (beyond the lifting reach).
 
     For free column f with k pivots before it, the pivot entries y solve
@@ -562,7 +566,7 @@ def _dixon_kernel(rows, height, nc):
                 if vec == last:
                     return None
         else:
-            return False
+            return None
         vectors.append(vec)
     return vectors
 
@@ -577,8 +581,6 @@ def integer_kernel_basis(rows):
     nc = len(rows[0])
     for height in ([nc] if len(rows) > nc else []) + [len(rows)]:
         vectors = _dixon_kernel(rows, height, nc)
-        if vectors is False:
-            break
         if vectors is not None:
             return vectors
     return bareiss_kernel_basis(rows)

@@ -15,7 +15,8 @@ from math import comb, prod
 
 from .linalg import BudgetExhausted, PreconditionError
 from .poly import SparsePoly
-from .products import SPAN_DIM_WORK_LIMIT, column_points, gen_vandermonde, vandermonde_work
+from .products import (SPAN_DIM_BIT_WORK_LIMIT, SPAN_DIM_WORK_LIMIT, column_points,
+                       gen_vandermonde, vandermonde_bit_work, vandermonde_work)
 from .projective import LinSpace, permutation_sign
 
 #: Most Pluecker entries plus equations `line-power` prints
@@ -28,14 +29,6 @@ from .projective import LinSpace, permutation_sign
 #: 1.5 s; a line of two column points at r = 1 in P^243 0.5 s.  The work
 #: limit's edge, a clean line in P^3 at r = 1245, takes 1.6 s.
 LINE_POWER_OUTPUT_LIMIT = 30000
-
-#: Most `power_bit_work` that `line-power` accepts; past it,
-#: `check_line_power_limits` raises BudgetExhausted before any work.  Whole
-#: `line-power` calls on a 2-vCPU Xeon VM took 1.0-2.3 * 10^-13 s per unit
-#: in P^3, P^10 and P^20 (entries of 6 to 1,003 bits), so the limit keeps
-#: a power near 2 s; a line of 67-bit entries in P^3 at r = 300 took 7.4 s
-#: and a line of 60-digit entries there ran past 60 s.
-LINE_POWER_BIT_WORK_LIMIT = 10 ** 13
 
 
 def line_power_matrix(line, r):
@@ -73,36 +66,20 @@ def power_output_count(line, r):
     return comb(n + 1, d + 1) + (comb(n + 1, d + 2) if c == n + 1 and r < n else n - d)
 
 
-def power_bit_work(line, r):
-    """The work R C k^3 (r b)^2 of eliminating the r-th power matrix of a
-    line in P^n: R = r + 1 rows, C = n + 1 columns, k = min(R, C), and b
-    the largest bit length of the line's integer generator entries.
-
-    The power matrix's entries are products of r generator entries, of up
-    to r b bits.  Bareiss makes about R C k cell updates, those of step j
-    on minors of about j r b bits, and CPython multiplies and exactly
-    divides ints of these sizes in time about quadratic in their bits.
-    `products.vandermonde_work` counts the same updates linearly in r
-    only, which is right for the small entries it was timed on.
-    """
-    bits = max(abs(x).bit_length() for row in line.generators.ints for x in row)
-    rows, cols = r + 1, line.ambient_dim + 1
-    return rows * cols * min(rows, cols) ** 3 * (r * bits) ** 2
-
-
 def check_line_power_limits(line, r):
     """Raise BudgetExhausted when the r-th power of a line is past a limit:
     its (r+1) x (n+1) power matrix past span-dim's SPAN_DIM_WORK_LIMIT
     (`products.vandermonde_work`) or, counting its entries' bits, past
-    LINE_POWER_BIT_WORK_LIMIT (`power_bit_work`); or its output past
-    LINE_POWER_OUTPUT_LIMIT (`power_output_count`)."""
+    span-dim's SPAN_DIM_BIT_WORK_LIMIT (`products.vandermonde_bit_work`,
+    entries of up to r b bits for b the line's largest bit length); or its
+    output past LINE_POWER_OUTPUT_LIMIT (`power_output_count`)."""
     n = line.ambient_dim
     if vandermonde_work([(1, r)], n) > SPAN_DIM_WORK_LIMIT:
         raise BudgetExhausted("the power matrix at r = %d in P^%d is past the work limit of %d"
                               % (r, n, SPAN_DIM_WORK_LIMIT))
-    if power_bit_work(line, r) > LINE_POWER_BIT_WORK_LIMIT:
+    if vandermonde_bit_work([(line, r)]) > SPAN_DIM_BIT_WORK_LIMIT:
         raise BudgetExhausted("the power matrix at r = %d in P^%d, counting its entries' bits, "
-                              "is past the bit work limit of %d" % (r, n, LINE_POWER_BIT_WORK_LIMIT))
+                              "is past the bit work limit of %d" % (r, n, SPAN_DIM_BIT_WORK_LIMIT))
     count = power_output_count(line, r)
     if count > LINE_POWER_OUTPUT_LIMIT:
         raise BudgetExhausted("the power at r = %d in P^%d has %d Pluecker entries and "

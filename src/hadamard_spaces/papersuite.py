@@ -171,14 +171,14 @@ def degree_by_both_routes(plain, recip, n, rng):
     return closed if (dim, closed) == (fan["dim"], fan["degree"]) else None
 
 
-def reciprocal_degrees_hold(plane, line_a, line_b, rng):
+def reciprocal_degrees_hold(plane, line_a, line_b):
     """Interpolation finds the reciprocal of a plane in P^3 a cubic surface
     and line_a times the reciprocal of line_b a quadric."""
     recip_plane = samplers.reciprocal_sampler(plane)
     mixed = samplers.hadamard_product_sampler(
         samplers.linear_space_sampler(line_a), samplers.reciprocal_sampler(line_b))
-    return (products.interpolate_hypersurface(recip_plane, 4, rng)[0] == 3
-            and products.interpolate_hypersurface(mixed, 4, rng)[0] == 2)
+    return (products.interpolate_hypersurface(recip_plane, 4)[0] == 3
+            and products.interpolate_hypersurface(mixed, 4)[0] == 2)
 
 
 def self_product_squares_hyperplane(line):
@@ -189,12 +189,12 @@ def self_product_squares_hyperplane(line):
     return proportional(brackets.quadric_two_lines(pl, pl), h * h)
 
 
-def cubic_matches_interpolation(plane, rng):
+def cubic_matches_interpolation(plane):
     """The bracket cubic of a plane in P^5 is proportional to the cubic that
     interpolation finds on its Hadamard square."""
     cubic = brackets.cubic_plane_square(pluecker(plane))
     sampler = samplers.hadamard_power_sampler(samplers.linear_space_sampler(plane), 2)
-    degree, form = products.interpolate_hypersurface(sampler, 3, rng)
+    degree, form = products.interpolate_hypersurface(sampler, 3)
     return degree == 3 and proportional(cubic, form)
 
 
@@ -222,7 +222,7 @@ def check_two_lines_quadric(rng):
     l, m = benchmark_lines()
     sampler = samplers.hadamard_product_sampler(
         samplers.linear_space_sampler(l), samplers.linear_space_sampler(m))
-    degree, form = products.interpolate_hypersurface(sampler, 3, rng)
+    degree, form = products.interpolate_hypersurface(sampler, 3)
     bracket_form = brackets.quadric_two_lines(pluecker(l), pluecker(m))
     ok = (degree == 2 and proportional(form, TWO_LINES_QUADRIC)
           and proportional(bracket_form, TWO_LINES_QUADRIC))
@@ -292,7 +292,7 @@ def check_reciprocal_interpolation(rng):
     plane = LinSpace([[1, 2, 3, 4], [1, 3, 7, 13], [2, 1, 5, 3]])
     line_a = LinSpace([[1, 2, 3, 4], [1, 3, 7, 13]])
     line_b = LinSpace([[3, 1, 4, 1], [2, 7, 1, 8]])
-    ok = reciprocal_degrees_hold(plane, line_a, line_b, rng)
+    ok = reciprocal_degrees_hold(plane, line_a, line_b)
     return ok, "reciprocal plane degree 3, line*reciprocal-line degree 2"
 
 
@@ -304,7 +304,7 @@ def check_quadric_identities(rng):
 
 
 def check_cubic_vs_interpolation(rng):
-    ok = cubic_matches_interpolation(benchmark_plane(), rng)
+    ok = cubic_matches_interpolation(benchmark_plane())
     return ok, "bracket cubic proportional to the degree-3 interpolation"
 
 

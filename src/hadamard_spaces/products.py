@@ -9,30 +9,41 @@ Below full rank a line gets a constructed exact collision, and only a
 rank-deficient space of higher dimension falls back to a sampled search.
 
 The interpolation oracle replaces ideal elimination as the independent
-verification route: degree-d forms vanishing on a sampled variety are the
-kernel of the monomial-evaluation matrix built from more samples than
-monomials.  Everything is exact, so a recovered form vanishes identically
-on the samples, not approximately.
+verification route: the degree-d forms vanishing on a sampled variety are
+exactly the kernel of the monomial-evaluation matrix at a parameter grid, a
+tensor product of principal lattices read off the sampler's factors, which
+is unisolvent for the compositions of the forms with the product map (proof
+in interpolate_forms).  Nothing is drawn, the grid's parameters are small
+integers, and every limit is checked before anything is built.
 """
 
 import warnings
+from collections import Counter
+from itertools import combinations_with_replacement
 from math import comb, prod
-from operator import mul
+from operator import add, itemgetter, mul
 
 from .linalg import (BudgetExhausted, PreconditionError, QMatrix, integer_kernel_basis,
                      integer_rank, primitive_ints)
 from .poly import SparsePoly, monomial_products, monomials_of_degree
 from .projective import LinSpace, PPoint, sample_point
 
-#: Oversampling margin for interpolation: extra rows beyond the monomial
-#: count, as a fraction of it, that only the kernel's exact check reads.
-#: They make spurious kernel vectors a probability-zero event.
-OVERSAMPLE_NUM, OVERSAMPLE_DEN = 1, 4
-
 #: Largest monomial count binom(n+d, d) `interpolate_forms` accepts; past it,
-#: it raises BudgetExhausted before any draw.  The slowest payload measured
-#: at 300 (degree 2 on a 20-space in P^23) takes 4.3 s on a 2-vCPU Xeon VM.
+#: it raises BudgetExhausted before building anything.  The slowest payload
+#: measured at 300, degree 2 on a 20-space in P^23, took 4.3 s on drawn
+#: points and takes 1.1 s on the grid (231 rows), on a 2-vCPU Xeon VM.
 INTERP_MONOMIAL_BUDGET = 300
+
+#: Largest grid size (`interpolation_grid_size`) times monomial count that
+#: `interpolate_forms` accepts; past it, it raises BudgetExhausted before
+#: building anything.  The cost is the exact check of every kernel vector on
+#: every grid row, so the slowest payloads have many rows and many forms.
+#: Whole processes on a 2-vCPU Xeon VM: degree 2 on a reciprocal line times
+#: a reciprocal line in P^23 with 4 distinct generator columns (2,209 rows,
+#: 290 forms) 2.6-3.0 s, on a reciprocal plane times a line in P^21 (718,014
+#: cells, 243 forms) 2.2 s; in P^22 (895,356 cells, refused) it took 3.9 s
+#: and in P^23 (1,015,200 cells) 6.5 s.
+INTERP_GRID_LIMIT = 750000
 
 #: Largest work of a generalized Vandermonde rank (`check_span_dim_work`)
 #: that `span-dim` accepts; past it, it raises BudgetExhausted before any
@@ -41,6 +52,16 @@ INTERP_MONOMIAL_BUDGET = 300
 #: P^735293 2.1 s (321 MiB), [[1, 55]] in P^30 2.3 s, [[3, 24]] in P^10
 #: 1.1 s and [[1, 39]] in P^39 1.5 s.
 SPAN_DIM_WORK_LIMIT = 10 ** 8
+
+#: Largest `vandermonde_bit_work` that `span-dim` with explicit generators
+#: and `line-power` accept; past it, they raise BudgetExhausted before any
+#: work.  Whole processes on a 2-vCPU Xeon VM took 0.6-2.3 * 10^-13 s per
+#: unit on heavy payloads (entries of 6 to 1,003 bits, P^3 to P^20), so
+#: the limit keeps a rank near 2 s.  `span-dim` of a line of 60-digit
+#: entries: mult 120 in P^3 (1.8 * 10^13) took 2.5 s and mult 40 in P^10
+#: (3.8 * 10^13) 4.6 s, both now refused; mult 300 in P^3 took 32.9 s.  A
+#: `line-power` of 67-bit entries in P^3 at r = 300 took 7.4 s.
+SPAN_DIM_BIT_WORK_LIMIT = 10 ** 13
 
 
 def gen_vandermonde(entries):
@@ -94,11 +115,40 @@ def vandermonde_work(dims_and_mults, n):
     return rows * cols * (k * k * sum(r for _, r in dims_and_mults) + 64)
 
 
+def vandermonde_bit_work(entries):
+    """The work R C k^3 B^2 of eliminating `gen_vandermonde(entries)`, for
+    (LinSpace, multiplicity r_k) entries in P^n: R = prod binom(m_k + r_k,
+    r_k) rows, C = n + 1 columns, k = min(R, C), and B = sum r_k b_k for
+    b_k the largest bit length of space k's integer generator entries.
+
+    A matrix entry is a product of r_k generator entries of each space, of
+    up to B bits.  Bareiss makes about R C k cell updates, those of step j
+    on minors of about j B bits, and CPython multiplies and exactly divides
+    ints of these sizes in time about quadratic in their bits.
+    `vandermonde_work` counts the same updates linearly in sum r_k only,
+    which is right for the small entries it was timed on; check it first,
+    so that R here is small.
+    """
+    rows = prod(comb(space.dim + r, r) for space, r in entries)
+    cols = entries[0][0].ambient_dim + 1
+    bits = sum(r * max(abs(x).bit_length() for row in space.generators.ints for x in row)
+               for space, r in entries)
+    return rows * cols * min(rows, cols) ** 3 * bits ** 2
+
+
 def check_span_dim_work(dims_and_mults, n):
     """Raise BudgetExhausted when `vandermonde_work` is past SPAN_DIM_WORK_LIMIT."""
     if vandermonde_work(dims_and_mults, n) > SPAN_DIM_WORK_LIMIT:
         raise BudgetExhausted("the generalized Vandermonde matrix in P^%d is past the "
                               "span-dim work limit of %d" % (n, SPAN_DIM_WORK_LIMIT))
+
+
+def check_span_dim_bit_work(entries):
+    """Raise BudgetExhausted when `vandermonde_bit_work` is past SPAN_DIM_BIT_WORK_LIMIT."""
+    if vandermonde_bit_work(entries) > SPAN_DIM_BIT_WORK_LIMIT:
+        raise BudgetExhausted("the generalized Vandermonde matrix in P^%d, counting its "
+                              "entries' bits, is past the bit work limit of %d"
+                              % (entries[0][0].ambient_dim, SPAN_DIM_BIT_WORK_LIMIT))
 
 
 def identifiability_regime_bound(dims_and_mults):
@@ -251,48 +301,189 @@ def expected_dimension(dim_x, dim_y, dim_h, dim_g):
     return min(dim_x + dim_y - dim_h, dim_g)
 
 
-def interpolate_forms(sampler, d, rng, points=None):
-    """Basis of degree-d forms vanishing on the sampled variety.
+def _lattice_points(gens, top):
+    """(i_1 + ... + i_m, g_0 + i_1 g_1 + ... + i_m g_m) for the generator
+    rows g_0..g_m and every i >= 0 with i_1 + ... + i_m <= top (the
+    principal lattice), one vector addition each."""
+    out = []
 
-    Uses binom(n+d, d) monomials and 25% more samples than monomials, the
-    first of `points` (canonical integer points; extended in place by fresh
-    draws, a new list when None).  The kernel of the integer evaluation
-    matrix contains the true degree-d piece of the vanishing ideal and
-    equals it with probability one over seeds; it is solved on as many
-    samples as monomials, and the extra ones serve its exact check.
+    def rec(vec, j, left):
+        if j == len(gens):
+            out.append((top - left, vec))
+            return
+        for rest in range(left, -1, -1):
+            rec(vec, j + 1, rest)
+            vec = tuple(map(add, vec, gens[j]))
+
+    rec(tuple(gens[0]), 1, top)
+    return out
+
+
+def _reciprocal_ints(a):
+    """prod_{j != k} a_j for every k: the point 1/a times prod a where a has
+    no zero coordinate, and the same polynomial map where it has."""
+    zeros = [k for k, x in enumerate(a) if not x]
+    if not zeros:
+        total = prod(a)
+        return tuple(total // x for x in a)
+    out = [0] * len(a)
+    if len(zeros) == 1:
+        out[zeros[0]] = prod(x for x in a if x)
+    return tuple(out)
+
+
+def _multiset_products(points, r):
+    """(sum of the sizes, entrywise product of the points) for every
+    multiset of r of the (size, point) pairs."""
+    out = []
+    for multiset in combinations_with_replacement(points, r):
+        size, vec = multiset[0]
+        for more, other in multiset[1:]:
+            size += more
+            vec = tuple(map(mul, vec, other))
+        out.append((size, vec))
+    return out
+
+
+def _factor_groups(sampler, d):
+    """(space, reciprocal?, r, D) per distinct factor of a sampler: r the
+    number of factors equal to it and D its block degree at degree d, d for
+    a linear factor and d n for a reciprocal one in P^n."""
+    return [(space, reciprocal, r, d * space.ambient_dim if reciprocal else d)
+            for (space, reciprocal), r in Counter(sampler.factors).items()]
+
+
+def interpolation_grid_size(sampler, d):
+    """The number of grid points of `interpolation_grid` before zero and
+    repeated ones are dropped, computed without building any: the product
+    over distinct factors of binom(L + r - 1, r), the multisets of size r
+    of the factor's L = binom(D + m, m) lattice points."""
+    size = 1
+    for space, _, r, top in _factor_groups(sampler, d):
+        size *= comb(comb(top + space.dim, space.dim) + r - 1, r)
+    return size
+
+
+def interpolation_grid(sampler, d):
+    """The distinct nonzero points of the degree-d parameter grid of a
+    sampled variety, as integer tuples (the proof that they determine the
+    degree-d forms is in `interpolate_forms`).
+
+    A factor with integer generator rows g_0..g_m in P^n takes the
+    parameters (1, i) for i in the principal lattice {i_1 + ... + i_m <= D}
+    of its block degree D: its point is a = g_0 + i_1 g_1 + ... + i_m g_m,
+    or the point (prod_{j != k} a_j)_k for a reciprocal factor.  The r equal
+    factors of a power take the multisets of size r of these points, and the
+    grid is the entrywise product of one choice per distinct factor.
+
+    The points come in increasing total size sum |i| of their parameters,
+    and a point with a zero coordinate is made primitive before repeated
+    points are dropped.  Both serve the kernel, which factors only the
+    leading square block of a tall evaluation matrix
+    (`linalg.integer_kernel_basis`) and falls back to the whole matrix
+    when that block is singular.  The lattice taken line by line puts many
+    points of one curve there; smallest sizes first spread it over the
+    grid.  Zero coordinates make multiples of one point: a reciprocal
+    factor maps every a with one zero coordinate j to a multiple of the
+    unit vector e_j, and a product keeps that.  Points without a zero
+    coordinate are kept as computed, which is cheaper than their gcd.
+
+    Raises BudgetExhausted for an empty product: a reciprocal factor whose
+    generators have a zero column (its space lies in a coordinate
+    hyperplane, so its reciprocal is empty), or a grid whose points are all
+    zero (the product map then vanishes identically).
+    """
+    blocks = []
+    for space, reciprocal, r, top in _factor_groups(sampler, d):
+        gens = space.generators.ints
+        points = _lattice_points(gens, top)
+        if reciprocal:
+            zero = next((k for k, col in enumerate(zip(*gens)) if not any(col)), None)
+            if zero is not None:
+                raise BudgetExhausted("a reciprocal factor lies in the coordinate hyperplane "
+                                      "x_%d = 0, so its reciprocal is empty" % zero)
+            points = [(size, _reciprocal_ints(a)) for size, a in points]
+        blocks.append(_multiset_products([p for p in points if any(p[1])], r))
+    grid = blocks[0]
+    for block in blocks[1:]:
+        grid = [(size + more, tuple(map(mul, vec, other)))
+                for size, vec in grid for more, other in block]
+    grid.sort(key=itemgetter(0))
+    grid = list(dict.fromkeys(vec if all(vec) else primitive_ints(vec)
+                              for _, vec in grid if any(vec)))
+    if not grid:
+        raise BudgetExhausted("every point of the parameter grid is zero, so the product "
+                              "of the factors is empty")
+    return grid
+
+
+def interpolate_forms(sampler, d):
+    """Basis of the degree-d forms vanishing on a sampled variety X: the
+    integer kernel of the evaluation matrix of the binom(n+d, d) monomials
+    at the points of `interpolation_grid`.  Nothing is drawn.
+
+    Proof that the kernel is exactly I_d(X), the degree-d forms vanishing
+    on X.  X is the closure of the image of phi = phi_1 * ... * phi_K,
+    where phi_k(s) = s G_k for a linear factor with generator matrix G_k
+    and, for a reciprocal factor in P^n, phi_k(s) = (prod_{j != l} a_j)_l
+    for a = s G_k, a polynomial of degree n in s.  On the parameters where
+    no reciprocal factor's a has a zero coordinate and phi is not zero,
+    phi is the point that the samplers multiply; they form a dense open set
+    U, nonempty because no reciprocal factor's generators have a zero
+    column (such a space's reciprocal is empty) and phi does not vanish at
+    every grid point (its coordinates have block degrees at most D_k, so by
+    the unisolvence below, phi would otherwise vanish identically).  For a
+    form F of degree d, F o phi is homogeneous of degree D_k in block k, so
+    F vanishes on X iff F o phi vanishes on U iff F o phi = 0 as a
+    polynomial.  Setting the first parameter of each block to 1 keeps a
+    block-homogeneous polynomial's coefficients and leaves one of total
+    degree at most D_k in block k.  The principal lattice {i_1 + ... + i_m
+    <= D} is unisolvent for polynomials of total degree <= D (Chung & Yao,
+    SIAM J. Numer. Anal. 1977), and a tensor product of unisolvent sets is
+    unisolvent for the tensor product of the spaces (vanish on the grid one
+    block at a time).  So F o phi = 0 iff it vanishes on the grid.  A grid
+    point is a point of X or zero, F is zero at zero, and scaling a point
+    scales its row; F o phi is symmetric in the parameters of equal factors,
+    so the multisets give every value of the full tensor product.  Hence
+    F is in I_d(X) iff it vanishes at every point of the grid.
+
+    Raises BudgetExhausted before building anything when the monomial count
+    is past INTERP_MONOMIAL_BUDGET or the grid size times the monomial count
+    is past INTERP_GRID_LIMIT, and for an empty product
+    (`interpolation_grid`).
     """
     if d < 1:
         raise PreconditionError("degree must be >= 1")
     n = sampler.ambient_dim
-    if comb(n + d, d) > INTERP_MONOMIAL_BUDGET:
+    monomial_count = comb(n + d, d)
+    if monomial_count > INTERP_MONOMIAL_BUDGET:
         raise BudgetExhausted("degree %d in P^%d has %d monomials, past the budget of %d"
-                              % (d, n, comb(n + d, d), INTERP_MONOMIAL_BUDGET))
+                              % (d, n, monomial_count, INTERP_MONOMIAL_BUDGET))
+    size = interpolation_grid_size(sampler, d)
+    if size * monomial_count > INTERP_GRID_LIMIT:
+        raise BudgetExhausted("degree %d has a grid of %d points by %d monomials, past the "
+                              "grid limit of %d" % (d, size, monomial_count, INTERP_GRID_LIMIT))
+    points = interpolation_grid(sampler, d)
+    rows = list(zip(*monomial_products(list(zip(*points)), d)))
     monomials = monomials_of_degree(n + 1, d)
-    count = len(monomials) + (len(monomials) * OVERSAMPLE_NUM + OVERSAMPLE_DEN - 1) // OVERSAMPLE_DEN
-    points = [] if points is None else points
-    points.extend(sampler.sample_point(rng).canonical() for _ in range(count - len(points)))
-    rows = list(zip(*monomial_products(list(zip(*points[:count])), d)))
     return [SparsePoly._trusted(n + 1, {m: v for m, v in zip(monomials, vec) if v}).primitive()
             for vec in integer_kernel_basis(rows)]
 
 
-def interpolate_hypersurface(sampler, dmax, rng):
+def interpolate_hypersurface(sampler, dmax):
     """Degree and defining form of a sampled hypersurface.
 
     Returns the smallest d <= dmax with a one-dimensional space of
-    vanishing forms, together with that form, integer-cleared.  A kernel of
-    dimension greater than one at the first hit means the variety is not a
-    hypersurface (or the sampling was insufficient) and raises.  One draw
-    serves the whole search: degree d reads the first samples of one
-    growing list.
+    vanishing forms (`interpolate_forms`), together with that form,
+    integer-cleared.  A kernel of dimension greater than one at the first
+    hit means the variety is not a hypersurface and raises.
     """
-    points = []
     for d in range(1, dmax + 1):
-        forms = interpolate_forms(sampler, d, rng, points)
+        forms = interpolate_forms(sampler, d)
         if len(forms) == 1:
             return d, forms[0]
         if len(forms) > 1:
             raise PreconditionError(
-                "kernel dimension %d at degree %d: not a hypersurface or undersampled"
+                "kernel dimension %d at degree %d: not a hypersurface"
                 % (len(forms), d))
     raise PreconditionError("no vanishing form found up to degree %d" % dmax)

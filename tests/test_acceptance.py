@@ -117,7 +117,7 @@ def test_criterion_06_reciprocal_degrees():
     # Hypersurface cases against the interpolation oracle.
     plane = suite.random_space(2, 3, rng)
     line_a, line_b = suite.random_space(1, 3, rng), suite.random_space(1, 3, rng)
-    ok = ok and suite.reciprocal_degrees_hold(plane, line_a, line_b, rng)
+    ok = ok and suite.reciprocal_degrees_hold(plane, line_a, line_b)
     ok = ok and all(suite.degree_by_both_routes([], [(1, 1)], n, rng) == n
                     for n in range(2, 7))
     report(6, ok, "reciprocal degree formula equals the fan pipeline on %d instances; "
@@ -185,7 +185,7 @@ def test_criterion_09_cubic_against_interpolation():
     planes = 0
     for _ in range(5):
         # The first cubic of the process asserts the orbit transport's well-definedness.
-        ok = ok and suite.cubic_matches_interpolation(suite.random_space(2, 5, rng, 9), rng)
+        ok = ok and suite.cubic_matches_interpolation(suite.random_space(2, 5, rng, 9))
         planes += 1
     report(9, ok, "bracket cubic agrees with degree-3 interpolation for %d random "
                   "planes; orbit transport well-definedness assertions all passed" % planes)

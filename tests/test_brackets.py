@@ -144,11 +144,10 @@ def test_cubic_representative_column_degrees():
 
 
 def test_cubic_matches_interpolation():
-    rng = random.Random(75)
     plane = LinSpace([[3, 1, 4, 1, 5, 9], [2, 6, 5, 3, 5, 8], [9, 7, 9, 3, 2, 3]])
     cubic = cubic_plane_square(pluecker(plane))
     sampler = hadamard_power_sampler(linear_space_sampler(plane), 2)
-    degree, form = interpolate_hypersurface(sampler, 3, rng)
+    degree, form = interpolate_hypersurface(sampler, 3)
     assert degree == 3
     assert proportional(cubic, form)
 

@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 from hadamard_spaces import brackets, cli, line_powers, products, projective, samplers
-from hadamard_spaces.linalg import QMatrix
+from hadamard_spaces.linalg import QMatrix, integer_kernel_basis
+from hadamard_spaces.poly import SparsePoly, monomial_products, monomials_of_degree
 
 RUN = [sys.executable, "-m", "hadamard_spaces.cli"]
 
@@ -237,22 +238,33 @@ def test_interp_stdout_over_seeds_is_unchanged(monkeypatch, capsys):
     assert digest.hexdigest() == INTERP_SEEDS_SHA256
 
 
-def test_interp_dmax_search_draws_each_point_once(monkeypatch, capsys):
-    # Degrees 1, 2 and 3 of the squared plane in P^5 read the first 8, 27
-    # and 70 samples of one list; a fresh draw per degree took 105.
-    calls = []
-    draw = samplers.VarietySampler.sample_point
+class _NoDraws:
+    """A stand-in for `random.Random` whose every method call fails."""
 
-    def counted(self, rng):
-        calls.append(rng)
-        return draw(self, rng)
+    def __init__(self, seed=None):
+        pass
 
-    monkeypatch.setattr(samplers.VarietySampler, "sample_point", counted)
-    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(
-        {"sampler": INTERP_CYCLE_PAYLOADS[0], "dmax": 3})))
-    assert cli.main(["interp"]) == 0
-    assert json.loads(capsys.readouterr().out)["degree"] == 3
-    assert len(calls) == 70
+    def __getattr__(self, name):
+        raise AssertionError("random state read: %s" % name)
+
+
+def test_interp_draws_nothing_and_ignores_the_seed(monkeypatch, capsys):
+    # The forms come from the parameter grid: no point is drawn, no random
+    # state is read, and every seed prints the same bytes.
+    def no_point(self, rng):
+        raise AssertionError("VarietySampler.sample_point called")
+
+    monkeypatch.setattr(samplers.VarietySampler, "sample_point", no_point)
+    monkeypatch.setattr(cli.random, "Random", _NoDraws)
+    payloads = [{"sampler": s, "dmax": 3} for s in INTERP_CYCLE_PAYLOADS]
+    payloads += [g["payload"] for g in INTERP_GOLDENS]
+    for payload in payloads:
+        outputs = set()
+        for seed in ("1", "2", "3", "20259"):
+            monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(payload)))
+            assert cli.main(["interp", "--seed", seed]) == 0
+            outputs.add(capsys.readouterr().out)
+        assert len(outputs) == 1
 
 
 def test_interp_past_the_monomial_budget_exit_3():
@@ -272,6 +284,115 @@ def test_interp_past_the_monomial_budget_exit_3():
     proc = run_cli("interp", {"sampler": space, "dmax": 40})
     assert proc.returncode == 3 and proc.stdout == ""
     assert json.loads(proc.stderr)["error"]["message"].startswith("degree 4 in P^7 has 330 monomials")
+
+
+def test_interp_empty_products_and_the_grid_limit_exit_3():
+    # A reciprocal factor in a coordinate hyperplane is empty: the parameter
+    # grid alone would print the forms vanishing at [0 : 0 : 1].  Disjoint
+    # supports make every grid point zero.
+    for payload, message in (
+            ({"sampler": {"type": "reciprocal", "generators": [[1, 2, 0], [3, 4, 0]]}, "degree": 1},
+             "hyperplane x_2 = 0"),
+            ({"sampler": {"type": "product", "factors": [
+                {"type": "linear", "generators": [[1, 2, 0, 0]]},
+                {"type": "linear", "generators": [[0, 0, 1, 1], [0, 0, 1, 2]]}]}, "dmax": 3},
+             "every point of the parameter grid is zero"),
+            # 74,613 grid points of a reciprocal 6-space in P^8 by 45 quadrics
+            # took 3.8 s; a reciprocal plane times a line in P^22 at degree 2
+            # (895,356 cells) 3.9 s.
+            ({"sampler": {"type": "reciprocal", "generators": [
+                [int(i == j) + j for j in range(9)] for i in range(7)]}, "degree": 2},
+             "grid limit of %d" % products.INTERP_GRID_LIMIT),
+            ({"sampler": {"type": "product", "factors": [
+                {"type": "reciprocal", "generators": [[1] * 23, list(range(1, 24)),
+                                                      [j * j + 1 for j in range(23)]]},
+                {"type": "linear", "generators": [[1] * 23, list(range(23))]}]}, "degree": 2},
+             "grid limit of %d" % products.INTERP_GRID_LIMIT)):
+        start = time.perf_counter()
+        proc = run_cli("interp", payload)
+        assert time.perf_counter() - start < 1.0
+        assert (proc.returncode, proc.stdout) == (3, "") and "Traceback" not in proc.stderr
+        error = json.loads(proc.stderr)["error"]
+        assert error["code"] == 3 and message in error["message"]
+
+
+def _sampled_interpolate_forms(sampler, d, rng):
+    """The sampled route that the parameter grid replaced, kept as the
+    oracle: the integer kernel of the monomials at a quarter more drawn
+    points than monomials, which is I_d with probability one.  An empty
+    product runs out of draws (BudgetExhausted)."""
+    if d < 1:
+        raise products.PreconditionError("degree must be >= 1")
+    n = sampler.ambient_dim
+    if comb(n + d, d) > products.INTERP_MONOMIAL_BUDGET:
+        raise products.BudgetExhausted("past the monomial budget")
+    monomials = monomials_of_degree(n + 1, d)
+    count = len(monomials) + (len(monomials) + 3) // 4
+    points = [sampler.sample_point(rng).canonical() for _ in range(count)]
+    rows = list(zip(*monomial_products(list(zip(*points)), d)))
+    return [SparsePoly._trusted(n + 1, {m: v for m, v in zip(monomials, vec) if v}).primitive()
+            for vec in integer_kernel_basis(rows)]
+
+
+def _fuzz_sampler(rng, n, tags, depth=0):
+    """A random sampler payload in P^n with small entries, recording in
+    `tags` which degenerate cases it holds."""
+    kind = rng.choice(["linear", "reciprocal", "point"] + ["power", "product"] * (depth < 2))
+    if kind == "power":
+        return {"type": "power", "r": rng.randint(2, 3), "base": _fuzz_sampler(rng, n, tags, depth + 1)}
+    if kind == "product":
+        first = _fuzz_sampler(rng, n, tags, depth + 1)
+        if rng.random() < 0.3:
+            tags.add("equal adjacent factors")
+            return {"type": "product", "factors": [first, first]}
+        return {"type": "product", "factors": [first, _fuzz_sampler(rng, n, tags, depth + 1)]}
+    support = sorted(rng.sample(range(n + 1), rng.randint(1, n + 1)))
+    m = 0 if kind == "point" else rng.randint(0, min(2, len(support) - 1))
+    rows = [[rng.choice([1, -1, 2, 3, -2, 0]) if j in support else 0 for j in range(n + 1)]
+            for _ in range(m + 1)]
+    if kind == "point":
+        tags.add("point factor")
+        return {"type": "linear", "generators": rows}
+    if any(not any(col) for col in zip(*rows)):
+        tags.add("zero column")
+    return {"type": kind, "generators": rows}
+
+
+def test_interp_grid_matches_the_sampled_oracle_fuzzed(monkeypatch, capsys):
+    # Stdout and exit code of `interp` on the grid and on the sampled route,
+    # on random samplers with point factors, zero columns, disjoint supports
+    # and equal adjacent factors.
+    rng = random.Random(2024)
+    tags, codes, cases = set(), set(), 0
+    while cases < 150:
+        n = rng.randint(1, 3)
+        payload = {"sampler": _fuzz_sampler(rng, n, tags)}
+        key, d = rng.choice([("degree", 1), ("degree", 2), ("dmax", 3)])
+        payload[key] = d
+        try:
+            sampler = cli._parse_sampler(payload["sampler"], "sampler")
+        except cli.ValidationError:
+            continue
+        if products.interpolation_grid_size(sampler, d) * comb(n + d, d) > 4000:
+            continue
+        cases += 1
+        outcomes = []
+        for route in ("grid", "sampled"):
+            if route == "sampled":
+                draws = random.Random(cases)
+                oracle = lambda s, e: _sampled_interpolate_forms(s, e, draws)
+                monkeypatch.setattr(products, "interpolate_forms", oracle)
+                monkeypatch.setattr(cli, "interpolate_forms", oracle)
+            monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(payload)))
+            code = cli.main(["interp"])
+            outcomes.append((code, capsys.readouterr().out))
+        monkeypatch.undo()
+        assert outcomes[0] == outcomes[1], payload
+        codes.add(outcomes[0][0])
+        if outcomes[0][0] == 3 and "reciprocal" not in json.dumps(payload):
+            tags.add("disjoint supports")
+    assert tags == {"point factor", "zero column", "disjoint supports", "equal adjacent factors"}
+    assert codes == {0, 2, 3}
 
 
 def test_malformed_json_exit_1():
@@ -413,7 +534,7 @@ def test_line_power_past_its_limits_exit_3():
     big = 10 ** 60
     digits = [[big + 1, big + 2, big + 3, big + 5], [big + 7, 2 * big + 11, 3 * big + 13, 5 * big + 17]]
     for payload, limit in (({"line": _clean_line(100), "r": 1}, line_powers.LINE_POWER_OUTPUT_LIMIT),
-                           ({"line": digits, "r": 300}, line_powers.LINE_POWER_BIT_WORK_LIMIT),
+                           ({"line": digits, "r": 300}, products.SPAN_DIM_BIT_WORK_LIMIT),
                            ({"line": _clean_line(3), "r": 100000}, products.SPAN_DIM_WORK_LIMIT),
                            ({"line": _clean_line(3), "r": 2000}, products.SPAN_DIM_WORK_LIMIT),
                            ({"line": [[1] * 1001, [0, 1] * 500 + [0]], "r": 1},
@@ -471,7 +592,7 @@ def test_line_power_limit_boundaries():
     # for b = 9 (refused).
     for b in (3, 6, 9):
         line = projective.LinSpace([[1, 1, 1, 1], [1, 2, 3, 2 ** b - 1]])
-        assert line_powers.power_bit_work(line, 1000) == 1001 * 4 * 4 ** 3 * (1000 * b) ** 2
+        assert products.vandermonde_bit_work([(line, 1000)]) == 1001 * 4 * 4 ** 3 * (1000 * b) ** 2
         if b < 9:
             line_powers.check_line_power_limits(line, 1000)
         else:
@@ -567,6 +688,44 @@ def test_span_dim_past_the_work_limit_exit_3():
         assert (proc.returncode, proc.stdout) == (3, "") and "Traceback" not in proc.stderr
         error = json.loads(proc.stderr)["error"]
         assert error["code"] == 3 and str(products.SPAN_DIM_WORK_LIMIT) in error["message"]
+
+
+def _digits_line(n, digits):
+    """A line in P^n whose integer entries all have `digits` digits."""
+    big = 10 ** (digits - 1)
+    return [[big + i for i in range(n + 1)], [big + i * i + 7 for i in range(n + 1)]]
+
+
+def test_span_dim_past_the_bit_work_limit_exit_3(monkeypatch):
+    # A line of 60-digit entries took 32.9 s at mult 300 in P^3 and 15.3 s
+    # at mult 60 in P^10; a 100-digit line at mult 40 in P^20 ran past 60 s.
+    for n, digits, mult in ((3, 60, 300), (10, 60, 60), (20, 100, 40)):
+        payload = {"spaces": [{"generators": _digits_line(n, digits), "mult": mult}]}
+        start = time.perf_counter()
+        proc = run_cli("span-dim", payload)
+        assert time.perf_counter() - start < 1.0
+        assert (proc.returncode, proc.stdout) == (3, "") and "Traceback" not in proc.stderr
+        error = json.loads(proc.stderr)["error"]
+        assert error["code"] == 3 and str(products.SPAN_DIM_BIT_WORK_LIMIT) in error["message"]
+    # Both sides of the limit: 200-bit entries in P^3 give (r + 1) 4 4^3 (200 r)^2,
+    # 9.7e12 at r = 98 and 1.004e13 at r = 99.
+    line = projective.LinSpace([[1, 1, 1, 1], [1, 2, 3, 2 ** 200 - 1]])
+    assert products.vandermonde_bit_work([(line, 98)]) == 99 * 4 * 4 ** 3 * (200 * 98) ** 2
+    products.check_span_dim_bit_work([(line, 98)])
+    with pytest.raises(products.BudgetExhausted, match="bit work limit"):
+        products.check_span_dim_bit_work([(line, 99)])
+    generators = [list(row) for row in line.generators.ints]
+    assert run_cli("span-dim", {"spaces": [{"generators": generators, "mult": 99}]}).returncode == 3
+    assert json.loads(run_cli("span-dim", {"spaces": [{"generators": generators, "mult": 9}]})
+                      .stdout)["match"] is True
+    # Two spaces add their bits: 2 * 200 + 3 * 2 bits, 3 * 4 = 12 rows, 4 columns.
+    other = projective.LinSpace([[1, 0, 1, 2], [0, 1, 3, 1]])
+    assert products.vandermonde_bit_work([(line, 2), (other, 3)]) == 12 * 4 * 4 ** 3 * 406 ** 2
+    # The drawn route counts shapes only: its bits never reach the check.
+    calls = []
+    monkeypatch.setattr(cli, "check_span_dim_bit_work", calls.append)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps({"dims": [[1, 2]], "n": 3})))
+    assert cli.main(["span-dim"]) == 0 and calls == []
 
 
 def test_vandermonde_ranks_build_no_rref(monkeypatch, capsys):

@@ -296,6 +296,21 @@ def test_refused_block_vector_is_lifted_twice(monkeypatch):
     assert len(lift_calls) == 2
 
 
+def test_block_vector_past_the_lifting_reach_moves_on_to_the_whole(monkeypatch):
+    # The leading 2 x 2 block is singular, and its kernel vector (-b, a) has
+    # 593-bit entries, past the reach of p^LIFT_STEPS: every reconstruction
+    # fails its check and differs from the last, so the block lifts all
+    # LIFT_STEPS steps.  The whole matrix has full rank and answers; no
+    # Bareiss pass is made.
+    rng = random.Random(24)
+    a, b = rng.getrandbits(600) | 1 << 599, rng.getrandbits(600) | 1 << 599
+    a, b = a // gcd(a, b), b // gcd(a, b)
+    assert min(a.bit_length(), b.bit_length()) > 590
+    lift_calls = _count_calls(monkeypatch, "_lift")
+    assert _ladder(monkeypatch, [[a, b], [2 * a, 2 * b], [1, 0]]) == ([], [("block", 2), ("whole", 3)])
+    assert len(lift_calls) == linalg.LIFT_STEPS
+
+
 def test_interp_sized_tall_kernel_factors_its_square_block(monkeypatch):
     # 70 samples of the square of a plane in P^5 against its 56 cubic
     # monomials: one kernel vector, the cubic.

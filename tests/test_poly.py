@@ -318,7 +318,7 @@ def test_polynomial_producers_build_no_fraction(monkeypatch, capsys):
     quadric, cubic = quadric_two_lines(pl_l, pl_m), cubic_plane_square(pl_p)
     assert built == [] and quadric.den > 1 and cubic.den > 1
     assert quadric_symbolic_identity().is_zero()
-    forms = interpolate_forms(sampler, 2, random.Random(5))
+    forms = interpolate_forms(sampler, 2)
     assert len(forms) == 1 and proportional(forms[0], quadric)
     assert not proportional(forms[0], quadric + quadric * quadric)
     for f in (quadric, cubic, cubic * cubic - cubic.scale(Fraction(2, 3))):

@@ -310,9 +310,8 @@ def degenerate_line_p5():
 
 
 def test_interpolate_forms_degenerate_square():
-    rng = random.Random(50)
     sampler = hadamard_power_sampler(linear_space_sampler(degenerate_line_p5()), 2)
-    forms = interpolate_forms(sampler, 1, rng)
+    forms = interpolate_forms(sampler, 1)
     assert len(forms) == 3
     from hadamard_spaces.poly import SparsePoly
     target = SparsePoly.linear_form([0, 0, 9, -1, 0, 0])
@@ -332,23 +331,22 @@ def test_interpolate_forms_generic_power_hyperplane():
     if not pluecker(line).nonvanishing():
         line = LinSpace([[1, 1, 1, 1, 1], [1, 2, 3, 4, 5]])
     sampler = hadamard_power_sampler(linear_space_sampler(line), n - 1)
-    forms = interpolate_forms(sampler, 1, rng)
+    forms = interpolate_forms(sampler, 1)
     assert len(forms) == 1
     assert proportional(forms[0], power_hyperplane(pluecker(line)))
 
 
 def test_interpolate_forms_two_lines_no_linear_form():
-    rng = random.Random(52)
     l = line_through(PPoint([2, 3, 5, 7]), PPoint([11, 13, 17, 19]))
     m = line_through(PPoint([23, 29, 31, 37]), PPoint([41, 43, 47, 53]))
     sampler = hadamard_product_sampler(linear_space_sampler(l), linear_space_sampler(m))
-    assert interpolate_forms(sampler, 1, rng) == []
+    assert interpolate_forms(sampler, 1) == []
 
 
 def test_interpolated_forms_vanish_on_fresh_samples():
     rng = random.Random(53)
     sampler = hadamard_power_sampler(linear_space_sampler(degenerate_line_p5()), 2)
-    forms = interpolate_forms(sampler, 1, rng)
+    forms = interpolate_forms(sampler, 1)
     for _ in range(100):
         pt = sampler.sample_point(rng)
         for form in forms:
@@ -358,7 +356,7 @@ def test_interpolated_forms_vanish_on_fresh_samples():
 def test_interpolate_hypersurface_reciprocal_plane():
     rng = random.Random(54)
     plane = random_space(2, 3, rng)
-    degree, form = interpolate_hypersurface(reciprocal_sampler(plane), 4, rng)
+    degree, form = interpolate_hypersurface(reciprocal_sampler(plane), 4)
     assert degree == 3
     for _ in range(10):
         pt = reciprocal_sampler(plane).sample_point(rng)
@@ -369,7 +367,44 @@ def test_interpolate_hypersurface_error_when_not_hypersurface():
     rng = random.Random(55)
     line = random_space(1, 3, rng)  # a line in P^3 is not a hypersurface
     with pytest.raises(PreconditionError):
-        interpolate_hypersurface(linear_space_sampler(line), 2, rng)
+        interpolate_hypersurface(linear_space_sampler(line), 2)
+
+
+def test_grid_row_counts_match_the_formula():
+    # binom(L + r - 1, r) multisets of each distinct factor's L = binom(D + m, m)
+    # lattice points: 55 = binom(11, 2) for the squared plane at degree 3
+    # (L = 10) and for the reciprocal plane in P^3 (D = 9, L = 55).
+    plane = LinSpace([[3, 1, 4, 1, 5, 9], [2, 6, 5, 3, 5, 8], [9, 7, 9, 3, 2, 3]])
+    squared = hadamard_power_sampler(linear_space_sampler(plane), 2)
+    same_plane_twice = hadamard_product_sampler(linear_space_sampler(plane),
+                                                linear_space_sampler(LinSpace(plane.generators)))
+    line_a = LinSpace([[1, 2, 3, 4], [1, 3, 7, 13]])
+    line_b = LinSpace([[3, 1, 4, 1], [2, 7, 1, 8]])
+    cases = [
+        (squared, 1, 6), (squared, 2, 21), (squared, 3, 55), (same_plane_twice, 3, 55),
+        (reciprocal_sampler(LinSpace([[1, 2, 3, 4], [1, 3, 7, 13], [2, 1, 5, 3]])), 3, 55),
+        (hadamard_product_sampler(linear_space_sampler(line_a), linear_space_sampler(line_b)), 2, 9),
+        (hadamard_product_sampler(linear_space_sampler(line_a), reciprocal_sampler(line_b)), 2, 21),
+    ]
+    for sampler, d, rows in cases:
+        assert products.interpolation_grid_size(sampler, d) == rows
+        assert len(products.interpolation_grid(sampler, d)) == rows
+    # Zero and repeated points are dropped: the reciprocal line's parameter
+    # (1, 0) gives a = (1, 0, 0), with two zero coordinates, and so the zero
+    # point; a power of a point has one multiset.
+    recip_line = reciprocal_sampler(LinSpace([[1, 0, 0], [0, 1, 1]]))
+    assert products.interpolation_grid_size(recip_line, 1) == 3
+    assert products.interpolation_grid(recip_line, 1) == [(1, 1, 1), (4, 2, 2)]
+    # A point with a zero coordinate is made primitive first: the reciprocal
+    # line's e_1 times the line's (1, 1, 1) and (2, 3, 4) is one point.
+    mixed = hadamard_product_sampler(reciprocal_sampler(LinSpace([[1, 0, 1], [0, 1, 1]])),
+                                     linear_space_sampler(LinSpace([[1, 1, 1], [1, 2, 3]])))
+    assert products.interpolation_grid_size(mixed, 1) == 6
+    grid = products.interpolation_grid(mixed, 1)
+    assert len(grid) == 5 and grid.count((0, 1, 0)) == 1
+    point_cubed = hadamard_power_sampler(linear_space_sampler(LinSpace([[1, 2, 3]])), 3)
+    assert products.interpolation_grid_size(point_cubed, 2) == 1
+    assert products.interpolation_grid(point_cubed, 2) == [(1, 8, 27)]
 
 
 def test_interpolation_past_the_monomial_budget_draws_nothing():
@@ -377,7 +412,7 @@ def test_interpolation_past_the_monomial_budget_draws_nothing():
     sampler = linear_space_sampler(random_space(1, 11, rng))
     state = rng.getstate()
     with pytest.raises(BudgetExhausted, match=r"degree 5 in P\^11 has 4368 monomials"):
-        interpolate_forms(sampler, 5, rng)
+        interpolate_forms(sampler, 5)
     assert rng.getstate() == state
 
 
