@@ -5,10 +5,12 @@ one computation with a single seeded random state, and emits a JSON
 document.  Identical payload + seed always produces byte-identical output;
 `interp` reads no random state, so its output is the same at every seed.
 
-Exit codes: 0 success, 1 payload validation error (the message points at
-the offending field), 2 mathematical precondition failure (the message
-names the violated hypothesis), 3 retry/sampling budget exhaustion.  Exit 3
-also covers every limit checked before the work:
+Exit codes: 0 success (`-h`/`--help` too), 1 payload or command-line
+validation error (the message points at the offending field, or at the
+flag: `command`, `seed`, `format`, ...), 2 mathematical precondition
+failure (the message names the violated hypothesis), 3 retry/sampling
+budget exhaustion.  Exit 3 also covers every limit checked before the
+work:
 - `degree --transcript` fans past tropical.FAN_BUDGET;
 - a `degree` whose digit bound is past Python's int-to-str limit;
 - `line-power` past products.SPAN_DIM_WORK_LIMIT or
@@ -436,11 +438,20 @@ NEEDS_PAYLOAD = {"line-power", "star-config", "span-dim", "degree", "interp",
                  "dim-estimate", "bracket"}
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors raise argparse.ArgumentError, which
+    `main` prints as a JSON validation error, instead of printing usage and
+    exiting 2, the code of a precondition failure."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
 @cache
 def build_parser():
     """The argument parser, built once per process; parsing leaves it unchanged."""
-    parser = argparse.ArgumentParser(
-        prog="hadamard-spaces",
+    parser = _Parser(
+        prog="hadamard-spaces", exit_on_error=False,
         description="Exact computations with Hadamard products of projective linear spaces.")
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
@@ -466,7 +477,10 @@ def _fail(code, field, message):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except argparse.ArgumentError as exc:
+        return _fail(1, exc.argument_name and exc.argument_name.lstrip("-"), str(exc))
     if args.seed < 0:
         return _fail(1, "seed", "seed must be a nonnegative integer")
 

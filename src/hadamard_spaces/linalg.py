@@ -27,15 +27,17 @@ p-adic (`integer_kernel_basis`, the kernel of the interpolation oracle's
 evaluation matrix at its parameter grid, wide or tall).  The
 integer matrix A, or only its leading nc x nc block when A has more rows
 than its nc columns (call the factored rows S), is factored modulo the
-prime KERNEL_PRIME = 2^59 - 55, each row packed into one int of
-word-aligned slots that never carry (`_factor_mod_p`): a row update is one
-big-int multiply-add with no reduction, and a pivot row is reduced in
-packed form by folding each slot's bits above 2^59 down, times 55.  For
-each free column f, the entries at the pivots before f solve a square
-system in the pivot rows, lifted p-adically to p^k (Dixon 1982) and
-rationally reconstructed (Wang, Guy & Davenport 1982); every vector is
-checked exactly, A x = 0 in integers against every row of A, before
-anything is returned.  Its cost follows the size of the kernel
+prime KERNEL_PRIME = 2^27 - 39, each row packed into one int of
+word-aligned slots that never carry (`_factor_mod_p`), one 64-bit word
+each up to 511 rows: a row update is one big-int multiply-add with no
+reduction, and a pivot row is reduced in packed form by folding each
+slot's bits above 2^27 down, times 39.  For each free column f, the
+entries at the pivots before f solve a square system in the pivot rows,
+lifted p-adically to p^k (Dixon 1982), each step's residue one CPython
+digit, and rationally reconstructed (Wang, Guy & Davenport 1982) over a
+common denominator, which spares Euclid on entries that share it; every
+vector is checked exactly, A x = 0 in integers against every row of A,
+before anything is returned.  Its cost follows the size of the kernel
 entries, not of the minors Bareiss carries.  The check is a certificate:
 
 - ker_Q(A) lies in ker_Q(S), and rank mod p <= rank over Q (every minor
@@ -50,16 +52,17 @@ entries, not of the minors Bareiss carries.  The check is a certificate:
   the unique primitive one positive at its free column and zero at the
   others: the one the Bareiss path returns.
 
-A vector that fails the check with the same reconstruction at two steps in
-a row (an unlucky prime, or a block S with a larger kernel than A) stops
-the lifting at once; so does one that has not passed within LIFT_STEPS
-steps (entries beyond the lifting reach, which a spurious vector of a
-singular block can have while A's own kernel is small).  Either sends a
-block on to all of A, and all of A on to Bareiss.  The result is always
-exact.
+A vector that fails the check with the same reconstruction at two
+attempts in a row (an unlucky prime, or a block S with a larger kernel
+than A) stops the lifting at once; so does one that has not passed within
+LIFT_STEPS steps (entries beyond the lifting reach, which a spurious
+vector of a singular block can have while A's own kernel is small).
+Either sends a block on to all of A, and all of A on to Bareiss.  The
+result is always exact.
 
 The rank, the RREF, the kernel basis and the determinant are unique, so
-the results do not depend on the path.
+the results do not depend on the path, nor on the prime: only the time
+does.
 """
 
 import re
@@ -380,15 +383,16 @@ def bareiss_kernel_basis(rows):
     return basis
 
 
-#: The prime of the p-adic kernel: 2^59 - 55, the largest prime below 2^59.
-#: A residue fits one 64-bit word, and 2^59 = 55 mod p lets
-#: `_factor_mod_p` reduce packed rows by a shift, a mask and a small multiply.
-KERNEL_PRIME = (1 << 59) - 55
+#: The prime of the p-adic kernel: 2^27 - 39, the largest prime below 2^27.
+#: A residue is one CPython digit (30 bits), a slot of `_factor_mod_p` is
+#: one 64-bit word up to 511 rows, and 2^27 = 39 mod p lets it reduce
+#: packed rows by a shift, a mask and a small multiply.
+KERNEL_PRIME = (1 << 27) - 39
 
-#: p-adic lifting steps per kernel vector.  p^17 > 2^1002 bounds the kernel
+#: p-adic lifting steps per kernel vector.  p^38 > 2^1002 bounds the kernel
 #: entries that can be reconstructed: numerators and denominators up to
 #: about 500 bits; larger kernels go to the Bareiss fallback.
-LIFT_STEPS = 17
+LIFT_STEPS = 38
 
 
 def _pack(values, words):
@@ -414,19 +418,34 @@ def _unpack(packed, words, count):
     return slots[::words]
 
 
-def _folder(p, words, count):
-    """fold(v) for an int of `count` slots of `words` words and p = 2^s - e:
-    each slot hi 2^s + lo becomes the congruent e hi + lo, twice: the
+def _fold_rounds(p, bound):
+    """The rounds of `_folder` that take every slot below `bound` below 2p:
+    a round takes a slot below V below e floor((V - 1) / 2^s) + 2^s."""
+    s = p.bit_length()
+    e = (1 << s) - p
+    rounds = 0
+    while bound > 2 * p:
+        bound = e * ((bound - 1) >> s) + (1 << s)
+        rounds += 1
+    return rounds
+
+
+def _folder(p, words, count, bound):
+    """fold(v) for an int of `count` slots of `words` words, each below
+    `bound`, and p = 2^s - e: each slot hi 2^s + lo becomes the congruent
+    e hi + lo, for `_fold_rounds` rounds, which leave it below 2p: the
     special-form reduction of Crandall & Pomerance, Prime Numbers, 9.2.3,
     slot by slot (the bounds are in `_factor_mod_p`)."""
     s = p.bit_length()
     e = (1 << s) - p
     lo = int.from_bytes(((1 << s) - 1).to_bytes(8 * words, "little") * count, "little")
     hi = int.from_bytes(((1 << 64 * words - s) - 1).to_bytes(8 * words, "little") * count, "little")
+    rounds = range(_fold_rounds(p, bound))
 
     def fold(v):
-        v = ((v >> s) & hi) * e + (v & lo)
-        return ((v >> s) & hi) * e + (v & lo)
+        for _ in rounds:
+            v = ((v >> s) & hi) * e + (v & lo)
+        return v
 
     return fold
 
@@ -437,27 +456,34 @@ def _factor_mod_p(rows, nc, p):
     the pivot L[i][i], upper[i] holds U[i][j] for j > i (U unit upper
     triangular), as residues.  The pivot is the first row nonzero mod p.
 
-    p is KERNEL_PRIME = 2^s - e (s = 59, e = 55).  Each row is one int of
+    p is KERNEL_PRIME = 2^s - e (s = 27, e = 39).  Each row is one int of
     W-bit slots, W a multiple of 64 (`_pack`), slot 0 at the current column
     (each column drops it: row >> W).  A row update is one multiply-add,
     row + (p - f) * top = row - f * top mod p, with no reduction.  Only the
     pivot row is reduced, in packed form: its columns after the pivot
-    become top = fold(fold(row >> W) * inv), where fold (`_folder`) takes
-    two rounds of replacing each slot hi 2^s + lo by the congruent e hi + lo.
+    become top = fold(fold(row >> W) * inv), where fold (`_folder`) repeats
+    rounds that replace each slot hi 2^s + lo by the congruent e hi + lo.
 
     No slot ever carries.  A slot starts below p, and each of its fewer
     than n = nrows updates adds (p - f) t < 2p^2 < 2^(2s+1) for a top slot
-    t < 2p, so it stays below 2^(2s+1+b), b = bit_length(n), which W is
-    chosen to hold: two words up to 511 rows.  A round takes a slot below
-    2^(2s+1+b) below e 2^(s+1+b) + 2^s < 2^(s+7+b), the second round below
-    e 2^(7+b) + 2^s < 2p (for b <= 46, far past any matrix here).  So the
-    folded row is below 2p, times inv below 2p^2, and folded again below
-    2p.  upper reads the low word of each top slot (2p < 2^64) and
-    subtracts p once where needed.
+    t < 2p, so it stays below V = 2^(2s+1+b), b = bit_length(n), which W is
+    chosen to hold: one word up to 511 rows.  Within a round the slot's
+    bits do not mix with the next slot's, as e hi + lo < e 2^(W-s) + 2^s
+    <= 2^W.  A round takes a slot below V below V' = e h + 2^s,
+    h = floor((V - 1) / 2^s), and `_fold_rounds` counts the rounds until
+    V <= 2p.  They end: while V > 2p, h >= 1; h = 1 gives V' = e + 2^s <=
+    2p (3e <= 2^s); h >= 2 gives V' < h 2^s < V (2^s < h (2^s - e)).  Each
+    round divides V by about 2^s / e > 2^21: two rounds for b <= 15 (up to
+    32,767 rows), three for b <= 37, so the whole-matrix retry of a grid
+    with tens of thousands of rows takes three.  A folded row is below 2p,
+    times inv below 2p^2 < V, and folded again below 2p (V' grows with V,
+    so the same rounds hold).  upper reads the low word of each top slot
+    (2p < 2^64) and subtracts p once where needed.
     """
-    words = (2 * p.bit_length() + 1 + len(rows).bit_length() + 63) // 64
+    bound = 1 << 2 * p.bit_length() + 1 + len(rows).bit_length()
+    words = (bound.bit_length() - 1 + 63) // 64
     width, mask = 64 * words, (1 << 64 * words) - 1
-    fold = _folder(p, words, nc)
+    fold = _folder(p, words, nc, bound)
     work = [_pack([x % p for x in row], words) for row in rows]
     order = list(range(len(work)))
     mults = [[] for _ in work]
@@ -508,18 +534,40 @@ def _rational_reconstruct(u, m):
 def _lift(f, pivots, y, m, nc):
     """The kernel vector of free column f: its entries a/b at the pivots
     before f reconstructed from y mod m (None while one is not), cleared by
-    the lcm of the b's, which is at f; lowest terms make it primitive."""
-    pairs = []
+    the lcm of the b's, which is at f; lowest terms make it primitive.
+
+    The entries are kept as numerators over a running common denominator
+    den, the lcm of the b's so far.  An entry u with u den = w mod m for
+    some |w| <= N = sqrt(m/2) needs no Euclid when den <= N, or else when
+    den / gcd(w, den) <= N: then w / den in lowest terms is a fraction
+    within the bound that is u mod m (den is prime to m, as every b is:
+    a = u b mod m, so p dividing b would divide a), so it is the unique
+    one `_rational_reconstruct` returns, and its denominator divides den.  The others run `_rational_reconstruct` and grow den.
+    Most kernels give all entries of a vector one denominator, so one
+    Euclid per vector is the usual cost.
+    """
+    bound = isqrt(m // 2)
+    den, nums = 1, []
     for u in y:
+        w = u * den % m
+        if w > bound:
+            w -= m
+        if -bound <= w and (den <= bound or den // gcd(w, den) <= bound):
+            nums.append(w)
+            continue
         q = _rational_reconstruct(u, m)
         if q is None:
             return None
-        pairs.append(q)
-    den = lcm(*(b for _, b in pairs))
+        a, b = q
+        grow = b // gcd(den, b)
+        if grow != 1:
+            nums = [v * grow for v in nums]
+            den *= grow
+        nums.append(a * (den // b))
     vec = [0] * nc
     vec[f] = den
-    for c, (a, b) in zip(pivots, pairs):
-        vec[c] = a * (den // b)
+    for c, v in zip(pivots, nums):
+        vec[c] = v
     return tuple(vec)
 
 
@@ -529,36 +577,66 @@ def _annihilates(rows, vec):
     return all(sum(map(mul, compress(row, vec), values)) == 0 for row in rows)
 
 
+def _residual(b, square, x, p):
+    """Dixon's next right side b_(i+1) = (b_i - B x_i) / p, exact."""
+    return [(bi - sum(map(mul, row, x))) // p for bi, row in zip(b, square)]
+
+
+def _reconstruction_steps():
+    """The lifting steps at which `_dixon_kernel` attempts a reconstruction:
+    each of the first 8 (up to m = p^8 > 2^215), then each step at least a
+    third past the last attempt, and step LIFT_STEPS: 1-8, 11, 15, 20, 27,
+    36, 38.
+
+    An attempt that fails costs Euclid on m, about the square of its bit
+    length, and past the lifting reach every attempt fails: these 14
+    attempts cost about 3.1 times the last one, where one per step would
+    cost 13.2 times.  A vector within reach lifts the steps it needs up to
+    step 8, and past it at most about a third more.
+    """
+    steps = list(range(1, 9))
+    for step in range(9, LIFT_STEPS + 1):
+        if 3 * step >= 4 * steps[-1] or step == LIFT_STEPS:
+            steps.append(step)
+    return steps
+
+
 def _dixon_kernel(rows, height, nc):
     """The kernel basis lifted from one factorization mod KERNEL_PRIME of
     the first `height` rows, checked on all rows, or None when a vector
-    fails its check: as soon as two steps in a row reconstruct it the same
-    (see the module docstring), or when it has not passed within LIFT_STEPS
-    steps (beyond the lifting reach).
+    fails its check: as soon as two attempts in a row reconstruct it the
+    same (see the module docstring), or when it has not passed within
+    LIFT_STEPS steps (beyond the lifting reach).
 
     For free column f with k pivots before it, the pivot entries y solve
     B y = -A[R_<k, f] with B = A[R_<k, P_<k], whose factors mod p are the
     leading blocks of L and U.  Dixon's expansion y = sum x_i p^i takes one
     triangular solve x_i = B^-1 b_i mod p per step and the exact residual
-    b_(i+1) = (b_i - B x_i) / p.
+    b_(i+1) = (b_i - B x_i) / p, computed only when the vector has not
+    passed its check by step i.  Reconstruction is attempted at the steps
+    of `_reconstruction_steps`.
     """
     p = KERNEL_PRIME
     pivots, prows, lower, upper = _factor_mod_p(rows[:height], nc, p)
     square = [[rows[i][c] for c in pivots] for i in prows]
+    attempts = set(_reconstruction_steps())
     vectors = []
     for f in sorted(set(range(nc)).difference(pivots)):
         k = bisect_left(pivots, f)
         b = [-rows[i][f] for i in prows[:k]]
         y, m, vec = [0] * k, 1, None
-        for _ in range(LIFT_STEPS):
+        for step in range(1, LIFT_STEPS + 1):
+            if step > 1:
+                b = _residual(b, square, x, p)
             x = []
             for l, bi in zip(lower, b):
                 x.append((bi - sum(map(mul, l, x))) * l[-1] % p)
             for i in range(k - 1, -1, -1):
                 x[i] = (x[i] - sum(map(mul, upper[i], x[i + 1:]))) % p
-            b = [(bi - sum(map(mul, row, x))) // p for bi, row in zip(b, square)]
             y = [u + m * v for u, v in zip(y, x)]
             m *= p
+            if step not in attempts:
+                continue
             last, vec = vec, _lift(f, pivots, y, m, nc)
             if vec is not None:
                 if _annihilates(rows, vec):

@@ -403,6 +403,31 @@ def test_malformed_json_exit_1():
     assert err["error"]["code"] == 1
 
 
+@pytest.mark.parametrize("argv, field", [
+    (["bogus"], "command"),
+    (["degree", "--seed", "x"], "seed"),
+    (["degree", "--format", "xml"], "format"),
+], ids=["unknown_command", "seed_not_an_int", "unknown_format"])
+def test_bad_flag_is_one_json_error_exit_1(argv, field):
+    # A bad command line is a validation error naming the flag, like a bad
+    # payload field; exit 2 stays a precondition failure, and no usage text
+    # goes to stderr.
+    proc = subprocess.run(RUN + argv, input='{"plain": [[1, 1]], "n": 3}',
+                          capture_output=True, text=True)
+    assert proc.returncode == 1 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and "usage" not in proc.stderr
+    err = json.loads(lines[0])["error"]
+    assert err["code"] == 1 and err["field"] == field
+
+
+def test_help_exit_0():
+    for flag in ("-h", "--help"):
+        proc = subprocess.run(RUN + [flag], capture_output=True, text=True)
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert proc.stdout.startswith("usage: hadamard-spaces")
+
+
 def test_missing_field_names_it():
     proc = run_cli("degree", {"plain": [[1, 1]]})
     assert proc.returncode == 1

@@ -1,7 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -191,8 +191,8 @@ def test_modular_kernel_matches_bareiss(monkeypatch):
         del lift_calls[:], bareiss_calls[:]
         assert integer_kernel_basis(rows) == expected, rows
         if rows and not bareiss_calls:
-            # Lifting steps of the slowest kernel vector (args[0] is its
-            # free column); 0 for an empty kernel.
+            # Reconstruction attempts of the slowest kernel vector (args[0]
+            # is its free column); 0 for an empty kernel.
             steps_used.append(max(Counter(args[0] for args in lift_calls).values(), default=0))
         if kind == "tall":
             # Random tall matrices have full column rank: an empty kernel.
@@ -300,15 +300,21 @@ def test_block_vector_past_the_lifting_reach_moves_on_to_the_whole(monkeypatch):
     # The leading 2 x 2 block is singular, and its kernel vector (-b, a) has
     # 593-bit entries, past the reach of p^LIFT_STEPS: every reconstruction
     # fails its check and differs from the last, so the block lifts all
-    # LIFT_STEPS steps.  The whole matrix has full rank and answers; no
-    # Bareiss pass is made.
+    # LIFT_STEPS steps, attempting a reconstruction at each step of
+    # _reconstruction_steps, the last one included, and computing every
+    # residual but the last step's.  The whole matrix has full rank and
+    # answers; no Bareiss pass is made.
     rng = random.Random(24)
     a, b = rng.getrandbits(600) | 1 << 599, rng.getrandbits(600) | 1 << 599
     a, b = a // gcd(a, b), b // gcd(a, b)
     assert min(a.bit_length(), b.bit_length()) > 590
     lift_calls = _count_calls(monkeypatch, "_lift")
+    residual_calls = _count_calls(monkeypatch, "_residual")
     assert _ladder(monkeypatch, [[a, b], [2 * a, 2 * b], [1, 0]]) == ([], [("block", 2), ("whole", 3)])
-    assert len(lift_calls) == linalg.LIFT_STEPS
+    steps = linalg._reconstruction_steps()
+    assert steps == [1, 2, 3, 4, 5, 6, 7, 8, 11, 15, 20, 27, 36, linalg.LIFT_STEPS]
+    assert [args[3] for args in lift_calls] == [KERNEL_PRIME ** s for s in steps]
+    assert len(residual_calls) == linalg.LIFT_STEPS - 1
 
 
 def test_interp_sized_tall_kernel_factors_its_square_block(monkeypatch):
@@ -383,23 +389,45 @@ def test_packed_factor_matches_list_factor():
     low_rank = [[rng.randint(-99, 99) for _ in range(5)] for _ in range(64)]
     right = [[rng.randint(-9, 9) for _ in range(52)] for _ in range(5)]
     matrices.append([[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] for row in low_rank])
-    # More than 511 rows: three-word slots.
+    # More than 511 rows: two-word slots.
     matrices.append([[rng.randint(-p, p) for _ in range(40)] for _ in range(600)])
     for rows in filter(None, matrices):
         nc = len(rows[0])
         assert linalg._factor_mod_p(rows, nc, p) == _factor_mod_p_lists(rows, nc, p), rows
 
 
-@pytest.mark.parametrize("words, rows", [(2, 511), (3, 2 ** 46 - 1)], ids=["two_words", "three_words"])
-def test_fold_keeps_residues_below_2p_and_pack_round_trips(words, rows):
-    # Slots below 2^(119 + bit_length(rows)), the bound of _factor_mod_p's
-    # proof for `rows` rows, fold to congruent slots below 2p.
+def test_packed_factor_past_2_to_the_15_rows_matches_list_factor():
+    # 2^15 rows and more: two-word slots folded in three rounds, as in the
+    # whole-matrix retry of a tall parameter grid.  The rows are a shuffle
+    # of residues, multiples of p, and rows whose every update adds the
+    # largest product (p - 1)^2.
     p = KERNEL_PRIME
-    rng = random.Random(words)
-    width, bound = 64 * words, 2 ** (2 * 59 + 1 + rows.bit_length())
+    rng = random.Random(15)
+    nr, nc = 2 ** 15 + 7, 4
+    rows = _largest_updates_matrix(nr // 2, nc, p)
+    rows += [[rng.choice([rng.randrange(p), p * rng.randint(-2, 2), -rng.randrange(2 ** 80)])
+              for _ in range(nc)] for _ in range(nr - len(rows))]
+    rng.shuffle(rows)
+    assert linalg._fold_rounds(p, 2 ** (2 * p.bit_length() + 1 + nr.bit_length())) == 3
+    assert linalg._factor_mod_p(rows, nc, p) == _factor_mod_p_lists(rows, nc, p)
+
+
+@pytest.mark.parametrize("rows, words, rounds", [(511, 1, 2), (2 ** 15, 2, 3), (2 ** 46 - 1, 2, 4)],
+                         ids=["one_word_slots", "three_rounds", "two_word_slots"])
+def test_fold_keeps_residues_below_2p_and_pack_round_trips(rows, words, rounds):
+    # Slots below 2^(2s + 1 + bit_length(rows)), the bound of
+    # _factor_mod_p's proof for `rows` rows, fold to congruent slots below
+    # 2p in the rounds _fold_rounds counts for that bound.
+    p = KERNEL_PRIME
+    s = p.bit_length()
+    rng = random.Random(rows)
+    bound = 2 ** (2 * s + 1 + rows.bit_length())
+    assert (2 * s + 1 + rows.bit_length() + 63) // 64 == words
+    assert linalg._fold_rounds(p, bound) == rounds
+    width = 64 * words
     assert bound <= 2 ** width
     slots = [0, p, 2 * p - 1, bound - 1] + [rng.randrange(bound) for _ in range(200)]
-    folded = linalg._folder(p, words, len(slots))(sum(v << width * j for j, v in enumerate(slots)))
+    folded = linalg._folder(p, words, len(slots), bound)(sum(v << width * j for j, v in enumerate(slots)))
     out = [(folded >> width * j) % 2 ** width for j in range(len(slots))]
     assert folded >> width * len(slots) == 0
     assert all(w < 2 * p and w % p == v % p for v, w in zip(slots, out))
@@ -407,6 +435,110 @@ def test_fold_keeps_residues_below_2p_and_pack_round_trips(words, rows):
     packed = linalg._pack(values, words)
     assert packed == sum(v << width * j for j, v in enumerate(values))
     assert list(linalg._unpack(packed, words, len(values))) == values
+
+
+def _lift_per_entry(f, pivots, y, m, nc):
+    """Reference: the kernel vector of free column f, each entry
+    reconstructed on its own and the vector cleared by the lcm of the
+    denominators."""
+    pairs = []
+    for u in y:
+        q = linalg._rational_reconstruct(u, m)
+        if q is None:
+            return None
+        pairs.append(q)
+    den = lcm(*(b for _, b in pairs))
+    vec = [0] * nc
+    vec[f] = den
+    for c, (a, b) in zip(pivots, pairs):
+        vec[c] = a * (den // b)
+    return tuple(vec)
+
+
+def _residues(fractions, m):
+    return [a * pow(b, -1, m) % m for a, b in fractions]
+
+
+def test_lift_over_a_common_denominator_matches_the_per_entry_lift():
+    p = KERNEL_PRIME
+    rng = random.Random(25)
+    cases = []
+    for trial in range(600):
+        m = p ** rng.randint(1, 8)
+        bound = isqrt(m // 2)
+        k = rng.randint(0, 6)
+        kind = trial % 4
+        if kind == 0:  # random residues: mostly no reconstruction
+            y = [rng.randrange(m) for _ in range(k)]
+        else:
+            size = bound if kind == 1 else isqrt(bound) * 2
+            shared = rng.randint(1, size)
+            fractions = []
+            for _ in range(k):
+                # kind 1: one shared denominator; kind 2: denominators near
+                # sqrt(bound), whose lcm passes the bound; kind 3: a mix.
+                b = shared if kind == 1 else rng.randint(1, size)
+                if kind == 3 and rng.random() < 0.3:
+                    b = rng.randint(1, bound)
+                a = rng.randint(-size, size)
+                if rng.random() < 0.1:
+                    a = rng.randint(-m, m)  # past the bound
+                fractions.append((a, b if b % p else b + 1))
+            y = _residues(fractions, m)
+        cases.append((m, y))
+    # A den past the bound: 1/b1 and 1/b2 with b1 b2 > N, then a/b1 (its
+    # u den is a b2, within the bound, over den / b2 = b1) and 1/(b1 b2)
+    # (its u den is 1, but over den itself, past the bound).
+    m = p ** 4
+    bound = isqrt(m // 2)
+    b1, b2 = isqrt(bound) * 3 + 1, isqrt(bound) * 3 + 2
+    assert b1 * b2 > bound and 5 * b2 <= bound
+    for tail in ([(5, b1)], [(1, b1 * b2)], [(5, b1), (1, b1 * b2), (-7, b2)]):
+        cases.append((m, _residues([(1, b1), (1, b2)] + tail, m)))
+    reconstructed = past_bound = 0
+    for m, y in cases:
+        nc = len(y) + 2
+        pivots = sorted(random.Random(len(y)).sample(range(nc - 1), len(y)))
+        f = nc - 1
+        vec = linalg._lift(f, pivots, y, m, nc)
+        assert vec == _lift_per_entry(f, pivots, y, m, nc), (m, y)
+        if vec is not None:
+            reconstructed += 1
+            past_bound += vec[f] > isqrt(m // 2)
+    assert reconstructed > 300 and past_bound >= 20
+
+
+def test_residuals_are_computed_only_until_a_vector_passes(monkeypatch):
+    # Within the first 8 steps every step attempts a reconstruction, so a
+    # vector that passes at step s made s _lift calls and s - 1 residuals:
+    # none after the step whose vector passed.
+    lift_calls = _count_calls(monkeypatch, "_lift")
+    residual_calls = _count_calls(monkeypatch, "_residual")
+    bareiss_calls = _count_calls(monkeypatch, "_bareiss_echelon")
+    rng = random.Random(8)
+    seen = Counter()
+    for trial in range(80):
+        bits = (3, 10, 20)[trial % 3]
+        nr = rng.randint(1, 4)
+        nc = nr + rng.randint(1, 3)
+        rows = [[rng.randint(-2 ** bits, 2 ** bits) for _ in range(nc)] for _ in range(nr)]
+        del lift_calls[:], residual_calls[:], bareiss_calls[:]
+        basis = integer_kernel_basis(rows)
+        assert not bareiss_calls and basis == bareiss_kernel_basis(rows)
+        steps = Counter(args[0] for args in lift_calls)
+        assert max(steps.values()) <= 8
+        assert len(residual_calls) == len(lift_calls) - len(basis)
+        seen.update(steps.values())
+    assert seen[1] and sum(n for s, n in seen.items() if s >= 3) >= 10
+    # The squared plane's cubic passes at step 5 of the 70 x 56 grid block.
+    rng = random.Random(17)
+    plane = LinSpace([[rng.randint(-9, 9) for _ in range(6)] for _ in range(3)])
+    sampler = hadamard_power_sampler(linear_space_sampler(plane), 2)
+    points = [sampler.sample_point(rng).canonical() for _ in range(70)]
+    rows = [list(r) for r in zip(*monomial_products(list(zip(*points)), 3))]
+    del lift_calls[:], residual_calls[:]
+    assert len(integer_kernel_basis(rows)) == 1
+    assert (len(lift_calls), len(residual_calls)) == (5, 4)
 
 
 def _matrices(nr, nc, entries):
@@ -478,10 +610,16 @@ def _is_prime(n):
     return True
 
 
-def test_kernel_prime_is_the_largest_59_bit_prime():
-    assert KERNEL_PRIME.bit_length() == 59 and _is_prime(KERNEL_PRIME)
-    assert not any(_is_prime(x) for x in range(KERNEL_PRIME + 1, 2 ** 59))
-    assert pow(2, 59, KERNEL_PRIME) == 55  # the fold of _factor_mod_p
+def test_kernel_prime_is_the_largest_prime_below_its_power_of_two():
+    s = KERNEL_PRIME.bit_length()
+    e = 2 ** s - KERNEL_PRIME
+    assert _is_prime(KERNEL_PRIME)
+    assert not any(_is_prime(x) for x in range(KERNEL_PRIME + 1, 2 ** s))
+    assert pow(2, s, KERNEL_PRIME) == e  # the fold of _factor_mod_p
+    # The fold's bounds need 3e <= 2^s; a slot of 511 rows fits one word.
+    assert 3 * e <= 2 ** s and 2 * s + 1 + (511).bit_length() <= 64
+    # p^LIFT_STEPS > 2^1002: the reach of about 500-bit kernel entries.
+    assert KERNEL_PRIME ** linalg.LIFT_STEPS > 2 ** 1002 > KERNEL_PRIME ** (linalg.LIFT_STEPS - 1)
     assert not _is_prime(KERNEL_PRIME * 576460752303423389)
     assert not _is_prime(3215031751)  # a strong pseudoprime to bases 2, 3, 5, 7
 
