@@ -6,14 +6,15 @@ H the common stabilizing subtorus and G the smallest subtorus with cosets
 containing both factors.  For X the rank-one 3x4 matrices (a Segre
 variety, dim 5) and Y the 3x4 matrices with zero row and column sums
 (a linear space, dim 5) in P^11, the expectation is 10, but the product is
-the rank-at-most-2 locus of dimension 9.  The exact Terracini span at a
-random product point exposes the drop.
+the rank-at-most-2 locus of dimension 9.  The dimension of the Terracini
+span at a random product point, read from one exact rank, exposes the
+drop.
 """
 
 import random
 
 from hadamard_spaces import (LinSpace, expected_dimension, linear_space_sampler,
-                             segre_sampler, terracini_span)
+                             segre_sampler, terracini_dim)
 
 rng = random.Random(4)
 
@@ -33,10 +34,10 @@ print("Y = 3x4 matrices with zero row and column sums, dim", zero_sums.dim)
 
 p, tangent_p = segre.sample(rng)
 q, tangent_q = linear_space_sampler(zero_sums).sample(rng)
-span = terracini_span(p, tangent_p, q, tangent_q)
+tangent_dim = terracini_dim(p, tangent_p, q, tangent_q)
 
 expected = expected_dimension(5, 5, 0, 11)
 print("\nexpected dimension: min(5 + 5 - 0, 11) =", expected)
-print("Terracini tangent dimension at a random product point:", span.dim)
-print("deficient:", span.dim < expected,
+print("Terracini tangent dimension at a random product point:", tangent_dim)
+print("deficient:", tangent_dim < expected,
       "(the product is the rank-at-most-2 locus, which has dimension 9)")

@@ -24,7 +24,7 @@ from .samplers import (VarietySampler, hadamard_power_sampler,
 from .products import (expected_dimension, gen_vandermonde,
                        identifiability_check, identifiability_regime_bound,
                        interpolate_forms, interpolate_hypersurface,
-                       span_dimension_formula, terracini_span)
+                       span_dimension_formula, terracini_dim, terracini_span)
 from .tropical import (NonGenericVector, SignedConeFan,
                        degree_linear_products, degree_with_reciprocals,
                        draw_generic_vector, fan_degree_pipeline,

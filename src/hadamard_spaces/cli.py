@@ -23,7 +23,11 @@ work:
   parameter grid times its monomials is past products.INTERP_GRID_LIMIT;
 - an `interp` of an empty product (a reciprocal factor in a coordinate
   hyperplane, or factors whose product map vanishes);
-- `bracket verify` trials past brackets.VERIFY_TRIALS_LIMIT.
+- `bracket verify` trials past brackets.VERIFY_TRIALS_LIMIT;
+- `star-config` past star_configs.STAR_CONFIG_OUTPUT_LIMIT (its printed
+  entries and general position minors, counted from m, r and n);
+- a `segre` sampler past samplers.SEGRE_AMBIENT_LIMIT, before it is built;
+- a `span-dim` by `dims` whose SAMPLE_BUDGET draws were all rank-deficient.
 """
 
 import argparse
@@ -47,11 +51,11 @@ from .line_powers import (check_line_power_limits, line_power_matrix, line_power
 from .poly import SparsePoly
 from .products import (check_span_dim_bit_work, check_span_dim_work, expected_dimension,
                        gen_vandermonde, interpolate_forms, interpolate_hypersurface,
-                       span_dimension_formula, terracini_span)
-from .projective import LinSpace, PPoint, pluecker
+                       span_dimension_formula, terracini_dim)
+from .projective import SAMPLE_BUDGET, LinSpace, PPoint, pluecker
 from .samplers import (hadamard_power_sampler, hadamard_product_sampler,
                        linear_space_sampler, reciprocal_sampler, segre_sampler)
-from .star_configs import PointSet, build_star, verify_star
+from .star_configs import PointSet, build_star, check_star_config_limits, verify_star
 from .tropical import degree_with_reciprocals, fan_degree_pipeline, mask_indices
 
 DEFAULT_SEED = 20259
@@ -227,6 +231,7 @@ def cmd_star_config(payload, rng, args):
     raw_points = _want(payload, "points", list)
     points = [_parse_point(p, "points[%d]" % i) for i, p in enumerate(raw_points)]
     r = _want(payload, "r", int)
+    check_star_config_limits(len(points), r, line.ambient_dim)
     try:
         zset = PointSet(points)
     except ValueError as exc:
@@ -247,6 +252,19 @@ def cmd_star_config(payload, rng, args):
         "points": pts,
         "verified": verify_star(witness),
     }
+
+
+def _draw_space(rng, m, n):
+    """An m-space in P^n with generator entries drawn from [-1000, 1000],
+    a rank-deficient draw redrawn up to SAMPLE_BUDGET draws in all."""
+    for _ in range(SAMPLE_BUDGET):
+        rows = [[rng.randint(-1000, 1000) for _ in range(n + 1)] for _ in range(m + 1)]
+        try:
+            return LinSpace(rows)
+        except ValueError:  # the only one LinSpace raises on these rows: rank deficiency
+            continue
+    raise BudgetExhausted("no draw of %d generators in P^%d had full rank in %d draws"
+                          % (m + 1, n, SAMPLE_BUDGET))
 
 
 def cmd_span_dim(payload, rng, args):
@@ -277,10 +295,7 @@ def cmd_span_dim(payload, rng, args):
         if any(m > n for m, _ in dims):
             raise ValidationError("n", "ambient dimension must be at least every dimension in dims")
         check_span_dim_work(dims, n)
-        entries = []
-        for m, r in dims:
-            rows = [[rng.randint(-1000, 1000) for _ in range(n + 1)] for _ in range(m + 1)]
-            entries.append((LinSpace(rows), r))
+        entries = [(_draw_space(rng, m, n), r) for m, r in dims]
     rank = integer_rank(gen_vandermonde(entries).ints)
     formula = span_dimension_formula([(s.dim, r) for s, r in entries], n)
     return {
@@ -362,14 +377,14 @@ def cmd_dim_estimate(payload, rng, args):
         raise ValidationError("dim_g", "torus dimension must be between 0 and n = %d" % n)
     p, tp = sampler_x.sample(rng)
     q, tq = sampler_y.sample(rng)
-    tangent = terracini_span(p, tp, q, tq)
+    tangent_dim = terracini_dim(p, tp, q, tq)
     expected = expected_dimension(tp.dim, tq.dim, dim_h, dim_g)
     return {
         "dim_x": tp.dim,
         "dim_y": tq.dim,
-        "terracini_dim": tangent.dim,
+        "terracini_dim": tangent_dim,
         "expected_dim": expected,
-        "deficient": tangent.dim < expected,
+        "deficient": tangent_dim < expected,
     }
 
 

@@ -274,9 +274,9 @@ def _search_collisions(space, r, trials, rng):
     return None
 
 
-def terracini_span(p, tp, q, tq):
-    """Tangent space of X*Y at p*q: the span of p*T_q(Y) and q*T_p(X),
-    from the integer rows of the points and generators (a row times a
+def _terracini_rows(p, tp, q, tq):
+    """The integer rows p * g for g in T_q(Y) and q * g for g in T_p(X),
+    after checking that each point lies in its tangent space (a row times a
     nonzero scale spans the same)."""
     if len(p.ints) != len(q.ints):
         raise ValueError("ambient dimensions differ")
@@ -286,10 +286,24 @@ def terracini_span(p, tp, q, tq):
         raise PreconditionError("second point does not lie in its tangent space")
     rows = [tuple(map(mul, p.ints, g)) for g in tq.generators.ints]
     rows += [tuple(map(mul, q.ints, g)) for g in tp.generators.ints]
-    span = LinSpace.span_of(rows)
+    return rows
+
+
+def terracini_span(p, tp, q, tq):
+    """Tangent space of X*Y at p*q: the span of p*T_q(Y) and q*T_p(X)."""
+    span = LinSpace.span_of(_terracini_rows(p, tp, q, tq))
     if span is None:
         raise PreconditionError("the Terracini span collapsed to nothing")
     return span
+
+
+def terracini_dim(p, tp, q, tq):
+    """`terracini_span(p, tp, q, tq).dim` from one rank of the same rows,
+    with no reduced form and no LinSpace."""
+    rank = integer_rank(_terracini_rows(p, tp, q, tq))
+    if not rank:
+        raise PreconditionError("the Terracini span collapsed to nothing")
+    return rank - 1
 
 
 def expected_dimension(dim_x, dim_y, dim_h, dim_g):

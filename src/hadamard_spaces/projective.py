@@ -13,10 +13,11 @@ is its RREF's integer rows and denominator.
 
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from operator import mul
 
 from .linalg import (PreconditionError, BudgetExhausted, QMatrix, cleared_rows, rat_str,
-                     integer_det, primitive_ints)
+                     integer_maximal_minors, primitive_ints)
 
 #: Coefficient range for random rational combinations; large enough that
 #: genericity failures are negligible across a whole test run, small enough
@@ -167,7 +168,7 @@ class LinSpace:
         is in the space iff its integer coordinates are."""
         pivots, den, basis = self.frame()
         head = [y[p] for p in pivots]
-        return all(den * v == sum(c * b[j] for c, b in zip(head, basis)) for j, v in enumerate(y))
+        return all(den * v == sum(map(mul, head, col)) for v, col in zip(y, zip(*basis)))
 
     def contains(self, point):
         if len(point.ints) != self.generators.ncols:
@@ -224,10 +225,34 @@ def point_times_space(p, space):
     scaled generator vanishes.  When no rank drop occurs the scaled matrix is
     returned as-is, so its maximal minors are exactly the minors of L scaled
     by the products of the corresponding coordinates of p.
+
+    Carried frame.  When p has no zero coordinate, the scaled space's frame
+    is the factor's, scaled, with no elimination: for G the generators, R
+    their RREF with pivots P and E G = R (E invertible),
+
+        RREF(G diag(p)) = diag(p_P)^-1 R diag(p),
+
+    with the same pivots.  The right side is diag(p_P)^-1 E times G diag(p),
+    an invertible matrix times the scaled generators, so it has their row
+    space.  Row i is R's row i times p_j / p_(P_i) at column j: zero before
+    P_i and at the other pivots, as R's is, and 1 at P_i.  So it is in
+    reduced row echelon form, and the RREF of a matrix is unique.  A row
+    of D*R times p_j L / p_(P_i), for L the lcm of the pivot entries of p,
+    is an integer row over D L.  The frame is kept as the scaled matrix's
+    reduction, so `LinSpace` and `nullspace` read it without a Bareiss pass.
+    A p with a zero coordinate can drop the rank and takes the reduction.
     """
     if len(p.ints) != space.generators.ncols:
         raise ValueError("ambient dimensions differ")
     scaled = space.generators.scale_columns(p.ints, p.den)
+    if all(p.ints):
+        pivots, den, basis = space.frame()
+        heads = [p.ints[c] for c in pivots]
+        mult = lcm(*heads)
+        rows = [[x * y * (mult // h) for x, y in zip(row, p.ints)] for row, h in zip(basis, heads)]
+        reduced = QMatrix(rows, den * mult)
+        reduced._rref = scaled._rref = (reduced, len(pivots), pivots)
+        return LinSpace(scaled)
     if scaled.rref()[1] == scaled.nrows:
         return LinSpace(scaled)
     return LinSpace.span_of(scaled)
@@ -295,12 +320,11 @@ def permutation_sign(seq):
 
 def pluecker(space):
     """Pluecker coordinates of a linear space: the maximal minors of its
-    generators' integer rows D*G (`integer_det` each) over the scale D^k,
-    which are the minors of G since a k-minor is k-linear in the rows."""
+    generators' integer rows D*G (`integer_maximal_minors`) over the scale
+    D^k, which are the minors of G since a k-minor is k-linear in the rows."""
     gens = space.generators
-    minors = {cols: integer_det([[row[c] for c in cols] for row in gens.ints])
-              for cols in combinations(range(space.ambient_dim + 1), gens.nrows)}
-    return PlueckerVector(space.ambient_dim, space.dim, minors, gens.den ** gens.nrows)
+    return PlueckerVector(space.ambient_dim, space.dim, integer_maximal_minors(gens.ints),
+                          gens.den ** gens.nrows)
 
 
 def line_through(p, q):

@@ -98,6 +98,16 @@ def reciprocal_sampler(space):
     return VarietySampler([(space, True)])
 
 
+#: Largest ambient dimension (a+1)(b+1) - 1 of `segre_sampler`; past it,
+#: it raises BudgetExhausted before building its factors, whose column
+#: factor alone is a (b+1) x (a+1)(b+1) matrix to reduce.  The slowest
+#: shape is a = 1: whole `dim-estimate` processes of a Segre variety with
+#: itself, on a 2-vCPU Xeon VM, took 1.45 s at a = 1, b = 99 (P^199), 0.6 s
+#: at a = 2, b = 66 (P^200), and 6.2 s at a = 1, b = 149 (P^299); building
+#: a = 2, b = 1000 (P^3002) alone took 56.6 s.
+SEGRE_AMBIENT_LIMIT = 200
+
+
 @lru_cache(maxsize=None)
 def _segre_factors(a, b):
     """The (a+1) x (b+1) matrices constant along rows (u 1^T) and those
@@ -112,8 +122,14 @@ def segre_sampler(a, b):
     """Sampler of the Segre variety of rank-one (a+1) x (b+1) matrices.
 
     Coordinates are the matrix entries flattened row-major into
-    P^((a+1)(b+1)-1); u v^T is drawn as (u 1^T) * (1 v^T).
+    P^((a+1)(b+1)-1); u v^T is drawn as (u 1^T) * (1 v^T).  An ambient
+    dimension past SEGRE_AMBIENT_LIMIT raises BudgetExhausted before the
+    factors are built.
     """
+    n = (a + 1) * (b + 1) - 1
+    if n > SEGRE_AMBIENT_LIMIT:
+        raise BudgetExhausted("the Segre variety of %d x %d matrices lies in P^%d, past the "
+                              "limit of P^%d" % (a + 1, b + 1, n, SEGRE_AMBIENT_LIMIT))
     return VarietySampler(_segre_factors(a, b))
 
 

@@ -12,8 +12,11 @@ The checks run inside M, in integers, in M's pivot frame (P, D, D*R) of
 by its entries y_P at the pivots and that D*y = y_P (D*R) decides membership.
 
 - Normals.  A hyperplane H of M has r independent generators; their
-  entries at P stay independent, so the kernel of that r x (r+1) matrix is
-  one line, spanned by an integer normal w_H.  {y in M : w_H . y_P = 0}
+  entries at P stay independent, so the kernel of that r x (r+1) matrix A
+  is one line.  It is spanned by the integer normal w_H, w_j = (-1)^j times
+  the r-minor of A without column j: for a row a of A, w_H . a is the
+  determinant of A with a put on top (Laplace along that row), which has a
+  repeated row, and some r-minor of A is nonzero.  {y in M : w_H . y_P = 0}
   contains H and has the same dimension, so it is H.
 - Intersections.  For hyperplanes H_i, i in S, the intersection is
   {y in M : W_S y_P = 0}, with W_S the matrix of their normals: projective
@@ -23,20 +26,44 @@ by its entries y_P at the pivots and that D*y = y_P (D*R) decides membership.
 - General position.  With k = min(m, r+1), every set of at most k normals
   lies in a set of exactly k, and subsets of independent sets are
   independent; so general position holds iff every k-subset of normals is
-  independent.  Only when one is not does the ordered search run (j = 2,
-  3, ..., subsets in lex order), so the certificate is the first violating
-  subset of that order.
-- Points.  For r independent normals W_S the intersection is the single
-  point y with y_P spanning the kernel of W_S; y_P (D*R) is an integer
-  multiple of y, and its primitive vector is y's canonical key.
+  independent: for m <= r, iff the m normals have rank m, and for m > r,
+  iff every (r+1)-minor of the m x (r+1) matrix of normals is nonzero.
+  Only when one is not does the ordered search run (j = 2, 3, ..., subsets
+  in lex order), so the certificate is the first violating subset of that
+  order.
+- Points, by incidence.  Let general position hold, and call the point of
+  an r-set S of hyperplanes their intersection, a single point (r
+  independent normals).  A point y of M lies on H iff w_H . y_P = 0.  If y
+  lies on the hyperplanes of S, it is the point of S.  So when every
+  witness point lies in M and on exactly r hyperplanes, their r-sets are
+  pairwise distinct and there are binom(m, r) points, the witness points
+  are the points of all binom(m, r) r-sets: all the r-fold intersection
+  points.  Conversely, the point of S lies on no hyperplane outside S, as
+  r+1 hyperplanes meet in nothing, and so two r-sets never share a point;
+  the r-fold intersection points therefore pass these checks.  No kernel
+  is solved: each witness point costs one membership test and m dot
+  products.
 """
 
 from itertools import combinations
 from math import comb
+from operator import mul
 
-from .linalg import PreconditionError, bareiss_kernel_basis, integer_rank, primitive_ints
+from .linalg import (BudgetExhausted, PreconditionError, integer_maximal_minors, integer_rank,
+                     primitive_ints)
 from .line_powers import line_power_matrix
 from .projective import LinSpace, all_ones_point, pluecker, point_times_space
+
+#: Most entries `star-config` prints plus general position minors
+#: (`star_output_count`); past it, `check_star_config_limits` raises
+#: BudgetExhausted before any work.  Whole processes near the limit on
+#: random lines of 2-digit entries, on a 2-vCPU Xeon VM: 17 points at r = 8
+#: in P^16 (831,606) 2.5 s, 18 at r = 7 in P^10 2.1 s, 30 at r = 4 in P^5
+#: 1.3 s, 120 at r = 2 in P^3 0.7 s; and 2 points at r = 1 on the line
+#: [[1, ..., 1], [1, ..., 701]] in P^700 0.5 s.
+#: Digits are not counted: 17 points at r = 8 in P^16 with 10-digit entries
+#: take 17 s.  24 points at r = 12 in P^13 ran past 30 s.
+STAR_CONFIG_OUTPUT_LIMIT = 10 ** 6
 
 
 class PointSet:
@@ -165,10 +192,56 @@ def build_star(zset, line, r):
     return StarWitness(ambient, hyperplanes, points, origin_subsets)
 
 
+def _capped_comb(m, k, cap):
+    """binom(m, k), or some number past cap once it is past it.  binom(m, i)
+    grows with i up to m / 2, and at least doubles per step there, so the
+    product is built one factor at a time up to min(k, m - k) and stops once
+    past cap: no huge binomial is formed."""
+    if k > m:
+        return 0
+    value = 1
+    for i in range(1, min(k, m - k) + 1):
+        value = value * (m - i + 1) // i
+        if value > cap:
+            break
+    return value
+
+
+def star_output_count(m, r, n):
+    """Entries `star-config` prints for m collinear points at r in P^n, and
+    the minors its general position check forms, counted from (m, r, n),
+    nothing formed: the ambient's r + 1 generator rows, each hyperplane's r
+    generator rows and n + 1 - r equation rows, binom(m, r) points with
+    their r-subsets, rows of n + 1 entries, and binom(m, r + 1) (r+1)-minors
+    times r + 1.  The last term also bounds the incidence check's m
+    binom(m, r) dot products of length r + 1; for r = 1 it is about m / 2
+    times the printed points.  Past STAR_CONFIG_OUTPUT_LIMIT it is some
+    number past it (`_capped_comb`)."""
+    cap = STAR_CONFIG_OUTPUT_LIMIT
+    return ((r + 1) * (n + 1) + m * (n + 1) ** 2 + _capped_comb(m, r, cap) * (n + 1 + r)
+            + (r + 1) * _capped_comb(m, r + 1, cap))
+
+
+def check_star_config_limits(m, r, n):
+    """Raise BudgetExhausted when the star configuration of m points at r in
+    P^n prints past STAR_CONFIG_OUTPUT_LIMIT.  An r that `build_star`
+    refuses (r < 1 or r > min(m, n)) is left to it."""
+    if not 1 <= r <= min(m, n):
+        return
+    if star_output_count(m, r, n) > STAR_CONFIG_OUTPUT_LIMIT:
+        raise BudgetExhausted("the star configuration of %d points at r = %d in P^%d is past "
+                              "the limit of %d printed entries and general position minors"
+                              % (m, r, n, STAR_CONFIG_OUTPUT_LIMIT))
+
+
 def _normals(hyperplanes, ambient):
     """Integer normals w_H of hyperplanes of M, after their dimension and
-    containment checks: the kernel lines of the rows of each H's frame at
-    M's pivot columns."""
+    containment checks: the signed r-minors of the rows of each H's frame
+    at M's pivot columns (module docstring), over their gcd.  The minors
+    share large factors of the frame's denominator, and the general
+    position minors are (r+1)-linear in the normals: on lines of 2-digit
+    entries at m = 14, r = 7 in P^14, dividing them out made `star-config`
+    six times faster."""
     r = ambient.dim
     pivots = ambient.frame()[0]
     normals = []
@@ -177,17 +250,22 @@ def _normals(hyperplanes, ambient):
             raise PreconditionError("hyperplane has dim %d, expected %d" % (h.dim, r - 1))
         if not ambient.contains_space(h):
             raise PreconditionError("hyperplane not contained in the ambient space")
-        normals.append(bareiss_kernel_basis([[y[p] for p in pivots] for y in h.frame()[2]])[0])
+        minors = integer_maximal_minors([[y[p] for p in pivots] for y in h.frame()[2]])
+        normals.append(primitive_ints([(-1) ** j * minors[tuple(c for c in range(r + 1) if c != j)]
+                                       for j in range(r + 1)]))
     return normals
 
 
 def _first_dependent(normals, r):
     """None in general position, else the first index subset with dependent normals."""
     m = len(normals)
-    k = min(m, r + 1)
-    if all(integer_rank(rows) == k for rows in combinations(normals, k)):
+    if m <= r:
+        general = integer_rank(normals) == m
+    else:
+        general = all(integer_maximal_minors(list(zip(*normals))).values())
+    if general:
         return None
-    for j in range(2, k + 1):
+    for j in range(2, min(m, r + 1) + 1):
         for subset in combinations(range(m), j):
             if integer_rank([normals[i] for i in subset]) < j:
                 return subset
@@ -199,8 +277,8 @@ def verify_general_position(hyperplanes, ambient):
     True iff every j-fold intersection (j <= r = dim M) has dimension r - j
     and every (r+1)-fold intersection is empty.  On failure the certificate
     is the first violating index tuple, j = 2, 3, ... and each j in lex
-    order.  Decided by ranks of the hyperplanes' normals in M (module
-    docstring).
+    order.  Decided by ranks and minors of the hyperplanes' normals in M
+    (module docstring).
     """
     certificate = _first_dependent(_normals(hyperplanes, ambient), ambient.dim)
     return certificate is None, certificate
@@ -210,18 +288,28 @@ def verify_star(witness):
     """Full check of the star-configuration property of a witness.
 
     General position must hold and the witness point set must equal the
-    union of all r-fold intersections of the hyperplanes, each intersection
-    being a single point: the point whose pivot entries span the kernel of
-    its r normals (module docstring).
+    set of all r-fold intersections of the hyperplanes.  Decided by
+    incidence (module docstring): binom(m, r) points, each in M and on
+    exactly r hyperplanes, with pairwise distinct r-sets.  The count is
+    checked here, not only when the witness is built, because the points
+    of a witness can be replaced.
     """
     ambient = witness.ambient_space
     r = ambient.dim
     normals = _normals(witness.hyperplanes, ambient)
     if _first_dependent(normals, r) is not None:
         return False
-    columns = list(zip(*ambient.frame()[2]))
-    keys = set()
-    for rows in combinations(normals, r):
-        (y_p,) = bareiss_kernel_basis(rows)
-        keys.add(primitive_ints([sum(c * v for c, v in zip(y_p, col)) for col in columns]))
-    return keys == witness.points.canonical_keys()
+    points = witness.points
+    if len(points) != comb(len(normals), r) or points.ambient_dim != ambient.ambient_dim:
+        return False
+    pivots = ambient.frame()[0]
+    subsets = set()
+    for point in points:
+        if not ambient.contains(point):
+            return False
+        y_p = [point.ints[c] for c in pivots]
+        on = tuple(i for i, w in enumerate(normals) if not sum(map(mul, w, y_p)))
+        if len(on) != r:
+            return False
+        subsets.add(on)
+    return len(subsets) == len(points)

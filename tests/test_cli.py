@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from hadamard_spaces import brackets, cli, line_powers, products, projective, samplers
+from hadamard_spaces import (brackets, cli, line_powers, products, projective, samplers,
+                             star_configs)
 from hadamard_spaces.linalg import QMatrix, integer_kernel_basis
 from hadamard_spaces.poly import SparsePoly, monomial_products, monomials_of_degree
 
@@ -672,6 +673,89 @@ def test_star_config_checks_each_hyperplane_once(monkeypatch, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["verified"] is True and len(doc["hyperplanes"]) == 5
     assert len(calls) == 5
+
+
+def test_star_config_past_the_output_limit_exit_3_at_once():
+    # 24 collinear points at r = 12 in P^13: binom(24, 12) = 2,704,156
+    # points, which ran past 30 s; refused from (m, r, n) before any work.
+    n = 13
+    payload = {"line": [[1] * (n + 1), list(range(1, n + 2))],
+               "points": [[1 + k * x for x in range(1, n + 2)] for k in range(1, 25)], "r": 12}
+    start = time.perf_counter()
+    proc = run_cli("star-config", payload)
+    assert time.perf_counter() - start < 1.0
+    assert (proc.returncode, proc.stdout) == (3, "") and "Traceback" not in proc.stderr
+    error = json.loads(proc.stderr)["error"]
+    assert error["code"] == 3 and str(star_configs.STAR_CONFIG_OUTPUT_LIMIT) in error["message"]
+
+
+def _entry_count(doc):
+    """Scalars in a JSON document: the entries `star-config` prints."""
+    if isinstance(doc, dict):
+        return sum(map(_entry_count, doc.values())) - ("verified" in doc)
+    if isinstance(doc, list):
+        return sum(map(_entry_count, doc))
+    return 1
+
+
+@pytest.mark.parametrize("m, r, n", [(4, 2, 2), (3, 1, 1), (5, 1, 4), (5, 3, 4), (6, 2, 5), (3, 3, 3)])
+def test_star_output_count_is_the_printed_entries_and_minors(m, r, n, monkeypatch, capsys):
+    payload = {"line": [[1] * (n + 1), list(range(1, n + 2))],
+               "points": [[1 + k * x for x in range(1, n + 2)] for k in range(1, m + 1)], "r": r}
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(payload)))
+    assert cli.main(["star-config"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["verified"] is True
+    minors = (r + 1) * comb(m, r + 1)
+    assert star_configs.star_output_count(m, r, n) == _entry_count(doc) + minors
+
+
+def test_star_config_limit_admits_the_benchmark_grid_and_the_readme_payload():
+    from_grid = max(star_configs.star_output_count(m, r, n)
+                    for m in range(3, 8) for r in (2, 3) for n in range(r + 1, 7))
+    assert from_grid < star_configs.STAR_CONFIG_OUTPUT_LIMIT
+    assert star_configs.star_output_count(4, 2, 2) < star_configs.STAR_CONFIG_OUTPUT_LIMIT
+    # Both sides of the limit at r = 8 in P^16: 17 points pass (about 2.5 s
+    # on a random line of 2-digit entries), 18 do not.
+    star_configs.check_star_config_limits(17, 8, 16)
+    with pytest.raises(products.BudgetExhausted):
+        star_configs.check_star_config_limits(18, 8, 16)
+    # An r that build_star refuses keeps its precondition error.
+    star_configs.check_star_config_limits(24, 25, 30)
+    star_configs.check_star_config_limits(24, 0, 13)
+
+
+def test_span_dim_redraws_a_singular_draw(monkeypatch, capsys):
+    # Seed 1023 draws the 1 x 1 generator matrix [0], which raised a
+    # ValueError traceback; the next draw is nonzero.
+    proc = run_cli("span-dim", {"dims": [[0, 1]], "n": 0}, "--seed", "1023")
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr
+    assert json.loads(proc.stdout) == {"rank": 1, "span_dim": 0, "formula_dim": 0, "match": True}
+
+    class Zeros(random.Random):
+        def randint(self, a, b):
+            return 0
+
+    monkeypatch.setattr(cli.random, "Random", Zeros)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps({"dims": [[1, 1]], "n": 3})))
+    assert cli.main(["span-dim"]) == 3
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert "had full rank in %d draws" % projective.SAMPLE_BUDGET in error["message"]
+
+
+def test_segre_past_the_ambient_limit_exit_3_before_it_is_built():
+    # a = 2, b = 1000 lies in P^3002: building its factors took 56.6 s
+    # before the ambient mismatch with y was reported.
+    payload = {"x": {"type": "segre", "a": 2, "b": 1000},
+               "y": {"type": "linear", "generators": [[1, 2, 3], [1, 0, 5]]}, "dim_h": 0, "dim_g": 2}
+    for command, doc in (("dim-estimate", payload),
+                         ("interp", {"sampler": payload["x"], "degree": 1})):
+        start = time.perf_counter()
+        proc = run_cli(command, doc)
+        assert time.perf_counter() - start < 1.0
+        assert (proc.returncode, proc.stdout) == (3, "") and "Traceback" not in proc.stderr
+        error = json.loads(proc.stderr)["error"]
+        assert error["code"] == 3 and "P^3002" in error["message"]
 
 
 def test_span_dim_explicit_spaces():

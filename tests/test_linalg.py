@@ -1,7 +1,8 @@
 import random
 from collections import Counter
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from itertools import combinations
+from math import comb, gcd, isqrt, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -868,3 +869,44 @@ def test_wide_rref_matches_fraction_elimination():
         assert len(free) == 597 and [len(x) for x in solutions] == [597] * 3
         assert all(x[j] == 0 for x, p in zip(solutions, pivots)
                    for j, f in enumerate(free) if f < p)
+
+
+def _minors_by_det(rows):
+    k, nc = len(rows), len(rows[0])
+    return {cols: linalg.integer_det([[row[c] for c in cols] for row in rows])
+            for cols in combinations(range(nc), k)}
+
+
+@st.composite
+def _wide_matrices(draw):
+    """k x N integer matrices, 1 <= k <= N <= 8, square ones a third of
+    the time, with entries up to 2^3 or 2^80 and rank-deficient ones (a row
+    repeated or zeroed) among them."""
+    k = draw(st.integers(1, 7))
+    nc = k if draw(st.integers(0, 2)) == 0 else draw(st.integers(k, 8))
+    bits = draw(st.sampled_from([3, 80]))
+    rows = draw(_matrices(k, nc, st.integers(-2 ** bits, 2 ** bits)))
+    if k > 1 and draw(st.booleans()):
+        rows[-1] = list(rows[0]) if draw(st.booleans()) else [0] * nc
+    return rows
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_wide_matrices())
+def test_maximal_minors_match_integer_det_on_both_routes(rows):
+    expected = _minors_by_det(rows)
+    for got in (linalg.integer_maximal_minors(rows), linalg._laplace_minors(rows)):
+        assert got == expected and list(got) == list(expected)
+
+
+@pytest.mark.parametrize("k, nc, laplace", [
+    (1, 1, True), (2, 2, True), (2, 5, True), (3, 3, True), (3, 5, True), (4, 5, True),
+    (4, 8, True), (6, 8, True), (4, 4, False), (5, 5, False), (5, 6, False), (7, 9, False)])
+def test_maximal_minors_route_follows_the_shape(k, nc, laplace, monkeypatch):
+    calls = []
+    det = linalg.integer_det
+    monkeypatch.setattr(linalg, "integer_det", lambda rows: calls.append(1) or det(rows))
+    rng = random.Random("route %d %d" % (k, nc))
+    rows = [[rng.randint(-9, 9) for _ in range(nc)] for _ in range(k)]
+    assert linalg.integer_maximal_minors(rows) == _minors_by_det(rows)
+    assert len(calls) == (0 if laplace else comb(nc, k)) + comb(nc, k)

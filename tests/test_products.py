@@ -4,18 +4,20 @@ from fractions import Fraction
 from math import comb, lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hadamard_spaces.line_powers import line_power_matrix, power_hyperplane
 from hadamard_spaces.linalg import (BudgetExhausted, PreconditionError, integer_rank,
                                     primitive_ints)
-from hadamard_spaces import products
+from hadamard_spaces import products, samplers
 from hadamard_spaces.papersuite import random_space
 from hadamard_spaces.poly import proportional
 from hadamard_spaces.products import (expected_dimension, gen_vandermonde,
                                       identifiability_check,
                                       identifiability_regime_bound,
                                       interpolate_forms, interpolate_hypersurface,
-                                      span_dimension_formula, terracini_span)
+                                      span_dimension_formula, terracini_dim,
+                                      terracini_span)
 from hadamard_spaces.projective import (SAMPLE_COEFF_BOUND, LinSpace, PPoint, all_ones_point,
                                         line_through, pluecker)
 from hadamard_spaces.samplers import (hadamard_power_sampler,
@@ -290,6 +292,57 @@ def test_terracini_generic_spaces_dimension_additive():
         p, tp = linear_space_sampler(a).sample(rng)
         q, tq = linear_space_sampler(b).sample(rng)
         assert terracini_span(p, tp, q, tq).dim == m1 + m2
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32), st.sampled_from(["linear", "reciprocal", "segre", "product"]),
+       st.sampled_from(["linear", "reciprocal", "segre", "product"]))
+def test_terracini_dim_is_the_span_dimension(seed, kind_x, kind_y):
+    rng = random.Random(seed)
+    n = 5
+
+    def sampler(kind):
+        if kind == "segre":
+            return segre_sampler(1, 2)
+        space = random_space(rng.randint(0, 2), n, rng)
+        if kind == "product":
+            return hadamard_product_sampler(linear_space_sampler(space),
+                                            reciprocal_sampler(random_space(1, n, rng)))
+        return (reciprocal_sampler if kind == "reciprocal" else linear_space_sampler)(space)
+
+    p, tp = sampler(kind_x).sample(rng)
+    q, tq = sampler(kind_y).sample(rng)
+    assert terracini_dim(p, tp, q, tq) == terracini_span(p, tp, q, tq).dim
+
+
+def test_terracini_dim_keeps_the_span_checks():
+    line = LinSpace([[1, 0, 0], [0, 1, 0]])
+    with pytest.raises(PreconditionError, match="first point"):
+        terracini_dim(PPoint([0, 0, 1]), line, PPoint([1, 1, 1]), LinSpace([[1, 1, 1]]))
+    with pytest.raises(PreconditionError, match="second point"):
+        terracini_dim(PPoint([1, 1, 1]), LinSpace([[1, 1, 1]]), PPoint([0, 0, 1]), line)
+    p, tp = segre_sampler(1, 1).sample(random.Random(50))
+    q = PPoint([1, 2, 3])
+    with pytest.raises(ValueError, match="ambient dimensions differ"):
+        terracini_dim(p, tp, q, LinSpace([q.coords]))
+    # Disjoint supports: every row vanishes.
+    with pytest.raises(PreconditionError, match="collapsed"):
+        terracini_dim(PPoint([1, 0]), LinSpace([[1, 0]]), PPoint([0, 1]), LinSpace([[0, 1]]))
+    with pytest.raises(PreconditionError, match="collapsed"):
+        terracini_span(PPoint([1, 0]), LinSpace([[1, 0]]), PPoint([0, 1]), LinSpace([[0, 1]]))
+
+
+def test_segre_past_the_ambient_limit_is_refused_before_it_is_built(monkeypatch):
+    built = []
+    monkeypatch.setattr(samplers, "_segre_factors", lambda a, b: built.append((a, b)) or ())
+    limit = samplers.SEGRE_AMBIENT_LIMIT
+    segre_sampler(1, 99)  # P^199
+    segre_sampler(2, 66)  # P^200
+    assert built == [(1, 99), (2, 66)] and limit == 200
+    for a, b in ((1, 100), (2, 1000), (10 ** 9, 10 ** 9)):
+        with pytest.raises(BudgetExhausted, match=r"past the limit of P\^%d" % limit):
+            segre_sampler(a, b)
+    assert len(built) == 2
 
 
 def test_expected_dimension():

@@ -4,6 +4,7 @@ from itertools import combinations, permutations
 from math import gcd, lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hadamard_spaces import linalg
 from hadamard_spaces.linalg import (BudgetExhausted, PreconditionError, QMatrix,
@@ -90,6 +91,41 @@ def test_point_times_space_dimension_drop():
 def test_point_times_space_empty():
     axis = LinSpace([[1, 0, 0]])
     assert point_times_space(PPoint([0, 1, 0]), axis) is None
+
+
+@st.composite
+def _spaces_and_zero_free_points(draw):
+    """A k-space of P^n, 1 <= k+1 <= n+1 <= 7, from generator rows of small
+    entries over a denominator (rank-deficient draws redrawn), and a point
+    with no zero coordinate over a denominator."""
+    n = draw(st.integers(0, 6))
+    k = draw(st.integers(1, n + 1))
+    entries = st.integers(-4, 4)
+    rows = draw(st.lists(st.lists(entries, min_size=n + 1, max_size=n + 1), min_size=k, max_size=k)
+                .filter(lambda rows: integer_rank(rows) == len(rows)))
+    den = draw(st.integers(1, 6))
+    coords = draw(st.lists(st.integers(-50, 50).filter(bool), min_size=n + 1, max_size=n + 1))
+    return LinSpace(QMatrix(rows, den)), PPoint(coords, draw(st.integers(1, 6)))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_spaces_and_zero_free_points())
+def test_carried_frame_is_the_fresh_reduction(case):
+    space, p = case
+    image = point_times_space(p, space)
+    fresh = QMatrix(image.generators.ints, image.generators.den)
+    assert fresh.rref() == image.generators.rref()
+    assert image.frame() == LinSpace(fresh).frame()
+    assert image.equation_matrix() == fresh.nullspace()
+
+
+def test_point_with_a_zero_coordinate_takes_the_reduction(monkeypatch):
+    space = LinSpace([[1, 2, 3, 4], [0, 1, 5, 7]])
+    calls = []
+    echelon = linalg._bareiss_echelon
+    monkeypatch.setattr(linalg, "_bareiss_echelon", lambda rows: calls.append(1) or echelon(rows))
+    assert point_times_space(PPoint([2, -3, 5, 7]), space).dim == 1 and calls == []
+    assert point_times_space(PPoint([2, 0, 5, 7]), space).dim == 1 and calls == [1]
 
 
 def test_pluecker_of_line():

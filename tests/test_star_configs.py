@@ -5,6 +5,7 @@ from math import comb
 
 import pytest
 
+from hadamard_spaces import linalg
 from hadamard_spaces.line_powers import line_power_matrix
 from hadamard_spaces.linalg import PreconditionError, QMatrix, integer_rank
 from hadamard_spaces.papersuite import collinear_points, random_line
@@ -111,6 +112,38 @@ def test_verify_star_detects_corruption():
     corrupted = PointSet(list(witness.points.points[:-1]) + [PPoint([1, 17, 23, 5])])
     witness.points = corrupted
     assert not verify_star(witness)
+
+
+@pytest.mark.parametrize("n, r, m", [(3, 2, 4), (4, 3, 5), (2, 1, 3), (3, 3, 3), (5, 2, 2)])
+def test_verify_star_rejects_fewer_extra_or_shifted_points(n, r, m):
+    rng = random.Random(40 + n + r + m)
+    line = random_line(n, rng, 40)
+    witness = build_star(collinear_points(line, m, rng), line, r)
+    points = list(witness.points)
+    assert verify_star(witness)
+    corrupted = [points + [sample_point(witness.ambient_space, rng)]]
+    if len(points) > 1:
+        corrupted.append(points[:-1])
+    # The first point moved off M at a column outside M's pivots (r < n):
+    # its pivot entries, and so its incidences, are unchanged.
+    pivots = witness.ambient_space.frame()[0]
+    for free in (c for c in range(n + 1) if c not in pivots):
+        shifted = list(points[0].ints)
+        shifted[free] += 1
+        corrupted.append([PPoint(shifted)] + points[1:])
+    for rest in corrupted:
+        witness.points = PointSet(rest)
+        assert not verify_star(witness)
+        assert not reference_star(witness)
+
+
+def test_verify_star_solves_no_kernel(monkeypatch):
+    rng = random.Random(41)
+    line = random_line(5, rng, 40)
+    witness = build_star(collinear_points(line, 6, rng), line, 3)
+    calls = []
+    monkeypatch.setattr(linalg, "_back_substitute", lambda *args: calls.append(args))
+    assert verify_star(witness) and calls == []
 
 
 def test_star_with_m_equal_r():
