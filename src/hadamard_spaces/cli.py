@@ -25,7 +25,9 @@ work:
   hyperplane, or factors whose product map vanishes);
 - `bracket verify` trials past brackets.VERIFY_TRIALS_LIMIT;
 - `star-config` past star_configs.STAR_CONFIG_OUTPUT_LIMIT (its printed
-  entries and general position minors, counted from m, r and n);
+  entries and general position minors, counted from m, r and n) or past
+  star_configs.STAR_CONFIG_BIT_WORK_LIMIT (that count times the bits of
+  its entries);
 - a `segre` sampler past samplers.SEGRE_AMBIENT_LIMIT, before it is built;
 - a `span-dim` by `dims` whose SAMPLE_BUDGET draws were all rank-deficient.
 """
@@ -55,7 +57,8 @@ from .products import (check_span_dim_bit_work, check_span_dim_work, expected_di
 from .projective import SAMPLE_BUDGET, LinSpace, PPoint, pluecker
 from .samplers import (hadamard_power_sampler, hadamard_product_sampler,
                        linear_space_sampler, reciprocal_sampler, segre_sampler)
-from .star_configs import PointSet, build_star, check_star_config_limits, verify_star
+from .star_configs import (PointSet, build_star, check_star_config_bit_work,
+                           check_star_config_limits, verify_star)
 from .tropical import degree_with_reciprocals, fan_degree_pipeline, mask_indices
 
 DEFAULT_SEED = 20259
@@ -232,6 +235,7 @@ def cmd_star_config(payload, rng, args):
     points = [_parse_point(p, "points[%d]" % i) for i, p in enumerate(raw_points)]
     r = _want(payload, "r", int)
     check_star_config_limits(len(points), r, line.ambient_dim)
+    check_star_config_bit_work(line, points, r)
     try:
         zset = PointSet(points)
     except ValueError as exc:

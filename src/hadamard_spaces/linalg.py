@@ -31,7 +31,7 @@ integer matrix A, or only its leading nc x nc block when A has more rows
 than its nc columns (call the factored rows S), is factored modulo the
 prime KERNEL_PRIME = 2^27 - 39, each row packed into one int of
 word-aligned slots that never carry (`_factor_mod_p`), one 64-bit word
-each up to 511 rows: a row update is one big-int multiply-add with no
+each up to 511 columns: a row update is one big-int multiply-add with no
 reduction, and a pivot row is reduced in packed form by folding each
 slot's bits above 2^27 down, times 39.  For each free column f, the
 entries at the pivots before f solve a square system in the pivot rows,
@@ -433,7 +433,7 @@ def bareiss_kernel_basis(rows):
 
 #: The prime of the p-adic kernel: 2^27 - 39, the largest prime below 2^27.
 #: A residue is one CPython digit (30 bits), a slot of `_factor_mod_p` is
-#: one 64-bit word up to 511 rows, and 2^27 = 39 mod p lets it reduce
+#: one 64-bit word up to 511 columns, and 2^27 = 39 mod p lets it reduce
 #: packed rows by a shift, a mask and a small multiply.
 KERNEL_PRIME = (1 << 27) - 39
 
@@ -512,23 +512,25 @@ def _factor_mod_p(rows, nc, p):
     become top = fold(fold(row >> W) * inv), where fold (`_folder`) repeats
     rounds that replace each slot hi 2^s + lo by the congruent e hi + lo.
 
-    No slot ever carries.  A slot starts below p, and each of its fewer
-    than n = nrows updates adds (p - f) t < 2p^2 < 2^(2s+1) for a top slot
-    t < 2p, so it stays below V = 2^(2s+1+b), b = bit_length(n), which W is
-    chosen to hold: one word up to 511 rows.  Within a round the slot's
-    bits do not mix with the next slot's, as e hi + lo < e 2^(W-s) + 2^s
-    <= 2^W.  A round takes a slot below V below V' = e h + 2^s,
-    h = floor((V - 1) / 2^s), and `_fold_rounds` counts the rounds until
-    V <= 2p.  They end: while V > 2p, h >= 1; h = 1 gives V' = e + 2^s <=
-    2p (3e <= 2^s); h >= 2 gives V' < h 2^s < V (2^s < h (2^s - e)).  Each
-    round divides V by about 2^s / e > 2^21: two rounds for b <= 15 (up to
-    32,767 rows), three for b <= 37, so the whole-matrix retry of a grid
-    with tens of thousands of rows takes three.  A folded row is below 2p,
-    times inv below 2p^2 < V, and folded again below 2p (V' grows with V,
-    so the same rounds hold).  upper reads the low word of each top slot
-    (2p < 2^64) and subtracts p once where needed.
+    No slot ever carries.  A row gets one update per pivot taken while it
+    is below the pivot row: each pivot is another row and in another
+    column, so it gets at most u = min(nrows - 1, ncols) updates.  A slot
+    starts below p, and each update adds (p - f) t < 2p^2 < 2^(2s+1) for
+    a top slot t < 2p, so the slot stays below (u + 1) 2^(2s+1) <= V =
+    2^(2s+1+b), b = bit_length(u), which W is chosen to hold: one word for
+    u <= 511, so for every matrix of at most 511 columns.  Within a round
+    the slot's bits do not mix with the next slot's, as e hi + lo <
+    e 2^(W-s) + 2^s <= 2^W.  A round takes a slot below V below
+    V' = e h + 2^s, h = floor((V - 1) / 2^s), and `_fold_rounds` counts
+    the rounds until V <= 2p.  They end: while V > 2p, h >= 1; h = 1 gives
+    V' = e + 2^s <= 2p (3e <= 2^s); h >= 2 gives V' < h 2^s < V
+    (2^s < h (2^s - e)).  Each round divides V by about 2^s / e > 2^21:
+    two rounds for b <= 15 (u up to 32,767), three for b <= 37.  A folded
+    row is below 2p, times inv below 2p^2 < V, and folded again below 2p
+    (V' grows with V, so the same rounds hold).  upper reads the low word
+    of each top slot (2p < 2^64) and subtracts p once where needed.
     """
-    bound = 1 << 2 * p.bit_length() + 1 + len(rows).bit_length()
+    bound = 1 << 2 * p.bit_length() + 1 + min(len(rows) - 1, nc).bit_length()
     words = (bound.bit_length() - 1 + 63) // 64
     width, mask = 64 * words, (1 << 64 * words) - 1
     fold = _folder(p, words, nc, bound)

@@ -61,9 +61,22 @@ from .projective import LinSpace, all_ones_point, pluecker, point_times_space
 #: in P^16 (831,606) 2.5 s, 18 at r = 7 in P^10 2.1 s, 30 at r = 4 in P^5
 #: 1.3 s, 120 at r = 2 in P^3 0.7 s; and 2 points at r = 1 on the line
 #: [[1, ..., 1], [1, ..., 701]] in P^700 0.5 s.
-#: Digits are not counted: 17 points at r = 8 in P^16 with 10-digit entries
-#: take 17 s.  24 points at r = 12 in P^13 ran past 30 s.
+#: Digits are counted by STAR_CONFIG_BIT_WORK_LIMIT.  24 points at r = 12
+#: in P^13 ran past 30 s.
 STAR_CONFIG_OUTPUT_LIMIT = 10 ** 6
+
+#: Largest `star_bit_work` that `star-config` accepts; past it,
+#: `check_star_config_bit_work` raises BudgetExhausted before any work.
+#: Whole processes on a 2-vCPU Xeon VM took 0.2-0.37 ns per unit at r >= 7
+#: (0.05-0.15 ns at r <= 4), so the limit keeps a payload near 4 s at
+#: most, inside the 5 s of acceptance criterion 1.  Refused: 17 points at
+#: r = 8 in P^16 on a line of 10-digit entries (7.7 * 10^10, 16.4 s) or
+#: 4-digit ones (1.7 * 10^10, 3.6 s), 17 at r = 9 in P^10 with 4-digit
+#: entries (1.8 * 10^10, 5.1 s) and 18 at r = 11 in P^12 with 2-digit ones
+#: (1.4 * 10^10, 5.0 s).  Passed: 17 points at r = 8 in P^16 with 2-digit
+#: entries (6.4 * 10^9, 2.0 s), 120 at r = 2 in P^3 with 10-digit ones
+#: (6.0 * 10^9, 0.8 s).
+STAR_CONFIG_BIT_WORK_LIMIT = 10 ** 10
 
 
 class PointSet:
@@ -232,6 +245,32 @@ def check_star_config_limits(m, r, n):
         raise BudgetExhausted("the star configuration of %d points at r = %d in P^%d is past "
                               "the limit of %d printed entries and general position minors"
                               % (m, r, n, STAR_CONFIG_OUTPUT_LIMIT))
+
+
+def star_bit_work(line, points, r):
+    """`star_output_count` times (r b)^2, for b the largest bit length of
+    the line's and the points' integer entries.
+
+    The product points and the normals have entries of about r b bits, and
+    the general position minors, most of the work near the limits, multiply
+    such entries in time about quadratic in their bits.  The points must
+    pass STAR_CONFIG_OUTPUT_LIMIT first, so that the count is exact.
+    """
+    bits = max(abs(x).bit_length()
+               for row in (*line.generators.ints, *(p.ints for p in points)) for x in row)
+    return star_output_count(len(points), r, line.ambient_dim) * (r * bits) ** 2
+
+
+def check_star_config_bit_work(line, points, r):
+    """Raise BudgetExhausted when `star_bit_work` is past
+    STAR_CONFIG_BIT_WORK_LIMIT; an r that `build_star` refuses is left to
+    it, as in `check_star_config_limits`."""
+    if not 1 <= r <= min(len(points), line.ambient_dim):
+        return
+    if star_bit_work(line, points, r) > STAR_CONFIG_BIT_WORK_LIMIT:
+        raise BudgetExhausted("the star configuration of %d points at r = %d in P^%d, counting "
+                              "its entries' bits, is past the bit work limit of %d"
+                              % (len(points), r, line.ambient_dim, STAR_CONFIG_BIT_WORK_LIMIT))
 
 
 def _normals(hyperplanes, ambient):

@@ -102,6 +102,13 @@ class SignedConeFan:
 
     def __post_init__(self):
         object.__setattr__(self, "global_weight", Fraction(self.global_weight))
+        self._check_cones()
+        ordered = sorted(self.cones.items(), key=lambda item: _cone_order(item[0]))
+        object.__setattr__(self, "cones", MappingProxyType(dict(ordered)))
+
+    def _check_cones(self):
+        """Raise ValueError unless every cone is a signed cone of the fan's
+        dimension inside the ambient range with a positive multiplicity."""
         for (plus, minus), mult in self.cones.items():
             if plus & minus:
                 raise ValueError("plus and minus sets overlap")
@@ -113,8 +120,6 @@ class SignedConeFan:
                                  % (support.bit_count(), self.dim))
             if support >> (self.ambient_dim + 1):  # also true for a negative mask
                 raise ValueError("index outside ambient range 0..%d" % self.ambient_dim)
-        ordered = sorted(self.cones.items(), key=lambda item: _cone_order(item[0]))
-        object.__setattr__(self, "cones", MappingProxyType(dict(ordered)))
 
     def is_balanced(self):
         """Exact ridge-balancing test.
@@ -139,6 +144,19 @@ class SignedConeFan:
                 if span is None or not span.contains(PPoint(total)):
                     return False
         return True
+
+
+def _ordered_fan(ambient_dim, dim, cones, global_weight=1):
+    """The SignedConeFan of a dict of cones already in _cone_order, which
+    the fan then holds: the constructor's checks of every cone, without its
+    sort."""
+    fan = object.__new__(SignedConeFan)
+    for name, value in (("ambient_dim", ambient_dim), ("dim", dim),
+                        ("cones", MappingProxyType(cones)),
+                        ("global_weight", Fraction(global_weight))):
+        object.__setattr__(fan, name, value)
+    fan._check_cones()
+    return fan
 
 
 def standard_tls(m, n, negated=False):
@@ -206,6 +224,10 @@ def minkowski_sum(fans, delta=1):
     only needs its signed support, so each factorization prefix is summed
     once, and the last fold's mapping is the sum's.  The global weight is
     the product of the input weights divided by delta.
+
+    The fold takes any fans.  fan_degree_pipeline calls it on standard
+    fans restricted to one cone, whose one cone's multiplicity the
+    symmetry of standard fans carries to all the others (see there).
     """
     if not fans:
         raise ValueError("need at least one fan")
@@ -373,13 +395,18 @@ def stable_mult_origin(fan_f, fan_g, v):
 # ---------------------------------------------------------------------------
 # closed-form degrees and the fan pipeline they are checked against
 
-#: Most cone coordinates fan_degree_pipeline enumerates: n + 1 times the
-#: Minkowski sum's prod binom(n+1, m_k) ** r_k factorizations and n + 1
-#: times the complement's binom(n+1, n - dim) cones must each stay within
-#: it.  For n >= 1 one of the two counts is >= n + 1 (the complement's when
-#: dim < n, else a factor's with 1 <= m_k <= n), so (n + 1) ** 2 is a
-#: lower bound that refuses a large n before any binomial is formed.  A
-#: point factor contributes a factor 1 and builds no fan.
+#: The refusal rule of fan_degree_pipeline, in cone coordinates: n + 1
+#: times prod binom(n+1, m_k) ** r_k, the factorizations a fold of all
+#: factor fans would try, and n + 1 times the complement's binom(n+1,
+#: n - dim) cones must each stay within it.  For n >= 1 one of the two
+#: counts is >= n + 1 (the complement's when dim < n, else a factor's with
+#: 1 <= m_k <= n), so (n + 1) ** 2 is a lower bound that refuses a large n
+#: before any binomial is formed.  A point factor contributes a factor 1.
+#: The pipeline no longer folds all factor fans, so the rule is not a count
+#: of its enumeration; it is kept as it stood so that every payload keeps
+#: its exit code.  It still bounds the work: the sum's binom(n+1, m)
+#: binom(n+1, mt) mask pairs are at most the product, as binom(N, a)
+#: binom(N, b) >= binom(N, a + b).
 FAN_BUDGET = 10 ** 6
 
 
@@ -487,6 +514,14 @@ def degree_with_reciprocals(plain, reciprocal, n):
     return m + mt, degree
 
 
+def _restrict(fan, plus, minus):
+    """The cones of `fan` inside the cone (plus, minus), as a fan of the
+    same dimension and weight."""
+    inside = {cone: mult for cone, mult in fan.cones.items()
+              if not (cone[0] & ~plus or cone[1] & ~minus)}
+    return _ordered_fan(fan.ambient_dim, fan.dim, inside, fan.global_weight)
+
+
 def fan_degree_pipeline(plain, reciprocal, n, rng):
     """Degree via tropical fans: Minkowski sum + stable intersection.
 
@@ -500,6 +535,29 @@ def fan_degree_pipeline(plain, reciprocal, n, rng):
     is used to cross-check.  Past FAN_BUDGET it raises BudgetExhausted
     before building any fan.
 
+    The sum is counted on one cone and built by symmetry.  Let m and mt be
+    the total plain and reciprocal dimensions.
+    - Every cone of the sum is a pair (P, M) of disjoint coordinate sets of
+      sizes m and mt: a plain fan has plus cones only, a reciprocal one
+      minus cones only, and the supports of a factorization are disjoint.
+    - A permutation pi of the n + 1 coordinates maps every standard fan
+      onto itself, multiplicities 1 to 1, and keeps supports disjoint, so
+      it maps the ordered factorizations of (P, M) one to one onto those
+      of (pi P, pi M): the two pairs have the same multiplicity.
+    - The permutations act transitively on these pairs: one of them takes
+      (P, M) to the representative (R+, R-), R+ the first m coordinates
+      and R- the next mt (m + mt <= n, so they fit).
+    So every such pair has the multiplicity c of the representative, and
+    all are cones of the sum, as c >= 1: R+ and R- split into blocks of
+    the factor dimensions.  The factors of a factorization of (R+, R-) are
+    cones inside it, so c is the multiplicity of the one cone of
+    `minkowski_sum` over the factor fans restricted to those cones: an
+    enumeration of ordered factorizations, independent of the closed
+    form's `_partitions`.  The sum's global weight is that sum's, 1/delta.
+    Its cones are built in _cone_order: each plus mask of
+    standard_tls(m, n) in its order, with each minus mask of
+    standard_tls(mt, n, negated=True) disjoint from it in theirs.
+
     Returns one dict: "dim" and "degree", the summed "fan", its
     "complement", "delta", the "displacement" drawn by draw_generic_vector,
     and the contributing "pairs" of stable_mult_origin.
@@ -510,15 +568,22 @@ def fan_degree_pipeline(plain, reciprocal, n, rng):
             comb(n + 1, n - m - mt)) > FAN_BUDGET:
         raise BudgetExhausted("the fans in P^%d exceed the budget of %d cone coordinates"
                               % (n, FAN_BUDGET))
+    inside = (1 << m) - 1, ((1 << mt) - 1) << m
     fans = []
     for mk, r in plain:
         if mk:
-            fans += [standard_tls(mk, n)] * r
+            fans += [_restrict(standard_tls(mk, n), *inside)] * r
     for mk, s in reciprocal:
         if mk:
-            fans += [standard_tls(mk, n, negated=True)] * s
+            fans += [_restrict(standard_tls(mk, n, negated=True), *inside)] * s
     delta = prod(factorial(r) for mk, r in plain + reciprocal if mk)
-    summed = minkowski_sum(fans or [standard_tls(0, n)], delta)
+    counted = minkowski_sum(fans or [standard_tls(0, n)], delta)
+    (c,) = counted.cones.values()
+    plus_masks = [plus for plus, _ in standard_tls(m, n).cones]
+    minus_masks = [minus for _, minus in standard_tls(mt, n, negated=True).cones]
+    summed = _ordered_fan(n, m + mt, {(plus, minus): c for plus in plus_masks
+                                      for minus in minus_masks if not plus & minus},
+                          counted.global_weight)
     complement = standard_tls(n - m - mt, n)
     v = draw_generic_vector(n, rng)
     degree, pairs = stable_mult_origin(summed, complement, v)

@@ -725,6 +725,55 @@ def test_star_config_limit_admits_the_benchmark_grid_and_the_readme_payload():
     star_configs.check_star_config_limits(24, 0, 13)
 
 
+def _digit_star_payload(m, r, n, digits):
+    """m points g0 + k g1 (k = 1..m) on a random line (g0, g1) of
+    `digits`-digit entries in P^n."""
+    rng = random.Random(digits)
+    g0, g1 = ([rng.randint(10 ** (digits - 1), 10 ** digits - 1) for _ in range(n + 1)]
+              for _ in range(2))
+    points = [[a + k * b for a, b in zip(g0, g1)] for k in range(1, m + 1)]
+    return {"line": [g0, g1], "points": points, "r": r}
+
+
+def _star_bit_work(payload):
+    line = projective.LinSpace(payload["line"])
+    points = [projective.PPoint(p) for p in payload["points"]]
+    return star_configs.star_bit_work(line, points, payload["r"])
+
+
+def test_star_config_past_the_bit_work_limit_exit_3_at_once():
+    # 17 points at r = 8 in P^16 with 10-digit entries (38-bit points) took
+    # 16 s under the entry limit: 831,606 * (8 * 38)^2 = 7.7e10 is refused
+    # before any work.  With 2-digit entries (11-bit points, 6.4e9) the
+    # same shape takes about 2 s and passes.
+    payload = _digit_star_payload(17, 8, 16, 10)
+    assert _star_bit_work(payload) == 831606 * (8 * 38) ** 2
+    start = time.perf_counter()
+    proc = run_cli("star-config", payload)
+    assert time.perf_counter() - start < 1.0
+    assert (proc.returncode, proc.stdout) == (3, "") and "Traceback" not in proc.stderr
+    error = json.loads(proc.stderr)["error"]
+    assert error["code"] == 3 and str(star_configs.STAR_CONFIG_BIT_WORK_LIMIT) in error["message"]
+    assert _star_bit_work(_digit_star_payload(17, 8, 16, 2)) == 831606 * (8 * 11) ** 2
+    assert _star_bit_work(_digit_star_payload(17, 8, 16, 2)) < star_configs.STAR_CONFIG_BIT_WORK_LIMIT
+
+
+def test_star_config_bit_work_admits_the_benchmark_pools_and_the_readme_payload(
+        monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+    payloads = [op.payload for seed in (1, 2, 3) for cycle in workloads.generate("small-exact", seed)
+                for op in cycle if op.kind == "small.star_config"]
+    assert len(payloads) == 3 * len(workloads.STAR_GRID)
+    payloads.append({"line": [[1, 1, 1], [1, 2, 3]],
+                     "points": [[1, 1, 1], [1, 2, 3], [2, 3, 4], [3, 4, 5]], "r": 2})
+    for payload in payloads:
+        assert _star_bit_work(payload) < star_configs.STAR_CONFIG_BIT_WORK_LIMIT // 1000
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(payload)))
+        assert cli.main(["star-config"]) == 0
+        assert json.loads(capsys.readouterr().out)["verified"] is True
+
+
 def test_span_dim_redraws_a_singular_draw(monkeypatch, capsys):
     # Seed 1023 draws the 1 x 1 generator matrix [0], which raised a
     # ValueError traceback; the next draw is nonzero.

@@ -397,11 +397,24 @@ def test_packed_factor_matches_list_factor():
         assert linalg._factor_mod_p(rows, nc, p) == _factor_mod_p_lists(rows, nc, p), rows
 
 
-def test_packed_factor_past_2_to_the_15_rows_matches_list_factor():
-    # 2^15 rows and more: two-word slots folded in three rounds, as in the
-    # whole-matrix retry of a tall parameter grid.  The rows are a shuffle
-    # of residues, multiples of p, and rows whose every update adds the
-    # largest product (p - 1)^2.
+def _recorded_folders(monkeypatch):
+    """(words, rounds) of every `_folder` that `_factor_mod_p` makes."""
+    made, folder = [], linalg._folder
+
+    def recording_folder(p, words, count, bound):
+        made.append((words, linalg._fold_rounds(p, bound)))
+        return folder(p, words, count, bound)
+
+    monkeypatch.setattr(linalg, "_folder", recording_folder)
+    return made
+
+
+def test_packed_factor_past_2_to_the_15_rows_matches_list_factor(monkeypatch):
+    # 2^15 rows and more, as in the whole-matrix retry of a tall parameter
+    # grid.  The rows are a shuffle of residues, multiples of p, and rows
+    # whose every update adds the largest product (p - 1)^2.  A slot gets
+    # at most nc = 4 updates, so it fits one word folded in two rounds,
+    # where a bound by the row count would take two words and three.
     p = KERNEL_PRIME
     rng = random.Random(15)
     nr, nc = 2 ** 15 + 7, 4
@@ -410,7 +423,23 @@ def test_packed_factor_past_2_to_the_15_rows_matches_list_factor():
               for _ in range(nc)] for _ in range(nr - len(rows))]
     rng.shuffle(rows)
     assert linalg._fold_rounds(p, 2 ** (2 * p.bit_length() + 1 + nr.bit_length())) == 3
+    made = _recorded_folders(monkeypatch)
     assert linalg._factor_mod_p(rows, nc, p) == _factor_mod_p_lists(rows, nc, p)
+    assert made == [(1, 2)]
+
+
+def test_slots_are_sized_by_the_updates_a_slot_gets(monkeypatch):
+    # A 600 x 40 whole matrix: each slot gets at most 40 updates, so one
+    # word holds it, where 600 updates would take two; slot (i, j) of the
+    # largest-updates rows gets min(i, j) of the largest ones.
+    p = KERNEL_PRIME
+    rng = random.Random(16)
+    rows = _largest_updates_matrix(300, 40, p)
+    rows += [[rng.choice([rng.randrange(p), -rng.randrange(2 ** 80)]) for _ in range(40)]
+             for _ in range(300)]
+    made = _recorded_folders(monkeypatch)
+    assert linalg._factor_mod_p(rows, 40, p) == _factor_mod_p_lists(rows, 40, p)
+    assert made == [(1, 2)]
 
 
 @pytest.mark.parametrize("rows, words, rounds", [(511, 1, 2), (2 ** 15, 2, 3), (2 ** 46 - 1, 2, 4)],

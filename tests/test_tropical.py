@@ -12,6 +12,8 @@ from math import comb, factorial, prod
 from operator import or_
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from test_acceptance import criterion_05_grid, criterion_06_grid
 
 from hadamard_spaces import cli, tropical
 from hadamard_spaces.linalg import (BudgetExhausted, PreconditionError, rat_str,
@@ -440,6 +442,28 @@ def test_fan_constructor_validation():
     assert list(fan.cones) == [_cone([], [1, 3]), _cone([0], [1]), _cone([0, 3]), _cone([2], [0])]
 
 
+def test_ordered_fan_is_the_validated_fan():
+    rng = random.Random(80)
+    for n in (1, 2, 5, 8, 63, 64, 100):
+        for _ in range(20):
+            m = rng.randint(0, min(n, 6))
+            cones = {_random_cone(rng, m, n): rng.randint(1, 3) for _ in range(rng.randint(1, 30))}
+            weight = Fraction(rng.randint(1, 3), rng.randint(1, 3))
+            want = SignedConeFan(n, m, cones, weight)
+            got = tropical._ordered_fan(n, m, dict(want.cones), weight)
+            assert got == want and list(got.cones.items()) == list(want.cones.items())
+            assert type(got.global_weight) is Fraction
+            with pytest.raises(TypeError):  # read-only, as the constructor's
+                got.cones[next(iter(cones))] = 5
+    assert tropical._ordered_fan(3, 0, {(0, 0): 1}) == standard_tls(0, 3)
+    for cones in ({_cone([1], [1]): 1}, {_cone([1]): 1, _cone([2]): 0},
+                  {_cone([1]): 1, _cone([1, 2]): 1}, {_cone([], [4]): 1}):
+        with pytest.raises(ValueError) as validated:
+            SignedConeFan(3, 1, cones)
+        with pytest.raises(ValueError, match=str(validated.value)):
+            tropical._ordered_fan(3, 1, cones)
+
+
 def test_lattice_index_basics():
     n = 4
     a = _cone([0, 1])
@@ -754,7 +778,7 @@ def test_fan_pipeline_builds_each_factor_fan_once(monkeypatch):
     built = []
 
     def counting_tls(m, n, negated=False):
-        built.append(m)
+        built.append((m, negated))
         return standard_tls(m, n, negated)
 
     monkeypatch.setattr(tropical, "standard_tls", counting_tls)
@@ -762,13 +786,74 @@ def test_fan_pipeline_builds_each_factor_fan_once(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         # A line cubed, a reciprocal line and two point factors in P^5: one
-        # fan per positive-dimensional factor, then the plane complement.
+        # fan per positive-dimensional factor, then the m = 3 and mt = 1
+        # fans whose masks the sum's cones are built from, then the plane
+        # complement.
         result = fan_degree_pipeline([(1, 3), (0, 4)], [(1, 1), (0, 2)], 5, rng)
-        assert built == [1, 1, 1] and result["degree"] == 2
+        assert built == [(1, False), (1, True), (3, False), (1, True), (1, False)]
+        assert result["degree"] == 2
         built.clear()
-        # Only points: the origin's fan stands in for the sum.
+        # Only points: the origin's fan stands in for the sum, and its cone
+        # is the only mask of both m = mt = 0 fans.
         assert fan_degree_pipeline([(0, 10 ** 5)], [(0, 3)], 2, rng)["degree"] == 1
-        assert built == [0, 2]
+        assert built == [(0, False), (0, False), (0, True), (2, False)]
+
+
+def _folded_sum(plain, recip, n):
+    """The fan pipeline's sum by `minkowski_sum` of every factor fan r_k
+    times, as the pipeline formed it before it counted on one cone."""
+    fans = [standard_tls(mk, n) for mk, r in plain if mk for _ in range(r)]
+    fans += [standard_tls(mk, n, negated=True) for mk, s in recip if mk for _ in range(s)]
+    delta = prod(factorial(r) for mk, r in [*plain, *recip] if mk)
+    return minkowski_sum(fans or [standard_tls(0, n)], delta)
+
+
+def _assert_pipeline_sum_is_the_fold(plain, recip, n, rng):
+    got = fan_degree_pipeline(plain, recip, n, rng)["fan"]
+    want = _folded_sum(plain, recip, n)
+    assert list(got.cones.items()) == list(want.cones.items())
+    assert (got.ambient_dim, got.dim, got.global_weight) == (
+        want.ambient_dim, want.dim, want.global_weight)
+
+
+def test_fan_pipeline_sum_is_the_fold_on_the_degree_grids():
+    rng = random.Random(81)
+    grid = criterion_05_grid() + criterion_06_grid()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for plain, recip, n in grid:
+            _assert_pipeline_sum_is_the_fold(list(plain), list(recip), n, rng)
+    assert len(grid) > 300
+
+
+@st.composite
+def _pipeline_inputs(draw):
+    """(plain, reciprocal, n): up to two factors on each side, point
+    factors among them, of total dimension at most n <= 7, and at most
+    10^5 fold factorizations of the factor fans' cones."""
+    n = draw(st.integers(0, 7))
+    room, combos, sides = n, 1, ([], [])
+    for factors in sides:
+        for _ in range(draw(st.integers(0, 2))):
+            mk = draw(st.sampled_from([k for k in range(min(room, 3) + 1)
+                                       if combos * comb(n + 1, k) <= 10 ** 5]))
+            r = 1
+            while r < 3 and mk * (r + 1) <= room and combos * comb(n + 1, mk) ** (r + 1) <= 10 ** 5:
+                r += 1
+            r = draw(st.integers(1, r))
+            factors.append((mk, r))
+            room -= mk * r
+            combos *= comb(n + 1, mk) ** r
+    return (*sides, n)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_pipeline_inputs())
+def test_fan_pipeline_sum_is_the_fold_fuzzed(inputs):
+    plain, recip, n = inputs
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        _assert_pipeline_sum_is_the_fold(plain, recip, n, random.Random(n))
 
 
 def test_draw_generic_vector_distinct():
