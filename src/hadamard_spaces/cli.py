@@ -20,7 +20,9 @@ work:
   generators, past products.SPAN_DIM_BIT_WORK_LIMIT (counting its entries'
   bits);
 - an `interp` degree past products.INTERP_MONOMIAL_BUDGET, or whose
-  parameter grid times its monomials is past products.INTERP_GRID_LIMIT;
+  parameter grid times its monomials is past products.INTERP_GRID_LIMIT,
+  or whose products.interpolation_bit_work is past
+  products.INTERP_BIT_WORK_LIMIT;
 - an `interp` of an empty product (a reciprocal factor in a coordinate
   hyperplane, or factors whose product map vanishes);
 - `bracket verify` trials past brackets.VERIFY_TRIALS_LIMIT;
@@ -29,7 +31,10 @@ work:
   star_configs.STAR_CONFIG_BIT_WORK_LIMIT (that count times the bits of
   its entries);
 - a `segre` sampler past samplers.SEGRE_AMBIENT_LIMIT, before it is built;
-- a `span-dim` by `dims` whose SAMPLE_BUDGET draws were all rank-deficient.
+- a `span-dim` by `dims` whose SAMPLE_BUDGET draws were all rank-deficient;
+- an `interp` degree whose forms are past the p-adic lifting reach and
+  whose Bareiss elimination is past linalg.BAREISS_BIT_WORK_LIMIT,
+  before it runs.
 """
 
 import argparse

@@ -26,21 +26,24 @@ position, come from Laplace expansion, or from `integer_det` per minor
 where that is cheaper (`integer_maximal_minors`).
 
 p-adic (`integer_kernel_basis`, the kernel of the interpolation oracle's
-evaluation matrix at its parameter grid, wide or tall).  The
-integer matrix A, or only its leading nc x nc block when A has more rows
-than its nc columns (call the factored rows S), is factored modulo the
-prime KERNEL_PRIME = 2^27 - 39, each row packed into one int of
-word-aligned slots that never carry (`_factor_mod_p`), one 64-bit word
-each up to 511 columns: a row update is one big-int multiply-add with no
-reduction, and a pivot row is reduced in packed form by folding each
-slot's bits above 2^27 down, times 39.  For each free column f, the
-entries at the pivots before f solve a square system in the pivot rows,
-lifted p-adically to p^k (Dixon 1982), each step's residue one CPython
-digit, and rationally reconstructed (Wang, Guy & Davenport 1982) over a
-common denominator, which spares Euclid on entries that share it; every
-vector is checked exactly, A x = 0 in integers against every row of A,
-before anything is returned.  Its cost follows the size of the kernel
-entries, not of the minors Bareiss carries.  The check is a certificate:
+evaluation matrix at its parameter grid, wide or tall).  The integer
+matrix A, or only its leading nc x nc block when A has more rows than its
+nc columns (call the factored rows S), is factored modulo the prime
+KERNEL_PRIME = 2^27 - 39, each row packed into one int of word-aligned
+slots that never carry (`_factor_mod_p`), one 64-bit word each up to 511
+columns: a row update is one big-int multiply-add with no reduction, and
+a pivot row is reduced in packed form by folding each slot's bits above
+2^27 down, times 39.  For each free column f, the entries at the pivots
+before f solve a square system in the pivot rows, lifted p-adically to
+p^k (Dixon 1982), each step's residue one CPython digit and, from
+PACKED_PIVOTS pivots on, each step a sweep of packed columns, and
+rationally reconstructed (Wang, Guy & Davenport 1982) over a common
+denominator, which spares Euclid on entries that share it; every vector
+is checked exactly, A x = 0 in integers against every row of A, before
+anything is returned (a row that the lifting pins may be certified by a
+congruence and a norm bound, see `_dixon_kernel`).  Its cost follows the
+size of the kernel entries, not of the minors Bareiss carries.  The check
+is a certificate:
 
 - ker_Q(A) lies in ker_Q(S), and rank mod p <= rank over Q (every minor
   that vanishes over Q vanishes mod p), so dim ker_p(S) >= dim ker_Q(A);
@@ -59,8 +62,9 @@ attempts in a row (an unlucky prime, or a block S with a larger kernel
 than A) stops the lifting at once; so does one that has not passed within
 LIFT_STEPS steps (entries beyond the lifting reach, which a spurious
 vector of a singular block can have while A's own kernel is small).
-Either sends a block on to all of A, and all of A on to Bareiss.  The
-result is always exact.
+Either sends a block on to all of A, and all of A on to Bareiss, which
+refuses (BudgetExhausted) a matrix past BAREISS_BIT_WORK_LIMIT.  A result
+is always exact.
 
 The rank, the RREF, the kernel basis and the determinant are unique, so
 the results do not depend on the path, nor on the prime: only the time
@@ -68,13 +72,14 @@ does.
 """
 
 import re
+import struct
 import sys
 from array import array
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import combinations, compress
+from itertools import combinations, compress, zip_longest
 from math import comb, gcd, isqrt, lcm
-from operator import mul
+from operator import itemgetter, mul
 
 
 class PreconditionError(ValueError):
@@ -442,6 +447,24 @@ KERNEL_PRIME = (1 << 27) - 39
 #: about 500 bits; larger kernels go to the Bareiss fallback.
 LIFT_STEPS = 38
 
+#: Largest `bareiss_bit_work` of a matrix whose p-adic kernel failed (its
+#: entries beyond the lifting reach) that `integer_kernel_basis` hands to
+#: Bareiss; past it, it raises BudgetExhausted.  Its one caller is the
+#: interpolation oracle.  Whole processes on a 2-vCPU Xeon VM took 0.4-1.1
+#: * 10^-13 s per unit: a reciprocal plane in P^3 at dmax 3 with 60-digit
+#: entries (2.9 * 10^13) 3.1 s, a squared plane in P^5 with 10-digit
+#: entries (2.3 * 10^13) 1.6 s.  Now refused: the squared plane with
+#: 12-digit entries (3.2 * 10^13) 2.2 s and 30-digit ones (2.0 * 10^14)
+#: 11.6 s, the reciprocal plane with 70-digit entries (3.9 * 10^13) 4.1 s
+#: and 300-digit ones (7.1 * 10^14) past 60 s.
+BAREISS_BIT_WORK_LIMIT = 3 * 10 ** 13
+
+#: Fewest pivots of a factored block whose lifting steps run as packed
+#: column sweeps (`_packed_sweeps`).  Below it the sweeps' set-up costs more
+#: than they save: packed, the 19-21 pivot blocks of a reciprocal plane in
+#: P^3 at degree 3 took 27% longer, and they run row by row.
+PACKED_PIVOTS = 32
+
 
 def _pack(values, words):
     """Ints in [0, 2^64) as one int of `words`-word slots, first lowest.
@@ -627,9 +650,107 @@ def _annihilates(rows, vec):
     return all(sum(map(mul, compress(row, vec), values)) == 0 for row in rows)
 
 
-def _residual(b, square, x, p):
-    """Dixon's next right side b_(i+1) = (b_i - B x_i) / p, exact."""
-    return [(bi - sum(map(mul, row, x))) // p for bi, row in zip(b, square)]
+def _residual(b, products, p):
+    """Dixon's next right side b_(i+1) = (b_i - B x_i) / p, exact, from the
+    entries of B x_i."""
+    return [(bi - v) // p for bi, v in zip(b, products)]
+
+
+def _row_sweeps(rows, pivots, prows, lower, upper, p):
+    """(solve, times) for the block B = A[R, P] of a factorization mod p,
+    row by row.  solve(b) is x = B_k^-1 b mod p for the leading k x k block
+    B_k, k = len(b): a forward substitution with L, then a back
+    substitution with U.  times(x) is B_k x, exact."""
+    square = [[rows[i][c] for c in pivots] for i in prows]
+
+    def solve(b):
+        x = []
+        for l, bi in zip(lower, b):
+            x.append((bi - sum(map(mul, l, x))) * l[-1] % p)
+        for i in range(len(x) - 1, -1, -1):
+            x[i] = (x[i] - sum(map(mul, upper[i], x[i + 1:]))) % p
+        return x
+
+    def times(x):
+        return [sum(map(mul, row, x)) for row in square[:len(x)]]
+
+    return solve, times
+
+
+def _packed_sweeps(rows, pivots, prows, lower, upper, p):
+    """(solve, times) as in `_row_sweeps`, each a sweep over packed
+    columns, for a block of K <= 511 pivots; None when an entry of B is
+    outside the signed 64-bit range.
+
+    Each column of L below the diagonal and of U above it is one int of
+    one-word (64-bit) slots, and each column of B one int of two-word
+    slots, little-endian (`struct`), cut once per kernel from C-level
+    transposes.  solve(b) keeps one int acc of one-word slots.  The
+    forward sweep starts from acc = b mod p, slot i at row i; at column j
+    slot 0 is row j, z_j = slot 0 times the inverse pivot, and acc >>= 64;
+    acc += (p - z_j) L_col_j subtracts z_j times the column from every
+    later row.  The back sweep does the same with U from the bottom: acc
+    holds z reversed, slot 0 is row j when column j is reached, and the
+    column of U is stored reversed (rows j - 1 down to 0).  A slot starts
+    below p and gets at most K updates below p^2, so it stays below p +
+    K p^2 < 2^64 for K <= 511: the slots never carry.  times(x) is sum x_j
+    B_col_j over two-word slots.  Each entry is written as a signed word,
+    its two's complement, and XOR with bit 63 of every slot adds 2^63 to
+    it: slot t is (B x)_t + 2^63 sum x, each of the K terms below p 2^64,
+    so below K 2^64 p < 2^100 < 2^128, and one `to_bytes` reads every slot
+    back, the bias subtracted.
+    """
+    count = len(pivots)
+    bias = int.from_bytes((1 << 63).to_bytes(16, "little") * count, "little")
+    signed = struct.Struct("<" + "q8x" * count)
+    columns = list(zip(*itemgetter(*prows)(rows)))
+    try:
+        bcols = [int.from_bytes(signed.pack(*columns[c]), "little") ^ bias for c in pivots]
+    except struct.error:
+        return None
+    words = struct.Struct("<%dQ" % count)
+    # Column j of L, then of the row-reversed U, holds zeros and the
+    # diagonal in its first j + 1 words (zip_longest pads the short rows).
+    lcols = [int.from_bytes(words.pack(*col)[8 * j + 8:], "little")
+             for j, col in enumerate(zip_longest(*lower, fillvalue=0))]
+    ucols = [int.from_bytes(words.pack(*col)[8 * j + 8:], "little")
+             for j, col in enumerate(zip_longest(*[u[::-1] for u in reversed(upper)], fillvalue=0))]
+    ucols = [0] + ucols[::-1]
+    inverses = [l[-1] for l in lower]
+    pairs = struct.Struct("<%dQ" % (2 * count))
+    mask = (1 << 64) - 1
+
+    def pack(values):
+        return int.from_bytes(struct.pack("<%dQ" % len(values), *values), "little")
+
+    def solve(b):
+        acc = pack([v % p for v in b])
+        z = []
+        for inv, col in zip(inverses[:len(b)], lcols):
+            zj = (acc & mask) * inv % p
+            z.append(zj)
+            acc = (acc >> 64) + (p - zj) * col
+        acc = pack(z[::-1])
+        for j in range(len(z) - 1, -1, -1):
+            z[j] = xj = (acc & mask) % p
+            acc = (acc >> 64) + (p - xj) * ucols[j]
+        return z
+
+    def times(x):
+        slots = pairs.unpack(sum(map(mul, x, bcols)).to_bytes(16 * count, "little"))
+        offset = sum(x) << 63
+        return [lo + (hi << 64) - offset for lo, hi in zip(slots[:2 * len(x):2], slots[1::2])]
+
+    return solve, times
+
+
+def _uncertified(rows, block_rows, norms, vec, m):
+    """The rows of A that still need the exact check for a vector lifted to
+    m: all but the block rows r with ||A_r||_1 ||vec||_inf < m, which the
+    congruence of `_dixon_kernel` proves zero."""
+    top = max(map(abs, vec))
+    pinned = {i for i, norm in zip(block_rows, norms) if norm * top < m}
+    return [row for i, row in enumerate(rows) if i not in pinned]
 
 
 def _reconstruction_steps():
@@ -659,16 +780,38 @@ def _dixon_kernel(rows, height, nc):
     LIFT_STEPS steps (beyond the lifting reach).
 
     For free column f with k pivots before it, the pivot entries y solve
-    B y = -A[R_<k, f] with B = A[R_<k, P_<k], whose factors mod p are the
-    leading blocks of L and U.  Dixon's expansion y = sum x_i p^i takes one
-    triangular solve x_i = B^-1 b_i mod p per step and the exact residual
-    b_(i+1) = (b_i - B x_i) / p, computed only when the vector has not
-    passed its check by step i.  Reconstruction is attempted at the steps
-    of `_reconstruction_steps`.
+    B y = -a, a = A[R_<k, f], with B = A[R_<k, P_<k], whose factors mod p
+    are the leading blocks of L and U.  Dixon's expansion y = sum x_i p^i
+    takes one triangular solve x_i = B^-1 b_i mod p per step (`solve`) and
+    the exact residual b_(i+1) = (b_i - B x_i) / p (`times`, then
+    `_residual`), computed only when the vector has not passed its check
+    by step i.  Reconstruction is attempted at the steps of
+    `_reconstruction_steps`.
+
+    A factorization of PACKED_PIVOTS to 511 pivots whose B entries are in
+    the signed 64-bit range solves and multiplies in packed column sweeps
+    (`_packed_sweeps`), one big-int multiply-add per column: the solves on
+    one-word slots, which stay below p + K p^2 < 2^64, the residual on
+    two-word slots, which stay below K 2^64 p < 2^100 < 2^128, with every
+    entry of B biased by 2^63 by one XOR per column.  Other factorizations
+    solve row by row (`_row_sweeps`).
+
+    A packed one also certifies the rows R_<k by congruence.  After s
+    steps, m = p^s and B y = b_0 - m b_s = -a (mod m).  The reconstructed
+    vector v is num = den y (mod m) at P_<k and den at f, zero elsewhere,
+    so for r in R_<k, (A v)_r = den ((B y)_r + a_r) = 0 (mod m).  Where
+    ||A_r||_1 ||v||_inf < m, |(A v)_r| < m, so (A v)_r = 0 exactly and
+    `_annihilates` skips the row.  It still checks the rows R_>=k, the rows
+    past the block of a tall matrix, the block's rows that are not pivot
+    rows, and the rows whose bound fails.
     """
     p = KERNEL_PRIME
     pivots, prows, lower, upper = _factor_mod_p(rows[:height], nc, p)
-    square = [[rows[i][c] for c in pivots] for i in prows]
+    sweeps = None
+    if PACKED_PIVOTS <= len(pivots) <= 511:
+        sweeps = _packed_sweeps(rows, pivots, prows, lower, upper, p)
+    solve, times = sweeps or _row_sweeps(rows, pivots, prows, lower, upper, p)
+    norms = None
     attempts = set(_reconstruction_steps())
     vectors = []
     for f in sorted(set(range(nc)).difference(pivots)):
@@ -677,19 +820,20 @@ def _dixon_kernel(rows, height, nc):
         y, m, vec = [0] * k, 1, None
         for step in range(1, LIFT_STEPS + 1):
             if step > 1:
-                b = _residual(b, square, x, p)
-            x = []
-            for l, bi in zip(lower, b):
-                x.append((bi - sum(map(mul, l, x))) * l[-1] % p)
-            for i in range(k - 1, -1, -1):
-                x[i] = (x[i] - sum(map(mul, upper[i], x[i + 1:]))) % p
+                b = _residual(b, times(x), p)
+            x = solve(b)
             y = [u + m * v for u, v in zip(y, x)]
             m *= p
             if step not in attempts:
                 continue
             last, vec = vec, _lift(f, pivots, y, m, nc)
             if vec is not None:
-                if _annihilates(rows, vec):
+                checked = rows
+                if sweeps:
+                    if norms is None:
+                        norms = [sum(map(abs, rows[i])) for i in prows]
+                    checked = _uncertified(rows, prows[:k], norms, vec, m)
+                if _annihilates(checked, vec):
                     break
                 if vec == last:
                     return None
@@ -699,11 +843,20 @@ def _dixon_kernel(rows, height, nc):
     return vectors
 
 
+def bareiss_bit_work(rows, cols, bits):
+    """R C k^3 B^2, k = min(R, C): the work of a Bareiss elimination of an
+    R x C matrix of B-bit entries, about R C k cell updates on minors of up
+    to k B bits, multiplied in time about quadratic in their bits."""
+    return rows * cols * min(rows, cols) ** 3 * bits ** 2
+
+
 def integer_kernel_basis(rows):
     """Kernel basis of an integer matrix, the one `bareiss_kernel_basis`
     gives.  The p-adic path and its certificate are in the module docstring;
     on KERNEL_PRIME it tries the square block of a tall matrix, then the
-    whole matrix, then falls back to Bareiss."""
+    whole matrix, then falls back to Bareiss, unless that elimination's
+    `bareiss_bit_work` is past BAREISS_BIT_WORK_LIMIT: then it raises
+    BudgetExhausted before it runs."""
     if not rows:
         return []
     nc = len(rows[0])
@@ -711,6 +864,11 @@ def integer_kernel_basis(rows):
         vectors = _dixon_kernel(rows, height, nc)
         if vectors is not None:
             return vectors
+    bits = max(abs(x).bit_length() for row in rows for x in row)
+    if bareiss_bit_work(len(rows), nc, bits) > BAREISS_BIT_WORK_LIMIT:
+        raise BudgetExhausted("the kernel is beyond the p-adic lifting reach, and eliminating "
+                              "its %d x %d matrix of %d-bit entries is past the Bareiss bit "
+                              "work limit of %d" % (len(rows), nc, bits, BAREISS_BIT_WORK_LIMIT))
     return bareiss_kernel_basis(rows)
 
 

@@ -23,8 +23,8 @@ from itertools import combinations_with_replacement
 from math import comb, prod
 from operator import add, itemgetter, mul
 
-from .linalg import (BudgetExhausted, PreconditionError, QMatrix, integer_kernel_basis,
-                     integer_rank, primitive_ints)
+from .linalg import (BudgetExhausted, PreconditionError, QMatrix, bareiss_bit_work,
+                     integer_kernel_basis, integer_rank, primitive_ints)
 from .poly import SparsePoly, monomial_products, monomials_of_degree
 from .projective import LinSpace, PPoint, sample_point
 
@@ -44,6 +44,17 @@ INTERP_MONOMIAL_BUDGET = 300
 #: cells, 243 forms) 2.2 s; in P^22 (895,356 cells, refused) it took 3.9 s
 #: and in P^23 (1,015,200 cells) 6.5 s.
 INTERP_GRID_LIMIT = 750000
+
+#: Largest `interpolation_bit_work` that `interpolate_forms` accepts;
+#: past it, it raises BudgetExhausted before building anything.  Whole
+#: processes on a 2-vCPU Xeon VM, degree 2 on reciprocal planes times
+#: lines in P^8 to P^21: generic entries took 1.1-1.8 * 10^-13 s per unit
+#: (at the limit, 1.1-2.0 s); 4 distinct columns, whose many forms are
+#: each checked on every row, 4.5 s in P^21 with 23-digit entries (9.5 *
+#: 10^12, 243 forms).  Now refused: P^21 with 30-digit entries (1.6 *
+#: 10^13) 2.9 s generic and 5.4 s with 4 distinct columns, P^16 with
+#: 100-digit entries (3.4 * 10^13) 4.2 s, P^21 (1.6 * 10^14) 18 s.
+INTERP_BIT_WORK_LIMIT = 10 ** 13
 
 #: Largest work of a generalized Vandermonde rank (`check_span_dim_work`)
 #: that `span-dim` accepts; past it, it raises BudgetExhausted before any
@@ -131,9 +142,13 @@ def vandermonde_bit_work(entries):
     """
     rows = prod(comb(space.dim + r, r) for space, r in entries)
     cols = entries[0][0].ambient_dim + 1
-    bits = sum(r * max(abs(x).bit_length() for row in space.generators.ints for x in row)
-               for space, r in entries)
-    return rows * cols * min(rows, cols) ** 3 * bits ** 2
+    bits = sum(r * _generator_bits(space) for space, r in entries)
+    return bareiss_bit_work(rows, cols, bits)
+
+
+def _generator_bits(space):
+    """The largest bit length of a space's integer generator entries."""
+    return max(abs(x).bit_length() for row in space.generators.ints for x in row)
 
 
 def check_span_dim_work(dims_and_mults, n):
@@ -378,6 +393,27 @@ def interpolation_grid_size(sampler, d):
     return size
 
 
+def interpolation_bit_work(sampler, d):
+    """The work R C B^2 of the degree-d evaluation matrix, computed without
+    building any of it: R = `interpolation_grid_size` rows, C = binom(n+d,
+    d) monomials, and B = d times a bound on a grid coordinate's bits.
+
+    A factor's lattice point g_0 + i_1 g_1 + ... + i_m g_m with sum i <= D
+    is below (D + 1) 2^b in absolute value, b its generators' bits, so it
+    has at most b + bit_length(D + 1) bits, and a reciprocal point is a
+    product of n of them; a grid coordinate is a product of one point
+    coordinate per factor.  Building the matrix multiplies such ints into
+    every cell, and the kernel reduces, solves and checks against every
+    cell, each in time about quadratic in the bits for large entries.
+    """
+    n = sampler.ambient_dim
+    bits = 0
+    for space, reciprocal, r, top in _factor_groups(sampler, d):
+        point = _generator_bits(space) + (top + 1).bit_length()
+        bits += r * (n * point if reciprocal else point)
+    return interpolation_grid_size(sampler, d) * comb(n + d, d) * (d * bits) ** 2
+
+
 def interpolation_grid(sampler, d):
     """The distinct nonzero points of the degree-d parameter grid of a
     sampled variety, as integer tuples (the proof that they determine the
@@ -462,9 +498,12 @@ def interpolate_forms(sampler, d):
     F is in I_d(X) iff it vanishes at every point of the grid.
 
     Raises BudgetExhausted before building anything when the monomial count
-    is past INTERP_MONOMIAL_BUDGET or the grid size times the monomial count
-    is past INTERP_GRID_LIMIT, and for an empty product
-    (`interpolation_grid`).
+    is past INTERP_MONOMIAL_BUDGET, the grid size times the monomial count
+    is past INTERP_GRID_LIMIT or `interpolation_bit_work` is past
+    INTERP_BIT_WORK_LIMIT; for an empty product (`interpolation_grid`); and
+    when the p-adic kernel fails (forms beyond its lifting reach) and the
+    Bareiss elimination that would answer is past
+    `linalg.BAREISS_BIT_WORK_LIMIT`.
     """
     if d < 1:
         raise PreconditionError("degree must be >= 1")
@@ -477,6 +516,9 @@ def interpolate_forms(sampler, d):
     if size * monomial_count > INTERP_GRID_LIMIT:
         raise BudgetExhausted("degree %d has a grid of %d points by %d monomials, past the "
                               "grid limit of %d" % (d, size, monomial_count, INTERP_GRID_LIMIT))
+    if interpolation_bit_work(sampler, d) > INTERP_BIT_WORK_LIMIT:
+        raise BudgetExhausted("degree %d, counting the bits of the grid's coordinates, is "
+                              "past the interp bit work limit of %d" % (d, INTERP_BIT_WORK_LIMIT))
     points = interpolation_grid(sampler, d)
     rows = list(zip(*monomial_products(list(zip(*points)), d)))
     monomials = monomials_of_degree(n + 1, d)

@@ -396,18 +396,46 @@ def stable_mult_origin(fan_f, fan_g, v):
 # closed-form degrees and the fan pipeline they are checked against
 
 #: The refusal rule of fan_degree_pipeline, in cone coordinates: n + 1
-#: times prod binom(n+1, m_k) ** r_k, the factorizations a fold of all
-#: factor fans would try, and n + 1 times the complement's binom(n+1,
-#: n - dim) cones must each stay within it.  For n >= 1 one of the two
-#: counts is >= n + 1 (the complement's when dim < n, else a factor's with
-#: 1 <= m_k <= n), so (n + 1) ** 2 is a lower bound that refuses a large n
-#: before any binomial is formed.  A point factor contributes a factor 1.
-#: The pipeline no longer folds all factor fans, so the rule is not a count
-#: of its enumeration; it is kept as it stood so that every payload keeps
-#: its exit code.  It still bounds the work: the sum's binom(n+1, m)
-#: binom(n+1, mt) mask pairs are at most the product, as binom(N, a)
-#: binom(N, b) >= binom(N, a + b).
+#: times the largest of the three counts it enumerates (`_fan_work`) must
+#: stay within it.  For n >= 1 the summed cones or, for point factors
+#: only, the complement's n + 1 cones are at least n + 1, so (n + 1) ** 2
+#: is a lower bound that refuses a large n before any binomial is formed.
 FAN_BUDGET = 10 ** 6
+
+
+def _fan_work(plain, reciprocal, n, m, mt):
+    """The cone coordinates fan_degree_pipeline works through: n + 1 times
+    the largest of
+    - the restricted fold: the (state, cone) pairs `minkowski_sum` tries on
+      the factor fans restricted to the representative cone (R+, R-).  A
+      state after factors of total plain dimension a and reciprocal b is a
+      pair of an a-subset of R+ and a b-subset of R-, so there are at most
+      binom(m, a) binom(mt, b) of them, and the next factor has
+      binom(m, m_k) (binom(mt, m_k)) cones inside;
+    - the summed cones, binom(n+1, m) binom(n+1-m, mt), each built and
+      walked up to n + 1 coordinates by stable_mult_origin;
+    - the complement's binom(n+1, n-m-mt) cones.
+    The first two are below P = prod binom(n+1, m_k)^r_k, the ordered
+    factorizations a fold of all factor fans tries, so this refuses no
+    payload that n + 1 times max(P, the complement's cones) admits.  A
+    state bound is at most the product of the cone counts x_s before it
+    (binom(N, a) binom(N, b) >= binom(N, a + b)), so the fold is at most
+    the sum of the prefix products of the x_s, below prod (x_s + 1) <= P,
+    as binom(n+1, d) = binom(n, d) + binom(n, d-1) > binom(m, d) (m <= n).
+    The summed cones are at most binom(n+1, m) binom(n+1, mt) <= P."""
+    fold, a, b = 0, 0, 0
+    for mk, r in plain:
+        if mk:
+            for _ in range(r):
+                fold += comb(m, a) * comb(m, mk)
+                a += mk
+    for mk, s in reciprocal:
+        if mk:
+            for _ in range(s):
+                fold += comb(mt, b) * comb(mt, mk)
+                b += mk
+    summed = comb(n + 1, m) * comb(n + 1 - m, mt)
+    return (n + 1) * max(fold, summed, comb(n + 1, n - m - mt))
 
 
 def _partitions(factors):
@@ -563,9 +591,7 @@ def fan_degree_pipeline(plain, reciprocal, n, rng):
     and the contributing "pairs" of stable_mult_origin.
     """
     plain, reciprocal, m, mt = _factor_dims(plain, reciprocal, n)
-    if (n + 1) ** 2 > FAN_BUDGET or (n + 1) * max(
-            prod(comb(n + 1, mk) ** r for mk, r in plain + reciprocal),
-            comb(n + 1, n - m - mt)) > FAN_BUDGET:
+    if (n + 1) ** 2 > FAN_BUDGET or _fan_work(plain, reciprocal, n, m, mt) > FAN_BUDGET:
         raise BudgetExhausted("the fans in P^%d exceed the budget of %d cone coordinates"
                               % (n, FAN_BUDGET))
     inside = (1 << m) - 1, ((1 << mt) - 1) << m

@@ -10,8 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from hadamard_spaces import (brackets, cli, line_powers, products, projective, samplers,
-                             star_configs)
+from hadamard_spaces import (brackets, cli, line_powers, linalg, products, projective,
+                             samplers, star_configs)
 from hadamard_spaces.linalg import QMatrix, integer_kernel_basis
 from hadamard_spaces.poly import SparsePoly, monomial_products, monomials_of_degree
 
@@ -315,6 +315,82 @@ def test_interp_empty_products_and_the_grid_limit_exit_3():
         assert (proc.returncode, proc.stdout) == (3, "") and "Traceback" not in proc.stderr
         error = json.loads(proc.stderr)["error"]
         assert error["code"] == 3 and message in error["message"]
+
+
+def _digits_space(rng, dim, n, digits):
+    """Generator rows of a (dim)-space in P^n with entries of `digits` digits."""
+    return [[rng.choice([-1, 1]) * rng.randrange(10 ** (digits - 1), 10 ** digits)
+             for _ in range(n + 1)] for _ in range(dim + 1)]
+
+
+def test_interp_bit_work_limits_exit_3():
+    rng = random.Random(28)
+    # 100-digit entries, degree 2 on a reciprocal plane times a line in P^21:
+    # 2,838 grid points by 253 quadrics of about 15,000-bit coordinates
+    # (bit work 1.6 * 10^14), refused before any grid is built; the
+    # matrix alone took 18 s to build.
+    product = {"sampler": {"type": "product", "factors": [
+        {"type": "reciprocal", "generators": _digits_space(rng, 2, 21, 100)},
+        {"type": "linear", "generators": _digits_space(rng, 1, 21, 100)}]}, "degree": 2}
+    # 300-digit entries, a reciprocal plane in P^3 at dmax 3: the cubic's
+    # coefficients are past the lifting reach, and Bareiss on the 55 x 20
+    # evaluation matrix of 9,000-bit entries (bit work 7.1 * 10^14) ran past
+    # 60 s.
+    plane = {"sampler": {"type": "reciprocal", "generators": _digits_space(rng, 2, 3, 300)},
+             "dmax": 3}
+    for payload, message in ((product, "past the interp bit work limit of %d"
+                              % products.INTERP_BIT_WORK_LIMIT),
+                             (plane, "beyond the p-adic lifting reach")):
+        start = time.perf_counter()
+        proc = run_cli("interp", payload)
+        assert time.perf_counter() - start < 2.0
+        assert (proc.returncode, proc.stdout) == (3, "") and "Traceback" not in proc.stderr
+        assert message in json.loads(proc.stderr)["error"]["message"]
+
+
+def test_interp_bit_work_admits_the_benchmark_pools_and_the_goldens(monkeypatch):
+    # Every degree that a benchmark interp op or a golden (the README's two
+    # lines among them) searches stays a million times under the limit.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+    payloads = [op.payload for seed in (1, 2, 3, 90417)
+                for cycle in workloads.generate("interp", seed) for op in cycle]
+    payloads += [golden["payload"] for golden in INTERP_GOLDENS]
+    # The README's two lines at degree 2: 3 x 3 grid points by 10 quadrics,
+    # and a grid coordinate of at most (5 + 2) + (6 + 2) bits, as the
+    # entries reach 19 and 53 and the lattice's (D + 1) = 3 adds 2 bits.
+    readme = cli._parse_sampler(INTERP_GOLDENS[0]["payload"]["sampler"], "sampler")
+    assert products.interpolation_bit_work(readme, 2) == 9 * 10 * (2 * (7 + 8)) ** 2
+    for payload in payloads:
+        sampler = cli._parse_sampler(payload["sampler"], "sampler")
+        degrees = [payload["degree"]] if "degree" in payload else range(1, payload["dmax"] + 1)
+        for d in degrees:
+            work = products.interpolation_bit_work(sampler, d)
+            assert work < products.INTERP_BIT_WORK_LIMIT // 10 ** 6
+
+
+def test_interp_bareiss_fallback_is_bounded_by_its_bit_work(monkeypatch):
+    # A reciprocal line in P^3 with 100-digit entries: its quadrics are past
+    # the lifting reach, so the p-adic kernel fails and Bareiss answers, up
+    # to the limit; past it, the limit refuses before Bareiss runs.
+    rng = random.Random(100)
+    sampler = samplers.reciprocal_sampler(projective.LinSpace(_digits_space(rng, 1, 3, 100)))
+    expected = _sampled_interpolate_forms(sampler, 2, rng)
+    points = products.interpolation_grid(sampler, 2)
+    rows = list(zip(*monomial_products(list(zip(*points)), 2)))
+    bits = max(abs(x).bit_length() for row in rows for x in row)
+    work = linalg.bareiss_bit_work(len(rows), len(rows[0]), bits)
+    passes = []
+    echelon = linalg._bareiss_echelon
+    monkeypatch.setattr(linalg, "_bareiss_echelon", lambda rows: passes.append(1) or echelon(rows))
+    monkeypatch.setattr(linalg, "BAREISS_BIT_WORK_LIMIT", work)
+    forms = products.interpolate_forms(sampler, 2)
+    assert passes == [1] and len(forms) == 3 and forms == expected
+    del passes[:]
+    monkeypatch.setattr(linalg, "BAREISS_BIT_WORK_LIMIT", work - 1)
+    with pytest.raises(products.BudgetExhausted):
+        products.interpolate_forms(sampler, 2)
+    assert passes == []
 
 
 def _sampled_interpolate_forms(sampler, d, rng):

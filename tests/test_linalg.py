@@ -7,7 +7,7 @@ from math import comb, gcd, isqrt, lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hadamard_spaces import linalg
+from hadamard_spaces import linalg, products
 from hadamard_spaces.linalg import (KERNEL_PRIME, QMatrix, bareiss_kernel_basis,
                                     cleared_rows, integer_kernel_basis, integer_rank,
                                     rat, rat_str, smith_normal_form)
@@ -571,6 +571,47 @@ def test_residuals_are_computed_only_until_a_vector_passes(monkeypatch):
     assert (len(lift_calls), len(residual_calls)) == (5, 4)
 
 
+def _squared_plane_grid_rows():
+    """The evaluation matrix of the squared plane of the 70 x 56 test at its
+    parameter grid: 55 x 56, entries below 2^31, so it lifts packed."""
+    rng = random.Random(17)
+    plane = LinSpace([[rng.randint(-9, 9) for _ in range(6)] for _ in range(3)])
+    sampler = hadamard_power_sampler(linear_space_sampler(plane), 2)
+    points = products.interpolation_grid(sampler, 3)
+    return [list(r) for r in zip(*monomial_products(list(zip(*points)), 3))]
+
+
+def test_packed_sweeps_match_the_row_sweeps(monkeypatch):
+    # On the squared plane's grid block and on a block of random entries
+    # in [-2^63, 2^63), the packed solve and product agree with the row by
+    # row ones for every leading block size tried, on right sides of any
+    # size and on digits at p - 1, the slots' largest updates.
+    p = KERNEL_PRIME
+    rng = random.Random(28)
+    edge = [[rng.choice([-2 ** 63, 2 ** 63 - 1, rng.randint(-2 ** 63, 2 ** 63 - 1)])
+             for _ in range(41)] for _ in range(40)]
+    for rows in (_squared_plane_grid_rows(), edge):
+        nc = len(rows[0])
+        factors = linalg._factor_mod_p(rows[:nc], nc, p)
+        assert len(factors[0]) >= linalg.PACKED_PIVOTS
+        packed = linalg._packed_sweeps(rows, *factors, p)
+        plain = linalg._row_sweeps(rows, *factors, p)
+        for k in (len(factors[0]), len(factors[0]) - 7, 1, 0):
+            for b in ([rng.randint(-2 ** 200, 2 ** 200) for _ in range(k)], [p - 1] * k):
+                assert packed[0](b) == plain[0](b)
+            for x in ([rng.randrange(p) for _ in range(k)], [p - 1] * k):
+                assert packed[1](x) == plain[1](x)
+    # The grid's cubic passes at step 5 on the packed sweeps, with 4
+    # residuals, as the row-by-row lifting of the 70 x 56 sample does.
+    lift_calls = _count_calls(monkeypatch, "_lift")
+    residual_calls = _count_calls(monkeypatch, "_residual")
+    packed_calls = _count_calls(monkeypatch, "_packed_sweeps")
+    rows = _squared_plane_grid_rows()
+    assert integer_kernel_basis(rows) == bareiss_kernel_basis(rows)
+    assert len(packed_calls) == 1
+    assert (len(lift_calls), len(residual_calls)) == (5, 4)
+
+
 def _matrices(nr, nc, entries):
     return st.lists(st.lists(entries, min_size=nc, max_size=nc), min_size=nr, max_size=nr)
 
@@ -614,6 +655,114 @@ def _big_integer_matrices(draw):
 @given(_big_integer_matrices())
 def test_integer_kernel_basis_matches_bareiss_fuzzed(rows):
     assert integer_kernel_basis(rows) == bareiss_kernel_basis(rows)
+
+
+def _small_kernel_rows(rng, rank, free, nrows, bits):
+    """nrows x (rank + free) integer rows X Y of rank `rank`: Y is the
+    identity at `rank` random pivot columns with entries in {-1, 0, 1} at
+    the free columns after each pivot, and X has entries up to 2^bits, so
+    the kernel is Y's, entries -1..1, whatever the entries of the rows."""
+    nc = rank + free
+    pivots = sorted(rng.sample(range(nc), rank))
+    y = [[0] * nc for _ in range(rank)]
+    for i, c in enumerate(pivots):
+        y[i][c] = 1
+        for f in range(c + 1, nc):
+            if f not in pivots:
+                y[i][f] = rng.randint(-1, 1)
+    x = [[rng.randint(-2 ** bits, 2 ** bits) for _ in range(rank)] for _ in range(nrows)]
+    return _product(x, y), y
+
+
+@st.composite
+def _packed_kernels(draw):
+    """(shape, rows) of a kernel whose factored block has 32-40 pivots.
+
+    Shapes: "wide" (full row rank), "square" (nc rows of lower rank),
+    "low_rank" (nc - 1 rows of rank at most nc - 2), "tall" (1-3 rows past
+    nc, all in the row space), "refuted" (a tall matrix whose last row is
+    outside the row space, so the block's vectors fail it and the whole
+    matrix is factored), "edge" (a first row of +-(2^63 - 1) entries, in
+    the row space) and "past_int64" (a first row with an entry 2^63, which
+    the packed sweeps cannot hold).
+    """
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    rank = draw(st.integers(32, 40))
+    free = draw(st.integers(1, 3))
+    shape = draw(st.sampled_from(["wide", "square", "low_rank", "tall", "refuted", "edge",
+                                  "past_int64"]))
+    bits = draw(st.sampled_from([3, 40, 55]))
+    if shape == "low_rank":
+        free = max(free, 2)
+    nc = rank + free
+    nrows = {"wide": rank, "square": nc, "low_rank": nc - 1}.get(shape, nc + rng.randint(1, 3))
+    rows, y = _small_kernel_rows(rng, rank, free, nrows, bits)
+    if shape == "refuted":
+        rows[-1] = [rng.randint(-2 ** bits, 2 ** bits) for _ in range(nc)]
+    if shape in ("edge", "past_int64"):
+        scale = 2 ** 63 - 1 if shape == "edge" else 2 ** 63
+        rows[0] = [scale * v for v in y[0]]
+    return shape, rows
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(_packed_kernels())
+def test_packed_kernel_matches_bareiss(case):
+    shape, rows = case
+    packed = []
+    with pytest.MonkeyPatch.context() as mp:
+        sweeps = linalg._packed_sweeps
+
+        def recording(*args):
+            result = sweeps(*args)
+            packed.append(result is not None)
+            return result
+
+        mp.setattr(linalg, "_packed_sweeps", recording)
+        assert integer_kernel_basis(rows) == bareiss_kernel_basis(rows)
+    # The first factorization has at least 32 pivots, so it tries the
+    # packed sweeps; only an entry past the signed 64-bit range refuses them.
+    assert packed[0] == (shape != "past_int64")
+    if shape == "edge":
+        assert max(map(abs, rows[0])) == 2 ** 63 - 1
+
+
+def test_lifted_block_rows_are_certified_by_congruence(monkeypatch):
+    # The kernel vectors have entries -1..1 and reconstruct at the first
+    # step, m = p.  With entries up to 2^3, every block row has
+    # ||A_r||_1 ||v||_inf < p, so only the rows past the block (and none of
+    # a wide block) are checked exactly; with entries up to 2^40 the bound
+    # fails and every row is.
+    handed = []
+    annihilates = linalg._annihilates
+
+    def counting(rows, vec):
+        handed.append(len(rows))
+        return annihilates(rows, vec)
+
+    monkeypatch.setattr(linalg, "_annihilates", counting)
+    lift_calls = _count_calls(monkeypatch, "_lift")
+    rng = random.Random(28)
+    for bits, nrows, exact in ((3, 36, 0), (3, 40, 2), (40, 36, 36), (40, 40, 40)):
+        rows, y = _small_kernel_rows(rng, 36, 2, nrows, bits)
+        del handed[:], lift_calls[:]
+        basis = integer_kernel_basis(rows)
+        assert basis == bareiss_kernel_basis(y) == bareiss_kernel_basis(rows)
+        assert [args[3] for args in lift_calls] == [KERNEL_PRIME] * 2
+        # Each of the two vectors, zero past its free column f: the rows
+        # outside R_<k (k pivots before f), or all of them.
+        pivots = [row.index(1) for row in y]
+        k = [sum(c < max(i for i, v in enumerate(vec) if v) for c in pivots) for vec in basis]
+        if bits == 3:
+            assert handed == [nrows - kk for kk in k], (handed, k)
+        else:
+            assert handed == [nrows, nrows]
+    # The bound is strict: |(A v)_r| <= ||A_r||_1 ||v||_inf = m would not
+    # make a multiple of m zero.  Rows 0-2 are block rows with norm times
+    # ||v||_inf = 3 at 99 = m, 102 and 96: only row 2 is pinned.
+    rows = [[1, 2], [3, 4], [5, 6], [7, 8]]
+    assert linalg._uncertified(rows, [0, 1, 2], [33, 34, 32], (-3, 2), 99) == [
+        rows[0], rows[1], rows[3]]
 
 
 def _is_prime(n):

@@ -754,24 +754,62 @@ def test_fan_pipeline_budget(monkeypatch):
     for plain, n in [([(1, 1), (1, 1)], 2000), ([(500000, 1)], 10 ** 6), ([(1, 10 ** 6)], 10 ** 6)]:
         with pytest.raises(BudgetExhausted):
             fan_degree_pipeline(plain, [], n, rng)
+    # Cone coordinates, each case bound by one count of _fan_work: the
+    # restricted fold of 8 lines and 2 planes in P^12 tries 76,650 pairs
+    # (13 summed cones); a line cubed times a reciprocal line squared in
+    # P^13 sums binom(14, 3) binom(11, 2) = 20,020 cones; a line in P^16 has
+    # a complement of binom(17, 15) = 136 cones.
+    cases = [([(1, 8), (2, 2)], [], 12, 13 * 76650),
+             ([(1, 3)], [(1, 2)], 13, 14 * 20020),
+             ([(1, 1)], [], 16, 17 * 136)]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         assert fan_degree_pipeline([(1, 1), (1, 1)], [], 40, rng)["degree"] == 2
-        # Cone coordinates: (4+1) * 5^3 = 625 and (16+1) * binom(17, 15) = 2312.
-        monkeypatch.setattr(tropical, "FAN_BUDGET", 2312)
-        assert fan_degree_pipeline([(1, 1)] * 3, [], 4, rng)["degree"] == 6
-        assert fan_degree_pipeline([(1, 1)], [], 16, rng)["degree"] == 1
-    monkeypatch.setattr(tropical, "FAN_BUDGET", 624)
-    with pytest.raises(BudgetExhausted):  # the Minkowski sum is over, the complement not
-        fan_degree_pipeline([(1, 1)] * 3, [], 4, rng)
-    monkeypatch.setattr(tropical, "FAN_BUDGET", 2311)
-    with pytest.raises(BudgetExhausted):  # the complement is over, the Minkowski sum not
-        fan_degree_pipeline([(1, 1)], [], 16, rng)
+        for plain, reciprocal, n, work in cases:
+            dims = tropical._factor_dims(plain, reciprocal, n)[2:]
+            assert tropical._fan_work(plain, reciprocal, n, *dims) == work
+            monkeypatch.setattr(tropical, "FAN_BUDGET", work)
+            expected = degree_with_reciprocals(plain, reciprocal, n)[1]
+            assert fan_degree_pipeline(plain, reciprocal, n, rng)["degree"] == expected
+            monkeypatch.setattr(tropical, "FAN_BUDGET", work - 1)
+            with pytest.raises(BudgetExhausted):
+                fan_degree_pipeline(plain, reciprocal, n, rng)
     # A point in P^n: one Minkowski cone, but n + 1 complement cones of n coordinates each.
     monkeypatch.setattr(tropical, "FAN_BUDGET", 10 ** 6)
     assert fan_degree_pipeline([(0, 1)], [], 998, rng)["degree"] == 1
     with pytest.raises(BudgetExhausted):
         fan_degree_pipeline([(0, 1)], [], 1000, rng)
+
+
+def _dim_mult_lists(total):
+    """Every list of (dimension >= 1, multiplicity) pairs with increasing
+    dimensions and sum of dimension times multiplicity at most `total`."""
+    lists = [[]]
+    for d in range(1, total + 1):
+        lists += [rest + [(d, r)] for rest in lists for r in range(1, total + 1)
+                  if sum(a * b for a, b in rest) + d * r <= total]
+    return lists
+
+
+def test_fan_budget_refuses_nothing_the_full_fold_count_accepted():
+    # A fold of all factor fans tries prod binom(n+1, m_k)^r_k ordered
+    # factorizations.  Every count of _fan_work is at most that product or
+    # the complement's, so a payload that n + 1 times their maximum admits
+    # still answers; checked here on every factor list in P^n, n <= 13.
+    def full_fold_work(plain, reciprocal, n, m, mt):
+        return (n + 1) * max(prod(comb(n + 1, mk) ** r for mk, r in plain + reciprocal),
+                             comb(n + 1, n - m - mt))
+
+    moved = 0
+    for n in range(1, 14):
+        for plain in _dim_mult_lists(n):
+            for reciprocal in _dim_mult_lists(n - sum(a * b for a, b in plain)):
+                m = sum(a * b for a, b in plain)
+                mt = sum(a * b for a, b in reciprocal)
+                work = tropical._fan_work(plain, reciprocal, n, m, mt)
+                assert work <= full_fold_work(plain, reciprocal, n, m, mt)
+                moved += work <= tropical.FAN_BUDGET < full_fold_work(plain, reciprocal, n, m, mt)
+    assert moved > 100
 
 
 def test_fan_pipeline_builds_each_factor_fan_once(monkeypatch):
