@@ -5,6 +5,27 @@ one computation with a single seeded random state, and emits a JSON
 document.  Identical payload + seed always produces byte-identical output;
 `interp` reads no random state, so its output is the same at every seed.
 
+Output is written once, as compact JSON text with sorted keys.  Every
+subcommand but `degree --transcript` returns a dict, which `main` encodes
+with one `json.dumps(doc, sort_keys=True, separators=(",", ":"))`.
+`degree --transcript` returns those same bytes as text: its cones, up to
+thousands per document, fill a fixed template from the JSON text of their
+masks (`tropical.mask_text`, memoized on the domain of
+`tropical.mask_indices`), each cone of the summed fan rendered once and
+reused by its contributing pairs; its four small fields go through
+json.dumps.  Text is written as it is.
+
+`--format pretty` is `json.dumps(json.loads(text), indent=2,
+sort_keys=True)` of that compact text, for every subcommand, and gives the
+bytes of `json.dumps(doc, indent=2, sort_keys=True)`:
+- json.loads gives back a document that prints as doc does.  No output
+  holds a float, and every key is a string.  A tuple reads back as a
+  list, which prints the same.  A string is written as ASCII escapes, and
+  the string read back is written as the same escapes.  Every printed int
+  is within Python's int-to-str limit, or writing the compact text would
+  have raised, so json.loads reads it back.
+- Both texts sort keys, so the order of the read-back dicts is irrelevant.
+
 Exit codes: 0 success (`-h`/`--help` too), 1 payload or command-line
 validation error (the message points at the offending field, or at the
 flag: `command`, `seed`, `format`, ...), 2 mathematical precondition
@@ -28,8 +49,8 @@ work:
 - `bracket verify` trials past brackets.VERIFY_TRIALS_LIMIT;
 - `star-config` past star_configs.STAR_CONFIG_OUTPUT_LIMIT (its printed
   entries and general position minors, counted from m, r and n) or past
-  star_configs.STAR_CONFIG_BIT_WORK_LIMIT (that count times the bits of
-  its entries);
+  star_configs.STAR_CONFIG_BIT_WORK_LIMIT (that count times the squared
+  bits of its general position minors);
 - a `segre` sampler past samplers.SEGRE_AMBIENT_LIMIT, before it is built;
 - a `span-dim` by `dims` whose SAMPLE_BUDGET draws were all rank-deficient;
 - an `interp` degree whose forms are past the p-adic lifting reach and
@@ -64,7 +85,7 @@ from .samplers import (hadamard_power_sampler, hadamard_product_sampler,
                        linear_space_sampler, reciprocal_sampler, segre_sampler)
 from .star_configs import (PointSet, build_star, check_star_config_bit_work,
                            check_star_config_limits, verify_star)
-from .tropical import degree_with_reciprocals, fan_degree_pipeline, mask_indices
+from .tropical import degree_with_reciprocals, fan_degree_pipeline, mask_text
 
 DEFAULT_SEED = 20259
 
@@ -315,12 +336,32 @@ def cmd_span_dim(payload, rng, args):
     }
 
 
-def _cone_doc(fan, cone):
+def _cone_text(cone, mult):
+    """A cone and its multiplicity as compact JSON text, keys sorted."""
     plus, minus = cone
-    return {"plus": mask_indices(plus), "minus": mask_indices(minus), "mult": fan.cones[cone]}
+    return '{"minus":%s,"mult":%d,"plus":%s}' % (mask_text(minus), mult, mask_text(plus))
+
+
+def _transcript_text(detail):
+    """The transcript object as compact JSON text, keys in sorted order.
+    Each cone of the summed fan is rendered once; its contributing pairs
+    reuse that text."""
+    fan, complement = detail["fan"], detail["complement"]
+    texts = {cone: _cone_text(cone, mult) for cone, mult in fan.cones.items()}
+    pairs = ",".join('{"lattice_index":%d,"sigma1":%s,"sigma2":%s}'
+                     % (idx, texts[c1], _cone_text(c2, complement.cones[c2]))
+                     for c1, c2, idx in detail["pairs"])
+    small = json.dumps({"delta": detail["delta"],
+                        "displacement": [rat_str(x) for x in detail["displacement"]],
+                        "fan_degree": rat_str(detail["degree"]),
+                        "global_weight": rat_str(fan.global_weight)},
+                       sort_keys=True, separators=(",", ":"))
+    return '{"cones":[%s],"contributing_pairs":[%s],%s' % (",".join(texts.values()), pairs,
+                                                          small[1:])
 
 
 def cmd_degree(payload, rng, args):
+    """The degree document; with --transcript, already as compact JSON text."""
     plain = _parse_dim_mult_list(payload.get("plain", []), "plain")
     reciprocal = _parse_dim_mult_list(payload.get("reciprocal", []), "reciprocal")
     if not plain and not reciprocal:
@@ -334,22 +375,14 @@ def cmd_degree(payload, rng, args):
     doc = {"dim": dim, "degree": rat_str(degree)}
     if caught:
         doc["warning"] = str(caught[0].message)
-    if args.transcript:
-        detail = fan_degree_pipeline(plain, reciprocal, n, rng)
-        fan, complement = detail["fan"], detail["complement"]
-        docs = {c: _cone_doc(fan, c) for c in fan.cones}
-        doc["transcript"] = {
-            "delta": detail["delta"],
-            "fan_degree": rat_str(detail["degree"]),
-            "global_weight": rat_str(fan.global_weight),
-            "displacement": [rat_str(x) for x in detail["displacement"]],
-            "cones": list(docs.values()),
-            "contributing_pairs": [
-                {"sigma1": docs[c1], "sigma2": _cone_doc(complement, c2),
-                 "lattice_index": idx}
-                for c1, c2, idx in detail["pairs"]],
-        }
-    return doc
+    if not args.transcript:
+        return doc
+    text = '{"degree":%s,"dim":%d,"transcript":%s' % (
+        json.dumps(doc["degree"]), dim,
+        _transcript_text(fan_degree_pipeline(plain, reciprocal, n, rng)))
+    if caught:
+        text += ',"warning":' + json.dumps(doc["warning"])
+    return text + "}"
 
 
 def cmd_interp(payload, rng, args):
@@ -534,10 +567,10 @@ def main(argv=None):
     except BudgetExhausted as exc:
         return _fail(3, None, str(exc))
 
+    text = doc if isinstance(doc, str) else json.dumps(doc, sort_keys=True, separators=(",", ":"))
     if args.format == "pretty":
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    else:
-        text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+        text = json.dumps(json.loads(text), indent=2, sort_keys=True)
+    text += "\n"
     if args.outfile:
         with open(args.outfile, "w") as fh:
             fh.write(text)

@@ -67,16 +67,21 @@ STAR_CONFIG_OUTPUT_LIMIT = 10 ** 6
 
 #: Largest `star_bit_work` that `star-config` accepts; past it,
 #: `check_star_config_bit_work` raises BudgetExhausted before any work.
-#: Whole processes on a 2-vCPU Xeon VM took 0.2-0.37 ns per unit at r >= 7
-#: (0.05-0.15 ns at r <= 4), so the limit keeps a payload near 4 s at
-#: most, inside the 5 s of acceptance criterion 1.  Refused: 17 points at
-#: r = 8 in P^16 on a line of 10-digit entries (7.7 * 10^10, 16.4 s) or
-#: 4-digit ones (1.7 * 10^10, 3.6 s), 17 at r = 9 in P^10 with 4-digit
-#: entries (1.8 * 10^10, 5.1 s) and 18 at r = 11 in P^12 with 2-digit ones
-#: (1.4 * 10^10, 5.0 s).  Passed: 17 points at r = 8 in P^16 with 2-digit
-#: entries (6.4 * 10^9, 2.0 s), 120 at r = 2 in P^3 with 10-digit ones
-#: (6.0 * 10^9, 0.8 s).
-STAR_CONFIG_BIT_WORK_LIMIT = 10 ** 10
+#: Whole processes on a 2-vCPU Xeon VM, with the limit lifted, took
+#: 2.3-3.5 ps per unit near it at every r from 1 to 11, so it keeps a
+#: payload near 4 s at most, inside the 5 s of acceptance criterion 1.
+#: Refused: 17 points at r = 8 in P^16 on a line of 10-digit entries
+#: (6.2 * 10^12, 16.5 s) or 4-digit ones (1.4 * 10^12, 3.3 s), 17 at r = 9
+#: in P^10 with 4-digit entries (1.8 * 10^12, 5.0 s) and 18 at r = 11 in
+#: P^12 with 2-digit ones (2.1 * 10^12, 4.7 s).  Passed: 30 points at r = 4
+#: in P^5 with 10-digit entries (6.0 * 10^11, 2.2 s) or 15-digit ones
+#: (1.2 * 10^12, 3.3 s), 17 at r = 8 in P^16 with 3-digit entries
+#: (9.7 * 10^11, 2.5 s), 17 at r = 10 in P^11 with 13-bit ones
+#: (1.16 * 10^12, 3.6 s), 120 at r = 2 in P^3 with 53-digit ones
+#: (1.07 * 10^12, 2.1 s).  For r <= 9 the factor (r + 1)^2 of
+#: `star_bit_work` is at most 100, so every payload of count * (r b)^2 <=
+#: 10^10, the former rule, still passes.
+STAR_CONFIG_BIT_WORK_LIMIT = 12 * 10 ** 11
 
 
 class PointSet:
@@ -248,17 +253,18 @@ def check_star_config_limits(m, r, n):
 
 
 def star_bit_work(line, points, r):
-    """`star_output_count` times (r b)^2, for b the largest bit length of
-    the line's and the points' integer entries.
+    """`star_output_count` times ((r + 1) r b)^2, for b the largest bit
+    length of the line's and the points' integer entries.
 
-    The product points and the normals have entries of about r b bits, and
-    the general position minors, most of the work near the limits, multiply
-    such entries in time about quadratic in their bits.  The points must
-    pass STAR_CONFIG_OUTPUT_LIMIT first, so that the count is exact.
+    The product points and the normals have entries of about r b bits.  The
+    general position minors, most of the work near the limits, are
+    (r+1) x (r+1) determinants of such entries, of about (r + 1) r b bits,
+    formed by products in time about quadratic in their bits.  The points
+    must pass STAR_CONFIG_OUTPUT_LIMIT first, so that the count is exact.
     """
     bits = max(abs(x).bit_length()
                for row in (*line.generators.ints, *(p.ints for p in points)) for x in row)
-    return star_output_count(len(points), r, line.ambient_dim) * (r * bits) ** 2
+    return star_output_count(len(points), r, line.ambient_dim) * ((r + 1) * r * bits) ** 2
 
 
 def check_star_config_bit_work(line, points, r):

@@ -18,10 +18,10 @@ the Minkowski sum, so a zero-dimensional factor adds no fan to the sum.
 
 Fans are immutable values, so one fan can serve every caller: a standard
 fan depends only on (m, n), and in P^n for n < MEMO_COORDS it is built
-once per process, as are the index tuples of masks below 2^MEMO_COORDS."""
+once per process, as are the index tuples and JSON texts of masks below
+2^MEMO_COORDS."""
 
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
 from itertools import combinations, compress, count
@@ -38,19 +38,26 @@ from .projective import LinSpace, PPoint
 
 #: Coordinates of the memoized domain.  Every mask below 2^MEMO_COORDS
 #: and every standard fan in P^n for n < MEMO_COORDS is built at most once
-#: per process and then shared.  The memos hold nothing else, so their
-#: worst case is the whole domain: 4,096 index tuples, 0.6 MiB, and 156
-#: fans of 16,356 cones, 1.9 MiB (tracemalloc, CPython 3.11).  Wider masks
-#: and fans, such as the 999-bit ones of a fan in P^998, are built on every
-#: call and never held.
+#: per process and then shared, and so is the JSON text of such a mask
+#: (`mask_text`).  The memos hold nothing else, so their worst case is the
+#: whole domain: 4,096 index tuples, 0.6 MiB, 4,096 mask texts, 0.5 MiB,
+#: and 156 fans of 16,356 cones, 1.9 MiB (tracemalloc, CPython 3.11).
+#: Wider masks and fans, such as the 999-bit ones of a fan in P^998, and
+#: their texts, are built on every call and never held.
 MEMO_COORDS = 12
 
 _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 
+def _bit_flags(mask):
+    """A mask's binary digits, lowest first, as bytes 0 and 1: selectors
+    for itertools.compress, from its binary string in one C-level pass."""
+    return bin(mask)[:1:-1].encode().translate(_BIT_BYTES)
+
+
 def _read_mask(mask):
-    """A mask's set bits from its binary string, one C-level pass."""
-    return tuple(compress(count(), bin(mask)[:1:-1].encode().translate(_BIT_BYTES)))
+    """A mask's set bits, in increasing order, as a tuple."""
+    return tuple(compress(count(), _bit_flags(mask)))
 
 
 _memo_mask_indices = cache(_read_mask)
@@ -60,6 +67,21 @@ def mask_indices(mask):
     """The coordinates of a mask's set bits, in increasing order, as a
     tuple; memoized below 2^MEMO_COORDS."""
     return _memo_mask_indices(mask) if mask >> MEMO_COORDS == 0 else _read_mask(mask)
+
+
+def _render_mask(mask):
+    """The bytes of `json.dumps(mask_indices(mask), separators=(",", ":"))`,
+    joined from _COORD_TEXT by the mask's binary digits: no int is
+    converted.  Covers every mask of a fan fan_degree_pipeline builds."""
+    return "[%s]" % ",".join(compress(_COORD_TEXT, _bit_flags(mask)))
+
+
+_memo_mask_text = cache(_render_mask)
+
+
+def mask_text(mask):
+    """`mask_indices` as compact JSON text; memoized below 2^MEMO_COORDS."""
+    return _memo_mask_text(mask) if mask >> MEMO_COORDS == 0 else _render_mask(mask)
 
 
 def _cone_order(cone):
@@ -79,7 +101,6 @@ def _quotient_rep(index, sign, n):
     return tuple(vec)
 
 
-@dataclass(frozen=True)
 class SignedConeFan:
     """A pure-dimensional weighted fan of signed coordinate cones: an
     immutable value, so one fan can be shared by every caller.
@@ -93,18 +114,43 @@ class SignedConeFan:
     bits of plus | minus.  Integer multiplicities are scaled by one global
     rational weight, which is where the 1/delta of a generically finite
     parametrization lives.
+
+    A frozen value class, written out rather than a frozen dataclass: the
+    `dataclasses` import (with `inspect`, `ast` and `dis`) cost every
+    process 0.8 MiB of resident memory (`import hadamard_spaces.cli`,
+    CPython 3.11) for this one class.  Equality, repr and the
+    FrozenInstanceError on assignment are a frozen dataclass's; like one
+    holding a mapping, a fan is unhashable.
     """
 
-    ambient_dim: int
-    dim: int
-    cones: MappingProxyType
-    global_weight: Fraction = Fraction(1)
+    __slots__ = ("ambient_dim", "dim", "cones", "global_weight")
 
-    def __post_init__(self):
-        object.__setattr__(self, "global_weight", Fraction(self.global_weight))
-        self._check_cones()
-        ordered = sorted(self.cones.items(), key=lambda item: _cone_order(item[0]))
+    def __init__(self, ambient_dim, dim, cones, global_weight=1):
+        _init_fan(self, ambient_dim, dim, cones, global_weight)
+        ordered = sorted(cones.items(), key=lambda item: _cone_order(item[0]))
         object.__setattr__(self, "cones", MappingProxyType(dict(ordered)))
+
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError("cannot delete field %r" % name)
+
+    def _fields(self):
+        return self.ambient_dim, self.dim, self.cones, self.global_weight
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None
+
+    def __repr__(self):
+        return ("SignedConeFan(ambient_dim=%r, dim=%r, cones=%r, global_weight=%r)"
+                % self._fields())
 
     def _check_cones(self):
         """Raise ValueError unless every cone is a signed cone of the fan's
@@ -146,16 +192,21 @@ class SignedConeFan:
         return True
 
 
+def _init_fan(fan, ambient_dim, dim, cones, global_weight):
+    """Set a new fan's fields, past its frozen __setattr__, and check its
+    cones."""
+    for name, value in (("ambient_dim", ambient_dim), ("dim", dim), ("cones", cones),
+                        ("global_weight", Fraction(global_weight))):
+        object.__setattr__(fan, name, value)
+    fan._check_cones()
+
+
 def _ordered_fan(ambient_dim, dim, cones, global_weight=1):
     """The SignedConeFan of a dict of cones already in _cone_order, which
     the fan then holds: the constructor's checks of every cone, without its
     sort."""
     fan = object.__new__(SignedConeFan)
-    for name, value in (("ambient_dim", ambient_dim), ("dim", dim),
-                        ("cones", MappingProxyType(cones)),
-                        ("global_weight", Fraction(global_weight))):
-        object.__setattr__(fan, name, value)
-    fan._check_cones()
+    _init_fan(fan, ambient_dim, dim, MappingProxyType(cones), global_weight)
     return fan
 
 
@@ -401,6 +452,10 @@ def stable_mult_origin(fan_f, fan_g, v):
 #: only, the complement's n + 1 cones are at least n + 1, so (n + 1) ** 2
 #: is a lower bound that refuses a large n before any binomial is formed.
 FAN_BUDGET = 10 ** 6
+
+#: Decimal text of every coordinate of a fan that fan_degree_pipeline
+#: builds: it refuses P^n with (n + 1)^2 > FAN_BUDGET before any fan.
+_COORD_TEXT = tuple(map(str, range(isqrt(FAN_BUDGET))))
 
 
 def _fan_work(plain, reciprocal, n, m, mt):

@@ -1,5 +1,7 @@
 """Print one sha256 over the exit codes and stdout of the README payloads
-(`perfbench/probes.README_CASES`) and of `paper-suite`, all at the default
+(`perfbench/probes.README_CASES`), compact and with `--format pretty`, of
+`paper-suite` and of a `degree --transcript` with reciprocal factors in P^13
+(cone masks on both sides of `tropical.MEMO_COORDS`), all at the default
 seed, and of the interp payloads of `tests/interp_goldens.json` at their
 seed 20259 (kernels at interp size).  Standard library only, so every
 installed Python can run it:
@@ -24,6 +26,10 @@ INTERP_GOLDENS = json.loads((ROOT / "tests" / "interp_goldens.json").read_text()
 
 CASES = README_CASES + [("paper-suite", ["paper-suite"], {})] + [
     ("interp " + g["name"], ["interp", "--seed", "20259"], g["payload"]) for g in INTERP_GOLDENS]
+CASES += [(name + " pretty", argv + ["--format", "pretty"], payload)
+          for name, argv, payload in README_CASES if "--format" not in argv]
+CASES.append(("degree transcript reciprocal P^13", ["degree", "--transcript"],
+              {"plain": [[1, 3]], "reciprocal": [[1, 2]], "n": 13}))
 
 if __name__ == "__main__":
     digest = hashlib.sha256()

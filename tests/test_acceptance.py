@@ -150,12 +150,14 @@ def degree_transcripts_digest(seed, monkeypatch, capsys):
 
 
 def test_degree_transcripts_byte_identical(monkeypatch, capsys):
-    """With every memoized standard fan and mask built afresh, and again
-    with the memos warm."""
+    """With every memoized standard fan, mask and mask text built afresh,
+    and again with the memos warm."""
     tropical._memo_standard_fan.cache_clear()
     tropical._memo_mask_indices.cache_clear()
+    tropical._memo_mask_text.cache_clear()
     assert degree_transcripts_digest(1, monkeypatch, capsys) == DEGREE_TRANSCRIPTS_SHA256
     assert tropical._memo_standard_fan.cache_info().currsize > 0
+    assert tropical._memo_mask_text.cache_info().currsize > 0
     assert degree_transcripts_digest(1, monkeypatch, capsys) == DEGREE_TRANSCRIPTS_SHA256
 
 

@@ -9,9 +9,10 @@ from math import comb
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hadamard_spaces import (brackets, cli, line_powers, linalg, products, projective,
-                             samplers, star_configs)
+                             samplers, star_configs, tropical)
 from hadamard_spaces.linalg import QMatrix, integer_kernel_basis
 from hadamard_spaces.poly import SparsePoly, monomial_products, monomials_of_degree
 
@@ -97,6 +98,124 @@ def test_degree_transcript_of_wide_fans_is_unchanged(payload, digest):
     proc = run_cli("degree", payload, "--transcript")
     assert (proc.returncode, proc.stderr) == (0, "")
     assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
+
+
+def _cone_doc(fan, cone):
+    plus, minus = cone
+    return {"plus": tropical.mask_indices(plus), "minus": tropical.mask_indices(minus),
+            "mult": fan.cones[cone]}
+
+
+def _dict_route_degree(payload, seed):
+    """The `degree --transcript` document built as one dict per cone, the
+    route the CLI took before it wrote the transcript as text: the oracle
+    of the writer."""
+    doc = cli.cmd_degree(payload, None, cli.build_parser().parse_args(["degree"]))
+    plain = [tuple(x) for x in payload.get("plain", [])]
+    reciprocal = [tuple(x) for x in payload.get("reciprocal", [])]
+    detail = tropical.fan_degree_pipeline(plain, reciprocal, payload["n"], random.Random(seed))
+    fan, complement = detail["fan"], detail["complement"]
+    docs = {c: _cone_doc(fan, c) for c in fan.cones}
+    doc["transcript"] = {
+        "delta": detail["delta"],
+        "fan_degree": linalg.rat_str(detail["degree"]),
+        "global_weight": linalg.rat_str(fan.global_weight),
+        "displacement": [linalg.rat_str(x) for x in detail["displacement"]],
+        "cones": list(docs.values()),
+        "contributing_pairs": [
+            {"sigma1": docs[c1], "sigma2": _cone_doc(complement, c2), "lattice_index": idx}
+            for c1, c2, idx in detail["pairs"]],
+    }
+    return doc
+
+
+def _degree_grid(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+    payloads = []
+    for plain, recip, n in workloads.degree_grid():
+        payload = {"plain": [list(x) for x in plain], "n": n}
+        if recip:
+            payload["reciprocal"] = [list(x) for x in recip]
+        payloads.append(payload)
+    return payloads
+
+
+#: Reciprocal factors in P^12 (every mask below 2^MEMO_COORDS) and P^13
+#: (masks on both sides of it), and the widest fans: in P^998, and a point
+#: in P^999, the largest ambient space within tropical.FAN_BUDGET.
+WIDE_DEGREE_PAYLOADS = [
+    {"reciprocal": [[1, 3]], "n": 12},
+    {"plain": [[1, 2]], "reciprocal": [[1, 2]], "n": 12},
+    {"reciprocal": [[1, 3]], "n": 13},
+    {"plain": [[1, 3]], "reciprocal": [[1, 2]], "n": 13},
+    {"plain": [[0, 1]], "n": 998},
+    {"plain": [[998, 1]], "n": 998},
+    {"plain": [[0, 1]], "n": 999},
+]
+
+
+def test_degree_transcript_text_matches_the_dict_route(monkeypatch, capsys):
+    """Compact and pretty bytes of the text writer equal json.dumps of the
+    dict route on the criterion 5/6 grid and the wide payloads."""
+    for payload in _degree_grid(monkeypatch) + WIDE_DEGREE_PAYLOADS:
+        doc = _dict_route_degree(payload, 1)
+        for fmt, want in (("json", json.dumps(doc, sort_keys=True, separators=(",", ":"))),
+                          ("pretty", json.dumps(doc, indent=2, sort_keys=True))):
+            monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(payload)))
+            assert cli.main(["degree", "--transcript", "--seed", "1", "--format", fmt]) == 0
+            assert capsys.readouterr().out == want + "\n", (payload, fmt)
+
+
+def test_mask_text_memo_holds_only_its_domain(monkeypatch, capsys):
+    """Past 2^MEMO_COORDS a mask's text is rendered on every call and never
+    held: the fans of P^998 and P^999 leave only the empty mask in the
+    memo."""
+    tropical._memo_mask_text.cache_clear()
+    for payload in WIDE_DEGREE_PAYLOADS[4:]:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(payload)))
+        assert cli.main(["degree", "--transcript"]) == 0
+    assert tropical._memo_mask_text.cache_info().currsize == 1
+    assert tropical.mask_text(0) == "[]" and tropical._memo_mask_text.cache_info().currsize == 1
+    # Every mask's text is its index tuple's JSON, on both sides of the
+    # memo's domain, up to the last coordinate of P^999.
+    assert len(tropical._COORD_TEXT) == 1000
+    assert run_cli("degree", {"plain": [[0, 1]], "n": 1000}, "--transcript").returncode == 3
+    top = 1 << 999
+    for mask in (1, 0b1011, (1 << tropical.MEMO_COORDS) - 1, 1 << tropical.MEMO_COORDS,
+                 top, top | 5, 2 * top - 1):
+        assert tropical.mask_text(mask) == json.dumps(tropical.mask_indices(mask),
+                                                      separators=(",", ":"))
+
+
+_JSON_STRINGS = st.text(st.characters(exclude_categories=()), max_size=8)
+_JSON_DOCS = st.recursive(
+    st.none() | st.booleans() | _JSON_STRINGS
+    | st.integers(-(10 ** 4300 - 1), 10 ** 4300 - 1) | st.integers(-2 ** 70, 2 ** 70),
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(_JSON_STRINGS, kids, max_size=4),
+    max_leaves=12)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_JSON_DOCS)
+def test_pretty_of_compact_text_is_json_dumps_indent_2(doc):
+    """`--format pretty` re-reads the compact text: for any JSON document
+    without floats, whose ints print, the bytes of json.dumps(doc,
+    indent=2, sort_keys=True), whether the subcommand returned the
+    document or its compact text."""
+    compact = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    pretty = json.dumps(doc, indent=2, sort_keys=True)
+    for returned in (doc, compact):
+        for fmt, want in (("json", compact), ("pretty", pretty)):
+            saved = cli.COMMANDS["span-dim"], sys.stdin, sys.stdout
+            cli.COMMANDS["span-dim"] = lambda payload, rng, args: returned
+            sys.stdin, sys.stdout = io.StringIO("{}"), io.StringIO()
+            try:
+                assert cli.main(["span-dim", "--format", fmt]) == 0
+                out = sys.stdout.getvalue()
+            finally:
+                cli.COMMANDS["span-dim"], sys.stdin, sys.stdout = saved
+            assert out == want + "\n"
 
 
 def test_degree_too_long_to_print_exit_3():
@@ -819,19 +938,40 @@ def _star_bit_work(payload):
 
 def test_star_config_past_the_bit_work_limit_exit_3_at_once():
     # 17 points at r = 8 in P^16 with 10-digit entries (38-bit points) took
-    # 16 s under the entry limit: 831,606 * (8 * 38)^2 = 7.7e10 is refused
-    # before any work.  With 2-digit entries (11-bit points, 6.4e9) the
-    # same shape takes about 2 s and passes.
+    # 16 s under the entry limit: 831,606 * (9 * 8 * 38)^2 = 6.2e12 is
+    # refused before any work.  With 3-digit entries (15-bit points, 9.7e11)
+    # the same shape takes about 2.5 s and passes the check.
     payload = _digit_star_payload(17, 8, 16, 10)
-    assert _star_bit_work(payload) == 831606 * (8 * 38) ** 2
+    assert _star_bit_work(payload) == 831606 * (9 * 8 * 38) ** 2
     start = time.perf_counter()
     proc = run_cli("star-config", payload)
     assert time.perf_counter() - start < 1.0
     assert (proc.returncode, proc.stdout) == (3, "") and "Traceback" not in proc.stderr
     error = json.loads(proc.stderr)["error"]
     assert error["code"] == 3 and str(star_configs.STAR_CONFIG_BIT_WORK_LIMIT) in error["message"]
-    assert _star_bit_work(_digit_star_payload(17, 8, 16, 2)) == 831606 * (8 * 11) ** 2
-    assert _star_bit_work(_digit_star_payload(17, 8, 16, 2)) < star_configs.STAR_CONFIG_BIT_WORK_LIMIT
+    passing = _star_bit_work(_digit_star_payload(17, 8, 16, 3))
+    assert passing == 831606 * (9 * 8 * 15) ** 2 < star_configs.STAR_CONFIG_BIT_WORK_LIMIT
+
+
+def test_star_config_bit_work_follows_r(monkeypatch, capsys):
+    # The factor (r + 1)^2 r^2 of the minors' bits: 30 points at r = 4 in
+    # P^5 with 10-digit entries (39-bit points, 6.0e11, 2.2 s whole process)
+    # were refused at the rate of r >= 7 and are answered.
+    payload = _digit_star_payload(30, 4, 5, 10)
+    assert _star_bit_work(payload) == 987690 * (5 * 4 * 39) ** 2
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(payload)))
+    assert cli.main(["star-config"]) == 0
+    assert json.loads(capsys.readouterr().out)["verified"] is True
+    # The payloads refused before at r >= 8 stay refused (3.3-16 s).
+    for m, r, n, digits in [(17, 8, 16, 10), (17, 8, 16, 4), (17, 9, 10, 4), (18, 11, 12, 2)]:
+        payload = _digit_star_payload(m, r, n, digits)
+        with pytest.raises(products.BudgetExhausted):
+            star_configs.check_star_config_bit_work(
+                projective.LinSpace(payload["line"]),
+                [projective.PPoint(p) for p in payload["points"]], r)
+    # For r <= 9 the factor (r + 1)^2 is at most 100: whatever the former
+    # rule, count * (r b)^2 <= 10^10, accepted still passes.
+    assert 100 * 10 ** 10 <= star_configs.STAR_CONFIG_BIT_WORK_LIMIT
 
 
 def test_star_config_bit_work_admits_the_benchmark_pools_and_the_readme_payload(
