@@ -25,7 +25,7 @@ from .products import (expected_dimension, gen_vandermonde,
                        identifiability_check, identifiability_regime_bound,
                        interpolate_forms, interpolate_hypersurface,
                        span_dimension_formula, terracini_dim, terracini_span)
-from .tropical import (NonGenericVector, SignedConeFan,
+from .tropical import (NonGenericVector, SignedConeFan, closed_form_degree,
                        degree_linear_products, degree_with_reciprocals,
                        draw_generic_vector, fan_degree_pipeline,
                        genericity_bound, lattice_index, mask_indices,

@@ -26,6 +26,22 @@ bytes of `json.dumps(doc, indent=2, sort_keys=True)`:
   have raised, so json.loads reads it back.
 - Both texts sort keys, so the order of the read-back dicts is irrelevant.
 
+Flags are read by `parse_args` from one table, OPTIONS, which maps each
+long option to its attribute, kind (int, str, a tuple of choices, or a
+switch) and default.  It reads a command line as the argparse parser this
+module used to build read it: `--opt value` and `--opt=value`, unique
+prefixes of long options (`--tr`), options before or after the command, a
+value that looks like a negative number (`--seed -3`), `--`, and
+`-h`/`--help`, which prints HELP, argparse's text.  A bad command line is
+one JSON validation error with argparse's `field` and message: the reader
+checks in argparse's order (ambiguous prefixes first, then each word in
+turn, then a missing command, then unrecognized words), so it reports the
+error argparse reported first.  One deliberate difference: argparse
+dropped a `--` given as `--opt=--` and set the option to an empty list
+(`--seed=--` then raised a TypeError); here it is the value `--`.  That
+argparse parser is kept in the tests as the reader's oracle; the package
+no longer imports argparse or gettext.
+
 Exit codes: 0 success (`-h`/`--help` too), 1 payload or command-line
 validation error (the message points at the offending field, or at the
 flag: `command`, `seed`, `format`, ...), 2 mathematical precondition
@@ -58,15 +74,14 @@ work:
   before it runs.
 """
 
-import argparse
 import json
 import random
+import re
 import sys
-import warnings
 from fractions import Fraction
-from functools import cache
 from itertools import combinations
 from math import comb
+from types import SimpleNamespace
 
 from . import papersuite
 from .brackets import (cubic_plane_square, quadric_bracket_display,
@@ -85,7 +100,7 @@ from .samplers import (hadamard_power_sampler, hadamard_product_sampler,
                        linear_space_sampler, reciprocal_sampler, segre_sampler)
 from .star_configs import (PointSet, build_star, check_star_config_bit_work,
                            check_star_config_limits, verify_star)
-from .tropical import degree_with_reciprocals, fan_degree_pipeline, mask_text
+from .tropical import closed_form_degree, fan_degree_pipeline, mask_text
 
 DEFAULT_SEED = 20259
 
@@ -113,27 +128,33 @@ def _want(payload, field, kind, required=True, default=None):
     return value
 
 
-def _parse_rational(value, field, where):
+def _parse_rational(value, field, *index):
     """A rational literal (`linalg.is_rational_literal`): a JSON integer as
-    it is, a string as a Fraction; anything else is a validation error."""
+    it is, a string as a Fraction; anything else is a validation error,
+    whose message gives the entry's location, `[i][j]` for `index` (i, j)."""
     if is_json_int(value):
         return value
     if is_rational_literal(value):
         try:
             return Fraction(value)
         except ZeroDivisionError:
-            raise ValidationError(field, "zero denominator at %s" % where)
+            raise ValidationError(field, "zero denominator at %s" % _where(index))
         except ValueError as exc:  # more digits than int() converts
-            raise ValidationError(field, "bad rational entry at %s: %s" % (where, exc))
+            raise ValidationError(field, "bad rational entry at %s: %s" % (_where(index), exc))
     got = "a float" if isinstance(value, float) else json.dumps(value)
     raise ValidationError(field, "expected an integer or a \"num/den\" string at %s, got %s"
-                          % (where, got))
+                          % (_where(index), got))
+
+
+def _where(index):
+    return "".join("[%d]" % k for k in index)
 
 
 def _parse_matrix(data, field):
     if not isinstance(data, list) or not data or not all(isinstance(r, list) for r in data):
         raise ValidationError(field, "expected a non-empty list of rows")
-    rows = [[_parse_rational(x, field, "[%d][%d]" % (i, j)) for j, x in enumerate(row)]
+    # An int entry is taken as it is (a bool is not one); the rest are parsed.
+    rows = [[x if type(x) is int else _parse_rational(x, field, i, j) for j, x in enumerate(row)]
             for i, row in enumerate(data)]
     try:
         return QMatrix(rows)
@@ -152,7 +173,7 @@ def _parse_space(data, field):
 def _parse_point(data, field):
     if not isinstance(data, list) or not data:
         raise ValidationError(field, "expected a coordinate list")
-    coords = [_parse_rational(x, field, "[%d]" % j) for j, x in enumerate(data)]
+    coords = [x if type(x) is int else _parse_rational(x, field, j) for j, x in enumerate(data)]
     try:
         return PPoint(coords)
     except ValueError as exc:
@@ -369,19 +390,17 @@ def cmd_degree(payload, rng, args):
     n = _want(payload, "n", int)
     if n < 0:
         raise ValidationError("n", "ambient dimension must be >= 0")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        dim, degree = degree_with_reciprocals(plain, reciprocal, n)
+    dim, degree, warning = closed_form_degree(plain, reciprocal, n)
     doc = {"dim": dim, "degree": rat_str(degree)}
-    if caught:
-        doc["warning"] = str(caught[0].message)
+    if warning:
+        doc["warning"] = warning
     if not args.transcript:
         return doc
     text = '{"degree":%s,"dim":%d,"transcript":%s' % (
         json.dumps(doc["degree"]), dim,
         _transcript_text(fan_degree_pipeline(plain, reciprocal, n, rng)))
-    if caught:
-        text += ',"warning":' + json.dumps(doc["warning"])
+    if warning:
+        text += ',"warning":' + json.dumps(warning)
     return text + "}"
 
 
@@ -495,34 +514,142 @@ NEEDS_PAYLOAD = {"line-power", "star-config", "span-dim", "degree", "interp",
                  "dim-estimate", "bracket"}
 
 
-class _Parser(argparse.ArgumentParser):
-    """An argument parser whose errors raise argparse.ArgumentError, which
-    `main` prints as a JSON validation error, instead of printing usage and
-    exiting 2, the code of a precondition failure."""
+#: Every long option: the attribute it sets, its kind (int, str, a tuple of
+#: choices, or bool for a switch) and its default.  `-h` is `--help`, a
+#: switch that ends the reading.  The order is argparse's, which an
+#: ambiguous prefix's message lists.
+OPTIONS = {
+    "--help": ("help", bool, False),
+    "--seed": ("seed", int, DEFAULT_SEED),
+    "--in": ("infile", str, None),
+    "--out": ("outfile", str, None),
+    "--format": ("format", ("json", "pretty"), "json"),
+    "--symbolic": ("symbolic", bool, False),
+    "--transcript": ("transcript", bool, False),
+}
 
-    def error(self, message):
-        raise argparse.ArgumentError(None, message)
+_DEFAULTS = {attr: default for attr, _, default in OPTIONS.values()}
+
+HELP = """\
+usage: hadamard-spaces [-h] [--seed SEED] [--in INFILE] [--out OUTFILE]
+                       [--format {json,pretty}] [--symbolic] [--transcript]
+                       {bracket,degree,dim-estimate,interp,line-power,paper-suite,span-dim,star-config}
+
+Exact computations with Hadamard products of projective linear spaces.
+
+positional arguments:
+  {bracket,degree,dim-estimate,interp,line-power,paper-suite,span-dim,star-config}
+
+options:
+  -h, --help            show this help message and exit
+  --seed SEED           master seed for all randomness (default 20259)
+  --in INFILE           payload path (default: standard input)
+  --out OUTFILE         output path (default: standard output)
+  --format {json,pretty}
+  --symbolic            symbolic verification mode for `bracket verify`
+  --transcript          include the fan computation transcript in `degree`
+                        output
+"""
+
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 
-@cache
-def build_parser():
-    """The argument parser, built once per process; parsing leaves it unchanged."""
-    parser = _Parser(
-        prog="hadamard-spaces", exit_on_error=False,
-        description="Exact computations with Hadamard products of projective linear spaces.")
-    parser.add_argument("command", choices=sorted(COMMANDS))
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                        help="master seed for all randomness (default %(default)s)")
-    parser.add_argument("--in", dest="infile", default=None,
-                        help="payload path (default: standard input)")
-    parser.add_argument("--out", dest="outfile", default=None,
-                        help="output path (default: standard output)")
-    parser.add_argument("--format", choices=("json", "pretty"), default="json")
-    parser.add_argument("--symbolic", action="store_true",
-                        help="symbolic verification mode for `bracket verify`")
-    parser.add_argument("--transcript", action="store_true",
-                        help="include the fan computation transcript in `degree` output")
-    return parser
+def _flag_error(name, message):
+    """A command-line error about an option or the command, worded and
+    named (`field`) as argparse names it."""
+    label = "-h/--help" if name == "--help" else name
+    return ValidationError(label.lstrip("-"), "argument %s: %s" % (label, message))
+
+
+def _choice(name, value, choices):
+    if value not in choices:
+        raise _flag_error(name, "invalid choice: %r (choose from %s)"
+                          % (value, ", ".join(map(repr, sorted(choices)))))
+    return value
+
+
+def _read_option(token):
+    """A token before `--` as argparse reads it: None for a positional, else
+    (the long option it names, None if none; its `=` value, None if none).
+    An ambiguous prefix is an error."""
+    if token[:1] != "-" or token == "-":
+        return None
+    if token in OPTIONS:
+        return token, None
+    if token == "-h":
+        return "--help", None
+    if token[1] != "-":
+        if token[:2] == "-h":  # argparse reads -hh as -h -h; anything else glued is a value
+            rest = token[3:] if token[:3] == "-h=" else token[2:]
+            left = rest.lstrip("h")
+            return "--help", None if rest and not left else left
+        return None if _NEGATIVE_NUMBER.match(token) or " " in token else (None, None)
+    name, eq, value = token.partition("=")
+    if not eq:
+        value = None
+    if name in OPTIONS:
+        return name, value
+    matches = [option for option in OPTIONS if option.startswith(name)]
+    if len(matches) > 1:
+        raise ValidationError(None, "ambiguous option: %s could match %s"
+                              % (token, ", ".join(matches)))
+    if matches:
+        return matches[0], value
+    return None if " " in token else (None, None)
+
+
+def parse_args(argv):
+    """The command line read from OPTIONS, as a namespace of the command and
+    every option's attribute; `help` is true when -h or --help was read,
+    and the rest may then be unread.  A bad command line raises
+    ValidationError naming the `field` argparse's error named."""
+    end = argv.index("--") if "--" in argv else len(argv)
+    options = [_read_option(token) for token in argv[:end]]  # ambiguity first, as argparse
+    options += [None] * (len(argv) - end)
+    args = SimpleNamespace(command=None, **_DEFAULTS)
+    extras = []
+    i = 0
+    while i < len(argv):
+        option = options[i]
+        i += 1
+        if option is None:
+            if args.command is not None or i - 1 == end == len(argv) - 1:
+                extras.append(argv[i - 1])
+                continue
+            i += i - 1 == end  # a `--` just before the command
+            args.command = _choice("command", argv[i - 1], COMMANDS)
+            i += i == end  # or just after it
+            continue
+        name, value = option
+        if name is None:
+            extras.append(argv[i - 1])
+            continue
+        attr, kind, _ = OPTIONS[name]
+        if kind is bool:
+            if value is not None:
+                raise _flag_error(name, "ignored explicit argument %r" % value)
+            setattr(args, attr, True)
+            if attr == "help":
+                return args
+            continue
+        if value is None:
+            if i >= end or options[i]:
+                raise _flag_error(name, "expected one argument")
+            value = argv[i]
+            i += 1
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise _flag_error(name, "invalid int value: %r" % value)
+        elif kind is not str:
+            _choice(name, value, kind)
+        setattr(args, attr, value)
+    if args.command is None:
+        raise ValidationError(None, "the following arguments are required: command")
+    if extras:
+        raise ValidationError(None, "unrecognized arguments: %s" % " ".join(extras))
+    return args
 
 
 def _fail(code, field, message):
@@ -535,9 +662,12 @@ def _fail(code, field, message):
 
 def main(argv=None):
     try:
-        args = build_parser().parse_args(argv)
-    except argparse.ArgumentError as exc:
-        return _fail(1, exc.argument_name and exc.argument_name.lstrip("-"), str(exc))
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+    except ValidationError as exc:
+        return _fail(1, exc.field, str(exc))
+    if args.help:
+        sys.stdout.write(HELP)
+        return 0
     if args.seed < 0:
         return _fail(1, "seed", "seed must be a nonnegative integer")
 

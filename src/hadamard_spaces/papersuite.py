@@ -10,7 +10,6 @@ acceptance module runs the same predicates (and the instance draws
 """
 
 import random
-import warnings
 from fractions import Fraction
 from math import comb
 from itertools import combinations
@@ -162,12 +161,11 @@ def star_from_collinear_points(line, m, r, rng):
 def degree_by_both_routes(plain, recip, n, rng):
     """The closed-form degree of the product, or None where the closed
     form's dimension or degree differs from the fan pipeline's (Minkowski
-    sum, then stable intersection).  Below the genericity bound the closed
-    form warns; the comparison is made there all the same."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        dim, closed = tropical.degree_with_reciprocals(plain, recip, n)
-        fan = tropical.fan_degree_pipeline(plain, recip, n, rng)
+    sum, then stable intersection).  Below the genericity bound the
+    comparison is made all the same, and the closed form's warning is
+    dropped."""
+    dim, closed, _ = tropical.closed_form_degree(plain, recip, n)
+    fan = tropical.fan_degree_pipeline(plain, recip, n, rng)
     return closed if (dim, closed) == (fan["dim"], fan["degree"]) else None
 
 

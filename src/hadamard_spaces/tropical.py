@@ -227,13 +227,23 @@ def standard_tls(m, n, negated=False):
 
 
 def _standard_fan(m, n, negated):
-    # Each mask from the smaller of its m coordinates and the n + 1 - m others.
+    """Each mask is built from the smaller of its m coordinates and the
+    n + 1 - m others, in _cone_order, so the fan needs no sort.
+
+    `combinations` yields the m-subsets in lexicographic order of their
+    sorted tuples, which is _cone_order.  The complements of the
+    (n + 1 - m)-subsets it yields come in reverse lexicographic order:
+    for distinct sets A and B of one size, A < B exactly when min(A ^ B)
+    lies in A, and the complements have the same symmetric difference,
+    whose minimum lies in B's complement, so B's complement < A's.
+    """
     if 2 * m <= n + 1:
         masks = (sum(1 << i for i in s) for s in combinations(range(n + 1), m))
     else:
         full = (1 << (n + 1)) - 1
-        masks = (full - sum(1 << i for i in s) for s in combinations(range(n + 1), n + 1 - m))
-    return SignedConeFan(n, m, {((0, mask) if negated else (mask, 0)): 1 for mask in masks})
+        masks = reversed([full - sum(1 << i for i in s)
+                          for s in combinations(range(n + 1), n + 1 - m)])
+    return _ordered_fan(n, m, {((0, mask) if negated else (mask, 0)): 1 for mask in masks})
 
 
 _memo_standard_fan = cache(_standard_fan)
@@ -587,14 +597,25 @@ def degree_with_reciprocals(plain, reciprocal, n):
     raises BudgetExhausted before the degree is formed, and so does a
     bound too long to print, as in `rat_str`.
     """
+    dim, degree, warning = closed_form_degree(plain, reciprocal, n)
+    if warning:
+        warnings.warn(warning)
+    return dim, degree
+
+
+def closed_form_degree(plain, reciprocal, n):
+    """`degree_with_reciprocals` with its warning returned, not issued:
+    (dimension, degree, the warning's text below the genericity bound or
+    None), so a caller need not touch the process-wide warning filters."""
     plain, reciprocal, m, mt = _factor_dims(plain, reciprocal, n)
     check_printable(_degree_tenths(plain, reciprocal, n, m, mt))
     degree = Fraction(comb(n - m, mt) * _partitions(plain) * _partitions(reciprocal))
     bound = genericity_bound(plain, reciprocal)
+    warning = None
     if n < bound:
-        warnings.warn("ambient dimension %d is below the genericity bound %s "
-                      "of the degree formula" % (n, rat_str(bound)))
-    return m + mt, degree
+        warning = ("ambient dimension %d is below the genericity bound %s "
+                   "of the degree formula" % (n, rat_str(bound)))
+    return m + mt, degree, warning
 
 
 def _restrict(fan, plus, minus):

@@ -2,9 +2,10 @@
 (`perfbench/probes.README_CASES`), compact and with `--format pretty`, of
 `paper-suite` and of a `degree --transcript` with reciprocal factors in P^13
 (cone masks on both sides of `tropical.MEMO_COORDS`), all at the default
-seed, and of the interp payloads of `tests/interp_goldens.json` at their
-seed 20259 (kernels at interp size).  Standard library only, so every
-installed Python can run it:
+seed, of `degree --tr --seed=5` and `bracket --format=pretty` (flags in
+their abbreviated and `=` forms), and of the interp payloads of
+`tests/interp_goldens.json` at their seed 20259 (kernels at interp size).
+Standard library only, so every installed Python can run it:
 
     python3 tests/output_digest.py
 
@@ -30,6 +31,10 @@ CASES += [(name + " pretty", argv + ["--format", "pretty"], payload)
           for name, argv, payload in README_CASES if "--format" not in argv]
 CASES.append(("degree transcript reciprocal P^13", ["degree", "--transcript"],
               {"plain": [[1, 3]], "reciprocal": [[1, 2]], "n": 13}))
+# Abbreviated flags and `--flag=value`, as `cli.parse_args` reads them.
+CASES += [("degree abbreviated flags", ["degree", "--tr", "--seed=5"], {"plain": [[2, 2]], "n": 5}),
+          ("bracket cubic --format=pretty", ["bracket", "--format=pretty"],
+           {name: payload for name, _, payload in README_CASES}["bracket cubic"])]
 
 if __name__ == "__main__":
     digest = hashlib.sha256()

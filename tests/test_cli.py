@@ -1,3 +1,5 @@
+import argparse
+import contextlib
 import hashlib
 import io
 import json
@@ -5,6 +7,8 @@ import random
 import subprocess
 import sys
 import time
+import warnings
+from functools import cache
 from math import comb
 from pathlib import Path
 
@@ -110,7 +114,7 @@ def _dict_route_degree(payload, seed):
     """The `degree --transcript` document built as one dict per cone, the
     route the CLI took before it wrote the transcript as text: the oracle
     of the writer."""
-    doc = cli.cmd_degree(payload, None, cli.build_parser().parse_args(["degree"]))
+    doc = cli.cmd_degree(payload, None, cli.parse_args(["degree"]))
     plain = [tuple(x) for x in payload.get("plain", [])]
     reciprocal = [tuple(x) for x in payload.get("reciprocal", [])]
     detail = tropical.fan_degree_pipeline(plain, reciprocal, payload["n"], random.Random(seed))
@@ -283,6 +287,56 @@ def test_degree_warns_exactly_below_the_genericity_bound(flags, monkeypatch, cap
     monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps({"plain": [[1, 1], [1, 1]], "n": 3})))
     assert cli.main(["degree"]) == 0
     assert capsys.readouterr().out == '{"degree":"2","dim":2}\n'
+
+
+#: `degree` stdout, and the sha256 of `degree --transcript` stdout, of the
+#: payloads below the bound in DEGREE_BOUND_CASES, recorded while the
+#: warning was caught from `warnings.warn`.
+DEGREE_WARNING_OUTPUTS = [
+    ('{"degree":"2","dim":2,"warning":"ambient dimension 2 is below the genericity bound 3 '
+     'of the degree formula"}\n',
+     "ad779be7945f377aef460693a82d848930d393816d53f120ccf5143cb6147138"),
+    ('{"degree":"3","dim":3,"warning":"ambient dimension 3 is below the genericity bound 5 '
+     'of the degree formula"}\n',
+     "f9fbcce1f904af03f6063d3d7b49ed42cbe2101ad152fecea2a213f8f6f95f0f"),
+    ('{"degree":"15","dim":6,"warning":"ambient dimension 6 is below the genericity bound 9 '
+     'of the degree formula"}\n',
+     "0a7fb708c58f4265c338d96db524e88d8426de1876abcb82a6c292a0aed6f0e4"),
+    ('{"degree":"1","dim":2,"warning":"ambient dimension 2 is below the genericity bound 3 '
+     'of the degree formula"}\n',
+     "db1589cdf4ca597cbd8ae5ddb297a2924b2ee5af34d5e582dede14c04921e4b3"),
+]
+
+
+def test_degree_warning_leaves_the_warning_filters_alone(monkeypatch, capsys):
+    # The CLI reads the warning's text from the closed form; it neither
+    # catches warnings nor changes the process-wide filters, so its bytes
+    # do not depend on them.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the CLI changed the process-wide warning filters")
+
+    below = [payload for payload, bound in DEGREE_BOUND_CASES if payload["n"] < bound]
+    filters = list(warnings.filters)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        saved = warnings.catch_warnings, warnings.simplefilter
+        warnings.catch_warnings = warnings.simplefilter = refuse
+        try:
+            for payload, (out, digest) in zip(below, DEGREE_WARNING_OUTPUTS, strict=True):
+                for flags in ((), ("--transcript",)):
+                    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(payload)))
+                    assert cli.main(["degree", *flags]) == 0
+                    text = capsys.readouterr().out
+                    if flags:
+                        assert hashlib.sha256(text.encode()).hexdigest() == digest
+                    else:
+                        assert text == out
+        finally:
+            warnings.catch_warnings, warnings.simplefilter = saved
+    assert warnings.filters == filters
+    # Library callers are still warned.
+    with pytest.warns(UserWarning, match="below the genericity bound 3"):
+        assert tropical.degree_with_reciprocals([(1, 1), (1, 1)], [], 2) == (2, 2)
 
 
 def test_degree_transcript_budget_exit_3():
@@ -621,7 +675,119 @@ def test_help_exit_0():
     for flag in ("-h", "--help"):
         proc = subprocess.run(RUN + [flag], capture_output=True, text=True)
         assert proc.returncode == 0 and proc.stderr == ""
-        assert proc.stdout.startswith("usage: hadamard-spaces")
+        assert proc.stdout == cli.HELP
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors raise argparse.ArgumentError, which
+    `main` prints as a JSON validation error, instead of printing usage and
+    exiting 2, the code of a precondition failure."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
+@cache
+def build_parser():
+    """The argument parser, built once per process; parsing leaves it unchanged.
+    The CLI read its command line with it until `cli.parse_args` replaced
+    it; it is the oracle of that reader."""
+    parser = _Parser(
+        prog="hadamard-spaces", exit_on_error=False,
+        description="Exact computations with Hadamard products of projective linear spaces.")
+    parser.add_argument("command", choices=sorted(cli.COMMANDS))
+    parser.add_argument("--seed", type=int, default=cli.DEFAULT_SEED,
+                        help="master seed for all randomness (default %(default)s)")
+    parser.add_argument("--in", dest="infile", default=None,
+                        help="payload path (default: standard input)")
+    parser.add_argument("--out", dest="outfile", default=None,
+                        help="output path (default: standard output)")
+    parser.add_argument("--format", choices=("json", "pretty"), default="json")
+    parser.add_argument("--symbolic", action="store_true",
+                        help="symbolic verification mode for `bracket verify`")
+    parser.add_argument("--transcript", action="store_true",
+                        help="include the fan computation transcript in `degree` output")
+    return parser
+
+
+def _oracle_reading(argv):
+    """"help", ("error", field, message) or the attributes, as argparse
+    reads argv."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        assert exc.code == 0
+        return "help"
+    except argparse.ArgumentError as exc:
+        return "error", exc.argument_name and exc.argument_name.lstrip("-"), str(exc)
+    return vars(args)
+
+
+def _reading(argv):
+    """The same, as `cli.parse_args` reads argv."""
+    try:
+        args = vars(cli.parse_args(argv))
+    except cli.ValidationError as exc:
+        return "error", exc.field, str(exc)
+    return "help" if args.pop("help") else args
+
+
+def test_help_text_is_the_oracles(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal's width
+    assert cli.HELP == build_parser().format_help()
+
+
+_FLAGS = list(cli.OPTIONS) + ["--s"] + [
+    option[:k] for option in cli.OPTIONS for k in range(3, len(option))
+    if [o for o in cli.OPTIONS if o.startswith(option[:k])] == [option]]
+_VALUES = ["3", "-3", "x", "json", "pretty", "xml", "p"]
+_TOKEN = st.one_of(
+    st.sampled_from(sorted(cli.COMMANDS) + ["bogus"]),
+    st.sampled_from(_FLAGS + ["-h", "--help", "--"]),
+    st.sampled_from(_VALUES),
+    st.sampled_from(["%s=%s" % (flag, value) for flag in _FLAGS for value in _VALUES]))
+
+
+@settings(max_examples=3000, derandomize=True, deadline=None)
+@given(st.lists(_TOKEN, max_size=6))
+def test_flags_are_read_as_argparse_reads_them(argv):
+    # The same attributes, the same error (field and message), or help.
+    assert _reading(argv) == _oracle_reading(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    [], [""], ["-"], ["degree", ""], ["degree", "-"], ["degree", "-x"], ["degree", "- x"],
+    ["degree", "--no such"], ["degree", "-3"], ["degree", "-.5"], ["degree", "-1.5"],
+    ["degree", "-3\n"], ["degree", "--3"], ["degree", "---"], ["--=3"], ["-h="], ["-h=3"],
+    ["-h=h"], ["-hh"], ["-hhx"], ["-hx"], ["-h x"], ["-hh=3"], ["-h-"], ["--he=3"],
+    ["--in", "-"], ["--in", "-x"], ["--in", "--s"], ["--in=", "degree"], ["--seed=", "degree"],
+    ["--seed", " 3", "degree"], ["--seed", "+3", "degree"], ["--seed", "1_0", "degree"],
+    ["--seed", "\u0663", "degree"], ["--seed", "9" * 5000, "degree"], ["--tr=", "degree"],
+    ["--format", "Pretty", "degree"], ["degree", "--seed", "3", "--"], ["degree", "--"],
+    ["--", "degree"], ["--", "--", "degree"], ["--"], ["degree", "--", "x"],
+    ["degree", "degree"], ["--seed", "3", "degree", "-h"], ["degree", "--bogus=3", "-h"],
+    ["bogus", "--s"], ["--transcript", "--transcript", "degree", "--seed", "1", "--seed", "2"],
+], ids=repr)
+def test_edge_flags_are_read_as_argparse_reads_them(argv):
+    assert _reading(argv) == _oracle_reading(argv)
+
+
+def test_an_option_value_of_two_dashes_is_a_value():
+    # argparse dropped a `--` given with `=` and set the option to [], which
+    # made `--seed=--` a TypeError in main; the reader takes it as the value.
+    proc = subprocess.run(RUN + ["degree", "--seed=--"], input='{"plain": [[1, 1]], "n": 3}',
+                          capture_output=True, text=True)
+    assert proc.returncode == 1 and json.loads(proc.stderr)["error"]["field"] == "seed"
+    assert cli.parse_args(["degree", "--in=--"]).infile == "--"
+
+
+def test_the_cli_imports_neither_argparse_nor_gettext():
+    code = ("import sys, hadamard_spaces.cli; "
+            "print(sorted({'argparse', 'gettext'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout == "[]\n"
 
 
 def test_missing_field_names_it():

@@ -395,6 +395,22 @@ def test_standard_tls_cone_counts():
             assert standard_tls(m, n, True).cones == {(0, plus): 1 for plus, _ in want}
 
 
+@pytest.mark.parametrize("negated", [False, True])
+def test_standard_fans_are_built_in_cone_order(negated):
+    # The builder's fan has the cones, and the order, of the sorting
+    # constructor's, given the cones in reverse: every m at n <= 13 (both
+    # sides of MEMO_COORDS and of m = (n + 1) / 2), and in P^998 and P^999
+    # the fans of at most n + 1 cones, which `degree --transcript` builds
+    # there (m = n - 1 would have binom(n + 1, 2)).
+    cases = [(m, n) for n in range(14) for m in range(n + 1)]
+    cases += [(m, n) for n in (998, 999) for m in (0, 1, n)]
+    for m, n in cases:
+        fan = tropical._standard_fan(m, n, negated)
+        oracle = SignedConeFan(n, m, dict(reversed(fan.cones.items())))
+        assert list(fan.cones.items()) == list(oracle.cones.items())
+        assert fan == oracle and len(fan.cones) == comb(n + 1, m)
+
+
 def test_fans_are_immutable_and_standard_fans_shared():
     fan = standard_tls(2, 4)
     for field, value in [("ambient_dim", 5), ("dim", 1), ("cones", {}), ("global_weight", 2)]:
