@@ -46,8 +46,8 @@ Exit codes: 0 success (`-h`/`--help` too), 1 payload or command-line
 validation error (the message points at the offending field, or at the
 flag: `command`, `seed`, `format`, ...), 2 mathematical precondition
 failure (the message names the violated hypothesis), 3 retry/sampling
-budget exhaustion.  Exit 3 also covers every limit checked before the
-work:
+budget exhaustion.  Exit 3 also covers every size limit, all but the
+last two checked before the work:
 - `degree --transcript` fans past tropical.FAN_BUDGET;
 - a `degree` whose digit bound is past Python's int-to-str limit;
 - `line-power` past products.SPAN_DIM_WORK_LIMIT or
@@ -69,9 +69,8 @@ work:
   bits of its general position minors);
 - a `segre` sampler past samplers.SEGRE_AMBIENT_LIMIT, before it is built;
 - a `span-dim` by `dims` whose SAMPLE_BUDGET draws were all rank-deficient;
-- an `interp` degree whose forms are past the p-adic lifting reach and
-  whose Bareiss elimination is past linalg.BAREISS_BIT_WORK_LIMIT,
-  before it runs.
+- an `interp` degree whose kernel's lifting work passes
+  linalg.LIFT_BUDGET, counted as it runs.
 """
 
 import json

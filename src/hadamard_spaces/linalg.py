@@ -7,43 +7,33 @@ anywhere.  "Equals zero" is therefore decidable, which the rest of the
 package relies on.  Fractions appear only where a value leaves as one: the
 `rows` view and `det`.
 
-Two exact paths: Bareiss elimination computes ranks, RREFs, determinants
-and kernels; a p-adic solve computes the interpolation oracle's integer
-kernels.  Both give a kernel vector as the same primitive integer vector.
-
-Bareiss (`integer_rank`, `QMatrix.rref`, `det`, `nullspace`, and
-`bareiss_kernel_basis`, the fallback of `integer_kernel_basis`) runs on
-integer rows, which have the row space and the kernel of the matrix.  A
-forward pass with exact division (`_bareiss_echelon`) gives an integer
-echelon form whose entries are minors of the input, the sign of its row
-swaps, and the pivot columns (each the first nonzero entry at or below the
-current row), whose count is the rank.  A back-substitution
-(`_back_substitute`) solves the pivot entries of one kernel vector per
-free column.  This path serves the many small rational matrices of spans
-and tangent spaces.  All the maximal minors of a matrix at once, the
-Pluecker coordinates and the star configurations' normals and general
-position, come from Laplace expansion, or from `integer_det` per minor
-where that is cheaper (`integer_maximal_minors`).
+Bareiss (`integer_rank`, `QMatrix.rref`, `det`, `nullspace`, and the
+tests' kernel oracle `bareiss_kernel_basis`) runs on integer rows, which
+have the row space and the kernel of the matrix.  A forward pass with
+exact division (`_bareiss_echelon`) gives an integer echelon form whose
+entries are minors of the input, the sign of its row swaps, and the pivot
+columns (each the first nonzero entry at or below the current row), whose
+count is the rank.  A back-substitution (`_back_substitute`) solves the
+pivot entries of one kernel vector per free column.  This path serves the
+many small rational matrices of spans and tangent spaces.  All the maximal
+minors of a matrix at once, the Pluecker coordinates and the star
+configurations' normals and general position, come from Laplace
+expansion, or from `integer_det` per minor where that is cheaper
+(`integer_maximal_minors`).
 
 p-adic (`integer_kernel_basis`, the kernel of the interpolation oracle's
 evaluation matrix at its parameter grid, wide or tall).  The integer
 matrix A, or only its leading nc x nc block when A has more rows than its
-nc columns (call the factored rows S), is factored modulo the prime
-KERNEL_PRIME = 2^27 - 39, each row packed into one int of word-aligned
-slots that never carry (`_factor_mod_p`), one 64-bit word each up to 511
-columns: a row update is one big-int multiply-add with no reduction, and
-a pivot row is reduced in packed form by folding each slot's bits above
-2^27 down, times 39.  For each free column f, the entries at the pivots
-before f solve a square system in the pivot rows, lifted p-adically to
-p^k (Dixon 1982), each step's residue one CPython digit and, from
-PACKED_PIVOTS pivots on, each step a sweep of packed columns, and
-rationally reconstructed (Wang, Guy & Davenport 1982) over a common
-denominator, which spares Euclid on entries that share it; every vector
-is checked exactly, A x = 0 in integers against every row of A, before
-anything is returned (a row that the lifting pins may be certified by a
-congruence and a norm bound, see `_dixon_kernel`).  Its cost follows the
-size of the kernel entries, not of the minors Bareiss carries.  The check
-is a certificate:
+nc columns (call the factored rows S), is factored modulo a prime p =
+2^27 - e, first KERNEL_PRIME = 2^27 - 39, on packed rows
+(`_factor_mod_p`).  For each free column f, the entries at the k pivots
+before f solve B y = -a in the pivot rows R_<k, lifted p-adically to p^s
+(Dixon 1982) and rationally reconstructed (Wang, Guy & Davenport 1982)
+over a common denominator (`_dixon_kernel`), so the cost follows the size
+of the kernel entries, not of the minors Bareiss carries.  Every vector is
+checked exactly, A x = 0 in integers against every row of A (a pivot row
+may be certified by a congruence instead), before anything is returned.
+The check is a certificate:
 
 - ker_Q(A) lies in ker_Q(S), and rank mod p <= rank over Q (every minor
   that vanishes over Q vanishes mod p), so dim ker_p(S) >= dim ker_Q(A);
@@ -57,14 +47,24 @@ is a certificate:
   the unique primitive one positive at its free column and zero at the
   others: the one the Bareiss path returns.
 
-A vector that fails the check with the same reconstruction at two
-attempts in a row (an unlucky prime, or a block S with a larger kernel
-than A) stops the lifting at once; so does one that has not passed within
-LIFT_STEPS steps (entries beyond the lifting reach, which a spurious
-vector of a singular block can have while A's own kernel is small).
-Either sends a block on to all of A, and all of A on to Bareiss, which
-refuses (BudgetExhausted) a matrix past BAREISS_BIT_WORK_LIMIT.  A result
-is always exact.
+The lifting stops by proof.  det B is nonzero mod p, so B y = -a has one
+rational solution, and a reconstructed vector that passes the pivot rows
+R_<k is it; one that fails a pivot row has not converged yet.  By Cramer's
+rule each y_i is det B_i / det B (B_i: B with column i replaced by -a),
+and each row of B_i is part of a row of [B | a], so in lowest terms y_i =
+N / D with |N|, D <= H, the product of the row norms of [B | a] (Hadamard):
+the unique fraction that `_rational_reconstruct` finds once p^s > 2 H^2.
+H only proves that the loop ends; it overshoots by far (837 steps where
+the squared plane of 10-digit entries needs 73).  A solution that then
+fails another row proves the factorization wrong: had S mod p the column
+rank profile of A over Q, the kernel vector of f, zero at the pivots
+after f, would solve B y = -a.  So a tall block has a larger kernel than
+A, and the whole matrix moves on, or p is unlucky, and the whole matrix
+moves on to the next prime (`_kernel_primes`).  An unlucky p divides M =
+det A[I, J] for the column rank profile J of A over Q and rows I with
+M != 0 (else the columns of J stay independent mod p in every prefix), so
+at most log2(H_A) / 26 primes fail, H_A the Hadamard bound of A.  The
+lifting work of all passes and primes is charged to LIFT_BUDGET.
 
 The rank, the RREF, the kernel basis and the determinant are unique, so
 the results do not depend on the path, nor on the prime: only the time
@@ -77,7 +77,7 @@ import sys
 from array import array
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import combinations, compress, zip_longest
+from itertools import combinations, compress, count, zip_longest
 from math import comb, gcd, isqrt, lcm
 from operator import itemgetter, mul
 
@@ -436,28 +436,24 @@ def bareiss_kernel_basis(rows):
     return basis
 
 
-#: The prime of the p-adic kernel: 2^27 - 39, the largest prime below 2^27.
-#: A residue is one CPython digit (30 bits), a slot of `_factor_mod_p` is
-#: one 64-bit word up to 511 columns, and 2^27 = 39 mod p lets it reduce
+#: The first prime of the p-adic kernel: 2^27 - 39, the largest prime below
+#: 2^27.  A residue is one CPython digit (30 bits), a slot of `_factor_mod_p`
+#: is one 64-bit word up to 511 columns, and 2^27 = 39 mod p lets it reduce
 #: packed rows by a shift, a mask and a small multiply.
 KERNEL_PRIME = (1 << 27) - 39
 
-#: p-adic lifting steps per kernel vector.  p^38 > 2^1002 bounds the kernel
-#: entries that can be reconstructed: numerators and denominators up to
-#: about 500 bits; larger kernels go to the Bareiss fallback.
-LIFT_STEPS = 38
-
-#: Largest `bareiss_bit_work` of a matrix whose p-adic kernel failed (its
-#: entries beyond the lifting reach) that `integer_kernel_basis` hands to
-#: Bareiss; past it, it raises BudgetExhausted.  Its one caller is the
-#: interpolation oracle.  Whole processes on a 2-vCPU Xeon VM took 0.4-1.1
-#: * 10^-13 s per unit: a reciprocal plane in P^3 at dmax 3 with 60-digit
-#: entries (2.9 * 10^13) 3.1 s, a squared plane in P^5 with 10-digit
-#: entries (2.3 * 10^13) 1.6 s.  Now refused: the squared plane with
-#: 12-digit entries (3.2 * 10^13) 2.2 s and 30-digit ones (2.0 * 10^14)
-#: 11.6 s, the reciprocal plane with 70-digit entries (3.9 * 10^13) 4.1 s
-#: and 300-digit ones (7.1 * 10^14) past 60 s.
-BAREISS_BIT_WORK_LIMIT = 3 * 10 ** 13
+#: Lifting work one `integer_kernel_basis` call may spend over all its
+#: passes and primes (each step's product and Euclid, as `_dixon_kernel`
+#: charges them); past it, it raises BudgetExhausted.  Kernel seconds per
+#: unit in process on a 2-vCPU Xeon VM, interp at dmax 3 or a degree d
+#: (refused ones timed with the budget off; entries' digits in brackets):
+#:   squared plane in P^5 [30]: 8.4 * 10^8 units, 2.9 * 10^-10 s per unit;
+#:   [100] 7.3 * 10^9, 1.7 * 10^-10; [150], refused, 1.5 * 10^10, 1.6 * 10^-10
+#:   reciprocal plane in P^3 [1000]: 6.0 * 10^9 units, 1.1 * 10^-10 s
+#:   refused at d 2: reciprocal line in P^3 [3000] 1.9 * 10^-10 s, squared
+#:   line in P^3 [1000] 2.1 * 10^-10 s; d 3, squared line in P^7 [80] 2.6
+#: So the budget is 1.1-2.9 s of lifting, within criterion 1's 5 s.
+LIFT_BUDGET = 10 ** 10
 
 #: Fewest pivots of a factored block whose lifting steps run as packed
 #: column sweeps (`_packed_sweeps`).  Below it the sweeps' set-up costs more
@@ -527,9 +523,10 @@ def _factor_mod_p(rows, nc, p):
     the pivot L[i][i], upper[i] holds U[i][j] for j > i (U unit upper
     triangular), as residues.  The pivot is the first row nonzero mod p.
 
-    p is KERNEL_PRIME = 2^s - e (s = 27, e = 39).  Each row is one int of
-    W-bit slots, W a multiple of 64 (`_pack`), slot 0 at the current column
-    (each column drops it: row >> W).  A row update is one multiply-add,
+    p = 2^s - e is a prime of `_kernel_primes` (s = 27, 3e <= 2^s; e = 39
+    for KERNEL_PRIME).  Each row is one int of W-bit slots, W a multiple
+    of 64 (`_pack`), slot 0 at the current column (each column drops it:
+    row >> W).  A row update is one multiply-add,
     row + (p - f) * top = row - f * top mod p, with no reduction.  Only the
     pivot row is reduced, in packed form: its columns after the pivot
     become top = fold(fold(row >> W) * inv), where fold (`_folder`) repeats
@@ -547,9 +544,10 @@ def _factor_mod_p(rows, nc, p):
     V' = e h + 2^s, h = floor((V - 1) / 2^s), and `_fold_rounds` counts
     the rounds until V <= 2p.  They end: while V > 2p, h >= 1; h = 1 gives
     V' = e + 2^s <= 2p (3e <= 2^s); h >= 2 gives V' < h 2^s < V
-    (2^s < h (2^s - e)).  Each round divides V by about 2^s / e > 2^21:
-    two rounds for b <= 15 (u up to 32,767), three for b <= 37.  A folded
-    row is below 2p, times inv below 2p^2 < V, and folded again below 2p
+    (2^s < h (2^s - e)).  Each round divides V by about 2^s / e, more than
+    2^21 for KERNEL_PRIME: two rounds for b <= 15 (u up to 32,767), three
+    for b <= 37.  A folded row is below 2p, times inv below 2p^2 < V, and
+    folded again below 2p
     (V' grows with V, so the same rounds hold).  upper reads the low word
     of each top slot (2p < 2^64) and subtracts p once where needed.
     """
@@ -605,9 +603,10 @@ def _rational_reconstruct(u, m):
 
 
 def _lift(f, pivots, y, m, nc):
-    """The kernel vector of free column f: its entries a/b at the pivots
-    before f reconstructed from y mod m (None while one is not), cleared by
-    the lcm of the b's, which is at f; lowest terms make it primitive.
+    """(vec, runs): the kernel vector of free column f, its entries a/b at
+    the pivots before f reconstructed from y mod m (None while one is not)
+    and cleared by the lcm of the b's, which is at f, so that lowest terms
+    make it primitive; and the number of Euclid runs that took.
 
     The entries are kept as numerators over a running common denominator
     den, the lcm of the b's so far.  An entry u with u den = w mod m for
@@ -615,12 +614,13 @@ def _lift(f, pivots, y, m, nc):
     den / gcd(w, den) <= N: then w / den in lowest terms is a fraction
     within the bound that is u mod m (den is prime to m, as every b is:
     a = u b mod m, so p dividing b would divide a), so it is the unique
-    one `_rational_reconstruct` returns, and its denominator divides den.  The others run `_rational_reconstruct` and grow den.
-    Most kernels give all entries of a vector one denominator, so one
-    Euclid per vector is the usual cost.
+    one `_rational_reconstruct` returns, and its denominator divides den.
+    The others run `_rational_reconstruct` and grow den.  Most kernels
+    give all entries of a vector one denominator, so one Euclid per vector
+    is the usual cost.
     """
     bound = isqrt(m // 2)
-    den, nums = 1, []
+    den, nums, runs = 1, [], 0
     for u in y:
         w = u * den % m
         if w > bound:
@@ -629,8 +629,9 @@ def _lift(f, pivots, y, m, nc):
             nums.append(w)
             continue
         q = _rational_reconstruct(u, m)
+        runs += 1
         if q is None:
-            return None
+            return None, runs
         a, b = q
         grow = b // gcd(den, b)
         if grow != 1:
@@ -641,7 +642,7 @@ def _lift(f, pivots, y, m, nc):
     vec[f] = den
     for c, v in zip(pivots, nums):
         vec[c] = v
-    return tuple(vec)
+    return tuple(vec), runs
 
 
 def _annihilates(rows, vec):
@@ -745,131 +746,125 @@ def _packed_sweeps(rows, pivots, prows, lower, upper, p):
 
 
 def _uncertified(rows, block_rows, norms, vec, m):
-    """The rows of A that still need the exact check for a vector lifted to
-    m: all but the block rows r with ||A_r||_1 ||vec||_inf < m, which the
+    """The block rows of A that still need the exact check for a vector
+    lifted to m: all but those r with ||A_r||_1 ||vec||_inf < m, which the
     congruence of `_dixon_kernel` proves zero."""
     top = max(map(abs, vec))
-    pinned = {i for i, norm in zip(block_rows, norms) if norm * top < m}
-    return [row for i, row in enumerate(rows) if i not in pinned]
+    return [rows[i] for i, norm in zip(block_rows, norms) if norm * top >= m]
 
 
-def _reconstruction_steps():
-    """The lifting steps at which `_dixon_kernel` attempts a reconstruction:
-    each of the first 8 (up to m = p^8 > 2^215), then each step at least a
-    third past the last attempt, and step LIFT_STEPS: 1-8, 11, 15, 20, 27,
-    36, 38.
-
-    An attempt that fails costs Euclid on m, about the square of its bit
-    length, and past the lifting reach every attempt fails: these 14
-    attempts cost about 3.1 times the last one, where one per step would
-    cost 13.2 times.  A vector within reach lifts the steps it needs up to
-    step 8, and past it at most about a third more.
-    """
-    steps = list(range(1, 9))
-    for step in range(9, LIFT_STEPS + 1):
-        if 3 * step >= 4 * steps[-1] or step == LIFT_STEPS:
-            steps.append(step)
-    return steps
+def _kernel_primes():
+    """KERNEL_PRIME, then every prime p = 2^27 - e below it with 3e <= 2^27
+    (the bound of `_factor_mod_p`'s fold), descending: about 2.4 million.
+    Miller-Rabin to the bases 2, 3, 5 and 7 decides every n below
+    3,215,031,751 (Pomerance, Selfridge & Wagstaff 1980)."""
+    yield KERNEL_PRIME
+    top = 1 << 27
+    for n in range(KERNEL_PRIME - 2, top - top // 3, -2):
+        s = (n - 1 & 1 - n).bit_length() - 1  # n - 1 = d 2^s, d odd
+        d = n - 1 >> s
+        if all(pow(a, d, n) == 1 or any(pow(a, d << i, n) == n - 1 for i in range(s))
+               for a in (2, 3, 5, 7)):
+            yield n
 
 
-def _dixon_kernel(rows, height, nc):
-    """The kernel basis lifted from one factorization mod KERNEL_PRIME of
-    the first `height` rows, checked on all rows, or None when a vector
-    fails its check: as soon as two attempts in a row reconstruct it the
-    same (see the module docstring), or when it has not passed within
-    LIFT_STEPS steps (beyond the lifting reach).
+def _dixon_kernel(rows, height, nc, p, left):
+    """(vectors, left): the kernel basis lifted from one factorization mod
+    p of the first `height` rows, each vector checked on all rows, or None
+    when a check proves the factorization wrong (see the module
+    docstring); and what is left of the lifting budget `left`.
 
     For free column f with k pivots before it, the pivot entries y solve
     B y = -a, a = A[R_<k, f], with B = A[R_<k, P_<k], whose factors mod p
     are the leading blocks of L and U.  Dixon's expansion y = sum x_i p^i
     takes one triangular solve x_i = B^-1 b_i mod p per step (`solve`) and
     the exact residual b_(i+1) = (b_i - B x_i) / p (`times`, then
-    `_residual`), computed only when the vector has not passed its check
-    by step i.  Reconstruction is attempted at the steps of
-    `_reconstruction_steps`.
+    `_residual`), computed only while the vector has not passed its pivot
+    rows: in packed column sweeps (`_packed_sweeps`) for PACKED_PIVOTS to
+    511 pivots whose B entries are in the signed 64-bit range, else row by
+    row (`_row_sweeps`).  Reconstruction is attempted at each of the first
+    8 steps (m = p^8 > 2^215), then at each step a third past the last
+    attempt (11, 15, 20, 27, 36, 48, ...), so a vector lifts at most about
+    a third more steps than it needs and its attempts cost about 4 times
+    the last, whose Euclid takes time about L^2 for the bit length L of m.
+    A later vector of the same block starts its attempts at the step where
+    the last one passed.  Each step charges its product B x, k^2 b for b
+    the bit length of the largest row norm ||A_r||_1 of the pivot rows, and
+    each Euclid run L^2 / 3, its time in the same units; past `left`, it
+    raises BudgetExhausted.
 
-    A factorization of PACKED_PIVOTS to 511 pivots whose B entries are in
-    the signed 64-bit range solves and multiplies in packed column sweeps
-    (`_packed_sweeps`), one big-int multiply-add per column: the solves on
-    one-word slots, which stay below p + K p^2 < 2^64, the residual on
-    two-word slots, which stay below K 2^64 p < 2^100 < 2^128, with every
-    entry of B biased by 2^63 by one XOR per column.  Other factorizations
-    solve row by row (`_row_sweeps`).
-
-    A packed one also certifies the rows R_<k by congruence.  After s
-    steps, m = p^s and B y = b_0 - m b_s = -a (mod m).  The reconstructed
-    vector v is num = den y (mod m) at P_<k and den at f, zero elsewhere,
-    so for r in R_<k, (A v)_r = den ((B y)_r + a_r) = 0 (mod m).  Where
-    ||A_r||_1 ||v||_inf < m, |(A v)_r| < m, so (A v)_r = 0 exactly and
-    `_annihilates` skips the row.  It still checks the rows R_>=k, the rows
-    past the block of a tall matrix, the block's rows that are not pivot
-    rows, and the rows whose bound fails.
+    The pivot rows are certified by congruence.  After s steps, m = p^s
+    and B y = b_0 - m b_s = -a (mod m).  The reconstructed vector v is num
+    = den y (mod m) at P_<k and den at f, zero elsewhere, so for r in
+    R_<k, (A v)_r = den ((B y)_r + a_r) = 0 (mod m).  Where ||A_r||_1
+    ||v||_inf < m, |(A v)_r| < m, so (A v)_r = 0 exactly and `_annihilates`
+    skips the row.
     """
-    p = KERNEL_PRIME
     pivots, prows, lower, upper = _factor_mod_p(rows[:height], nc, p)
     sweeps = None
     if PACKED_PIVOTS <= len(pivots) <= 511:
         sweeps = _packed_sweeps(rows, pivots, prows, lower, upper, p)
     solve, times = sweeps or _row_sweeps(rows, pivots, prows, lower, upper, p)
     norms = None
-    attempts = set(_reconstruction_steps())
-    vectors = []
+    vectors, converged = [], {}
+
+    def spend(units):
+        nonlocal left
+        left -= units
+        if left < 0:
+            raise BudgetExhausted("the p-adic kernel of a %d x %d matrix is past the lift "
+                                  "budget of %d" % (len(rows), nc, LIFT_BUDGET))
+
     for f in sorted(set(range(nc)).difference(pivots)):
+        if norms is None:
+            norms = [sum(map(abs, rows[i])) for i in prows]
+            bits = max(norms, default=0).bit_length()
         k = bisect_left(pivots, f)
-        b = [-rows[i][f] for i in prows[:k]]
-        y, m, vec = [0] * k, 1, None
-        for step in range(1, LIFT_STEPS + 1):
+        block = prows[:k]
+        b = [-rows[i][f] for i in block]
+        y, m, attempt = [0] * k, 1, converged.get(k, 1)
+        for step in count(1):
+            spend(k * k * bits)
             if step > 1:
                 b = _residual(b, times(x), p)
             x = solve(b)
             y = [u + m * v for u, v in zip(y, x)]
             m *= p
-            if step not in attempts:
+            if step < attempt:
                 continue
-            last, vec = vec, _lift(f, pivots, y, m, nc)
-            if vec is not None:
-                checked = rows
-                if sweeps:
-                    if norms is None:
-                        norms = [sum(map(abs, rows[i])) for i in prows]
-                    checked = _uncertified(rows, prows[:k], norms, vec, m)
-                if _annihilates(checked, vec):
-                    break
-                if vec == last:
-                    return None
-        else:
-            return None
+            attempt = step + 1 if step < 8 else -(-4 * step // 3)
+            vec, runs = _lift(f, pivots, y, m, nc)
+            spend(runs * m.bit_length() ** 2 // 3)
+            if vec is None:
+                continue
+            if _annihilates(_uncertified(rows, block, norms, vec, m), vec):
+                converged[k] = step
+                break
+        block = set(block)
+        if not _annihilates([row for i, row in enumerate(rows) if i not in block], vec):
+            return None, left
         vectors.append(vec)
-    return vectors
-
-
-def bareiss_bit_work(rows, cols, bits):
-    """R C k^3 B^2, k = min(R, C): the work of a Bareiss elimination of an
-    R x C matrix of B-bit entries, about R C k cell updates on minors of up
-    to k B bits, multiplied in time about quadratic in their bits."""
-    return rows * cols * min(rows, cols) ** 3 * bits ** 2
+    return vectors, left
 
 
 def integer_kernel_basis(rows):
     """Kernel basis of an integer matrix, the one `bareiss_kernel_basis`
-    gives.  The p-adic path and its certificate are in the module docstring;
-    on KERNEL_PRIME it tries the square block of a tall matrix, then the
-    whole matrix, then falls back to Bareiss, unless that elimination's
-    `bareiss_bit_work` is past BAREISS_BIT_WORK_LIMIT: then it raises
-    BudgetExhausted before it runs."""
+    gives, by the p-adic path of the module docstring: the square block of
+    a tall matrix, then the whole matrix on each prime of `_kernel_primes`,
+    until a factorization is not proved wrong.  Raises BudgetExhausted
+    past LIFT_BUDGET."""
     if not rows:
         return []
     nc = len(rows[0])
-    for height in ([nc] if len(rows) > nc else []) + [len(rows)]:
-        vectors = _dixon_kernel(rows, height, nc)
-        if vectors is not None:
-            return vectors
-    bits = max(abs(x).bit_length() for row in rows for x in row)
-    if bareiss_bit_work(len(rows), nc, bits) > BAREISS_BIT_WORK_LIMIT:
-        raise BudgetExhausted("the kernel is beyond the p-adic lifting reach, and eliminating "
-                              "its %d x %d matrix of %d-bit entries is past the Bareiss bit "
-                              "work limit of %d" % (len(rows), nc, bits, BAREISS_BIT_WORK_LIMIT))
-    return bareiss_kernel_basis(rows)
+    left = LIFT_BUDGET
+    heights = [nc, len(rows)] if len(rows) > nc else [len(rows)]
+    for p in _kernel_primes():
+        for height in heights:
+            vectors, left = _dixon_kernel(rows, height, nc, p, left)
+            if vectors is not None:
+                return vectors
+        heights = [len(rows)]
+    raise BudgetExhausted("every kernel prime divides a pivot minor of the matrix")
 
 
 def smith_normal_form(rows):

@@ -23,8 +23,8 @@ from itertools import combinations_with_replacement
 from math import comb, prod
 from operator import add, itemgetter, mul
 
-from .linalg import (BudgetExhausted, PreconditionError, QMatrix, bareiss_bit_work,
-                     integer_kernel_basis, integer_rank, primitive_ints)
+from .linalg import (BudgetExhausted, PreconditionError, QMatrix, integer_kernel_basis,
+                     integer_rank, primitive_ints)
 from .poly import SparsePoly, monomial_products, monomials_of_degree
 from .projective import LinSpace, PPoint, sample_point
 
@@ -126,6 +126,14 @@ def vandermonde_work(dims_and_mults, n):
     return rows * cols * (k * k * sum(r for _, r in dims_and_mults) + 64)
 
 
+def bareiss_bit_work(rows, cols, bits):
+    """R C k^3 B^2, k = min(R, C): the work of a Bareiss elimination of an
+    R x C matrix of B-bit entries, about R C k cell updates, those of step
+    j on minors of about j B bits, which CPython multiplies and exactly
+    divides in time about quadratic in their bits."""
+    return rows * cols * min(rows, cols) ** 3 * bits ** 2
+
+
 def vandermonde_bit_work(entries):
     """The work R C k^3 B^2 of eliminating `gen_vandermonde(entries)`, for
     (LinSpace, multiplicity r_k) entries in P^n: R = prod binom(m_k + r_k,
@@ -133,12 +141,9 @@ def vandermonde_bit_work(entries):
     b_k the largest bit length of space k's integer generator entries.
 
     A matrix entry is a product of r_k generator entries of each space, of
-    up to B bits.  Bareiss makes about R C k cell updates, those of step j
-    on minors of about j B bits, and CPython multiplies and exactly divides
-    ints of these sizes in time about quadratic in their bits.
-    `vandermonde_work` counts the same updates linearly in sum r_k only,
-    which is right for the small entries it was timed on; check it first,
-    so that R here is small.
+    up to B bits (`bareiss_bit_work`).  `vandermonde_work` counts the same
+    updates linearly in sum r_k only, which is right for the small entries
+    it was timed on; check it first, so that R here is small.
     """
     rows = prod(comb(space.dim + r, r) for space, r in entries)
     cols = entries[0][0].ambient_dim + 1
@@ -430,10 +435,10 @@ def interpolation_grid(sampler, d):
     and a point with a zero coordinate is made primitive before repeated
     points are dropped.  Both serve the kernel, which factors only the
     leading square block of a tall evaluation matrix
-    (`linalg.integer_kernel_basis`) and falls back to the whole matrix
-    when that block is singular.  The lattice taken line by line puts many
-    points of one curve there; smallest sizes first spread it over the
-    grid.  Zero coordinates make multiples of one point: a reciprocal
+    (`linalg.integer_kernel_basis`) and moves on to the whole matrix when
+    a lifted vector proves that block singular.  The lattice taken line by
+    line puts many points of one curve there; smallest sizes first spread
+    it over the grid.  Zero coordinates make multiples of one point: a reciprocal
     factor maps every a with one zero coordinate j to a multiple of the
     unit vector e_j, and a product keeps that.  Points without a zero
     coordinate are kept as computed, which is cheaper than their gcd.
@@ -501,9 +506,9 @@ def interpolate_forms(sampler, d):
     is past INTERP_MONOMIAL_BUDGET, the grid size times the monomial count
     is past INTERP_GRID_LIMIT or `interpolation_bit_work` is past
     INTERP_BIT_WORK_LIMIT; for an empty product (`interpolation_grid`); and
-    when the p-adic kernel fails (forms beyond its lifting reach) and the
-    Bareiss elimination that would answer is past
-    `linalg.BAREISS_BIT_WORK_LIMIT`.
+    once the kernel's lifting work is past `linalg.LIFT_BUDGET`, which is
+    counted as the lifting runs, because no count made before it bounds
+    the size of the forms' coefficients.
     """
     if d < 1:
         raise PreconditionError("degree must be >= 1")

@@ -9,6 +9,7 @@ import sys
 import time
 import warnings
 from functools import cache
+from itertools import islice
 from math import comb
 from pathlib import Path
 
@@ -505,20 +506,90 @@ def test_interp_bit_work_limits_exit_3():
     product = {"sampler": {"type": "product", "factors": [
         {"type": "reciprocal", "generators": _digits_space(rng, 2, 21, 100)},
         {"type": "linear", "generators": _digits_space(rng, 1, 21, 100)}]}, "degree": 2}
-    # 300-digit entries, a reciprocal plane in P^3 at dmax 3: the cubic's
-    # coefficients are past the lifting reach, and Bareiss on the 55 x 20
-    # evaluation matrix of 9,000-bit entries (bit work 7.1 * 10^14) ran past
-    # 60 s.
-    plane = {"sampler": {"type": "reciprocal", "generators": _digits_space(rng, 2, 3, 300)},
-             "dmax": 3}
-    for payload, message in ((product, "past the interp bit work limit of %d"
-                              % products.INTERP_BIT_WORK_LIMIT),
-                             (plane, "beyond the p-adic lifting reach")):
+    start = time.perf_counter()
+    proc = run_cli("interp", product)
+    assert time.perf_counter() - start < 2.0
+    assert (proc.returncode, proc.stdout) == (3, "") and "Traceback" not in proc.stderr
+    message = "past the interp bit work limit of %d" % products.INTERP_BIT_WORK_LIMIT
+    assert message in json.loads(proc.stderr)["error"]["message"]
+
+
+def _grid_and_oracle_outcomes(monkeypatch, capsys, payload, draws):
+    """(exit code, stdout) of `interp` on the parameter grid, then on the
+    sampled route with random.Random(draws)."""
+    outcomes = []
+    for route in ("grid", "sampled"):
+        if route == "sampled":
+            rng = random.Random(draws)
+            oracle = lambda s, e: _sampled_interpolate_forms(s, e, rng)
+            monkeypatch.setattr(products, "interpolate_forms", oracle)
+            monkeypatch.setattr(cli, "interpolate_forms", oracle)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(payload)))
+        code = cli.main(["interp"])
+        outcomes.append((code, capsys.readouterr().out))
+    monkeypatch.undo()
+    return outcomes
+
+
+def test_interp_forms_past_500_bits_are_lifted(monkeypatch, capsys):
+    # Forms whose coefficients are past 500 bits, p^38 > 2^1002: the cubic
+    # of a squared plane in P^5 with 12-digit entries, and that of a
+    # reciprocal plane in P^3 with 300-digit entries.  Each exits 0 in a
+    # fraction of a second, and the sampled route prints the same.
+    rng = random.Random(31)
+    squared = {"type": "power", "r": 2,
+               "base": {"type": "linear", "generators": _digits_space(rng, 2, 5, 12)}}
+    reciprocal = {"type": "reciprocal", "generators": _digits_space(rng, 2, 3, 300)}
+    for sampler, bits in ((squared, 900), (reciprocal, 2900)):
+        payload = {"sampler": sampler, "dmax": 3}
         start = time.perf_counter()
         proc = run_cli("interp", payload)
-        assert time.perf_counter() - start < 2.0
-        assert (proc.returncode, proc.stdout) == (3, "") and "Traceback" not in proc.stderr
-        assert message in json.loads(proc.stderr)["error"]["message"]
+        assert time.perf_counter() - start < 5.0
+        assert proc.returncode == 0 and proc.stderr == ""
+        doc = json.loads(proc.stdout)
+        assert doc["degree"] == 3
+        assert max(int(c).bit_length() for _, c in doc["form"]) > bits
+        grid, sampled = _grid_and_oracle_outcomes(monkeypatch, capsys, payload, 31)
+        assert grid == sampled == (0, proc.stdout)
+
+
+def _kernel_bareiss_passes(monkeypatch):
+    """A list that gets an entry per Bareiss pass made inside the kernel
+    that `products.interpolate_forms` calls (parsing a payload's spaces
+    makes passes of its own)."""
+    passes = []
+    kernel, echelon = products.integer_kernel_basis, linalg._bareiss_echelon
+
+    def counting_kernel(rows):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "_bareiss_echelon", lambda rows: passes.append(1) or echelon(rows))
+            return kernel(rows)
+
+    monkeypatch.setattr(products, "integer_kernel_basis", counting_kernel)
+    return passes
+
+
+def test_interp_of_generators_scaled_by_kernel_primes_prints_the_same(monkeypatch, capsys):
+    # Scaling a space's generators does not change the space.  Scaled by
+    # KERNEL_PRIME, the README lines give an evaluation matrix that is zero
+    # mod that prime, so its degree-2 kernel is answered on the next prime;
+    # scaled by the first two primes, on the third.  No Bareiss pass runs.
+    golden = INTERP_GOLDENS[0]
+    assert golden["name"] == "readme_two_lines"
+    p0, p1, p2 = list(islice(linalg._kernel_primes(), 3))
+    primes, passes = [], _kernel_bareiss_passes(monkeypatch)
+    factor = linalg._factor_mod_p
+    monkeypatch.setattr(linalg, "_factor_mod_p",
+                        lambda rows, nc, p: primes.append(p) or factor(rows, nc, p))
+    for scale, used in ((p0, [p0, p1]), (p0 * p1, [p0, p1, p2])):
+        payload = json.loads(json.dumps(golden["payload"]))
+        for factor_doc in payload["sampler"]["factors"]:
+            factor_doc["generators"] = [[scale * x for x in row] for row in factor_doc["generators"]]
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(payload)))
+        del primes[:]
+        assert cli.main(["interp", "--seed", "20259"]) == 0
+        assert capsys.readouterr().out == golden["stdout"]
+        assert primes[-len(used):] == used and passes == []
 
 
 def test_interp_bit_work_admits_the_benchmark_pools_and_the_goldens(monkeypatch):
@@ -542,28 +613,56 @@ def test_interp_bit_work_admits_the_benchmark_pools_and_the_goldens(monkeypatch)
             assert work < products.INTERP_BIT_WORK_LIMIT // 10 ** 6
 
 
-def test_interp_bareiss_fallback_is_bounded_by_its_bit_work(monkeypatch):
-    # A reciprocal line in P^3 with 100-digit entries: its quadrics are past
-    # the lifting reach, so the p-adic kernel fails and Bareiss answers, up
-    # to the limit; past it, the limit refuses before Bareiss runs.
+def test_interp_kernel_is_bounded_by_its_lift_budget(monkeypatch, capsys):
+    # A reciprocal line in P^3 with 100-digit entries: its quadrics have
+    # coefficients past 500 bits.  With the budget at the lifting work of
+    # its kernel, interp answers, as the sampled route does; one unit less,
+    # it exits 3 before the answer.  Neither runs a Bareiss pass.
     rng = random.Random(100)
-    sampler = samplers.reciprocal_sampler(projective.LinSpace(_digits_space(rng, 1, 3, 100)))
+    generators = _digits_space(rng, 1, 3, 100)
+    sampler = samplers.reciprocal_sampler(projective.LinSpace(generators))
     expected = _sampled_interpolate_forms(sampler, 2, rng)
-    points = products.interpolation_grid(sampler, 2)
-    rows = list(zip(*monomial_products(list(zip(*points)), 2)))
-    bits = max(abs(x).bit_length() for row in rows for x in row)
-    work = linalg.bareiss_bit_work(len(rows), len(rows[0]), bits)
-    passes = []
-    echelon = linalg._bareiss_echelon
-    monkeypatch.setattr(linalg, "_bareiss_echelon", lambda rows: passes.append(1) or echelon(rows))
-    monkeypatch.setattr(linalg, "BAREISS_BIT_WORK_LIMIT", work)
+    left, passes = [], _kernel_bareiss_passes(monkeypatch)
+    dixon = linalg._dixon_kernel
+
+    def recording(*args):
+        vectors, rest = dixon(*args)
+        left.append(rest)
+        return vectors, rest
+
+    monkeypatch.setattr(linalg, "_dixon_kernel", recording)
+    monkeypatch.setattr(linalg, "LIFT_BUDGET", 10 ** 30)
+    products.interpolate_forms(sampler, 2)
+    work = 10 ** 30 - left[-1]
+    assert 10 ** 6 < work < linalg.LIFT_BUDGET // 10
+    monkeypatch.setattr(linalg, "LIFT_BUDGET", work)
     forms = products.interpolate_forms(sampler, 2)
-    assert passes == [1] and len(forms) == 3 and forms == expected
-    del passes[:]
-    monkeypatch.setattr(linalg, "BAREISS_BIT_WORK_LIMIT", work - 1)
-    with pytest.raises(products.BudgetExhausted):
-        products.interpolate_forms(sampler, 2)
+    assert len(forms) == 3 and forms == expected
+    assert max(abs(c).bit_length() for form in forms for c in form.ints.values()) > 500
+    monkeypatch.setattr(linalg, "LIFT_BUDGET", work - 1)
+    payload = {"sampler": {"type": "reciprocal", "generators": generators}, "degree": 2}
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(payload)))
+    assert cli.main(["interp"]) == 3
+    out, err = capsys.readouterr()
+    error = json.loads(err)["error"]
+    assert out == "" and error["code"] == 3 and "past the lift budget of %d" % (work - 1) in error["message"]
     assert passes == []
+
+
+def test_interp_kernel_charges_its_euclid_runs():
+    # A squared line in P^3 with 1000-digit entries: its six-row kernel
+    # lifts cheap steps, and reconstructing its 5,000-digit forms is most
+    # of the work.  Charged for each Euclid run, the lifting is refused
+    # within the budget's seconds, before the forms are found too long to
+    # print.
+    rng = random.Random(1000)
+    payload = {"sampler": {"type": "power", "r": 2, "base": {
+        "type": "linear", "generators": _digits_space(rng, 1, 3, 1000)}}, "degree": 2}
+    start = time.perf_counter()
+    proc = run_cli("interp", payload)
+    assert time.perf_counter() - start < 5.0
+    assert (proc.returncode, proc.stdout) == (3, "") and "Traceback" not in proc.stderr
+    assert "past the lift budget" in json.loads(proc.stderr)["error"]["message"]
 
 
 def _sampled_interpolate_forms(sampler, d, rng):
@@ -626,17 +725,7 @@ def test_interp_grid_matches_the_sampled_oracle_fuzzed(monkeypatch, capsys):
         if products.interpolation_grid_size(sampler, d) * comb(n + d, d) > 4000:
             continue
         cases += 1
-        outcomes = []
-        for route in ("grid", "sampled"):
-            if route == "sampled":
-                draws = random.Random(cases)
-                oracle = lambda s, e: _sampled_interpolate_forms(s, e, draws)
-                monkeypatch.setattr(products, "interpolate_forms", oracle)
-                monkeypatch.setattr(cli, "interpolate_forms", oracle)
-            monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(payload)))
-            code = cli.main(["interp"])
-            outcomes.append((code, capsys.readouterr().out))
-        monkeypatch.undo()
+        outcomes = _grid_and_oracle_outcomes(monkeypatch, capsys, payload, cases)
         assert outcomes[0] == outcomes[1], payload
         codes.add(outcomes[0][0])
         if outcomes[0][0] == 3 and "reciprocal" not in json.dumps(payload):

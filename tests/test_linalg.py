@@ -1,7 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count, islice
 from math import comb, gcd, isqrt, lcm
 
 import pytest
@@ -204,15 +204,14 @@ def test_modular_kernel_matches_bareiss(monkeypatch):
 
 
 def _ladder(monkeypatch, rows):
-    """The kernel, and the calls it made in order: ("block", height) or
-    ("whole", height) per factorization mod KERNEL_PRIME, "bareiss" per
+    """The kernel, and the calls it made in order: ("block", height, p) or
+    ("whole", height, p) per factorization mod a prime p, "bareiss" per
     Bareiss pass."""
     calls = []
     factor, echelon = linalg._factor_mod_p, linalg._bareiss_echelon
 
     def counting_factor(block, nc, p):
-        assert p == KERNEL_PRIME
-        calls.append(("whole" if len(block) == len(rows) else "block", len(block)))
+        calls.append(("whole" if len(block) == len(rows) else "block", len(block), p))
         return factor(block, nc, p)
 
     def counting_echelon(echelon_rows):
@@ -224,56 +223,76 @@ def _ladder(monkeypatch, rows):
     return integer_kernel_basis(rows), calls
 
 
+def _primes(count):
+    return list(islice(linalg._kernel_primes(), count))
+
+
 def test_modular_kernel_unlucky_first_prime(monkeypatch):
     # Mod KERNEL_PRIME these matrices lose a pivot: the kernel vectors it
-    # lifts are wrong over Q and are caught by the exact check, and Bareiss
-    # answers.
-    p0 = KERNEL_PRIME
-    assert _ladder(monkeypatch, [[p0, 1]]) == ([(-1, p0)], [("whole", 1), "bareiss"])
-    assert _ladder(monkeypatch, [[p0, 1], [0, 1]]) == ([], [("whole", 2), "bareiss"])
+    # lifts are wrong over Q and are caught by the exact check, and the
+    # next prime answers.
+    p0, p1 = _primes(2)
+    assert _ladder(monkeypatch, [[p0, 1]]) == ([(-1, p0)], [("whole", 1, p0), ("whole", 1, p1)])
+    assert _ladder(monkeypatch, [[p0, 1], [0, 1]]) == ([], [("whole", 2, p0), ("whole", 2, p1)])
     rows = [[p0, 1, 0], [3 * p0, 3, 0], [0, p0, 1]]
-    assert _ladder(monkeypatch, rows) == ([(1, -p0, p0 * p0)], [("whole", 3), "bareiss"])
+    assert _ladder(monkeypatch, rows) == ([(1, -p0, p0 * p0)], [("whole", 3, p0), ("whole", 3, p1)])
     assert rows == [[p0, 1, 0], [3 * p0, 3, 0], [0, p0, 1]]
     # Mod p0 the rows coincide, and the lifted vector (-1, 1) solves the
     # pivot row exactly: only the check against the other row refuses it.
-    assert _ladder(monkeypatch, [[1, 1], [1, 1 + p0]]) == ([], [("whole", 2), "bareiss"])
+    assert _ladder(monkeypatch, [[1, 1], [1, 1 + p0]]) == ([], [("whole", 2, p0), ("whole", 2, p1)])
+    for rows in ([[p0, 1]], [[p0, 1], [0, 1]], [[p0, 1, 0], [3 * p0, 3, 0], [0, p0, 1]],
+                 [[1, 1], [1, 1 + p0]]):
+        assert integer_kernel_basis(rows) == bareiss_kernel_basis(rows)
 
 
-def test_kernel_ladder_runs_block_then_whole_then_bareiss(monkeypatch):
+def test_kernel_ladder_runs_block_then_whole_then_next_prime(monkeypatch):
     # The leading 2 x 2 block is singular over Q, and mod KERNEL_PRIME all
-    # three rows are proportional; only Bareiss sees the full rank.
-    p0 = KERNEL_PRIME
+    # three rows are proportional; only the next prime sees the full rank,
+    # and the block is not factored again.
+    p0, p1 = _primes(2)
     rows = [[1, 1], [2, 2], [1, 1 + p0]]
-    assert _ladder(monkeypatch, rows) == ([], [("block", 2), ("whole", 3), "bareiss"])
+    assert _ladder(monkeypatch, rows) == ([], [("block", 2, p0), ("whole", 3, p0), ("whole", 3, p1)])
+    assert bareiss_kernel_basis(rows) == []
     # A tall matrix whose block has the kernel of the whole: the block answers.
     rows = [[1, 2, 3], [4, 5, 6], [7, 8, 9], [2, 1, 0]]
-    assert _ladder(monkeypatch, rows) == ([(1, -2, 1)], [("block", 3)])
+    assert _ladder(monkeypatch, rows) == ([(1, -2, 1)], [("block", 3, p0)])
+    assert bareiss_kernel_basis(rows) == [(1, -2, 1)]
 
 
-def test_modular_kernel_falls_back_to_bareiss(monkeypatch):
-    # Every entry is 0 mod KERNEL_PRIME, so it claims a full kernel that the
-    # exact check refuses; only Bareiss can answer.
-    big = 3 * KERNEL_PRIME
-    bareiss_calls = _count_calls(monkeypatch, "_bareiss_echelon")
-    factor_calls = _count_calls(monkeypatch, "_factor_mod_p")
-    assert integer_kernel_basis([[big, 2 * big], [3 * big, 4 * big]]) == []
-    assert len(factor_calls) == 1 and len(bareiss_calls) == 1
-    del factor_calls[:], bareiss_calls[:]
+def test_modular_kernel_moves_on_to_the_next_prime(monkeypatch):
+    # Every entry is 0 mod KERNEL_PRIME, so it claims a full kernel whose
+    # first vector the exact check refuses; the next prime answers.
+    p0, p1 = _primes(2)
+    big = 3 * p0
+    rows = [[big, 2 * big], [3 * big, 4 * big]]
+    assert _ladder(monkeypatch, rows) == ([], [("whole", 2, p0), ("whole", 2, p1)])
+    assert bareiss_kernel_basis(rows) == []
     rows = [[big, 2 * big, 5 * big], [big, 3 * big, 7 * big]]
-    assert integer_kernel_basis(rows) == [(-1, -2, 1)]
-    assert len(factor_calls) == 1 and len(bareiss_calls) == 1
+    assert _ladder(monkeypatch, rows) == ([(-1, -2, 1)], [("whole", 2, p0), ("whole", 2, p1)])
+    assert bareiss_kernel_basis(rows) == [(-1, -2, 1)]
 
 
-def test_kernel_beyond_lifting_reach_goes_straight_to_bareiss(monkeypatch):
+def test_kernel_answered_on_the_third_prime(monkeypatch):
+    # Every entry is a multiple of p0 p1: the first two primes each claim a
+    # full kernel that the exact check refuses, and the third answers.
+    p0, p1, p2 = _primes(3)
+    rng = random.Random(31)
+    rows = [[p0 * p1 * rng.randint(-99, 99) for _ in range(5)] for _ in range(3)]
+    basis, calls = _ladder(monkeypatch, rows)
+    assert calls == [("whole", 3, p0), ("whole", 3, p1), ("whole", 3, p2)]
+    assert len(basis) == 2 and basis == bareiss_kernel_basis(rows)
+
+
+def test_kernel_of_1800_bit_entries_lifts_on_one_prime(monkeypatch):
     # 300-bit entries: the kernel entries are 6 x 6 minors of about 1800
-    # bits, past the reach of p^LIFT_STEPS.
+    # bits, which the lifting reaches on its first prime, with no Bareiss
+    # pass.
     rng = random.Random(6)
     rows = [[rng.randint(-2 ** 300, 2 ** 300) for _ in range(8)] for _ in range(6)]
-    bareiss_calls = _count_calls(monkeypatch, "_bareiss_echelon")
-    factor_calls = _count_calls(monkeypatch, "_factor_mod_p")
-    basis = integer_kernel_basis(rows)
-    assert len(factor_calls) == 1 and len(bareiss_calls) == 1
+    basis, calls = _ladder(monkeypatch, rows)
+    assert calls == [("whole", 6, KERNEL_PRIME)]
     assert basis == bareiss_kernel_basis(rows)
+    assert max(abs(x).bit_length() for vec in basis for x in vec) > 1700
 
 
 def test_tall_kernel_falls_back_from_a_singular_block(monkeypatch):
@@ -288,34 +307,39 @@ def test_tall_kernel_falls_back_from_a_singular_block(monkeypatch):
     assert bareiss_calls == []
 
 
-def test_refused_block_vector_is_lifted_twice(monkeypatch):
-    # The block's vector (-2, 1) reconstructs at the first step and again at
-    # the second; a vector refused twice in a row stops the lifting there,
-    # not after LIFT_STEPS steps.
+def test_refused_block_vector_is_lifted_once(monkeypatch):
+    # The block's vector (-2, 1) reconstructs at the first step and passes
+    # its pivot row, so it is the block's exact solution: failing the third
+    # row proves the block wrong at once, and the whole matrix has full
+    # rank, with no vector to lift.
     lift_calls = _count_calls(monkeypatch, "_lift")
-    assert integer_kernel_basis([[1, 2], [2, 4], [1, 3]]) == []
-    assert len(lift_calls) == 2
+    rows = [[1, 2], [2, 4], [1, 3]]
+    assert integer_kernel_basis(rows) == [] == bareiss_kernel_basis(rows)
+    assert len(lift_calls) == 1
 
 
 def test_block_vector_past_the_lifting_reach_moves_on_to_the_whole(monkeypatch):
     # The leading 2 x 2 block is singular, and its kernel vector (-b, a) has
-    # 593-bit entries, past the reach of p^LIFT_STEPS: every reconstruction
-    # fails its check and differs from the last, so the block lifts all
-    # LIFT_STEPS steps, attempting a reconstruction at each step of
-    # _reconstruction_steps, the last one included, and computing every
-    # residual but the last step's.  The whole matrix has full rank and
-    # answers; no Bareiss pass is made.
+    # 593-bit entries.  The vector lifts until it reconstructs exactly, at
+    # the first attempt with p^s > 2^1186, step 48 of the schedule; it then
+    # passes its pivot row and fails the third, so the whole matrix, of
+    # full rank, answers.  No residual is computed after the last attempt,
+    # and no Bareiss pass is made.
     rng = random.Random(24)
     a, b = rng.getrandbits(600) | 1 << 599, rng.getrandbits(600) | 1 << 599
     a, b = a // gcd(a, b), b // gcd(a, b)
     assert min(a.bit_length(), b.bit_length()) > 590
     lift_calls = _count_calls(monkeypatch, "_lift")
     residual_calls = _count_calls(monkeypatch, "_residual")
-    assert _ladder(monkeypatch, [[a, b], [2 * a, 2 * b], [1, 0]]) == ([], [("block", 2), ("whole", 3)])
-    steps = linalg._reconstruction_steps()
-    assert steps == [1, 2, 3, 4, 5, 6, 7, 8, 11, 15, 20, 27, 36, linalg.LIFT_STEPS]
-    assert [args[3] for args in lift_calls] == [KERNEL_PRIME ** s for s in steps]
-    assert len(residual_calls) == linalg.LIFT_STEPS - 1
+    rows = [[a, b], [2 * a, 2 * b], [1, 0]]
+    p0 = KERNEL_PRIME
+    assert _ladder(monkeypatch, rows) == ([], [("block", 2, p0), ("whole", 3, p0)])
+    assert bareiss_kernel_basis(rows) == []
+    steps = [1, 2, 3, 4, 5, 6, 7, 8, 11, 15, 20, 27, 36, 48]
+    assert [args[3] for args in lift_calls] == [p0 ** s for s in steps]
+    assert p0 ** 36 < 2 * max(a, b) ** 2 < p0 ** 48
+    assert linalg._lift(*lift_calls[-1]) == ((-b, a), 1)
+    assert len(residual_calls) == steps[-1] - 1
 
 
 def test_interp_sized_tall_kernel_factors_its_square_block(monkeypatch):
@@ -326,7 +350,7 @@ def test_interp_sized_tall_kernel_factors_its_square_block(monkeypatch):
     sampler = hadamard_power_sampler(linear_space_sampler(plane), 2)
     points = [sampler.sample_point(rng).canonical() for _ in range(70)]
     rows = [list(r) for r in zip(*monomial_products(list(zip(*points)), 3))]
-    whole = linalg._dixon_kernel(rows, len(rows), 56)
+    whole, _ = linalg._dixon_kernel(rows, len(rows), 56, KERNEL_PRIME, linalg.LIFT_BUDGET)
     bareiss_calls = _count_calls(monkeypatch, "_bareiss_echelon")
     factor_calls = _count_calls(monkeypatch, "_factor_mod_p")
     basis = integer_kernel_basis(rows)
@@ -530,7 +554,7 @@ def test_lift_over_a_common_denominator_matches_the_per_entry_lift():
         nc = len(y) + 2
         pivots = sorted(random.Random(len(y)).sample(range(nc - 1), len(y)))
         f = nc - 1
-        vec = linalg._lift(f, pivots, y, m, nc)
+        vec, _ = linalg._lift(f, pivots, y, m, nc)
         assert vec == _lift_per_entry(f, pivots, y, m, nc), (m, y)
         if vec is not None:
             reconstructed += 1
@@ -539,9 +563,10 @@ def test_lift_over_a_common_denominator_matches_the_per_entry_lift():
 
 
 def test_residuals_are_computed_only_until_a_vector_passes(monkeypatch):
-    # Within the first 8 steps every step attempts a reconstruction, so a
-    # vector that passes at step s made s _lift calls and s - 1 residuals:
-    # none after the step whose vector passed.
+    # A vector that passes at step s, its last attempt, computed s - 1
+    # residuals: none after the step whose vector passed.  Within the first
+    # 8 steps every step attempts a reconstruction, from 1 on or, for a
+    # later vector of the same block, from the step where the last passed.
     lift_calls = _count_calls(monkeypatch, "_lift")
     residual_calls = _count_calls(monkeypatch, "_residual")
     bareiss_calls = _count_calls(monkeypatch, "_bareiss_echelon")
@@ -557,7 +582,10 @@ def test_residuals_are_computed_only_until_a_vector_passes(monkeypatch):
         assert not bareiss_calls and basis == bareiss_kernel_basis(rows)
         steps = Counter(args[0] for args in lift_calls)
         assert max(steps.values()) <= 8
-        assert len(residual_calls) == len(lift_calls) - len(basis)
+        passed = {args[0]: args[3] for args in lift_calls}.values()
+        passed = [next(s for s in count(1) if KERNEL_PRIME ** s == m) for m in passed]
+        assert len(passed) == len(basis)
+        assert len(residual_calls) == sum(s - 1 for s in passed)
         seen.update(steps.values())
     assert seen[1] and sum(n for s, n in seen.items() if s >= 3) >= 10
     # The squared plane's cubic passes at step 5 of the 70 x 56 grid block.
@@ -657,6 +685,51 @@ def test_integer_kernel_basis_matches_bareiss_fuzzed(rows):
     assert integer_kernel_basis(rows) == bareiss_kernel_basis(rows)
 
 
+@st.composite
+def _big_entry_matrices(draw):
+    """Integer matrices with 1-6 rows and columns built from entries of 500
+    to 2,000 bits, a third of each kind: free ones; products through k <
+    min(shape) columns of entries in -9..9, rank-deficient with a
+    structured kernel; and tall ones whose leading square block is such a
+    product, with 1-3 more rows that are free or in its row space.  Their
+    kernel entries reach about 5,500 bits."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    bits = draw(st.integers(500, 2000))
+    nr, nc = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+
+    def entries(rows, cols):
+        return [[rng.choice([-1, 1]) * (rng.getrandbits(bits) | 1 << bits - 1) for _ in range(cols)]
+                for _ in range(rows)]
+
+    def small(rows, cols):
+        return [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+
+    kind = draw(st.sampled_from(["free", "product", "tall"]))
+    if kind == "free":
+        return entries(nr, nc)
+    if kind == "product":
+        k = rng.randint(1, max(1, min(nr, nc) - 1))
+        return _product(entries(nr, k), small(k, nc))
+    nc = max(nc, 2)
+    k = rng.randint(1, nc - 1)
+    right = small(k, nc)
+    more = rng.randint(1, 3)
+    extra = entries(more, nc) if rng.random() < 0.5 else _product(entries(more, k), right)
+    return _product(entries(nc, k), right) + extra
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_big_entry_matrices())
+def test_kernels_of_big_entries_lift_with_no_bareiss_pass(rows):
+    with pytest.MonkeyPatch.context() as mp:
+        passes = []
+        echelon = linalg._bareiss_echelon
+        mp.setattr(linalg, "_bareiss_echelon", lambda rows: passes.append(1) or echelon(rows))
+        basis = integer_kernel_basis(rows)
+    assert passes == []
+    assert basis == bareiss_kernel_basis(rows)
+
+
 def _small_kernel_rows(rng, rank, free, nrows, bits):
     """nrows x (rank + free) integer rows X Y of rank `rank`: Y is the
     identity at `rank` random pivot columns with entries in {-1, 0, 1} at
@@ -749,20 +822,18 @@ def test_lifted_block_rows_are_certified_by_congruence(monkeypatch):
         basis = integer_kernel_basis(rows)
         assert basis == bareiss_kernel_basis(y) == bareiss_kernel_basis(rows)
         assert [args[3] for args in lift_calls] == [KERNEL_PRIME] * 2
-        # Each of the two vectors, zero past its free column f: the rows
-        # outside R_<k (k pivots before f), or all of them.
+        # Each of the two vectors, zero past its free column f, is checked
+        # on its pivot rows R_<k (k pivots before f), none of them or all k,
+        # then on the other nrows - k rows.
         pivots = [row.index(1) for row in y]
         k = [sum(c < max(i for i, v in enumerate(vec) if v) for c in pivots) for vec in basis]
-        if bits == 3:
-            assert handed == [nrows - kk for kk in k], (handed, k)
-        else:
-            assert handed == [nrows, nrows]
+        pinned = [0 if bits == 3 else kk for kk in k]
+        assert handed == [pinned[0], nrows - k[0], pinned[1], nrows - k[1]], (handed, k)
     # The bound is strict: |(A v)_r| <= ||A_r||_1 ||v||_inf = m would not
     # make a multiple of m zero.  Rows 0-2 are block rows with norm times
     # ||v||_inf = 3 at 99 = m, 102 and 96: only row 2 is pinned.
     rows = [[1, 2], [3, 4], [5, 6], [7, 8]]
-    assert linalg._uncertified(rows, [0, 1, 2], [33, 34, 32], (-3, 2), 99) == [
-        rows[0], rows[1], rows[3]]
+    assert linalg._uncertified(rows, [0, 1, 2], [33, 34, 32], (-3, 2), 99) == [rows[0], rows[1]]
 
 
 def _is_prime(n):
@@ -797,10 +868,33 @@ def test_kernel_prime_is_the_largest_prime_below_its_power_of_two():
     assert pow(2, s, KERNEL_PRIME) == e  # the fold of _factor_mod_p
     # The fold's bounds need 3e <= 2^s; a slot of 511 rows fits one word.
     assert 3 * e <= 2 ** s and 2 * s + 1 + (511).bit_length() <= 64
-    # p^LIFT_STEPS > 2^1002: the reach of about 500-bit kernel entries.
-    assert KERNEL_PRIME ** linalg.LIFT_STEPS > 2 ** 1002 > KERNEL_PRIME ** (linalg.LIFT_STEPS - 1)
     assert not _is_prime(KERNEL_PRIME * 576460752303423389)
     assert not _is_prime(3215031751)  # a strong pseudoprime to bases 2, 3, 5, 7
+
+
+def test_kernel_primes_are_every_prime_down_to_the_fold_bound(monkeypatch):
+    # The sequence starts at KERNEL_PRIME and skips no prime.
+    primes = _primes(300)
+    assert primes[0] == KERNEL_PRIME
+    assert primes == [n for n in range(KERNEL_PRIME, primes[-1] - 1, -1) if _is_prime(n)]
+    # It ends at the fold's bound: every p = 2^27 - e it yields has
+    # 3e <= 2^27, and the first prime past the bound is not yielded.
+    top = 2 ** 27
+    low = top - top // 3
+    assert 3 * (top - low) <= top < 3 * (top - low + 1)
+    start = next(n for n in range(low + 600, top) if _is_prime(n))
+    monkeypatch.setattr(linalg, "KERNEL_PRIME", start)
+    tail = list(linalg._kernel_primes())
+    assert tail == [n for n in range(start, low - 1, -1) if _is_prime(n)]
+    assert len(tail) > 20 and all(3 * (top - p) <= top for p in tail)
+    below = next(n for n in range(low - 1, 0, -1) if _is_prime(n))
+    assert 3 * (top - below) > top
+    # Strong pseudoprimes to the bases 2 and 3 in the range are skipped.
+    for composite in (101649241, 102690677, 106485121, 117987841):
+        assert not _is_prime(composite)
+        start = next(n for n in range(composite + 1, top) if _is_prime(n))
+        monkeypatch.setattr(linalg, "KERNEL_PRIME", start)
+        assert _primes(3) == [n for n in range(start, composite - 200, -1) if _is_prime(n)][:3]
 
 
 def test_smith_identity():
