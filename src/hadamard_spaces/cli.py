@@ -69,8 +69,8 @@ last two checked before the work:
   bits of its general position minors);
 - a `segre` sampler past samplers.SEGRE_AMBIENT_LIMIT, before it is built;
 - a `span-dim` by `dims` whose SAMPLE_BUDGET draws were all rank-deficient;
-- an `interp` degree whose kernel's lifting work passes
-  linalg.LIFT_BUDGET, counted as it runs.
+- an `interp` whose kernels' lifting work, over all the degrees of a
+  `dmax` search, passes linalg.LIFT_BUDGET, counted as it runs.
 """
 
 import json

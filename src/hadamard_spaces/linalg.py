@@ -10,65 +10,51 @@ package relies on.  Fractions appear only where a value leaves as one: the
 Bareiss (`integer_rank`, `QMatrix.rref`, `det`, `nullspace`, and the
 tests' kernel oracle `bareiss_kernel_basis`) runs on integer rows, which
 have the row space and the kernel of the matrix.  A forward pass with
-exact division (`_bareiss_echelon`) gives an integer echelon form whose
-entries are minors of the input, the sign of its row swaps, and the pivot
-columns (each the first nonzero entry at or below the current row), whose
-count is the rank.  A back-substitution (`_back_substitute`) solves the
-pivot entries of one kernel vector per free column.  This path serves the
-many small rational matrices of spans and tangent spaces.  All the maximal
-minors of a matrix at once, the Pluecker coordinates and the star
-configurations' normals and general position, come from Laplace
-expansion, or from `integer_det` per minor where that is cheaper
-(`integer_maximal_minors`).
+exact division (`_bareiss_echelon`) gives an integer echelon form of
+minors of the input, the sign of its row swaps and the pivot columns, as
+many as the rank; a back-substitution (`_back_substitute`) solves one
+kernel vector per free column.  It serves the many small rational matrices
+of spans and tangent spaces.  All the maximal minors of a matrix at once,
+the Pluecker coordinates and the star configurations' normals and general
+position, come from Laplace expansion, or from `integer_det` per minor
+where that is cheaper (`integer_maximal_minors`).
 
 p-adic (`integer_kernel_basis`, the kernel of the interpolation oracle's
-evaluation matrix at its parameter grid, wide or tall).  The integer
-matrix A, or only its leading nc x nc block when A has more rows than its
-nc columns (call the factored rows S), is factored modulo a prime p =
-2^27 - e, first KERNEL_PRIME = 2^27 - 39, on packed rows
-(`_factor_mod_p`).  For each free column f, the entries at the k pivots
-before f solve B y = -a in the pivot rows R_<k, lifted p-adically to p^s
-(Dixon 1982) and rationally reconstructed (Wang, Guy & Davenport 1982)
-over a common denominator (`_dixon_kernel`), so the cost follows the size
-of the kernel entries, not of the minors Bareiss carries.  Every vector is
-checked exactly, A x = 0 in integers against every row of A (a pivot row
-may be certified by a congruence instead), before anything is returned.
-The check is a certificate:
-
-- ker_Q(A) lies in ker_Q(S), and rank mod p <= rank over Q (every minor
-  that vanishes over Q vanishes mod p), so dim ker_p(S) >= dim ker_Q(A);
-- the lifted vectors are independent, because each is nonzero at its own
-  free column and zero at the other free columns;
-- so dim ker_p(S) vectors that pass the check on all rows prove dim
-  ker_Q(A) = dim ker_p(S), and they are a basis of ker_Q(A);
-- the vector of free column f is zero past column f, so column f is a
-  combination of earlier columns of A and is not a pivot over Q.  The free
-  sets of S mod p and of A over Q therefore coincide, and each vector is
-  the unique primitive one positive at its free column and zero at the
-  others: the one the Bareiss path returns.
+evaluation matrix, wide or tall).  A, or only its leading nc x nc block
+when A has more rows than columns (the factored rows S), is factored mod a
+prime p = 2^27 - e, first KERNEL_PRIME, on packed rows (`_factor_mod_p`).
+For each free column f, the entries at the k pivots before f solve B y =
+-a in the pivot rows R_<k, lifted p-adically (Dixon 1982) and rationally
+reconstructed (Wang, Guy & Davenport 1982) in `_dixon_kernel`: the cost
+follows the size of the kernel entries.  Each vector is checked exactly
+against every row of A (a pivot row may be certified by a congruence), and
+the check is a certificate.  ker_Q(A) lies in ker_Q(S) and rank mod p <=
+rank over Q (a minor zero over Q is zero mod p), so dim ker_p(S) >= dim
+ker_Q(A); the lifted vectors are independent (each is nonzero at its own
+free column only), so dim ker_p(S) of them that pass are a basis of
+ker_Q(A).  Each is zero past its free column f, so f is no pivot over Q
+either: the free sets agree, and each vector is the unique primitive one
+positive at its free column and zero at the others, the one Bareiss
+returns.
 
 The lifting stops by proof.  det B is nonzero mod p, so B y = -a has one
-rational solution, and a reconstructed vector that passes the pivot rows
-R_<k is it; one that fails a pivot row has not converged yet.  By Cramer's
-rule each y_i is det B_i / det B (B_i: B with column i replaced by -a),
-and each row of B_i is part of a row of [B | a], so in lowest terms y_i =
-N / D with |N|, D <= H, the product of the row norms of [B | a] (Hadamard):
-the unique fraction that `_rational_reconstruct` finds once p^s > 2 H^2.
-H only proves that the loop ends; it overshoots by far (837 steps where
-the squared plane of 10-digit entries needs 73).  A solution that then
-fails another row proves the factorization wrong: had S mod p the column
-rank profile of A over Q, the kernel vector of f, zero at the pivots
-after f, would solve B y = -a.  So a tall block has a larger kernel than
-A, and the whole matrix moves on, or p is unlucky, and the whole matrix
-moves on to the next prime (`_kernel_primes`).  An unlucky p divides M =
-det A[I, J] for the column rank profile J of A over Q and rows I with
-M != 0 (else the columns of J stay independent mod p in every prefix), so
-at most log2(H_A) / 26 primes fail, H_A the Hadamard bound of A.  The
-lifting work of all passes and primes is charged to LIFT_BUDGET.
+rational solution; a reconstructed vector that passes the pivot rows is
+it, and one that fails one has not converged.  By Cramer's rule and the
+Hadamard bound, y_i = N / D in lowest terms with |N|, D <= H, the product
+of the row norms of [B | a], found once p^s > 2 H^2 (2 D' H^2 for a later
+vector of a block, which lifts D' y: `_dixon_kernel`).  H only proves
+that the loop ends (837 steps where the squared plane of 10-digit entries
+needs 73).  A solution that fails another row proves the factorization
+wrong: with the column rank profile of A over Q, the kernel vector of f
+would solve B y = -a.  So a tall block has a larger kernel than A, and
+the whole matrix moves on, or p is unlucky, and the whole matrix moves
+on to the next prime (`_kernel_primes`).  An unlucky p divides M =
+det A[I, J], J the column rank profile of A over Q and M != 0 (else J
+stays independent mod p in every prefix), so at most log2(H_A) / 26
+primes fail, H_A the Hadamard bound of A.  All draw on one `lift_budget`.
 
 The rank, the RREF, the kernel basis and the determinant are unique, so
-the results do not depend on the path, nor on the prime: only the time
-does.
+the results depend on neither the path nor the prime: only the time does.
 """
 
 import re
@@ -77,7 +63,7 @@ import sys
 from array import array
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import combinations, compress, count, zip_longest
+from itertools import chain, combinations, compress, count, zip_longest
 from math import comb, gcd, isqrt, lcm
 from operator import itemgetter, mul
 
@@ -395,9 +381,8 @@ def _back_substitute(echelon, pivots, nc):
     vector x_f with x_f[f] = d, zero at the other free columns and echelon
     @ x_f = 0 is d times the kernel vector of free column f; solutions[i]
     lists x_f[p_i] for every f, row i solved from the later ones: rank^2
-    products per free column, whatever nc is (x_f is zero at the pivots
-    after f, as row i is zero before p_i).  By Cramer's rule x_f is integral
-    (d is the pivot minor of the rows the echelon form came from), so every
+    products per free column (x_f is zero at the pivots after f).  By
+    Cramer's rule x_f is integral (d is the pivot minor), so every
     division below is exact.
     """
     pivot_set = set(pivots)
@@ -442,18 +427,24 @@ def bareiss_kernel_basis(rows):
 #: packed rows by a shift, a mask and a small multiply.
 KERNEL_PRIME = (1 << 27) - 39
 
-#: Lifting work one `integer_kernel_basis` call may spend over all its
-#: passes and primes (each step's product and Euclid, as `_dixon_kernel`
-#: charges them); past it, it raises BudgetExhausted.  Kernel seconds per
-#: unit in process on a 2-vCPU Xeon VM, interp at dmax 3 or a degree d
-#: (refused ones timed with the budget off; entries' digits in brackets):
-#:   squared plane in P^5 [30]: 8.4 * 10^8 units, 2.9 * 10^-10 s per unit;
-#:   [100] 7.3 * 10^9, 1.7 * 10^-10; [150], refused, 1.5 * 10^10, 1.6 * 10^-10
-#:   reciprocal plane in P^3 [1000]: 6.0 * 10^9 units, 1.1 * 10^-10 s
-#:   refused at d 2: reciprocal line in P^3 [3000] 1.9 * 10^-10 s, squared
-#:   line in P^3 [1000] 2.1 * 10^-10 s; d 3, squared line in P^7 [80] 2.6
-#: So the budget is 1.1-2.9 s of lifting, within criterion 1's 5 s.
-LIFT_BUDGET = 10 ** 10
+#: Units that the kernel calls sharing a `lift_budget` cell (interp's degrees
+#: share one) may spend.  Units, then 10^-10 kernel seconds per unit, in
+#: process on a 2-vCPU Xeon VM, budget lifted (interp at dmax 3 or degree
+#: d; digits in brackets; * refused):
+#:   squared plane in P^5 [30] 2.3e9, 1.1; [100] 1.2e10, 0.94; [150]* 2.2e10, 0.93
+#:   reciprocal plane in P^3 [1000] 6.8e9, 0.89; line in P^6 [300], d 2, 9.6e9, 1.0
+#:   d 2*: reciprocal line in P^3 [3000] 3.1e10, 1.2; squared [1000] 3.4e10, 0.87
+#:   d 3: squared line in P^7 [80] 7.3e9, 1.3; [150] 2.1e10, 1.2; line times line
+#:   in P^7 [40] 9.7e9, 1.2; squared line in P^8 [150]* 2.5e10, 1.4
+#:   squared plane in P^5 [3] times 200 kernel primes (a pass each) 6.8e10, 0.91
+#: So the budget is 2.0-3.1 s of kernel work, within criterion 1's 5 s.
+LIFT_BUDGET = 22 * 10 ** 9
+
+#: Units of a lifting step beyond its product's k^2 b, (per entry of the k x
+#: k block, per pivot): the interpreter's cost, fitted to steps of 5-31
+#: pivots row by row (0.13, 1.3 us) and 32-200 packed (0.02, 2.2 us).
+ROW_STEP = (1300, 13000)
+PACKED_STEP = (200, 22000)
 
 #: Fewest pivots of a factored block whose lifting steps run as packed
 #: column sweeps (`_packed_sweeps`).  Below it the sweeps' set-up costs more
@@ -523,33 +514,27 @@ def _factor_mod_p(rows, nc, p):
     the pivot L[i][i], upper[i] holds U[i][j] for j > i (U unit upper
     triangular), as residues.  The pivot is the first row nonzero mod p.
 
-    p = 2^s - e is a prime of `_kernel_primes` (s = 27, 3e <= 2^s; e = 39
-    for KERNEL_PRIME).  Each row is one int of W-bit slots, W a multiple
-    of 64 (`_pack`), slot 0 at the current column (each column drops it:
-    row >> W).  A row update is one multiply-add,
-    row + (p - f) * top = row - f * top mod p, with no reduction.  Only the
-    pivot row is reduced, in packed form: its columns after the pivot
-    become top = fold(fold(row >> W) * inv), where fold (`_folder`) repeats
-    rounds that replace each slot hi 2^s + lo by the congruent e hi + lo.
+    p = 2^s - e is a prime of `_kernel_primes` (s = 27, 3e <= 2^s).  Each
+    row is one int of W-bit slots (`_pack`), slot 0 at the current column,
+    dropped at each column (row >> W).  A row update is one multiply-add,
+    row + (p - f) * top = row - f * top mod p, with no reduction; only the
+    pivot row is reduced, packed: its columns after the pivot become top =
+    fold(fold(row >> W) * inv), where fold (`_folder`) repeats rounds that
+    replace each slot hi 2^s + lo by the congruent e hi + lo.
 
-    No slot ever carries.  A row gets one update per pivot taken while it
-    is below the pivot row: each pivot is another row and in another
-    column, so it gets at most u = min(nrows - 1, ncols) updates.  A slot
-    starts below p, and each update adds (p - f) t < 2p^2 < 2^(2s+1) for
-    a top slot t < 2p, so the slot stays below (u + 1) 2^(2s+1) <= V =
-    2^(2s+1+b), b = bit_length(u), which W is chosen to hold: one word for
-    u <= 511, so for every matrix of at most 511 columns.  Within a round
-    the slot's bits do not mix with the next slot's, as e hi + lo <
-    e 2^(W-s) + 2^s <= 2^W.  A round takes a slot below V below
-    V' = e h + 2^s, h = floor((V - 1) / 2^s), and `_fold_rounds` counts
-    the rounds until V <= 2p.  They end: while V > 2p, h >= 1; h = 1 gives
-    V' = e + 2^s <= 2p (3e <= 2^s); h >= 2 gives V' < h 2^s < V
-    (2^s < h (2^s - e)).  Each round divides V by about 2^s / e, more than
-    2^21 for KERNEL_PRIME: two rounds for b <= 15 (u up to 32,767), three
-    for b <= 37.  A folded row is below 2p, times inv below 2p^2 < V, and
-    folded again below 2p
-    (V' grows with V, so the same rounds hold).  upper reads the low word
-    of each top slot (2p < 2^64) and subtracts p once where needed.
+    No slot ever carries.  A row gets at most u = min(nrows - 1, ncols)
+    updates (each pivot is another row and column), each adding (p - f) t
+    < 2p^2 < 2^(2s+1) for a top slot t < 2p, so a slot stays below V =
+    2^(2s+1+b), b = bit_length(u), which W holds (one word for u <= 511).
+    In a round, e hi + lo < e 2^(W-s) + 2^s <= 2^W keeps slots apart, and
+    a slot below V ends below V' = e h + 2^s, h = floor((V - 1) / 2^s);
+    `_fold_rounds` counts rounds until V <= 2p.  They end: while V > 2p,
+    h >= 1; h = 1 gives V' = e + 2^s <= 2p (3e <= 2^s), and h >= 2 gives
+    V' < h 2^s < V (2^s < h (2^s - e)).  A round divides V by about 2^s /
+    e, over 2^21 for KERNEL_PRIME: two rounds for b <= 15, three for b <=
+    37.  A folded row is below 2p, times inv below 2p^2 < V, and folded
+    again below 2p (V' grows with V, so the same rounds hold); upper reads
+    each top slot's low word (2p < 2^64), less p where needed.
     """
     bound = 1 << 2 * p.bit_length() + 1 + min(len(rows) - 1, nc).bit_length()
     words = (bound.bit_length() - 1 + 63) // 64
@@ -602,22 +587,16 @@ def _rational_reconstruct(u, m):
     return (r1, t1) if t1 > 0 else (-r1, -t1)
 
 
-def _lift(f, pivots, y, m, nc):
-    """(vec, runs): the kernel vector of free column f, its entries a/b at
-    the pivots before f reconstructed from y mod m (None while one is not)
-    and cleared by the lcm of the b's, which is at f, so that lowest terms
-    make it primitive; and the number of Euclid runs that took.
-
-    The entries are kept as numerators over a running common denominator
-    den, the lcm of the b's so far.  An entry u with u den = w mod m for
-    some |w| <= N = sqrt(m/2) needs no Euclid when den <= N, or else when
-    den / gcd(w, den) <= N: then w / den in lowest terms is a fraction
-    within the bound that is u mod m (den is prime to m, as every b is:
-    a = u b mod m, so p dividing b would divide a), so it is the unique
-    one `_rational_reconstruct` returns, and its denominator divides den.
-    The others run `_rational_reconstruct` and grow den.  Most kernels
-    give all entries of a vector one denominator, so one Euclid per vector
-    is the usual cost.
+def _lift(f, pivots, y, m, nc, scale=1):
+    """(vec, runs): the primitive kernel vector of free column f whose
+    pivot entries, times `scale`, are the fractions a/b reconstructed from
+    y mod m (None while one is not), and the number of Euclid runs taken.
+    The entries are kept over den, the lcm of the b's so far (f holds den
+    scale).  An entry u with u den = w mod m, |w| <= N = sqrt(m/2), needs
+    no Euclid when den / gcd(w, den) <= N: w / den in lowest terms is then
+    the unique fraction within the bound that is u mod m (den is prime to
+    m, as every b is).  The others run `_rational_reconstruct` and grow
+    den; most vectors have one denominator, so one Euclid run.
     """
     bound = isqrt(m // 2)
     den, nums, runs = 1, [], 0
@@ -639,10 +618,30 @@ def _lift(f, pivots, y, m, nc):
             den *= grow
         nums.append(a * (den // b))
     vec = [0] * nc
-    vec[f] = den
+    vec[f] = den * scale
     for c, v in zip(pivots, nums):
         vec[c] = v
-    return tuple(vec), runs
+    return _primitive(vec), runs
+
+
+def _integral(f, pivots, y, m, nc, scale):
+    """The primitive kernel vector of free column f whose pivot entries,
+    times `scale`, are the symmetric residues of y mod m; None while one is
+    not below m / 2^32 (an unconverged one passes with probability 2^-31)."""
+    cap, half = m >> 32, m >> 1
+    vec = [0] * nc
+    vec[f] = scale
+    for c, u in zip(pivots, y):
+        w = u - m if u > half else u
+        if not -cap < w < cap:
+            return None
+        vec[c] = w
+    return _primitive(vec)
+
+
+def _primitive(vec):
+    g = gcd(*vec)
+    return tuple(v // g for v in vec)
 
 
 def _annihilates(rows, vec):
@@ -652,8 +651,7 @@ def _annihilates(rows, vec):
 
 
 def _residual(b, products, p):
-    """Dixon's next right side b_(i+1) = (b_i - B x_i) / p, exact, from the
-    entries of B x_i."""
+    """Dixon's next right side (b_i - B x_i) / p, exact, from B x_i."""
     return [(bi - v) // p for bi, v in zip(b, products)]
 
 
@@ -667,7 +665,7 @@ def _row_sweeps(rows, pivots, prows, lower, upper, p):
     def solve(b):
         x = []
         for l, bi in zip(lower, b):
-            x.append((bi - sum(map(mul, l, x))) * l[-1] % p)
+            x.append((bi % p - sum(map(mul, l, x))) * l[-1] % p)
         for i in range(len(x) - 1, -1, -1):
             x[i] = (x[i] - sum(map(mul, upper[i], x[i + 1:]))) % p
         return x
@@ -684,22 +682,18 @@ def _packed_sweeps(rows, pivots, prows, lower, upper, p):
     outside the signed 64-bit range.
 
     Each column of L below the diagonal and of U above it is one int of
-    one-word (64-bit) slots, and each column of B one int of two-word
-    slots, little-endian (`struct`), cut once per kernel from C-level
-    transposes.  solve(b) keeps one int acc of one-word slots.  The
-    forward sweep starts from acc = b mod p, slot i at row i; at column j
-    slot 0 is row j, z_j = slot 0 times the inverse pivot, and acc >>= 64;
+    one-word slots, and each column of B one int of two-word slots, cut
+    once per kernel from C-level transposes (`struct`).  solve(b) keeps one
+    int acc of one-word slots, from b mod p, slot i at row i: at column j,
+    slot 0 is row j, z_j = slot 0 times the inverse pivot, acc >>= 64, and
     acc += (p - z_j) L_col_j subtracts z_j times the column from every
-    later row.  The back sweep does the same with U from the bottom: acc
-    holds z reversed, slot 0 is row j when column j is reached, and the
-    column of U is stored reversed (rows j - 1 down to 0).  A slot starts
-    below p and gets at most K updates below p^2, so it stays below p +
-    K p^2 < 2^64 for K <= 511: the slots never carry.  times(x) is sum x_j
-    B_col_j over two-word slots.  Each entry is written as a signed word,
-    its two's complement, and XOR with bit 63 of every slot adds 2^63 to
-    it: slot t is (B x)_t + 2^63 sum x, each of the K terms below p 2^64,
-    so below K 2^64 p < 2^100 < 2^128, and one `to_bytes` reads every slot
-    back, the bias subtracted.
+    later row.  The back sweep does the same with U from the bottom (acc
+    holds z reversed, and U's columns are stored reversed).  A slot gets at
+    most K updates below p^2, so it stays below p + K p^2 < 2^64 for K <=
+    511.  times(x) is sum x_j B_col_j over two-word slots, each entry
+    written as a signed word and XORed with bit 63 of its slot, which adds
+    2^63: slot t is (B x)_t + 2^63 sum x, below K 2^64 p < 2^128, and one
+    `to_bytes` reads every slot back, the bias subtracted.
     """
     count = len(pivots)
     bias = int.from_bytes((1 << 63).to_bytes(16, "little") * count, "little")
@@ -754,9 +748,9 @@ def _uncertified(rows, block_rows, norms, vec, m):
 
 
 def _kernel_primes():
-    """KERNEL_PRIME, then every prime p = 2^27 - e below it with 3e <= 2^27
-    (the bound of `_factor_mod_p`'s fold), descending: about 2.4 million.
-    Miller-Rabin to the bases 2, 3, 5 and 7 decides every n below
+    """KERNEL_PRIME, then every prime 2^27 - e below it with 3e <= 2^27
+    (`_factor_mod_p`'s fold), descending: about 2.4 million, by
+    Miller-Rabin to bases 2, 3, 5 and 7, which decides every n below
     3,215,031,751 (Pomerance, Selfridge & Wagstaff 1980)."""
     yield KERNEL_PRIME
     top = 1 << 27
@@ -768,101 +762,107 @@ def _kernel_primes():
             yield n
 
 
-def _dixon_kernel(rows, height, nc, p, left):
-    """(vectors, left): the kernel basis lifted from one factorization mod
-    p of the first `height` rows, each vector checked on all rows, or None
-    when a check proves the factorization wrong (see the module
-    docstring); and what is left of the lifting budget `left`.
+def _dixon_kernel(rows, height, nc, p, budget, charge):
+    """The kernel basis lifted from one factorization mod p of the first
+    `height` rows, checked on all rows, or None when a check proves the
+    factorization wrong; its work, `charge` first, comes from `budget`.
 
-    For free column f with k pivots before it, the pivot entries y solve
-    B y = -a, a = A[R_<k, f], with B = A[R_<k, P_<k], whose factors mod p
-    are the leading blocks of L and U.  Dixon's expansion y = sum x_i p^i
-    takes one triangular solve x_i = B^-1 b_i mod p per step (`solve`) and
-    the exact residual b_(i+1) = (b_i - B x_i) / p (`times`, then
-    `_residual`), computed only while the vector has not passed its pivot
-    rows: in packed column sweeps (`_packed_sweeps`) for PACKED_PIVOTS to
-    511 pivots whose B entries are in the signed 64-bit range, else row by
-    row (`_row_sweeps`).  Reconstruction is attempted at each of the first
-    8 steps (m = p^8 > 2^215), then at each step a third past the last
-    attempt (11, 15, 20, 27, 36, 48, ...), so a vector lifts at most about
-    a third more steps than it needs and its attempts cost about 4 times
-    the last, whose Euclid takes time about L^2 for the bit length L of m.
-    A later vector of the same block starts its attempts at the step where
-    the last one passed.  Each step charges its product B x, k^2 b for b
-    the bit length of the largest row norm ||A_r||_1 of the pivot rows, and
-    each Euclid run L^2 / 3, its time in the same units; past `left`, it
-    raises BudgetExhausted.
+    For free column f with k pivots before it, y solves B y = -a, a =
+    A[R_<k, f], B = A[R_<k, P_<k].  Dixon's expansion y = sum x_i p^i takes
+    a solve x_i = B^-1 b_i mod p per step and the exact residual b_(i+1) =
+    (b_i - B x_i) / p, packed (`_packed_sweeps`) for PACKED_PIVOTS to 511
+    pivots whose B fits 64-bit words, else row by row (`_row_sweeps`), at
+    k^2 b units (b the bits of the largest row norm ||A_r||_1 of the pivot
+    rows) plus ROW_STEP or PACKED_STEP.  Reconstruction is tried at each of
+    the first 8 steps, then a third past the last try (11, 15, 20, ...), so
+    a vector lifts at most about a third too long, and its tries (L^2 / 2
+    units per Euclid run for m of L bits) cost about 4 times the last.
 
-    The pivot rows are certified by congruence.  After s steps, m = p^s
-    and B y = b_0 - m b_s = -a (mod m).  The reconstructed vector v is num
-    = den y (mod m) at P_<k and den at f, zero elsewhere, so for r in
-    R_<k, (A v)_r = den ((B y)_r + a_r) = 0 (mod m).  Where ||A_r||_1
-    ||v||_inf < m, |(A v)_r| < m, so (A v)_r = 0 exactly and `_annihilates`
-    skips the row.
+    A later vector of a block lifts D y (b_0 = -D a), D the lcm of the
+    block's denominators so far.  Where D y is integral, its symmetric
+    residues mod m are it once m > 2 |D y|, about half the steps that
+    reconstruction needs, with no Euclid (`_integral`); where it is not,
+    reconstruction takes over from the block's last try, and D grows.
+
+    The pivot rows are certified by congruence: B y = b_0 - m b_s = -D a
+    (mod m = p^s), and the vector v found is den y (mod m) at P_<k and den
+    D at f, so (A v)_r = den ((B y)_r + D a_r) = 0 (mod m) for r in R_<k,
+    also after dividing v by the gcd of its entries (a divisor of den D,
+    prime to p).  Where ||A_r||_1 ||v||_inf < m, (A v)_r = 0 exactly and
+    `_annihilates` skips the row.
     """
-    pivots, prows, lower, upper = _factor_mod_p(rows[:height], nc, p)
-    sweeps = None
-    if PACKED_PIVOTS <= len(pivots) <= 511:
-        sweeps = _packed_sweeps(rows, pivots, prows, lower, upper, p)
-    solve, times = sweeps or _row_sweeps(rows, pivots, prows, lower, upper, p)
-    norms = None
-    vectors, converged = [], {}
-
     def spend(units):
-        nonlocal left
-        left -= units
-        if left < 0:
+        budget[0] -= units
+        if budget[0] < 0:
             raise BudgetExhausted("the p-adic kernel of a %d x %d matrix is past the lift "
                                   "budget of %d" % (len(rows), nc, LIFT_BUDGET))
 
-    for f in sorted(set(range(nc)).difference(pivots)):
-        if norms is None:
-            norms = [sum(map(abs, rows[i])) for i in prows]
-            bits = max(norms, default=0).bit_length()
+    spend(charge)
+    pivots, prows, lower, upper = factors = _factor_mod_p(rows[:height], nc, p)
+    sweeps = PACKED_PIVOTS <= len(pivots) <= 511 and _packed_sweeps(rows, *factors, p)
+    solve, times = sweeps or _row_sweeps(rows, *factors, p)
+    per_entry, per_pivot = PACKED_STEP if sweeps else ROW_STEP
+    free = sorted(set(range(nc)).difference(pivots))
+    norms = [sum(map(abs, rows[i])) for i in prows] if free else []
+    bits = max(norms, default=0).bit_length()
+    vectors, converged = [], {}
+    for f in free:
         k = bisect_left(pivots, f)
         block = prows[:k]
-        b = [-rows[i][f] for i in block]
-        y, m, attempt = [0] * k, 1, converged.get(k, 1)
+        start, scale = converged.get(k, (1, 1))
+        b = [-scale * rows[i][f] for i in block]
+        y, m, attempt = [0] * k, 1, start
         for step in count(1):
-            spend(k * k * bits)
+            spend(k * (k * (bits + per_entry) + per_pivot))
             if step > 1:
                 b = _residual(b, times(x), p)
             x = solve(b)
             y = [u + m * v for u, v in zip(y, x)]
             m *= p
-            if step < attempt:
-                continue
-            attempt = step + 1 if step < 8 else -(-4 * step // 3)
-            vec, runs = _lift(f, pivots, y, m, nc)
-            spend(runs * m.bit_length() ** 2 // 3)
-            if vec is None:
-                continue
-            if _annihilates(_uncertified(rows, block, norms, vec, m), vec):
-                converged[k] = step
+            vec = _integral(f, pivots, y, m, nc, scale) if scale > 1 else None
+            if vec is None and step >= attempt:
+                attempt = step + 1 if step < 8 else -(-4 * step // 3)
+                vec, runs = _lift(f, pivots, y, m, nc, scale)
+                spend(runs * m.bit_length() ** 2 // 2)
+                start = step
+            if vec is not None and _annihilates(_uncertified(rows, block, norms, vec, m), vec):
+                converged[k] = start, lcm(scale, vec[f])
                 break
         block = set(block)
         if not _annihilates([row for i, row in enumerate(rows) if i not in block], vec):
-            return None, left
+            return None
         vectors.append(vec)
-    return vectors, left
+    return vectors
 
 
-def integer_kernel_basis(rows):
+def lift_budget():
+    """[LIFT_BUDGET]: the units left to the kernel calls that share it."""
+    return [LIFT_BUDGET]
+
+
+def integer_kernel_basis(rows, budget=None):
     """Kernel basis of an integer matrix, the one `bareiss_kernel_basis`
     gives, by the p-adic path of the module docstring: the square block of
     a tall matrix, then the whole matrix on each prime of `_kernel_primes`,
-    until a factorization is not proved wrong.  Raises BudgetExhausted
-    past LIFT_BUDGET."""
+    until a factorization is not proved wrong.  The work is taken from
+    `budget`, a `lift_budget` cell that calls may share (a new one when
+    None).  A matrix that many kernel primes divide makes a pass per prime,
+    so each pass after the first is charged for reducing its entries mod
+    p, 3 (b + 64) units each for the largest entry's b bits; the first, as
+    building the matrix, is the caller's to bound (INTERP_BIT_WORK_LIMIT)."""
     if not rows:
         return []
     nc = len(rows[0])
-    left = LIFT_BUDGET
+    budget = lift_budget() if budget is None else budget
     heights = [nc, len(rows)] if len(rows) > nc else [len(rows)]
+    row_charge = 0
     for p in _kernel_primes():
         for height in heights:
-            vectors, left = _dixon_kernel(rows, height, nc, p, left)
+            vectors = _dixon_kernel(rows, height, nc, p, budget, height * row_charge)
             if vectors is not None:
                 return vectors
+            if not row_charge:
+                row_charge = 3 * nc * (max(map(abs, chain.from_iterable(rows))).bit_length() + 64)
         heights = [len(rows)]
     raise BudgetExhausted("every kernel prime divides a pivot minor of the matrix")
 

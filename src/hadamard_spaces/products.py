@@ -24,7 +24,7 @@ from math import comb, prod
 from operator import add, itemgetter, mul
 
 from .linalg import (BudgetExhausted, PreconditionError, QMatrix, integer_kernel_basis,
-                     integer_rank, primitive_ints)
+                     integer_rank, lift_budget, primitive_ints)
 from .poly import SparsePoly, monomial_products, monomials_of_degree
 from .projective import LinSpace, PPoint, sample_point
 
@@ -127,10 +127,8 @@ def vandermonde_work(dims_and_mults, n):
 
 
 def bareiss_bit_work(rows, cols, bits):
-    """R C k^3 B^2, k = min(R, C): the work of a Bareiss elimination of an
-    R x C matrix of B-bit entries, about R C k cell updates, those of step
-    j on minors of about j B bits, which CPython multiplies and exactly
-    divides in time about quadratic in their bits."""
+    """R C k^3 B^2, k = min(R, C), for Bareiss on an R x C matrix of B-bit
+    entries: about R C k updates, those of step j on j B-bit minors."""
     return rows * cols * min(rows, cols) ** 3 * bits ** 2
 
 
@@ -438,10 +436,10 @@ def interpolation_grid(sampler, d):
     (`linalg.integer_kernel_basis`) and moves on to the whole matrix when
     a lifted vector proves that block singular.  The lattice taken line by
     line puts many points of one curve there; smallest sizes first spread
-    it over the grid.  Zero coordinates make multiples of one point: a reciprocal
-    factor maps every a with one zero coordinate j to a multiple of the
-    unit vector e_j, and a product keeps that.  Points without a zero
-    coordinate are kept as computed, which is cheaper than their gcd.
+    it over the grid.  Zero coordinates make multiples of one point: a
+    reciprocal factor maps every a with one zero coordinate j to a
+    multiple of the unit vector e_j, and a product keeps that.  Points
+    without a zero coordinate are kept as computed, cheaper than a gcd.
 
     Raises BudgetExhausted for an empty product: a reciprocal factor whose
     generators have a zero column (its space lies in a coordinate
@@ -472,7 +470,7 @@ def interpolation_grid(sampler, d):
     return grid
 
 
-def interpolate_forms(sampler, d):
+def interpolate_forms(sampler, d, budget=None):
     """Basis of the degree-d forms vanishing on a sampled variety X: the
     integer kernel of the evaluation matrix of the binom(n+d, d) monomials
     at the points of `interpolation_grid`.  Nothing is drawn.
@@ -506,9 +504,9 @@ def interpolate_forms(sampler, d):
     is past INTERP_MONOMIAL_BUDGET, the grid size times the monomial count
     is past INTERP_GRID_LIMIT or `interpolation_bit_work` is past
     INTERP_BIT_WORK_LIMIT; for an empty product (`interpolation_grid`); and
-    once the kernel's lifting work is past `linalg.LIFT_BUDGET`, which is
-    counted as the lifting runs, because no count made before it bounds
-    the size of the forms' coefficients.
+    once the kernel's work is past `budget` (a `linalg.lift_budget` cell,
+    a new one when None), counted as it runs: no count before it bounds
+    the forms' coefficients.
     """
     if d < 1:
         raise PreconditionError("degree must be >= 1")
@@ -528,7 +526,7 @@ def interpolate_forms(sampler, d):
     rows = list(zip(*monomial_products(list(zip(*points)), d)))
     monomials = monomials_of_degree(n + 1, d)
     return [SparsePoly._trusted(n + 1, {m: v for m, v in zip(monomials, vec) if v}).primitive()
-            for vec in integer_kernel_basis(rows)]
+            for vec in integer_kernel_basis(rows, budget)]
 
 
 def interpolate_hypersurface(sampler, dmax):
@@ -537,10 +535,12 @@ def interpolate_hypersurface(sampler, dmax):
     Returns the smallest d <= dmax with a one-dimensional space of
     vanishing forms (`interpolate_forms`), together with that form,
     integer-cleared.  A kernel of dimension greater than one at the first
-    hit means the variety is not a hypersurface and raises.
+    hit means the variety is not a hypersurface and raises.  The degrees
+    share one `linalg.lift_budget`.
     """
+    budget = lift_budget()
     for d in range(1, dmax + 1):
-        forms = interpolate_forms(sampler, d)
+        forms = interpolate_forms(sampler, d, budget)
         if len(forms) == 1:
             return d, forms[0]
         if len(forms) > 1:

@@ -10,7 +10,7 @@ import time
 import warnings
 from functools import cache
 from itertools import islice
-from math import comb
+from math import comb, prod
 from pathlib import Path
 
 import pytest
@@ -521,7 +521,7 @@ def _grid_and_oracle_outcomes(monkeypatch, capsys, payload, draws):
     for route in ("grid", "sampled"):
         if route == "sampled":
             rng = random.Random(draws)
-            oracle = lambda s, e: _sampled_interpolate_forms(s, e, rng)
+            oracle = lambda s, e, budget=None: _sampled_interpolate_forms(s, e, rng)
             monkeypatch.setattr(products, "interpolate_forms", oracle)
             monkeypatch.setattr(cli, "interpolate_forms", oracle)
         monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(payload)))
@@ -560,10 +560,10 @@ def _kernel_bareiss_passes(monkeypatch):
     passes = []
     kernel, echelon = products.integer_kernel_basis, linalg._bareiss_echelon
 
-    def counting_kernel(rows):
+    def counting_kernel(rows, budget=None):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(linalg, "_bareiss_echelon", lambda rows: passes.append(1) or echelon(rows))
-            return kernel(rows)
+            return kernel(rows, budget)
 
     monkeypatch.setattr(products, "integer_kernel_basis", counting_kernel)
     return passes
@@ -590,6 +590,86 @@ def test_interp_of_generators_scaled_by_kernel_primes_prints_the_same(monkeypatc
         assert cli.main(["interp", "--seed", "20259"]) == 0
         assert capsys.readouterr().out == golden["stdout"]
         assert primes[-len(used):] == used and passes == []
+
+
+def test_interp_many_forms_of_big_entries_are_answered(monkeypatch):
+    # Degree 3 on a squared line in P^7 with 80-digit entries: a 10 x 120
+    # matrix of about 1,600-bit entries and 110 forms with coefficients of
+    # thousands of bits.  The later vectors of each block are read as
+    # integers, so the whole process answers within 5 s, with the forms
+    # that Bareiss gives.
+    rng = random.Random(80)
+    sampler = {"type": "power", "r": 2,
+               "base": {"type": "linear", "generators": _digits_space(rng, 1, 7, 80)}}
+    start = time.perf_counter()
+    proc = run_cli("interp", {"sampler": sampler, "degree": 3})
+    assert time.perf_counter() - start < 5.0
+    assert proc.returncode == 0 and proc.stderr == ""
+    monkeypatch.setattr(products, "integer_kernel_basis",
+                        lambda rows, budget=None: linalg.bareiss_kernel_basis(rows))
+    forms = products.interpolate_forms(cli._parse_sampler(sampler, "sampler"), 3)
+    assert len(forms) == 110
+    assert json.loads(proc.stdout) == {"degree": 3, "forms": [f.to_json() for f in forms]}
+
+
+def test_interp_degrees_share_one_lift_budget(monkeypatch):
+    # The squared plane of the goldens with its generators scaled by
+    # KERNEL_PRIME: every degree's matrix is zero mod that prime, so each
+    # degree pays for a second factorization, and degrees 1 and 2 find no
+    # form.  The three degrees draw on one budget cell, so that the search
+    # as a whole is bounded by LIFT_BUDGET: one unit short of the three
+    # kernels' work together, it exits 3 at degree 3, though degree 3
+    # alone is within it.
+    golden = INTERP_GOLDENS[1]
+    assert golden["name"] == "squared_plane_p5" and golden["payload"]["dmax"] == 3
+    sampler_doc = json.loads(json.dumps(golden["payload"]["sampler"]))
+    base = sampler_doc["base"]
+    base["generators"] = [[linalg.KERNEL_PRIME * x for x in row] for row in base["generators"]]
+    sampler = cli._parse_sampler(sampler_doc, "sampler")
+    cells, spent, kernel = [], [], products.integer_kernel_basis
+
+    def recording(rows, budget=None):
+        budget = linalg.lift_budget() if budget is None else budget
+        cells.append(budget)
+        before = budget[0]
+        try:
+            return kernel(rows, budget)
+        finally:
+            spent.append(before - budget[0])
+
+    monkeypatch.setattr(products, "integer_kernel_basis", recording)
+    monkeypatch.setattr(linalg, "LIFT_BUDGET", 10 ** 30)
+    degree, form = products.interpolate_hypersurface(sampler, 3)
+    assert degree == 3 and len(cells) == 3 and cells[0] is cells[1] is cells[2]
+    assert min(spent) > 0
+    monkeypatch.setattr(linalg, "LIFT_BUDGET", sum(spent) - 1)
+    del cells[:], spent[:]
+    with pytest.raises(products.BudgetExhausted, match="past the lift budget"):
+        products.interpolate_hypersurface(sampler, 3)
+    assert len(cells) == 3
+    assert products.interpolate_forms(sampler, 3) == [form]
+
+
+def test_interp_of_generators_scaled_by_many_kernel_primes_is_refused_in_time():
+    # A squared plane in P^5 whose generators are scaled by the first 300
+    # kernel primes: every evaluation matrix is zero mod each of them, so
+    # each degree makes a pass per prime, each reducing entries of up to
+    # 48,600 bits.  Degrees 1 and 2 answer on the 301st prime; at degree 3
+    # the factorizations exhaust the budget that the degrees share, and the
+    # whole process exits 3 within 5 s.
+    scale = prod(islice(linalg._kernel_primes(), 300))
+    rng = random.Random(5)
+    generators = [[scale * rng.choice([-1, 1]) * rng.randrange(100, 1000) for _ in range(6)]
+                  for _ in range(3)]
+    payload = {"sampler": {"type": "power", "r": 2,
+                           "base": {"type": "linear", "generators": generators}}, "dmax": 3}
+    start = time.perf_counter()
+    proc = run_cli("interp", payload)
+    assert time.perf_counter() - start < 5.0
+    assert (proc.returncode, proc.stdout) == (3, "")
+    message = json.loads(proc.stderr)["error"]["message"]
+    assert message == ("the p-adic kernel of a 55 x 56 matrix is past the lift budget of %d"
+                       % linalg.LIFT_BUDGET)
 
 
 def test_interp_bit_work_admits_the_benchmark_pools_and_the_goldens(monkeypatch):
@@ -622,18 +702,10 @@ def test_interp_kernel_is_bounded_by_its_lift_budget(monkeypatch, capsys):
     generators = _digits_space(rng, 1, 3, 100)
     sampler = samplers.reciprocal_sampler(projective.LinSpace(generators))
     expected = _sampled_interpolate_forms(sampler, 2, rng)
-    left, passes = [], _kernel_bareiss_passes(monkeypatch)
-    dixon = linalg._dixon_kernel
-
-    def recording(*args):
-        vectors, rest = dixon(*args)
-        left.append(rest)
-        return vectors, rest
-
-    monkeypatch.setattr(linalg, "_dixon_kernel", recording)
-    monkeypatch.setattr(linalg, "LIFT_BUDGET", 10 ** 30)
-    products.interpolate_forms(sampler, 2)
-    work = 10 ** 30 - left[-1]
+    passes = _kernel_bareiss_passes(monkeypatch)
+    budget = [10 ** 30]
+    products.interpolate_forms(sampler, 2, budget)
+    work = 10 ** 30 - budget[0]
     assert 10 ** 6 < work < linalg.LIFT_BUDGET // 10
     monkeypatch.setattr(linalg, "LIFT_BUDGET", work)
     forms = products.interpolate_forms(sampler, 2)

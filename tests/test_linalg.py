@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hadamard_spaces import linalg, products
-from hadamard_spaces.linalg import (KERNEL_PRIME, QMatrix, bareiss_kernel_basis,
+from hadamard_spaces.linalg import (KERNEL_PRIME, BudgetExhausted, QMatrix, bareiss_kernel_basis,
                                     cleared_rows, integer_kernel_basis, integer_rank,
                                     rat, rat_str, smith_normal_form)
 from hadamard_spaces.poly import monomial_products
@@ -283,6 +283,60 @@ def test_kernel_answered_on_the_third_prime(monkeypatch):
     assert len(basis) == 2 and basis == bareiss_kernel_basis(rows)
 
 
+def test_every_pass_after_the_first_is_charged_for_its_factorization():
+    # A row of multiples of p0: the first pass, on p0, is free and proved
+    # wrong; the pass on p1 is charged 3 (b + 64) units per entry before it
+    # factors, b the largest entry's bit length.  One unit short of that
+    # charge the call is refused; a budget cell shared by two calls pays
+    # for both.
+    p0 = KERNEL_PRIME
+    rows = [[3 * p0, 5 * p0]]
+    charge = 2 * 3 * ((5 * p0).bit_length() + 64)
+    with pytest.raises(BudgetExhausted, match="past the lift budget"):
+        integer_kernel_basis(rows, [charge - 1])
+    budget = [10 ** 9]
+    assert integer_kernel_basis(rows, budget) == [(-5, 3)] == bareiss_kernel_basis(rows)
+    spent = 10 ** 9 - budget[0]
+    assert spent > charge
+    assert integer_kernel_basis(rows, budget) == [(-5, 3)]
+    assert budget[0] == 10 ** 9 - 2 * spent
+
+
+def test_a_lifting_step_charges_its_product_and_its_overhead():
+    # [[2, 3]]: one pivot, and the vector (-3, 2) of free column 1 passes
+    # at step 1.  That step charges k (k (b + e) + q) for k = 1, the 3-bit
+    # row norm 5 and the row sweeps' overhead (e, q) = ROW_STEP, and its
+    # one Euclid run L^2 / 2 for the 27-bit modulus p.
+    budget = [10 ** 6]
+    assert integer_kernel_basis([[2, 3]], budget) == [(-3, 2)]
+    per_entry, per_pivot = linalg.ROW_STEP
+    assert 10 ** 6 - budget[0] == (3 + per_entry + per_pivot) + 27 ** 2 // 2
+
+
+def test_later_vectors_of_a_block_are_read_as_integers(monkeypatch):
+    # A 3 x 12 matrix of 200-bit entries: every free column has the same
+    # three pivots before it, and each kernel vector's denominator divides
+    # det B.  The first vector is reconstructed at step 48 (p^48 > 2^1290:
+    # numerators and denominators of about 595 bits); the second, whose
+    # denominator is not the first's, too.  The other seven are lifted
+    # times the lcm of the two and read as integers at step 24, with no
+    # reconstruction.
+    results = []
+    integral = linalg._integral
+    monkeypatch.setattr(linalg, "_integral",
+                        lambda *args: results.append((args, integral(*args))) or results[-1][1])
+    lift_calls = _count_calls(monkeypatch, "_lift")
+    rng = random.Random(31)
+    rows = [[rng.getrandbits(200) - 2 ** 199 for _ in range(12)] for _ in range(3)]
+    basis = integer_kernel_basis(rows)
+    assert len(basis) == 9 and basis == bareiss_kernel_basis(rows)
+    p = KERNEL_PRIME
+    assert {args[0] for args in lift_calls} == {3, 4}
+    assert [args[3] for args in lift_calls if args[0] == 4] == [p ** 48]
+    read = [(args[0], args[3]) for args, vec in results if vec is not None]
+    assert read == [(f, p ** 24) for f in range(5, 12)]
+
+
 def test_kernel_of_1800_bit_entries_lifts_on_one_prime(monkeypatch):
     # 300-bit entries: the kernel entries are 6 x 6 minors of about 1800
     # bits, which the lifting reaches on its first prime, with no Bareiss
@@ -350,7 +404,7 @@ def test_interp_sized_tall_kernel_factors_its_square_block(monkeypatch):
     sampler = hadamard_power_sampler(linear_space_sampler(plane), 2)
     points = [sampler.sample_point(rng).canonical() for _ in range(70)]
     rows = [list(r) for r in zip(*monomial_products(list(zip(*points)), 3))]
-    whole, _ = linalg._dixon_kernel(rows, len(rows), 56, KERNEL_PRIME, linalg.LIFT_BUDGET)
+    whole = linalg._dixon_kernel(rows, len(rows), 56, KERNEL_PRIME, linalg.lift_budget(), 0)
     bareiss_calls = _count_calls(monkeypatch, "_bareiss_echelon")
     factor_calls = _count_calls(monkeypatch, "_factor_mod_p")
     basis = integer_kernel_basis(rows)
@@ -566,8 +620,11 @@ def test_residuals_are_computed_only_until_a_vector_passes(monkeypatch):
     # A vector that passes at step s, its last attempt, computed s - 1
     # residuals: none after the step whose vector passed.  Within the first
     # 8 steps every step attempts a reconstruction, from 1 on or, for a
-    # later vector of the same block, from the step where the last passed.
+    # later vector of the same block, from the block's last attempt; a
+    # later vector with a known denominator also tries its integer
+    # vector at every step, and may pass with no reconstruction.
     lift_calls = _count_calls(monkeypatch, "_lift")
+    integral_calls = _count_calls(monkeypatch, "_integral")
     residual_calls = _count_calls(monkeypatch, "_residual")
     bareiss_calls = _count_calls(monkeypatch, "_bareiss_echelon")
     rng = random.Random(8)
@@ -577,13 +634,15 @@ def test_residuals_are_computed_only_until_a_vector_passes(monkeypatch):
         nr = rng.randint(1, 4)
         nc = nr + rng.randint(1, 3)
         rows = [[rng.randint(-2 ** bits, 2 ** bits) for _ in range(nc)] for _ in range(nr)]
-        del lift_calls[:], residual_calls[:], bareiss_calls[:]
+        del lift_calls[:], integral_calls[:], residual_calls[:], bareiss_calls[:]
         basis = integer_kernel_basis(rows)
         assert not bareiss_calls and basis == bareiss_kernel_basis(rows)
         steps = Counter(args[0] for args in lift_calls)
         assert max(steps.values()) <= 8
-        passed = {args[0]: args[3] for args in lift_calls}.values()
-        passed = [next(s for s in count(1) if KERNEL_PRIME ** s == m) for m in passed]
+        passed = {}
+        for args in lift_calls + integral_calls:
+            passed[args[0]] = max(passed.get(args[0], 1), args[3])
+        passed = [next(s for s in count(1) if KERNEL_PRIME ** s == m) for m in passed.values()]
         assert len(passed) == len(basis)
         assert len(residual_calls) == sum(s - 1 for s in passed)
         seen.update(steps.values())
