@@ -762,10 +762,13 @@ def _kernel_primes():
             yield n
 
 
-def _dixon_kernel(rows, height, nc, p, budget, charge):
+def _dixon_kernel(rows, height, nc, p, budget, charge, most=None):
     """The kernel basis lifted from one factorization mod p of the first
     `height` rows, checked on all rows, or None when a check proves the
     factorization wrong; its work, `charge` first, comes from `budget`.
+    False, with nothing lifted, when `most` is given and the factorization
+    has more than `most` free columns.  A factorization with no free column
+    gives [] before any sweep is built.
 
     For free column f with k pivots before it, y solves B y = -a, a =
     A[R_<k, f], B = A[R_<k, P_<k].  Dixon's expansion y = sum x_i p^i takes
@@ -799,11 +802,15 @@ def _dixon_kernel(rows, height, nc, p, budget, charge):
 
     spend(charge)
     pivots, prows, lower, upper = factors = _factor_mod_p(rows[:height], nc, p)
+    free = sorted(set(range(nc)).difference(pivots))
+    if most is not None and len(free) > most:
+        return False
+    if not free:
+        return []
     sweeps = PACKED_PIVOTS <= len(pivots) <= 511 and _packed_sweeps(rows, *factors, p)
     solve, times = sweeps or _row_sweeps(rows, *factors, p)
     per_entry, per_pivot = PACKED_STEP if sweeps else ROW_STEP
-    free = sorted(set(range(nc)).difference(pivots))
-    norms = [sum(map(abs, rows[i])) for i in prows] if free else []
+    norms = [sum(map(abs, rows[i])) for i in prows]
     bits = max(norms, default=0).bit_length()
     vectors, converged = [], {}
     for f in free:
@@ -840,7 +847,7 @@ def lift_budget():
     return [LIFT_BUDGET]
 
 
-def integer_kernel_basis(rows, budget=None):
+def integer_kernel_basis(rows, budget=None, most=None):
     """Kernel basis of an integer matrix, the one `bareiss_kernel_basis`
     gives, by the p-adic path of the module docstring: the square block of
     a tall matrix, then the whole matrix on each prime of `_kernel_primes`,
@@ -849,7 +856,12 @@ def integer_kernel_basis(rows, budget=None):
     None).  A matrix that many kernel primes divide makes a pass per prime,
     so each pass after the first is charged for reducing its entries mod
     p, 3 (b + 64) units each for the largest entry's b bits; the first, as
-    building the matrix, is the caller's to bound (INTERP_BIT_WORK_LIMIT)."""
+    building the matrix, is the caller's to bound (INTERP_BIT_WORK_LIMIT).
+
+    With `most`, None when the first factorization has more than `most`
+    free columns: nothing is lifted and nothing is spent.  Otherwise
+    dim ker_Q(A) <= `most`, as that count bounds it (module docstring), and
+    the kernel goes on exactly as without `most`."""
     if not rows:
         return []
     nc = len(rows[0])
@@ -858,9 +870,12 @@ def integer_kernel_basis(rows, budget=None):
     row_charge = 0
     for p in _kernel_primes():
         for height in heights:
-            vectors = _dixon_kernel(rows, height, nc, p, budget, height * row_charge)
+            vectors = _dixon_kernel(rows, height, nc, p, budget, height * row_charge, most)
+            if vectors is False:
+                return None
             if vectors is not None:
                 return vectors
+            most = None
             if not row_charge:
                 row_charge = 3 * nc * (max(map(abs, chain.from_iterable(rows))).bit_length() + 64)
         heights = [len(rows)]

@@ -390,10 +390,12 @@ def interpolation_grid_size(sampler, d):
     repeated ones are dropped, computed without building any: the product
     over distinct factors of binom(L + r - 1, r), the multisets of size r
     of the factor's L = binom(D + m, m) lattice points."""
-    size = 1
-    for space, _, r, top in _factor_groups(sampler, d):
-        size *= comb(comb(top + space.dim, space.dim) + r - 1, r)
-    return size
+    return _grid_size(_factor_groups(sampler, d))
+
+
+def _grid_size(groups):
+    """`interpolation_grid_size` from the sampler's `_factor_groups`."""
+    return prod(comb(comb(top + space.dim, space.dim) + r - 1, r) for space, _, r, top in groups)
 
 
 def interpolation_bit_work(sampler, d):
@@ -409,12 +411,41 @@ def interpolation_bit_work(sampler, d):
     every cell, and the kernel reduces, solves and checks against every
     cell, each in time about quadratic in the bits for large entries.
     """
+    groups = _factor_groups(sampler, d)
     n = sampler.ambient_dim
+    return _bit_work(groups, n, d, _grid_size(groups) * comb(n + d, d))
+
+
+def _bit_work(groups, n, d, cells):
+    """`interpolation_bit_work` from the sampler's `_factor_groups` and the
+    matrix's cell count R C."""
     bits = 0
-    for space, reciprocal, r, top in _factor_groups(sampler, d):
+    for space, reciprocal, r, top in groups:
         point = _generator_bits(space) + (top + 1).bit_length()
         bits += r * (n * point if reciprocal else point)
-    return interpolation_grid_size(sampler, d) * comb(n + d, d) * (d * bits) ** 2
+    return cells * (d * bits) ** 2
+
+
+def _interpolation_refusal(sampler, d):
+    """The message of the first pre-work limit that refuses degree d, or
+    None: the monomial count past INTERP_MONOMIAL_BUDGET, the grid size
+    times the monomial count past INTERP_GRID_LIMIT, or
+    `interpolation_bit_work` past INTERP_BIT_WORK_LIMIT.  Each grows with
+    d, so a degree that passes all three has lower degrees that pass too."""
+    n = sampler.ambient_dim
+    monomial_count = comb(n + d, d)
+    if monomial_count > INTERP_MONOMIAL_BUDGET:
+        return ("degree %d in P^%d has %d monomials, past the budget of %d"
+                % (d, n, monomial_count, INTERP_MONOMIAL_BUDGET))
+    groups = _factor_groups(sampler, d)
+    size = _grid_size(groups)
+    if size * monomial_count > INTERP_GRID_LIMIT:
+        return ("degree %d has a grid of %d points by %d monomials, past the grid limit of %d"
+                % (d, size, monomial_count, INTERP_GRID_LIMIT))
+    if _bit_work(groups, n, d, size * monomial_count) > INTERP_BIT_WORK_LIMIT:
+        return ("degree %d, counting the bits of the grid's coordinates, is past the interp "
+                "bit work limit of %d" % (d, INTERP_BIT_WORK_LIMIT))
+    return None
 
 
 def interpolation_grid(sampler, d):
@@ -470,7 +501,7 @@ def interpolation_grid(sampler, d):
     return grid
 
 
-def interpolate_forms(sampler, d, budget=None):
+def interpolate_forms(sampler, d, budget=None, most=None, built=None):
     """Basis of the degree-d forms vanishing on a sampled variety X: the
     integer kernel of the evaluation matrix of the binom(n+d, d) monomials
     at the points of `interpolation_grid`.  Nothing is drawn.
@@ -500,33 +531,58 @@ def interpolate_forms(sampler, d, budget=None):
     so the multisets give every value of the full tensor product.  Hence
     F is in I_d(X) iff it vanishes at every point of the grid.
 
-    Raises BudgetExhausted before building anything when the monomial count
-    is past INTERP_MONOMIAL_BUDGET, the grid size times the monomial count
-    is past INTERP_GRID_LIMIT or `interpolation_bit_work` is past
-    INTERP_BIT_WORK_LIMIT; for an empty product (`interpolation_grid`); and
-    once the kernel's work is past `budget` (a `linalg.lift_budget` cell,
-    a new one when None), counted as it runs: no count before it bounds
-    the forms' coefficients.
+    Raises BudgetExhausted before building anything when a pre-work limit
+    refuses d (`_interpolation_refusal`); for an empty product
+    (`interpolation_grid`); and once the kernel's work is past `budget` (a
+    `linalg.lift_budget` cell, a new one when None), counted as it runs:
+    no count before it bounds the forms' coefficients.  With `most`, None
+    when the kernel's first factorization has more than `most` free
+    columns, with nothing lifted (`linalg.integer_kernel_basis`).
+
+    `built` is a dict that the degrees of one search share: the matrix of
+    degree d is taken out of it when there, and put into it when `most`
+    refuses its kernel, so that the search builds each matrix once.
     """
     if d < 1:
         raise PreconditionError("degree must be >= 1")
+    rows = built.pop(d, None) if built else None
+    if rows is None:
+        refusal = _interpolation_refusal(sampler, d)
+        if refusal:
+            raise BudgetExhausted(refusal)
+        points = interpolation_grid(sampler, d)
+        rows = list(zip(*monomial_products(list(zip(*points)), d)))
+    kernel = integer_kernel_basis(rows, budget, most)
+    if kernel is None:
+        if built is not None:
+            built[d] = rows
+        return None
     n = sampler.ambient_dim
-    monomial_count = comb(n + d, d)
-    if monomial_count > INTERP_MONOMIAL_BUDGET:
-        raise BudgetExhausted("degree %d in P^%d has %d monomials, past the budget of %d"
-                              % (d, n, monomial_count, INTERP_MONOMIAL_BUDGET))
-    size = interpolation_grid_size(sampler, d)
-    if size * monomial_count > INTERP_GRID_LIMIT:
-        raise BudgetExhausted("degree %d has a grid of %d points by %d monomials, past the "
-                              "grid limit of %d" % (d, size, monomial_count, INTERP_GRID_LIMIT))
-    if interpolation_bit_work(sampler, d) > INTERP_BIT_WORK_LIMIT:
-        raise BudgetExhausted("degree %d, counting the bits of the grid's coordinates, is "
-                              "past the interp bit work limit of %d" % (d, INTERP_BIT_WORK_LIMIT))
-    points = interpolation_grid(sampler, d)
-    rows = list(zip(*monomial_products(list(zip(*points)), d)))
     monomials = monomials_of_degree(n + 1, d)
     return [SparsePoly._trusted(n + 1, {m: v for m, v in zip(monomials, vec) if v}).primitive()
-            for vec in integer_kernel_basis(rows, budget)]
+            for vec in kernel]
+
+
+def _closed_form_hint(sampler):
+    """The degree delta that `tropical.closed_form_degree` gives the
+    sampler's factors, grouped into the plain and reciprocal [dimension,
+    multiplicity] lists that `degree` reads, when it is a hypersurface's:
+    dimension n - 1 and delta an integer >= 1.  Else None, as on any error
+    of the closed form (its digit bound, for example).  Exact for generic
+    factors, and only a hint otherwise: `interpolate_hypersurface` proves
+    its answer by the kernel either way."""
+    from .tropical import closed_form_degree  # tropical imports this module
+    lists = {False: [], True: []}
+    for (space, reciprocal), r in Counter(sampler.factors).items():
+        lists[reciprocal].append((space.dim, r))
+    n = sampler.ambient_dim
+    try:
+        dim, degree, _ = closed_form_degree(lists[False], lists[True], n)
+    except (ValueError, BudgetExhausted):
+        return None
+    if dim != n - 1 or degree.denominator != 1 or degree < 1:
+        return None
+    return int(degree)
 
 
 def interpolate_hypersurface(sampler, dmax):
@@ -537,10 +593,45 @@ def interpolate_hypersurface(sampler, dmax):
     integer-cleared.  A kernel of dimension greater than one at the first
     hit means the variety is not a hypersurface and raises.  The degrees
     share one `linalg.lift_budget`.
+
+    The search probes d0 = min(delta, dmax) first, delta the
+    `_closed_form_hint`, and proves every lower degree empty from that one
+    kernel.  Lemma: for X in P^n, n >= 1, if dim I_d0(X) <= 1 then I_e(X)
+    = 0 for every e < d0.  A nonzero F in I_e gives G F in I_d0 for every
+    form G of degree d0 - e, and G -> G F is injective, so dim I_d0 >=
+    binom(n + d0 - e, n) >= n + 1 >= 2.  So one form at d0 is the answer
+    that the search from degree 1 returns, and no form at d0 leaves it to
+    go on at d0 + 1.
+
+    Budget bound.  The probe passes `most` = 1 to the kernel, which lifts
+    nothing, spends nothing and gives None when its first factorization
+    has more than one free column; the search then runs from degree 1,
+    after one grid and one factorization, and takes the probe's matrix up
+    again if it reaches d0 (`built`).  When that count is <= 1, dim
+    I_d0 <= 1 (`linalg.integer_kernel_basis`), so by the lemma a search
+    from degree 1 would find every lower degree empty, reach d0 and
+    compute this same kernel: the probe never spends more of the shared
+    budget than that search does before it is past d0, and a probe past
+    the budget is a search past it too, perhaps at a lower degree's
+    matrix.  A d0 refused by a pre-work limit (`_interpolation_refusal`)
+    is not probed, and the search from degree 1 raises the refusal where
+    it meets it.  The limits grow with d, so below a probed d0 every
+    degree passes them, and an empty product (`interpolation_grid`) is
+    refused alike at every degree.  The hint only orders the work: the
+    answer, or the error, is the one that the search from degree 1 gives.
     """
-    budget = lift_budget()
-    for d in range(1, dmax + 1):
-        forms = interpolate_forms(sampler, d, budget)
+    budget, built, start = lift_budget(), {}, 1
+    hint = _closed_form_hint(sampler)
+    if hint is not None:
+        d0 = min(hint, dmax)
+        if _interpolation_refusal(sampler, d0) is None:
+            forms = interpolate_forms(sampler, d0, budget, most=1, built=built)
+            if forms is not None and len(forms) == 1:
+                return d0, forms[0]
+            if forms == []:
+                start = d0 + 1
+    for d in range(start, dmax + 1):
+        forms = interpolate_forms(sampler, d, budget, built=built)
         if len(forms) == 1:
             return d, forms[0]
         if len(forms) > 1:

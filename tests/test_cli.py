@@ -14,7 +14,7 @@ from math import comb, prod
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from hadamard_spaces import (brackets, cli, line_powers, linalg, products, projective,
                              samplers, star_configs, tropical)
@@ -521,7 +521,8 @@ def _grid_and_oracle_outcomes(monkeypatch, capsys, payload, draws):
     for route in ("grid", "sampled"):
         if route == "sampled":
             rng = random.Random(draws)
-            oracle = lambda s, e, budget=None: _sampled_interpolate_forms(s, e, rng)
+            oracle = lambda s, e, budget=None, most=None, built=None: (
+                _sampled_interpolate_forms(s, e, rng))
             monkeypatch.setattr(products, "interpolate_forms", oracle)
             monkeypatch.setattr(cli, "interpolate_forms", oracle)
         monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(payload)))
@@ -560,10 +561,10 @@ def _kernel_bareiss_passes(monkeypatch):
     passes = []
     kernel, echelon = products.integer_kernel_basis, linalg._bareiss_echelon
 
-    def counting_kernel(rows, budget=None):
+    def counting_kernel(rows, budget=None, most=None):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(linalg, "_bareiss_echelon", lambda rows: passes.append(1) or echelon(rows))
-            return kernel(rows, budget)
+            return kernel(rows, budget, most)
 
     monkeypatch.setattr(products, "integer_kernel_basis", counting_kernel)
     return passes
@@ -606,48 +607,228 @@ def test_interp_many_forms_of_big_entries_are_answered(monkeypatch):
     assert time.perf_counter() - start < 5.0
     assert proc.returncode == 0 and proc.stderr == ""
     monkeypatch.setattr(products, "integer_kernel_basis",
-                        lambda rows, budget=None: linalg.bareiss_kernel_basis(rows))
+                        lambda rows, budget=None, most=None: linalg.bareiss_kernel_basis(rows))
     forms = products.interpolate_forms(cli._parse_sampler(sampler, "sampler"), 3)
     assert len(forms) == 110
     assert json.loads(proc.stdout) == {"degree": 3, "forms": [f.to_json() for f in forms]}
 
 
 def test_interp_degrees_share_one_lift_budget(monkeypatch):
-    # The squared plane of the goldens with its generators scaled by
-    # KERNEL_PRIME: every degree's matrix is zero mod that prime, so each
-    # degree pays for a second factorization, and degrees 1 and 2 find no
-    # form.  The three degrees draw on one budget cell, so that the search
-    # as a whole is bounded by LIFT_BUDGET: one unit short of the three
-    # kernels' work together, it exits 3 at degree 3, though degree 3
-    # alone is within it.
+    # The squared plane of the goldens is a cubic, the closed form's degree:
+    # the search probes degree 3 first, and that one kernel call is the
+    # whole search.  One unit short of its work, it exits 3.
     golden = INTERP_GOLDENS[1]
     assert golden["name"] == "squared_plane_p5" and golden["payload"]["dmax"] == 3
     sampler_doc = json.loads(json.dumps(golden["payload"]["sampler"]))
-    base = sampler_doc["base"]
-    base["generators"] = [[linalg.KERNEL_PRIME * x for x in row] for row in base["generators"]]
-    sampler = cli._parse_sampler(sampler_doc, "sampler")
+    plain = cli._parse_sampler(sampler_doc, "sampler")
     cells, spent, kernel = [], [], products.integer_kernel_basis
 
-    def recording(rows, budget=None):
+    def recording(rows, budget=None, most=None):
         budget = linalg.lift_budget() if budget is None else budget
         cells.append(budget)
         before = budget[0]
         try:
-            return kernel(rows, budget)
+            return kernel(rows, budget, most)
         finally:
             spent.append(before - budget[0])
 
     monkeypatch.setattr(products, "integer_kernel_basis", recording)
     monkeypatch.setattr(linalg, "LIFT_BUDGET", 10 ** 30)
-    degree, form = products.interpolate_hypersurface(sampler, 3)
-    assert degree == 3 and len(cells) == 3 and cells[0] is cells[1] is cells[2]
-    assert min(spent) > 0
+    degree, form = products.interpolate_hypersurface(plain, 3)
+    assert degree == 3 and len(cells) == 1 and spent[0] > 0
+    monkeypatch.setattr(linalg, "LIFT_BUDGET", spent[0] - 1)
+    with pytest.raises(products.BudgetExhausted, match="past the lift budget"):
+        products.interpolate_hypersurface(plain, 3)
+    # Its generators scaled by KERNEL_PRIME: every degree's matrix is zero
+    # mod that prime, so the probe's first factorization has 56 free
+    # columns and the probe lifts and spends nothing.  The search then runs
+    # from degree 1 on the probe's cell, and takes the probe's matrix up
+    # again at degree 3: each degree pays for a second factorization, and
+    # degrees 1 and 2 find no form.  One unit short of the three kernels'
+    # work together, it exits 3 at degree 3, though degree 3 alone is
+    # within it.
+    base = sampler_doc["base"]
+    base["generators"] = [[linalg.KERNEL_PRIME * x for x in row] for row in base["generators"]]
+    scaled = cli._parse_sampler(sampler_doc, "sampler")
+    grids, grid = [], products.interpolation_grid
+    monkeypatch.setattr(products, "interpolation_grid", lambda s, d: grids.append(d) or grid(s, d))
+    monkeypatch.setattr(linalg, "LIFT_BUDGET", 10 ** 30)
+    del cells[:], spent[:]
+    assert products.interpolate_hypersurface(scaled, 3) == (degree, form)
+    assert grids == [3, 1, 2]
+    assert len(cells) == 4 and all(cell is cells[0] for cell in cells)
+    assert spent[0] == 0 and min(spent[1:]) > 0
     monkeypatch.setattr(linalg, "LIFT_BUDGET", sum(spent) - 1)
     del cells[:], spent[:]
     with pytest.raises(products.BudgetExhausted, match="past the lift budget"):
-        products.interpolate_hypersurface(sampler, 3)
-    assert len(cells) == 3
-    assert products.interpolate_forms(sampler, 3) == [form]
+        products.interpolate_hypersurface(scaled, 3)
+    assert len(cells) == 4
+    assert products.interpolate_forms(scaled, 3) == [form]
+    # A wrong hint: a reciprocal plane through e_3 is a quadric cone, not
+    # the closed form's cubic.  The probe at degree 3 (four cubics) lifts
+    # nothing, and degrees 1 and 2 draw on its cell; degree 1's leading
+    # block is singular, so its kernel lifts a vector and moves on to the
+    # whole matrix.
+    cone = samplers.reciprocal_sampler(projective.LinSpace([[1, 2, 3, 5], [2, 3, 5, 7],
+                                                            [0, 0, 0, 1]]))
+    assert products._closed_form_hint(cone) == 3
+    monkeypatch.setattr(linalg, "LIFT_BUDGET", 10 ** 30)
+    del cells[:], spent[:]
+    degree, form = products.interpolate_hypersurface(cone, 3)
+    assert degree == 2 and len(cells) == 3 and all(cell is cells[0] for cell in cells)
+    assert spent[0] == 0 and min(spent[1:]) > 0
+    monkeypatch.setattr(linalg, "LIFT_BUDGET", sum(spent) - 1)
+    with pytest.raises(products.BudgetExhausted, match="past the lift budget"):
+        products.interpolate_hypersurface(cone, 3)
+
+
+def _ladder_hypersurface(sampler, dmax):
+    """The search from degree 1 up, as `interpolate_hypersurface` ran it
+    before it probed the closed form's degree: the reference of the probe."""
+    budget = linalg.lift_budget()
+    for d in range(1, dmax + 1):
+        forms = products.interpolate_forms(sampler, d, budget)
+        if len(forms) == 1:
+            return d, forms[0]
+        if len(forms) > 1:
+            raise products.PreconditionError("kernel dimension %d at degree %d: not a hypersurface"
+                                             % (len(forms), d))
+    raise products.PreconditionError("no vanishing form found up to degree %d" % dmax)
+
+
+def _outcome(search, sampler, dmax):
+    """(degree, form) of a search, or the type and message of its error."""
+    try:
+        return search(sampler, dmax)
+    except (products.PreconditionError, products.BudgetExhausted) as exc:
+        return type(exc), str(exc)
+
+
+#: Factor shapes (dimension, reciprocal?, power) of hypersurfaces in P^n
+#: by the closed form, and None for factors drawn at random.
+_HINT_SHAPES = [(3, [(2, True, 1)]), (3, [(1, False, 1), (1, False, 1)]), (3, [(1, False, 2)]),
+                (3, [(1, False, 1), (1, True, 1)]), (2, [(1, True, 1)]), (2, [(1, False, 1)]),
+                (1, [(0, True, 1)]), (None, None)]
+
+
+@st.composite
+def _hinted_samplers(draw):
+    """(tags, sampler, dmax): a sampler of a shape of _HINT_SHAPES, or of
+    one or two factors, linear or reciprocal, of dimension 0-2 and power
+    1-2 in P^1-P^3; some with a column proportional to another or zero."""
+    n, shapes = draw(st.sampled_from(_HINT_SHAPES))
+    if n is None:
+        n = draw(st.integers(1, 3))
+        shapes = [(draw(st.integers(0, min(2, n))), draw(st.booleans()), draw(st.integers(1, 2)))
+                  for _ in range(draw(st.integers(1, 2)))]
+    factors = []
+    for dim, reciprocal, power in shapes:
+        rows = draw(st.lists(st.lists(st.integers(-5, 5), min_size=n + 1, max_size=n + 1),
+                             min_size=dim + 1, max_size=dim + 1))
+        column = draw(st.sampled_from(["generic", "generic", "proportional", "zero"]))
+        i, j = draw(st.permutations(range(n + 1)))[:2]
+        if column != "generic":
+            scale = draw(st.integers(-3, 3)) if column == "proportional" else 0
+            for row in rows:
+                row[j] = scale * row[i]
+        try:
+            factors += [(projective.LinSpace(rows), reciprocal)] * power
+        except ValueError:
+            assume(False)
+    dmax = draw(st.integers(1, 3))
+    sampler = samplers.VarietySampler(factors)
+    size = products.interpolation_grid_size(sampler, dmax)
+    assume(size * comb(n + dmax, dmax) <= 4000)
+    hint = products._closed_form_hint(sampler)
+    tags = {"no hint" if hint is None else "dmax below the hint" if dmax < hint else "hint"}
+    if any(space.dim == 1 and not reciprocal and factors.count((space, False)) == 2
+           for space, reciprocal in factors):
+        tags.add("squared line")
+    if any(not all(col) for space, _ in factors for col in zip(*space.generators.ints)):
+        tags.add("zero entries")
+    return tags, sampler, dmax
+
+
+def test_interp_probe_matches_the_search_from_degree_one(monkeypatch):
+    # The closed form's degree is only a hint: probed first, it gives the
+    # (degree, form), or the error type and message, of the search from
+    # degree 1, whether the hint is right, wrong or missing.
+    seen, calls = set(), []
+    kernel = products.integer_kernel_basis
+
+    def recording(rows, budget=None, most=None):
+        calls.append(most)
+        vectors = kernel(rows, budget, most)
+        calls[-1] = most, None if vectors is None else len(vectors)
+        return vectors
+
+    monkeypatch.setattr(products, "integer_kernel_basis", recording)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(_hinted_samplers())
+    def check(case):
+        tags, sampler, dmax = case
+        del calls[:]
+        got = _outcome(products.interpolate_hypersurface, sampler, dmax)
+        probe = calls[0] if calls and calls[0][0] == 1 else None
+        assert got == _outcome(_ladder_hypersurface, sampler, dmax), (sampler.factors, dmax)
+        seen.update(tags)
+        seen.add("form" if isinstance(got[1], SparsePoly) else got[0].__name__)
+        if probe:
+            seen.add({None: "probe refused", 0: "probe found no form",
+                      1: "probe answered"}[probe[1]])
+
+    check()
+    assert seen == {"no hint", "dmax below the hint", "hint", "squared line", "zero entries",
+                    "probe answered", "probe refused", "probe found no form",
+                    "form", "PreconditionError", "BudgetExhausted"}
+
+
+def test_interp_makes_one_kernel_call_per_answer(monkeypatch, capsys):
+    # At dmax 3 each golden search and each benchmark-cycle sampler is
+    # answered by the probe at the closed form's degree: one grid, one
+    # kernel, one factorization.
+    forms_calls = count_calls(monkeypatch, products.interpolate_forms)
+    factor_calls = count_calls(monkeypatch, linalg._factor_mod_p)
+    payloads = [g["payload"] for g in INTERP_GOLDENS if "dmax" in g["payload"]]
+    payloads += [{"sampler": s, "dmax": 3} for s in INTERP_CYCLE_PAYLOADS]
+    assert len(payloads) == 7
+    for payload in payloads:
+        del forms_calls[:], factor_calls[:]
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(payload)))
+        assert cli.main(["interp"]) == 0
+        degree = json.loads(capsys.readouterr().out)["degree"]
+        assert [args[1] for args in forms_calls] == [degree] and len(factor_calls) == 1
+    # Below the closed form's degree, the probe at dmax proves every degree
+    # up to it empty: the reciprocal plane's cubic is past dmax 2.
+    assert INTERP_GOLDENS[2]["name"] == "reciprocal_plane_p3"
+    payload = {"sampler": INTERP_GOLDENS[2]["payload"]["sampler"], "dmax": 2}
+    del forms_calls[:], factor_calls[:]
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(payload)))
+    assert cli.main(["interp"]) == 2
+    assert "no vanishing form found up to degree 2" in capsys.readouterr().err
+    assert [args[1] for args in forms_calls] == [2] and len(factor_calls) == 1
+
+
+def test_interp_of_proportional_columns_prints_the_linear_form(monkeypatch, capsys):
+    # Column 1 is twice column 0, so the squared plane lies in the
+    # hyperplane 4 x_0 = x_1, and the closed form's cubic is a wrong hint:
+    # the probe's first factorization at degree 3 has many free columns,
+    # nothing is lifted there, and the search from degree 1 answers with
+    # the bytes it printed before the probe.
+    payload = {"sampler": {"type": "power", "r": 2, "base": {"type": "linear", "generators": [
+        [3, 6, 4, 1, 5, 9], [2, 4, 5, 3, 5, 8], [9, 18, 9, 3, 2, 3]]}}, "dmax": 3}
+    lifts, degrees = [], []
+    lift, forms = linalg._lift, products.interpolate_forms
+    monkeypatch.setattr(linalg, "_lift", lambda *args: lifts.append(degrees[-1]) or lift(*args))
+    monkeypatch.setattr(products, "interpolate_forms",
+                        lambda s, d, budget=None, most=None, built=None:
+                        degrees.append(d) or forms(s, d, budget, most, built))
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(payload)))
+    assert cli.main(["interp"]) == 0
+    assert capsys.readouterr().out == (
+        '{"degree":1,"form":[[[1,0,0,0,0,0],"4"],[[0,1,0,0,0,0],"-1"]]}\n')
+    assert degrees == [3, 1] and 3 not in lifts
 
 
 def test_interp_of_generators_scaled_by_many_kernel_primes_is_refused_in_time():

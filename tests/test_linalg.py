@@ -699,6 +699,32 @@ def test_packed_sweeps_match_the_row_sweeps(monkeypatch):
     assert (len(lift_calls), len(residual_calls)) == (5, 4)
 
 
+def test_full_column_rank_kernel_builds_no_sweeps(monkeypatch):
+    # A kernel with no free column, packed-size (40 pivots) or row-by-row
+    # (6), returns [] from its factorization: no sweep is built.
+    packed_calls = _count_calls(monkeypatch, "_packed_sweeps")
+    row_calls = _count_calls(monkeypatch, "_row_sweeps")
+    rng = random.Random(40)
+    for nc in (40, 6):
+        rows = [[rng.randint(-99, 99) for _ in range(nc)] for _ in range(nc + 3)]
+        assert integer_kernel_basis(rows) == [] == bareiss_kernel_basis(rows)
+    assert packed_calls == row_calls == []
+
+
+def test_kernel_with_many_free_columns_at_most_one_lifts_nothing(monkeypatch):
+    # With most = 1, a first factorization with two free columns gives
+    # None: no lift, no step, nothing spent.  With one, the kernel is the
+    # one given without most.
+    lift_calls = _count_calls(monkeypatch, "_lift")
+    budget = linalg.lift_budget()
+    rows = [[1, 2, 3, 4], [2, 3, 5, 7]]
+    assert integer_kernel_basis(rows, budget, 1) is None
+    assert lift_calls == [] and budget == linalg.lift_budget()
+    rows.append([1, -1, 4, 2])
+    assert integer_kernel_basis(rows, budget, 1) == bareiss_kernel_basis(rows)
+    assert len(lift_calls) == 1
+
+
 def _matrices(nr, nc, entries):
     return st.lists(st.lists(entries, min_size=nc, max_size=nc), min_size=nr, max_size=nr)
 
