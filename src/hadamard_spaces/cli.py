@@ -57,9 +57,7 @@ last two checked before the work:
   generators, past products.SPAN_DIM_BIT_WORK_LIMIT (counting its entries'
   bits);
 - an `interp` degree past products.INTERP_MONOMIAL_BUDGET, or whose
-  parameter grid times its monomials is past products.INTERP_GRID_LIMIT,
-  or whose products.interpolation_bit_work is past
-  products.INTERP_BIT_WORK_LIMIT;
+  parameter grid times its monomials is past products.INTERP_GRID_LIMIT;
 - an `interp` of an empty product (a reciprocal factor in a coordinate
   hyperplane, or factors whose product map vanishes);
 - `bracket verify` trials past brackets.VERIFY_TRIALS_LIMIT;
@@ -69,8 +67,10 @@ last two checked before the work:
   bits of its general position minors);
 - a `segre` sampler past samplers.SEGRE_AMBIENT_LIMIT, before it is built;
 - a `span-dim` by `dims` whose SAMPLE_BUDGET draws were all rank-deficient;
-- an `interp` whose kernels' lifting work, over all the degrees of a
-  `dmax` search, passes linalg.LIFT_BUDGET, counted as it runs.
+- an `interp` whose work, over all the degrees of a `dmax` search, passes
+  linalg.LIFT_BUDGET: each matrix's build, charged before it is built,
+  and its kernel's lifting and exact checks, each step charged before it
+  runs.
 """
 
 import json

@@ -51,7 +51,11 @@ the whole matrix moves on, or p is unlucky, and the whole matrix moves
 on to the next prime (`_kernel_primes`).  An unlucky p divides M =
 det A[I, J], J the column rank profile of A over Q and M != 0 (else J
 stays independent mod p in every prefix), so at most log2(H_A) / 26
-primes fail, H_A the Hadamard bound of A.  All draw on one `lift_budget`.
+primes fail, H_A the Hadamard bound of A.  All the work draws on one
+`lift_budget` cell, each step charged before it runs (`spend`): the first
+pass's reduction mod p with building the matrix (by its builder,
+`products.interpolate_forms`), and here each later pass, each lifting
+step, each Euclid run and each row an exact check reads.
 
 The rank, the RREF, the kernel basis and the determinant are unique, so
 the results depend on neither the path nor the prime: only the time does.
@@ -63,6 +67,7 @@ import sys
 from array import array
 from bisect import bisect_left
 from fractions import Fraction
+from functools import partial
 from itertools import chain, combinations, compress, count, zip_longest
 from math import comb, gcd, isqrt, lcm
 from operator import itemgetter, mul
@@ -427,17 +432,23 @@ def bareiss_kernel_basis(rows):
 #: packed rows by a shift, a mask and a small multiply.
 KERNEL_PRIME = (1 << 27) - 39
 
-#: Units that the kernel calls sharing a `lift_budget` cell (interp's degrees
-#: share one) may spend.  Units, then 10^-10 kernel seconds per unit, in
-#: process on a 2-vCPU Xeon VM, budget lifted (interp at dmax 3 or degree
-#: d; digits in brackets; * refused):
-#:   squared plane in P^5 [30] 2.3e9, 1.1; [100] 1.2e10, 0.94; [150]* 2.2e10, 0.93
-#:   reciprocal plane in P^3 [1000] 6.8e9, 0.89; line in P^6 [300], d 2, 9.6e9, 1.0
-#:   d 2*: reciprocal line in P^3 [3000] 3.1e10, 1.2; squared [1000] 3.4e10, 0.87
-#:   d 3: squared line in P^7 [80] 7.3e9, 1.3; [150] 2.1e10, 1.2; line times line
-#:   in P^7 [40] 9.7e9, 1.2; squared line in P^8 [150]* 2.5e10, 1.4
-#:   squared plane in P^5 [3] times 200 kernel primes (a pass each) 6.8e10, 0.91
-#: So the budget is 2.0-3.1 s of kernel work, within criterion 1's 5 s.
+#: Units that the work sharing a `lift_budget` cell may spend: an interp
+#: request's builds, kernels and exact checks, over all the degrees of a
+#: `dmax` search.  Units, then 10^-10 seconds per unit, in process on a
+#: 2-vCPU Xeon VM, budget lifted, each scaled to the rate of a reference
+#: kernel run next to it as the VM's speed drifted (interp at dmax 3 or
+#: degree d; digits in brackets; * refused):
+#:   squared plane in P^5 [30] 2.2e9, 1.2; [100] 1.2e10, 1.3; [150] 2.0e10, 1.1
+#:   reciprocal plane in P^3 [1000] 9.5e9, 0.91; line in P^6 [300], d 2, 1.1e10, 1.1
+#:   d 2*: reciprocal line in P^3 [3000] 3.1e10, 1.3; squared [1000] 3.0e10, 1.0
+#:   d 3: squared line in P^7 [80] 7.4e9, 1.4; [150] 2.0e10, 1.6; line times line
+#:   in P^7 [40] 1.1e10, 1.3; squared line in P^8 [150]* 2.6e10, 1.5
+#:   squared plane in P^5 [3] times 200 kernel primes (a pass each) 7.4e10, 0.93
+#:   d 2, builds of a reciprocal plane times a line: in P^13 [23] 2.9e9, 0.98;
+#:   in P^21 [15] (2,838 x 253) 1.9e10, 1.3; checks of the same in P^21 with
+#:   4 distinct columns (243 forms, each checked on 2,778 rows): [1]* 8.6e10,
+#:   1.1; [23]* 1.4e11, 1.2 (its build alone, 3.4e10, is refused unbuilt)
+#: So the budget is 2.0-3.5 s of work, within criterion 1's 5 s.
 LIFT_BUDGET = 22 * 10 ** 9
 
 #: Units of a lifting step beyond its product's k^2 b, (per entry of the k x
@@ -587,10 +598,11 @@ def _rational_reconstruct(u, m):
     return (r1, t1) if t1 > 0 else (-r1, -t1)
 
 
-def _lift(f, pivots, y, m, nc, scale=1):
+def _lift(f, pivots, y, m, nc, scale=1, charge=None):
     """(vec, runs): the primitive kernel vector of free column f whose
     pivot entries, times `scale`, are the fractions a/b reconstructed from
-    y mod m (None while one is not), and the number of Euclid runs taken.
+    y mod m (None while one is not), and the number of Euclid runs taken,
+    each charged L^2 / 2 units for m of L bits before it runs (`charge`).
     The entries are kept over den, the lcm of the b's so far (f holds den
     scale).  An entry u with u den = w mod m, |w| <= N = sqrt(m/2), needs
     no Euclid when den / gcd(w, den) <= N: w / den in lowest terms is then
@@ -607,6 +619,8 @@ def _lift(f, pivots, y, m, nc, scale=1):
         if -bound <= w and (den <= bound or den // gcd(w, den) <= bound):
             nums.append(w)
             continue
+        if charge:
+            charge(m.bit_length() ** 2 // 2)
         q = _rational_reconstruct(u, m)
         runs += 1
         if q is None:
@@ -648,6 +662,43 @@ def _annihilates(rows, vec):
     """Whether rows @ vec == 0 for an integer vector, on its support."""
     values = [v for v in vec if v]
     return all(sum(map(mul, compress(row, vec), values)) == 0 for row in rows)
+
+
+class _PaidRows:
+    """Rows for `_annihilates` that are paid for before it reads them,
+    `each` units a row taken by `pay`: the first row when they are made,
+    so a check that cannot pay for a row is not started, then chunks of 2,
+    4, 8, ... rows as it reads on.  So a check is charged for the rows it
+    reads, and one that stops at a failing row (a wrong factorization's
+    vector, at the first row past the block as a rule) for at most twice
+    as many."""
+
+    def __init__(self, rows, pay, each):
+        pay(min(len(rows), 1) * each)
+        self.rows, self.pay, self.each = rows, pay, each
+
+    def __len__(self):
+        return len(self.rows)
+
+    def __iter__(self):
+        yield from self.rows[:1]
+        done = 1
+        while done < len(self.rows):
+            chunk = self.rows[done:2 * done + 1]
+            self.pay(len(chunk) * self.each)
+            yield from chunk
+            done += len(chunk)
+
+
+def _row_check_charge(nc, support, bits, vec):
+    """Units of `_annihilates` on a row of `nc` entries below 2^bits and a
+    vector of at most `support` nonzero entries of b bits at most: 400 +
+    bits / 50 per entry read (the entries of an interp matrix's row, built
+    column by column, lie far apart in memory), and 2000 + max(bits, b)
+    sqrt(min(bits, b)) / 2 per product, Karatsuba's cost with its exponent
+    rounded to 1.5."""
+    b = max(map(abs, vec)).bit_length()
+    return nc * (400 + bits // 50) + support * (2000 + max(bits, b) * isqrt(min(bits, b)) // 2)
 
 
 def _residual(b, products, p):
@@ -765,10 +816,11 @@ def _kernel_primes():
 def _dixon_kernel(rows, height, nc, p, budget, charge, most=None):
     """The kernel basis lifted from one factorization mod p of the first
     `height` rows, checked on all rows, or None when a check proves the
-    factorization wrong; its work, `charge` first, comes from `budget`.
-    False, with nothing lifted, when `most` is given and the factorization
-    has more than `most` free columns.  A factorization with no free column
-    gives [] before any sweep is built.
+    factorization wrong; its work, `charge` first, comes from `budget`,
+    each step's before it runs (`spend`).  False, with nothing lifted, when
+    `most` is given and the factorization has more than `most` free
+    columns.  A factorization with no free column gives [] before any
+    sweep is built.
 
     For free column f with k pivots before it, y solves B y = -a, a =
     A[R_<k, f], B = A[R_<k, P_<k].  Dixon's expansion y = sum x_i p^i takes
@@ -780,6 +832,8 @@ def _dixon_kernel(rows, height, nc, p, budget, charge, most=None):
     the first 8 steps, then a third past the last try (11, 15, 20, ...), so
     a vector lifts at most about a third too long, and its tries (L^2 / 2
     units per Euclid run for m of L bits) cost about 4 times the last.
+    Each row of an exact check is charged `_row_check_charge` before it is
+    read (`_PaidRows`), the pivot rows' b bits standing for every row's.
 
     A later vector of a block lifts D y (b_0 = -D a), D the lcm of the
     block's denominators so far.  Where D y is integral, its symmetric
@@ -794,13 +848,8 @@ def _dixon_kernel(rows, height, nc, p, budget, charge, most=None):
     prime to p).  Where ||A_r||_1 ||v||_inf < m, (A v)_r = 0 exactly and
     `_annihilates` skips the row.
     """
-    def spend(units):
-        budget[0] -= units
-        if budget[0] < 0:
-            raise BudgetExhausted("the p-adic kernel of a %d x %d matrix is past the lift "
-                                  "budget of %d" % (len(rows), nc, LIFT_BUDGET))
-
-    spend(charge)
+    pay = partial(spend, budget, "the p-adic kernel of a %d x %d matrix" % (len(rows), nc))
+    pay(charge)
     pivots, prows, lower, upper = factors = _factor_mod_p(rows[:height], nc, p)
     free = sorted(set(range(nc)).difference(pivots))
     if most is not None and len(free) > most:
@@ -820,7 +869,7 @@ def _dixon_kernel(rows, height, nc, p, budget, charge, most=None):
         b = [-scale * rows[i][f] for i in block]
         y, m, attempt = [0] * k, 1, start
         for step in count(1):
-            spend(k * (k * (bits + per_entry) + per_pivot))
+            pay(k * (k * (bits + per_entry) + per_pivot))
             if step > 1:
                 b = _residual(b, times(x), p)
             x = solve(b)
@@ -829,22 +878,32 @@ def _dixon_kernel(rows, height, nc, p, budget, charge, most=None):
             vec = _integral(f, pivots, y, m, nc, scale) if scale > 1 else None
             if vec is None and step >= attempt:
                 attempt = step + 1 if step < 8 else -(-4 * step // 3)
-                vec, runs = _lift(f, pivots, y, m, nc, scale)
-                spend(runs * m.bit_length() ** 2 // 2)
+                vec, _ = _lift(f, pivots, y, m, nc, scale, pay)
                 start = step
-            if vec is not None and _annihilates(_uncertified(rows, block, norms, vec, m), vec):
-                converged[k] = start, lcm(scale, vec[f])
-                break
+            if vec is not None:
+                each = _row_check_charge(nc, k + 1, bits, vec)
+                if _annihilates(_PaidRows(_uncertified(rows, block, norms, vec, m), pay, each), vec):
+                    converged[k] = start, lcm(scale, vec[f])
+                    break
         block = set(block)
-        if not _annihilates([row for i, row in enumerate(rows) if i not in block], vec):
+        others = [row for i, row in enumerate(rows) if i not in block]
+        if not _annihilates(_PaidRows(others, pay, each), vec):
             return None
         vectors.append(vec)
     return vectors
 
 
 def lift_budget():
-    """[LIFT_BUDGET]: the units left to the kernel calls that share it."""
+    """[LIFT_BUDGET]: the units left to the work that shares it."""
     return [LIFT_BUDGET]
+
+
+def spend(budget, work, units):
+    """Take `units` from a `lift_budget` cell before the step they price,
+    and raise BudgetExhausted, naming `work`, when that overdraws it."""
+    budget[0] -= units
+    if budget[0] < 0:
+        raise BudgetExhausted("%s is past the lift budget of %d" % (work, LIFT_BUDGET))
 
 
 def integer_kernel_basis(rows, budget=None, most=None):
@@ -855,8 +914,9 @@ def integer_kernel_basis(rows, budget=None, most=None):
     `budget`, a `lift_budget` cell that calls may share (a new one when
     None).  A matrix that many kernel primes divide makes a pass per prime,
     so each pass after the first is charged for reducing its entries mod
-    p, 3 (b + 64) units each for the largest entry's b bits; the first, as
-    building the matrix, is the caller's to bound (INTERP_BIT_WORK_LIMIT).
+    p, 3 (b + 64) units each for the largest entry's b bits; the first
+    pass's reduction is the builder's to charge, with building the matrix
+    (`products.interpolate_forms`), to the same cell.
 
     With `most`, None when the first factorization has more than `most`
     free columns: nothing is lifted and nothing is spent.  Otherwise

@@ -14,17 +14,18 @@ exactly the kernel of the monomial-evaluation matrix at a parameter grid, a
 tensor product of principal lattices read off the sampler's factors, which
 is unisolvent for the compositions of the forms with the product map (proof
 in interpolate_forms).  Nothing is drawn, the grid's parameters are small
-integers, and every limit is checked before anything is built.
+integers, and the shape limits and the build's charge to the lift budget
+are checked before anything is built.
 """
 
 import warnings
 from collections import Counter
 from itertools import combinations_with_replacement
-from math import comb, prod
+from math import comb, isqrt, prod
 from operator import add, itemgetter, mul
 
 from .linalg import (BudgetExhausted, PreconditionError, QMatrix, integer_kernel_basis,
-                     integer_rank, lift_budget, primitive_ints)
+                     integer_rank, lift_budget, primitive_ints, spend)
 from .poly import SparsePoly, monomial_products, monomials_of_degree
 from .projective import LinSpace, PPoint, sample_point
 
@@ -36,25 +37,14 @@ INTERP_MONOMIAL_BUDGET = 300
 
 #: Largest grid size (`interpolation_grid_size`) times monomial count that
 #: `interpolate_forms` accepts; past it, it raises BudgetExhausted before
-#: building anything.  The cost is the exact check of every kernel vector on
-#: every grid row, so the slowest payloads have many rows and many forms.
-#: Whole processes on a 2-vCPU Xeon VM: degree 2 on a reciprocal line times
-#: a reciprocal line in P^23 with 4 distinct generator columns (2,209 rows,
-#: 290 forms) 2.6-3.0 s, on a reciprocal plane times a line in P^21 (718,014
-#: cells, 243 forms) 2.2 s; in P^22 (895,356 cells, refused) it took 3.9 s
-#: and in P^23 (1,015,200 cells) 6.5 s.
+#: building anything.  The build and the exact checks of the forms on the
+#: grid rows draw on the lift budget, so the limit refuses early and caps
+#: the matrix's size.  Degree 2 on a reciprocal plane times a line in P^21
+#: (718,014 cells), whole processes on a 2-vCPU Xeon VM: small generic
+#: entries answer in 2.9 s, and 4 distinct columns (243 forms, each checked
+#: on every row) are refused at the checks in 2.8 s; P^22 (895,356 cells)
+#: is refused at once.
 INTERP_GRID_LIMIT = 750000
-
-#: Largest `interpolation_bit_work` that `interpolate_forms` accepts;
-#: past it, it raises BudgetExhausted before building anything.  Whole
-#: processes on a 2-vCPU Xeon VM, degree 2 on reciprocal planes times
-#: lines in P^8 to P^21: generic entries took 1.1-1.8 * 10^-13 s per unit
-#: (at the limit, 1.1-2.0 s); 4 distinct columns, whose many forms are
-#: each checked on every row, 4.5 s in P^21 with 23-digit entries (9.5 *
-#: 10^12, 243 forms).  Now refused: P^21 with 30-digit entries (1.6 *
-#: 10^13) 2.9 s generic and 5.4 s with 4 distinct columns, P^16 with
-#: 100-digit entries (3.4 * 10^13) 4.2 s, P^21 (1.6 * 10^14) 18 s.
-INTERP_BIT_WORK_LIMIT = 10 ** 13
 
 #: Largest work of a generalized Vandermonde rank (`check_span_dim_work`)
 #: that `span-dim` accepts; past it, it raises BudgetExhausted before any
@@ -398,54 +388,46 @@ def _grid_size(groups):
     return prod(comb(comb(top + space.dim, space.dim) + r - 1, r) for space, _, r, top in groups)
 
 
-def interpolation_bit_work(sampler, d):
-    """The work R C B^2 of the degree-d evaluation matrix, computed without
-    building any of it: R = `interpolation_grid_size` rows, C = binom(n+d,
-    d) monomials, and B = d times a bound on a grid coordinate's bits.
+def interpolation_cost(sampler, d):
+    """(refusal, build, reduction) for degree d, computed without building
+    anything: the message of the first shape limit that refuses d, or
+    None, and the `linalg.lift_budget` units of building its evaluation
+    matrix and of reducing it mod p in the kernel's first pass.
 
-    A factor's lattice point g_0 + i_1 g_1 + ... + i_m g_m with sum i <= D
-    is below (D + 1) 2^b in absolute value, b its generators' bits, so it
-    has at most b + bit_length(D + 1) bits, and a reciprocal point is a
-    product of n of them; a grid coordinate is a product of one point
-    coordinate per factor.  Building the matrix multiplies such ints into
-    every cell, and the kernel reduces, solves and checks against every
-    cell, each in time about quadratic in the bits for large entries.
+    The shape limits are the monomial count C = binom(n+d, d) past
+    INTERP_MONOMIAL_BUDGET and the grid size R (`interpolation_grid_size`)
+    times C past INTERP_GRID_LIMIT.  Both grow with d, so a degree that
+    passes them has lower degrees that pass too.
+
+    A cell of the matrix has at most B = d b bits, b a bound on a grid
+    coordinate's bits.  A factor's lattice point g_0 + i_1 g_1 + ... + i_m
+    g_m with sum i <= D is below (D + 1) 2^g in absolute value, g its
+    generators' bits, so it has at most g + bit_length(D + 1) bits, and a
+    reciprocal point is a product of n of them; a grid coordinate is a
+    product of one point coordinate per factor.  The R C cells are built
+    by products of such ints (`poly.monomial_products`), 2000 + B^1.5 / 5
+    units each (past a few thousand bits, products follow Karatsuba's
+    B^1.58), and the kernel's first pass reduces the leading min(R, C)
+    rows mod p, 3 (B + 64) units a cell, as `linalg.integer_kernel_basis`
+    charges a later pass.
     """
-    groups = _factor_groups(sampler, d)
-    n = sampler.ambient_dim
-    return _bit_work(groups, n, d, _grid_size(groups) * comb(n + d, d))
-
-
-def _bit_work(groups, n, d, cells):
-    """`interpolation_bit_work` from the sampler's `_factor_groups` and the
-    matrix's cell count R C."""
-    bits = 0
-    for space, reciprocal, r, top in groups:
-        point = _generator_bits(space) + (top + 1).bit_length()
-        bits += r * (n * point if reciprocal else point)
-    return cells * (d * bits) ** 2
-
-
-def _interpolation_refusal(sampler, d):
-    """The message of the first pre-work limit that refuses degree d, or
-    None: the monomial count past INTERP_MONOMIAL_BUDGET, the grid size
-    times the monomial count past INTERP_GRID_LIMIT, or
-    `interpolation_bit_work` past INTERP_BIT_WORK_LIMIT.  Each grows with
-    d, so a degree that passes all three has lower degrees that pass too."""
     n = sampler.ambient_dim
     monomial_count = comb(n + d, d)
     if monomial_count > INTERP_MONOMIAL_BUDGET:
         return ("degree %d in P^%d has %d monomials, past the budget of %d"
-                % (d, n, monomial_count, INTERP_MONOMIAL_BUDGET))
+                % (d, n, monomial_count, INTERP_MONOMIAL_BUDGET)), None, None
     groups = _factor_groups(sampler, d)
     size = _grid_size(groups)
     if size * monomial_count > INTERP_GRID_LIMIT:
         return ("degree %d has a grid of %d points by %d monomials, past the grid limit of %d"
-                % (d, size, monomial_count, INTERP_GRID_LIMIT))
-    if _bit_work(groups, n, d, size * monomial_count) > INTERP_BIT_WORK_LIMIT:
-        return ("degree %d, counting the bits of the grid's coordinates, is past the interp "
-                "bit work limit of %d" % (d, INTERP_BIT_WORK_LIMIT))
-    return None
+                % (d, size, monomial_count, INTERP_GRID_LIMIT)), None, None
+    bits = 0
+    for space, reciprocal, r, top in groups:
+        point = _generator_bits(space) + (top + 1).bit_length()
+        bits += r * (n * point if reciprocal else point)
+    cell = d * bits
+    return (None, size * monomial_count * (2000 + cell * isqrt(cell) // 5),
+            min(size, monomial_count) * monomial_count * 3 * (cell + 64))
 
 
 def interpolation_grid(sampler, d):
@@ -531,25 +513,30 @@ def interpolate_forms(sampler, d, budget=None, most=None, built=None):
     so the multisets give every value of the full tensor product.  Hence
     F is in I_d(X) iff it vanishes at every point of the grid.
 
-    Raises BudgetExhausted before building anything when a pre-work limit
-    refuses d (`_interpolation_refusal`); for an empty product
-    (`interpolation_grid`); and once the kernel's work is past `budget` (a
-    `linalg.lift_budget` cell, a new one when None), counted as it runs:
-    no count before it bounds the forms' coefficients.  With `most`, None
-    when the kernel's first factorization has more than `most` free
-    columns, with nothing lifted (`linalg.integer_kernel_basis`).
+    Raises BudgetExhausted before building anything when a shape limit
+    refuses d or its build charge overdraws `budget` (`interpolation_cost`;
+    a `linalg.lift_budget` cell, a new one when None); for an empty product
+    (`interpolation_grid`); and once the kernel's work is past `budget`,
+    each step charged before it runs: no count before the kernel bounds the
+    forms' coefficients.  With `most`, None when the kernel's first
+    factorization has more than `most` free columns, with nothing lifted
+    (`linalg.integer_kernel_basis`).
 
     `built` is a dict that the degrees of one search share: the matrix of
-    degree d is taken out of it when there, and put into it when `most`
-    refuses its kernel, so that the search builds each matrix once.
+    degree d is taken out of it when there, charged only for the kernel's
+    first pass, and put into it when `most` refuses its kernel, so that
+    the search builds each matrix once.
     """
     if d < 1:
         raise PreconditionError("degree must be >= 1")
+    refusal, build, reduction = interpolation_cost(sampler, d)
+    if refusal:
+        raise BudgetExhausted(refusal)
+    budget = lift_budget() if budget is None else budget
     rows = built.pop(d, None) if built else None
+    spend(budget, "the degree-%d evaluation matrix in P^%d" % (d, sampler.ambient_dim),
+          reduction if rows else build + reduction)
     if rows is None:
-        refusal = _interpolation_refusal(sampler, d)
-        if refusal:
-            raise BudgetExhausted(refusal)
         points = interpolation_grid(sampler, d)
         rows = list(zip(*monomial_products(list(zip(*points)), d)))
     kernel = integer_kernel_basis(rows, budget, most)
@@ -603,28 +590,32 @@ def interpolate_hypersurface(sampler, dmax):
     that the search from degree 1 returns, and no form at d0 leaves it to
     go on at d0 + 1.
 
-    Budget bound.  The probe passes `most` = 1 to the kernel, which lifts
-    nothing, spends nothing and gives None when its first factorization
-    has more than one free column; the search then runs from degree 1,
-    after one grid and one factorization, and takes the probe's matrix up
-    again if it reaches d0 (`built`).  When that count is <= 1, dim
-    I_d0 <= 1 (`linalg.integer_kernel_basis`), so by the lemma a search
-    from degree 1 would find every lower degree empty, reach d0 and
-    compute this same kernel: the probe never spends more of the shared
-    budget than that search does before it is past d0, and a probe past
-    the budget is a search past it too, perhaps at a lower degree's
-    matrix.  A d0 refused by a pre-work limit (`_interpolation_refusal`)
-    is not probed, and the search from degree 1 raises the refusal where
-    it meets it.  The limits grow with d, so below a probed d0 every
-    degree passes them, and an empty product (`interpolation_grid`) is
-    refused alike at every degree.  The hint only orders the work: the
-    answer, or the error, is the one that the search from degree 1 gives.
+    Budget bound.  A d0 refused by a shape limit, or whose build charge
+    does not fit the budget (`interpolation_cost`), is not probed, and the
+    search from degree 1 raises the refusal where it meets it.  The probe
+    spends d0's build charge and passes `most` = 1 to the kernel, which
+    lifts nothing, spends nothing more and gives None when its first
+    factorization has more than one free column; the search then runs
+    from degree 1 and takes the probe's matrix up again if it reaches d0
+    (`built`), paying only for its first pass.  When that count is <= 1, dim I_d0 <= 1
+    (`linalg.integer_kernel_basis`), so by the lemma a search from degree
+    1 would find every lower degree empty, reach d0 and build and compute
+    this same kernel: the probe never spends more of the shared budget
+    than that search does before it is past d0, and a probe past the
+    budget is a search past it too, perhaps at a lower degree's matrix.
+    The shape limits grow with d, so below a probed d0 every degree passes
+    them, and an empty product (`interpolation_grid`) is refused alike at
+    every degree.  So the answer, or the error, is the one that the search
+    from degree 1 gives, but where the hint is wrong and that search ends
+    below d0 within d0's build charge of the budget: its one d0 build is
+    then the probe's surplus, and the search is refused instead.
     """
     budget, built, start = lift_budget(), {}, 1
     hint = _closed_form_hint(sampler)
     if hint is not None:
         d0 = min(hint, dmax)
-        if _interpolation_refusal(sampler, d0) is None:
+        refusal, build, reduction = interpolation_cost(sampler, d0)
+        if refusal is None and build + reduction <= budget[0]:
             forms = interpolate_forms(sampler, d0, budget, most=1, built=built)
             if forms is not None and len(forms) == 1:
                 return d0, forms[0]

@@ -497,12 +497,20 @@ def _digits_space(rng, dim, n, digits):
              for _ in range(n + 1)] for _ in range(dim + 1)]
 
 
+def _build_charge(sampler, d):
+    """The units that `interpolate_forms` spends on building the degree-d
+    matrix, its first pass's reduction mod p included."""
+    refusal, build, reduction = products.interpolation_cost(sampler, d)
+    assert refusal is None
+    return build + reduction
+
+
 def test_interp_bit_work_limits_exit_3():
     rng = random.Random(28)
     # 100-digit entries, degree 2 on a reciprocal plane times a line in P^21:
-    # 2,838 grid points by 253 quadrics of about 15,000-bit coordinates
-    # (bit work 1.6 * 10^14), refused before any grid is built; the
-    # matrix alone took 18 s to build.
+    # 2,838 grid points by 253 quadrics of about 15,000-bit coordinates,
+    # whose build charge is past the lift budget, so it is refused before
+    # any grid is built; the matrix alone took 18 s to build.
     product = {"sampler": {"type": "product", "factors": [
         {"type": "reciprocal", "generators": _digits_space(rng, 2, 21, 100)},
         {"type": "linear", "generators": _digits_space(rng, 1, 21, 100)}]}, "degree": 2}
@@ -510,8 +518,60 @@ def test_interp_bit_work_limits_exit_3():
     proc = run_cli("interp", product)
     assert time.perf_counter() - start < 2.0
     assert (proc.returncode, proc.stdout) == (3, "") and "Traceback" not in proc.stderr
-    message = "past the interp bit work limit of %d" % products.INTERP_BIT_WORK_LIMIT
-    assert message in json.loads(proc.stderr)["error"]["message"]
+    message = ("the degree-2 evaluation matrix in P^21 is past the lift budget of %d"
+               % linalg.LIFT_BUDGET)
+    assert json.loads(proc.stderr)["error"]["message"] == message
+
+
+def test_interp_of_four_repeated_23_digit_columns_ends_in_time():
+    # Degree 2 on a reciprocal plane times a line in P^21 whose generator
+    # columns repeat four 23-digit columns: 2,838 grid points by 253
+    # quadrics, and 243 forms, each checked exactly on every grid row.
+    # Before the build and the checks drew on the lift budget it answered
+    # after 15.9 s; now the whole process ends within 5 s.
+    rng = random.Random(5)
+    columns = [[rng.choice([-1, 1]) * rng.randrange(10 ** 22, 10 ** 23) for _ in range(5)]
+               for _ in range(4)]
+    generators = [[columns[k % 4][i] for k in range(22)] for i in range(5)]
+    payload = {"sampler": {"type": "product", "factors": [
+        {"type": "reciprocal", "generators": generators[:3]},
+        {"type": "linear", "generators": generators[3:]}]}, "degree": 2}
+    start = time.perf_counter()
+    proc = run_cli("interp", payload)
+    assert time.perf_counter() - start < 5.0
+    assert proc.returncode in (0, 3) and "Traceback" not in proc.stderr
+    if proc.returncode == 3:
+        assert proc.stdout == "" and json.loads(proc.stderr)["error"]["code"] == 3
+
+
+def test_interp_build_charge_is_spent_before_the_grid(monkeypatch):
+    # A line times a reciprocal plane in P^6 with 150-digit entries: its
+    # degree-3 matrix, 760 x 84 of about 10,500-bit entries, took 1.8 s to
+    # build.  With the cell one unit short of its build charge, nothing is
+    # built; with the charge, the grid is the next step.
+    rng = random.Random(150)
+    sampler = cli._parse_sampler({"type": "product", "factors": [
+        {"type": "linear", "generators": _digits_space(rng, 1, 6, 150)},
+        {"type": "reciprocal", "generators": _digits_space(rng, 2, 6, 150)}]}, "sampler")
+    charge = _build_charge(sampler, 3)
+    grids, products_made = [], []
+
+    class Built(Exception):
+        pass
+
+    def grid(s, d):
+        grids.append(d)
+        raise Built
+
+    monkeypatch.setattr(products, "interpolation_grid", grid)
+    monkeypatch.setattr(products, "monomial_products",
+                        lambda *args: products_made.append(args) or monomial_products(*args))
+    with pytest.raises(products.BudgetExhausted, match=r"degree-3 evaluation matrix in P\^6 is past"):
+        products.interpolate_forms(sampler, 3, [charge - 1])
+    assert grids == [] and products_made == []
+    with pytest.raises(Built):
+        products.interpolate_forms(sampler, 3, [charge])
+    assert grids == [3] and products_made == []
 
 
 def _grid_and_oracle_outcomes(monkeypatch, capsys, payload, draws):
@@ -615,38 +675,38 @@ def test_interp_many_forms_of_big_entries_are_answered(monkeypatch):
 
 def test_interp_degrees_share_one_lift_budget(monkeypatch):
     # The squared plane of the goldens is a cubic, the closed form's degree:
-    # the search probes degree 3 first, and that one kernel call is the
-    # whole search.  One unit short of its work, it exits 3.
+    # the search probes degree 3 first, and that one build and kernel call
+    # is the whole search.  One unit short of its work, it exits 3.
     golden = INTERP_GOLDENS[1]
     assert golden["name"] == "squared_plane_p5" and golden["payload"]["dmax"] == 3
     sampler_doc = json.loads(json.dumps(golden["payload"]["sampler"]))
     plain = cli._parse_sampler(sampler_doc, "sampler")
-    cells, spent, kernel = [], [], products.integer_kernel_basis
+    cells, spent, forms = [], [], products.interpolate_forms
 
-    def recording(rows, budget=None, most=None):
+    def recording(sampler, d, budget=None, most=None, built=None):
         budget = linalg.lift_budget() if budget is None else budget
         cells.append(budget)
         before = budget[0]
         try:
-            return kernel(rows, budget, most)
+            return forms(sampler, d, budget, most, built)
         finally:
             spent.append(before - budget[0])
 
-    monkeypatch.setattr(products, "integer_kernel_basis", recording)
+    monkeypatch.setattr(products, "interpolate_forms", recording)
     monkeypatch.setattr(linalg, "LIFT_BUDGET", 10 ** 30)
     degree, form = products.interpolate_hypersurface(plain, 3)
-    assert degree == 3 and len(cells) == 1 and spent[0] > 0
+    assert degree == 3 and len(cells) == 1 and spent[0] > _build_charge(plain, 3) > 0
     monkeypatch.setattr(linalg, "LIFT_BUDGET", spent[0] - 1)
     with pytest.raises(products.BudgetExhausted, match="past the lift budget"):
         products.interpolate_hypersurface(plain, 3)
     # Its generators scaled by KERNEL_PRIME: every degree's matrix is zero
     # mod that prime, so the probe's first factorization has 56 free
-    # columns and the probe lifts and spends nothing.  The search then runs
-    # from degree 1 on the probe's cell, and takes the probe's matrix up
-    # again at degree 3: each degree pays for a second factorization, and
-    # degrees 1 and 2 find no form.  One unit short of the three kernels'
-    # work together, it exits 3 at degree 3, though degree 3 alone is
-    # within it.
+    # columns and the probe spends its build and lifts nothing.  The search
+    # then runs from degree 1 on the probe's cell, and takes the probe's
+    # matrix up again at degree 3, paying only for its first pass: each
+    # degree pays for a second factorization, and degrees 1 and 2 find no
+    # form.  One unit short of the builds' and the kernels' work together,
+    # it exits 3 at degree 3, though degree 3 alone is within it.
     base = sampler_doc["base"]
     base["generators"] = [[linalg.KERNEL_PRIME * x for x in row] for row in base["generators"]]
     scaled = cli._parse_sampler(sampler_doc, "sampler")
@@ -657,7 +717,10 @@ def test_interp_degrees_share_one_lift_budget(monkeypatch):
     assert products.interpolate_hypersurface(scaled, 3) == (degree, form)
     assert grids == [3, 1, 2]
     assert len(cells) == 4 and all(cell is cells[0] for cell in cells)
-    assert spent[0] == 0 and min(spent[1:]) > 0
+    assert spent[0] == _build_charge(scaled, 3) and min(spent[1:]) > 0
+    alone = [10 ** 30]
+    assert forms(scaled, 3, alone) == [form]
+    assert spent[3] == 10 ** 30 - alone[0] - products.interpolation_cost(scaled, 3)[1]
     monkeypatch.setattr(linalg, "LIFT_BUDGET", sum(spent) - 1)
     del cells[:], spent[:]
     with pytest.raises(products.BudgetExhausted, match="past the lift budget"):
@@ -665,10 +728,10 @@ def test_interp_degrees_share_one_lift_budget(monkeypatch):
     assert len(cells) == 4
     assert products.interpolate_forms(scaled, 3) == [form]
     # A wrong hint: a reciprocal plane through e_3 is a quadric cone, not
-    # the closed form's cubic.  The probe at degree 3 (four cubics) lifts
-    # nothing, and degrees 1 and 2 draw on its cell; degree 1's leading
-    # block is singular, so its kernel lifts a vector and moves on to the
-    # whole matrix.
+    # the closed form's cubic.  The probe at degree 3 (four cubics) spends
+    # its build and lifts nothing, and degrees 1 and 2 draw on its cell;
+    # degree 1's leading block is singular, so its kernel lifts a vector
+    # and moves on to the whole matrix.
     cone = samplers.reciprocal_sampler(projective.LinSpace([[1, 2, 3, 5], [2, 3, 5, 7],
                                                             [0, 0, 0, 1]]))
     assert products._closed_form_hint(cone) == 3
@@ -676,7 +739,7 @@ def test_interp_degrees_share_one_lift_budget(monkeypatch):
     del cells[:], spent[:]
     degree, form = products.interpolate_hypersurface(cone, 3)
     assert degree == 2 and len(cells) == 3 and all(cell is cells[0] for cell in cells)
-    assert spent[0] == 0 and min(spent[1:]) > 0
+    assert spent[0] == _build_charge(cone, 3) and min(spent[1:]) > 0
     monkeypatch.setattr(linalg, "LIFT_BUDGET", sum(spent) - 1)
     with pytest.raises(products.BudgetExhausted, match="past the lift budget"):
         products.interpolate_hypersurface(cone, 3)
@@ -831,6 +894,32 @@ def test_interp_of_proportional_columns_prints_the_linear_form(monkeypatch, caps
     assert degrees == [3, 1] and 3 not in lifts
 
 
+def test_interp_wrong_hint_spends_its_probe_build(monkeypatch, capsys):
+    # The proportional-column squared plane of the test above prints the
+    # bytes of the search from degree 1, and its one cell pays for the
+    # degree-3 build of the probe on top of that search's degree 1.
+    payload = {"sampler": {"type": "power", "r": 2, "base": {"type": "linear", "generators": [
+        [3, 6, 4, 1, 5, 9], [2, 4, 5, 3, 5, 8], [9, 18, 9, 3, 2, 3]]}}, "dmax": 3}
+    cells = []
+    monkeypatch.setattr(products, "lift_budget",
+                        lambda: cells.append([linalg.LIFT_BUDGET]) or cells[-1])
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(payload)))
+    assert cli.main(["interp"]) == 0
+    assert capsys.readouterr().out == (
+        '{"degree":1,"form":[[[1,0,0,0,0,0],"4"],[[0,1,0,0,0,0],"-1"]]}\n')
+    sampler = cli._parse_sampler(payload["sampler"], "sampler")
+    degree_one = [linalg.LIFT_BUDGET]
+    assert len(products.interpolate_forms(sampler, 1, degree_one)) == 1
+    assert len(cells) == 1
+    assert cells[0][0] == degree_one[0] - _build_charge(sampler, 3)
+    # One unit short of that build, the probe is not made, and the search
+    # from degree 1 prints the same bytes within the budget.
+    monkeypatch.setattr(linalg, "LIFT_BUDGET", _build_charge(sampler, 3) - 1)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(payload)))
+    assert cli.main(["interp"]) == 0
+    assert capsys.readouterr().out.startswith('{"degree":1,')
+
+
 def test_interp_of_generators_scaled_by_many_kernel_primes_is_refused_in_time():
     # A squared plane in P^5 whose generators are scaled by the first 300
     # kernel primes: every evaluation matrix is zero mod each of them, so
@@ -853,9 +942,10 @@ def test_interp_of_generators_scaled_by_many_kernel_primes_is_refused_in_time():
                        % linalg.LIFT_BUDGET)
 
 
-def test_interp_bit_work_admits_the_benchmark_pools_and_the_goldens(monkeypatch):
-    # Every degree that a benchmark interp op or a golden (the README's two
-    # lines among them) searches stays a million times under the limit.
+def test_interp_bit_work_admits_the_benchmark_pools_and_the_goldens(monkeypatch, capsys):
+    # Every benchmark interp op and every golden (the README's two lines
+    # among them) spends under a hundredth of the lift budget, its builds,
+    # its kernels and its checks together, from its one cell.
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     import workloads
     payloads = [op.payload for seed in (1, 2, 3, 90417)
@@ -863,22 +953,27 @@ def test_interp_bit_work_admits_the_benchmark_pools_and_the_goldens(monkeypatch)
     payloads += [golden["payload"] for golden in INTERP_GOLDENS]
     # The README's two lines at degree 2: 3 x 3 grid points by 10 quadrics,
     # and a grid coordinate of at most (5 + 2) + (6 + 2) bits, as the
-    # entries reach 19 and 53 and the lattice's (D + 1) = 3 adds 2 bits.
+    # entries reach 19 and 53 and the lattice's (D + 1) = 3 adds 2 bits: a
+    # cell of at most 30 bits.
     readme = cli._parse_sampler(INTERP_GOLDENS[0]["payload"]["sampler"], "sampler")
-    assert products.interpolation_bit_work(readme, 2) == 9 * 10 * (2 * (7 + 8)) ** 2
+    assert products.interpolation_cost(readme, 2) == (
+        None, 9 * 10 * (2000 + 30 * 5 // 5), 9 * 10 * 3 * (30 + 64))
+    cells = []
+    monkeypatch.setattr(products, "lift_budget",
+                        lambda: cells.append([linalg.LIFT_BUDGET]) or cells[-1])
     for payload in payloads:
-        sampler = cli._parse_sampler(payload["sampler"], "sampler")
-        degrees = [payload["degree"]] if "degree" in payload else range(1, payload["dmax"] + 1)
-        for d in degrees:
-            work = products.interpolation_bit_work(sampler, d)
-            assert work < products.INTERP_BIT_WORK_LIMIT // 10 ** 6
+        del cells[:]
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(payload)))
+        assert cli.main(["interp"]) == 0
+        capsys.readouterr()
+        assert len(cells) == 1 and 0 < linalg.LIFT_BUDGET - cells[0][0] < linalg.LIFT_BUDGET // 100
 
 
 def test_interp_kernel_is_bounded_by_its_lift_budget(monkeypatch, capsys):
     # A reciprocal line in P^3 with 100-digit entries: its quadrics have
-    # coefficients past 500 bits.  With the budget at the lifting work of
-    # its kernel, interp answers, as the sampled route does; one unit less,
-    # it exits 3 before the answer.  Neither runs a Bareiss pass.
+    # coefficients past 500 bits.  With the budget at the work of its build
+    # and its kernel, interp answers, as the sampled route does; one unit
+    # less, it exits 3 before the answer.  Neither runs a Bareiss pass.
     rng = random.Random(100)
     generators = _digits_space(rng, 1, 3, 100)
     sampler = samplers.reciprocal_sampler(projective.LinSpace(generators))
@@ -887,7 +982,7 @@ def test_interp_kernel_is_bounded_by_its_lift_budget(monkeypatch, capsys):
     budget = [10 ** 30]
     products.interpolate_forms(sampler, 2, budget)
     work = 10 ** 30 - budget[0]
-    assert 10 ** 6 < work < linalg.LIFT_BUDGET // 10
+    assert 10 ** 6 < _build_charge(sampler, 2) < work < linalg.LIFT_BUDGET // 10
     monkeypatch.setattr(linalg, "LIFT_BUDGET", work)
     forms = products.interpolate_forms(sampler, 2)
     assert len(forms) == 3 and forms == expected

@@ -921,6 +921,56 @@ def test_lifted_block_rows_are_certified_by_congruence(monkeypatch):
     assert linalg._uncertified(rows, [0, 1, 2], [33, 34, 32], (-3, 2), 99) == [rows[0], rows[1]]
 
 
+def test_checks_and_euclid_runs_are_charged_before_they_run(monkeypatch):
+    # Two vectors, each checked exactly on its k uncertified block rows and
+    # then on the 40 - k other rows; and the vectors of a 3 x 6 matrix of
+    # 20-bit entries, whose fractions are reconstructed by Euclid.  Each
+    # Euclid run is paid for just before it runs, and each row a check
+    # reads is paid for before it is read: the first when the check's rows
+    # are made, before the check starts, so a cell that runs out there
+    # makes the kernel stop with no check of that vector.
+    rng = random.Random(28)
+    checked, _ = _small_kernel_rows(rng, 36, 2, 40, 40)
+    reconstructed = [[rng.randint(-2 ** 20, 2 ** 20) for _ in range(6)] for _ in range(3)]
+    spend, annihilates, reconstruct = linalg.spend, linalg._annihilates, linalg._rational_reconstruct
+    events = []
+
+    def reading(rows):
+        for row in rows:
+            events.append(("row",))
+            yield row
+
+    monkeypatch.setattr(linalg, "spend", lambda budget, work, units: (
+        events.append(("pay", units)) or spend(budget, work, units)))
+    monkeypatch.setattr(linalg, "_annihilates", lambda rows, vec: (
+        events.append(("check", rows.each, len(rows))) or annihilates(reading(rows), vec)))
+    monkeypatch.setattr(linalg, "_rational_reconstruct", lambda u, m: (
+        events.append(("euclid", m.bit_length() ** 2 // 2)) or reconstruct(u, m)))
+    for rows in (checked, reconstructed):
+        del events[:]
+        assert integer_kernel_basis(rows) == bareiss_kernel_basis(rows)
+        assert {"pay", "check", "row" if rows is checked else "euclid"} <= {e[0] for e in events}
+        credit = each = 0
+        for before, event in zip([("start",)] + events, events):
+            if event[0] == "euclid":
+                assert before == ("pay", event[1])
+            elif event[0] == "check":
+                each, credit = event[1], min(event[2], 1)
+                assert before == ("pay", each * credit)
+            elif event[0] == "row":
+                credit += before[1] // each if before[0] == "pay" else 0
+                credit -= 1
+                assert credit >= 0
+        full = list(events)
+        for i, event in enumerate(full):
+            if event[0] == "check" and event[2]:
+                spent = sum(e[1] for e in full[:i] if e[0] == "pay")
+                del events[:]
+                with pytest.raises(BudgetExhausted, match="past the lift budget"):
+                    integer_kernel_basis(rows, [spent - 1])
+                assert events == full[:i]
+
+
 def _is_prime(n):
     """Deterministic Miller-Rabin: these bases decide every n < 3.3 * 10^24."""
     bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
