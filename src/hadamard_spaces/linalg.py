@@ -22,20 +22,25 @@ where that is cheaper (`integer_maximal_minors`).
 p-adic (`integer_kernel_basis`, the kernel of the interpolation oracle's
 evaluation matrix, wide or tall).  A, or only its leading nc x nc block
 when A has more rows than columns (the factored rows S), is factored mod a
-prime p = 2^27 - e, first KERNEL_PRIME, on packed rows (`_factor_mod_p`).
-For each free column f, the entries at the k pivots before f solve B y =
--a in the pivot rows R_<k, lifted p-adically (Dixon 1982) and rationally
-reconstructed (Wang, Guy & Davenport 1982) in `_dixon_kernel`: the cost
-follows the size of the kernel entries.  Each vector is checked exactly
-against every row of A (a pivot row may be certified by a congruence), and
-the check is a certificate.  ker_Q(A) lies in ker_Q(S) and rank mod p <=
-rank over Q (a minor zero over Q is zero mod p), so dim ker_p(S) >= dim
-ker_Q(A); the lifted vectors are independent (each is nonzero at its own
-free column only), so dim ker_p(S) of them that pass are a basis of
-ker_Q(A).  Each is zero past its free column f, so f is no pivot over Q
-either: the free sets agree, and each vector is the unique primitive one
-positive at its free column and zero at the others, the one Bareiss
-returns.
+prime p = 2^27 - e, first KERNEL_PRIME, on packed rows (`_factor_mod_p`):
+a row is one int of 64-bit slots, each below 3p once packed
+(`_reduced_rows`), and the factors leave as the elimination makes them, L
+as columns of multipliers and U as the folded pivot rows, slots below 2p.
+The lifting's sweeps read them through C-level transposes (`_row_sweeps`,
+`_packed_sweeps`, where a back-sweep slot stays below p + 2Kp^2 < 2^64 for
+K <= 511 pivots).  For each free column f, the entries at the k pivots
+before f solve B y = -a in the pivot rows R_<k, lifted p-adically (Dixon
+1982) and rationally reconstructed (Wang, Guy & Davenport 1982) in
+`_dixon_kernel`: the cost follows the size of the kernel entries.  Each
+vector is checked exactly against every row of A (a pivot row may be
+certified by a congruence), and the check is a certificate.  ker_Q(A) lies
+in ker_Q(S) and rank mod p <= rank over Q (a minor zero over Q is zero mod
+p), so dim ker_p(S) >= dim ker_Q(A); the lifted vectors are independent
+(each is nonzero at its own free column only), so dim ker_p(S) of them
+that pass are a basis of ker_Q(A).  Each is zero past its free column f,
+so f is no pivot over Q either: the free sets agree, and each vector is
+the unique primitive one positive at its free column and zero at the
+others, the one Bareiss returns.
 
 The lifting stops by proof.  det B is nonzero mod p, so B y = -a has one
 rational solution; a reconstructed vector that passes the pivot rows is
@@ -64,11 +69,10 @@ the results depend on neither the path nor the prime: only the time does.
 import re
 import struct
 import sys
-from array import array
 from bisect import bisect_left
 from fractions import Fraction
 from functools import partial
-from itertools import chain, combinations, compress, count, zip_longest
+from itertools import chain, combinations, count
 from math import comb, gcd, isqrt, lcm
 from operator import itemgetter, mul
 
@@ -465,26 +469,9 @@ PACKED_PIVOTS = 32
 
 
 def _pack(values, words):
-    """Ints in [0, 2^64) as one int of `words`-word slots, first lowest.
-
-    `array("Q")` holds words in the host's byte order, so a big-endian host
-    swaps them to little-endian first (and `_unpack` swaps them back).  Only
-    such a host runs the swap: test runs on x86 cannot reach it.
-    """
-    slots = array("Q", bytes(8 * words * len(values)))
-    slots[::words] = array("Q", values)
-    if sys.byteorder == "big":
-        slots.byteswap()
-    return int.from_bytes(slots, "little")
-
-
-def _unpack(packed, words, count):
-    """The low words of the first `count` slots of a `_pack`ed int (the
-    inverse of `_pack` for slots below 2^64)."""
-    slots = array("Q", packed.to_bytes(8 * words * count, "little"))
-    if sys.byteorder == "big":
-        slots.byteswap()
-    return slots[::words]
+    """Ints in [0, 2^64) as one int of `words`-word slots, first lowest."""
+    slot = "Q" + "8x" * (words - 1)
+    return int.from_bytes(struct.pack("<" + slot * len(values), *values), "little")
 
 
 def _fold_rounds(p, bound):
@@ -520,63 +507,89 @@ def _folder(p, words, count, bound):
 
 
 def _factor_mod_p(rows, nc, p):
-    """Pivot columns P, pivot rows R and the LU factors of A[R, P] mod p:
-    lower[i] holds L[i][j] for j < i (the multipliers f) and the inverse of
-    the pivot L[i][i], upper[i] holds U[i][j] for j > i (U unit upper
-    triangular), as residues.  The pivot is the first row nonzero mod p.
+    """Pivot columns P, pivot rows R, the LU factors of A[R, P] mod p in
+    the form the sweeps read, and their slots' words.  lower[j] is column j
+    of L over the factored rows in their final order: zeros above row j,
+    the inverse of the pivot L[j][j] at it and the multipliers f below it
+    (rows past the rank too), residues.  upper[j] is row j of U (unit upper
+    triangular) as the packed pivot row: U[j][c] for each column c after
+    P[j], a slot each, below 2p and congruent to it.  The pivot is the
+    first row nonzero mod p; a row swapped in swaps its multipliers in
+    every earlier column of L.
 
     p = 2^s - e is a prime of `_kernel_primes` (s = 27, 3e <= 2^s).  Each
-    row is one int of W-bit slots (`_pack`), slot 0 at the current column,
-    dropped at each column (row >> W).  A row update is one multiply-add,
-    row + (p - f) * top = row - f * top mod p, with no reduction; only the
-    pivot row is reduced, packed: its columns after the pivot become top =
-    fold(fold(row >> W) * inv), where fold (`_folder`) repeats rounds that
-    replace each slot hi 2^s + lo by the congruent e hi + lo.
+    row is one int of W-bit slots (`_reduced_rows`), slot 0 at the current
+    column, dropped at each column (row >> W).  A row update is one
+    multiply-add, row + (p - f) * top = row - f * top mod p, with no
+    reduction; only the pivot row is reduced, packed: its columns after the
+    pivot become top = fold(fold(row >> W) * inv), where fold (`_folder`)
+    repeats rounds that replace each slot hi 2^s + lo by the congruent
+    e hi + lo.
 
-    No slot ever carries.  A row gets at most u = min(nrows - 1, ncols)
-    updates (each pivot is another row and column), each adding (p - f) t
-    < 2p^2 < 2^(2s+1) for a top slot t < 2p, so a slot stays below V =
-    2^(2s+1+b), b = bit_length(u), which W holds (one word for u <= 511).
-    In a round, e hi + lo < e 2^(W-s) + 2^s <= 2^W keeps slots apart, and
-    a slot below V ends below V' = e h + 2^s, h = floor((V - 1) / 2^s);
-    `_fold_rounds` counts rounds until V <= 2p.  They end: while V > 2p,
-    h >= 1; h = 1 gives V' = e + 2^s <= 2p (3e <= 2^s), and h >= 2 gives
-    V' < h 2^s < V (2^s < h (2^s - e)).  A round divides V by about 2^s /
-    e, over 2^21 for KERNEL_PRIME: two rounds for b <= 15, three for b <=
-    37.  A folded row is below 2p, times inv below 2p^2 < V, and folded
-    again below 2p (V' grows with V, so the same rounds hold); upper reads
-    each top slot's low word (2p < 2^64), less p where needed.
+    No slot ever carries.  A slot starts below 3p, and a row gets at most
+    u = min(nrows - 1, ncols) updates (each pivot is another row and
+    column), each adding (p - f) t < 2p^2 for a top slot t < 2p, so a slot
+    stays below 3p + 2u p^2 < 2(u + 1) p^2 < V = 2^(2s+1+b), b =
+    bit_length(u), which W holds (one word for u <= 511).  In a round,
+    e hi + lo < e 2^(W-s) + 2^s <= 2^W keeps slots apart, and a slot below
+    V ends below V' = e h + 2^s, h = floor((V - 1) / 2^s); `_fold_rounds`
+    counts rounds until V <= 2p.  They end: while V > 2p, h >= 1; h = 1
+    gives V' = e + 2^s <= 2p (3e <= 2^s), and h >= 2 gives V' < h 2^s < V
+    (2^s < h (2^s - e)).  A round divides V by about 2^s / e, over 2^21 for
+    KERNEL_PRIME: two rounds for b <= 15, three for b <= 37.  fold runs the
+    rounds of max(V, 2^64), the same as V's for one-word slots (V >= 2^55),
+    so it also takes any one-word slot below 2p.  A folded row is below 2p,
+    times inv below 2p^2 < V, and folded again below 2p (V' grows with V,
+    so the same rounds hold): that is U's row, kept packed.
     """
     bound = 1 << 2 * p.bit_length() + 1 + min(len(rows) - 1, nc).bit_length()
     words = (bound.bit_length() - 1 + 63) // 64
     width, mask = 64 * words, (1 << 64 * words) - 1
-    fold = _folder(p, words, nc, bound)
-    work = [_pack([x % p for x in row], words) for row in rows]
+    fold = _folder(p, words, nc, max(bound, 1 << 64))
+    work = _reduced_rows(rows, nc, p, words, fold)
     order = list(range(len(work)))
-    mults = [[] for _ in work]
     pivots, lower, upper = [], [], []
     r = 0
     for c in range(nc):
-        k = next((i for i in range(r, len(work)) if (work[i] & mask) % p), None)
-        if k is None:
-            work[r:] = [row >> width for row in work[r:]]
-            continue
-        for a in (work, order, mults):
-            a[r], a[k] = a[k], a[r]
-        inv = pow((work[r] & mask) % p, -1, p)
+        lead = (work[r] & mask) % p
+        if not lead:
+            k = next((i for i in range(r + 1, len(work)) if (work[i] & mask) % p), None)
+            if k is None:
+                work[r:] = [row >> width for row in work[r:]]
+                continue
+            for a in (work, order, *lower):
+                a[r], a[k] = a[k], a[r]
+            lead = (work[r] & mask) % p
+        inv = pow(lead, -1, p)
         top = fold(fold(work[r] >> width) * inv)
-        lower.append(mults[r] + [inv])
-        upper.append([u - p if u >= p else u for u in _unpack(top, words, nc - c - 1)])
-        for i in range(r + 1, len(work)):
-            f = (work[i] & mask) % p
-            mults[i].append(f)
-            work[i] = (work[i] >> width) + (p - f) * top
+        rest = work[r + 1:]
+        mults = [(row & mask) % p for row in rest]
+        work[r + 1:] = [(row >> width) + (p - f) * top for row, f in zip(rest, mults)]
+        lower.append([0] * r + [inv] + mults)
+        upper.append(top)
         pivots.append(c)
         r += 1
         if r == len(work):
             break
-    upper = [[u[j - c - 1] for j in pivots[i + 1:]] for i, (c, u) in enumerate(zip(pivots, upper))]
-    return pivots, order[:r], lower, upper
+    return pivots, order[:r], lower, upper, words
+
+
+def _reduced_rows(rows, nc, p, words, fold):
+    """The rows as `_factor_mod_p`'s packed ints, each slot congruent to
+    its entry and below 3p.  With one-word slots and every entry a signed
+    64-bit word, a row is one `struct` pack: its slots, with bit 63
+    flipped, are x + 2^63 < 2^64, which one fold takes below 2p, and -2^63
+    mod p added to each leaves them below 3p.  Otherwise each entry is
+    reduced on its own, x mod p < p."""
+    if words == 1:
+        signed = struct.Struct("<%dq" % nc)
+        bias = _pack([1 << 63] * nc, 1)
+        offset = _pack([-(1 << 63) % p] * nc, 1)
+        try:
+            return [fold(int.from_bytes(signed.pack(*row), "little") ^ bias) + offset for row in rows]
+        except struct.error:
+            pass
+    return [_pack([x % p for x in row], words) for row in rows]
 
 
 def _rational_reconstruct(u, m):
@@ -659,9 +672,16 @@ def _primitive(vec):
 
 
 def _annihilates(rows, vec):
-    """Whether rows @ vec == 0 for an integer vector, on its support."""
-    values = [v for v in vec if v]
-    return all(sum(map(mul, compress(row, vec), values)) == 0 for row in rows)
+    """Whether rows @ vec == 0 for an integer vector, reading each row only
+    at the vector's support (`itemgetter`), or whole where it has no zero."""
+    if all(vec):
+        return all(sum(map(mul, row, vec)) == 0 for row in rows)
+    support = [i for i, v in enumerate(vec) if v]
+    if len(support) < 2:
+        return not any(row[i] for row in rows for i in support)
+    pick = itemgetter(*support)
+    values = pick(vec)
+    return all(sum(map(mul, pick(row), values)) == 0 for row in rows)
 
 
 class _PaidRows:
@@ -706,19 +726,37 @@ def _residual(b, products, p):
     return [(bi - v) // p for bi, v in zip(b, products)]
 
 
-def _row_sweeps(rows, pivots, prows, lower, upper, p):
+def _upper_cells(pivots, upper, words, nc):
+    """U's rows of a `_factor_mod_p`, each laid over all nc columns (zero
+    slots up to its pivot), as one little-endian buffer of `words`-word
+    slots: row i's slot for column c is word (i nc + c) words."""
+    size = 8 * words * nc
+    return b"".join([(top << 64 * words * (c + 1)).to_bytes(size, "little") for c, top in zip(pivots, upper)])
+
+
+def _row_sweeps(rows, pivots, prows, lower, upper, words, p):
     """(solve, times) for the block B = A[R, P] of a factorization mod p,
     row by row.  solve(b) is x = B_k^-1 b mod p for the leading k x k block
     B_k, k = len(b): a forward substitution with L, then a back
-    substitution with U.  times(x) is B_k x, exact."""
-    square = [[rows[i][c] for c in pivots] for i in prows]
+    substitution with U.  times(x) is B_k x, exact.  The rows come from
+    C-level transposes: L's by one `zip` of its columns (row i: L[i][j]
+    for j < i, then the inverse pivot), U's by a stepped slice of each
+    pivot column of one `struct` unpack of `_upper_cells`, and B's by two
+    `zip`s."""
+    nc = len(rows[0])
+    stride = words * nc
+    cells = struct.unpack("<%dQ" % (len(upper) * stride), _upper_cells(pivots, upper, words, nc))
+    lrows = list(zip(*lower))
+    urows = [row[i + 1:] for i, row in enumerate(zip(*[cells[c * words::stride] for c in pivots]))]
+    columns = list(zip(*[rows[i] for i in prows]))
+    square = list(zip(*[columns[c] for c in pivots]))
 
     def solve(b):
         x = []
-        for l, bi in zip(lower, b):
-            x.append((bi % p - sum(map(mul, l, x))) * l[-1] % p)
+        for i, (l, bi) in enumerate(zip(lrows, b)):
+            x.append((bi % p - sum(map(mul, l, x))) * l[i] % p)
         for i in range(len(x) - 1, -1, -1):
-            x[i] = (x[i] - sum(map(mul, upper[i], x[i + 1:]))) % p
+            x[i] = (x[i] - sum(map(mul, urows[i], x[i + 1:]))) % p
         return x
 
     def times(x):
@@ -727,24 +765,30 @@ def _row_sweeps(rows, pivots, prows, lower, upper, p):
     return solve, times
 
 
-def _packed_sweeps(rows, pivots, prows, lower, upper, p):
+def _packed_sweeps(rows, pivots, prows, lower, upper, words, p):
     """(solve, times) as in `_row_sweeps`, each a sweep over packed
     columns, for a block of K <= 511 pivots; None when an entry of B is
     outside the signed 64-bit range.
 
     Each column of L below the diagonal and of U above it is one int of
     one-word slots, and each column of B one int of two-word slots, cut
-    once per kernel from C-level transposes (`struct`).  solve(b) keeps one
-    int acc of one-word slots, from b mod p, slot i at row i: at column j,
-    slot 0 is row j, z_j = slot 0 times the inverse pivot, acc >>= 64, and
-    acc += (p - z_j) L_col_j subtracts z_j times the column from every
-    later row.  The back sweep does the same with U from the bottom (acc
-    holds z reversed, and U's columns are stored reversed).  A slot gets at
-    most K updates below p^2, so it stays below p + K p^2 < 2^64 for K <=
-    511.  times(x) is sum x_j B_col_j over two-word slots, each entry
-    written as a signed word and XORed with bit 63 of its slot, which adds
-    2^63: slot t is (B x)_t + 2^63 sum x, below K 2^64 p < 2^128, and one
-    `to_bytes` reads every slot back, the bias subtracted.
+    once per kernel by C-level transposes: one `struct` pack of each of
+    L's columns, one strided copy of each of U's pivot columns from its
+    rows laid over all columns (`_upper_cells`; the 8-byte items of the
+    memoryview only move little-endian words, whatever the host's byte
+    order), and `struct` packs of B's columns.  solve(b) keeps one int acc
+    of one-word slots, from b mod p, slot i at row i: at column j, slot 0
+    is row j, z_j = slot 0 times the inverse pivot, acc >>= 64, and acc +=
+    (p - z_j) L_col_j subtracts z_j times the column from every later row.
+    The back sweep does the same with U from the bottom (acc holds z
+    reversed, and U's columns are stored reversed).  A slot starts below p
+    and gets fewer than K updates, below p^2 with L's slots (residues) and
+    below 2p^2 with U's (below 2p, `_factor_mod_p`), so it stays below
+    p + 2K p^2 < 2^64 for K <= 511 (p^2 < 2^54).  times(x) is
+    sum x_j B_col_j over two-word slots, each entry written as a signed
+    word and XORed with bit 63 of its slot, which adds 2^63: slot t is
+    (B x)_t + 2^63 sum x, below K 2^64 p < 2^128, and one `to_bytes` reads
+    every slot back, the bias subtracted.
     """
     count = len(pivots)
     bias = int.from_bytes((1 << 63).to_bytes(16, "little") * count, "little")
@@ -754,15 +798,13 @@ def _packed_sweeps(rows, pivots, prows, lower, upper, p):
         bcols = [int.from_bytes(signed.pack(*columns[c]), "little") ^ bias for c in pivots]
     except struct.error:
         return None
-    words = struct.Struct("<%dQ" % count)
-    # Column j of L, then of the row-reversed U, holds zeros and the
-    # diagonal in its first j + 1 words (zip_longest pads the short rows).
-    lcols = [int.from_bytes(words.pack(*col)[8 * j + 8:], "little")
-             for j, col in enumerate(zip_longest(*lower, fillvalue=0))]
-    ucols = [int.from_bytes(words.pack(*col)[8 * j + 8:], "little")
-             for j, col in enumerate(zip_longest(*[u[::-1] for u in reversed(upper)], fillvalue=0))]
-    ucols = [0] + ucols[::-1]
-    inverses = [l[-1] for l in lower]
+    column = struct.Struct("<%dQ" % len(lower[0]))
+    lcols = [int.from_bytes(column.pack(*col)[8 * j + 8:8 * count], "little") for j, col in enumerate(lower)]
+    stride = words * len(rows[0])
+    cells = memoryview(_upper_cells(pivots, upper, words, len(rows[0]))).cast("Q")
+    ucols = [0] + [int.from_bytes(cells[(j - 1) * stride + c * words::-stride].tobytes(), "little")
+                   for j, c in enumerate(pivots) if j]
+    inverses = [col[j] for j, col in enumerate(lower)]
     pairs = struct.Struct("<%dQ" % (2 * count))
     mask = (1 << 64) - 1
 
@@ -850,7 +892,8 @@ def _dixon_kernel(rows, height, nc, p, budget, charge, most=None):
     """
     pay = partial(spend, budget, "the p-adic kernel of a %d x %d matrix" % (len(rows), nc))
     pay(charge)
-    pivots, prows, lower, upper = factors = _factor_mod_p(rows[:height], nc, p)
+    factors = _factor_mod_p(rows[:height], nc, p)
+    pivots, prows = factors[:2]
     free = sorted(set(range(nc)).difference(pivots))
     if most is not None and len(free) > most:
         return False

@@ -442,6 +442,30 @@ def _factor_mod_p_lists(rows, nc, p):
     return pivots, order[:r], lower, upper
 
 
+def _factors_as_lists(factors, nrows, nc, p):
+    """`_factor_mod_p`'s factors in the reference's form, after checking
+    their layout: lower[j] is the inverse pivot, then the multipliers of
+    the nrows - j - 1 rows below pivot row j; upper[j] is one packed int
+    holding U[j][c] for each column c after P[j], a slot of `words` words
+    each, below 2p, with nothing past the last slot."""
+    pivots, prows, lower, upper, words = factors
+    width = 64 * words
+    assert all(len(col) == nrows and not any(col[:j]) for j, col in enumerate(lower))
+    slots = []
+    for c, top in zip(pivots, upper):
+        assert top >> width * (nc - c - 1) == 0
+        slots.append([top >> width * (j - c - 1) & (1 << width) - 1 for j in range(c + 1, nc)])
+    assert all(u < 2 * p for row in slots for u in row)
+    lists_lower = [[lower[j][i] for j in range(i)] + [lower[i][i]] for i in range(len(pivots))]
+    lists_upper = [[row[j - c - 1] % p for j in pivots[i + 1:]]
+                   for i, (c, row) in enumerate(zip(pivots, slots))]
+    return pivots, prows, lists_lower, lists_upper
+
+
+def _factor_as_lists(rows, nc, p):
+    return _factors_as_lists(linalg._factor_mod_p(rows, nc, p), len(rows), nc, p)
+
+
 def _largest_updates_matrix(nr, nc, p):
     """A mod p = L U with every multiplier 1 and every entry of the unit U
     equal to -1: each row update adds (p - 1)^2, the most it can, to a slot,
@@ -468,11 +492,35 @@ def test_packed_factor_matches_list_factor():
     low_rank = [[rng.randint(-99, 99) for _ in range(5)] for _ in range(64)]
     right = [[rng.randint(-9, 9) for _ in range(52)] for _ in range(5)]
     matrices.append([[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] for row in low_rank])
-    # More than 511 rows: two-word slots.
+    # More than 511 rows of 40 columns: one-word slots, as a slot gets at
+    # most 40 updates.
     matrices.append([[rng.randint(-p, p) for _ in range(40)] for _ in range(600)])
+    # Pivots found below the current row after earlier pivots: once column
+    # 0 is cleared, row 1 is zero at column 1 and row 3 is taken; row 2 is
+    # zero at column 2 and row 1 is taken.  The multipliers recorded for
+    # the swapped rows swap with them.
+    matrices.append([[1, 2, 3, 4, 5], [2, 4, 5, 1, 3], [0, 0, 0, 2, 2], [3, 7, 1, 1, 9], [4, 1, 1, 6, 2]])
+    # Entries at -2^63 and 2^63 - 1 (packed as signed words), and just past
+    # them (reduced entry by entry).
+    edge = [[rng.choice([-2 ** 63, 2 ** 63 - 1, rng.randint(-2 ** 63, 2 ** 63 - 1)]) for _ in range(9)]
+            for _ in range(8)]
+    matrices += [edge, [row[:] for row in edge], [row[:] for row in edge]]
+    matrices[-2][3][4], matrices[-1][7][0] = 2 ** 63, -2 ** 63 - 1
+    # One pivot: a rank-one block and a single row.
+    matrices += [[[2, 4, -6], [-1, -2, 3], [3, 6, -9]], [[0, 5, 3, 2]]]
     for rows in filter(None, matrices):
         nc = len(rows[0])
-        assert linalg._factor_mod_p(rows, nc, p) == _factor_mod_p_lists(rows, nc, p), rows
+        assert _factor_as_lists(rows, nc, p) == _factor_mod_p_lists(rows, nc, p), rows
+    assert _factor_as_lists(matrices[-6], 5, p)[1] == [0, 3, 1, 2, 4]
+    # The edge rows, packed as signed words or entry by entry, have slots
+    # below 3p, each congruent to its entry.
+    fold = linalg._folder(p, 1, 9, 2 ** 64)
+    for rows in matrices[-5:-2]:
+        for row, packed in zip(rows, linalg._reduced_rows(rows, 9, p, 1, fold)):
+            slots = [packed >> 64 * j & 2 ** 64 - 1 for j in range(9)]
+            assert packed >> 64 * 9 == 0
+            assert all(v < 3 * p and (v - x) % p == 0 for v, x in zip(slots, row))
+    assert len(_factor_as_lists(matrices[-2], 3, p)[0]) == len(_factor_as_lists(matrices[-1], 4, p)[0]) == 1
 
 
 def _recorded_folders(monkeypatch):
@@ -502,7 +550,7 @@ def test_packed_factor_past_2_to_the_15_rows_matches_list_factor(monkeypatch):
     rng.shuffle(rows)
     assert linalg._fold_rounds(p, 2 ** (2 * p.bit_length() + 1 + nr.bit_length())) == 3
     made = _recorded_folders(monkeypatch)
-    assert linalg._factor_mod_p(rows, nc, p) == _factor_mod_p_lists(rows, nc, p)
+    assert _factor_as_lists(rows, nc, p) == _factor_mod_p_lists(rows, nc, p)
     assert made == [(1, 2)]
 
 
@@ -516,8 +564,17 @@ def test_slots_are_sized_by_the_updates_a_slot_gets(monkeypatch):
     rows += [[rng.choice([rng.randrange(p), -rng.randrange(2 ** 80)]) for _ in range(40)]
              for _ in range(300)]
     made = _recorded_folders(monkeypatch)
-    assert linalg._factor_mod_p(rows, 40, p) == _factor_mod_p_lists(rows, 40, p)
+    assert _factor_as_lists(rows, 40, p) == _factor_mod_p_lists(rows, 40, p)
     assert made == [(1, 2)]
+    # 513 x 512: a slot gets up to 512 updates, so two words, and each
+    # entry is reduced on its own.  Rank 3 keeps the reference fast.
+    rng = random.Random(18)
+    u, v, w = ([rng.randint(-9, 9) for _ in range(512)] for _ in range(3))
+    rows = [[a * x + b * y + c * z for x, y, z in zip(u, v, w)]
+            for a, b, c in ([rng.randint(-p, p) for _ in range(3)] for _ in range(513))]
+    del made[:]
+    assert _factor_as_lists(rows, 512, p) == _factor_mod_p_lists(rows, 512, p)
+    assert made == [(2, 2)]
 
 
 @pytest.mark.parametrize("rows, words, rounds", [(511, 1, 2), (2 ** 15, 2, 3), (2 ** 46 - 1, 2, 4)],
@@ -542,7 +599,7 @@ def test_fold_keeps_residues_below_2p_and_pack_round_trips(rows, words, rounds):
     values = [0, 2 ** 64 - 1] + [rng.randrange(2 ** 64) for _ in range(50)]
     packed = linalg._pack(values, words)
     assert packed == sum(v << width * j for j, v in enumerate(values))
-    assert list(linalg._unpack(packed, words, len(values))) == values
+    assert [packed >> width * j & 2 ** 64 - 1 for j in range(len(values))] == values
 
 
 def _lift_per_entry(f, pivots, y, m, nc):
@@ -668,26 +725,54 @@ def _squared_plane_grid_rows():
     return [list(r) for r in zip(*monomial_products(list(zip(*points)), 3))]
 
 
+def _list_sweeps(rows, pivots, prows, lower, upper, p):
+    """Reference (solve, times) on the reference's lists: a forward and a
+    back substitution for B_k^-1 b mod p, k = len(b), and B_k x exact."""
+    def solve(b):
+        x = []
+        for l, bi in zip(lower, b):
+            x.append((bi - sum(a * y for a, y in zip(l, x))) * l[-1] % p)
+        for i in range(len(x) - 1, -1, -1):
+            x[i] = (x[i] - sum(a * y for a, y in zip(upper[i], x[i + 1:]))) % p
+        return x
+
+    def times(x):
+        return [sum(rows[i][c] * y for c, y in zip(pivots, x)) for i in prows[:len(x)]]
+
+    return solve, times
+
+
 def test_packed_sweeps_match_the_row_sweeps(monkeypatch):
     # On the squared plane's grid block and on a block of random entries
     # in [-2^63, 2^63), the packed solve and product agree with the row by
-    # row ones for every leading block size tried, on right sides of any
-    # size and on digits at p - 1, the slots' largest updates.
+    # row ones, and both with the reference's on the factors' lists, for
+    # every leading block size tried, on right sides of any size and on
+    # digits at p - 1, the slots' largest updates.  The row sweeps agree
+    # with the reference on small blocks too: row swaps, a free column
+    # between pivots, and one pivot.
     p = KERNEL_PRIME
     rng = random.Random(28)
     edge = [[rng.choice([-2 ** 63, 2 ** 63 - 1, rng.randint(-2 ** 63, 2 ** 63 - 1)])
              for _ in range(41)] for _ in range(40)]
-    for rows in (_squared_plane_grid_rows(), edge):
+    small = [[[1, 2, 3, 4, 5], [2, 4, 5, 1, 3], [0, 0, 0, 2, 2], [3, 7, 1, 1, 9], [4, 1, 1, 6, 2]],
+             [[1, 2, 0, 5], [3, 6, 1, 7], [2, 4, 5, 1]],
+             [[random.Random(29).randint(-10 ** 9, 10 ** 9) for _ in range(10)] for _ in range(9)],
+             [[0, 5, 3, 2]]]
+    packed_blocks = 0
+    for rows in (_squared_plane_grid_rows(), edge, *small):
         nc = len(rows[0])
         factors = linalg._factor_mod_p(rows[:nc], nc, p)
-        assert len(factors[0]) >= linalg.PACKED_PIVOTS
-        packed = linalg._packed_sweeps(rows, *factors, p)
-        plain = linalg._row_sweeps(rows, *factors, p)
-        for k in (len(factors[0]), len(factors[0]) - 7, 1, 0):
+        reference = _list_sweeps(rows, *_factors_as_lists(factors, min(nc, len(rows)), nc, p), p)
+        sweeps = [linalg._row_sweeps(rows, *factors, p)]
+        if len(factors[0]) >= linalg.PACKED_PIVOTS:
+            sweeps.append(linalg._packed_sweeps(rows, *factors, p))
+            packed_blocks += 1
+        for k in (len(factors[0]), max(len(factors[0]) - 7, 0), 1, 0):
             for b in ([rng.randint(-2 ** 200, 2 ** 200) for _ in range(k)], [p - 1] * k):
-                assert packed[0](b) == plain[0](b)
+                assert all(solve(b) == reference[0](b) for solve, _ in sweeps)
             for x in ([rng.randrange(p) for _ in range(k)], [p - 1] * k):
-                assert packed[1](x) == plain[1](x)
+                assert all(times(x) == reference[1](x) for _, times in sweeps)
+    assert packed_blocks == 2
     # The grid's cubic passes at step 5 on the packed sweeps, with 4
     # residuals, as the row-by-row lifting of the 70 x 56 sample does.
     lift_calls = _count_calls(monkeypatch, "_lift")
@@ -883,6 +968,33 @@ def test_packed_kernel_matches_bareiss(case):
     assert packed[0] == (shape != "past_int64")
     if shape == "edge":
         assert max(map(abs, rows[0])) == 2 ** 63 - 1
+
+
+def test_annihilates_reads_the_support_as_the_full_dot_product():
+    # Dense, sparse, one-entry, zero and big-int vectors, on random rows
+    # and on rows made orthogonal to the vector: the check reading only
+    # the support agrees with the full dot products, row set by row set.
+    rng = random.Random(33)
+    nc = 12
+    vectors = [[rng.randint(1, 9) * rng.choice([-1, 1]) for _ in range(nc)],
+               [0, 3, 0, 0, -7, 0, 0, 0, 0, 2, 0, 0], [0, 0, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0], [0] * nc,
+               [rng.choice([0, rng.randint(-2 ** 200, 2 ** 200)]) for _ in range(nc)]]
+    for vec in vectors:
+        support = [i for i, v in enumerate(vec) if v]
+        rows = []
+        for _ in range(6):
+            row = [rng.randint(-2 ** 80, 2 ** 80) for _ in range(nc)]
+            for i in support:
+                row[i] = 0
+            if len(support) >= 2:
+                i, j = rng.sample(support, 2)
+                row[i], row[j] = vec[j], -vec[i]
+            rows.append(row)
+        rows.append([rng.randint(-9, 9) for _ in range(nc)])
+        for chosen in (rows[:-1], rows, rows[-1:], []):
+            full = all(sum(a * b for a, b in zip(row, vec)) == 0 for row in chosen)
+            assert linalg._annihilates(chosen, vec) == full
+        assert linalg._annihilates(rows[:-1], vec)
 
 
 def test_lifted_block_rows_are_certified_by_congruence(monkeypatch):
