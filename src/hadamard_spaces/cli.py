@@ -11,9 +11,9 @@ with one `json.dumps(doc, sort_keys=True, separators=(",", ":"))`.
 `degree --transcript` returns those same bytes as text: its cones, up to
 thousands per document, fill a fixed template from the JSON text of their
 masks (`tropical.mask_text`, memoized on the domain of
-`tropical.mask_indices`), each cone of the summed fan rendered once and
-reused by its contributing pairs; its four small fields go through
-json.dumps.  Text is written as it is.
+`tropical.mask_indices`), the summed fan's from one shared head per minus
+mask and multiplicity; its four small fields go through json.dumps.  Text
+is written as it is.
 
 `--format pretty` is `json.dumps(json.loads(text), indent=2,
 sort_keys=True)` of that compact text, for every subcommand, and gives the
@@ -364,20 +364,26 @@ def _cone_text(cone, mult):
 
 def _transcript_text(detail):
     """The transcript object as compact JSON text, keys in sorted order.
-    Each cone of the summed fan is rendered once; its contributing pairs
-    reuse that text."""
+    The summed fan's cones are written from one shared head per (minus
+    mask, multiplicity), the text up to the plus mask, and joined once
+    (the fan of a pipeline has at least one cone); only the few
+    contributing pairs render their cones on their own."""
     fan, complement = detail["fan"], detail["complement"]
-    texts = {cone: _cone_text(cone, mult) for cone, mult in fan.cones.items()}
+    heads, cones = {}, []
+    for (plus, minus), mult in fan.cones.items():
+        head = heads.get((minus, mult))
+        if head is None:
+            head = heads[minus, mult] = '{"minus":%s,"mult":%d,"plus":' % (mask_text(minus), mult)
+        cones.append(head + mask_text(plus))
     pairs = ",".join('{"lattice_index":%d,"sigma1":%s,"sigma2":%s}'
-                     % (idx, texts[c1], _cone_text(c2, complement.cones[c2]))
+                     % (idx, _cone_text(c1, fan.cones[c1]), _cone_text(c2, complement.cones[c2]))
                      for c1, c2, idx in detail["pairs"])
     small = json.dumps({"delta": detail["delta"],
                         "displacement": [rat_str(x) for x in detail["displacement"]],
                         "fan_degree": rat_str(detail["degree"]),
                         "global_weight": rat_str(fan.global_weight)},
                        sort_keys=True, separators=(",", ":"))
-    return '{"cones":[%s],"contributing_pairs":[%s],%s' % (",".join(texts.values()), pairs,
-                                                          small[1:])
+    return '{"cones":[%s}],"contributing_pairs":[%s],%s' % ("},".join(cones), pairs, small[1:])
 
 
 def cmd_degree(payload, rng, args):

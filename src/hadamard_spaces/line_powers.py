@@ -27,7 +27,9 @@ from .projective import LinSpace, permutation_sign
 #: clean lines [[1, ..., 1], [0, 1, ..., n]] at r = 1 in P^55 (29,260
 #: entries) 2.8 s, r = 2 in P^28 2.1 s, r = 3 in P^20 1.5 s, r = 4 in P^17
 #: 1.5 s; a line of two column points at r = 1 in P^243 0.5 s.  The work
-#: limit's edge, a clean line in P^3 at r = 1245, takes 1.6 s.
+#: limit's edge, a clean line in P^3 at r = 1245, takes 0.3 s, 0.18 s of
+#: it in process (1.7 s and 1.5 s while `poly.monomial_products` built
+#: every degree up to r).
 LINE_POWER_OUTPUT_LIMIT = 30000
 
 

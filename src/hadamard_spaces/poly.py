@@ -254,17 +254,26 @@ def monomial_products(vectors, d):
     """The entrywise products prod_k vectors[k] ** e_k, one per exponent
     tuple e of `monomials_of_degree(len(vectors), d)`, in that order.
 
-    Built degree by degree: the product for e is the one for e minus a unit
-    at its first nonzero slot k, times vectors[k].  Every degree-j tuple has
-    one such parent, so each product costs one entrywise multiplication.
+    Built from per-variable power tables: vectors[k] ** j for 1 <= j <= d,
+    each one entrywise product from the one before; then the product for e
+    starts at the table entry of its first nonzero exponent and takes one
+    entrywise product for each further one.  A line's r-th power (two
+    vectors, d = r) takes about 3r products, where building every degree
+    up to r took (r + 1)(r + 2) / 2.
     """
-    n = len(vectors)
-    level = {(0,) * n: (1,) * len(vectors[0])}
-    for _ in range(d):
-        nxt = {}
-        for e, row in level.items():
-            first = next((k for k, x in enumerate(e) if x), n - 1)
-            for k in range(first + 1):
-                nxt[e[:k] + (e[k] + 1,) + e[k + 1:]] = tuple(map(mul, row, vectors[k]))
-        level = nxt
-    return [level[e] for e in monomials_of_degree(n, d)]
+    if not d:
+        return [(1,) * len(vectors[0])]
+    tables = []
+    for vec in vectors:
+        table = [None, tuple(vec)]
+        for _ in range(d - 1):
+            table.append(tuple(map(mul, table[-1], vec)))
+        tables.append(table)
+    out = []
+    for e in monomials_of_degree(len(vectors), d):
+        row = None
+        for table, j in zip(tables, e):
+            if j:
+                row = table[j] if row is None else tuple(map(mul, row, table[j]))
+        out.append(row)
+    return out

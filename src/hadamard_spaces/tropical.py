@@ -126,7 +126,8 @@ class SignedConeFan:
     __slots__ = ("ambient_dim", "dim", "cones", "global_weight")
 
     def __init__(self, ambient_dim, dim, cones, global_weight=1):
-        _init_fan(self, ambient_dim, dim, cones, global_weight)
+        _set_fields(self, ambient_dim, dim, cones, global_weight)
+        self._check_cones()
         ordered = sorted(cones.items(), key=lambda item: _cone_order(item[0]))
         object.__setattr__(self, "cones", MappingProxyType(dict(ordered)))
 
@@ -192,21 +193,31 @@ class SignedConeFan:
         return True
 
 
-def _init_fan(fan, ambient_dim, dim, cones, global_weight):
-    """Set a new fan's fields, past its frozen __setattr__, and check its
-    cones."""
+def _set_fields(fan, ambient_dim, dim, cones, global_weight):
+    """Set a new fan's fields, past its frozen __setattr__, and return it;
+    a weight that is not a Fraction yet becomes one."""
+    if type(global_weight) is not Fraction:
+        global_weight = Fraction(global_weight)
     for name, value in (("ambient_dim", ambient_dim), ("dim", dim), ("cones", cones),
-                        ("global_weight", Fraction(global_weight))):
+                        ("global_weight", global_weight)):
         object.__setattr__(fan, name, value)
-    fan._check_cones()
+    return fan
+
+
+def _built_fan(ambient_dim, dim, cones, global_weight=1):
+    """The SignedConeFan of a dict of cones already in _cone_order, which
+    the fan then holds, with neither the constructor's sort nor its checks:
+    for builders whose docstrings prove their cones valid."""
+    return _set_fields(object.__new__(SignedConeFan), ambient_dim, dim,
+                       MappingProxyType(cones), global_weight)
 
 
 def _ordered_fan(ambient_dim, dim, cones, global_weight=1):
     """The SignedConeFan of a dict of cones already in _cone_order, which
     the fan then holds: the constructor's checks of every cone, without its
     sort."""
-    fan = object.__new__(SignedConeFan)
-    _init_fan(fan, ambient_dim, dim, MappingProxyType(cones), global_weight)
+    fan = _built_fan(ambient_dim, dim, cones, global_weight)
+    fan._check_cones()
     return fan
 
 
@@ -236,6 +247,10 @@ def _standard_fan(m, n, negated):
     for distinct sets A and B of one size, A < B exactly when min(A ^ B)
     lies in A, and the complements have the same symmetric difference,
     whose minimum lies in B's complement, so B's complement < A's.
+
+    The cones pass `_check_cones` by construction, so it is not run: each
+    mask has m set bits among coordinates 0..n, the other mask of the cone
+    is 0, and every multiplicity is 1.
     """
     if 2 * m <= n + 1:
         masks = (sum(1 << i for i in s) for s in combinations(range(n + 1), m))
@@ -243,7 +258,7 @@ def _standard_fan(m, n, negated):
         full = (1 << (n + 1)) - 1
         masks = reversed([full - sum(1 << i for i in s)
                           for s in combinations(range(n + 1), n + 1 - m)])
-    return _ordered_fan(n, m, {((0, mask) if negated else (mask, 0)): 1 for mask in masks})
+    return _built_fan(n, m, {((0, mask) if negated else (mask, 0)): 1 for mask in masks})
 
 
 _memo_standard_fan = cache(_standard_fan)
@@ -312,7 +327,8 @@ def minkowski_sum(fans, delta=1):
                     key = (plus | cplus, minus | cminus)
                     folded[key] = folded.get(key, 0) + mult * cmult
         cones = folded
-    weight = reduce(lambda acc, f: acc * f.global_weight, fans, Fraction(1, delta))
+    weight = Fraction(prod(f.global_weight.numerator for f in fans),
+                      delta * prod(f.global_weight.denominator for f in fans))
     return SignedConeFan(n, total_dim, cones, weight)
 
 
@@ -381,6 +397,32 @@ def _first_primes_from(start, count):
         bound *= 2
 
 
+def _partner_walks(walked, partners, walk, full):
+    """For each cone of the fan `walked` whose walk finds keys of
+    `partners`: (cone, multiplicity, those keys in walk order).  The walk
+    goes through the coordinates in the order of `walk`, and yields each
+    partner candidate past the cone's last minus and before its first plus
+    coordinate (see stable_mult_origin)."""
+    for cone, mult in walked.items():
+        plus, minus = cone
+        rest = full ^ plus ^ minus
+        unseen_minus, below = minus, 0
+        hits = []
+        for bit in walk:
+            if bit & rest:
+                if not unseen_minus:
+                    key = (below, rest ^ below ^ bit)
+                    if key in partners:
+                        hits.append(key)
+                below |= bit
+            elif bit & plus:
+                break
+            else:  # a minus coordinate of the cone
+                unseen_minus ^= bit
+        if hits:
+            yield cone, mult, hits
+
+
 def stable_mult_origin(fan_f, fan_g, v):
     """Multiplicity of the origin in the stable intersection of two fans.
 
@@ -407,6 +449,13 @@ def stable_mult_origin(fan_f, fan_g, v):
     ranks give its answers for v in small int comparisons.  Distinctness
     and the order of v are read off integer keys, v times the lcm of its
     denominators, another such relabeling.
+
+    The walk takes the fan with fewer cones.  sigma1 meets sigma2 + v iff
+    sigma2 meets sigma1 - v, so fan_g's cones are walked the same way,
+    down the coordinates in the order of v (up in the order of -v), and
+    find their partners among fan_f's cones.  That walk's pairs are then
+    put in fan_f's order by a stable sort, which keeps fan_g's order
+    among the pairs of one sigma1.
     """
     n = fan_f.ambient_dim
     if fan_g.ambient_dim != n:
@@ -417,7 +466,7 @@ def stable_mult_origin(fan_f, fan_g, v):
             % (fan_f.dim, fan_g.dim, n))
     if len(v) != n + 1:
         raise ValueError("displacement vector has wrong length")
-    coords = [Fraction(x) for x in v]
+    coords = [x if type(x) is Fraction else Fraction(x) for x in v]
     scale = lcm(*(x.denominator for x in coords))
     keys = [x.numerator * (scale // x.denominator) for x in coords]
     if len(set(keys)) != n + 1:
@@ -428,28 +477,21 @@ def stable_mult_origin(fan_f, fan_g, v):
     for rank, i in enumerate(order):
         ranks[i] = rank
     full = (1 << (n + 1)) - 1
-    partners = fan_g.cones
-    total, pairs = 0, []
-    for cone1, mult1 in fan_f.cones.items():
-        plus1, minus1 = cone1
-        rest = full ^ plus1 ^ minus1
-        unseen_minus, below = minus1, 0
-        hits = []
-        for bit in walk:
-            if bit & rest:
-                if not unseen_minus:
-                    key = (below, rest ^ below ^ bit)
-                    if key in partners:
-                        hits.append(key)
-                below |= bit
-            elif bit & plus1:
-                break
-            else:  # a minus coordinate of sigma1
-                unseen_minus ^= bit
-        for cone2 in sorted(hits, key=_cone_order):
-            if cone_pair_meets(cone1, cone2, ranks, n):
-                total += mult1 * partners[cone2]
-                pairs.append((cone1, cone2, 1))
+    cones_f, cones_g = fan_f.cones, fan_g.cones
+    met = []
+    if len(cones_g) < len(cones_f):
+        for cone2, mult2, hits in _partner_walks(cones_g, cones_f, walk[::-1], full):
+            met += [(cone1, cone2, cones_f[cone1] * mult2) for cone1 in hits
+                    if cone_pair_meets(cone1, cone2, ranks, n)]
+        met.sort(key=lambda pair: _cone_order(pair[0]))
+    else:
+        for cone1, mult1, hits in _partner_walks(cones_f, cones_g, walk, full):
+            if len(hits) > 1:
+                hits.sort(key=_cone_order)
+            met += [(cone1, cone2, mult1 * cones_g[cone2]) for cone2 in hits
+                    if cone_pair_meets(cone1, cone2, ranks, n)]
+    total = sum(mult for _, _, mult in met)
+    pairs = [(cone1, cone2, 1) for cone1, cone2, _ in met]
     return total * fan_f.global_weight * fan_g.global_weight, pairs
 
 
@@ -620,10 +662,12 @@ def closed_form_degree(plain, reciprocal, n):
 
 def _restrict(fan, plus, minus):
     """The cones of `fan` inside the cone (plus, minus), as a fan of the
-    same dimension and weight."""
+    same dimension and weight.  They are some of the fan's own cones, kept
+    in its order, so they need neither the constructor's sort nor its
+    checks."""
     inside = {cone: mult for cone, mult in fan.cones.items()
               if not (cone[0] & ~plus or cone[1] & ~minus)}
-    return _ordered_fan(fan.ambient_dim, fan.dim, inside, fan.global_weight)
+    return _built_fan(fan.ambient_dim, fan.dim, inside, fan.global_weight)
 
 
 def fan_degree_pipeline(plain, reciprocal, n, rng):
@@ -660,7 +704,10 @@ def fan_degree_pipeline(plain, reciprocal, n, rng):
     form's `_partitions`.  The sum's global weight is that sum's, 1/delta.
     Its cones are built in _cone_order: each plus mask of
     standard_tls(m, n) in its order, with each minus mask of
-    standard_tls(mt, n, negated=True) disjoint from it in theirs.
+    standard_tls(mt, n, negated=True) disjoint from it in theirs.  They pass
+    `_check_cones` by construction, so it is not run: the masks are
+    disjoint, of m and mt set bits among coordinates 0..n, and c is a
+    multiplicity of `minkowski_sum`'s checked fan, so it is positive.
 
     Returns one dict: "dim" and "degree", the summed "fan", its
     "complement", "delta", the "displacement" drawn by draw_generic_vector,
@@ -683,9 +730,9 @@ def fan_degree_pipeline(plain, reciprocal, n, rng):
     (c,) = counted.cones.values()
     plus_masks = [plus for plus, _ in standard_tls(m, n).cones]
     minus_masks = [minus for _, minus in standard_tls(mt, n, negated=True).cones]
-    summed = _ordered_fan(n, m + mt, {(plus, minus): c for plus in plus_masks
-                                      for minus in minus_masks if not plus & minus},
-                          counted.global_weight)
+    summed = _built_fan(n, m + mt, {(plus, minus): c for plus in plus_masks
+                                    for minus in minus_masks if not plus & minus},
+                        counted.global_weight)
     complement = standard_tls(n - m - mt, n)
     v = draw_generic_vector(n, rng)
     degree, pairs = stable_mult_origin(summed, complement, v)

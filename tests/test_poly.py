@@ -4,6 +4,7 @@ import random
 import sys
 from fractions import Fraction
 from math import comb, gcd, lcm
+from operator import mul
 
 import pytest
 
@@ -155,6 +156,35 @@ def test_monomial_products_match_the_power_loops():
             assert all(type(x) is int for row in monomial_products(ints, d) for x in row)
             assert [list(r) for r in zip(*got)] == _former_evaluation_rows(list(zip(*vectors)), d)
     assert monomial_products([[2, 3]], 0) == [(1, 1)]
+
+
+def _level_by_level_products(vectors, d):
+    """Oracle: monomial_products as it was built before its power tables,
+    every degree from 1 to d, the product for e the one for e minus a unit
+    at its first nonzero slot k, times vectors[k]."""
+    n = len(vectors)
+    level = {(0,) * n: (1,) * len(vectors[0])}
+    for _ in range(d):
+        nxt = {}
+        for e, row in level.items():
+            first = next((k for k, x in enumerate(e) if x), n - 1)
+            for k in range(first + 1):
+                nxt[e[:k] + (e[k] + 1,) + e[k + 1:]] = tuple(map(mul, row, vectors[k]))
+        level = nxt
+    return [level[e] for e in monomials_of_degree(n, d)]
+
+
+def test_monomial_products_match_the_level_by_level_build():
+    rng = random.Random(11)
+    for nvars in range(1, 7):
+        for d in range(9):
+            width = rng.randint(1, 5)
+            vectors = [[rng.randint(-99, 99) for _ in range(width)] for _ in range(nvars)]
+            got = monomial_products(vectors, d)
+            assert got == _level_by_level_products(vectors, d)
+            assert all(type(row) is tuple and all(type(x) is int for x in row) for row in got)
+    line = [[rng.randint(-9, 9) for _ in range(4)] for _ in range(2)]
+    assert monomial_products(line, 300) == _level_by_level_products(line, 300)
 
 
 def test_json_round_trip():

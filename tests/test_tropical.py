@@ -480,6 +480,55 @@ def test_ordered_fan_is_the_validated_fan():
             tropical._ordered_fan(3, 1, cones)
 
 
+def _assert_is_the_checked_fan(fan):
+    """A fan built without `_check_cones` is the constructor's fan of the
+    same cones and weight: given the cones in reverse, the constructor
+    validates them and sorts them back into the builder's order."""
+    want = SignedConeFan(fan.ambient_dim, fan.dim, dict(reversed(fan.cones.items())),
+                         fan.global_weight)
+    assert fan == want and list(fan.cones.items()) == list(want.cones.items())
+    assert type(fan.global_weight) is Fraction
+    with pytest.raises(TypeError):  # read-only, as the constructor's
+        fan.cones[next(iter(fan.cones))] = 2
+
+
+def test_standard_fans_skip_no_check_they_would_fail():
+    # Every standard fan of the memoized domain, plain and negated, and in
+    # P^63, P^64 and P^100 those of at most binom(n + 1, 2) cones.
+    cases = [(m, n) for n in range(tropical.MEMO_COORDS) for m in range(n + 1)]
+    cases += [(m, n) for n in (63, 64, 100) for m in (0, 1, 2, n - 1, n)]
+    for m, n in cases:
+        for negated in (False, True):
+            _assert_is_the_checked_fan(standard_tls(m, n, negated))
+            _assert_is_the_checked_fan(tropical._standard_fan(m, n, negated))
+
+
+def test_pipeline_fans_skip_no_check_they_would_fail(monkeypatch):
+    # Each restriction to the representative cone and each summed fan of
+    # the criterion 5/6 instances, caught as the pipeline builds it.
+    for n in range(9):  # the standard fans the grids use, built beforehand
+        for m in range(n + 1):
+            standard_tls(m, n), standard_tls(m, n, negated=True)
+    built_fan = tropical._built_fan
+    built = []
+    monkeypatch.setattr(tropical, "_built_fan", lambda *args: built.append(built_fan(*args))
+                        or built[-1])
+    rng = random.Random(82)
+    grid = criterion_05_grid() + criterion_06_grid()
+    restrictions = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for plain, recip, n in grid:
+            built.clear()
+            summed = fan_degree_pipeline(plain, recip, n, rng)["fan"]
+            factors = [mk for mk, _ in [*plain, *recip] if mk]
+            assert len(built) == len(factors) + 1 and built[-1] is summed
+            for fan in built:
+                _assert_is_the_checked_fan(fan)
+            restrictions += len(factors)
+    assert len(grid) == 342 and restrictions > 342
+
+
 def test_lattice_index_basics():
     n = 4
     a = _cone([0, 1])
@@ -646,6 +695,27 @@ def test_cone_pair_meets_requires_complementary_cones():
             cone_pair_meets(cone, other, v, 3)
 
 
+def test_cone_pair_meets_both_ways():
+    # sigma1 meets sigma2 + v iff sigma2 meets sigma1 - v, on random signed
+    # cones that leave out one coordinate, ties in v allowed: what lets
+    # stable_mult_origin walk either fan.
+    rng = random.Random(84)
+    meets = 0
+    for trial in range(3000):
+        n = rng.randint(1, 9)
+        coords = rng.sample(range(n + 1), n + 1)
+        k = rng.randint(0, n)
+        cone1, cone2 = _random_signs(rng, coords[1:k + 1]), _random_signs(rng, coords[k + 1:])
+        if trial % 2:
+            v = draw_generic_vector(n, rng)
+        else:
+            v = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n + 1)]
+        met = cone_pair_meets(cone1, cone2, v, n)
+        assert met == cone_pair_meets(cone2, cone1, [-x for x in v], n)
+        meets += met
+    assert 300 < meets < 2700
+
+
 def test_stable_mult_standard_complements():
     rng = random.Random(61)
     for m, n in [(1, 2), (1, 3), (2, 4), (2, 5), (0, 3)]:
@@ -717,6 +787,47 @@ def test_stable_mult_lookup_matches_all_pairs_oracle():
                 firsts = [cone1 for cone1, _, _ in record]
                 several += any(firsts.count(c) > 1 for c in firsts)
     assert hits > 500 and several > 20
+
+
+def test_stable_mult_walks_the_smaller_fan_both_ways(monkeypatch):
+    # The walk takes fan_g when it has fewer cones and fan_f otherwise, ties
+    # included; either way the total and the record, in fan_f and then
+    # fan_g order, are the all-pairs oracle's, and the mirrored question,
+    # fan_g against fan_f at -v, pairs the same cones.
+    walks = tropical._partner_walks
+    walked = []
+    monkeypatch.setattr(tropical, "_partner_walks",
+                        lambda cones, *args: walked.append(cones) or walks(cones, *args))
+    rng = random.Random(83)
+    took = {"fan_f": 0, "fan_g": 0, "tie": 0}
+    heavy = weighted = minus = 0
+    for _ in range(400):
+        n = rng.randint(1, 7)
+        m = rng.randint(0, n)
+        v = draw_generic_vector(n, rng)
+        fan_f, fan_g = _random_signed_fan(rng, m, n), _partner_fan(rng, m, n, v)
+        if rng.random() < 0.5:
+            fan_f, fan_g = negate_fan(fan_g), negate_fan(fan_f)
+            v = tuple(-x for x in v)
+        if rng.random() < 0.3:  # as many cones on both sides
+            size = min(len(fan_f.cones), len(fan_g.cones))
+            fan_f, fan_g = (SignedConeFan(n, fan.dim, dict(list(fan.cones.items())[:size]),
+                                          fan.global_weight) for fan in (fan_f, fan_g))
+        walked.clear()
+        total, record = stable_mult_origin(fan_f, fan_g, v)
+        assert (total, record) == _all_pairs_oracle(fan_f, fan_g, v)
+        fewer_g = len(fan_g.cones) < len(fan_f.cones)
+        assert len(walked) == 1 and walked[0] is (fan_g.cones if fewer_g else fan_f.cones)
+        mirror_total, mirror = stable_mult_origin(fan_g, fan_f, [-x for x in v])
+        assert mirror_total == total
+        assert sorted((c1, c2) for c2, c1, _ in mirror) == sorted((c1, c2) for c1, c2, _ in record)
+        if record:
+            took["fan_g" if fewer_g else "fan_f"] += 1
+            took["tie"] += len(fan_f.cones) == len(fan_g.cones)
+            heavy += any(fan_f.cones[c1] * fan_g.cones[c2] > 1 for c1, c2, _ in record)
+            weighted += fan_f.global_weight * fan_g.global_weight != 1
+            minus += any(c1[1] or c2[1] for c1, c2, _ in record)
+    assert min(took.values()) > 50 and min(heavy, weighted, minus) > 150
 
 
 def test_stable_mult_lookup_keys_on_signs():
