@@ -5,6 +5,11 @@ one computation with a single seeded random state, and emits a JSON
 document.  Identical payload + seed always produces byte-identical output;
 `interp` reads no random state, so its output is the same at every seed.
 
+Payloads are read by `read_payload` from one table, SCHEMA: each
+subcommand's fields in the order they are read, with their kinds, defaults
+and ranges, the variants it branches on and the checks across fields, so
+a payload with two bad fields is named by the first one read.
+
 Output is written once, as compact JSON text with sorted keys.  Every
 subcommand but `degree --transcript` returns a dict, which `main` encodes
 with one `json.dumps(doc, sort_keys=True, separators=(",", ":"))`.
@@ -12,8 +17,8 @@ with one `json.dumps(doc, sort_keys=True, separators=(",", ":"))`.
 thousands per document, fill a fixed template from the JSON text of their
 masks (`tropical.mask_text`, memoized on the domain of
 `tropical.mask_indices`), the summed fan's from one shared head per minus
-mask and multiplicity; its four small fields go through json.dumps.  Text
-is written as it is.
+mask and multiplicity; its four small fields, an int and `rat_str` texts
+that need no escapes, fill one too.  Text is written as it is.
 
 `--format pretty` is `json.dumps(json.loads(text), indent=2,
 sort_keys=True)` of that compact text, for every subcommand, and gives the
@@ -66,6 +71,7 @@ last two checked before the work:
   star_configs.STAR_CONFIG_BIT_WORK_LIMIT (that count times the squared
   bits of its general position minors);
 - a `segre` sampler past samplers.SEGRE_AMBIENT_LIMIT, before it is built;
+- a sampler past samplers.SAMPLER_FACTOR_LIMIT factors, before it is built;
 - a `span-dim` by `dims` whose SAMPLE_BUDGET draws were all rank-deficient;
 - an `interp` whose work, over all the degrees of a `dmax` search, passes
   linalg.LIFT_BUDGET: each matrix's build, charged before it is built,
@@ -78,9 +84,11 @@ import random
 import re
 import sys
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 from math import comb
 from types import SimpleNamespace
+from typing import NamedTuple
 
 from . import papersuite
 from .brackets import (cubic_plane_square, quadric_bracket_display,
@@ -103,6 +111,8 @@ from .tropical import closed_form_degree, fan_degree_pipeline, mask_text
 
 DEFAULT_SEED = 20259
 
+TOO_DEEP = "payload nested too deeply"
+
 
 class ValidationError(ValueError):
     def __init__(self, field, message):
@@ -110,140 +120,283 @@ class ValidationError(ValueError):
         super().__init__(message)
 
 
-def _want(payload, field, kind, required=True, default=None):
-    if field not in payload:
-        if required:
-            raise ValidationError(field, "missing required field")
-        return default
-    value = payload[field]
-    if kind is int and not is_json_int(value):
-        raise ValidationError(field, "expected an integer")
-    if kind is list and not isinstance(value, list):
-        raise ValidationError(field, "expected a list")
-    if kind is dict and not isinstance(value, dict):
-        raise ValidationError(field, "expected an object")
-    if kind is str and not isinstance(value, str):
-        raise ValidationError(field, "expected a string")
-    return value
+# ---------------------------------------------------------------------------
+# the payload schema: kinds, SCHEMA, and its one reader
 
 
-def _parse_rational(value, field, *index):
-    """A rational literal (`linalg.is_rational_literal`): a JSON integer as
-    it is, a string as a Fraction; anything else is a validation error,
-    whose message gives the entry's location, `[i][j]` for `index` (i, j)."""
-    if is_json_int(value):
-        return value
+def _rational(value, field, *index):
+    """An entry that is not an int, as a rational literal
+    (`linalg.is_rational_literal`): a string as a Fraction; anything else is
+    a validation error, whose message gives the entry's location, `[i][j]`
+    for `index` (i, j)."""
+    where = "".join("[%d]" % k for k in index)
     if is_rational_literal(value):
         try:
             return Fraction(value)
         except ZeroDivisionError:
-            raise ValidationError(field, "zero denominator at %s" % _where(index))
+            raise ValidationError(field, "zero denominator at %s" % where)
         except ValueError as exc:  # more digits than int() converts
-            raise ValidationError(field, "bad rational entry at %s: %s" % (_where(index), exc))
+            raise ValidationError(field, "bad rational entry at %s: %s" % (where, exc))
     got = "a float" if isinstance(value, float) else json.dumps(value)
     raise ValidationError(field, "expected an integer or a \"num/den\" string at %s, got %s"
-                          % (_where(index), got))
+                          % (where, got))
 
 
-def _where(index):
-    return "".join("[%d]" % k for k in index)
+# A kind reads a JSON value into what a subcommand uses, or raises
+# ValidationError.  A required field not of its kind's `json_type` is named
+# before it is read ("expected a list"); a list item also gets the items
+# read before it.
 
 
-def _parse_matrix(data, field):
-    if not isinstance(data, list) or not data or not all(isinstance(r, list) for r in data):
-        raise ValidationError(field, "expected a non-empty list of rows")
-    # An int entry is taken as it is (a bool is not one); the rest are parsed.
-    rows = [[x if type(x) is int else _parse_rational(x, field, i, j) for j, x in enumerate(row)]
-            for i, row in enumerate(data)]
+class Int(NamedTuple):
+    """A JSON integer, at least `least` unless that is None."""
+    least: object = None
+    message: str = "expected an integer"
+    json_type = int
+
+    def read(self, value, field, earlier=()):
+        if not is_json_int(value) or self.least is not None and value < self.least:
+            raise ValidationError(field, self.message)
+        return value
+
+
+class Choice(NamedTuple):
+    """One of `choices`; the message is formatted with the value."""
+    choices: tuple
+    message: str
+    json_type = str
+
+    def read(self, value, field, earlier=()):
+        if value not in self.choices:
+            raise ValidationError(field, self.message.format(value))
+        return value
+
+
+class Space(NamedTuple):
+    """A linear space: rows of rational entries of full row rank; a line's two."""
+    line: bool = False
+    json_type = list
+
+    def read(self, value, field, earlier=()):
+        if not isinstance(value, list) or not value or not all(isinstance(r, list) for r in value):
+            raise ValidationError(field, "expected a non-empty list of rows")
+        # An int entry is taken as it is (a bool is not one); the rest are parsed.
+        rows = [[x if type(x) is int else _rational(x, field, i, j) for j, x in enumerate(row)]
+                for i, row in enumerate(value)]
+        try:
+            space = LinSpace(QMatrix(rows))
+        except ValueError as exc:
+            raise ValidationError(field, str(exc))
+        if self.line and space.dim != 1:
+            raise ValidationError(field, "expected exactly two generator rows")
+        return space
+
+
+class Point(NamedTuple):
+    """A projective point: rational coordinates, not all zero."""
+    json_type = list
+
+    def read(self, value, field, earlier=()):
+        if not isinstance(value, list) or not value:
+            raise ValidationError(field, "expected a coordinate list")
+        coords = [x if type(x) is int else _rational(x, field, j) for j, x in enumerate(value)]
+        try:
+            return PPoint(coords)
+        except ValueError as exc:
+            raise ValidationError(field, str(exc))
+
+
+class Pair(NamedTuple):
+    """A [dimension, multiplicity] pair, as a tuple."""
+    json_type = list
+
+    def read(self, value, field, earlier=()):
+        if not isinstance(value, list) or len(value) != 2 or not all(map(is_json_int, value)):
+            raise ValidationError(field, "expected [dimension, multiplicity]")
+        if value[0] < 0 or value[1] < 1:
+            raise ValidationError(field, "dimension must be >= 0 and multiplicity >= 1")
+        return tuple(value)
+
+
+class List(NamedTuple):
+    """At least `least` items; `short` (or `message`) for fewer."""
+    item: object
+    message: str
+    least: int = 0
+    short: str = None
+    json_type = list
+
+    def read(self, value, field, earlier=()):
+        if not isinstance(value, list) or len(value) < self.least:
+            raise ValidationError(field, self.message if not isinstance(value, list)
+                                  else self.short or self.message)
+        items = []
+        for i, x in enumerate(value):
+            items.append(self.item.read(x, "%s[%d]" % (field, i), items))
+        return items
+
+
+class Obj:
+    """An object whose fields `steps` reads (a list item's with the items
+    before it as `earlier`), made into its value by `build`."""
+    json_type = dict
+
+    def __init__(self, message, build, steps=()):
+        self.message, self.build, self.steps = message, build, steps
+
+    def read(self, value, field, earlier=()):
+        if not isinstance(value, dict):
+            raise ValidationError(field, self.message)
+        return self.build(_read(self.steps, value, field + ".", None,
+                                SimpleNamespace(earlier=earlier)))
+
+
+def check(name, test, message):
+    """A step: ValidationError(name, message) unless test(fields) holds for
+    the fields read so far; the message is formatted with them ({0.x})."""
+    def step(fields, prefix):
+        if not test(fields):
+            raise ValidationError(prefix + name, message.format(fields))
+    return step
+
+
+def _same_ambient(fields, prefix):
+    n = fields.factors[0].ambient_dim
+    for i, factor in enumerate(fields.factors):
+        if factor.ambient_dim != n:
+            raise ValidationError("%sfactors[%d]" % (prefix, i), "ambient dimension P^%d "
+                                  "differs from factors[0]'s P^%d" % (factor.ambient_dim, n))
+
+
+_JSON_NAMES = {int: "an integer", str: "a string", list: "a list", dict: "an object"}
+
+
+def _read(steps, data, prefix, args, fields):
+    """The JSON object `data` read as `steps` lists them, into `fields`.  A
+    step is a check, a field (name, kind[, default]: without one it is
+    required) or a branch (on, cases[, error]): the case is keyed by a field
+    read before, a flag, or the names of a tuple present in `data`."""
+    todo = list(reversed(steps))
+    while todo:
+        step = todo.pop()
+        if callable(step):
+            step(fields, prefix)
+            continue
+        name, kind, *default = step
+        if isinstance(kind, dict):
+            if isinstance(name, tuple):
+                key = tuple(n for n in name if n in data)
+            else:
+                key = getattr(args, OPTIONS[name][0]) if name[:2] == "--" else getattr(fields, name)
+            if key not in kind:
+                raise ValidationError(*default[0])
+            todo += reversed(kind[key])
+            continue
+        field = prefix + name
+        if name in data:
+            value = data[name]
+            if not default and not (is_json_int(value) if kind.json_type is int
+                                    else isinstance(value, kind.json_type)):
+                raise ValidationError(field, "expected " + _JSON_NAMES[kind.json_type])
+        elif default:
+            value = default[0]
+        else:
+            raise ValidationError(field, "missing required field")
+        setattr(fields, name, kind.read(value, field))
+    return fields
+
+
+SPACE = Space()
+PAIRS = List(Pair(), "expected a list of [dimension, multiplicity] pairs")
+SEGRE = Int(1, "segre sampler needs positive integers a, b")
+_SAMPLERS = {
+    "linear": lambda f: linear_space_sampler(f.generators),
+    "reciprocal": lambda f: reciprocal_sampler(f.generators),
+    "segre": lambda f: segre_sampler(f.a, f.b),
+    "product": lambda f: reduce(hadamard_product_sampler, f.factors),
+    "power": lambda f: hadamard_power_sampler(f.base, f.r),
+}
+#: A sampler object by its "type"; a product or power past
+#: samplers.SAMPLER_FACTOR_LIMIT factors is refused before it is built.
+SAMPLER = Obj("expected a sampler object", lambda f: _SAMPLERS[f.type](f))
+SAMPLER.steps = (
+    ("type", Choice(tuple(_SAMPLERS), "unknown sampler type {!r} "
+                    "(linear, reciprocal, segre, product, power)"), None),
+    ("type", {"linear": (("generators", SPACE, None),),
+              "reciprocal": (("generators", SPACE, None),),
+              "segre": (("a", SEGRE, None), ("b", SEGRE, None)),
+              "product": (("factors", List(SAMPLER, "need at least two factor samplers", 2),
+                           None), _same_ambient),
+              "power": (("r", Int(1, "power must be a positive integer"), None),
+                        ("base", SAMPLER, None))}))
+
+#: A `span-dim` space, (space, multiplicity), in spaces[0]'s P^n.
+SPACE_ENTRY = Obj("expected an object", lambda f: (f.generators, f.mult), (
+    ("generators", SPACE, None),
+    check("generators", lambda f: not f.earlier
+          or f.generators.ambient_dim == f.earlier[0][0].ambient_dim,
+          "ambient dimension differs from spaces[0]"),
+    ("mult", Int(1, "multiplicity must be >= 1"), 1)))
+
+#: `bracket verify`: with --symbolic it reads no trials and no space.
+VERIFY = (
+    ("identity", Choice(("quadric", "cubic"), "expected 'quadric' or 'cubic'")),
+    ("--symbolic", {True: (), False: (
+        ("trials", Int(1, "trials must be a positive integer"), 25),
+        ("identity", {"quadric": (("line_l", SPACE, list(papersuite.LINE_L_POINTS)),
+                                  ("line_m", SPACE, list(papersuite.LINE_M_POINTS))),
+                      "cubic": (("plane", SPACE, list(papersuite.PLANE_POINTS)),)}))}))
+
+#: Each subcommand's payload: the steps `_read` takes, in order.
+SCHEMA = {
+    "line-power": (("line", Space(line=True)), ("r", Int(1, "power must be >= 1"))),
+    "star-config": (("line", Space(line=True)), ("points", List(Point(), "expected a list")),
+                    ("r", Int())),
+    "span-dim": ((("spaces",), {
+        ("spaces",): (("spaces", List(SPACE_ENTRY, "expected a list", 1,
+                                      "need at least one space")),),
+        (): (("dims", List(Pair(), PAIRS.message, 1,
+                           "need at least one [dimension, multiplicity] pair")),
+             ("n", Int()),
+             check("n", lambda f: all(m <= f.n for m, _ in f.dims),
+                   "ambient dimension must be at least every dimension in dims")),
+    }),),
+    "degree": (("plain", PAIRS, []), ("reciprocal", PAIRS, []),
+               check("plain", lambda f: f.plain or f.reciprocal, "need at least one factor"),
+               ("n", Int(0, "ambient dimension must be >= 0"))),
+    "interp": (("sampler", SAMPLER), (("degree", "dmax"), {
+        ("degree",): (("degree", Int(1, "degree must be >= 1")),),
+        ("dmax",): (("dmax", Int(1, "dmax must be >= 1")),),
+    }, ("degree", "provide exactly one of 'degree' or 'dmax'"))),
+    "dim-estimate": (
+        ("x", SAMPLER), ("y", SAMPLER),
+        check("y", lambda f: f.y.ambient_dim == f.x.ambient_dim,
+              "ambient dimension P^{0.y.ambient_dim} differs from x's P^{0.x.ambient_dim}"),
+        ("dim_h", Int(0, "torus dimension must be >= 0")), ("dim_g", Int()),
+        check("dim_g", lambda f: 0 <= f.dim_g <= f.x.ambient_dim,
+              "torus dimension must be between 0 and n = {0.x.ambient_dim}")),
+    "bracket": (
+        ("mode", Choice(("quadric", "cubic", "verify"), "expected 'quadric', 'cubic', or 'verify'")),
+        ("mode", {"quadric": (("line_l", SPACE), ("line_m", SPACE)),
+                  "cubic": (("plane", SPACE),),
+                  "verify": VERIFY})),
+}
+
+
+def read_payload(command, payload, args):
+    """The payload's fields as SCHEMA[command] reads them, in a namespace."""
     try:
-        return QMatrix(rows)
-    except ValueError as exc:
-        raise ValidationError(field, str(exc))
-
-
-def _parse_space(data, field):
-    mat = _parse_matrix(data, field)
-    try:
-        return LinSpace(mat)
-    except ValueError as exc:
-        raise ValidationError(field, str(exc))
-
-
-def _parse_point(data, field):
-    if not isinstance(data, list) or not data:
-        raise ValidationError(field, "expected a coordinate list")
-    coords = [x if type(x) is int else _parse_rational(x, field, j) for j, x in enumerate(data)]
-    try:
-        return PPoint(coords)
-    except ValueError as exc:
-        raise ValidationError(field, str(exc))
-
-
-def _parse_sampler(data, field):
-    if not isinstance(data, dict):
-        raise ValidationError(field, "expected a sampler object")
-    kind = data.get("type")
-    if kind == "linear":
-        return linear_space_sampler(_parse_space(data.get("generators"), field + ".generators"))
-    if kind == "reciprocal":
-        return reciprocal_sampler(_parse_space(data.get("generators"), field + ".generators"))
-    if kind == "segre":
-        a = data.get("a")
-        b = data.get("b")
-        for name, value in (("a", a), ("b", b)):
-            if not is_json_int(value) or value < 1:
-                raise ValidationError(field + "." + name, "segre sampler needs positive integers a, b")
-        return segre_sampler(a, b)
-    if kind == "product":
-        factors = data.get("factors")
-        if not isinstance(factors, list) or len(factors) < 2:
-            raise ValidationError(field + ".factors", "need at least two factor samplers")
-        built = [_parse_sampler(f, "%s.factors[%d]" % (field, i)) for i, f in enumerate(factors)]
-        for i, factor in enumerate(built):
-            if factor.ambient_dim != built[0].ambient_dim:
-                raise ValidationError("%s.factors[%d]" % (field, i),
-                                      "ambient dimension P^%d differs from factors[0]'s P^%d"
-                                      % (factor.ambient_dim, built[0].ambient_dim))
-        sampler = built[0]
-        for nxt in built[1:]:
-            sampler = hadamard_product_sampler(sampler, nxt)
-        return sampler
-    if kind == "power":
-        r = data.get("r")
-        if not is_json_int(r) or r < 1:
-            raise ValidationError(field + ".r", "power must be a positive integer")
-        return hadamard_power_sampler(_parse_sampler(data.get("base"), field + ".base"), r)
-    raise ValidationError(field + ".type",
-                          "unknown sampler type %r (linear, reciprocal, segre, product, power)" % kind)
-
-
-def _parse_dim_mult_list(data, field):
-    if not isinstance(data, list):
-        raise ValidationError(field, "expected a list of [dimension, multiplicity] pairs")
-    out = []
-    for i, pair in enumerate(data):
-        if (not isinstance(pair, list) or len(pair) != 2
-                or not all(is_json_int(x) for x in pair)):
-            raise ValidationError("%s[%d]" % (field, i), "expected [dimension, multiplicity]")
-        m, r = pair
-        if m < 0 or r < 1:
-            raise ValidationError("%s[%d]" % (field, i),
-                                  "dimension must be >= 0 and multiplicity >= 1")
-        out.append((m, r))
-    return out
+        return _read(SCHEMA[command], payload, "", args, SimpleNamespace())
+    except RecursionError:  # a sampler nested past the recursion limit
+        raise ValidationError(None, TOO_DEEP) from None
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each but paper-suite gets the payload's fields
 
 
-def cmd_line_power(payload, rng, args):
-    line = _parse_space(_want(payload, "line", list), "line")
-    if line.dim != 1:
-        raise ValidationError("line", "expected exactly two generator rows")
-    r = _want(payload, "r", int)
-    if r < 1:
-        raise ValidationError("r", "power must be >= 1")
+def cmd_line_power(fields, rng, args):
+    line, r = fields.line, fields.r
     check_line_power_limits(line, r)
     n = line.ambient_dim
     pl = pluecker(line)
@@ -273,16 +426,11 @@ def cmd_line_power(payload, rng, args):
     }
 
 
-def cmd_star_config(payload, rng, args):
-    line = _parse_space(_want(payload, "line", list), "line")
-    if line.dim != 1:
-        raise ValidationError("line", "expected exactly two generator rows")
-    raw_points = _want(payload, "points", list)
-    points = [_parse_point(p, "points[%d]" % i) for i, p in enumerate(raw_points)]
-    r = _want(payload, "r", int)
+def cmd_star_config(fields, rng, args):
+    line, points, r = fields.line, fields.points, fields.r
     check_star_config_limits(len(points), r, line.ambient_dim)
     check_star_config_bit_work(line, points, r)
-    try:
+    try:  # after the limits: the points share one P^n and are distinct
         zset = PointSet(points)
     except ValueError as exc:
         raise ValidationError("points", str(exc))
@@ -317,35 +465,16 @@ def _draw_space(rng, m, n):
                           % (m + 1, n, SAMPLE_BUDGET))
 
 
-def cmd_span_dim(payload, rng, args):
-    if "spaces" in payload:
-        raw = _want(payload, "spaces", list)
-        if not raw:
-            raise ValidationError("spaces", "need at least one space")
-        entries = []
-        for i, item in enumerate(raw):
-            if not isinstance(item, dict):
-                raise ValidationError("spaces[%d]" % i, "expected an object")
-            space = _parse_space(item.get("generators"), "spaces[%d].generators" % i)
-            if entries and space.ambient_dim != entries[0][0].ambient_dim:
-                raise ValidationError("spaces[%d].generators" % i,
-                                      "ambient dimension differs from spaces[0]")
-            mult = item.get("mult", 1)
-            if not is_json_int(mult) or mult < 1:
-                raise ValidationError("spaces[%d].mult" % i, "multiplicity must be >= 1")
-            entries.append((space, mult))
+def cmd_span_dim(fields, rng, args):
+    if hasattr(fields, "spaces"):
+        entries = fields.spaces
         n = entries[0][0].ambient_dim
         check_span_dim_work([(s.dim, r) for s, r in entries], n)
         check_span_dim_bit_work(entries)
     else:
-        dims = _parse_dim_mult_list(_want(payload, "dims", list), "dims")
-        if not dims:
-            raise ValidationError("dims", "need at least one [dimension, multiplicity] pair")
-        n = _want(payload, "n", int)
-        if any(m > n for m, _ in dims):
-            raise ValidationError("n", "ambient dimension must be at least every dimension in dims")
-        check_span_dim_work(dims, n)
-        entries = [(_draw_space(rng, m, n), r) for m, r in dims]
+        n = fields.n
+        check_span_dim_work(fields.dims, n)
+        entries = [(_draw_space(rng, m, n), r) for m, r in fields.dims]
     rank = integer_rank(gen_vandermonde(entries).ints)
     formula = span_dimension_formula([(s.dim, r) for s, r in entries], n)
     return {
@@ -367,7 +496,8 @@ def _transcript_text(detail):
     The summed fan's cones are written from one shared head per (minus
     mask, multiplicity), the text up to the plus mask, and joined once
     (the fan of a pipeline has at least one cone); only the few
-    contributing pairs render their cones on their own."""
+    contributing pairs render their cones on their own.  The small fields
+    are an int and `rat_str` texts, which json.dumps writes as they are."""
     fan, complement = detail["fan"], detail["complement"]
     heads, cones = {}, []
     for (plus, minus), mult in fan.cones.items():
@@ -378,24 +508,16 @@ def _transcript_text(detail):
     pairs = ",".join('{"lattice_index":%d,"sigma1":%s,"sigma2":%s}'
                      % (idx, _cone_text(c1, fan.cones[c1]), _cone_text(c2, complement.cones[c2]))
                      for c1, c2, idx in detail["pairs"])
-    small = json.dumps({"delta": detail["delta"],
-                        "displacement": [rat_str(x) for x in detail["displacement"]],
-                        "fan_degree": rat_str(detail["degree"]),
-                        "global_weight": rat_str(fan.global_weight)},
-                       sort_keys=True, separators=(",", ":"))
-    return '{"cones":[%s}],"contributing_pairs":[%s],%s' % ("},".join(cones), pairs, small[1:])
+    displacement = ",".join('"%s"' % rat_str(x) for x in detail["displacement"])
+    return ('{"cones":[%s}],"contributing_pairs":[%s],"delta":%d,"displacement":[%s],'
+            '"fan_degree":"%s","global_weight":"%s"}'
+            % ("},".join(cones), pairs, detail["delta"], displacement,
+               rat_str(detail["degree"]), rat_str(fan.global_weight)))
 
 
-def cmd_degree(payload, rng, args):
+def cmd_degree(fields, rng, args):
     """The degree document; with --transcript, already as compact JSON text."""
-    plain = _parse_dim_mult_list(payload.get("plain", []), "plain")
-    reciprocal = _parse_dim_mult_list(payload.get("reciprocal", []), "reciprocal")
-    if not plain and not reciprocal:
-        raise ValidationError("plain", "need at least one factor")
-    n = _want(payload, "n", int)
-    if n < 0:
-        raise ValidationError("n", "ambient dimension must be >= 0")
-    dim, degree, warning = closed_form_degree(plain, reciprocal, n)
+    dim, degree, warning = closed_form_degree(fields.plain, fields.reciprocal, fields.n)
     doc = {"dim": dim, "degree": rat_str(degree)}
     if warning:
         doc["warning"] = warning
@@ -403,48 +525,25 @@ def cmd_degree(payload, rng, args):
         return doc
     text = '{"degree":%s,"dim":%d,"transcript":%s' % (
         json.dumps(doc["degree"]), dim,
-        _transcript_text(fan_degree_pipeline(plain, reciprocal, n, rng)))
+        _transcript_text(fan_degree_pipeline(fields.plain, fields.reciprocal, fields.n, rng)))
     if warning:
         text += ',"warning":' + json.dumps(warning)
     return text + "}"
 
 
-def cmd_interp(payload, rng, args):
-    sampler = _parse_sampler(_want(payload, "sampler", dict), "sampler")
-    has_degree = "degree" in payload
-    has_dmax = "dmax" in payload
-    if has_degree == has_dmax:
-        raise ValidationError("degree", "provide exactly one of 'degree' or 'dmax'")
-    if has_degree:
-        d = _want(payload, "degree", int)
-        if d < 1:
-            raise ValidationError("degree", "degree must be >= 1")
-        forms = interpolate_forms(sampler, d)
-        return {"degree": d, "forms": [f.to_json() for f in forms]}
-    dmax = _want(payload, "dmax", int)
-    if dmax < 1:
-        raise ValidationError("dmax", "dmax must be >= 1")
-    degree, form = interpolate_hypersurface(sampler, dmax)
+def cmd_interp(fields, rng, args):
+    if hasattr(fields, "degree"):
+        forms = interpolate_forms(fields.sampler, fields.degree)
+        return {"degree": fields.degree, "forms": [form.to_json() for form in forms]}
+    degree, form = interpolate_hypersurface(fields.sampler, fields.dmax)
     return {"degree": degree, "form": form.to_json()}
 
 
-def cmd_dim_estimate(payload, rng, args):
-    sampler_x = _parse_sampler(_want(payload, "x", dict), "x")
-    sampler_y = _parse_sampler(_want(payload, "y", dict), "y")
-    if sampler_y.ambient_dim != sampler_x.ambient_dim:
-        raise ValidationError("y", "ambient dimension P^%d differs from x's P^%d"
-                              % (sampler_y.ambient_dim, sampler_x.ambient_dim))
-    n = sampler_x.ambient_dim
-    dim_h = _want(payload, "dim_h", int)
-    if dim_h < 0:
-        raise ValidationError("dim_h", "torus dimension must be >= 0")
-    dim_g = _want(payload, "dim_g", int)
-    if not 0 <= dim_g <= n:
-        raise ValidationError("dim_g", "torus dimension must be between 0 and n = %d" % n)
-    p, tp = sampler_x.sample(rng)
-    q, tq = sampler_y.sample(rng)
+def cmd_dim_estimate(fields, rng, args):
+    p, tp = fields.x.sample(rng)
+    q, tq = fields.y.sample(rng)
     tangent_dim = terracini_dim(p, tp, q, tq)
-    expected = expected_dimension(tp.dim, tq.dim, dim_h, dim_g)
+    expected = expected_dimension(tp.dim, tq.dim, fields.dim_h, fields.dim_g)
     return {
         "dim_x": tp.dim,
         "dim_y": tq.dim,
@@ -454,70 +553,56 @@ def cmd_dim_estimate(payload, rng, args):
     }
 
 
-def cmd_bracket(payload, rng, args):
-    mode = _want(payload, "mode", str)
-    if mode == "quadric":
-        line_l = _parse_space(_want(payload, "line_l", list), "line_l")
-        line_m = _parse_space(_want(payload, "line_m", list), "line_m")
-        form = quadric_two_lines(pluecker(line_l), pluecker(line_m))
+def cmd_bracket(fields, rng, args):
+    if fields.mode == "quadric":
+        form = quadric_two_lines(pluecker(fields.line_l), pluecker(fields.line_m))
         doc = {"form": form.to_json()}
         if args.format == "pretty":
             doc["bracket_display"] = quadric_bracket_display()
         return doc
-    if mode == "cubic":
-        plane = _parse_space(_want(payload, "plane", list), "plane")
-        form = cubic_plane_square(pluecker(plane))
-        return {"form": form.to_json()}
-    if mode == "verify":
-        identity = _want(payload, "identity", str)
-        if identity not in ("quadric", "cubic"):
-            raise ValidationError("identity", "expected 'quadric' or 'cubic'")
-        if args.symbolic:
-            if identity != "quadric":
-                raise PreconditionError(
-                    "symbolic expansion is only provided for the quadric identity; "
-                    "the cubic identity is verified by sampling and interpolation")
-            return {
-                "mode": "symbolic",
-                "expansion_zero": quadric_symbolic_identity().is_zero(),
-                "square_identity": quadric_square_symbolic(),
-            }
-        trials = payload.get("trials", 25)
-        if not is_json_int(trials) or trials < 1:
-            raise ValidationError("trials", "trials must be a positive integer")
-        if identity == "quadric":
-            line_l = _parse_space(payload.get("line_l", list(papersuite.LINE_L_POINTS)), "line_l")
-            line_m = _parse_space(payload.get("line_m", list(papersuite.LINE_M_POINTS)), "line_m")
-            form = quadric_two_lines(pluecker(line_l), pluecker(line_m))
-            sampler = hadamard_product_sampler(
-                linear_space_sampler(line_l), linear_space_sampler(line_m))
-        else:
-            plane = _parse_space(payload.get("plane", list(papersuite.PLANE_POINTS)), "plane")
-            form = cubic_plane_square(pluecker(plane))
-            sampler = hadamard_power_sampler(linear_space_sampler(plane), 2)
-        ok = verify_identity(form, sampler, trials, rng)
-        return {"mode": "sampling", "trials": trials, "verified": ok}
-    raise ValidationError("mode", "expected 'quadric', 'cubic', or 'verify'")
+    if fields.mode == "cubic":
+        return {"form": cubic_plane_square(pluecker(fields.plane)).to_json()}
+    if args.symbolic:
+        if fields.identity != "quadric":
+            raise PreconditionError(
+                "symbolic expansion is only provided for the quadric identity; "
+                "the cubic identity is verified by sampling and interpolation")
+        return {
+            "mode": "symbolic",
+            "expansion_zero": quadric_symbolic_identity().is_zero(),
+            "square_identity": quadric_square_symbolic(),
+        }
+    if fields.identity == "quadric":
+        form = quadric_two_lines(pluecker(fields.line_l), pluecker(fields.line_m))
+        sampler = hadamard_product_sampler(
+            linear_space_sampler(fields.line_l), linear_space_sampler(fields.line_m))
+    else:
+        form = cubic_plane_square(pluecker(fields.plane))
+        sampler = hadamard_power_sampler(linear_space_sampler(fields.plane), 2)
+    ok = verify_identity(form, sampler, fields.trials, rng)
+    return {"mode": "sampling", "trials": fields.trials, "verified": ok}
 
 
 def cmd_paper_suite(payload, rng, args):
     return papersuite.run_all(args.seed)
 
 
+def _reading(command, run):
+    """`run` as `main` calls it: on the fields of the payload, read as
+    SCHEMA[command] lists them."""
+    return lambda payload, rng, args: run(read_payload(command, payload, args), rng, args)
+
+
 COMMANDS = {
-    "line-power": cmd_line_power,
-    "star-config": cmd_star_config,
-    "span-dim": cmd_span_dim,
-    "degree": cmd_degree,
-    "interp": cmd_interp,
-    "dim-estimate": cmd_dim_estimate,
-    "bracket": cmd_bracket,
+    "line-power": _reading("line-power", cmd_line_power),
+    "star-config": _reading("star-config", cmd_star_config),
+    "span-dim": _reading("span-dim", cmd_span_dim),
+    "degree": _reading("degree", cmd_degree),
+    "interp": _reading("interp", cmd_interp),
+    "dim-estimate": _reading("dim-estimate", cmd_dim_estimate),
+    "bracket": _reading("bracket", cmd_bracket),
     "paper-suite": cmd_paper_suite,
 }
-
-NEEDS_PAYLOAD = {"line-power", "star-config", "span-dim", "degree", "interp",
-                 "dim-estimate", "bracket"}
-
 
 #: Every long option: the attribute it sets, its kind (int, str, a tuple of
 #: choices, or bool for a switch) and its default.  `-h` is `--help`, a
@@ -677,7 +762,7 @@ def main(argv=None):
         return _fail(1, "seed", "seed must be a nonnegative integer")
 
     payload = {}
-    if args.command in NEEDS_PAYLOAD:
+    if args.command in SCHEMA:
         try:
             if args.infile:
                 with open(args.infile) as fh:
@@ -689,6 +774,8 @@ def main(argv=None):
             return _fail(1, "in", str(exc))
         except ValueError as exc:  # bad JSON, or an integer past int()'s digit limit
             return _fail(1, None, "malformed JSON payload: %s" % exc)
+        except RecursionError:
+            return _fail(1, None, TOO_DEEP)
         if not isinstance(payload, dict):
             return _fail(1, None, "payload must be a JSON object")
 

@@ -7,7 +7,8 @@ X x Y under a monomial map.  A sampler is that tuple of factors
 (space, reciprocal?).  The Segre variety of rank-one matrices is the
 product of two linear factors, u v^T = (u 1^T) * (1 v^T): the matrices
 constant along rows times the matrices constant along columns.  A product
-of samplers concatenates their factors, and a power repeats them.
+of samplers concatenates their factors, and a power repeats them, up to
+SAMPLER_FACTOR_LIMIT factors.
 
 One draw serves every sampler.  It draws the factors in order and
 multiplies; an undefined product (disjoint supports) restarts it from the
@@ -133,15 +134,36 @@ def segre_sampler(a, b):
     return VarietySampler(_segre_factors(a, b))
 
 
+#: Most factors of a sampler that `hadamard_product_sampler` or
+#: `hadamard_power_sampler` builds; past it, they raise BudgetExhausted
+#: before building it, so the CLI refuses a sampler as it reads it.  Whole
+#: processes on a 2-vCPU Xeon VM, powers of 1-digit spaces: `interp` of a
+#: reciprocal line in P^3 (dmax 3, refused by the grid) took 1.7 s at 64
+#: factors and 2.6 s at 72, of a line in P^2 (degree 3) 1.6 s at 64 and
+#: 2.8 s at 72; `dim-estimate` of a line or a plane in P^2 to P^9 took at
+#: most 0.12 s at 64.
+SAMPLER_FACTOR_LIMIT = 64
+
+
+def _check_factor_count(count):
+    if count > SAMPLER_FACTOR_LIMIT:
+        raise BudgetExhausted("the sampler has %d factors, past the limit of %d"
+                              % (count, SAMPLER_FACTOR_LIMIT))
+
+
 def hadamard_product_sampler(first, second):
-    """Sampler of the Hadamard product of two sampled varieties."""
+    """Sampler of the Hadamard product of two sampled varieties; past
+    SAMPLER_FACTOR_LIMIT factors, BudgetExhausted before it is built."""
     if first.ambient_dim != second.ambient_dim:
         raise ValueError("ambient dimensions differ")
+    _check_factor_count(len(first.factors) + len(second.factors))
     return VarietySampler(first.factors + second.factors)
 
 
 def hadamard_power_sampler(base, r):
-    """r-fold Hadamard product of a sampler with itself (independent draws)."""
+    """r-fold Hadamard product of a sampler with itself (independent draws);
+    past SAMPLER_FACTOR_LIMIT factors, BudgetExhausted before it is built."""
     if r < 1:
         raise ValueError("power must be >= 1")
+    _check_factor_count(len(base.factors) * r)
     return VarietySampler(base.factors * r)

@@ -212,15 +212,6 @@ def _built_fan(ambient_dim, dim, cones, global_weight=1):
                        MappingProxyType(cones), global_weight)
 
 
-def _ordered_fan(ambient_dim, dim, cones, global_weight=1):
-    """The SignedConeFan of a dict of cones already in _cone_order, which
-    the fan then holds: the constructor's checks of every cone, without its
-    sort."""
-    fan = _built_fan(ambient_dim, dim, cones, global_weight)
-    fan._check_cones()
-    return fan
-
-
 def standard_tls(m, n, negated=False):
     """The standard tropical linear space of dimension m in P^n's torus,
     or with `negated` its negation, the tropicalization of the reciprocal

@@ -115,7 +115,8 @@ def _dict_route_degree(payload, seed):
     """The `degree --transcript` document built as one dict per cone, the
     route the CLI took before it wrote the transcript as text: the oracle
     of the writer."""
-    doc = cli.cmd_degree(payload, None, cli.parse_args(["degree"]))
+    args = cli.parse_args(["degree"])
+    doc = cli.cmd_degree(cli.read_payload("degree", payload, args), None, args)
     plain = [tuple(x) for x in payload.get("plain", [])]
     reciprocal = [tuple(x) for x in payload.get("reciprocal", [])]
     detail = tropical.fan_degree_pipeline(plain, reciprocal, payload["n"], random.Random(seed))
@@ -550,7 +551,7 @@ def test_interp_build_charge_is_spent_before_the_grid(monkeypatch):
     # build.  With the cell one unit short of its build charge, nothing is
     # built; with the charge, the grid is the next step.
     rng = random.Random(150)
-    sampler = cli._parse_sampler({"type": "product", "factors": [
+    sampler = cli.SAMPLER.read({"type": "product", "factors": [
         {"type": "linear", "generators": _digits_space(rng, 1, 6, 150)},
         {"type": "reciprocal", "generators": _digits_space(rng, 2, 6, 150)}]}, "sampler")
     charge = _build_charge(sampler, 3)
@@ -668,7 +669,7 @@ def test_interp_many_forms_of_big_entries_are_answered(monkeypatch):
     assert proc.returncode == 0 and proc.stderr == ""
     monkeypatch.setattr(products, "integer_kernel_basis",
                         lambda rows, budget=None, most=None: linalg.bareiss_kernel_basis(rows))
-    forms = products.interpolate_forms(cli._parse_sampler(sampler, "sampler"), 3)
+    forms = products.interpolate_forms(cli.SAMPLER.read(sampler, "sampler"), 3)
     assert len(forms) == 110
     assert json.loads(proc.stdout) == {"degree": 3, "forms": [f.to_json() for f in forms]}
 
@@ -680,7 +681,7 @@ def test_interp_degrees_share_one_lift_budget(monkeypatch):
     golden = INTERP_GOLDENS[1]
     assert golden["name"] == "squared_plane_p5" and golden["payload"]["dmax"] == 3
     sampler_doc = json.loads(json.dumps(golden["payload"]["sampler"]))
-    plain = cli._parse_sampler(sampler_doc, "sampler")
+    plain = cli.SAMPLER.read(sampler_doc, "sampler")
     cells, spent, forms = [], [], products.interpolate_forms
 
     def recording(sampler, d, budget=None, most=None, built=None):
@@ -709,7 +710,7 @@ def test_interp_degrees_share_one_lift_budget(monkeypatch):
     # it exits 3 at degree 3, though degree 3 alone is within it.
     base = sampler_doc["base"]
     base["generators"] = [[linalg.KERNEL_PRIME * x for x in row] for row in base["generators"]]
-    scaled = cli._parse_sampler(sampler_doc, "sampler")
+    scaled = cli.SAMPLER.read(sampler_doc, "sampler")
     grids, grid = [], products.interpolation_grid
     monkeypatch.setattr(products, "interpolation_grid", lambda s, d: grids.append(d) or grid(s, d))
     monkeypatch.setattr(linalg, "LIFT_BUDGET", 10 ** 30)
@@ -907,7 +908,7 @@ def test_interp_wrong_hint_spends_its_probe_build(monkeypatch, capsys):
     assert cli.main(["interp"]) == 0
     assert capsys.readouterr().out == (
         '{"degree":1,"form":[[[1,0,0,0,0,0],"4"],[[0,1,0,0,0,0],"-1"]]}\n')
-    sampler = cli._parse_sampler(payload["sampler"], "sampler")
+    sampler = cli.SAMPLER.read(payload["sampler"], "sampler")
     degree_one = [linalg.LIFT_BUDGET]
     assert len(products.interpolate_forms(sampler, 1, degree_one)) == 1
     assert len(cells) == 1
@@ -955,7 +956,7 @@ def test_interp_bit_work_admits_the_benchmark_pools_and_the_goldens(monkeypatch,
     # and a grid coordinate of at most (5 + 2) + (6 + 2) bits, as the
     # entries reach 19 and 53 and the lattice's (D + 1) = 3 adds 2 bits: a
     # cell of at most 30 bits.
-    readme = cli._parse_sampler(INTERP_GOLDENS[0]["payload"]["sampler"], "sampler")
+    readme = cli.SAMPLER.read(INTERP_GOLDENS[0]["payload"]["sampler"], "sampler")
     assert products.interpolation_cost(readme, 2) == (
         None, 9 * 10 * (2000 + 30 * 5 // 5), 9 * 10 * 3 * (30 + 64))
     cells = []
@@ -1067,7 +1068,7 @@ def test_interp_grid_matches_the_sampled_oracle_fuzzed(monkeypatch, capsys):
         key, d = rng.choice([("degree", 1), ("degree", 2), ("dmax", 3)])
         payload[key] = d
         try:
-            sampler = cli._parse_sampler(payload["sampler"], "sampler")
+            sampler = cli.SAMPLER.read(payload["sampler"], "sampler")
         except cli.ValidationError:
             continue
         if products.interpolation_grid_size(sampler, d) * comb(n + d, d) > 4000:
