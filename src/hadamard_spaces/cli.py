@@ -55,28 +55,19 @@ budget exhaustion.  Exit 3 also covers every size limit, all but the
 last two checked before the work:
 - `degree --transcript` fans past tropical.FAN_BUDGET;
 - a `degree` whose digit bound is past Python's int-to-str limit;
-- `line-power` past products.SPAN_DIM_WORK_LIMIT or
-  products.SPAN_DIM_BIT_WORK_LIMIT (its power matrix) or past
-  line_powers.LINE_POWER_OUTPUT_LIMIT (its printed entries);
-- `span-dim` past products.SPAN_DIM_WORK_LIMIT or, with explicit
-  generators, past products.SPAN_DIM_BIT_WORK_LIMIT (counting its entries'
-  bits);
 - an `interp` degree past products.INTERP_MONOMIAL_BUDGET, or whose
   parameter grid times its monomials is past products.INTERP_GRID_LIMIT;
 - an `interp` of an empty product (a reciprocal factor in a coordinate
   hyperplane, or factors whose product map vanishes);
 - `bracket verify` trials past brackets.VERIFY_TRIALS_LIMIT;
-- `star-config` past star_configs.STAR_CONFIG_OUTPUT_LIMIT (its printed
-  entries and general position minors, counted from m, r and n) or past
-  star_configs.STAR_CONFIG_BIT_WORK_LIMIT (that count times the squared
-  bits of its general position minors);
 - a `segre` sampler past samplers.SEGRE_AMBIENT_LIMIT, before it is built;
 - a sampler past samplers.SAMPLER_FACTOR_LIMIT factors, before it is built;
-- a `span-dim` by `dims` whose SAMPLE_BUDGET draws were all rank-deficient;
-- an `interp` whose work, over all the degrees of a `dmax` search, passes
-  linalg.LIFT_BUDGET: each matrix's build, charged before it is built,
-  and its kernel's lifting and exact checks, each step charged before it
-  runs.
+- work past linalg.LIFT_BUDGET, charged to one `linalg.lift_budget` cell
+  through `linalg.spend` before it runs: all of `span-dim`'s, `line-power`'s
+  and `star-config`'s before any; `dim-estimate`'s tangent folds and the
+  steps of its rank, and `interp`'s builds, lifting steps and exact
+  checks, each;
+- a `span-dim` by `dims` whose SAMPLE_BUDGET draws were all rank-deficient.
 """
 
 import json
@@ -94,24 +85,29 @@ from . import papersuite
 from .brackets import (cubic_plane_square, quadric_bracket_display,
                        quadric_square_symbolic, quadric_symbolic_identity,
                        quadric_two_lines, verify_identity)
-from .linalg import (BudgetExhausted, PreconditionError, QMatrix, integer_rank, is_json_int,
-                     is_rational_literal, rat_str)
-from .line_powers import (check_line_power_limits, line_power_matrix, line_power_minor,
+from .linalg import (BudgetExhausted, PreconditionError, QMatrix, bareiss_steps, integer_rank,
+                     is_json_int, is_rational_literal, lift_budget, rat_str, spend)
+from .line_powers import (line_power_matrix, line_power_minor, power_charge,
                           power_linear_equations, sampled_power_span)
 from .poly import SparsePoly
-from .products import (check_span_dim_bit_work, check_span_dim_work, expected_dimension,
-                       gen_vandermonde, interpolate_forms, interpolate_hypersurface,
-                       span_dimension_formula, terracini_dim)
+from .products import (expected_dimension, gen_vandermonde, interpolate_forms,
+                       interpolate_hypersurface, span_dimension_formula, terracini_dim,
+                       vandermonde_charge)
 from .projective import SAMPLE_BUDGET, LinSpace, PPoint, pluecker
 from .samplers import (hadamard_power_sampler, hadamard_product_sampler,
                        linear_space_sampler, reciprocal_sampler, segre_sampler)
-from .star_configs import (PointSet, build_star, check_star_config_bit_work,
-                           check_star_config_limits, verify_star)
+from .star_configs import PointSet, build_star, star_charge, verify_star
 from .tropical import closed_form_degree, fan_degree_pipeline, mask_text
 
 DEFAULT_SEED = 20259
 
 TOO_DEEP = "payload nested too deeply"
+
+#: Deepest nesting of lists and objects in a payload; deeper is TOO_DEEP,
+#: below the depths, which differ between Pythons, where json.loads or the
+#: reader overflow the recursion limit (a chain of 491 power samplers).
+#: 63 nested products, SAMPLER_FACTOR_LIMIT's most, nest 131 deep.
+PAYLOAD_DEPTH_LIMIT = 200
 
 
 class ValidationError(ValueError):
@@ -385,10 +381,18 @@ SCHEMA = {
 
 def read_payload(command, payload, args):
     """The payload's fields as SCHEMA[command] reads them, in a namespace."""
-    try:
-        return _read(SCHEMA[command], payload, "", args, SimpleNamespace())
-    except RecursionError:  # a sampler nested past the recursion limit
-        raise ValidationError(None, TOO_DEEP) from None
+    return _read(SCHEMA[command], payload, "", args, SimpleNamespace())
+
+
+def _too_deep(doc):
+    """Whether lists and objects nest in `doc` past PAYLOAD_DEPTH_LIMIT."""
+    level = [doc] if isinstance(doc, (list, dict)) else []
+    for _ in range(PAYLOAD_DEPTH_LIMIT):
+        if not level:
+            return False
+        level = [x for v in level for x in (v.values() if isinstance(v, dict) else v)
+                 if isinstance(x, (list, dict))]
+    return bool(level)
 
 
 # ---------------------------------------------------------------------------
@@ -397,8 +401,8 @@ def read_payload(command, payload, args):
 
 def cmd_line_power(fields, rng, args):
     line, r = fields.line, fields.r
-    check_line_power_limits(line, r)
     n = line.ambient_dim
+    spend(lift_budget(), "the power at r = %d in P^%d" % (r, n), power_charge(line, r))
     pl = pluecker(line)
     if pl.nonvanishing():
         power = LinSpace.span_of(line_power_matrix(line, r))
@@ -428,9 +432,10 @@ def cmd_line_power(fields, rng, args):
 
 def cmd_star_config(fields, rng, args):
     line, points, r = fields.line, fields.points, fields.r
-    check_star_config_limits(len(points), r, line.ambient_dim)
-    check_star_config_bit_work(line, points, r)
-    try:  # after the limits: the points share one P^n and are distinct
+    if 1 <= r <= min(len(points), line.ambient_dim):  # else build_star refuses r
+        spend(lift_budget(), "the star configuration of %d points at r = %d in P^%d"
+              % (len(points), r, line.ambient_dim), star_charge(line, points, r))
+    try:  # after the budget: the points share one P^n and are distinct
         zset = PointSet(points)
     except ValueError as exc:
         raise ValidationError("points", str(exc))
@@ -465,16 +470,23 @@ def _draw_space(rng, m, n):
                           % (m + 1, n, SAMPLE_BUDGET))
 
 
-def cmd_span_dim(fields, rng, args):
+def span_dim_charge(fields):
+    """Units of `span-dim` on its payload's fields: the rank of its
+    Vandermonde matrix (`products.vandermonde_charge`) and, by `dims`, each
+    drawn space's reduction (entries below 2^10), priced as two passes."""
     if hasattr(fields, "spaces"):
-        entries = fields.spaces
-        n = entries[0][0].ambient_dim
-        check_span_dim_work([(s.dim, r) for s, r in entries], n)
-        check_span_dim_bit_work(entries)
-    else:
-        n = fields.n
-        check_span_dim_work(fields.dims, n)
-        entries = [(_draw_space(rng, m, n), r) for m, r in fields.dims]
+        return vandermonde_charge([(s.dim, r, s.generators.ints) for s, r in fields.spaces],
+                                  fields.spaces[0][0].ambient_dim)
+    n = fields.n
+    return (vandermonde_charge([(m, r, None) for m, r in fields.dims], n)
+            + sum(2 * sum(bareiss_steps(m + 1, n + 1, lambda i: 10)) for m, _ in fields.dims))
+
+
+def cmd_span_dim(fields, rng, args):
+    drawn = not hasattr(fields, "spaces")
+    n = fields.n if drawn else fields.spaces[0][0].ambient_dim
+    spend(lift_budget(), "the generalized Vandermonde matrix in P^%d" % n, span_dim_charge(fields))
+    entries = [(_draw_space(rng, m, n), r) for m, r in fields.dims] if drawn else fields.spaces
     rank = integer_rank(gen_vandermonde(entries).ints)
     formula = span_dimension_formula([(s.dim, r) for s, r in entries], n)
     return {
@@ -540,9 +552,10 @@ def cmd_interp(fields, rng, args):
 
 
 def cmd_dim_estimate(fields, rng, args):
-    p, tp = fields.x.sample(rng)
-    q, tq = fields.y.sample(rng)
-    tangent_dim = terracini_dim(p, tp, q, tq)
+    budget = lift_budget()
+    p, tp = fields.x.sample(rng, budget)
+    q, tq = fields.y.sample(rng, budget)
+    tangent_dim = terracini_dim(p, tp, q, tq, budget)
     expected = expected_dimension(tp.dim, tq.dim, fields.dim_h, fields.dim_g)
     return {
         "dim_x": tp.dim,
@@ -775,6 +788,9 @@ def main(argv=None):
         except ValueError as exc:  # bad JSON, or an integer past int()'s digit limit
             return _fail(1, None, "malformed JSON payload: %s" % exc)
         except RecursionError:
+            return _fail(1, None, TOO_DEEP)
+        # A level of nesting takes two characters, its brackets, of the text.
+        if len(text) > 2 * PAYLOAD_DEPTH_LIMIT and _too_deep(payload):
             return _fail(1, None, TOO_DEEP)
         if not isinstance(payload, dict):
             return _fail(1, None, "payload must be a JSON object")

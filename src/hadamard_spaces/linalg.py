@@ -285,9 +285,10 @@ class QMatrix:
         return Fraction(integer_det(self.ints), self.den ** self.nrows)
 
 
-def integer_rank(rows):
-    """Rank of an integer matrix: the pivot count of one Bareiss pass."""
-    return len(_bareiss_echelon(rows)[1])
+def integer_rank(rows, charge=None):
+    """Rank of an integer matrix: the pivot count of one Bareiss pass,
+    `charge` (when given) called before each of its steps."""
+    return len(_bareiss_echelon(rows, charge)[1])
 
 
 def integer_det(rows):
@@ -344,7 +345,7 @@ def _laplace_minors(rows):
     return minors
 
 
-def _bareiss_echelon(rows):
+def _bareiss_echelon(rows, charge=None):
     """Fraction-free row echelon form of an integer matrix (Bareiss 1968).
 
     Returns (echelon rows, pivot columns, sign of the row swaps).  The pivot
@@ -352,7 +353,8 @@ def _bareiss_echelon(rows):
     After k pivots every entry below them is a (k+1)-minor of the row-swapped
     input, so the division by the previous pivot is exact and entries stay
     at minor size; in particular the last pivot of a nonsingular square
-    matrix is its determinant times the sign.
+    matrix is its determinant times the sign.  `charge`, when given, is
+    called before each pivot's elimination: a pass pays for its steps only.
     """
     rows = [list(r) for r in rows]
     nr = len(rows)
@@ -365,6 +367,8 @@ def _bareiss_echelon(rows):
         pivot = next((r for r in range(pr, nr) if rows[r][c]), None)
         if pivot is None:
             continue
+        if charge is not None:
+            charge()
         if pivot != pr:
             rows[pr], rows[pivot] = rows[pivot], rows[pr]
             sign = -sign
@@ -436,12 +440,13 @@ def bareiss_kernel_basis(rows):
 #: packed rows by a shift, a mask and a small multiply.
 KERNEL_PRIME = (1 << 27) - 39
 
-#: Units that the work sharing a `lift_budget` cell may spend: an interp
-#: request's builds, kernels and exact checks, over all the degrees of a
-#: `dmax` search.  Units, then 10^-10 seconds per unit, in process on a
-#: 2-vCPU Xeon VM, budget lifted, each scaled to the rate of a reference
-#: kernel run next to it as the VM's speed drifted (interp at dmax 3 or
-#: degree d; digits in brackets; * refused):
+#: Units that the work of one request may spend, charged to one
+#: `lift_budget` cell through `spend` before it runs (see the cli docstring),
+#: priced by `product_charge`, `bareiss_steps` and counts of printed
+#: entries.  Units, then 10^-10 seconds per unit, budget lifted, on a 2-vCPU
+#: Xeon VM (digits in brackets; * refused).  interp in process, each scaled
+#: to the rate of a reference kernel run next to it as the VM's speed
+#: drifted (at dmax 3 or degree d):
 #:   squared plane in P^5 [30] 2.2e9, 1.2; [100] 1.2e10, 1.3; [150] 2.0e10, 1.1
 #:   reciprocal plane in P^3 [1000] 9.5e9, 0.91; line in P^6 [300], d 2, 1.1e10, 1.1
 #:   d 2*: reciprocal line in P^3 [3000] 3.1e10, 1.3; squared [1000] 3.0e10, 1.0
@@ -452,7 +457,33 @@ KERNEL_PRIME = (1 << 27) - 39
 #:   in P^21 [15] (2,838 x 253) 1.9e10, 1.3; checks of the same in P^21 with
 #:   4 distinct columns (243 forms, each checked on 2,778 rows): [1]* 8.6e10,
 #:   1.1; [23]* 1.4e11, 1.2 (its build alone, 3.4e10, is refused unbuilt)
-#: So the budget is 2.0-3.5 s of work, within criterion 1's 5 s.
+#: The others as whole processes, start-up included (python 3.11):
+#:   span-dim dims [[1,1]] in P^735293 8.9e9, 1.9; [[3,24]] in P^10 1.2e10,
+#:   0.80; [[1,39]] in P^39 1.5e10, 0.92; a line of [60] in P^10 at mult 25
+#:   1.6e10, 0.79; refused ones are priced only as far as the budget: dims
+#:   [[5,1]] in P^166665 2.9 s, [[1,55]] in P^30 2.3 s; a line of [60] in P^3
+#:   at mult 120 3.5 s, in P^10 at mult 40 5.8 s and 60 19 s
+#:   line-power of a clean line [[1,...,1],[0,...,n]]: r 1 in P^55 9.6e9, 1.0;
+#:   P^56 1.0e10, 1.0; r 2 in P^28 5.9e9, 0.99; r 3 in P^21 6.8e9, 1.2; r 4
+#:   in P^17 5.3e9, 1.1; P^3 at r 20,000 9.4e9, 0.78; [[1,1,1,1],[1,2,3,4]] at
+#:   r 20,000 9.4e9, 1.3; two column points in P^243 at r 1 1.1e9, 1.7; a line
+#:   of [21] in P^3 at r 100 4.4e9, 0.68 (at r 300, refused, 6.3 s)
+#:   star-config of m points at r in P^n on a random line, (m, r, n): (30, 4,
+#:   5) [2] 1.1e10, 1.6; [10]* 3.7e10, 0.95; [15]* 6.0e10, 0.80; (120, 2, 3)
+#:   [2] 6.3e9, 1.5; [53]* 5.4e10, 0.57; (18, 7, 10) [2]* 2.6e10, 1.0; (17, 8,
+#:   16) [2]* 3.3e10, 0.94; [3]* 4.8e10, 0.74; [4]* 6.3e10, 0.73; [10]* 1.8e11,
+#:   1.4; (17, 9, 10) [4]* 7.0e10, 1.1; (17, 10, 11) [4]* 7.7e10, 1.7; (18,
+#:   11, 12) [2]* 8.8e10, 0.76; 2 points at r 1 in P^700 6.0e9, 1.2
+#:   dim-estimate of a power of a space of [1] times the all-ones point: a
+#:   reciprocal line in P^20 to the 8th 4.8e9, 2.0; 12th 1.7e10, 1.9; 16th*
+#:   2.8e10, 1.6 and 5.1e10, 2.1; 32nd* 9.5e10, 1.3; in P^10 to the 64th*
+#:   3.4e10, 1.2; a line in P^40 to the 64th* 2.5e10, 1.3; a plane in P^20
+#:   to the 64th* 2.5e10, 1.3; Segre a = 1, b = 99 with itself* 3.0e10,
+#:   0.77, a = 2, b = 66 1.5e10, 0.61 (their Terracini rank, charged step by
+#:   step, pays for about half its rows)
+#: So the budget is 1.3-4.6 s of work, within criterion 1's 5 s.  A line
+#: whose first row has a zero entry is priced at its largest bits in every
+#: row: [[0,1,1,1],[7,2,3,4]] at r 1245 2.0e10, 0.23 (0.5 s).
 LIFT_BUDGET = 22 * 10 ** 9
 
 #: Units of a lifting step beyond its product's k^2 b, (per entry of the k x
@@ -714,11 +745,10 @@ def _row_check_charge(nc, support, bits, vec):
     """Units of `_annihilates` on a row of `nc` entries below 2^bits and a
     vector of at most `support` nonzero entries of b bits at most: 400 +
     bits / 50 per entry read (the entries of an interp matrix's row, built
-    column by column, lie far apart in memory), and 2000 + max(bits, b)
-    sqrt(min(bits, b)) / 2 per product, Karatsuba's cost with its exponent
-    rounded to 1.5."""
+    column by column, lie far apart in memory), and a `product_charge` per
+    product."""
     b = max(map(abs, vec)).bit_length()
-    return nc * (400 + bits // 50) + support * (2000 + max(bits, b) * isqrt(min(bits, b)) // 2)
+    return nc * (400 + bits // 50) + support * product_charge(bits, b)
 
 
 def _residual(b, products, p):
@@ -939,6 +969,65 @@ def _dixon_kernel(rows, height, nc, p, budget, charge, most=None):
 def lift_budget():
     """[LIFT_BUDGET]: the units left to the work that shares it."""
     return [LIFT_BUDGET]
+
+
+def product_charge(bits, other):
+    """Units of one product of ints of `bits` and `other` bits: 2000 +
+    max sqrt(min) / 2, Karatsuba's cost with its exponent rounded to 1.5."""
+    return 2000 + max(bits, other) * isqrt(min(bits, other)) // 2
+
+
+def bareiss_steps(nr, nc, bits, nonzero=None):
+    """Units of each step of a Bareiss pass (`_bareiss_echelon`) over nr x
+    nc integer rows, in order, row i's entries of at most bits(i) bits
+    (monotone in i), `nonzero` of them nonzero (all when None); the steps
+    stop once their sum is past LIFT_BUDGET, so the sum of a pass past it
+    is some number past it, and a budget is overdrawn before they stop.
+
+    Pivots come from the first rows.  Before step j a row's entries are
+    j-minors of at most pi_j + bits(i) bits, pi_j the first j rows' bits
+    (Hadamard's bound).  Each of its nc - j cells takes two products and an
+    exact division by the last pivot (schoolbook in CPython 3.11: quotient
+    times divisor bits / 64), all but the interpreter's 2000 units taken at
+    the share of nonzero entries.  The rows below a step are priced in at
+    most 16 blocks, each at the bits of one of its ends, and as one block
+    once the rest have equal bits.  The first step's products are at least
+    those that built the matrix, so the pass prices its build too.
+    """
+    pi = units = 0
+    for j in range(min(nr, nc)):
+        if units > LIFT_BUDGET:
+            return
+        b = bits(j)
+        top = pi + b
+        cells = work = 0
+        size, lo = -(-(nr - j - 1) // 16), j + 1
+        while lo < nr:
+            hi = nr - 1 if bits(lo) == bits(nr - 1) else min(lo + size, nr) - 1
+            entry = pi + max(bits(lo), bits(hi))
+            count = (hi - lo + 1) * (nc - j)
+            cells += count
+            work += count * (2 * product_charge(top, entry) - 2000 + (b + entry) * pi // 64)
+            lo = hi + 1
+        step = 2000 * cells + (work if nonzero is None else work * nonzero // (nr * nc))
+        units += step
+        yield step
+        pi = top
+
+
+def capped_comb(m, k, cap):
+    """binom(m, k), or some number past cap once it is past it.  binom(m, i)
+    grows with i up to m / 2, and at least doubles per step there, so the
+    product is built one factor at a time up to min(k, m - k) and stops once
+    past cap: no huge binomial is formed."""
+    if k > m:
+        return 0
+    value = 1
+    for i in range(1, min(k, m - k) + 1):
+        value = value * (m - i + 1) // i
+        if value > cap:
+            break
+    return value
 
 
 def spend(budget, work, units):

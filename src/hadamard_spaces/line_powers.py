@@ -13,24 +13,10 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, prod
 
-from .linalg import BudgetExhausted, PreconditionError
+from .linalg import LIFT_BUDGET, PreconditionError, capped_comb, product_charge
 from .poly import SparsePoly
-from .products import (SPAN_DIM_BIT_WORK_LIMIT, SPAN_DIM_WORK_LIMIT, column_points,
-                       gen_vandermonde, vandermonde_bit_work, vandermonde_work)
+from .products import column_points, gen_vandermonde, row_logs, vandermonde_charge
 from .projective import LinSpace, permutation_sign
-
-#: Most Pluecker entries plus equations `line-power` prints
-#: (`power_output_count`); past it, `check_line_power_limits` raises
-#: BudgetExhausted before any work.  Each clean equation prints n + 1
-#: exponents per term, so a clean line at r = 1 is the slowest kind per
-#: entry.  Payloads near the limit, whole processes on a 2-vCPU Xeon VM:
-#: clean lines [[1, ..., 1], [0, 1, ..., n]] at r = 1 in P^55 (29,260
-#: entries) 2.8 s, r = 2 in P^28 2.1 s, r = 3 in P^20 1.5 s, r = 4 in P^17
-#: 1.5 s; a line of two column points at r = 1 in P^243 0.5 s.  The work
-#: limit's edge, a clean line in P^3 at r = 1245, takes 0.3 s, 0.18 s of
-#: it in process (1.7 s and 1.5 s while `poly.monomial_products` built
-#: every degree up to r).
-LINE_POWER_OUTPUT_LIMIT = 30000
 
 
 def line_power_matrix(line, r):
@@ -48,8 +34,8 @@ def line_power_matrix(line, r):
     return gen_vandermonde([(line, r)])
 
 
-def power_output_count(line, r):
-    """Pluecker entries plus linear equations `line-power` prints for the
+def power_output(line, r):
+    """(d, Pluecker entries, equations) that `line-power` prints for the
     r-th power of a line in P^n, counted from its columns, nothing formed.
 
     Column k of the power matrix is the r-th Veronese image of the
@@ -60,32 +46,29 @@ def power_output_count(line, r):
     clean power with r < n prints its binom(n+1, r+1) minors and the
     binom(n+1, r+2) equations of `power_linear_equations`; every other
     power prints the binom(n+1, d+1) Pluecker coordinates of its span and
-    its n - d kernel equations.
+    its n - d kernel equations.  Either way an equation has at most d + 2
+    terms.  Past LIFT_BUDGET a count is some number past it
+    (`linalg.capped_comb`).
     """
     n = line.ambient_dim
     c = len(column_points(line))
     d = min(r, c - 1)
-    return comb(n + 1, d + 1) + (comb(n + 1, d + 2) if c == n + 1 and r < n else n - d)
+    return (d, capped_comb(n + 1, d + 1, LIFT_BUDGET),
+            capped_comb(n + 1, d + 2, LIFT_BUDGET) if c == n + 1 and r < n else n - d)
 
 
-def check_line_power_limits(line, r):
-    """Raise BudgetExhausted when the r-th power of a line is past a limit:
-    its (r+1) x (n+1) power matrix past span-dim's SPAN_DIM_WORK_LIMIT
-    (`products.vandermonde_work`) or, counting its entries' bits, past
-    span-dim's SPAN_DIM_BIT_WORK_LIMIT (`products.vandermonde_bit_work`,
-    entries of up to r b bits for b the line's largest bit length); or its
-    output past LINE_POWER_OUTPUT_LIMIT (`power_output_count`)."""
+def power_charge(line, r):
+    """Units of `line-power` at r: the Bareiss pass of its power matrix
+    (`products.vandermonde_charge`), its one reduction, and its printed
+    entries (`power_output`) in products (`linalg.product_charge`) of the
+    bits of binom(d + 1, 2) brackets of the line, a closed-form minor: an
+    equation's d + 2 terms of n + 1 exponents and a coefficient, a product
+    each, and a Pluecker entry's d + 1 key indices and value, four each."""
     n = line.ambient_dim
-    if vandermonde_work([(1, r)], n) > SPAN_DIM_WORK_LIMIT:
-        raise BudgetExhausted("the power matrix at r = %d in P^%d is past the work limit of %d"
-                              % (r, n, SPAN_DIM_WORK_LIMIT))
-    if vandermonde_bit_work([(line, r)]) > SPAN_DIM_BIT_WORK_LIMIT:
-        raise BudgetExhausted("the power matrix at r = %d in P^%d, counting its entries' bits, "
-                              "is past the bit work limit of %d" % (r, n, SPAN_DIM_BIT_WORK_LIMIT))
-    count = power_output_count(line, r)
-    if count > LINE_POWER_OUTPUT_LIMIT:
-        raise BudgetExhausted("the power at r = %d in P^%d has %d Pluecker entries and "
-                              "equations, past the limit of %d" % (r, n, count, LINE_POWER_OUTPUT_LIMIT))
+    d, minors, equations = power_output(line, r)
+    bits = comb(d + 1, 2) * (sum(row_logs(line.generators.ints)) + 2) + 1
+    return (vandermonde_charge([(1, r, line.generators.ints)], n)
+            + (4 * minors + equations * (n + 2)) * (d + 2) * product_charge(bits, bits))
 
 
 def line_power_minor(pl, r, indices):

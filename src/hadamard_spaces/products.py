@@ -24,8 +24,9 @@ from itertools import combinations_with_replacement
 from math import comb, isqrt, prod
 from operator import add, itemgetter, mul
 
-from .linalg import (BudgetExhausted, PreconditionError, QMatrix, integer_kernel_basis,
-                     integer_rank, lift_budget, primitive_ints, spend)
+from .linalg import (LIFT_BUDGET, BudgetExhausted, PreconditionError, QMatrix, bareiss_steps,
+                     capped_comb, integer_kernel_basis, integer_rank, lift_budget, primitive_ints,
+                     spend)
 from .poly import SparsePoly, monomial_products, monomials_of_degree
 from .projective import LinSpace, PPoint, sample_point
 
@@ -45,25 +46,6 @@ INTERP_MONOMIAL_BUDGET = 300
 #: on every row) are refused at the checks in 2.8 s; P^22 (895,356 cells)
 #: is refused at once.
 INTERP_GRID_LIMIT = 750000
-
-#: Largest work of a generalized Vandermonde rank (`check_span_dim_work`)
-#: that `span-dim` accepts; past it, it raises BudgetExhausted before any
-#: draw.  Payloads at the limit, whole processes on a 2-vCPU Xeon VM: the
-#: slowest measured, dims [[5, 1]] in P^166665, takes 3.2 s; [[1, 1]] in
-#: P^735293 2.1 s (321 MiB), [[1, 55]] in P^30 2.3 s, [[3, 24]] in P^10
-#: 1.1 s and [[1, 39]] in P^39 1.5 s.
-SPAN_DIM_WORK_LIMIT = 10 ** 8
-
-#: Largest `vandermonde_bit_work` that `span-dim` with explicit generators
-#: and `line-power` accept; past it, they raise BudgetExhausted before any
-#: work.  Whole processes on a 2-vCPU Xeon VM took 0.6-2.3 * 10^-13 s per
-#: unit on heavy payloads (entries of 6 to 1,003 bits, P^3 to P^20), so
-#: the limit keeps a rank near 2 s.  `span-dim` of a line of 60-digit
-#: entries: mult 120 in P^3 (1.8 * 10^13) took 2.5 s and mult 40 in P^10
-#: (3.8 * 10^13) 4.6 s, both now refused; mult 300 in P^3 took 32.9 s.  A
-#: `line-power` of 67-bit entries in P^3 at r = 300 took 7.4 s.
-SPAN_DIM_BIT_WORK_LIMIT = 10 ** 13
-
 
 def gen_vandermonde(entries):
     """Generalized Vandermonde matrix of a multiset of linear spaces.
@@ -92,71 +74,40 @@ def gen_vandermonde(entries):
     return QMatrix(rows, den)
 
 
-def vandermonde_work(dims_and_mults, n):
-    """The work R C (k^2 r + 64) of the rank of the generalized Vandermonde
-    matrix of spaces of dimensions m_k with multiplicities r_k in P^n, with
-    R = prod binom(m_k + r_k, r_k) rows and C = n + 1 columns, where k =
-    min(R, C) bounds its rank and r = sum r_k; or, once 64 R C alone is past
-    SPAN_DIM_WORK_LIMIT, some number past it.
-
-    Bareiss makes about R C k cell updates on minors of up to k r factors
-    of the entries: k^2 r per cell.  The 64 charges each cell's drawing,
-    building and clearing, which is most of the cost when k r is small.
-    The row count is built one binomial factor at a time and stops as soon
-    as 64 R C alone is past the limit, so no huge binomial is formed.  The
-    digits of explicit generators are not counted.
-    """
-    rows, cols = 1, n + 1
-    for m, r in dims_and_mults:
-        for i in range(1, min(m, r) + 1):
-            rows = rows * (max(m, r) + i) // i
-            if 64 * rows * cols > SPAN_DIM_WORK_LIMIT:
-                break
-    k = min(rows, cols)
-    return rows * cols * (k * k * sum(r for _, r in dims_and_mults) + 64)
-
-
-def bareiss_bit_work(rows, cols, bits):
-    """R C k^3 B^2, k = min(R, C), for Bareiss on an R x C matrix of B-bit
-    entries: about R C k updates, those of step j on j B-bit minors."""
-    return rows * cols * min(rows, cols) ** 3 * bits ** 2
-
-
-def vandermonde_bit_work(entries):
-    """The work R C k^3 B^2 of eliminating `gen_vandermonde(entries)`, for
-    (LinSpace, multiplicity r_k) entries in P^n: R = prod binom(m_k + r_k,
-    r_k) rows, C = n + 1 columns, k = min(R, C), and B = sum r_k b_k for
-    b_k the largest bit length of space k's integer generator entries.
-
-    A matrix entry is a product of r_k generator entries of each space, of
-    up to B bits (`bareiss_bit_work`).  `vandermonde_work` counts the same
-    updates linearly in sum r_k only, which is right for the small entries
-    it was timed on; check it first, so that R here is small.
-    """
-    rows = prod(comb(space.dim + r, r) for space, r in entries)
-    cols = entries[0][0].ambient_dim + 1
-    bits = sum(r * _generator_bits(space) for space, r in entries)
-    return bareiss_bit_work(rows, cols, bits)
-
-
 def _generator_bits(space):
     """The largest bit length of a space's integer generator entries."""
     return max(abs(x).bit_length() for row in space.generators.ints for x in row)
 
 
-def check_span_dim_work(dims_and_mults, n):
-    """Raise BudgetExhausted when `vandermonde_work` is past SPAN_DIM_WORK_LIMIT."""
-    if vandermonde_work(dims_and_mults, n) > SPAN_DIM_WORK_LIMIT:
-        raise BudgetExhausted("the generalized Vandermonde matrix in P^%d is past the "
-                              "span-dim work limit of %d" % (n, SPAN_DIM_WORK_LIMIT))
+def row_logs(rows):
+    """ceil(log2 |x|) of the largest entry x of each integer row: a product
+    of e entries of the row has at most e times it plus 1 bits."""
+    return [(max(map(abs, row)) - 1).bit_length() for row in rows]
 
 
-def check_span_dim_bit_work(entries):
-    """Raise BudgetExhausted when `vandermonde_bit_work` is past SPAN_DIM_BIT_WORK_LIMIT."""
-    if vandermonde_bit_work(entries) > SPAN_DIM_BIT_WORK_LIMIT:
-        raise BudgetExhausted("the generalized Vandermonde matrix in P^%d, counting its "
-                              "entries' bits, is past the bit work limit of %d"
-                              % (entries[0][0].ambient_dim, SPAN_DIM_BIT_WORK_LIMIT))
+def vandermonde_charge(shapes, n):
+    """Units of the rank, one Bareiss pass (`linalg.bareiss_steps`), of the
+    generalized Vandermonde matrix in P^n of spaces given as (dimension m_k,
+    multiplicity r_k, integer generator rows, or None for drawn rows of
+    entries below 2^10); past LIFT_BUDGET, some number past it: prod
+    binom(m_k + r_k, r_k) rows (`linalg.capped_comb`), n + 1 columns and
+    entries of at most sum r_k L_k + 1 bits, L_k space k's largest
+    `row_logs`.  A line's row i, a0^r t^i for t = a1 / a0, has at most
+    (r - i) L_0 + i L_1 + 1.  When a0 has no zero entry, the first j + 1
+    rows on columns of distinct t make a nonzero Vandermonde minor, so the
+    pivots come in row order and are priced so; a zero of a0 leaves a
+    column nonzero at a1^r only, the first pivot then, so such a line is
+    priced at its largest bits in every row."""
+    rows = 1
+    for m, r, _ in shapes:
+        rows = min(rows * capped_comb(m + r, r, LIFT_BUDGET), LIFT_BUDGET + 1)
+    logs = [[10] * (m + 1) if gens is None else row_logs(gens) for m, _, gens in shapes]
+    m, r, gens = shapes[0]
+    if len(shapes) == 1 and m == 1 and gens is not None and all(gens[0]):
+        first, second = logs[0]
+        return sum(bareiss_steps(rows, n + 1, lambda i: (r - i) * first + i * second + 1))
+    top = sum(r * max(space_logs) for (_, r, _), space_logs in zip(shapes, logs)) + 1
+    return sum(bareiss_steps(rows, n + 1, lambda i: top))
 
 
 def identifiability_regime_bound(dims_and_mults):
@@ -297,6 +248,22 @@ def _terracini_rows(p, tp, q, tq):
     return rows
 
 
+def terracini_pass(p, tp, q, tq):
+    """(rows, columns, bits, nonzero) of `_terracini_rows(p, tp, q, tq)`,
+    the arguments of `linalg.bareiss_steps`, read off
+    the points and the generators: a row p * g has at most the bits of p's
+    largest entry plus g's, and is nonzero where both are.  The rows of
+    more bits come first, so the first j rows' bits bound any j pivot rows'."""
+    def bits(ints):
+        return max(map(abs, ints)).bit_length()
+
+    parts = [(p.ints, tq.generators.ints), (q.ints, tp.generators.ints)]
+    (big, count), (small, _) = sorted(((bits(point) + max(map(bits, gens)), len(gens))
+                                       for point, gens in parts), reverse=True)
+    nonzero = sum(sum(map(bool, map(mul, point, g))) for point, gens in parts for g in gens)
+    return (tp.dim + tq.dim + 2, len(p.ints), lambda i: big if i < count else small, nonzero)
+
+
 def terracini_span(p, tp, q, tq):
     """Tangent space of X*Y at p*q: the span of p*T_q(Y) and q*T_p(X)."""
     span = LinSpace.span_of(_terracini_rows(p, tp, q, tq))
@@ -305,10 +272,17 @@ def terracini_span(p, tp, q, tq):
     return span
 
 
-def terracini_dim(p, tp, q, tq):
+def terracini_dim(p, tp, q, tq, budget=None):
     """`terracini_span(p, tp, q, tq).dim` from one rank of the same rows,
-    with no reduced form and no LinSpace."""
-    rank = integer_rank(_terracini_rows(p, tp, q, tq))
+    with no reduced form and no LinSpace.  With `budget`, a
+    `linalg.lift_budget` cell, each step of the pass is charged to it
+    before it runs (`bareiss_steps` of `terracini_pass`): the rows of a
+    Segre variety with itself have rank about half their count, and pay
+    for those steps only."""
+    steps = None if budget is None else bareiss_steps(*terracini_pass(p, tp, q, tq))
+    work = "the Terracini span in P^%d" % (len(p.ints) - 1)
+    rank = integer_rank(_terracini_rows(p, tp, q, tq),
+                        steps and (lambda: spend(budget, work, next(steps))))
     if not rank:
         raise PreconditionError("the Terracini span collapsed to nothing")
     return rank - 1

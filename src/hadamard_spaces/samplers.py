@@ -17,9 +17,10 @@ reciprocal factor draws a point a of L with no zero coordinate and emits
 1/a as the integer point prod_{j != i} a_j (1/a times prod a).
 
 The tangent space at the product point folds `products.terracini_span`
-over the factors: T_{p*q}(X * Y) = p * T_q(Y) + q * T_p(X).  A linear
-factor's tangent is its space.  A reciprocal factor's tangent at q = 1/a
-is q^2 * L.  Proof: the curve t -> 1/(a + t g), g in L, has derivative
+over the factors: T_{p*q}(X * Y) = p * T_q(Y) + q * T_p(X), each fold
+charged to a lift budget before it runs (`products.terracini_pass`).  A
+linear factor's tangent is its space.  A reciprocal factor's tangent at
+q = 1/a is q^2 * L.  Proof: the curve t -> 1/(a + t g), g in L, has derivative
 -g/a^2 at t = 0, so the tangent is spanned by 1/a and the g/a^2; and
 1/a = a/a^2 with a in L, so the span is {g/a^2 : g in L} = (1/a)^2 * L.
 It has the dimension of L because a has no zero coordinate.
@@ -32,8 +33,8 @@ random state where `sample` would have left it.
 from functools import lru_cache
 from math import prod
 
-from .linalg import BudgetExhausted
-from .products import terracini_span
+from .linalg import BudgetExhausted, bareiss_steps, lift_budget, spend
+from .products import terracini_pass, terracini_span
 from .projective import SAMPLE_BUDGET, LinSpace, PPoint, point_times_space, sample_point
 
 
@@ -50,8 +51,10 @@ class VarietySampler:
     def ambient_dim(self):
         return self.factors[0][0].ambient_dim
 
-    def _draw(self, rng, tangent):
-        """(point, tangent space), or (point, None) when `tangent` is false."""
+    def _draw(self, rng, budget):
+        """(point, tangent space), each tangent fold charged to `budget`, a
+        `linalg.lift_budget` cell, before it runs; (point, None) when
+        `budget` is None."""
         for _ in range(SAMPLE_BUDGET):
             point = span = None
             for space, reciprocal in self.factors:
@@ -59,7 +62,7 @@ class VarietySampler:
                     base = sample_point(space, rng, avoid_delta=space.ambient_dim - 1)
                     total = prod(base.ints)
                     q = PPoint([total // x for x in base.ints])
-                    tq = point_times_space(q.hadamard(q), space) if tangent else None
+                    tq = point_times_space(q.hadamard(q), space) if budget is not None else None
                 else:
                     q, tq = sample_point(space, rng), space
                 if point is None:
@@ -68,20 +71,23 @@ class VarietySampler:
                 product = point.hadamard(q)
                 if product is None:
                     break
-                if tangent:
+                if budget is not None:
+                    spend(budget, "a tangent fold in P^%d" % self.ambient_dim,
+                          sum(bareiss_steps(*terracini_pass(point, span, q, tq))))
                     span = terracini_span(point, span, q, tq)
                 point = product
             else:
                 return point, span
         raise BudgetExhausted("all sampled products were undefined")
 
-    def sample(self, rng):
-        """One (point, tangent) pair; the tangent always contains the point."""
-        return self._draw(rng, True)
+    def sample(self, rng, budget=None):
+        """One (point, tangent) pair; the tangent always contains the point.
+        Its folds are charged to `budget` (a new `lift_budget` cell when None)."""
+        return self._draw(rng, lift_budget() if budget is None else budget)
 
     def sample_point(self, rng):
         """The point `sample` would give, without building the tangent."""
-        return self._draw(rng, False)[0]
+        return self._draw(rng, None)[0]
 
     def __repr__(self):
         names = ("%s dim %d" % ("reciprocal" if reciprocal else "linear", space.dim)
@@ -105,7 +111,8 @@ def reciprocal_sampler(space):
 #: shape is a = 1: whole `dim-estimate` processes of a Segre variety with
 #: itself, on a 2-vCPU Xeon VM, took 1.45 s at a = 1, b = 99 (P^199), 0.6 s
 #: at a = 2, b = 66 (P^200), and 6.2 s at a = 1, b = 149 (P^299); building
-#: a = 2, b = 1000 (P^3002) alone took 56.6 s.
+#: a = 2, b = 1000 (P^3002) alone took 56.6 s.  The lift budget now
+#: refuses the first, whose Terracini rank it prices past it.
 SEGRE_AMBIENT_LIMIT = 200
 
 

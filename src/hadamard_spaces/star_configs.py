@@ -49,40 +49,10 @@ from itertools import combinations
 from math import comb
 from operator import mul
 
-from .linalg import (BudgetExhausted, PreconditionError, integer_maximal_minors, integer_rank,
-                     primitive_ints)
+from .linalg import (LIFT_BUDGET, PreconditionError, capped_comb, integer_maximal_minors,
+                     integer_rank, primitive_ints, product_charge)
 from .line_powers import line_power_matrix
 from .projective import LinSpace, all_ones_point, pluecker, point_times_space
-
-#: Most entries `star-config` prints plus general position minors
-#: (`star_output_count`); past it, `check_star_config_limits` raises
-#: BudgetExhausted before any work.  Whole processes near the limit on
-#: random lines of 2-digit entries, on a 2-vCPU Xeon VM: 17 points at r = 8
-#: in P^16 (831,606) 2.5 s, 18 at r = 7 in P^10 2.1 s, 30 at r = 4 in P^5
-#: 1.3 s, 120 at r = 2 in P^3 0.7 s; and 2 points at r = 1 on the line
-#: [[1, ..., 1], [1, ..., 701]] in P^700 0.5 s.
-#: Digits are counted by STAR_CONFIG_BIT_WORK_LIMIT.  24 points at r = 12
-#: in P^13 ran past 30 s.
-STAR_CONFIG_OUTPUT_LIMIT = 10 ** 6
-
-#: Largest `star_bit_work` that `star-config` accepts; past it,
-#: `check_star_config_bit_work` raises BudgetExhausted before any work.
-#: Whole processes on a 2-vCPU Xeon VM, with the limit lifted, took
-#: 2.3-3.5 ps per unit near it at every r from 1 to 11, so it keeps a
-#: payload near 4 s at most, inside the 5 s of acceptance criterion 1.
-#: Refused: 17 points at r = 8 in P^16 on a line of 10-digit entries
-#: (6.2 * 10^12, 16.5 s) or 4-digit ones (1.4 * 10^12, 3.3 s), 17 at r = 9
-#: in P^10 with 4-digit entries (1.8 * 10^12, 5.0 s) and 18 at r = 11 in
-#: P^12 with 2-digit ones (2.1 * 10^12, 4.7 s).  Passed: 30 points at r = 4
-#: in P^5 with 10-digit entries (6.0 * 10^11, 2.2 s) or 15-digit ones
-#: (1.2 * 10^12, 3.3 s), 17 at r = 8 in P^16 with 3-digit entries
-#: (9.7 * 10^11, 2.5 s), 17 at r = 10 in P^11 with 13-bit ones
-#: (1.16 * 10^12, 3.6 s), 120 at r = 2 in P^3 with 53-digit ones
-#: (1.07 * 10^12, 2.1 s).  For r <= 9 the factor (r + 1)^2 of
-#: `star_bit_work` is at most 100, so every payload of count * (r b)^2 <=
-#: 10^10, the former rule, still passes.
-STAR_CONFIG_BIT_WORK_LIMIT = 12 * 10 ** 11
-
 
 class PointSet:
     """A finite set of pairwise distinct projective points."""
@@ -210,21 +180,6 @@ def build_star(zset, line, r):
     return StarWitness(ambient, hyperplanes, points, origin_subsets)
 
 
-def _capped_comb(m, k, cap):
-    """binom(m, k), or some number past cap once it is past it.  binom(m, i)
-    grows with i up to m / 2, and at least doubles per step there, so the
-    product is built one factor at a time up to min(k, m - k) and stops once
-    past cap: no huge binomial is formed."""
-    if k > m:
-        return 0
-    value = 1
-    for i in range(1, min(k, m - k) + 1):
-        value = value * (m - i + 1) // i
-        if value > cap:
-            break
-    return value
-
-
 def star_output_count(m, r, n):
     """Entries `star-config` prints for m collinear points at r in P^n, and
     the minors its general position check forms, counted from (m, r, n),
@@ -233,50 +188,23 @@ def star_output_count(m, r, n):
     their r-subsets, rows of n + 1 entries, and binom(m, r + 1) (r+1)-minors
     times r + 1.  The last term also bounds the incidence check's m
     binom(m, r) dot products of length r + 1; for r = 1 it is about m / 2
-    times the printed points.  Past STAR_CONFIG_OUTPUT_LIMIT it is some
-    number past it (`_capped_comb`)."""
-    cap = STAR_CONFIG_OUTPUT_LIMIT
-    return ((r + 1) * (n + 1) + m * (n + 1) ** 2 + _capped_comb(m, r, cap) * (n + 1 + r)
-            + (r + 1) * _capped_comb(m, r + 1, cap))
+    times the printed points.  Past LIFT_BUDGET it is some number past it
+    (`linalg.capped_comb`)."""
+    return ((r + 1) * (n + 1) + m * (n + 1) ** 2 + capped_comb(m, r, LIFT_BUDGET) * (n + 1 + r)
+            + (r + 1) * capped_comb(m, r + 1, LIFT_BUDGET))
 
 
-def check_star_config_limits(m, r, n):
-    """Raise BudgetExhausted when the star configuration of m points at r in
-    P^n prints past STAR_CONFIG_OUTPUT_LIMIT.  An r that `build_star`
-    refuses (r < 1 or r > min(m, n)) is left to it."""
-    if not 1 <= r <= min(m, n):
-        return
-    if star_output_count(m, r, n) > STAR_CONFIG_OUTPUT_LIMIT:
-        raise BudgetExhausted("the star configuration of %d points at r = %d in P^%d is past "
-                              "the limit of %d printed entries and general position minors"
-                              % (m, r, n, STAR_CONFIG_OUTPUT_LIMIT))
-
-
-def star_bit_work(line, points, r):
-    """`star_output_count` times ((r + 1) r b)^2, for b the largest bit
-    length of the line's and the points' integer entries.
-
-    The product points and the normals have entries of about r b bits.  The
-    general position minors, most of the work near the limits, are
-    (r+1) x (r+1) determinants of such entries, of about (r + 1) r b bits,
-    formed by products in time about quadratic in their bits.  The points
-    must pass STAR_CONFIG_OUTPUT_LIMIT first, so that the count is exact.
-    """
-    bits = max(abs(x).bit_length()
-               for row in (*line.generators.ints, *(p.ints for p in points)) for x in row)
-    return star_output_count(len(points), r, line.ambient_dim) * ((r + 1) * r * bits) ** 2
-
-
-def check_star_config_bit_work(line, points, r):
-    """Raise BudgetExhausted when `star_bit_work` is past
-    STAR_CONFIG_BIT_WORK_LIMIT; an r that `build_star` refuses is left to
-    it, as in `check_star_config_limits`."""
-    if not 1 <= r <= min(len(points), line.ambient_dim):
-        return
-    if star_bit_work(line, points, r) > STAR_CONFIG_BIT_WORK_LIMIT:
-        raise BudgetExhausted("the star configuration of %d points at r = %d in P^%d, counting "
-                              "its entries' bits, is past the bit work limit of %d"
-                              % (len(points), r, line.ambient_dim, STAR_CONFIG_BIT_WORK_LIMIT))
+def star_charge(line, points, r):
+    """Units of `star-config` for the points on the line at r: each of its
+    `star_output_count` entries and minors as three products
+    (`linalg.product_charge`), one to form it and two to check or print it,
+    of (r + 1) r b bits for b the largest bit length of the line's and the
+    points' entries: a general position minor, an (r+1) x (r+1) determinant
+    of the normals' r b-bit entries, most of the work near the budget."""
+    bits = (r + 1) * r * max(abs(x).bit_length()
+                             for row in (*line.generators.ints, *(p.ints for p in points))
+                             for x in row)
+    return star_output_count(len(points), r, line.ambient_dim) * 3 * product_charge(bits, bits)
 
 
 def _normals(hyperplanes, ambient):

@@ -20,6 +20,7 @@ from hadamard_spaces import (brackets, cli, line_powers, linalg, products, proje
                              samplers, star_configs, tropical)
 from hadamard_spaces.linalg import QMatrix, integer_kernel_basis
 from hadamard_spaces.poly import SparsePoly, monomial_products, monomials_of_degree
+from test_payload_errors import run_main
 
 RUN = [sys.executable, "-m", "hadamard_spaces.cli"]
 
@@ -211,7 +212,9 @@ def test_pretty_of_compact_text_is_json_dumps_indent_2(doc):
     document or its compact text."""
     compact = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     pretty = json.dumps(doc, indent=2, sort_keys=True)
-    for returned in (doc, compact):
+    # `main` writes a returned str as text, so a string document is handed
+    # over as its compact text only.
+    for returned in (compact,) if isinstance(doc, str) else (doc, compact):
         for fmt, want in (("json", compact), ("pretty", pretty)):
             saved = cli.COMMANDS["span-dim"], sys.stdin, sys.stdout
             cli.COMMANDS["span-dim"] = lambda payload, rng, args: returned
@@ -1352,24 +1355,42 @@ def _clean_line(n):
     return [[1] * (n + 1), list(range(n + 1))]
 
 
+def _digit_line(digits):
+    """The README's line of `digits`-digit entries in P^3."""
+    big = 10 ** (digits - 1)
+    return [[big + 1, big + 2, big + 3, big + 5],
+            [big + 7, 2 * big + 11, 3 * big + 13, 5 * big + 17]]
+
+
+def _budget_error(proc):
+    """The JSON error of a whole process refused by the lift budget."""
+    assert (proc.returncode, proc.stdout) == (3, "") and "Traceback" not in proc.stderr
+    error = json.loads(proc.stderr)["error"]
+    assert error["code"] == 3 and error["message"].endswith(
+        " is past the lift budget of %d" % linalg.LIFT_BUDGET)
+    return error
+
+
+#: A line whose first row has a zero entry: column 0 of its power matrix is
+#: nonzero in the last row only, which Bareiss takes as its first pivot.
+_ZERO_LEAD_LINE = [[0, 1, 1, 1], [7, 2, 3, 4]]
+
+
 def test_line_power_past_its_limits_exit_3():
     # A clean line in P^100 at r = 1 took 42 s and printed 106 MB; in P^3,
-    # r = 2000 took 4.1 s, r = 100000 ran until killed, and a line of
-    # 60-digit entries at r = 300 ran past 60 s.
-    big = 10 ** 60
-    digits = [[big + 1, big + 2, big + 3, big + 5], [big + 7, 2 * big + 11, 3 * big + 13, 5 * big + 17]]
-    for payload, limit in (({"line": _clean_line(100), "r": 1}, line_powers.LINE_POWER_OUTPUT_LIMIT),
-                           ({"line": digits, "r": 300}, products.SPAN_DIM_BIT_WORK_LIMIT),
-                           ({"line": _clean_line(3), "r": 100000}, products.SPAN_DIM_WORK_LIMIT),
-                           ({"line": _clean_line(3), "r": 2000}, products.SPAN_DIM_WORK_LIMIT),
-                           ({"line": [[1] * 1001, [0, 1] * 500 + [0]], "r": 1},
-                            line_powers.LINE_POWER_OUTPUT_LIMIT)):
+    # r = 100000 ran until killed, and a line of 61-digit entries at r = 300
+    # ran 45 s.  A zero in the first row makes 7^20000 the first pivot, so
+    # that line at r = 20,000 has no small pivots.  Each is priced past the
+    # budget and refused at once.
+    for payload in ({"line": _clean_line(100), "r": 1}, {"line": _digit_line(61), "r": 300},
+                    {"line": _clean_line(3), "r": 100000},
+                    {"line": _ZERO_LEAD_LINE, "r": 20000}):
         start = time.perf_counter()
         proc = run_cli("line-power", payload)
         assert time.perf_counter() - start < 1.0
-        assert (proc.returncode, proc.stdout) == (3, "") and "Traceback" not in proc.stderr
-        error = json.loads(proc.stderr)["error"]
-        assert error["code"] == 3 and str(limit) in error["message"]
+        n = len(payload["line"][0]) - 1
+        assert _budget_error(proc)["message"].startswith("the power at r = %d in P^%d "
+                                                         % (payload["r"], n))
 
 
 def _printed_count(monkeypatch, capsys, line, r):
@@ -1380,7 +1401,7 @@ def _printed_count(monkeypatch, capsys, line, r):
 
 
 def test_line_power_output_count_is_what_it_prints(monkeypatch, capsys):
-    """power_output_count, read off the columns, is the number of Pluecker
+    """power_output, read off the columns, counts the Pluecker
     entries plus equations printed: clean lines for r below, at and above
     n, and lines with zero, repeated and proportional columns."""
     rng = random.Random(71)
@@ -1399,48 +1420,49 @@ def test_line_power_output_count_is_what_it_prints(monkeypatch, capsys):
         except ValueError:  # all columns on one point: not a line
             continue
         r = rng.randint(1, n + 2)
-        count = line_powers.power_output_count(space, r)
+        count = sum(line_powers.power_output(space, r)[1:])
         assert _printed_count(monkeypatch, capsys, line, r) == count
         kinds.add((projective.pluecker(space).nonvanishing(), (r > n) - (r < n)))
     assert len(kinds) == 6
 
 
+def _power_charge(line, r):
+    return line_powers.power_charge(projective.LinSpace(line), r)
+
+
 def test_line_power_limit_boundaries():
-    clean = {n: projective.LinSpace(_clean_line(n)) for n in (3, 20, 21, 55, 56)}
-    # The (r+1) x 4 power matrix in P^3: work 6.4e7 at r = 1000, 2.6e8 at 2000.
-    assert products.vandermonde_work([(1, 1000)], 3) == 1001 * 4 * (16 * 1000 + 64)
-    line_powers.check_line_power_limits(clean[3], 1000)
-    with pytest.raises(products.BudgetExhausted, match="work limit"):
-        line_powers.check_line_power_limits(clean[3], 2000)
-    # Counting bits: 1001 * 4 * 4^3 * (1000 b)^2 for entries of b bits, 2.3e12
-    # for the README's line (b = 3), 9.2e12 for b = 6 (1.3-1.8 s), 1.9e13
-    # for b = 9 (refused).
+    budget = linalg.LIFT_BUDGET
+    # A line whose first row is all ones has small pivots: in P^3 at
+    # r = 2000 it answers in 0.15 s, at 20,000 in about 1.1 s, and at
+    # 100,000 it is refused.  Entries of 3, 6 or 9 bits at r = 1000 pass.
+    clean = _clean_line(3)
+    assert _power_charge(clean, 2000) < budget // 100
+    assert _power_charge(clean, 20000) < budget < _power_charge(clean, 100000)
     for b in (3, 6, 9):
-        line = projective.LinSpace([[1, 1, 1, 1], [1, 2, 3, 2 ** b - 1]])
-        assert products.vandermonde_bit_work([(line, 1000)]) == 1001 * 4 * 4 ** 3 * (1000 * b) ** 2
-        if b < 9:
-            line_powers.check_line_power_limits(line, 1000)
-        else:
-            with pytest.raises(products.BudgetExhausted, match="bit work limit"):
-                line_powers.check_line_power_limits(line, 1000)
-    # binom(n + 2, r + 2) outputs of a clean line below r = n.
-    for n, r in ((55, 1), (20, 3)):
-        assert line_powers.power_output_count(clean[n], r) == comb(n + 2, r + 2)
-        line_powers.check_line_power_limits(clean[n], r)
-        with pytest.raises(products.BudgetExhausted, match="Pluecker entries"):
-            line_powers.check_line_power_limits(clean[n + 1], r)
+        assert _power_charge([[1, 1, 1, 1], [1, 2, 3, 2 ** b - 1]], 1000) < budget // 100
+    # A zero in the first row prices every row at the largest bits: the
+    # line answers at r = 1245 (0.5 s), as before, and not at r = 2000,
+    # where the same line with a first row of ones is priced far below.
+    assert _power_charge(_ZERO_LEAD_LINE, 1245) < budget < _power_charge(_ZERO_LEAD_LINE, 2000)
+    assert _power_charge([[1, 1, 1, 1], [7, 2, 3, 4]], 2000) < budget // 100
+    # 20- and 61-digit entries: pivots as large as the entries.  The 61-digit
+    # line took 1.9 s at r = 100 and 45 s at r = 300; the 20-digit one 0.4 s
+    # at r = 100 and 6 s at r = 300.
+    assert _power_charge(_digit_line(21), 100) < budget < _power_charge(_digit_line(21), 300)
+    assert budget < _power_charge(_digit_line(61), 100) < _power_charge(_digit_line(61), 300)
+    # Printed entries: a clean line at r = 1 passes in P^56 (about 1 s) and
+    # not in P^100; at r = 3 in P^21.  Two column points in P^1000 print
+    # 500,500 Pluecker entries in about 2 s.
+    assert _power_charge(_clean_line(56), 1) < budget < _power_charge(_clean_line(100), 1)
+    assert _power_charge(_clean_line(21), 3) < budget
+    assert _power_charge([[1] * 1001, [0, 1] * 500 + [0]], 1) < budget
     # Every line of the small-exact pool (n <= 5, r <= 4) and the README's.
     for n in range(1, 6):
         for points in range(2, n + 2):
-            line = projective.LinSpace([[1] * (n + 1), [i % points for i in range(n + 1)]])
             for r in range(1, 5):
-                line_powers.check_line_power_limits(line, r)
-    line_powers.check_line_power_limits(projective.LinSpace([[1, 1, 1, 1], [1, 2, 3, 4]]), 2)
-    # The work formula is span-dim's, and so are its error bytes.
-    with pytest.raises(products.BudgetExhausted) as exc:
-        products.check_span_dim_work([(1, 1)], 735294)
-    assert str(exc.value) == ("the generalized Vandermonde matrix in P^735294 is past the "
-                              "span-dim work limit of 100000000")
+                assert _power_charge([[1] * (n + 1), [i % points for i in range(n + 1)]], r) \
+                    < budget // 100
+    assert _power_charge([[1, 1, 1, 1], [1, 2, 3, 4]], 2) < budget // 100
 
 
 def test_star_config_document():
@@ -1483,9 +1505,8 @@ def test_star_config_past_the_output_limit_exit_3_at_once():
     start = time.perf_counter()
     proc = run_cli("star-config", payload)
     assert time.perf_counter() - start < 1.0
-    assert (proc.returncode, proc.stdout) == (3, "") and "Traceback" not in proc.stderr
-    error = json.loads(proc.stderr)["error"]
-    assert error["code"] == 3 and str(star_configs.STAR_CONFIG_OUTPUT_LIMIT) in error["message"]
+    assert _budget_error(proc)["message"].startswith(
+        "the star configuration of 24 points at r = 12 in P^13 ")
 
 
 def _entry_count(doc):
@@ -1510,18 +1531,20 @@ def test_star_output_count_is_the_printed_entries_and_minors(m, r, n, monkeypatc
 
 
 def test_star_config_limit_admits_the_benchmark_grid_and_the_readme_payload():
-    from_grid = max(star_configs.star_output_count(m, r, n)
-                    for m in range(3, 8) for r in (2, 3) for n in range(r + 1, 7))
-    assert from_grid < star_configs.STAR_CONFIG_OUTPUT_LIMIT
-    assert star_configs.star_output_count(4, 2, 2) < star_configs.STAR_CONFIG_OUTPUT_LIMIT
-    # Both sides of the limit at r = 8 in P^16: 17 points pass (about 2.5 s
-    # on a random line of 2-digit entries), 18 do not.
-    star_configs.check_star_config_limits(17, 8, 16)
-    with pytest.raises(products.BudgetExhausted):
-        star_configs.check_star_config_limits(18, 8, 16)
-    # An r that build_star refuses keeps its precondition error.
-    star_configs.check_star_config_limits(24, 25, 30)
-    star_configs.check_star_config_limits(24, 0, 13)
+    # The benchmark grid and the README payload: see
+    # test_benchmark_and_readme_payloads_price_below_a_hundredth_of_the_budget.
+    # Both sides of the budget at r = 8 in P^16 with 3-digit entries: 12
+    # points pass, 17 (3.5 s) do not.
+    assert _star_charge(_digit_star_payload(12, 8, 16, 3)) < linalg.LIFT_BUDGET
+    assert _star_charge(_digit_star_payload(17, 8, 16, 3)) > linalg.LIFT_BUDGET
+    # An r that build_star refuses keeps its precondition error, however
+    # large its price would be.
+    for r, message in ((10 ** 6, "r = 1000000 exceeds"), (0, "r must be >= 1")):
+        payload = _digit_star_payload(24, 13, 30, 2)
+        payload["r"] = r
+        proc = run_cli("star-config", payload)
+        assert proc.returncode == 2
+        assert json.loads(proc.stderr)["error"]["message"].startswith(message)
 
 
 def _digit_star_payload(m, r, n, digits):
@@ -1534,48 +1557,40 @@ def _digit_star_payload(m, r, n, digits):
     return {"line": [g0, g1], "points": points, "r": r}
 
 
-def _star_bit_work(payload):
+def _star_charge(payload):
     line = projective.LinSpace(payload["line"])
     points = [projective.PPoint(p) for p in payload["points"]]
-    return star_configs.star_bit_work(line, points, payload["r"])
+    return star_configs.star_charge(line, points, payload["r"])
 
 
 def test_star_config_past_the_bit_work_limit_exit_3_at_once():
     # 17 points at r = 8 in P^16 with 10-digit entries (38-bit points) took
-    # 16 s under the entry limit: 831,606 * (9 * 8 * 38)^2 = 6.2e12 is
-    # refused before any work.  With 3-digit entries (15-bit points, 9.7e11)
-    # the same shape takes about 2.5 s and passes the check.
+    # 16 s: 831,606 entries and minors, each three products of 9 * 8 * 38
+    # bits, are refused before any work.
     payload = _digit_star_payload(17, 8, 16, 10)
-    assert _star_bit_work(payload) == 831606 * (9 * 8 * 38) ** 2
+    bits = 9 * 8 * 38
+    assert _star_charge(payload) == 831606 * 3 * linalg.product_charge(bits, bits)
+    assert _star_charge(payload) > linalg.LIFT_BUDGET
     start = time.perf_counter()
     proc = run_cli("star-config", payload)
     assert time.perf_counter() - start < 1.0
-    assert (proc.returncode, proc.stdout) == (3, "") and "Traceback" not in proc.stderr
-    error = json.loads(proc.stderr)["error"]
-    assert error["code"] == 3 and str(star_configs.STAR_CONFIG_BIT_WORK_LIMIT) in error["message"]
-    passing = _star_bit_work(_digit_star_payload(17, 8, 16, 3))
-    assert passing == 831606 * (9 * 8 * 15) ** 2 < star_configs.STAR_CONFIG_BIT_WORK_LIMIT
+    assert _budget_error(proc)["message"].startswith(
+        "the star configuration of 17 points at r = 8 in P^16 ")
 
 
 def test_star_config_bit_work_follows_r(monkeypatch, capsys):
-    # The factor (r + 1)^2 r^2 of the minors' bits: 30 points at r = 4 in
-    # P^5 with 10-digit entries (39-bit points, 6.0e11, 2.2 s whole process)
-    # were refused at the rate of r >= 7 and are answered.
-    payload = _digit_star_payload(30, 4, 5, 10)
-    assert _star_bit_work(payload) == 987690 * (5 * 4 * 39) ** 2
+    # The bits (r + 1) r b of a general position minor: 20 points at r = 4
+    # in P^5 with 10-digit entries are answered (0.6 s) ...
+    payload = _digit_star_payload(20, 4, 5, 10)
+    assert _star_charge(payload) < linalg.LIFT_BUDGET // 4
     monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(payload)))
     assert cli.main(["star-config"]) == 0
     assert json.loads(capsys.readouterr().out)["verified"] is True
-    # The payloads refused before at r >= 8 stay refused (3.3-16 s).
-    for m, r, n, digits in [(17, 8, 16, 10), (17, 8, 16, 4), (17, 9, 10, 4), (18, 11, 12, 2)]:
-        payload = _digit_star_payload(m, r, n, digits)
-        with pytest.raises(products.BudgetExhausted):
-            star_configs.check_star_config_bit_work(
-                projective.LinSpace(payload["line"]),
-                [projective.PPoint(p) for p in payload["points"]], r)
-    # For r <= 9 the factor (r + 1)^2 is at most 100: whatever the former
-    # rule, count * (r b)^2 <= 10^10, accepted still passes.
-    assert 100 * 10 ** 10 <= star_configs.STAR_CONFIG_BIT_WORK_LIMIT
+    # ... and the payloads refused before at r >= 8 stay refused (3.3-16 s),
+    # as do 30 points at r = 4 in P^5 with 10-digit entries (3.2 s).
+    for m, r, n, digits in [(17, 8, 16, 10), (17, 8, 16, 4), (17, 9, 10, 4), (18, 11, 12, 2),
+                            (30, 4, 5, 10)]:
+        assert _star_charge(_digit_star_payload(m, r, n, digits)) > linalg.LIFT_BUDGET
 
 
 def test_star_config_bit_work_admits_the_benchmark_pools_and_the_readme_payload(
@@ -1588,7 +1603,6 @@ def test_star_config_bit_work_admits_the_benchmark_pools_and_the_readme_payload(
     payloads.append({"line": [[1, 1, 1], [1, 2, 3]],
                      "points": [[1, 1, 1], [1, 2, 3], [2, 3, 4], [3, 4, 5]], "r": 2})
     for payload in payloads:
-        assert _star_bit_work(payload) < star_configs.STAR_CONFIG_BIT_WORK_LIMIT // 1000
         monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(payload)))
         assert cli.main(["star-config"]) == 0
         assert json.loads(capsys.readouterr().out)["verified"] is True
@@ -1663,9 +1677,7 @@ def test_span_dim_past_the_work_limit_exit_3():
         start = time.perf_counter()
         proc = run_cli("span-dim", payload)
         assert time.perf_counter() - start < 1.0
-        assert (proc.returncode, proc.stdout) == (3, "") and "Traceback" not in proc.stderr
-        error = json.loads(proc.stderr)["error"]
-        assert error["code"] == 3 and str(products.SPAN_DIM_WORK_LIMIT) in error["message"]
+        assert _budget_error(proc)["message"].startswith("the generalized Vandermonde matrix in P^")
 
 
 def _digits_line(n, digits):
@@ -1674,36 +1686,69 @@ def _digits_line(n, digits):
     return [[big + i for i in range(n + 1)], [big + i * i + 7 for i in range(n + 1)]]
 
 
-def test_span_dim_past_the_bit_work_limit_exit_3(monkeypatch):
+def _span_charge(spaces):
+    """What `span-dim` charges for explicit (generators, mult) spaces."""
+    payload = {"spaces": [{"generators": gens, "mult": mult} for gens, mult in spaces]}
+    return cli.span_dim_charge(cli.read_payload("span-dim", payload, None))
+
+
+def test_span_dim_past_the_bit_work_limit_exit_3(monkeypatch, capsys):
     # A line of 60-digit entries took 32.9 s at mult 300 in P^3 and 15.3 s
     # at mult 60 in P^10; a 100-digit line at mult 40 in P^20 ran past 60 s.
-    for n, digits, mult in ((3, 60, 300), (10, 60, 60), (20, 100, 40)):
-        payload = {"spaces": [{"generators": _digits_line(n, digits), "mult": mult}]}
+    # A zero in the first row gives the line no small pivots (see
+    # test_line_power_past_its_limits_exit_3).
+    for generators, mult in ((_digits_line(3, 60), 300), (_digits_line(10, 60), 60),
+                             (_digits_line(20, 100), 40), (_ZERO_LEAD_LINE, 20000)):
+        payload = {"spaces": [{"generators": generators, "mult": mult}]}
+        assert _span_charge([(generators, mult)]) > linalg.LIFT_BUDGET
         start = time.perf_counter()
         proc = run_cli("span-dim", payload)
         assert time.perf_counter() - start < 1.0
-        assert (proc.returncode, proc.stdout) == (3, "") and "Traceback" not in proc.stderr
-        error = json.loads(proc.stderr)["error"]
-        assert error["code"] == 3 and str(products.SPAN_DIM_BIT_WORK_LIMIT) in error["message"]
-    # Both sides of the limit: 200-bit entries in P^3 give (r + 1) 4 4^3 (200 r)^2,
-    # 9.7e12 at r = 98 and 1.004e13 at r = 99.
-    line = projective.LinSpace([[1, 1, 1, 1], [1, 2, 3, 2 ** 200 - 1]])
-    assert products.vandermonde_bit_work([(line, 98)]) == 99 * 4 * 4 ** 3 * (200 * 98) ** 2
-    products.check_span_dim_bit_work([(line, 98)])
-    with pytest.raises(products.BudgetExhausted, match="bit work limit"):
-        products.check_span_dim_bit_work([(line, 99)])
-    generators = [list(row) for row in line.generators.ints]
-    assert run_cli("span-dim", {"spaces": [{"generators": generators, "mult": 99}]}).returncode == 3
-    assert json.loads(run_cli("span-dim", {"spaces": [{"generators": generators, "mult": 9}]})
-                      .stdout)["match"] is True
-    # Two spaces add their bits: 2 * 200 + 3 * 2 bits, 3 * 4 = 12 rows, 4 columns.
-    other = projective.LinSpace([[1, 0, 1, 2], [0, 1, 3, 1]])
-    assert products.vandermonde_bit_work([(line, 2), (other, 3)]) == 12 * 4 * 4 ** 3 * 406 ** 2
-    # The drawn route counts shapes only: its bits never reach the check.
-    calls = []
-    monkeypatch.setattr(cli, "check_span_dim_bit_work", calls.append)
+        _budget_error(proc)
+    # Both sides of the budget in P^10: mult 25 (1.3 s) passes, mult 40
+    # (4.6 s) does not.
+    assert _span_charge([(_digits_line(10, 60), 25)]) < linalg.LIFT_BUDGET
+    assert _span_charge([(_digits_line(10, 60), 40)]) > linalg.LIFT_BUDGET
+    # 200-bit entries in P^3: mult 9 and mult 99 (refused by the former bit
+    # work rule) are priced below the budget and answered.
+    generators = [[1, 1, 1, 1], [1, 2, 3, 2 ** 200 - 1]]
+    for mult in (9, 99):
+        assert _span_charge([(generators, mult)]) < linalg.LIFT_BUDGET
+        proc = run_cli("span-dim", {"spaces": [{"generators": generators, "mult": mult}]})
+        assert proc.returncode == 0 and json.loads(proc.stdout)["match"] is True
+    # Two spaces multiply their rows and add their bits.
+    line, other = _digits_line(3, 60), [[1, 0, 1, 2], [0, 1, 3, 1]]
+    assert _span_charge([(line, 2), (other, 3)]) > _span_charge([(line, 2)])
+    # The drawn route prices its entries, below 2^10, from their shape alone.
+    shapes = []
+    monkeypatch.setattr(cli, "vandermonde_charge", lambda s, n: shapes.append(s) or 0)
     monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps({"dims": [[1, 2]], "n": 3})))
-    assert cli.main(["span-dim"]) == 0 and calls == []
+    assert cli.main(["span-dim"]) == 0 and shapes == [[(1, 2, None)]]
+    capsys.readouterr()
+
+
+def test_benchmark_and_readme_payloads_price_below_a_hundredth_of_the_budget(monkeypatch):
+    """Every op of the three benchmark pools at seeds 1-3 and every README
+    payload of the four subcommands that spend the lift budget spends less
+    than 1% of it, so the budget is far from what they need."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import probes
+    import workloads
+    cases = [(op.argv, op.payload) for pool in ("interp", "tropical", "small-exact")
+             for seed in (1, 2, 3) for cycle in workloads.generate(pool, seed) for op in cycle
+             if op.argv and op.argv[0] in ("span-dim", "line-power", "star-config", "dim-estimate")]
+    readme = [(argv, payload) for _, argv, payload in probes.README_CASES
+              if argv[0] in ("span-dim", "line-power", "star-config", "dim-estimate")]
+    readme.append((["line-power"], {"line": [[1, 2, 0, 0, 2, -8], [0, 0, 1, 3, 3, 4]], "r": 3}))
+    assert len(readme) == 6 and {argv[0] for argv, _ in cases} == {
+        "span-dim", "line-power", "star-config", "dim-estimate"}
+    cells = []
+    monkeypatch.setattr(cli, "lift_budget", lambda: cells.append([linalg.LIFT_BUDGET]) or cells[-1])
+    for argv, payload in cases + readme:
+        cells.clear()
+        code, _, _ = run_main(argv, json.dumps(payload))
+        assert code == 0 and len(cells) == 1, (argv, payload)
+        assert 0 < linalg.LIFT_BUDGET - cells[0][0] < linalg.LIFT_BUDGET // 100, (argv, payload)
 
 
 def test_vandermonde_ranks_build_no_rref(monkeypatch, capsys):

@@ -8,7 +8,7 @@ fields names the one read first (`line` before `r`; `spaces` wins over
 junk `dims`; `bracket verify --symbolic` reads no `trials`).  The bytes were
 recorded from the CLI before `cli.SCHEMA` replaced its hand-written checks.
 
-Further tests: payloads nested past the recursion limit under every
+Further tests: payloads nested past `cli.PAYLOAD_DEPTH_LIMIT` under every
 installed Python, a fuzz test of payloads drawn from `cli.SCHEMA`, and the
 sampler factor limit.
 """
@@ -51,15 +51,27 @@ def test_payload_errors_keep_their_bytes(case):
 
 
 # ---------------------------------------------------------------------------
-# payloads nested past the recursion limit
+# payloads nested past the depth limit
+
+def _power_chain(depth):
+    return ('{"sampler": %s{"type": "linear", "generators": [[1, 2, 3]]}%s, "degree": 1}'
+            % ('{"type": "power", "r": 1, "base": ' * depth, "}" * depth))
+
 
 NESTED_PAYLOADS = {
     # 100,000 brackets: json.loads itself overflows on every Python.
     "sampler of nested lists": '{"sampler": %s%s, "degree": 1}' % ("[" * 100000, "]" * 100000),
     # 990 powers: json.loads overflows on 3.10 and 3.11, the reader on 3.12+.
-    "power sampler chain 990 deep": '{"sampler": %s{"type": "linear", "generators": [[1, 2, 3]]}%s, '
-                                    '"degree": 1}' % ('{"type": "power", "r": 1, "base": ' * 990,
-                                                      "}" * 990),
+    "power sampler chain 990 deep": _power_chain(990),
+    # A 1,500-deep list in a field no subcommand reads: json.loads reads it
+    # on 3.13 only, so it answered there and was too deep elsewhere.
+    "unread field 1500 deep": '{"sampler": {"type": "linear", "generators": [[1, 2, 3]]}, '
+                              '"degree": 1, "junk": %s1%s}' % ("[" * 1500, "]" * 1500),
+    # 489 to 493 powers: the reader overflowed at 491 on 3.10 and 3.11 and
+    # at 493 on 3.12 and 3.13.
+    **{"power sampler chain %d deep" % depth: _power_chain(depth) for depth in range(489, 494)},
+    # Just past cli.PAYLOAD_DEPTH_LIMIT: the chain and its leaf add four levels.
+    "power sampler chain past the depth limit": _power_chain(cli.PAYLOAD_DEPTH_LIMIT - 3),
 }
 
 def _installed_pythons():
@@ -68,6 +80,11 @@ def _installed_pythons():
     root = Path(os.environ.get("PYENV_ROOT", Path.home() / ".pyenv"))
     return [Path(sys.executable)] + [p for p in sorted(root.glob("versions/3.1[0-9]*/bin/python3"))
                                      if p.resolve() != here]
+
+
+def test_payloads_at_the_depth_limit_are_read():
+    code, out, _ = run_main(["interp"], _power_chain(cli.PAYLOAD_DEPTH_LIMIT - 4))
+    assert code == 0 and json.loads(out)["degree"] == 1
 
 
 @pytest.mark.parametrize("python", _installed_pythons(), ids=lambda p: p.parts[-3])

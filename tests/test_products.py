@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hadamard_spaces.line_powers import line_power_matrix, power_hyperplane
-from hadamard_spaces.linalg import (BudgetExhausted, PreconditionError, integer_rank,
-                                    primitive_ints)
-from hadamard_spaces import products, samplers
+from hadamard_spaces.linalg import (LIFT_BUDGET, BudgetExhausted, PreconditionError,
+                                    bareiss_steps, integer_rank, primitive_ints)
+from hadamard_spaces import cli, products, samplers
 from hadamard_spaces.papersuite import random_space
 from hadamard_spaces.poly import proportional
 from hadamard_spaces.products import (expected_dimension, gen_vandermonde,
@@ -61,20 +61,26 @@ def test_span_dimension_formula():
     assert span_dimension_formula([(1, 5)], 3) == 3
 
 
+def _drawn_charge(dims, n):
+    """What `span-dim` charges for spaces drawn by `dims` in P^n."""
+    payload = {"dims": [list(pair) for pair in dims], "n": n}
+    return cli.span_dim_charge(cli.read_payload("span-dim", payload, None))
+
+
 def test_span_dim_work_limit_boundary():
-    # Two rows, n + 1 columns, rank 2, r = 1: work 2 (n + 1) (4 + 64).
-    assert 136 * 735294 <= products.SPAN_DIM_WORK_LIMIT < 136 * 735295
-    products.check_span_dim_work([(1, 1)], 735293)
-    with pytest.raises(BudgetExhausted):
-        products.check_span_dim_work([(1, 1)], 735294)
-    # A 2,925 x 11 matrix of rank 11 with r = 24, and the same at r = 25.
-    products.check_span_dim_work([(3, 24)], 10)
-    with pytest.raises(BudgetExhausted):
-        products.check_span_dim_work([(3, 25)], 10)
+    budget = LIFT_BUDGET
+    # A line in P^n, two rows: the budget passes about P^1,800,000; the
+    # line in P^735,293 took 1.5-2.1 s (321 MiB), in P^10^8 it is refused.
+    assert _drawn_charge([(1, 1)], 735293) < budget < _drawn_charge([(1, 1)], 10 ** 8)
+    # A 2,925 x 11 matrix of rank 11 with r = 24 (1.3 s) passes, r = 40 not.
+    assert _drawn_charge([(3, 24)], 10) < budget < _drawn_charge([(3, 40)], 10)
+    # Six rows in P^166,665 (1.9 s) and 56 in P^30 (2.2 s) are past it.
+    assert _drawn_charge([(5, 1)], 166665) > budget
+    assert _drawn_charge([(1, 55)], 30) > budget
     # The benchmark's and the README's span payloads, and a point factor.
     for dims, n in [([(1, 2)], 3), ([(1, 2), (1, 1)], 5), ([(2, 2)], 5), ([(1, 3)], 4),
                     ([(1, 1), (1, 1)], 6), ([(1, 1), (1, 1)], 3), ([(0, 1000)], 1)]:
-        products.check_span_dim_work(dims, n)
+        assert _drawn_charge(dims, n) < budget // 100
 
 
 def test_gen_vandermonde_rank_matches_formula_randomized():
@@ -282,6 +288,21 @@ def test_terracini_ambient_mismatch():
     q = PPoint([1, 2, 3])
     with pytest.raises(ValueError, match="ambient dimensions differ"):
         terracini_span(p, tp, q, LinSpace([q.coords]))
+
+
+def test_terracini_rank_pays_for_the_steps_it_takes():
+    # A Segre variety with itself: 2 (a + b + 1) rows of rank a + b + 1, so
+    # the pass takes about half the steps that the whole pass prices.
+    sampler = segre_sampler(1, 6)
+    rng = random.Random(51)
+    (p, tp), (q, tq) = sampler.sample(rng), sampler.sample(rng)
+    budget = [LIFT_BUDGET]
+    assert terracini_dim(p, tp, q, tq, budget) == 7
+    steps = list(bareiss_steps(*products.terracini_pass(p, tp, q, tq)))
+    assert len(steps) == 14
+    assert LIFT_BUDGET - budget[0] == sum(steps[:8]) < sum(steps)
+    with pytest.raises(BudgetExhausted, match="^the Terracini span in P\\^13 is past"):
+        terracini_dim(p, tp, q, tq, [sum(steps[:7])])
 
 
 def test_terracini_generic_spaces_dimension_additive():
